@@ -16,7 +16,7 @@
 //!    base relations — into a derived database
 //!    ([`mjoin::derive_database`]);
 //! 2. re-enters the PR-1 degradation ladder
-//!    ([`mjoin::optimize_robust_threaded`]) over that derived query under
+//!    ([`mjoin::optimize_database_robust_threaded`]) over that derived query under
 //!    the **remaining** budget, so re-planning is itself deadline-safe,
 //!    cancellable, and degrades gracefully;
 //! 3. rebuilds the estimator over the derived database (same estimation
@@ -40,7 +40,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use mjoin::{derive_database, optimize_robust_threaded, try_optimize, ExactOracle};
+use mjoin::{derive_database, optimize_database_robust_threaded, try_optimize, ExactOracle};
 use mjoin_cost::{Database, NoisyOracle, SyntheticOracle};
 use mjoin_guard::{failpoints, Budget, CancelToken, Guard, MjoinError};
 use mjoin_hypergraph::RelSet;
@@ -362,9 +362,8 @@ pub fn execute_adaptive(
                 }
                 let derived = derive_database(db, mats)?;
                 let rem = remaining_budget(&config.budget, started, &guard);
-                let robust = optimize_robust_threaded(
+                let robust = optimize_database_robust_threaded(
                     &derived.db,
-                    derived.db.scheme().full_set(),
                     config.space,
                     rem,
                     config.cancel.as_ref(),

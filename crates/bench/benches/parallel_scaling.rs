@@ -18,7 +18,7 @@ use mjoin_cost::SyntheticOracle;
 use mjoin_gen::schemes;
 use mjoin_guard::Guard;
 use mjoin_obs::{Json, Recorder};
-use mjoin_optimizer::{try_best_no_cartesian_parallel, DpAlgorithm, Plan};
+use mjoin_optimizer::{try_best_no_cartesian_parallel, Plan};
 
 fn smoke() -> bool {
     std::env::var("MJOIN_BENCH_SMOKE").is_ok_and(|v| v == "1")
@@ -31,15 +31,9 @@ fn clique_oracle(n: usize) -> SyntheticOracle {
 
 fn run_dpccp(oracle: &SyntheticOracle, n: usize, threads: usize) -> Plan {
     let (_, scheme) = schemes::clique(n);
-    try_best_no_cartesian_parallel(
-        oracle,
-        scheme.full_set(),
-        DpAlgorithm::DpCcp,
-        &Guard::unlimited(),
-        threads,
-    )
-    .expect("unlimited guard cannot trip")
-    .expect("cliques are connected")
+    try_best_no_cartesian_parallel(oracle, scheme.full_set(), &Guard::unlimited(), threads)
+        .expect("unlimited guard cannot trip")
+        .expect("cliques are connected")
 }
 
 /// One timed run per thread count: checks determinism, prints speedups,

@@ -27,7 +27,7 @@
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use mjoin::{optimize_robust_threaded_from, Budget, Rung, SearchSpace};
+use mjoin::{optimize_robust, Budget, Rung, SearchSpace};
 use mjoin_cost::SyntheticOracle;
 use mjoin_gen::{data, data::DataConfig, schemes};
 use mjoin_guard::Guard;
@@ -254,7 +254,7 @@ fn assert_thread_invariant() {
         let plans: Vec<_> = [1usize, 2, 4]
             .into_iter()
             .map(|threads| {
-                optimize_robust_threaded_from(
+                optimize_robust(
                     &db,
                     full,
                     SearchSpace::All,

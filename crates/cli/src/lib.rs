@@ -38,10 +38,10 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use mjoin::{
-    analyze_guarded, failpoints, optimize_database_robust_threaded, optimize_robust_threaded_from,
-    try_best_avoid_cartesian_parallel, try_best_no_cartesian_parallel, try_optimize, BrownoutLevel,
-    Budget, Condition, Database, DpAlgorithm, ExactOracle, Guard, MjoinError, SearchSpace,
-    SharedOracle, Strategy, Value,
+    analyze_guarded, failpoints, optimize_robust, try_best_avoid_cartesian_parallel,
+    try_best_no_cartesian_parallel, try_optimize, BrownoutLevel, Budget, CardinalityOracle,
+    Condition, Database, ExactOracle, Guard, MjoinError, SearchSpace, SharedOracle, Strategy,
+    Value,
 };
 use mjoin_fd::FdSet;
 use mjoin_hypergraph::{DbScheme, JoinTree};
@@ -318,7 +318,11 @@ impl Drop for ArmedSites {
     }
 }
 
-fn parse_space(s: &str) -> Result<SearchSpace, CliError> {
+/// The SPACE argument of a command or request; absent means the full space.
+fn parse_space(s: Option<&str>) -> Result<SearchSpace, CliError> {
+    let Some(s) = s else {
+        return Ok(SearchSpace::All);
+    };
     match s {
         "all" => Ok(SearchSpace::All),
         "linear" => Ok(SearchSpace::Linear),
@@ -331,179 +335,135 @@ fn parse_space(s: &str) -> Result<SearchSpace, CliError> {
     }
 }
 
-/// The rendered result of one `optimize` invocation: exactly the text the
-/// `optimize` command prints, plus the structured pieces the serve daemon
-/// and the metrics sections reuse.
+/// The rendered result of one `optimize` or `query` invocation: exactly the
+/// text the command prints (for `query`, the lowering header plus the plan
+/// report over the filtered sub-database), plus the structured pieces the
+/// serve daemon and the metrics sections reuse.
 #[derive(Clone, Debug)]
 pub struct OptimizeOutcome {
-    /// The report text, byte-identical to the `optimize` command output.
+    /// The report text, byte-identical to the command's output.
     pub text: String,
     /// The plan's τ, when one was costed within budget.
     pub cost: Option<u64>,
     /// The winning plan itself (absent when the space was empty), so the
     /// persistent-store save path can serialize it without re-optimizing.
     pub plan: Option<mjoin::Plan>,
-    /// Budgeted mode only: the degradation ladder's full result.
+    /// Ladder runs only: the degradation ladder's full result.
     pub robust: Option<mjoin::RobustPlan>,
 }
 
-/// Runs the `optimize` command's planning paths — budgeted ladder,
-/// parallel DP, or sequential DP, chosen exactly as the CLI does — and
-/// renders the report. Shared by the CLI and the serve daemon so a served
-/// plan is byte-identical to the CLI's.
-pub fn optimize_outcome(
+/// Renders a degradation-ladder result — the one rendering of a budgeted or
+/// browned-out answer. A pinned brownout `level` adds exactly a `brownout:`
+/// line naming it, so a degraded answer can never be mistaken for a
+/// full-ladder one.
+fn ladder_outcome(
     db: &Database,
     space: SearchSpace,
-    gopts: &GuardOptions,
-) -> Result<OptimizeOutcome, MjoinError> {
-    let budget = gopts.budget();
-    let guard = Guard::new(budget);
-    let threads = gopts.threads();
-    let mut out = String::new();
-    let mut cost = None;
-    let mut plan_out = None;
-    let mut robust = None;
-    if gopts.is_limited() {
-        // Budgeted mode: the degradation ladder always answers with
-        // some valid strategy and reports which rung produced it.
-        // (`optimize_database_robust_threaded` at 1 thread *is* the
-        // sequential ladder.)
-        let r = optimize_database_robust_threaded(db, space, budget, None, threads)?;
-        let _ = writeln!(out, "search space: {space:?}");
-        let _ = writeln!(
-            out,
-            "plan: {}",
-            r.plan.strategy.render(db.catalog(), db.scheme())
-        );
-        if r.plan.cost == u64::MAX {
-            let _ = writeln!(out, "τ = (not costed within budget)");
-        } else {
-            let _ = writeln!(out, "τ = {}", r.plan.cost);
-        }
-        let _ = writeln!(out, "degradation: {}", r.report);
-        if r.plan.cost != u64::MAX {
-            cost = Some(r.plan.cost);
-        }
-        plan_out = Some(r.plan.clone());
-        robust = Some(r);
-    } else if threads > 1 {
-        // Multi-core search over one shared memo: level-parallel DP
-        // for the product-free spaces, sequential DP over the shared
-        // oracle for the rest.
-        let shared = SharedOracle::with_guard(db, guard.clone()).with_join_threads(threads);
-        let full = db.scheme().full_set();
-        let plan = match space {
-            SearchSpace::NoCartesian => {
-                try_best_no_cartesian_parallel(&shared, full, DpAlgorithm::DpCcp, &guard, threads)
-            }
-            SearchSpace::AvoidCartesian => {
-                try_best_avoid_cartesian_parallel(&shared, full, DpAlgorithm::DpCcp, &guard, threads)
-            }
-            _ => try_optimize(&mut shared.handle(), full, space, &guard),
-        }?;
-        match plan {
-            Some(plan) => {
-                let _ = writeln!(out, "search space: {space:?}");
-                let _ = writeln!(out, "{}", plan.explain(db.catalog(), &mut shared.handle()));
-                cost = Some(plan.cost);
-                plan_out = Some(plan);
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "search space {space:?} is empty for this (unconnected) scheme"
-                );
-            }
-        }
+    r: mjoin::RobustPlan,
+    level: BrownoutLevel,
+) -> OptimizeOutcome {
+    let costed = r.plan.cost != u64::MAX;
+    let mut text = String::new();
+    let _ = writeln!(text, "search space: {space:?}");
+    let _ = writeln!(
+        text,
+        "plan: {}",
+        r.plan.strategy.render(db.catalog(), db.scheme())
+    );
+    if costed {
+        let _ = writeln!(text, "τ = {}", r.plan.cost);
     } else {
-        let mut oracle = ExactOracle::with_guard(db, guard.clone());
-        match try_optimize(&mut oracle, db.scheme().full_set(), space, &guard)? {
-            Some(plan) => {
-                let _ = writeln!(out, "search space: {space:?}");
-                let _ = writeln!(out, "{}", plan.explain(db.catalog(), &mut oracle));
-                cost = Some(plan.cost);
-                plan_out = Some(plan);
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "search space {space:?} is empty for this (unconnected) scheme"
-                );
-            }
-        }
+        let _ = writeln!(text, "τ = (not costed within budget)");
     }
-    Ok(OptimizeOutcome {
-        text: out,
-        cost,
-        plan: plan_out,
-        robust,
-    })
+    let _ = writeln!(text, "degradation: {}", r.report);
+    if level != BrownoutLevel::Normal {
+        let _ = writeln!(text, "brownout: {level}");
+    }
+    OptimizeOutcome {
+        text,
+        cost: costed.then_some(r.plan.cost),
+        plan: Some(r.plan.clone()),
+        robust: Some(r),
+    }
 }
 
-/// [`optimize_outcome`] with a server-pinned brownout level: `Normal`
-/// delegates (byte-identical output); a browned level always runs the
-/// degradation ladder from the level's entry rung under the level's
-/// tightened budget, so the answer is a valid covering strategy that was
-/// cheap to find by construction. The report gains a `brownout:` line
-/// naming the level, so a degraded answer can never be mistaken for a
-/// full-ladder one.
-pub fn optimize_outcome_browned(
+/// Renders an unbudgeted search's result — the one rendering of a plain
+/// plan: the search-space header (with `model`, a note naming a synthetic
+/// cardinality model, or empty) and the plan explained against `oracle`,
+/// or the empty-space line.
+fn plan_outcome<O: CardinalityOracle>(
+    plan: Option<mjoin::Plan>,
+    space: SearchSpace,
+    model: &str,
+    catalog: &Catalog,
+    oracle: &mut O,
+) -> OptimizeOutcome {
+    let mut text = String::new();
+    match &plan {
+        Some(plan) => {
+            let _ = writeln!(text, "search space: {space:?}{model}");
+            let _ = writeln!(text, "{}", plan.explain(catalog, oracle));
+        }
+        None => {
+            let _ = writeln!(
+                text,
+                "search space {space:?} is empty for this (unconnected) scheme"
+            );
+        }
+    }
+    OptimizeOutcome {
+        text,
+        cost: plan.as_ref().map(|p| p.cost),
+        plan,
+        robust: None,
+    }
+}
+
+/// Runs the `optimize` command's planning paths — degradation ladder,
+/// parallel DP, or sequential DP — and renders the report. Shared by the
+/// CLI and the serve daemon so a served plan is byte-identical to the
+/// CLI's.
+///
+/// Any budget limit, or a server-pinned brownout `level` other than
+/// `Normal`, runs the ladder — which always answers with some valid
+/// strategy and reports which rung produced it — from the level's entry
+/// rung under the level's tightened budget, so a browned-out answer is
+/// cheap to find by construction.
+pub fn optimize_outcome(
     db: &Database,
     space: SearchSpace,
     gopts: &GuardOptions,
     level: BrownoutLevel,
 ) -> Result<OptimizeOutcome, MjoinError> {
-    if level == BrownoutLevel::Normal {
-        return optimize_outcome(db, space, gopts);
-    }
-    let budget = level.apply(gopts.budget());
     let threads = gopts.threads();
-    let r = optimize_robust_threaded_from(
-        db,
-        db.scheme().full_set(),
-        space,
-        budget,
-        None,
-        threads,
-        level.entry_rung(),
-    )?;
-    let mut out = String::new();
-    let _ = writeln!(out, "search space: {space:?}");
-    let _ = writeln!(
-        out,
-        "plan: {}",
-        r.plan.strategy.render(db.catalog(), db.scheme())
-    );
-    if r.plan.cost == u64::MAX {
-        let _ = writeln!(out, "τ = (not costed within budget)");
-    } else {
-        let _ = writeln!(out, "τ = {}", r.plan.cost);
+    let full = db.scheme().full_set();
+    if gopts.is_limited() || level != BrownoutLevel::Normal {
+        let budget = level.apply(gopts.budget());
+        let r = optimize_robust(db, full, space, budget, None, threads, level.entry_rung())?;
+        return Ok(ladder_outcome(db, space, r, level));
     }
-    let _ = writeln!(out, "degradation: {}", r.report);
-    let _ = writeln!(out, "brownout: {level}");
-    let cost = (r.plan.cost != u64::MAX).then_some(r.plan.cost);
-    let plan = Some(r.plan.clone());
-    Ok(OptimizeOutcome {
-        text: out,
-        cost,
-        plan,
-        robust: Some(r),
-    })
-}
-
-/// The rendered result of one `query` invocation: the lowering header
-/// (per-table filter effect, join edges) plus the plan report over the
-/// filtered sub-database.
-#[derive(Clone, Debug)]
-pub struct QueryOutcome {
-    /// The report text, byte-identical to the `query` command output.
-    pub text: String,
-    /// The plan's τ over the filtered database, when costed within budget.
-    pub cost: Option<u64>,
-    /// The winning plan (absent when the space was empty).
-    pub plan: Option<mjoin::Plan>,
-    /// Budgeted mode only: the degradation ladder's full result.
-    pub robust: Option<mjoin::RobustPlan>,
+    let guard = Guard::new(gopts.budget());
+    if threads > 1 {
+        // Multi-core search over one shared memo: level-parallel DP
+        // for the product-free spaces, sequential DP over the shared
+        // oracle for the rest.
+        let shared = SharedOracle::with_guard(db, guard.clone()).with_join_threads(threads);
+        let plan = match space {
+            SearchSpace::NoCartesian => {
+                try_best_no_cartesian_parallel(&shared, full, &guard, threads)
+            }
+            SearchSpace::AvoidCartesian => {
+                try_best_avoid_cartesian_parallel(&shared, full, &guard, threads)
+            }
+            _ => try_optimize(&mut shared.handle(), full, space, &guard),
+        }?;
+        let mut handle = shared.handle();
+        Ok(plan_outcome(plan, space, "", db.catalog(), &mut handle))
+    } else {
+        let mut oracle = ExactOracle::with_guard(db, guard.clone());
+        let plan = try_optimize(&mut oracle, full, space, &guard)?;
+        Ok(plan_outcome(plan, space, "", db.catalog(), &mut oracle))
+    }
 }
 
 /// Builds the synthetic cardinality model for a lowered query over its
@@ -562,7 +522,7 @@ pub fn query_report(
     space: SearchSpace,
     gopts: &GuardOptions,
     level: BrownoutLevel,
-) -> Result<QueryOutcome, MjoinError> {
+) -> Result<OptimizeOutcome, MjoinError> {
     let has_rows = lowered.has_rows();
     let mut out = String::new();
     let _ = writeln!(out, "query: {rendered}");
@@ -613,43 +573,43 @@ pub fn query_report(
             .collect();
         let _ = writeln!(out, "join edges: {}", edges.join(", "));
     }
-    let (cost, plan, robust) = if has_rows {
-        let o = optimize_outcome_browned(&lowered.database, space, gopts, level)?;
-        out.push_str(&o.text);
-        (o.cost, o.plan, o.robust)
+    let plan = if has_rows {
+        optimize_outcome(&lowered.database, space, gopts, level)?
     } else {
         let mut oracle = query_synthetic_oracle(input, lowered)?;
         lowered.fold_into(&mut oracle)?;
         let guard = Guard::new(gopts.budget());
         let full = lowered.database.scheme().full_set();
-        match try_optimize(&mut oracle, full, space, &guard)? {
-            Some(plan) => {
-                let _ = writeln!(
-                    out,
-                    "search space: {space:?} (synthetic cardinality model, filters folded)"
-                );
-                let _ = writeln!(
-                    out,
-                    "{}",
-                    plan.explain(lowered.database.catalog(), &mut oracle)
-                );
-                (Some(plan.cost), Some(plan), None)
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "search space {space:?} is empty for this (unconnected) scheme"
-                );
-                (None, None, None)
-            }
-        }
+        let plan = try_optimize(&mut oracle, full, space, &guard)?;
+        plan_outcome(
+            plan,
+            space,
+            " (synthetic cardinality model, filters folded)",
+            lowered.database.catalog(),
+            &mut oracle,
+        )
     };
-    Ok(QueryOutcome {
-        text: out,
-        cost,
-        plan,
-        robust,
-    })
+    out.push_str(&plan.text);
+    Ok(OptimizeOutcome { text: out, ..plan })
+}
+
+/// Cache/store key for an `optimize` invocation — the key both the CLI
+/// `--store` path and the serve plan cache use: the database, the
+/// search-space argument as given, and every option that can change the
+/// answer.
+pub(crate) fn optimize_fingerprint(
+    db: &Database,
+    space_raw: Option<&str>,
+    gopts: &GuardOptions,
+) -> String {
+    mjoin::optimize_fingerprint(
+        db,
+        space_raw,
+        gopts.timeout_ms,
+        gopts.max_memo_entries,
+        gopts.max_tuples,
+        gopts.threads(),
+    )
 }
 
 /// Cache/store key for a `query` invocation: the optimize fingerprint of
@@ -665,14 +625,64 @@ pub fn query_fingerprint(
     gopts: &GuardOptions,
 ) -> String {
     let ns = format!("query|{}|{rendered}", space_raw.unwrap_or(""));
-    mjoin::optimize_fingerprint(
-        lowered_db,
-        Some(&ns),
-        gopts.timeout_ms,
-        gopts.max_memo_entries,
-        gopts.max_tuples,
-        gopts.threads(),
-    )
+    optimize_fingerprint(lowered_db, Some(&ns), gopts)
+}
+
+/// The shared tail of the `optimize` and `query` commands around
+/// `--store`. A store entry whose fingerprint `fp` matches this exact
+/// request replays the cold run's response byte for byte, skipping `plan`
+/// entirely; otherwise `plan` runs and its cold result is saved back.
+/// Budgeted (ladder) runs are not persisted: their responses carry rung
+/// context that a replay could not reproduce faithfully under a changed
+/// budget clock. `fp` is `None` when `--store` is absent or the request is
+/// not storable. Returns the response text and, for a ladder run, its
+/// result.
+///
+/// With `harvest_memo`, the saved entry also carries the DP memo and
+/// cached cardinalities of `db` — worth persisting only for the
+/// product-free space, where the flat DPccp table is the native form; a
+/// separate save-path pass harvests them so the user-visible planning
+/// paths stay untouched.
+fn plan_through_store(
+    gopts: &GuardOptions,
+    fp: Option<String>,
+    db: &Database,
+    harvest_memo: bool,
+    plan: impl FnOnce() -> Result<OptimizeOutcome, MjoinError>,
+) -> Result<(String, Option<mjoin::RobustPlan>), CliError> {
+    let fail = |e: MjoinError| CliError(e.to_string());
+    let store = gopts.store.as_deref().map(std::path::Path::new).zip(fp);
+    if let Some((path, fp)) = &store {
+        if path.exists() {
+            let loaded = mjoin::LoadedStore::open(path).map_err(fail)?;
+            if let Some(entry) = loaded.entry(fp) {
+                return Ok((entry.response().to_string(), None));
+            }
+        }
+    }
+    let o = plan().map_err(fail)?;
+    if let (Some((path, fp)), None) = (store, &o.robust) {
+        let full = db.scheme().full_set();
+        let mut oracle = ExactOracle::new(db);
+        let harvest = harvest_memo.then(|| {
+            mjoin::try_best_no_cartesian_ccp_with_memo(&mut oracle, full, &Guard::unlimited())
+        });
+        let (memo, taus) = match harvest {
+            Some(Ok(Some((_, memo)))) => (Some(memo), oracle.memo_taus()),
+            _ => (None, Vec::new()),
+        };
+        let entry = mjoin::entry_from_optimize(
+            fp,
+            full,
+            o.plan.as_ref().map(|p| (&p.strategy, p.cost)),
+            memo.as_ref(),
+            &taus,
+            &o.text,
+        )
+        .map_err(fail)?;
+        mjoin::save_optimize_entry(path, entry).map_err(fail)?;
+    }
+    Ok((o.text, o.robust))
 }
 
 /// Plans and executes under `estimation`/`config`, rendering exactly the
@@ -825,6 +835,8 @@ where
     // without the observability layer.
     let recorder = gopts.wants_metrics().then(Recorder::arm);
     let mut sections: Vec<(&'static str, Json)> = Vec::new();
+    // Set by a ladder run (`optimize`/`query` under a budget).
+    let mut ladder: Option<mjoin::RobustPlan> = None;
 
     match command.as_str() {
         "analyze" => {
@@ -880,80 +892,17 @@ where
         }
         "optimize" => {
             let space_raw = args.get(2).cloned();
-            let space = match &space_raw {
-                Some(s) => parse_space(s)?,
-                None => SearchSpace::All,
-            };
-            // Warm-start: a store entry whose fingerprint matches this
-            // exact request replays the cold run's response byte for
-            // byte, skipping optimization entirely.
-            let fp = gopts.store.as_ref().map(|_| {
-                mjoin::optimize_fingerprint(
-                    db,
-                    space_raw.as_deref(),
-                    gopts.timeout_ms,
-                    gopts.max_memo_entries,
-                    gopts.max_tuples,
-                    gopts.threads(),
-                )
-            });
-            let mut warm: Option<String> = None;
-            if let (Some(store_path), Some(fp)) = (&gopts.store, &fp) {
-                let p = std::path::Path::new(store_path);
-                if p.exists() {
-                    let store = mjoin::LoadedStore::open(p)
-                        .map_err(|e| CliError(e.to_string()))?;
-                    warm = store.entry(fp).map(|e| e.response().to_string());
-                }
-            }
-            if let Some(response) = warm {
-                out.push_str(&response);
-            } else {
-                let o = optimize_outcome(db, space, &gopts).map_err(fail)?;
-                out.push_str(&o.text);
-                if recorder.is_some() {
-                    if let Some(r) = &o.robust {
-                        sections.push(("degradation", mjoin::degradation_section(&r.report)));
-                    }
-                }
-                // Save the cold run. Budgeted (ladder) runs are not
-                // persisted: their responses carry rung context that a
-                // replay could not reproduce faithfully under a changed
-                // budget clock.
-                if let (Some(store_path), Some(fp)) = (&gopts.store, fp) {
-                    if o.robust.is_none() {
-                        // The DP memo and cached cardinalities are worth
-                        // persisting only for the product-free space,
-                        // where the flat DPccp table is the native form;
-                        // a separate save-path pass harvests them so the
-                        // user-visible planning paths stay untouched.
-                        let (memo, taus) = if space == SearchSpace::NoCartesian {
-                            let mut oracle = ExactOracle::new(db);
-                            match mjoin::try_best_no_cartesian_ccp_with_memo(
-                                &mut oracle,
-                                db.scheme().full_set(),
-                                &Guard::unlimited(),
-                            ) {
-                                Ok(Some((_, memo))) => (Some(memo), oracle.memo_taus()),
-                                _ => (None, Vec::new()),
-                            }
-                        } else {
-                            (None, Vec::new())
-                        };
-                        let entry = mjoin::entry_from_optimize(
-                            fp,
-                            db.scheme().full_set(),
-                            o.plan.as_ref().map(|p| (&p.strategy, p.cost)),
-                            memo.as_ref(),
-                            &taus,
-                            &o.text,
-                        )
-                        .map_err(|e| CliError(e.to_string()))?;
-                        mjoin::save_optimize_entry(std::path::Path::new(store_path), entry)
-                            .map_err(|e| CliError(e.to_string()))?;
-                    }
-                }
-            }
+            let space = parse_space(space_raw.as_deref())?;
+            let fp = gopts
+                .store
+                .as_ref()
+                .map(|_| optimize_fingerprint(db, space_raw.as_deref(), &gopts));
+            let harvest_memo = space == SearchSpace::NoCartesian;
+            let (text, robust) = plan_through_store(&gopts, fp, db, harvest_memo, || {
+                optimize_outcome(db, space, &gopts, BrownoutLevel::Normal)
+            })?;
+            out.push_str(&text);
+            ladder = robust;
         }
         "query" => {
             let Some(raw) = args.get(2) else {
@@ -968,59 +917,24 @@ where
                 None => raw.as_str(),
             };
             let space_raw = args.get(3).cloned();
-            let space = match &space_raw {
-                Some(s) => parse_space(s)?,
-                None => SearchSpace::All,
-            };
+            let space = parse_space(space_raw.as_deref())?;
             let query = mjoin::parse_query(sql).map_err(fail)?;
             let lowered = mjoin::lower(&query, db).map_err(fail)?;
             let rendered = query.render();
-            // Store warm-start mirrors `optimize`, keyed by the lowered
-            // (filtered) database plus the canonical query text.
-            // Statistics-only inputs are never stored: declared cards and
-            // domains live outside the hashed states, so entries for them
-            // could collide across different statistics.
+            // The store key is the lowered (filtered) database plus the
+            // canonical query text. Statistics-only inputs are never
+            // stored: declared cards and domains live outside the hashed
+            // states, so entries for them could collide across different
+            // statistics.
             let fp = (gopts.store.is_some() && lowered.has_rows()).then(|| {
                 query_fingerprint(&lowered.database, &rendered, space_raw.as_deref(), &gopts)
             });
-            let mut warm: Option<String> = None;
-            if let (Some(store_path), Some(fp)) = (&gopts.store, &fp) {
-                let p = std::path::Path::new(store_path);
-                if p.exists() {
-                    let store = mjoin::LoadedStore::open(p)
-                        .map_err(|e| CliError(e.to_string()))?;
-                    warm = store.entry(fp).map(|e| e.response().to_string());
-                }
-            }
-            if let Some(response) = warm {
-                out.push_str(&response);
-            } else {
-                let o = query_report(&input, &lowered, &rendered, space, &gopts, BrownoutLevel::Normal)
-                    .map_err(fail)?;
-                out.push_str(&o.text);
-                if recorder.is_some() {
-                    if let Some(r) = &o.robust {
-                        sections.push(("degradation", mjoin::degradation_section(&r.report)));
-                    }
-                }
-                // Save the cold run; as for `optimize`, budgeted (ladder)
-                // responses are not persisted.
-                if let (Some(store_path), Some(fp)) = (&gopts.store, fp) {
-                    if o.robust.is_none() {
-                        let entry = mjoin::entry_from_optimize(
-                            fp,
-                            lowered.database.scheme().full_set(),
-                            o.plan.as_ref().map(|p| (&p.strategy, p.cost)),
-                            None,
-                            &[],
-                            &o.text,
-                        )
-                        .map_err(|e| CliError(e.to_string()))?;
-                        mjoin::save_optimize_entry(std::path::Path::new(store_path), entry)
-                            .map_err(|e| CliError(e.to_string()))?;
-                    }
-                }
-            }
+            let level = BrownoutLevel::Normal;
+            let (text, robust) = plan_through_store(&gopts, fp, &lowered.database, false, || {
+                query_report(&input, &lowered, &rendered, space, &gopts, level)
+            })?;
+            out.push_str(&text);
+            ladder = robust;
         }
         "execute" => {
             let mut space = SearchSpace::All;
@@ -1065,7 +979,7 @@ where
                         if space_set {
                             return err(format!("execute: unexpected argument {s:?}"));
                         }
-                        space = parse_space(s)?;
+                        space = parse_space(Some(s))?;
                         space_set = true;
                     }
                 }
@@ -1131,29 +1045,15 @@ where
             );
         }
         "estimate" => {
-            let space = match args.get(2) {
-                Some(sp) => parse_space(sp)?,
-                None => SearchSpace::All,
-            };
+            let space = parse_space(args.get(2).map(String::as_str))?;
             let mut oracle = synthetic_oracle(&input)?;
-            match try_optimize(&mut oracle, db.scheme().full_set(), space, &guard).map_err(fail)? {
-                Some(plan) => {
-                    let _ = writeln!(out, "search space: {space:?} (synthetic cardinality model)");
-                    let _ = writeln!(out, "{}", plan.explain(db.catalog(), &mut oracle));
-                }
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "search space {space:?} is empty for this (unconnected) scheme"
-                    );
-                }
-            }
+            let plan =
+                try_optimize(&mut oracle, db.scheme().full_set(), space, &guard).map_err(fail)?;
+            let model = " (synthetic cardinality model)";
+            out.push_str(&plan_outcome(plan, space, model, db.catalog(), &mut oracle).text);
         }
         "dot" => {
-            let space = match args.get(2) {
-                Some(sp) => parse_space(sp)?,
-                None => SearchSpace::All,
-            };
+            let space = parse_space(args.get(2).map(String::as_str))?;
             let mut oracle = ExactOracle::with_guard(db, guard.clone());
             let Some(plan) =
                 try_optimize(&mut oracle, db.scheme().full_set(), space, &guard).map_err(fail)?
@@ -1326,6 +1226,9 @@ where
     if let Some(rec) = recorder {
         let snapshot = rec.snapshot();
         drop(rec);
+        if let Some(r) = &ladder {
+            sections.push(("degradation", mjoin::degradation_section(&r.report)));
+        }
         let mut report = RunReport::new(command, gopts.threads(), snapshot);
         for (name, value) in sections {
             report = report.with_section(name, value);
@@ -1730,6 +1633,25 @@ domain C 10
         assert!(degr.get("answered_by").and_then(Json::as_str).is_some());
         assert!(degr.get("attempts").is_some());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn browned_report_is_the_ladder_report_plus_the_brownout_line() {
+        let db = parse_input(SAMPLE).unwrap().database;
+        let gopts = GuardOptions {
+            threads: Some(1),
+            ..GuardOptions::default()
+        };
+        for level in [BrownoutLevel::ReducedDp, BrownoutLevel::GreedyOnly] {
+            // A pinned level runs the ladder even with no budget flag set…
+            let browned = optimize_outcome(&db, SearchSpace::All, &gopts, level).unwrap();
+            let r = browned.robust.expect("a browned run is a ladder run");
+            assert_eq!(r.report.answered_by, level.entry_rung());
+            // …and renders it exactly as an unpinned run would, plus one line.
+            let normal = ladder_outcome(&db, SearchSpace::All, r, BrownoutLevel::Normal);
+            assert_eq!(browned.text, format!("{}brownout: {level}\n", normal.text));
+            assert_eq!(browned.cost, normal.cost);
+        }
     }
 
     #[test]

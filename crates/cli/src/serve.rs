@@ -11,8 +11,8 @@ use mjoin_obs::Json;
 use mjoin_serve::{Engine, EngineRequest, EngineResponse, ServeConfig, Server};
 
 use crate::{
-    execute_report, optimize_outcome_browned, parse_input, parse_space, query_fingerprint,
-    query_report, CliError, GuardOptions, Input,
+    execute_report, optimize_fingerprint, optimize_outcome, parse_input, parse_space,
+    query_fingerprint, query_report, CliError, GuardOptions, Input, OptimizeOutcome,
 };
 
 /// The real optimizer engine behind `mjoin serve`.
@@ -24,10 +24,8 @@ pub struct MjoinEngine {
 impl MjoinEngine {
     fn parse(&self, req: &EngineRequest) -> Result<(Input, SearchSpace), MjoinError> {
         let input = parse_input(&req.db).map_err(|e| MjoinError::InvalidScheme(e.0))?;
-        let space = match &req.space {
-            Some(s) => parse_space(s).map_err(|e| MjoinError::InvalidScheme(e.0))?,
-            None => SearchSpace::All,
-        };
+        let space =
+            parse_space(req.space.as_deref()).map_err(|e| MjoinError::InvalidScheme(e.0))?;
         Ok((input, space))
     }
 
@@ -39,6 +37,29 @@ impl MjoinEngine {
             threads: Some(self.threads),
             ..GuardOptions::default()
         }
+    }
+}
+
+/// The response to a planning op: the report text plus `cost`, the op's
+/// own `lowering` fields, the answering rung of a ladder run, and the
+/// pinned brownout level.
+fn plan_response(
+    o: OptimizeOutcome,
+    lowering: Vec<(&'static str, Json)>,
+    level: BrownoutLevel,
+) -> EngineResponse {
+    let mut extra = vec![("cost", o.cost.map(Json::U64).unwrap_or(Json::Null))];
+    extra.extend(lowering);
+    if let Some(r) = &o.robust {
+        extra.push(("rung", Json::Str(r.report.answered_by.to_string())));
+        extra.push(("optimal", Json::Bool(r.report.optimal)));
+    }
+    if level != BrownoutLevel::Normal {
+        extra.push(("brownout", Json::Str(level.name().to_string())));
+    }
+    EngineResponse {
+        output: o.text,
+        extra,
     }
 }
 
@@ -56,24 +77,11 @@ impl Engine for MjoinEngine {
             })?,
         };
         match req.op.as_str() {
-            "optimize" => {
-                let o = optimize_outcome_browned(db, space, &gopts, level)?;
-                let mut extra: Vec<(&'static str, Json)> = vec![(
-                    "cost",
-                    o.cost.map(Json::U64).unwrap_or(Json::Null),
-                )];
-                if let Some(r) = &o.robust {
-                    extra.push(("rung", Json::Str(r.report.answered_by.to_string())));
-                    extra.push(("optimal", Json::Bool(r.report.optimal)));
-                }
-                if level != BrownoutLevel::Normal {
-                    extra.push(("brownout", Json::Str(level.name().to_string())));
-                }
-                Ok(EngineResponse {
-                    output: o.text,
-                    extra,
-                })
-            }
+            "optimize" => Ok(plan_response(
+                optimize_outcome(db, space, &gopts, level)?,
+                Vec::new(),
+                level,
+            )),
             "query" => {
                 let sql = req.query.as_deref().ok_or_else(|| {
                     MjoinError::InvalidQuery("op \"query\" needs a \"query\" field".into())
@@ -81,23 +89,15 @@ impl Engine for MjoinEngine {
                 let query = mjoin::parse_query(sql)?;
                 let lowered = mjoin::lower(&query, db)?;
                 let rendered = query.render();
-                let o = query_report(&input, &lowered, &rendered, space, &gopts, level)?;
-                let mut extra: Vec<(&'static str, Json)> = vec![
-                    ("cost", o.cost.map(Json::U64).unwrap_or(Json::Null)),
+                let lowering = vec![
                     ("join_edges", Json::U64(lowered.join_edges.len() as u64)),
                     ("filters", Json::U64(lowered.total_filters() as u64)),
                 ];
-                if let Some(r) = &o.robust {
-                    extra.push(("rung", Json::Str(r.report.answered_by.to_string())));
-                    extra.push(("optimal", Json::Bool(r.report.optimal)));
-                }
-                if level != BrownoutLevel::Normal {
-                    extra.push(("brownout", Json::Str(level.name().to_string())));
-                }
-                Ok(EngineResponse {
-                    output: o.text,
-                    extra,
-                })
+                Ok(plan_response(
+                    query_report(&input, &lowered, &rendered, space, &gopts, level)?,
+                    lowering,
+                    level,
+                ))
             }
             "execute" => {
                 let config = mjoin_adaptive::AdaptiveConfig {
@@ -132,13 +132,10 @@ impl Engine for MjoinEngine {
         match req.op.as_str() {
             "optimize" => {
                 let input = parse_input(&req.db).ok()?;
-                Some(mjoin::optimize_fingerprint(
+                Some(optimize_fingerprint(
                     &input.database,
                     req.space.as_deref(),
-                    req.timeout_ms,
-                    req.max_memo_entries,
-                    req.max_tuples,
-                    self.threads,
+                    &self.guard_options(req),
                 ))
             }
             // `query` keys by the lowered (filtered) database plus the

@@ -83,7 +83,7 @@ fn golden_outputs_are_byte_identical() {
 /// the ladder's entry point or rung ordering changed for small queries.
 #[test]
 fn new_rungs_never_fire_on_the_paper_examples() {
-    use mjoin::{optimize_database_robust, Budget, Rung, SearchSpace};
+    use mjoin::{optimize_database_robust_threaded, Budget, Rung, SearchSpace};
     for file in [
         "examples/example1.mj",
         "examples/example2.mj",
@@ -93,8 +93,14 @@ fn new_rungs_never_fire_on_the_paper_examples() {
     ] {
         let text = fs::read_to_string(repo_path(file)).expect("example file readable");
         let parsed = mjoin_cli::parse_input(&text).expect("example file parses");
-        let r = optimize_database_robust(&parsed.database, SearchSpace::All, Budget::unlimited(), None)
-            .expect("paper examples always plan");
+        let r = optimize_database_robust_threaded(
+            &parsed.database,
+            SearchSpace::All,
+            Budget::unlimited(),
+            None,
+            1,
+        )
+        .expect("paper examples always plan");
         assert!(
             !matches!(r.report.answered_by, Rung::LinDp | Rung::PartitionedDp),
             "{file}: a large-query rung answered a {}-relation example\n{}",

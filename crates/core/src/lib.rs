@@ -62,9 +62,8 @@ pub use derived::{derive_database, DerivedDatabase, DerivedLeaf};
 pub use facade::{analyze, analyze_guarded, optimize_database, optimize_database_guarded, Analysis};
 pub use report::{degradation_section, render_run_report};
 pub use robust::{
-    optimize_database_robust, optimize_database_robust_threaded, optimize_robust,
-    optimize_robust_from, optimize_robust_threaded, optimize_robust_threaded_from,
-    BrownoutLevel, DegradationReport, RobustPlan, Rung, RungAttempt, RungStats,
+    optimize_database_robust_threaded, optimize_robust, BrownoutLevel, DegradationReport,
+    RobustPlan, Rung, RungAttempt, RungStats,
 };
 pub use theorems::{lemma1_check, lemma4_conclusion, lemma5_check, lemma6_check, theorem1, theorem2, theorem3, TheoremReport};
 

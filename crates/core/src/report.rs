@@ -78,12 +78,12 @@ mod tests {
     #[test]
     fn degradation_section_round_trips() {
         let db = chain3();
-        let robust = crate::optimize_robust(
+        let robust = crate::optimize_database_robust_threaded(
             &db,
-            db.scheme().full_set(),
             crate::SearchSpace::All,
             mjoin_guard::Budget::unlimited(),
             None,
+            1,
         )
         .unwrap();
         let section = degradation_section(&robust.report);

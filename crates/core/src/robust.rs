@@ -4,25 +4,42 @@
 //! `(2n−3)!!` for exhaustive enumeration. Under a wall-clock deadline or a
 //! memory cap they cannot always finish — but an optimizer that answers
 //! "budget exceeded" with *nothing* is useless to a caller who still has a
-//! query to run. This module provides the degradation ladder:
+//! query to run. This module provides the degradation ladder — Tay's
+//! trade between the size of the search space and the quality of the
+//! answer, made executable — as **one loop over one table of rungs**:
 //!
-//! 1. **Exhaustive** — enumerate every strategy in the space (small
-//!    subsets only; the gold standard);
-//! 2. **Dp** — the space's dynamic program;
-//! 3. **LinDp** — IKKBZ-linearized interval DP: polynomial, bushy plans
-//!    whose subtrees are contiguous in a precedence order, never worse
-//!    than greedy-linear;
-//! 4. **PartitionedDp** — exact DPccp inside ≤ k-relation blocks of the
-//!    join graph, greedy recombination across the cuts;
-//! 5. **Greedy** — the polynomial heuristic matching the space's shape;
-//! 6. **Fallback** — an index-order left-deep strategy, valid by
-//!    construction and computable without touching the data.
+//! | rung              | slice | exact | what runs                                          |
+//! |-------------------|-------|-------|----------------------------------------------------|
+//! | **Exhaustive**    | 1/4   | yes   | every strategy in the space (≤ 7 relations only)   |
+//! | **Dp**            | 1/2   | yes   | the space's dynamic program                        |
+//! | **LinDp**         | 1/2   | no    | IKKBZ-linearized interval DP                       |
+//! | **PartitionedDp** | 1/2   | no    | exact DPccp in blocks, greedy across the cuts      |
+//! | **Greedy**        | 1/1   | no    | the polynomial heuristic matching the space's shape |
+//! | **Fallback**      | 1/1   | no    | index-order left-deep, built without the data      |
 //!
-//! Each rung gets a *slice* of the remaining budget; when a rung trips its
-//! slice, the ladder records why and climbs down. The result is always
-//! some valid strategy covering every relation, plus a
-//! [`DegradationReport`] saying which rung answered and what happened to
-//! the rungs above it.
+//! *slice* is the share of the deadline **still remaining when the rung
+//! starts** that it may spend (memo and tuple caps apply to each rung
+//! whole). When a rung trips its slice, the loop records why and climbs
+//! down. An *exact* rung's answer is τ-optimal in the requested space; the
+//! others' may leave a restricted space — degradation relaxes optimality
+//! first, space membership second. The result is always some valid
+//! strategy covering every relation, plus a [`DegradationReport`] saying
+//! which rung answered and what happened to the rungs above it. A
+//! serve-mode brownout ([`BrownoutLevel`]) pins the *entry rung*: a start
+//! index into the table.
+//!
+//! The loop is generic over a private oracle seam with two
+//! implementations, and all rungs of one descent share its one memo,
+//! re-armed with each rung's slice, so intermediates survive degradation.
+//! At `threads ≤ 1` it is an [`ExactOracle`] and every rung is its
+//! sequential algorithm. Above that it is a [`SharedOracle`]: exhaustive
+//! enumeration chunks the top-level splits across scoped workers, the
+//! product-free DP runs each subset-size level in parallel, and the other
+//! rungs are the same sequential algorithms over a handle to the shared
+//! memo — which keeps their answers bit-identical at every thread count.
+//! (The sequential Dp rung enumerates with DPsub, the parallel one with
+//! DPccp; they agree on cost and may tie-break equal-cost plans
+//! differently.)
 //!
 //! Only **budget** trips degrade. Cancellation ([`MjoinError::Cancelled`])
 //! and internal faults ([`MjoinError::Internal`], which includes injected
@@ -34,11 +51,10 @@ use std::time::{Duration, Instant};
 
 use mjoin_cost::{CardinalityOracle, Database, ExactOracle, SharedOracle};
 use mjoin_guard::{failpoints, Budget, CancelToken, Guard, MjoinError};
-use mjoin_hypergraph::RelSet;
+use mjoin_hypergraph::{DbScheme, RelSet};
 use mjoin_obs::{incr, span, Counter, Span};
 use mjoin_optimizer::{
-    try_best_avoid_cartesian_parallel, try_best_no_cartesian_parallel, try_greedy_bushy,
-    try_greedy_linear, try_lindp, try_optimize, try_partitioned_dp, DpAlgorithm, Plan,
+    try_best_avoid_cartesian_parallel, try_best_no_cartesian_parallel, try_optimize, Plan,
     SearchSpace,
 };
 use mjoin_strategy::{try_best_strategy_parallel, try_for_each_strategy, Strategy};
@@ -104,16 +120,6 @@ pub struct RungAttempt {
     pub stats: RungStats,
 }
 
-impl RungAttempt {
-    fn skipped(rung: Rung, outcome: String) -> Self {
-        RungAttempt {
-            rung,
-            outcome,
-            stats: RungStats::default(),
-        }
-    }
-}
-
 /// Which rung answered, and why the ones above it didn't.
 #[derive(Clone, Debug)]
 pub struct DegradationReport {
@@ -131,18 +137,6 @@ pub struct DegradationReport {
     pub space_relaxed: bool,
     /// Resources the *answering* rung consumed.
     pub answered_stats: RungStats,
-}
-
-impl DegradationReport {
-    fn clean(rung: Rung, attempts: Vec<RungAttempt>) -> Self {
-        DegradationReport {
-            answered_by: rung,
-            attempts,
-            optimal: matches!(rung, Rung::Exhaustive | Rung::Dp),
-            space_relaxed: matches!(rung, Rung::Fallback),
-            answered_stats: RungStats::default(),
-        }
-    }
 }
 
 impl fmt::Display for DegradationReport {
@@ -171,55 +165,6 @@ pub struct RobustPlan {
     pub plan: Plan,
     /// Which rung answered and why the ones above it didn't.
     pub report: DegradationReport,
-}
-
-/// Budget fractions: the exhaustive rung may use ¼ of the remaining
-/// deadline, the DP rung ½ of what's left after that, greedy everything
-/// that remains. Caps (memo entries, tuples) are per-rung.
-fn rung_budget(total: &Budget, started: Instant, numer: u32, denom: u32) -> Option<Budget> {
-    match total.deadline {
-        None => Some(*total),
-        Some(d) => {
-            let rem = d.checked_sub(started.elapsed())?;
-            if rem.is_zero() {
-                return None;
-            }
-            Some(total.with_deadline(rem * numer / denom))
-        }
-    }
-}
-
-fn rung_guard(budget: Budget, cancel: Option<&CancelToken>) -> Guard {
-    match cancel {
-        Some(c) => Guard::with_cancel(budget, c.clone()),
-        None => Guard::new(budget),
-    }
-}
-
-/// Reads what a finished rung consumed: wall time since `started`, plus
-/// the memo/tuple charges accumulated on its guard.
-fn rung_stats(started: Instant, guard: &Guard) -> RungStats {
-    RungStats {
-        elapsed: started.elapsed(),
-        memo_used: guard.memo_used(),
-        tuples_used: guard.tuples_used(),
-    }
-}
-
-/// Does `strategy` belong to `space`?
-fn in_space(s: &Strategy, space: SearchSpace, scheme: &mjoin_hypergraph::DbScheme) -> bool {
-    match space {
-        SearchSpace::All => true,
-        SearchSpace::Linear => s.is_linear(),
-        SearchSpace::NoCartesian => !s.uses_cartesian(scheme),
-        SearchSpace::LinearNoCartesian => s.is_linear() && !s.uses_cartesian(scheme),
-        SearchSpace::AvoidCartesian => s.avoids_cartesian(scheme),
-    }
-}
-
-/// Budget trips degrade; everything else propagates.
-fn degradable(e: &MjoinError) -> bool {
-    matches!(e, MjoinError::BudgetExceeded { .. })
 }
 
 /// A serve-mode brownout level: how aggressively an overloaded daemon
@@ -294,304 +239,137 @@ impl fmt::Display for BrownoutLevel {
     }
 }
 
-fn brownout_skip(rung: Rung, entry: Rung) -> RungAttempt {
-    RungAttempt::skipped(
-        rung,
-        format!("skipped: brownout pinned the ladder entry at the {entry} rung"),
-    )
+/// One row of the rung table: *when* a rung may run and what its answer
+/// is worth. *How* it runs is the oracle seam's business
+/// ([`LadderOracle::run`]).
+struct RungSpec {
+    rung: Rung,
+    /// `(numer, denom)`: the share of the deadline still remaining when
+    /// the rung starts that it may spend. Caps (memo entries, tuples)
+    /// apply to each rung whole.
+    slice: (u32, u32),
+    /// Largest subset the rung attempts.
+    max_rels: usize,
+    /// The rung searches the requested space exactly: its answer is
+    /// τ-optimal in it, and no answer means the space is empty. The rungs
+    /// that are not exact offer no plan only when the join graph of the
+    /// subset is unconnected.
+    exact: bool,
 }
 
-/// The degradation ladder over an [`ExactOracle`].
-///
-/// Always returns a valid strategy covering `subset` (wrapped in a
-/// [`RobustPlan`] naming the rung that produced it) unless the input
-/// itself is invalid, the caller cancelled, or a fault was injected.
-pub fn optimize_robust(
-    db: &Database,
+/// The degradation ladder, top to bottom.
+#[rustfmt::skip]
+const LADDER: [RungSpec; 6] = [
+    RungSpec { rung: Rung::Exhaustive,    slice: (1, 4), max_rels: EXHAUSTIVE_MAX_RELS, exact: true },
+    RungSpec { rung: Rung::Dp,            slice: (1, 2), max_rels: usize::MAX,          exact: true },
+    RungSpec { rung: Rung::LinDp,         slice: (1, 2), max_rels: usize::MAX,          exact: false },
+    RungSpec { rung: Rung::PartitionedDp, slice: (1, 2), max_rels: usize::MAX,          exact: false },
+    RungSpec { rung: Rung::Greedy,        slice: (1, 1), max_rels: usize::MAX,          exact: false },
+    RungSpec { rung: Rung::Fallback,      slice: (1, 1), max_rels: usize::MAX,          exact: false },
+];
+
+/// What one descent of the ladder is asked; fixed across its rungs.
+struct Request<'a> {
+    scheme: &'a DbScheme,
     subset: RelSet,
     space: SearchSpace,
-    budget: Budget,
-    cancel: Option<&CancelToken>,
-) -> Result<RobustPlan, MjoinError> {
-    optimize_robust_from(db, subset, space, budget, cancel, Rung::Exhaustive)
 }
 
-/// [`optimize_robust`] with a pinned entry rung: every rung above `entry`
-/// is recorded as skipped (with a brownout note) and never attempted.
-/// `Rung::Exhaustive` is the identity. This is the serve-mode brownout
-/// hook — see [`BrownoutLevel::entry_rung`].
-pub fn optimize_robust_from(
-    db: &Database,
-    subset: RelSet,
-    space: SearchSpace,
-    budget: Budget,
-    cancel: Option<&CancelToken>,
-    entry: Rung,
-) -> Result<RobustPlan, MjoinError> {
-    failpoints::hit("core::ladder")?;
-    if subset.is_empty() {
-        return Err(MjoinError::InvalidScheme(
-            "cannot optimize the empty database".into(),
-        ));
-    }
-    let _opt_span = span(Span::Optimize);
-    let started = Instant::now();
-    let mut attempts: Vec<RungAttempt> = Vec::new();
-    let mut oracle = ExactOracle::new(db);
-    let scheme = db.scheme().clone();
-
-    // Rung 1: exhaustive enumeration (small subsets only).
-    if entry > Rung::Exhaustive {
-        attempts.push(brownout_skip(Rung::Exhaustive, entry));
-    } else if subset.len() > EXHAUSTIVE_MAX_RELS {
-        attempts.push(RungAttempt::skipped(
-            Rung::Exhaustive,
-            format!(
-                "skipped: {} relations exceed the {}-relation enumeration cutoff",
-                subset.len(),
-                EXHAUSTIVE_MAX_RELS
-            ),
-        ));
-    } else {
-        match rung_budget(&budget, started, 1, 4) {
-            None => attempts.push(RungAttempt::skipped(
-                Rung::Exhaustive,
-                "skipped: deadline already exhausted".into(),
-            )),
-            Some(b) => {
-                let guard = rung_guard(b, cancel);
-                oracle.rearm(guard.clone());
-                incr(Counter::LadderRungsAttempted, 1);
-                let _rung_span = span(Span::LadderRung);
-                let rung_started = Instant::now();
-                match exhaustive_rung(&mut oracle, subset, space, &guard) {
-                    Ok(Some(plan)) => {
-                        let mut report = DegradationReport::clean(Rung::Exhaustive, attempts);
-                        report.answered_stats = rung_stats(rung_started, &guard);
-                        return Ok(RobustPlan { plan, report })
-                    }
-                    Ok(None) => attempts.push(RungAttempt {
-                        rung: Rung::Exhaustive,
-                        outcome: format!("search space {space:?} is empty for this scheme"),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) if degradable(&e) => attempts.push(RungAttempt {
-                        rung: Rung::Exhaustive,
-                        outcome: e.to_string(),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) => return Err(e),
-                }
+/// The budget a rung starting now may spend: `slice` of the deadline still
+/// remaining, `None` once nothing remains.
+fn rung_budget(total: &Budget, started: Instant, slice: (u32, u32)) -> Option<Budget> {
+    match total.deadline {
+        None => Some(*total),
+        Some(d) => {
+            let rem = d.checked_sub(started.elapsed())?;
+            if rem.is_zero() {
+                return None;
             }
+            Some(total.with_deadline(rem * slice.0 / slice.1))
         }
     }
+}
 
-    // Rung 2: the space's DP.
-    if entry > Rung::Dp {
-        attempts.push(brownout_skip(Rung::Dp, entry));
-    } else {
-        match rung_budget(&budget, started, 1, 2) {
-            None => attempts.push(RungAttempt::skipped(
-                Rung::Dp,
-                "skipped: deadline already exhausted".into(),
-            )),
-            Some(b) => {
-                let guard = rung_guard(b, cancel);
-                oracle.rearm(guard.clone());
-                incr(Counter::LadderRungsAttempted, 1);
-                let _rung_span = span(Span::LadderRung);
-                let rung_started = Instant::now();
-                match try_optimize(&mut oracle, subset, space, &guard) {
-                    Ok(Some(plan)) => {
-                        let mut report = DegradationReport::clean(Rung::Dp, attempts);
-                        report.answered_stats = rung_stats(rung_started, &guard);
-                        return Ok(RobustPlan { plan, report })
-                    }
-                    Ok(None) => attempts.push(RungAttempt {
-                        rung: Rung::Dp,
-                        outcome: format!("search space {space:?} is empty for this scheme"),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) if degradable(&e) => attempts.push(RungAttempt {
-                        rung: Rung::Dp,
-                        outcome: e.to_string(),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) => return Err(e),
-                }
-            }
-        }
+fn rung_guard(budget: Budget, cancel: Option<&CancelToken>) -> Guard {
+    match cancel {
+        Some(c) => Guard::with_cancel(budget, c.clone()),
+        None => Guard::new(budget),
     }
+}
 
-    // Rung 3: IKKBZ-linearized interval DP — polynomial, and its result
-    // is never costlier than greedy-linear's, so it strictly dominates
-    // the linear half of the rung below. Like greedy, its plan may leave
-    // a restricted space (it searches bushy product-free plans);
-    // degradation relaxes optimality first, space membership second.
-    if entry > Rung::LinDp {
-        attempts.push(brownout_skip(Rung::LinDp, entry));
-    } else {
-        match rung_budget(&budget, started, 1, 2) {
-            None => attempts.push(RungAttempt::skipped(
-                Rung::LinDp,
-                "skipped: deadline already exhausted".into(),
-            )),
-            Some(b) => {
-                let guard = rung_guard(b, cancel);
-                oracle.rearm(guard.clone());
-                incr(Counter::LadderRungsAttempted, 1);
-                let _rung_span = span(Span::LadderRung);
-                let rung_started = Instant::now();
-                match try_lindp(&mut oracle, subset, &guard) {
-                    Ok(Some(plan)) => {
-                        let relaxed = !in_space(&plan.strategy, space, &scheme);
-                        let mut report = DegradationReport::clean(Rung::LinDp, attempts);
-                        report.space_relaxed = relaxed;
-                        report.answered_stats = rung_stats(rung_started, &guard);
-                        return Ok(RobustPlan { plan, report });
-                    }
-                    Ok(None) => attempts.push(RungAttempt {
-                        rung: Rung::LinDp,
-                        outcome: "not applicable: the join graph of the subset is unconnected"
-                            .into(),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) if degradable(&e) => attempts.push(RungAttempt {
-                        rung: Rung::LinDp,
-                        outcome: e.to_string(),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) => return Err(e),
-                }
-            }
-        }
+/// Does `strategy` belong to `space`?
+fn in_space(s: &Strategy, space: SearchSpace, scheme: &DbScheme) -> bool {
+    match space {
+        SearchSpace::All => true,
+        SearchSpace::Linear => s.is_linear(),
+        SearchSpace::NoCartesian => !s.uses_cartesian(scheme),
+        SearchSpace::LinearNoCartesian => s.is_linear() && !s.uses_cartesian(scheme),
+        SearchSpace::AvoidCartesian => s.avoids_cartesian(scheme),
     }
+}
 
-    // Rung 4: partitioned DPccp — exact within blocks, greedy across the
-    // cuts. Subsumes plain DPccp when the subset fits one block.
-    if entry > Rung::PartitionedDp {
-        attempts.push(brownout_skip(Rung::PartitionedDp, entry));
-    } else {
-        match rung_budget(&budget, started, 1, 2) {
-            None => attempts.push(RungAttempt::skipped(
-                Rung::PartitionedDp,
-                "skipped: deadline already exhausted".into(),
-            )),
-            Some(b) => {
-                let guard = rung_guard(b, cancel);
-                oracle.rearm(guard.clone());
-                incr(Counter::LadderRungsAttempted, 1);
-                let _rung_span = span(Span::LadderRung);
-                let rung_started = Instant::now();
-                match try_partitioned_dp(&mut oracle, subset, &guard) {
-                    Ok(Some(plan)) => {
-                        let relaxed = !in_space(&plan.strategy, space, &scheme);
-                        let mut report =
-                            DegradationReport::clean(Rung::PartitionedDp, attempts);
-                        report.space_relaxed = relaxed;
-                        report.answered_stats = rung_stats(rung_started, &guard);
-                        return Ok(RobustPlan { plan, report });
-                    }
-                    Ok(None) => attempts.push(RungAttempt {
-                        rung: Rung::PartitionedDp,
-                        outcome: "not applicable: the join graph of the subset is unconnected"
-                            .into(),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) if degradable(&e) => attempts.push(RungAttempt {
-                        rung: Rung::PartitionedDp,
-                        outcome: e.to_string(),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-    }
+/// The fallback rung's strategy: index-order left-deep — valid by
+/// construction, no data access.
+fn index_order(subset: RelSet) -> Strategy {
+    let order: Vec<usize> = subset.iter().collect();
+    Strategy::left_deep(&order)
+}
 
-    // Rung 5: greedy, shaped to the space (linear spaces get the linear
-    // heuristic). Note the greedy result may use products even in
-    // product-free spaces — degradation relaxes optimality first, space
-    // membership second.
+/// What running a rung yields; `Ok(None)` when it has no plan to offer.
+type RungResult = Result<Option<Plan>, MjoinError>;
+
+/// The oracle seam of the ladder: the memo every rung of one descent
+/// shares, and how each rung runs against it.
+trait LadderOracle {
+    /// Swaps in the next rung's guard, keeping the memo.
+    fn rearm(&mut self, guard: Guard);
+
+    fn run(&mut self, rung: Rung, req: &Request<'_>, guard: &Guard) -> RungResult;
+}
+
+/// Every rung as a sequential algorithm over one [`CardinalityOracle`]
+/// view of the memo.
+fn run_sequential<O: CardinalityOracle>(
+    rung: Rung,
+    oracle: &mut O,
+    req: &Request<'_>,
+    guard: &Guard,
+) -> RungResult {
     let linear_space = matches!(
-        space,
+        req.space,
         SearchSpace::Linear | SearchSpace::LinearNoCartesian
     );
-    if entry > Rung::Greedy {
-        attempts.push(brownout_skip(Rung::Greedy, entry));
-    } else {
-        match rung_budget(&budget, started, 1, 1) {
-        None => attempts.push(RungAttempt::skipped(
-            Rung::Greedy,
-            "skipped: deadline already exhausted".into(),
-        )),
-        Some(b) => {
-            let guard = rung_guard(b, cancel);
-            oracle.rearm(guard.clone());
-            incr(Counter::LadderRungsAttempted, 1);
-            let _rung_span = span(Span::LadderRung);
-            let rung_started = Instant::now();
-            let result = if linear_space {
-                try_greedy_linear(&mut oracle, subset, &guard)
-            } else {
-                try_greedy_bushy(&mut oracle, subset, &guard)
-            };
-            match result {
-                Ok(plan) => {
-                    let relaxed = !in_space(&plan.strategy, space, &scheme);
-                    let mut report = DegradationReport::clean(Rung::Greedy, attempts);
-                    report.space_relaxed = relaxed;
-                    report.answered_stats = rung_stats(rung_started, &guard);
-                    return Ok(RobustPlan { plan, report });
-                }
-                Err(e) if degradable(&e) => attempts.push(RungAttempt {
-                    rung: Rung::Greedy,
-                    outcome: e.to_string(),
-                    stats: rung_stats(rung_started, &guard),
-                }),
-                Err(e) => return Err(e),
-            }
+    match rung {
+        Rung::Exhaustive => exhaustive_rung(oracle, req, guard),
+        Rung::Dp => try_optimize(oracle, req.subset, req.space, guard),
+        Rung::LinDp => mjoin_optimizer::try_lindp(oracle, req.subset, guard),
+        Rung::PartitionedDp => mjoin_optimizer::try_partitioned_dp(oracle, req.subset, guard),
+        // Shaped to the space: linear spaces get the linear heuristic.
+        Rung::Greedy if linear_space => {
+            mjoin_optimizer::try_greedy_linear(oracle, req.subset, guard).map(Some)
         }
+        Rung::Greedy => mjoin_optimizer::try_greedy_bushy(oracle, req.subset, guard).map(Some),
+        // Costing is best-effort under whatever budget remains; the
+        // strategy stands either way.
+        Rung::Fallback => {
+            let strategy = index_order(req.subset);
+            let cost = strategy.try_cost(oracle).unwrap_or(u64::MAX);
+            Ok(Some(Plan { strategy, cost }))
         }
     }
-
-    // Rung 6: index-order left-deep — valid by construction, no data
-    // access. Costing it is best-effort under whatever budget remains.
-    let order: Vec<usize> = subset.iter().collect();
-    let strategy = Strategy::left_deep(&order);
-    incr(Counter::LadderRungsAttempted, 1);
-    let _rung_span = span(Span::LadderRung);
-    let rung_started = Instant::now();
-    let (cost, stats) = match rung_budget(&budget, started, 1, 1) {
-        None => (u64::MAX, RungStats::default()),
-        Some(b) => {
-            let guard = rung_guard(b, cancel);
-            oracle.rearm(guard.clone());
-            let cost = strategy.try_cost(&mut oracle).unwrap_or(u64::MAX);
-            (cost, rung_stats(rung_started, &guard))
-        }
-    };
-    let mut report = DegradationReport::clean(Rung::Fallback, attempts);
-    report.answered_stats = stats;
-    Ok(RobustPlan {
-        plan: Plan { strategy, cost },
-        report,
-    })
 }
 
 /// Enumerates every strategy in the space, keeping the cheapest.
-fn exhaustive_rung(
-    oracle: &mut ExactOracle<'_>,
-    subset: RelSet,
-    space: SearchSpace,
+fn exhaustive_rung<O: CardinalityOracle>(
+    oracle: &mut O,
+    req: &Request<'_>,
     guard: &Guard,
-) -> Result<Option<Plan>, MjoinError> {
+) -> RungResult {
     failpoints::hit("optimizer::exhaustive")?;
-    let scheme = oracle.scheme().clone();
     let mut best: Option<Plan> = None;
-    try_for_each_strategy(subset, guard, &mut |s: &Strategy| {
+    try_for_each_strategy(req.subset, guard, &mut |s: &Strategy| {
         incr(Counter::ExhaustiveStrategies, 1);
-        if !in_space(s, space, &scheme) {
+        if !in_space(s, req.space, req.scheme) {
             return Ok(());
         }
         let cost = s.try_cost(&mut *oracle)?;
@@ -606,37 +384,170 @@ fn exhaustive_rung(
     Ok(best)
 }
 
-/// [`optimize_robust`] with a worker pool.
-///
-/// Every rung that can fan out does: exhaustive enumeration chunks the
-/// top-level splits across `threads` scoped workers
-/// ([`try_best_strategy_parallel`]), the product-free DP runs each
-/// subset-size level in parallel ([`try_best_no_cartesian_parallel`], DPccp
-/// enumeration), and materialization inside the shared oracle uses the
-/// partitioned parallel hash join. All rungs share one [`SharedOracle`]
-/// memo, re-armed with each rung's budget slice, so intermediates survive
-/// degradation. `threads <= 1` delegates to the sequential ladder —
-/// single-threaded behaviour is unchanged, byte for byte.
-///
-/// Each parallel rung is deterministic in itself: the same rung at the same
-/// thread count ≥ 1 always returns bit-identical plans and costs. (The DP
-/// rung enumerates with DPccp where the sequential ladder uses DPsub; the
-/// two styles always agree on cost, and may tie-break equal-cost plans
-/// differently.)
-pub fn optimize_robust_threaded(
-    db: &Database,
-    subset: RelSet,
-    space: SearchSpace,
-    budget: Budget,
-    cancel: Option<&CancelToken>,
-    threads: usize,
-) -> Result<RobustPlan, MjoinError> {
-    optimize_robust_threaded_from(db, subset, space, budget, cancel, threads, Rung::Exhaustive)
+/// `threads ≤ 1`: every rung is its sequential algorithm, on the oracle
+/// itself.
+impl LadderOracle for ExactOracle<'_> {
+    fn rearm(&mut self, guard: Guard) {
+        ExactOracle::rearm(self, guard);
+    }
+
+    fn run(&mut self, rung: Rung, req: &Request<'_>, guard: &Guard) -> RungResult {
+        run_sequential(rung, self, req, guard)
+    }
 }
 
-/// [`optimize_robust_threaded`] with a pinned entry rung — the threaded
-/// twin of [`optimize_robust_from`].
-pub fn optimize_robust_threaded_from(
+/// `threads > 1`: one shared memo (materializing with the partitioned
+/// parallel hash join) and the worker count.
+struct Pooled<'db> {
+    oracle: SharedOracle<'db>,
+    threads: usize,
+}
+
+/// The rungs that can fan out do; the rest are the sequential algorithms
+/// over a handle to the shared memo.
+impl LadderOracle for Pooled<'_> {
+    fn rearm(&mut self, guard: Guard) {
+        self.oracle.rearm(guard);
+    }
+
+    fn run(&mut self, rung: Rung, req: &Request<'_>, guard: &Guard) -> RungResult {
+        match (rung, req.space) {
+            (Rung::Exhaustive, _) => {
+                failpoints::hit("optimizer::exhaustive")?;
+                let best = try_best_strategy_parallel(
+                    &self.oracle,
+                    req.subset,
+                    guard,
+                    self.threads,
+                    &|s| in_space(s, req.space, req.scheme),
+                )?;
+                Ok(best.map(|(strategy, cost)| Plan { strategy, cost }))
+            }
+            (Rung::Dp, SearchSpace::NoCartesian) => {
+                try_best_no_cartesian_parallel(&self.oracle, req.subset, guard, self.threads)
+            }
+            (Rung::Dp, SearchSpace::AvoidCartesian) => {
+                try_best_avoid_cartesian_parallel(&self.oracle, req.subset, guard, self.threads)
+            }
+            _ => run_sequential(rung, &mut self.oracle.handle(), req, guard),
+        }
+    }
+}
+
+/// The ladder: one pass down [`LADDER`] from `entry`, every rung under its
+/// own guard over the one memo in `oracle`.
+fn descend<O: LadderOracle>(
+    oracle: &mut O,
+    req: &Request<'_>,
+    budget: Budget,
+    cancel: Option<&CancelToken>,
+    entry: Rung,
+) -> Result<RobustPlan, MjoinError> {
+    let started = Instant::now();
+    let mut attempts: Vec<RungAttempt> = Vec::new();
+    for spec in &LADDER {
+        let rung = spec.rung;
+        let slice = rung_budget(&budget, started, spec.slice);
+        let skip = if rung < entry {
+            Some(format!(
+                "skipped: brownout pinned the ladder entry at the {entry} rung"
+            ))
+        } else if req.subset.len() > spec.max_rels {
+            Some(format!(
+                "skipped: {} relations exceed the {}-relation enumeration cutoff",
+                req.subset.len(),
+                spec.max_rels
+            ))
+        } else if slice.is_none() && rung != Rung::Fallback {
+            // The fallback rung is never skipped: out of time, it answers
+            // uncosted.
+            Some("skipped: deadline already exhausted".into())
+        } else {
+            None
+        };
+        if let Some(outcome) = skip {
+            attempts.push(RungAttempt {
+                rung,
+                outcome,
+                stats: RungStats::default(),
+            });
+            continue;
+        }
+        incr(Counter::LadderRungsAttempted, 1);
+        let _rung_span = span(Span::LadderRung);
+        let rung_started = Instant::now();
+        let (result, stats) = match slice {
+            None => {
+                let plan = Plan {
+                    strategy: index_order(req.subset),
+                    cost: u64::MAX,
+                };
+                (Ok(Some(plan)), RungStats::default())
+            }
+            Some(b) => {
+                let guard = rung_guard(b, cancel);
+                oracle.rearm(guard.clone());
+                let result = oracle.run(rung, req, &guard);
+                let stats = RungStats {
+                    elapsed: rung_started.elapsed(),
+                    memo_used: guard.memo_used(),
+                    tuples_used: guard.tuples_used(),
+                };
+                (result, stats)
+            }
+        };
+        let outcome = match result {
+            Ok(Some(plan)) => {
+                let report = DegradationReport {
+                    answered_by: rung,
+                    attempts,
+                    optimal: spec.exact,
+                    // The fallback ignores space restrictions, which can
+                    // be unsatisfiable (product-free spaces over
+                    // unconnected schemes).
+                    space_relaxed: !spec.exact
+                        && (rung == Rung::Fallback
+                            || !in_space(&plan.strategy, req.space, req.scheme)),
+                    answered_stats: stats,
+                };
+                return Ok(RobustPlan { plan, report });
+            }
+            Ok(None) if spec.exact => {
+                format!("search space {:?} is empty for this scheme", req.space)
+            }
+            Ok(None) => "not applicable: the join graph of the subset is unconnected".into(),
+            // Budget trips degrade; everything else propagates.
+            Err(e @ MjoinError::BudgetExceeded { .. }) => e.to_string(),
+            Err(e) => return Err(e),
+        };
+        attempts.push(RungAttempt {
+            rung,
+            outcome,
+            stats,
+        });
+    }
+    Err(MjoinError::Internal(
+        "the ladder ended without its fallback rung answering".into(),
+    ))
+}
+
+/// The degradation ladder.
+///
+/// Always returns a valid strategy covering `subset` (wrapped in a
+/// [`RobustPlan`] naming the rung that produced it) unless the input
+/// itself is invalid, the caller cancelled, or a fault was injected.
+///
+/// `threads ≤ 1` runs every rung sequentially on one [`ExactOracle`];
+/// more fan the exhaustive and product-free DP rungs out over a
+/// [`SharedOracle`] (see the module docs). Each rung is deterministic in
+/// itself: the same rung at the same thread count always returns
+/// bit-identical plans and costs.
+///
+/// `entry` pins the entry rung: every rung above it is recorded as skipped
+/// (with a brownout note) and never attempted. [`Rung::Exhaustive`] is the
+/// full ladder; the serve-mode brownout hook passes
+/// [`BrownoutLevel::entry_rung`].
+pub fn optimize_robust(
     db: &Database,
     subset: RelSet,
     space: SearchSpace,
@@ -645,9 +556,6 @@ pub fn optimize_robust_threaded_from(
     threads: usize,
     entry: Rung,
 ) -> Result<RobustPlan, MjoinError> {
-    if threads <= 1 {
-        return optimize_robust_from(db, subset, space, budget, cancel, entry);
-    }
     failpoints::hit("core::ladder")?;
     if subset.is_empty() {
         return Err(MjoinError::InvalidScheme(
@@ -655,273 +563,24 @@ pub fn optimize_robust_threaded_from(
         ));
     }
     let _opt_span = span(Span::Optimize);
-    let started = Instant::now();
-    let mut attempts: Vec<RungAttempt> = Vec::new();
-    let mut oracle = SharedOracle::new(db).with_join_threads(threads);
-    let scheme = db.scheme().clone();
-
-    // Rung 1: parallel exhaustive enumeration (small subsets only).
-    if entry > Rung::Exhaustive {
-        attempts.push(brownout_skip(Rung::Exhaustive, entry));
-    } else if subset.len() > EXHAUSTIVE_MAX_RELS {
-        attempts.push(RungAttempt::skipped(
-            Rung::Exhaustive,
-            format!(
-                "skipped: {} relations exceed the {}-relation enumeration cutoff",
-                subset.len(),
-                EXHAUSTIVE_MAX_RELS
-            ),
-        ));
-    } else {
-        match rung_budget(&budget, started, 1, 4) {
-            None => attempts.push(RungAttempt::skipped(
-                Rung::Exhaustive,
-                "skipped: deadline already exhausted".into(),
-            )),
-            Some(b) => {
-                let guard = rung_guard(b, cancel);
-                oracle.rearm(guard.clone());
-                incr(Counter::LadderRungsAttempted, 1);
-                let _rung_span = span(Span::LadderRung);
-                let rung_started = Instant::now();
-                let result = failpoints::hit("optimizer::exhaustive").and_then(|()| {
-                    try_best_strategy_parallel(&oracle, subset, &guard, threads, &|s| {
-                        in_space(s, space, &scheme)
-                    })
-                });
-                match result {
-                    Ok(Some((strategy, cost))) => {
-                        let mut report = DegradationReport::clean(Rung::Exhaustive, attempts);
-                        report.answered_stats = rung_stats(rung_started, &guard);
-                        return Ok(RobustPlan {
-                            plan: Plan { strategy, cost },
-                            report,
-                        })
-                    }
-                    Ok(None) => attempts.push(RungAttempt {
-                        rung: Rung::Exhaustive,
-                        outcome: format!("search space {space:?} is empty for this scheme"),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) if degradable(&e) => attempts.push(RungAttempt {
-                        rung: Rung::Exhaustive,
-                        outcome: e.to_string(),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-    }
-
-    // Rung 2: the space's DP — level-parallel for the product-free spaces,
-    // sequential over the shared memo for the rest.
-    if entry > Rung::Dp {
-        attempts.push(brownout_skip(Rung::Dp, entry));
-    } else {
-        match rung_budget(&budget, started, 1, 2) {
-        None => attempts.push(RungAttempt::skipped(
-            Rung::Dp,
-            "skipped: deadline already exhausted".into(),
-        )),
-        Some(b) => {
-            let guard = rung_guard(b, cancel);
-            oracle.rearm(guard.clone());
-            incr(Counter::LadderRungsAttempted, 1);
-            let _rung_span = span(Span::LadderRung);
-            let rung_started = Instant::now();
-            let result = match space {
-                SearchSpace::NoCartesian => try_best_no_cartesian_parallel(
-                    &oracle,
-                    subset,
-                    DpAlgorithm::DpCcp,
-                    &guard,
-                    threads,
-                ),
-                SearchSpace::AvoidCartesian => try_best_avoid_cartesian_parallel(
-                    &oracle,
-                    subset,
-                    DpAlgorithm::DpCcp,
-                    &guard,
-                    threads,
-                ),
-                _ => try_optimize(&mut oracle.handle(), subset, space, &guard),
-            };
-            match result {
-                Ok(Some(plan)) => {
-                    let mut report = DegradationReport::clean(Rung::Dp, attempts);
-                    report.answered_stats = rung_stats(rung_started, &guard);
-                    return Ok(RobustPlan { plan, report })
-                }
-                Ok(None) => attempts.push(RungAttempt {
-                    rung: Rung::Dp,
-                    outcome: format!("search space {space:?} is empty for this scheme"),
-                    stats: rung_stats(rung_started, &guard),
-                }),
-                Err(e) if degradable(&e) => attempts.push(RungAttempt {
-                    rung: Rung::Dp,
-                    outcome: e.to_string(),
-                    stats: rung_stats(rung_started, &guard),
-                }),
-                Err(e) => return Err(e),
-            }
-        }
-        }
-    }
-
-    // Rungs 3–4: the polynomial large-query rungs. Both are sequential
-    // algorithms (their work is O(n³) oracle arithmetic, not enumeration),
-    // but they read and extend the shared memo through a handle, so
-    // intermediates survive into the greedy rung. Running them on one
-    // worker also keeps their answers bit-identical at every thread count.
-    if entry > Rung::LinDp {
-        attempts.push(brownout_skip(Rung::LinDp, entry));
-    } else {
-        match rung_budget(&budget, started, 1, 2) {
-            None => attempts.push(RungAttempt::skipped(
-                Rung::LinDp,
-                "skipped: deadline already exhausted".into(),
-            )),
-            Some(b) => {
-                let guard = rung_guard(b, cancel);
-                oracle.rearm(guard.clone());
-                incr(Counter::LadderRungsAttempted, 1);
-                let _rung_span = span(Span::LadderRung);
-                let rung_started = Instant::now();
-                match try_lindp(&mut oracle.handle(), subset, &guard) {
-                    Ok(Some(plan)) => {
-                        let relaxed = !in_space(&plan.strategy, space, &scheme);
-                        let mut report = DegradationReport::clean(Rung::LinDp, attempts);
-                        report.space_relaxed = relaxed;
-                        report.answered_stats = rung_stats(rung_started, &guard);
-                        return Ok(RobustPlan { plan, report });
-                    }
-                    Ok(None) => attempts.push(RungAttempt {
-                        rung: Rung::LinDp,
-                        outcome: "not applicable: the join graph of the subset is unconnected"
-                            .into(),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) if degradable(&e) => attempts.push(RungAttempt {
-                        rung: Rung::LinDp,
-                        outcome: e.to_string(),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-    }
-
-    if entry > Rung::PartitionedDp {
-        attempts.push(brownout_skip(Rung::PartitionedDp, entry));
-    } else {
-        match rung_budget(&budget, started, 1, 2) {
-            None => attempts.push(RungAttempt::skipped(
-                Rung::PartitionedDp,
-                "skipped: deadline already exhausted".into(),
-            )),
-            Some(b) => {
-                let guard = rung_guard(b, cancel);
-                oracle.rearm(guard.clone());
-                incr(Counter::LadderRungsAttempted, 1);
-                let _rung_span = span(Span::LadderRung);
-                let rung_started = Instant::now();
-                match try_partitioned_dp(&mut oracle.handle(), subset, &guard) {
-                    Ok(Some(plan)) => {
-                        let relaxed = !in_space(&plan.strategy, space, &scheme);
-                        let mut report =
-                            DegradationReport::clean(Rung::PartitionedDp, attempts);
-                        report.space_relaxed = relaxed;
-                        report.answered_stats = rung_stats(rung_started, &guard);
-                        return Ok(RobustPlan { plan, report });
-                    }
-                    Ok(None) => attempts.push(RungAttempt {
-                        rung: Rung::PartitionedDp,
-                        outcome: "not applicable: the join graph of the subset is unconnected"
-                            .into(),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) if degradable(&e) => attempts.push(RungAttempt {
-                        rung: Rung::PartitionedDp,
-                        outcome: e.to_string(),
-                        stats: rung_stats(rung_started, &guard),
-                    }),
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-    }
-
-    // Rung 5: greedy — inherently sequential, but it reads the shared memo
-    // the parallel rungs populated.
-    let linear_space = matches!(
+    let req = Request {
+        scheme: db.scheme(),
+        subset,
         space,
-        SearchSpace::Linear | SearchSpace::LinearNoCartesian
-    );
-    if entry > Rung::Greedy {
-        attempts.push(brownout_skip(Rung::Greedy, entry));
-    } else {
-        match rung_budget(&budget, started, 1, 1) {
-        None => attempts.push(RungAttempt::skipped(
-            Rung::Greedy,
-            "skipped: deadline already exhausted".into(),
-        )),
-        Some(b) => {
-            let guard = rung_guard(b, cancel);
-            oracle.rearm(guard.clone());
-            incr(Counter::LadderRungsAttempted, 1);
-            let _rung_span = span(Span::LadderRung);
-            let rung_started = Instant::now();
-            let mut handle = oracle.handle();
-            let result = if linear_space {
-                try_greedy_linear(&mut handle, subset, &guard)
-            } else {
-                try_greedy_bushy(&mut handle, subset, &guard)
-            };
-            match result {
-                Ok(plan) => {
-                    let relaxed = !in_space(&plan.strategy, space, &scheme);
-                    let mut report = DegradationReport::clean(Rung::Greedy, attempts);
-                    report.space_relaxed = relaxed;
-                    report.answered_stats = rung_stats(rung_started, &guard);
-                    return Ok(RobustPlan { plan, report });
-                }
-                Err(e) if degradable(&e) => attempts.push(RungAttempt {
-                    rung: Rung::Greedy,
-                    outcome: e.to_string(),
-                    stats: rung_stats(rung_started, &guard),
-                }),
-                Err(e) => return Err(e),
-            }
-        }
-        }
-    }
-
-    // Rung 6: index-order left-deep, costed best-effort.
-    let order: Vec<usize> = subset.iter().collect();
-    let strategy = Strategy::left_deep(&order);
-    incr(Counter::LadderRungsAttempted, 1);
-    let _rung_span = span(Span::LadderRung);
-    let rung_started = Instant::now();
-    let (cost, stats) = match rung_budget(&budget, started, 1, 1) {
-        None => (u64::MAX, RungStats::default()),
-        Some(b) => {
-            let guard = rung_guard(b, cancel);
-            oracle.rearm(guard.clone());
-            let cost = strategy.try_cost(&mut oracle.handle()).unwrap_or(u64::MAX);
-            (cost, rung_stats(rung_started, &guard))
-        }
     };
-    let mut report = DegradationReport::clean(Rung::Fallback, attempts);
-    report.answered_stats = stats;
-    Ok(RobustPlan {
-        plan: Plan { strategy, cost },
-        report,
-    })
+    if threads <= 1 {
+        descend(&mut ExactOracle::new(db), &req, budget, cancel, entry)
+    } else {
+        let mut pooled = Pooled {
+            oracle: SharedOracle::new(db).with_join_threads(threads),
+            threads,
+        };
+        descend(&mut pooled, &req, budget, cancel, entry)
+    }
 }
 
-/// [`optimize_robust_threaded`] over a whole database.
+/// The full ladder ([`optimize_robust`] entered at the top) over a whole
+/// database.
 pub fn optimize_database_robust_threaded(
     db: &Database,
     space: SearchSpace,
@@ -929,17 +588,8 @@ pub fn optimize_database_robust_threaded(
     cancel: Option<&CancelToken>,
     threads: usize,
 ) -> Result<RobustPlan, MjoinError> {
-    optimize_robust_threaded(db, db.scheme().full_set(), space, budget, cancel, threads)
-}
-
-/// [`optimize_robust`] over a whole database.
-pub fn optimize_database_robust(
-    db: &Database,
-    space: SearchSpace,
-    budget: Budget,
-    cancel: Option<&CancelToken>,
-) -> Result<RobustPlan, MjoinError> {
-    optimize_robust(db, db.scheme().full_set(), space, budget, cancel)
+    let full = db.scheme().full_set();
+    optimize_robust(db, full, space, budget, cancel, threads, Rung::Exhaustive)
 }
 
 #[cfg(test)]
@@ -947,11 +597,31 @@ mod tests {
     use super::*;
     use mjoin_gen::data;
 
+    fn ladder(
+        db: &Database,
+        space: SearchSpace,
+        budget: Budget,
+        cancel: Option<&CancelToken>,
+        threads: usize,
+        entry: Rung,
+    ) -> Result<RobustPlan, MjoinError> {
+        optimize_robust(
+            db,
+            db.scheme().full_set(),
+            space,
+            budget,
+            cancel,
+            threads,
+            entry,
+        )
+    }
+
     #[test]
     fn unlimited_ladder_answers_at_the_top() {
         let db = data::paper_example4();
-        let r = optimize_database_robust(&db, SearchSpace::All, Budget::unlimited(), None)
-            .unwrap();
+        let r =
+            optimize_database_robust_threaded(&db, SearchSpace::All, Budget::unlimited(), None, 1)
+                .unwrap();
         assert_eq!(r.report.answered_by, Rung::Exhaustive);
         assert!(r.report.optimal);
         assert_eq!(r.plan.cost, 11);
@@ -960,51 +630,177 @@ mod tests {
     #[test]
     fn ladder_matches_plain_dp() {
         let db = data::paper_example5();
-        let robust =
-            optimize_database_robust(&db, SearchSpace::NoCartesian, Budget::unlimited(), None)
-                .unwrap();
+        let robust = optimize_database_robust_threaded(
+            &db,
+            SearchSpace::NoCartesian,
+            Budget::unlimited(),
+            None,
+            1,
+        )
+        .unwrap();
         let plain = crate::optimize_database(&db, SearchSpace::NoCartesian).unwrap();
         assert_eq!(robust.plan.cost, plain.cost);
     }
 
+    /// The one ladder, as a table: at every thread count and from every
+    /// entry rung, the attempt list is the rung table above the answering
+    /// rung, in order, each entry carrying the exact note of why it did not
+    /// answer.
     #[test]
-    fn cancelled_ladder_propagates() {
+    fn every_entry_and_thread_count_walks_the_rung_table_in_order() {
         let db = data::paper_example5();
-        let token = CancelToken::new();
-        token.cancel();
-        let err = optimize_database_robust(&db, SearchSpace::All, Budget::unlimited(), Some(&token))
-            .unwrap_err();
-        assert_eq!(err, MjoinError::Cancelled);
+        let full = db.scheme().full_set();
+        let brownout =
+            |entry: Rung| format!("skipped: brownout pinned the ladder entry at the {entry} rung");
+        let memo_trip = "budget exceeded: memo entries (limit 1)";
+        // The table's prefix above the answering rung.
+        let above = |answered: Rung| {
+            LADDER
+                .iter()
+                .map(|s| s.rung)
+                .take_while(move |r| *r < answered)
+        };
+        for threads in [1, 2, 4] {
+            for entry in LADDER.iter().map(|s| s.rung) {
+                let case = format!("{threads} threads, entry {entry}");
+
+                // Unlimited: the entry rung answers; everything above it is
+                // a brownout skip, never attempted.
+                let r = ladder(
+                    &db,
+                    SearchSpace::All,
+                    Budget::unlimited(),
+                    None,
+                    threads,
+                    entry,
+                )
+                .unwrap();
+                assert_eq!(r.report.answered_by, entry, "{case}: {}", r.report);
+                assert_eq!(r.plan.strategy.set(), full, "{case}");
+                assert!(r.plan.strategy.validate(db.scheme()), "{case}");
+                assert!(
+                    r.report.attempts.iter().map(|a| a.rung).eq(above(entry)),
+                    "{case}"
+                );
+                for a in &r.report.attempts {
+                    assert_eq!(a.outcome, brownout(entry), "{case}");
+                    assert_eq!(a.stats, RungStats::default(), "{case}");
+                }
+
+                // One memo entry: the exponential rungs cannot run on it;
+                // the ladder degrades — it does not fail — and some lower
+                // rung still answers with a valid covering strategy.
+                let one = Budget::unlimited().with_max_memo_entries(1);
+                let r = ladder(&db, SearchSpace::All, one, None, threads, entry).unwrap();
+                assert!(r.report.answered_by > Rung::Dp, "{case}: {}", r.report);
+                assert!(r.report.answered_by >= entry, "{case}: {}", r.report);
+                assert_eq!(r.plan.strategy.set(), full, "{case}");
+                assert!(r.plan.strategy.validate(db.scheme()), "{case}");
+                assert!(
+                    r.report
+                        .attempts
+                        .iter()
+                        .map(|a| a.rung)
+                        .eq(above(r.report.answered_by)),
+                    "{case}: {}",
+                    r.report
+                );
+                for a in &r.report.attempts {
+                    let expected = if a.rung < entry {
+                        brownout(entry)
+                    } else {
+                        memo_trip.to_string()
+                    };
+                    assert_eq!(a.outcome, expected, "{case}");
+                }
+
+                // No time at all: every rung at or below the entry is
+                // skipped unattempted and the fallback answers uncosted.
+                let none = Budget::unlimited().with_deadline(Duration::ZERO);
+                let r = ladder(&db, SearchSpace::All, none, None, threads, entry).unwrap();
+                assert_eq!(r.report.answered_by, Rung::Fallback, "{case}");
+                assert_eq!(r.plan.cost, u64::MAX, "{case}");
+                assert!(r.report.space_relaxed && !r.report.optimal, "{case}");
+                assert!(
+                    r.report
+                        .attempts
+                        .iter()
+                        .map(|a| a.rung)
+                        .eq(above(Rung::Fallback)),
+                    "{case}"
+                );
+                for a in &r.report.attempts {
+                    let expected = if a.rung < entry {
+                        brownout(entry)
+                    } else {
+                        "skipped: deadline already exhausted".to_string()
+                    };
+                    assert_eq!(a.outcome, expected, "{case}");
+                }
+
+                // Cancellation is not a budget trip: it propagates from the
+                // first rung that runs. (Only the fallback, whose costing is
+                // best-effort, answers regardless.)
+                let token = CancelToken::new();
+                token.cancel();
+                let r = ladder(
+                    &db,
+                    SearchSpace::All,
+                    Budget::unlimited(),
+                    Some(&token),
+                    threads,
+                    entry,
+                );
+                if entry == Rung::Fallback {
+                    assert_eq!(r.unwrap().plan.cost, u64::MAX, "{case}");
+                } else {
+                    assert_eq!(r.unwrap_err(), MjoinError::Cancelled, "{case}");
+                }
+            }
+        }
     }
 
     #[test]
-    fn memo_cap_degrades_not_fails() {
-        let db = data::paper_example5();
-        let budget = Budget::unlimited().with_max_memo_entries(1);
-        let r = optimize_database_robust(&db, SearchSpace::All, budget, None).unwrap();
-        // The exhaustive and DP rungs can't run on one memo entry; some
-        // lower rung must still answer with a valid covering strategy.
-        assert!(r.report.answered_by > Rung::Dp, "{}", r.report);
-        assert_eq!(r.plan.strategy.set(), db.scheme().full_set());
-        assert!(r.plan.strategy.validate(db.scheme()));
-        assert!(!r.report.attempts.is_empty());
+    fn exhaustive_cutoff_is_on_record() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let (catalog, scheme) = mjoin_gen::schemes::chain(EXHAUSTIVE_MAX_RELS + 1);
+        let db = data::uniform(catalog, scheme, &data::DataConfig::default(), &mut rng);
+        for threads in [1, 2] {
+            let r = optimize_database_robust_threaded(
+                &db,
+                SearchSpace::All,
+                Budget::unlimited(),
+                None,
+                threads,
+            )
+            .unwrap();
+            assert_eq!(r.report.answered_by, Rung::Dp);
+            assert_eq!(r.report.attempts.len(), 1);
+            assert_eq!(
+                r.report.attempts[0].outcome,
+                "skipped: 8 relations exceed the 7-relation enumeration cutoff"
+            );
+        }
     }
 
     #[test]
     fn ladder_failpoint_propagates() {
         let db = data::paper_example4();
         let _fp = failpoints::ScopedFailpoint::arm("core::ladder");
-        let err = optimize_database_robust(&db, SearchSpace::All, Budget::unlimited(), None)
-            .unwrap_err();
+        let err =
+            optimize_database_robust_threaded(&db, SearchSpace::All, Budget::unlimited(), None, 1)
+                .unwrap_err();
         assert!(err.to_string().contains("injected fault"), "{err}");
     }
 
     #[test]
     fn threaded_ladder_matches_sequential_cost() {
         let db = data::paper_example4();
-        let seq = optimize_database_robust(&db, SearchSpace::All, Budget::unlimited(), None)
-            .unwrap();
-        for threads in [1, 2, 4] {
+        let seq =
+            optimize_database_robust_threaded(&db, SearchSpace::All, Budget::unlimited(), None, 1)
+                .unwrap();
+        for threads in [2, 4] {
             let par = optimize_database_robust_threaded(
                 &db,
                 SearchSpace::All,
@@ -1013,7 +809,11 @@ mod tests {
                 threads,
             )
             .unwrap();
-            assert_eq!(par.report.answered_by, Rung::Exhaustive, "{threads} threads");
+            assert_eq!(
+                par.report.answered_by,
+                Rung::Exhaustive,
+                "{threads} threads"
+            );
             assert_eq!(par.plan.cost, seq.plan.cost, "{threads} threads");
             assert_eq!(
                 par.plan.strategy.canonical(),
@@ -1050,89 +850,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_ladder_degrades_like_sequential() {
-        let db = data::paper_example5();
-        let budget = Budget::unlimited().with_max_memo_entries(1);
-        let r = optimize_database_robust_threaded(&db, SearchSpace::All, budget, None, 4)
-            .unwrap();
-        assert!(r.report.answered_by > Rung::Dp, "{}", r.report);
-        assert_eq!(r.plan.strategy.set(), db.scheme().full_set());
-        assert!(r.plan.strategy.validate(db.scheme()));
-    }
-
-    #[test]
-    fn threaded_ladder_propagates_cancellation() {
-        let db = data::paper_example5();
-        let token = CancelToken::new();
-        token.cancel();
-        let err = optimize_database_robust_threaded(
-            &db,
-            SearchSpace::All,
-            Budget::unlimited(),
-            Some(&token),
-            4,
-        )
-        .unwrap_err();
-        assert_eq!(err, MjoinError::Cancelled);
-    }
-
-    #[test]
-    fn brownout_entry_pins_the_ladder() {
-        let db = data::paper_example4();
-        let full = db.scheme().full_set();
-        for level in [
-            BrownoutLevel::Normal,
-            BrownoutLevel::ReducedDp,
-            BrownoutLevel::GreedyOnly,
-        ] {
-            let r = optimize_robust_from(
-                &db,
-                full,
-                SearchSpace::All,
-                level.apply(Budget::unlimited()),
-                None,
-                level.entry_rung(),
-            )
-            .unwrap();
-            assert_eq!(r.report.answered_by, level.entry_rung(), "{level}: {}", r.report);
-            assert_eq!(r.plan.strategy.set(), full);
-            assert!(r.plan.strategy.validate(db.scheme()));
-            // Every rung above the entry is on record as a brownout skip.
-            let skips = r
-                .report
-                .attempts
-                .iter()
-                .filter(|a| a.outcome.contains("brownout"))
-                .count();
-            let expected = match level {
-                BrownoutLevel::Normal => 0,
-                BrownoutLevel::ReducedDp => 1,
-                // GreedyOnly skips exhaustive, dp, lindp and partdp.
-                BrownoutLevel::GreedyOnly => 4,
-            };
-            assert_eq!(skips, expected, "{level}");
-        }
-    }
-
-    #[test]
-    fn brownout_entry_pins_the_threaded_ladder() {
-        let db = data::paper_example4();
-        let full = db.scheme().full_set();
-        let r = optimize_robust_threaded_from(
-            &db,
-            full,
-            SearchSpace::All,
-            Budget::unlimited(),
-            None,
-            4,
-            Rung::Greedy,
-        )
-        .unwrap();
-        assert_eq!(r.report.answered_by, Rung::Greedy, "{}", r.report);
-        assert!(r.plan.strategy.validate(db.scheme()));
-    }
-
-    #[test]
     fn brownout_budget_caps_only_shrink() {
         let tight = Budget::unlimited()
             .with_deadline(Duration::from_millis(100))
@@ -1160,8 +877,9 @@ mod tests {
     #[test]
     fn report_display_names_the_rung() {
         let db = data::paper_example4();
-        let r = optimize_database_robust(&db, SearchSpace::All, Budget::unlimited(), None)
-            .unwrap();
+        let r =
+            optimize_database_robust_threaded(&db, SearchSpace::All, Budget::unlimited(), None, 1)
+                .unwrap();
         assert!(r.report.to_string().contains("exhaustive"));
     }
 }

@@ -7,8 +7,8 @@
 //! workers were running when it tripped.
 
 use mjoin::{
-    try_best_no_cartesian_parallel, try_best_strategy_parallel, Budget, Database, DpAlgorithm,
-    Guard, NoisyOracle, SharedOracle, Strategy, SyntheticOracle,
+    try_best_no_cartesian_parallel, try_best_strategy_parallel, Budget, Database, Guard,
+    NoisyOracle, SharedOracle, Strategy, SyntheticOracle,
 };
 use mjoin_gen::{data, schemes};
 use rand::rngs::StdRng;
@@ -29,32 +29,20 @@ fn parallel_dps_are_thread_count_invariant() {
         let n = rng.gen_range(4..=8);
         let db = random_db(n, seed);
         let subset = db.scheme().full_set();
-        for algorithm in [DpAlgorithm::DpSize, DpAlgorithm::DpCcp] {
-            let run = |threads: usize| {
-                let oracle = SharedOracle::new(&db);
-                try_best_no_cartesian_parallel(
-                    &oracle,
-                    subset,
-                    algorithm,
-                    &Guard::unlimited(),
-                    threads,
-                )
-                .unwrap()
-            };
-            let base = run(1);
-            for threads in [2, 4] {
-                let got = run(threads);
-                match (&base, &got) {
-                    (None, None) => {}
-                    (Some(b), Some(g)) => {
-                        assert_eq!(g.cost, b.cost, "seed {seed} {algorithm:?} x{threads}");
-                        assert_eq!(
-                            g.strategy, b.strategy,
-                            "seed {seed} {algorithm:?} x{threads}"
-                        );
-                    }
-                    _ => panic!("seed {seed} {algorithm:?} x{threads}: Some/None mismatch"),
+        let run = |threads: usize| {
+            let oracle = SharedOracle::new(&db);
+            try_best_no_cartesian_parallel(&oracle, subset, &Guard::unlimited(), threads).unwrap()
+        };
+        let base = run(1);
+        for threads in [2, 4] {
+            let got = run(threads);
+            match (&base, &got) {
+                (None, None) => {}
+                (Some(b), Some(g)) => {
+                    assert_eq!(g.cost, b.cost, "seed {seed} x{threads}");
+                    assert_eq!(g.strategy, b.strategy, "seed {seed} x{threads}");
                 }
+                _ => panic!("seed {seed} x{threads}: Some/None mismatch"),
             }
         }
     }
@@ -108,14 +96,7 @@ fn exhaustive_and_dp_agree_on_the_product_free_optimum() {
         let subset = db.scheme().full_set();
         let scheme = db.scheme().clone();
         let oracle = SharedOracle::new(&db);
-        let dp = try_best_no_cartesian_parallel(
-            &oracle,
-            subset,
-            DpAlgorithm::DpCcp,
-            &Guard::unlimited(),
-            4,
-        )
-        .unwrap();
+        let dp = try_best_no_cartesian_parallel(&oracle, subset, &Guard::unlimited(), 4).unwrap();
         let exhaustive = try_best_strategy_parallel(
             &oracle,
             subset,
@@ -145,14 +126,8 @@ fn noisy_estimates_keep_the_parallel_dp_thread_count_invariant() {
             let oracle = NoisyOracle::try_new(SyntheticOracle::from_database(&db), q, seed)
                 .expect("valid envelope");
             let run = |threads: usize| {
-                try_best_no_cartesian_parallel(
-                    &oracle,
-                    subset,
-                    DpAlgorithm::DpCcp,
-                    &Guard::unlimited(),
-                    threads,
-                )
-                .unwrap()
+                try_best_no_cartesian_parallel(&oracle, subset, &Guard::unlimited(), threads)
+                    .unwrap()
             };
             let base = run(1);
             for threads in [2, 4] {
@@ -180,8 +155,7 @@ fn tripping_budgets_error_identically_at_every_thread_count() {
     let dp_err = |threads: usize| {
         let guard = Guard::new(budget);
         let oracle = SharedOracle::with_guard(&db, guard.clone());
-        try_best_no_cartesian_parallel(&oracle, subset, DpAlgorithm::DpCcp, &guard, threads)
-            .unwrap_err()
+        try_best_no_cartesian_parallel(&oracle, subset, &guard, threads).unwrap_err()
     };
     let base = dp_err(1);
     for threads in [2, 4] {
@@ -213,14 +187,7 @@ fn shared_oracle_distinct_subset_count_is_thread_invariant() {
         let count = |threads: usize| {
             let rec = Recorder::arm();
             let oracle = SharedOracle::new(&db);
-            try_best_no_cartesian_parallel(
-                &oracle,
-                subset,
-                DpAlgorithm::DpCcp,
-                &Guard::unlimited(),
-                threads,
-            )
-            .unwrap();
+            try_best_no_cartesian_parallel(&oracle, subset, &Guard::unlimited(), threads).unwrap();
             rec.snapshot().counter(Counter::OracleSharedDistinctSubsets)
         };
         let base = count(1);

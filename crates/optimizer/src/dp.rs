@@ -11,7 +11,7 @@
 //! charging every memo insert, and propagating oracle budget errors), and
 //! the legacy infallible wrapper running under [`Guard::unlimited`].
 
-use mjoin_cost::{CardinalityOracle, SharedHandle, SyncCardinalityOracle};
+use mjoin_cost::{CardinalityOracle, SyncCardinalityOracle};
 use mjoin_guard::{failpoints, Guard, MjoinError};
 use mjoin_hypergraph::{DbScheme, FastMap, RelSet, SchemeIndex};
 use mjoin_obs::{incr, Counter};
@@ -862,6 +862,12 @@ fn nocp_rec<O: CardinalityOracle>(
     // both halves must be connected and linked to each other.
     for (s1, s2) in s.proper_splits() {
         scanned += 1;
+        // Same stride poll as `bushy_rec`: on a star or a tree nearly all
+        // of the `2^{n−1}` splits are pruned without touching the oracle,
+        // so nothing else in this scan would notice the deadline.
+        if scanned & 0xFF == 0 {
+            guard.checkpoint()?;
+        }
         if !oracle.scheme().linked_disjoint(s1, s2)
             || !oracle.scheme().connected(s1)
             || !oracle.scheme().connected(s2)
@@ -898,9 +904,8 @@ fn nocp_rec<O: CardinalityOracle>(
 
 /// The `DPsize` candidate scan for one target subset `u`: every split of
 /// `u` into connected halves `(s1, s2)` with `|s1| ≤ |s2|`, ordered by
-/// `|s1|` then by `s1`'s position in its size bucket. Like
-/// [`ccp_best_split`] this reads only strictly smaller subsets of `table`,
-/// so size levels parallelize; the sequential and parallel DPsize share it.
+/// `|s1|` then by `s1`'s position in its size bucket. Reads only strictly
+/// smaller subsets of `table`.
 ///
 /// Unlike DPccp, the first candidate wins even at a saturated `u64::MAX`
 /// cost — every reachable subset must record some split or plan
@@ -1175,18 +1180,16 @@ where
     Ok(out)
 }
 
-/// Multi-core [`try_best_no_cartesian`]: the bottom-up DPs (`DPsize`,
-/// `DPccp`) run each subset-size level across `threads` scoped workers
-/// against a frozen table of the smaller levels, then merge in item order.
-/// Plans and costs are bit-identical to the sequential DP at any thread
-/// count — the per-subset candidate scan is the very same function.
-///
-/// `DpSub` is a top-down recursion with nothing to parallelize; it runs
-/// sequentially over a [`SharedHandle`].
+/// Multi-core [`try_best_no_cartesian`]: DPccp with each subset-size level
+/// run across `threads` scoped workers against a frozen table of the
+/// smaller levels, then merged in rank order. Plans and costs are
+/// bit-identical to the sequential DPccp at any thread count — same index,
+/// same candidate enumeration, same tie-break; only the unit of scheduling
+/// differs (one target subset, so the level pair lists are scattered into
+/// a per-target CSR view).
 pub fn try_best_no_cartesian_parallel<O: SyncCardinalityOracle>(
     oracle: &O,
     subset: RelSet,
-    algorithm: DpAlgorithm,
     guard: &Guard,
     threads: usize,
 ) -> Result<Option<Plan>, MjoinError> {
@@ -1195,88 +1198,25 @@ pub fn try_best_no_cartesian_parallel<O: SyncCardinalityOracle>(
     if !scheme.connected(subset) {
         return Ok(None);
     }
-    if algorithm == DpAlgorithm::DpSub {
-        let mut handle = SharedHandle::new(oracle);
-        let mut memo = SplitMemo::default();
-        let Some(cost) = nocp_rec(&mut handle, subset, &mut memo, guard)? else {
-            return Ok(None);
-        };
-        return Ok(Some(Plan {
-            strategy: try_rebuild(subset, &memo)?,
-            cost,
-        }));
-    }
-    if algorithm == DpAlgorithm::DpCcp {
-        // Same index + candidate enumeration + tie-break as the sequential
-        // DPccp; the unit of scheduling here is one target subset, so the
-        // level pair lists are scattered into a per-target CSR view, and
-        // the merge back into the frozen table happens in rank order.
-        let index = SchemeIndex::try_new_checked(scheme, subset, &mut |_| guard.checkpoint())?;
-        let cands = build_ccp_candidates(&build_level_pairs(scheme, &index, guard)?, index.len());
-        let mut table = FlatTable::unsolved(index.len());
-        for &r in index.level(1) {
-            guard.charge_memo(1)?;
-            incr(Counter::DpSubsetsExpanded, 1);
-            table.costs[r as usize] = 0;
-        }
-        for size in 2..=index.max_size() {
-            let level = index.level(size);
-            if level.is_empty() {
-                continue;
-            }
-            let results = run_level(level, threads, |r: u32| {
-                guard.checkpoint()?;
-                match ccp_scan_flat(&cands, r, &table.costs, guard)? {
-                    None => Ok(None),
-                    Some((split, children)) => {
-                        let total = oracle.try_tau(index.subset(r))?.saturating_add(children);
-                        Ok(Some((total, split)))
-                    }
-                }
-            })?;
-            for (i, r) in results.into_iter().enumerate() {
-                if let Some((total, split)) = r {
-                    guard.charge_memo(1)?;
-                    incr(Counter::DpSubsetsExpanded, 1);
-                    table.costs[level[i] as usize] = total;
-                    table.splits[level[i] as usize] = Some(split);
-                }
-            }
-        }
-        let Some(root) = index.rank(subset) else {
-            return Ok(None);
-        };
-        if !table.solved(root) {
-            return Ok(None);
-        }
-        return Ok(Some(Plan {
-            strategy: try_rebuild_flat(root, &index, &table)?,
-            cost: table.costs[root as usize],
-        }));
-    }
-    let connected = scheme.connected_subsets(subset);
-    let n = subset.len();
-    let mut by_size: Vec<Vec<RelSet>> = vec![Vec::new(); n + 1];
-    for s in connected {
-        by_size[s.len()].push(s);
-    }
-    let mut table = SplitMemo::default();
-    for &s in &by_size[1] {
+    let index = SchemeIndex::try_new_checked(scheme, subset, &mut |_| guard.checkpoint())?;
+    let cands = build_ccp_candidates(&build_level_pairs(scheme, &index, guard)?, index.len());
+    let mut table = FlatTable::unsolved(index.len());
+    for &r in index.level(1) {
         guard.charge_memo(1)?;
         incr(Counter::DpSubsetsExpanded, 1);
-        table.insert(s, (0, None));
+        table.costs[r as usize] = 0;
     }
-    for size in 2..=n {
-        let level = &by_size[size];
+    for size in 2..=index.max_size() {
+        let level = index.level(size);
         if level.is_empty() {
             continue;
         }
-        let results = run_level(level, threads, |u| {
+        let results = run_level(level, threads, |r: u32| {
             guard.checkpoint()?;
-            match dpsize_best_split(scheme, u, &by_size, &table, guard)? {
+            match ccp_scan_flat(&cands, r, &table.costs, guard)? {
                 None => Ok(None),
                 Some((split, children)) => {
-                    let total = oracle.try_tau(u)?.saturating_add(children);
+                    let total = oracle.try_tau(index.subset(r))?.saturating_add(children);
                     Ok(Some((total, split)))
                 }
             }
@@ -1285,16 +1225,20 @@ pub fn try_best_no_cartesian_parallel<O: SyncCardinalityOracle>(
             if let Some((total, split)) = r {
                 guard.charge_memo(1)?;
                 incr(Counter::DpSubsetsExpanded, 1);
-                table.insert(by_size[size][i], (total, Some(split)));
+                table.costs[level[i] as usize] = total;
+                table.splits[level[i] as usize] = Some(split);
             }
         }
     }
-    let Some(&(cost, _)) = table.get(&subset) else {
+    let Some(root) = index.rank(subset) else {
         return Ok(None);
     };
+    if !table.solved(root) {
+        return Ok(None);
+    }
     Ok(Some(Plan {
-        strategy: try_rebuild(subset, &table)?,
-        cost,
+        strategy: try_rebuild_flat(root, &index, &table)?,
+        cost: table.costs[root as usize],
     }))
 }
 
@@ -1304,17 +1248,16 @@ pub fn try_best_no_cartesian_parallel<O: SyncCardinalityOracle>(
 pub fn try_best_avoid_cartesian_parallel<O: SyncCardinalityOracle>(
     oracle: &O,
     subset: RelSet,
-    algorithm: DpAlgorithm,
     guard: &Guard,
     threads: usize,
 ) -> Result<Option<Plan>, MjoinError> {
     let comps = oracle.scheme().components(subset);
     if comps.len() == 1 {
-        return try_best_no_cartesian_parallel(oracle, subset, algorithm, guard, threads);
+        return try_best_no_cartesian_parallel(oracle, subset, guard, threads);
     }
     let mut plans: Vec<Plan> = Vec::with_capacity(comps.len());
     for &c in &comps {
-        match try_best_no_cartesian_parallel(oracle, c, algorithm, guard, threads)? {
+        match try_best_no_cartesian_parallel(oracle, c, guard, threads)? {
             Some(p) => plans.push(p),
             None => return Ok(None),
         }

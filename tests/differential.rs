@@ -77,12 +77,10 @@ fn all_product_free_optimizers_agree_on_tau() {
                 .expect("connected scheme has a product-free DP plan");
             taus.push(("dp", plan.cost));
         }
-        for algo in [DpAlgorithm::DpSize, DpAlgorithm::DpCcp] {
-            let plan = try_best_no_cartesian_parallel(&shared, full, algo, &guard, 4)
-                .unwrap()
-                .expect("parallel DP agrees the space is nonempty");
-            taus.push(("dp-par", plan.cost));
-        }
+        let plan = try_best_no_cartesian_parallel(&shared, full, &guard, 4)
+            .unwrap()
+            .expect("parallel DP agrees the space is nonempty");
+        taus.push(("dp-par", plan.cost));
         let reference = taus[0].1;
         for (engine, tau) in &taus {
             assert_eq!(
@@ -150,7 +148,7 @@ fn chain_dp_expands_the_closed_form_subset_count() {
         for threads in [2usize, 4] {
             let rec = Recorder::arm();
             let shared = SharedOracle::new(&db);
-            try_best_no_cartesian_parallel(&shared, full, DpAlgorithm::DpCcp, &guard, threads)
+            try_best_no_cartesian_parallel(&shared, full, &guard, threads)
                 .unwrap()
                 .expect("chains are connected");
             let snap = rec.snapshot();
@@ -202,7 +200,7 @@ fn chain_dpccp_scans_only_the_emitted_ccp_pairs() {
     for threads in [2usize, 4] {
         let rec = Recorder::arm();
         let shared = mjoin::SyntheticOracle::new(s.clone(), vec![1000; n], 500);
-        try_best_no_cartesian_parallel(&shared, full, DpAlgorithm::DpCcp, &guard, threads)
+        try_best_no_cartesian_parallel(&shared, full, &guard, threads)
             .unwrap()
             .expect("chains are connected");
         let snap = rec.snapshot();

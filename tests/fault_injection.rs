@@ -11,8 +11,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use mjoin::failpoints::{self, ScopedFailpoint, SITES};
 use mjoin::{
-    optimize_robust, try_greedy_bushy, try_ikkbz, try_lindp, try_partitioned_dp, Budget,
-    CardinalityOracle, Database, ExactOracle, Guard, MjoinError, SearchSpace,
+    optimize_database_robust_threaded, try_greedy_bushy, try_ikkbz, try_lindp, try_partitioned_dp,
+    Budget, CardinalityOracle, Database, ExactOracle, Guard, MjoinError, SearchSpace,
 };
 use mjoin_gen::data;
 use mjoin_hypergraph::JoinTree;
@@ -115,7 +115,8 @@ fn provoke(site: &str) -> MjoinError {
             try_partitioned_dp(&mut oracle, full, &guard).unwrap_err()
         }
         "optimizer::exhaustive" | "core::ladder" => {
-            optimize_robust(&db, full, SearchSpace::All, Budget::unlimited(), None).unwrap_err()
+            optimize_database_robust_threaded(&db, SearchSpace::All, Budget::unlimited(), None, 1)
+                .unwrap_err()
         }
         "semijoin::reduce" => {
             let tree = JoinTree::build(db.scheme()).expect("example 4 is acyclic");
@@ -231,8 +232,8 @@ fn ladder_does_not_degrade_over_injected_faults() {
     // Tiny memo cap pushes the ladder past exhaustive and DP down to
     // greedy, where the injected fault must surface, not degrade.
     let budget = Budget::unlimited().with_max_memo_entries(1);
-    let err = optimize_robust(&db, db.scheme().full_set(), SearchSpace::All, budget, None)
-        .unwrap_err();
+    let err =
+        optimize_database_robust_threaded(&db, SearchSpace::All, budget, None, 1).unwrap_err();
     assert!(
         err.to_string().contains("optimizer::greedy"),
         "expected the injected greedy fault, got: {err}"
@@ -258,14 +259,8 @@ fn disarmed_registry_is_invisible() {
     let _serial = serialize();
     assert!(failpoints::armed().is_empty());
     let db = db();
-    let r = optimize_robust(
-        &db,
-        db.scheme().full_set(),
-        SearchSpace::All,
-        Budget::unlimited(),
-        None,
-    )
-    .unwrap();
+    let r = optimize_database_robust_threaded(&db, SearchSpace::All, Budget::unlimited(), None, 1)
+        .unwrap();
     assert_eq!(r.plan.cost, 11);
 }
 

@@ -11,8 +11,8 @@
 //! end folds per-table filter selectivities in at plan time.
 
 use mjoin::{
-    lower, parse_query, CardinalityOracle as _, Database, ExactOracle, SearchSpace,
-    SyntheticOracle,
+    lower, parse_query, BrownoutLevel, CardinalityOracle as _, Database, ExactOracle,
+    SearchSpace, SyntheticOracle,
 };
 use mjoin_cli::{optimize_outcome, GuardOptions};
 use mjoin_hypergraph::RelSet;
@@ -145,7 +145,7 @@ fn optimal_tau_is_thread_invariant_on_filtered_databases() {
                         threads: Some(t),
                         ..GuardOptions::default()
                     };
-                    optimize_outcome(&filtered.database, space, &gopts)
+                    optimize_outcome(&filtered.database, space, &gopts, BrownoutLevel::Normal)
                         .expect("optimize succeeds")
                         .cost
                 })

@@ -5,7 +5,7 @@
 use std::time::{Duration, Instant};
 
 use mjoin::{
-    optimize_database_robust, try_greedy_bushy, try_optimize, Budget, CancelToken,
+    optimize_database_robust_threaded, try_greedy_bushy, try_optimize, Budget, CancelToken,
     CardinalityOracle, Database, ExactOracle, Guard, MjoinError, Rung, SearchSpace,
 };
 use mjoin_gen::{data, data::DataConfig, schemes};
@@ -48,7 +48,7 @@ fn hostile_clique_under_tight_deadline_returns_valid_plan() {
     let db = clique_db(14, 4);
     let budget = Budget::unlimited().with_deadline(Duration::from_millis(50));
     let started = Instant::now();
-    let r = optimize_database_robust(&db, SearchSpace::All, budget, None).unwrap();
+    let r = optimize_database_robust_threaded(&db, SearchSpace::All, budget, None, 1).unwrap();
     let elapsed = started.elapsed();
 
     // No hang: the deadline is 50 ms; allow generous slack for slow CI.
@@ -79,7 +79,7 @@ fn hostile_clique_under_tight_deadline_returns_valid_plan() {
 fn hostile_clique_under_tuple_cap_degrades() {
     let db = clique_db(14, 4);
     let budget = Budget::unlimited().with_max_tuples(10_000);
-    let r = optimize_database_robust(&db, SearchSpace::All, budget, None).unwrap();
+    let r = optimize_database_robust_threaded(&db, SearchSpace::All, budget, None, 1).unwrap();
     assert_eq!(r.plan.strategy.set(), db.scheme().full_set());
     assert!(r.plan.strategy.validate(db.scheme()));
     assert!(r.report.answered_by > Rung::Dp, "{}", r.report);
@@ -100,7 +100,7 @@ fn hostile_clique_under_tuple_cap_degrades() {
 fn rung_attempts_record_elapsed_and_budget_consumed() {
     let db = clique_db(14, 4);
     let budget = Budget::unlimited().with_max_tuples(10_000);
-    let r = optimize_database_robust(&db, SearchSpace::All, budget, None).unwrap();
+    let r = optimize_database_robust_threaded(&db, SearchSpace::All, budget, None, 1).unwrap();
     // At n = 14 the exhaustive rung is skipped (space too large) without
     // doing any work; the DP rung runs and trips the tuple cap.
     let skipped = r
@@ -142,8 +142,8 @@ fn rung_attempts_record_elapsed_and_budget_consumed() {
 fn rung_budget_consumption_is_deterministic() {
     let db = clique_db(10, 2);
     let budget = Budget::unlimited().with_max_memo_entries(16);
-    let a = optimize_database_robust(&db, SearchSpace::All, budget, None).unwrap();
-    let b = optimize_database_robust(&db, SearchSpace::All, budget, None).unwrap();
+    let a = optimize_database_robust_threaded(&db, SearchSpace::All, budget, None, 1).unwrap();
+    let b = optimize_database_robust_threaded(&db, SearchSpace::All, budget, None, 1).unwrap();
     assert_eq!(a.report.answered_stats.memo_used, b.report.answered_stats.memo_used);
     assert_eq!(a.report.answered_stats.tuples_used, b.report.answered_stats.tuples_used);
     for (x, y) in a.report.attempts.iter().zip(&b.report.attempts) {
@@ -179,7 +179,8 @@ fn sixty_relation_chain_is_answered_by_a_polynomial_rung() {
     for _ in 0..3 {
         let budget = Budget::unlimited().with_deadline(Duration::from_millis(100));
         let started = Instant::now();
-        let attempt = optimize_database_robust(&db, SearchSpace::All, budget, None).unwrap();
+        let attempt =
+            optimize_database_robust_threaded(&db, SearchSpace::All, budget, None, 1).unwrap();
         let elapsed = started.elapsed();
         assert!(elapsed < Duration::from_secs(10), "took {elapsed:?}");
         let answered_by = attempt.report.answered_by;
@@ -208,6 +209,70 @@ fn sixty_relation_chain_is_answered_by_a_polynomial_rung() {
     );
 }
 
+/// The product-free DP's split scan polls its guard on a stride. On a star
+/// or a tree nearly all of a subset's `2^{n−1}` splits are pruned by the
+/// connectivity test without touching the oracle, so before the stride
+/// poll one subset's scan ran far past the Dp rung's slice (a 24-star
+/// answered an 80 ms request in ~330 ms; a 50-tree pinned a serve worker
+/// for a minute), every rung below found the deadline spent, and the
+/// ladder fell through to an uncosted fallback.
+#[test]
+fn product_free_dp_honours_its_deadline_on_stars_and_trees() {
+    let deadline = Duration::from_millis(80);
+    let cfg = DataConfig {
+        tuples_per_relation: 2,
+        domain: 4,
+        ensure_nonempty: true,
+    };
+    let mut rng = StdRng::seed_from_u64(24);
+    let (cat, scheme) = schemes::star(24);
+    let star = data::uniform(cat, scheme, &cfg, &mut rng);
+    let (cat, scheme) = schemes::random_tree(30, &mut rng);
+    let tree = data::uniform(cat, scheme, &cfg, &mut rng);
+    for (name, db) in [("star-24", &star), ("tree-30", &tree)] {
+        let full = db.scheme().full_set();
+        // Real wall-clock deadlines ⇒ sensitive to scheduler noise; allow
+        // a couple of retries, as for the chain above.
+        let mut last = String::new();
+        let ok = (0..3).any(|_| {
+            let guard = Guard::new(Budget::unlimited().with_deadline(deadline));
+            let mut oracle = ExactOracle::with_guard(db, guard.clone());
+            let started = Instant::now();
+            let dp = try_optimize(&mut oracle, full, SearchSpace::NoCartesian, &guard);
+            let dp_elapsed = started.elapsed();
+
+            let budget = Budget::unlimited().with_deadline(deadline);
+            let started = Instant::now();
+            let space = SearchSpace::NoCartesian;
+            let r = optimize_database_robust_threaded(db, space, budget, None, 1).unwrap();
+            let ladder_elapsed = started.elapsed();
+            assert_eq!(r.plan.strategy.set(), full);
+            assert!(r.plan.strategy.validate(db.scheme()));
+
+            last = format!(
+                "dp {dp:?} in {dp_elapsed:?}; ladder in {ladder_elapsed:?}: {}",
+                r.report
+            );
+            // The Dp rung kept to its slice, so the rung below it ran.
+            let lindp_ran = r
+                .report
+                .attempts
+                .iter()
+                .all(|a| a.rung != Rung::LinDp || !a.outcome.starts_with("skipped"));
+            // How far the polynomial rungs get in their slices is the
+            // machine's business; an optimized build answers from one of
+            // them, costed.
+            let costed = r.report.answered_by < Rung::Fallback && r.plan.cost != u64::MAX;
+            matches!(dp, Err(MjoinError::BudgetExceeded { .. }))
+                && dp_elapsed < 2 * deadline
+                && ladder_elapsed < 2 * deadline
+                && lindp_ran
+                && (costed || cfg!(debug_assertions))
+        });
+        assert!(ok, "{name}: {last}");
+    }
+}
+
 /// Cancellation from another thread interrupts a search that would
 /// otherwise run for a very long time (the 12-relation clique DP), and
 /// surfaces as `Cancelled` — not as a degraded answer and not as a hang.
@@ -223,8 +288,14 @@ fn cancellation_interrupts_a_long_search() {
         })
     };
     let started = Instant::now();
-    let err = optimize_database_robust(&db, SearchSpace::All, Budget::unlimited(), Some(&token))
-        .unwrap_err();
+    let err = optimize_database_robust_threaded(
+        &db,
+        SearchSpace::All,
+        Budget::unlimited(),
+        Some(&token),
+        1,
+    )
+    .unwrap_err();
     canceller.join().unwrap();
     assert_eq!(err, MjoinError::Cancelled);
     assert!(started.elapsed() < Duration::from_secs(60));
@@ -236,8 +307,8 @@ fn cancellation_interrupts_a_long_search() {
 fn capped_runs_are_deterministic() {
     let db = clique_db(10, 2);
     let budget = Budget::unlimited().with_max_memo_entries(16);
-    let a = optimize_database_robust(&db, SearchSpace::All, budget, None).unwrap();
-    let b = optimize_database_robust(&db, SearchSpace::All, budget, None).unwrap();
+    let a = optimize_database_robust_threaded(&db, SearchSpace::All, budget, None, 1).unwrap();
+    let b = optimize_database_robust_threaded(&db, SearchSpace::All, budget, None, 1).unwrap();
     assert_eq!(a.report.answered_by, b.report.answered_by);
     assert!(a.plan.strategy.eq_unordered(&b.plan.strategy));
     assert_eq!(a.plan.cost, b.plan.cost);
@@ -269,7 +340,7 @@ proptest! {
         let budget = Budget::unlimited()
             .with_max_memo_entries(cap)
             .with_max_tuples(cap);
-        let r = optimize_database_robust(&db, SearchSpace::All, budget, None).unwrap();
+        let r = optimize_database_robust_threaded(&db, SearchSpace::All, budget, None, 1).unwrap();
         prop_assert_eq!(r.plan.strategy.set(), db.scheme().full_set());
         prop_assert!(r.plan.strategy.validate(db.scheme()));
     }
@@ -279,7 +350,7 @@ proptest! {
     #[test]
     fn ladder_never_worse_than_greedy(seed: u64, n in 2usize..6) {
         let db = random_db(seed, n);
-        let r = optimize_database_robust(&db, SearchSpace::All, Budget::unlimited(), None)
+        let r = optimize_database_robust_threaded(&db, SearchSpace::All, Budget::unlimited(), None, 1)
             .unwrap();
         prop_assert!(r.report.optimal, "{}", r.report);
         let mut oracle = ExactOracle::new(&db);
