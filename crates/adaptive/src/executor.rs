@@ -41,7 +41,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use mjoin::{derive_database, optimize_database_robust_threaded, try_optimize, ExactOracle};
-use mjoin_cost::{Database, NoisyOracle, SyntheticOracle};
+use mjoin_cost::{CardinalityOracle, Database, NoisyOracle, SyntheticOracle};
 use mjoin_guard::{failpoints, Budget, CancelToken, Guard, MjoinError};
 use mjoin_hypergraph::RelSet;
 use mjoin_obs::{incr, span, Counter, Span};
@@ -143,9 +143,8 @@ impl Estimator {
     fn estimate(&self, subset: RelSet, actual: u64) -> u64 {
         match self {
             Estimator::Perfect => actual,
-            Estimator::Model(m) => m.estimate(subset),
-            // The synthetic inner model is total, so this cannot fail.
-            Estimator::Noisy(n) => n.try_estimate(subset).unwrap_or(u64::MAX),
+            Estimator::Model(m) => m.tau(subset),
+            Estimator::Noisy(n) => n.tau(subset),
         }
     }
 }
@@ -419,16 +418,16 @@ pub fn plan_and_execute(
     let full = db.scheme().full_set();
     let plan = match estimation {
         Estimation::Perfect => {
-            let mut oracle = ExactOracle::with_guard(db, guard.clone());
-            try_optimize(&mut oracle, full, config.space, &guard)?
+            let oracle = ExactOracle::with_guard(db, guard.clone());
+            try_optimize(&oracle, full, config.space, &guard)?
         }
         Estimation::Synthetic => {
-            let mut oracle = SyntheticOracle::from_database(db);
-            try_optimize(&mut oracle, full, config.space, &guard)?
+            let oracle = SyntheticOracle::from_database(db);
+            try_optimize(&oracle, full, config.space, &guard)?
         }
         Estimation::Noisy { q, seed } => {
-            let mut oracle = NoisyOracle::try_new(SyntheticOracle::from_database(db), *q, *seed)?;
-            try_optimize(&mut oracle, full, config.space, &guard)?
+            let oracle = NoisyOracle::try_new(SyntheticOracle::from_database(db), *q, *seed)?;
+            try_optimize(&oracle, full, config.space, &guard)?
         }
     }
     .ok_or_else(|| {

@@ -52,9 +52,9 @@ pub fn regret_sweep(
     let mut rows = Vec::with_capacity(envelopes.len());
     for &q in envelopes {
         let estimation = Estimation::Noisy { q, seed };
-        let mut planner = NoisyOracle::try_new(SyntheticOracle::from_database(db), q, seed)?;
+        let planner = NoisyOracle::try_new(SyntheticOracle::from_database(db), q, seed)?;
         let guard = Guard::unlimited();
-        let plan = try_optimize(&mut planner, db.scheme().full_set(), space, &guard)?
+        let plan = try_optimize(&planner, db.scheme().full_set(), space, &guard)?
             .ok_or_else(|| {
                 MjoinError::InvalidScheme(format!("search space {space:?} is empty for {label}"))
             })?;

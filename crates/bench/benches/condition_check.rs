@@ -51,8 +51,8 @@ fn bench_condition_check(c: &mut Criterion) {
         let db = data::uniform(cat, scheme, &cfg, &mut rng);
         group.bench_with_input(BenchmarkId::new("condition_report", n), &db, |b, db| {
             b.iter(|| {
-                let mut o = ExactOracle::new(db);
-                condition_report(&mut o)
+                let o = ExactOracle::new(db);
+                condition_report(&o)
             })
         });
     }

@@ -55,16 +55,16 @@ fn oracle_for(scheme: &DbScheme, n: usize) -> SyntheticOracle {
 }
 
 fn run_rescan(scheme: &DbScheme, n: usize) -> Plan {
-    let mut oracle = oracle_for(scheme, n);
-    try_best_no_cartesian_ccp_rescan(&mut oracle, scheme.full_set(), &Guard::unlimited())
+    let oracle = oracle_for(scheme, n);
+    try_best_no_cartesian_ccp_rescan(&oracle, scheme.full_set(), &Guard::unlimited())
         .expect("unlimited guard cannot trip")
         .expect("bench topologies are connected")
 }
 
 fn run_streaming(scheme: &DbScheme, n: usize) -> Plan {
-    let mut oracle = oracle_for(scheme, n);
+    let oracle = oracle_for(scheme, n);
     try_best_no_cartesian(
-        &mut oracle,
+        &oracle,
         scheme.full_set(),
         DpAlgorithm::DpCcp,
         &Guard::unlimited(),

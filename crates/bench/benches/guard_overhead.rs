@@ -91,12 +91,12 @@ fn bench_dp(c: &mut Criterion) {
     let unlimited = Guard::unlimited();
     let armed = armed_guard();
     group.bench_function("unlimited_guard", |b| {
-        let mut oracle = SyntheticOracle::new(scheme.clone(), base.clone(), 10);
-        b.iter(|| try_best_bushy(&mut oracle, full, &unlimited).unwrap().cost)
+        let oracle = SyntheticOracle::new(scheme.clone(), base.clone(), 10);
+        b.iter(|| try_best_bushy(&oracle, full, &unlimited).unwrap().cost)
     });
     group.bench_function("armed_guard", |b| {
-        let mut oracle = SyntheticOracle::new(scheme.clone(), base.clone(), 10);
-        b.iter(|| try_best_bushy(&mut oracle, full, &armed).unwrap().cost)
+        let oracle = SyntheticOracle::new(scheme.clone(), base.clone(), 10);
+        b.iter(|| try_best_bushy(&oracle, full, &armed).unwrap().cost)
     });
     group.finish();
 }
@@ -189,19 +189,19 @@ fn verify() -> (Vec<Json>, mjoin_obs::Snapshot) {
             }
         }
         if !(pcts[2] < 2.0 && pcts[3] < 2.0) {
-            let mut o1 = SyntheticOracle::new(scheme.clone(), base.clone(), 10);
+            let o1 = SyntheticOracle::new(scheme.clone(), base.clone(), 10);
             let raw = min_time(
                 || {
-                    criterion::black_box(try_best_bushy(&mut o1, full, &unlimited).unwrap().cost);
+                    criterion::black_box(try_best_bushy(&o1, full, &unlimited).unwrap().cost);
                 },
                 20,
                 8,
             );
             if pcts[2] >= 2.0 {
-                let mut o2 = SyntheticOracle::new(scheme.clone(), base.clone(), 10);
+                let o2 = SyntheticOracle::new(scheme.clone(), base.clone(), 10);
                 let guarded = min_time(
                     || {
-                        criterion::black_box(try_best_bushy(&mut o2, full, &armed).unwrap().cost);
+                        criterion::black_box(try_best_bushy(&o2, full, &armed).unwrap().cost);
                     },
                     20,
                     8,
@@ -214,10 +214,10 @@ fn verify() -> (Vec<Json>, mjoin_obs::Snapshot) {
             }
             if pcts[3] >= 2.0 {
                 let rec = Recorder::arm();
-                let mut o3 = SyntheticOracle::new(scheme.clone(), base.clone(), 10);
+                let o3 = SyntheticOracle::new(scheme.clone(), base.clone(), 10);
                 let recorded = min_time(
                     || {
-                        criterion::black_box(try_best_bushy(&mut o3, full, &armed).unwrap().cost);
+                        criterion::black_box(try_best_bushy(&o3, full, &armed).unwrap().cost);
                     },
                     20,
                     8,

@@ -105,20 +105,20 @@ fn dp_feasible(topo: &str, n: usize) -> bool {
 }
 
 fn run_arm(arm: &str, topo: &str, n: usize, scheme: &DbScheme, guard: &Guard) -> Option<Plan> {
-    let mut oracle = oracle_for(topo, n, scheme);
+    let oracle = oracle_for(topo, n, scheme);
     let full = scheme.full_set();
     match arm {
-        "greedy" => Some(try_greedy_bushy(&mut oracle, full, guard).expect("within budget")),
+        "greedy" => Some(try_greedy_bushy(&oracle, full, guard).expect("within budget")),
         "greedy_linear" => {
-            Some(try_greedy_linear(&mut oracle, full, guard).expect("within budget"))
+            Some(try_greedy_linear(&oracle, full, guard).expect("within budget"))
         }
         "lindp" => Some(
-            try_lindp(&mut oracle, full, guard)
+            try_lindp(&oracle, full, guard)
                 .expect("within budget")
                 .expect("grid topologies are connected"),
         ),
         "partdp" => Some(
-            try_partitioned_dp(&mut oracle, full, guard)
+            try_partitioned_dp(&oracle, full, guard)
                 .expect("within budget")
                 .expect("grid topologies are connected"),
         ),
@@ -127,7 +127,7 @@ fn run_arm(arm: &str, topo: &str, n: usize, scheme: &DbScheme, guard: &Guard) ->
                 return None;
             }
             Some(
-                try_best_no_cartesian(&mut oracle, full, DpAlgorithm::DpCcp, guard)
+                try_best_no_cartesian(&oracle, full, DpAlgorithm::DpCcp, guard)
                     .expect("within budget")
                     .expect("grid topologies are connected"),
             )

@@ -43,8 +43,8 @@ fn store_path(n: usize) -> PathBuf {
 }
 
 fn cold_plan(scheme: &DbScheme, n: usize) -> (Plan, DpMemoExport) {
-    let mut oracle = SyntheticOracle::new(scheme.clone(), vec![1000; n], 500);
-    try_best_no_cartesian_ccp_with_memo(&mut oracle, scheme.full_set(), &Guard::unlimited())
+    let oracle = SyntheticOracle::new(scheme.clone(), vec![1000; n], 500);
+    try_best_no_cartesian_ccp_with_memo(&oracle, scheme.full_set(), &Guard::unlimited())
         .expect("unlimited guard cannot trip")
         .expect("the clique is connected")
 }

@@ -42,8 +42,8 @@ pub fn superkeys_imply_c3() -> Table {
                     continue;
                 }
                 held += 1;
-                let mut o = ExactOracle::new(&db);
-                let r = condition_report(&mut o);
+                let o = ExactOracle::new(&db);
+                let r = condition_report(&o);
                 if !r.c3 {
                     c3f += 1;
                 }
@@ -92,8 +92,8 @@ pub fn lossless_implies_c2() -> Table {
                 continue;
             }
             held += 1;
-            let mut o = ExactOracle::new(&db);
-            if !mjoin::satisfies(&mut o, mjoin::Condition::C2) {
+            let o = ExactOracle::new(&db);
+            if !mjoin::satisfies(&o, mjoin::Condition::C2) {
                 c2f += 1;
             }
             if osborn_sequence(db.scheme(), &fds).is_some() {
@@ -137,8 +137,8 @@ pub fn acyclic_consistent_c4() -> Table {
                     continue;
                 }
                 consistent += 1;
-                let mut o = ExactOracle::new(&db);
-                if !mjoin::satisfies(&mut o, mjoin::Condition::C4) {
+                let o = ExactOracle::new(&db);
+                if !mjoin::satisfies(&o, mjoin::Condition::C4) {
                     c4f += 1;
                 }
             }
@@ -197,15 +197,15 @@ pub fn intersection_linear_optimal() -> Table {
                 equal += 1;
             }
             total += lin;
-            let mut uo = mjoin_setops::SetOracle::new(&sets, SetOp::Union);
-            if mjoin::satisfies(&mut uo, mjoin::Condition::C4) {
+            let uo = mjoin_setops::SetOracle::new(&sets, SetOp::Union);
+            if mjoin::satisfies(&uo, mjoin::Condition::C4) {
                 union_c4 += 1;
             }
             let full = mjoin::RelSet::full(k);
-            let u_lin = optimize(&mut uo, full, SearchSpace::Linear)
+            let u_lin = optimize(&uo, full, SearchSpace::Linear)
                 .expect("linear space")
                 .cost;
-            let u_all = optimize(&mut uo, full, SearchSpace::All)
+            let u_all = optimize(&uo, full, SearchSpace::All)
                 .expect("full space")
                 .cost;
             if u_lin == u_all {
@@ -260,16 +260,16 @@ pub fn monotone_strategies() -> Table {
                 ensure_nonempty: true,
             };
             let (db, _) = data::superkey(cat.clone(), scheme.clone(), &cfg, &mut rng);
-            let mut o = ExactOracle::new(&db);
+            let o = ExactOracle::new(&db);
             let full = db.scheme().full_set();
-            let best = optimize(&mut o, full, SearchSpace::All).unwrap().cost;
-            if let Some(p) = best_monotone(&mut o, full, Monotonicity::Decreasing) {
+            let best = optimize(&o, full, SearchSpace::All).unwrap().cost;
+            if let Some(p) = best_monotone(&o, full, Monotonicity::Decreasing) {
                 de += 1;
                 if p.cost == best {
                     dopt += 1;
                 }
             }
-            if let Some(p) = best_monotone(&mut o, full, Monotonicity::Increasing) {
+            if let Some(p) = best_monotone(&o, full, Monotonicity::Increasing) {
                 ie += 1;
                 if p.cost == best {
                     iopt += 1;
@@ -290,16 +290,16 @@ pub fn monotone_strategies() -> Table {
         let (mut de, mut dopt, mut ie, mut iopt) = (0, 0, 0, 0);
         for _ in 0..trials {
             let db = data::universal(cat.clone(), scheme.clone(), 8, 4, &mut rng);
-            let mut o = ExactOracle::new(&db);
+            let o = ExactOracle::new(&db);
             let full = db.scheme().full_set();
-            let best = optimize(&mut o, full, SearchSpace::All).unwrap().cost;
-            if let Some(p) = best_monotone(&mut o, full, Monotonicity::Decreasing) {
+            let best = optimize(&o, full, SearchSpace::All).unwrap().cost;
+            if let Some(p) = best_monotone(&o, full, Monotonicity::Decreasing) {
                 de += 1;
                 if p.cost == best {
                     dopt += 1;
                 }
             }
-            if let Some(p) = best_monotone(&mut o, full, Monotonicity::Increasing) {
+            if let Some(p) = best_monotone(&o, full, Monotonicity::Increasing) {
                 ie += 1;
                 if p.cost == best {
                     iopt += 1;
@@ -345,11 +345,11 @@ pub fn yannakakis_vs_optimum() -> Table {
                 let rows = rng.gen_range(4..12);
                 let db = data::universal(cat.clone(), scheme.clone(), rows, 4, &mut rng);
                 let Some(out) = yannakakis(&db) else { continue };
-                let mut ro = ExactOracle::new(&out.reduced);
-                if out.strategy.is_monotone_increasing(&mut ro) {
+                let ro = ExactOracle::new(&out.reduced);
+                if out.strategy.is_monotone_increasing(&ro) {
                     monotone += 1;
                 }
-                let best = optimize(&mut ro, out.reduced.scheme().full_set(), SearchSpace::All)
+                let best = optimize(&ro, out.reduced.scheme().full_set(), SearchSpace::All)
                     .expect("full space")
                     .cost;
                 if out.cost == best {

@@ -17,7 +17,7 @@ fn strategy_row(
     label: &str,
     s: &Strategy,
     db: &Database,
-    oracle: &mut ExactOracle<'_>,
+    oracle: &ExactOracle<'_>,
 ) -> Vec<String> {
     let mut costs = s.step_costs(oracle);
     costs.reverse(); // innermost-first reads like the paper's sums
@@ -42,13 +42,13 @@ const STRATEGY_HEADERS: [&str; 6] = ["id", "strategy", "steps", "τ", "linear", 
 /// products.
 pub fn example1() -> Table {
     let db = data::paper_example1();
-    let mut o = ExactOracle::new(&db);
+    let o = ExactOracle::new(&db);
     let mut t = Table::new("E1-example1", &STRATEGY_HEADERS);
     t.note("Paper Example 1: C1 holds, yet the τ-optimum uses Cartesian products.");
     t.note(format!(
         "conditions: C1={} C2={}",
-        fmt_bool(mjoin::satisfies(&mut o, Condition::C1)),
-        fmt_bool(mjoin::satisfies(&mut o, Condition::C2)),
+        fmt_bool(mjoin::satisfies(&o, Condition::C1)),
+        fmt_bool(mjoin::satisfies(&o, Condition::C2)),
     ));
     let s1 = Strategy::left_deep(&[0, 1, 2, 3]);
     let s2 = Strategy::left_deep(&[0, 1, 3, 2]);
@@ -59,13 +59,13 @@ pub fn example1() -> Table {
     )
     .unwrap();
     for (label, s) in [("S1", &s1), ("S2", &s2), ("S3", &s3), ("S4", &s4)] {
-        t.row(strategy_row(label, s, &db, &mut o));
+        t.row(strategy_row(label, s, &db, &o));
     }
-    let best = optimize(&mut o, db.scheme().full_set(), SearchSpace::All).unwrap();
+    let best = optimize(&o, db.scheme().full_set(), SearchSpace::All).unwrap();
     t.note(format!(
         "DP optimum = {} (paper: 546); best avoiding products = {} (paper: 549)",
         best.cost,
-        optimize(&mut o, db.scheme().full_set(), SearchSpace::AvoidCartesian)
+        optimize(&o, db.scheme().full_set(), SearchSpace::AvoidCartesian)
             .unwrap()
             .cost
     ));
@@ -81,16 +81,16 @@ pub fn example2() -> Table {
         &["database", "C1", "C2", "paper says"],
     );
     t.note("Paper Example 2: C1 ⇏ C2 (Example 1's database) and C2 ⇏ C1 (Example 2's).");
-    let mut o1 = ExactOracle::new(&db1);
-    let r1 = condition_report(&mut o1);
+    let o1 = ExactOracle::new(&db1);
+    let r1 = condition_report(&o1);
     t.row(vec![
         "Example 1".into(),
         fmt_bool(r1.c1),
         fmt_bool(r1.c2),
         "C1 ∧ ¬C2".into(),
     ]);
-    let mut o2 = ExactOracle::new(&db2);
-    let r2 = condition_report(&mut o2);
+    let o2 = ExactOracle::new(&db2);
+    let r2 = condition_report(&o2);
     t.row(vec![
         "Example 2".into(),
         fmt_bool(r2.c1),
@@ -109,12 +109,12 @@ pub fn example2() -> Table {
 }
 
 fn three_relation_example(id: &str, db: &Database, notes: &[&str]) -> Table {
-    let mut o = ExactOracle::new(db);
+    let o = ExactOracle::new(db);
     let mut t = Table::new(id, &STRATEGY_HEADERS);
     for n in notes {
         t.note(*n);
     }
-    let r = condition_report(&mut o);
+    let r = condition_report(&o);
     t.note(format!(
         "conditions: C1={} C1'={} C2={} C3={}",
         fmt_bool(r.c1),
@@ -130,7 +130,7 @@ fn three_relation_example(id: &str, db: &Database, notes: &[&str]) -> Table {
     .unwrap(); // GS ⋈ (SC ⋈ CL)
     let s3 = Strategy::left_deep(&[0, 2, 1]); // (GS ⋈ CL) ⋈ SC
     for (label, s) in [("S1", &s1), ("S2", &s2), ("S3", &s3)] {
-        t.row(strategy_row(label, s, db, &mut o));
+        t.row(strategy_row(label, s, db, &o));
     }
     t
 }
@@ -146,7 +146,7 @@ pub fn example3() -> Table {
         &["Paper Example 3: every strategy's first step yields 4 tuples; all τ-optimum,",
           "including the product-using linear S3 — so C1' is necessary in Theorem 1."],
     );
-    let mut o = ExactOracle::new(&db);
+    let o = ExactOracle::new(&db);
     let costs: Vec<u64> = [
         Strategy::left_deep(&[0, 1, 2]),
         Strategy::join(
@@ -157,7 +157,7 @@ pub fn example3() -> Table {
         Strategy::left_deep(&[0, 2, 1]),
     ]
     .iter()
-    .map(|s| s.cost(&mut o))
+    .map(|s| s.cost(&o))
     .collect();
     t.note(format!(
         "all three strategies tie: τ = {:?}",
@@ -183,11 +183,11 @@ pub fn example4() -> Table {
 /// `(MS ⋈ SC) ⋈ (CI ⋈ ID)` is bushy — `C3` is necessary in Theorem 3.
 pub fn example5() -> Table {
     let db = data::paper_example5();
-    let mut o = ExactOracle::new(&db);
+    let o = ExactOracle::new(&db);
     let mut t = Table::new("E5-example5", &STRATEGY_HEADERS);
     t.note("Paper Example 5: the unique τ-optimum is bushy (no products), so a");
     t.note("linear-only optimizer misses it; C3 fails (τ(CI⋈ID) = 4 > 3 = τ(ID)).");
-    let r = condition_report(&mut o);
+    let r = condition_report(&o);
     t.note(format!(
         "conditions: C1={} C2={} C3={}",
         fmt_bool(r.c1),
@@ -199,10 +199,10 @@ pub fn example5() -> Table {
         Strategy::left_deep(&[2, 3]),
     )
     .unwrap();
-    t.row(strategy_row("S*", &bushy, &db, &mut o));
-    let best_linear = optimize(&mut o, db.scheme().full_set(), SearchSpace::Linear).unwrap();
-    t.row(strategy_row("best-linear", &best_linear.strategy, &db, &mut o));
-    let best = optimize(&mut o, db.scheme().full_set(), SearchSpace::All).unwrap();
+    t.row(strategy_row("S*", &bushy, &db, &o));
+    let best_linear = optimize(&o, db.scheme().full_set(), SearchSpace::Linear).unwrap();
+    t.row(strategy_row("best-linear", &best_linear.strategy, &db, &o));
+    let best = optimize(&o, db.scheme().full_set(), SearchSpace::All).unwrap();
     t.note(format!(
         "DP optimum = {} (= S*), best linear = {} — strictly worse",
         best.cost, best_linear.cost

@@ -41,14 +41,14 @@ pub fn linear_vs_bushy() -> Table {
     for n in [4usize, 6, 8] {
         let (cat, scheme) = schemes::chain(n);
         let db = data::zigzag(cat, scheme, 10);
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let bushy = optimize(&mut o, full, SearchSpace::All).expect("full space").cost;
-        let linear = optimize(&mut o, full, SearchSpace::Linear)
+        let bushy = optimize(&o, full, SearchSpace::All).expect("full space").cost;
+        let linear = optimize(&o, full, SearchSpace::Linear)
             .expect("linear space")
             .cost;
-        let gl = greedy_linear(&mut o, full).cost;
-        let gb = greedy_bushy(&mut o, full).cost;
+        let gl = greedy_linear(&o, full).cost;
+        let gb = greedy_bushy(&o, full).cost;
         t.row(vec![
             "exact/zigzag-chain".into(),
             n.to_string(),
@@ -68,10 +68,10 @@ pub fn linear_vs_bushy() -> Table {
             ensure_nonempty: true,
         };
         let (db, _) = data::superkey(cat, scheme, &cfg, &mut rng);
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let bushy = optimize(&mut o, full, SearchSpace::All).expect("full space").cost;
-        let linear = optimize(&mut o, full, SearchSpace::Linear)
+        let bushy = optimize(&o, full, SearchSpace::All).expect("full space").cost;
+        let linear = optimize(&o, full, SearchSpace::Linear)
             .expect("linear space")
             .cost;
         t.row(vec![
@@ -93,21 +93,21 @@ pub fn linear_vs_bushy() -> Table {
     for n in [10usize, 16, 24, 32, 40] {
         let (_cat, scheme) = schemes::chain(n);
         // Mildly selective joins: every join shrinks ×(1000/1200).
-        let mut oracle = SyntheticOracle::new(scheme.clone(), vec![1000; n], 1200);
+        let oracle = SyntheticOracle::new(scheme.clone(), vec![1000; n], 1200);
         let full = scheme.full_set();
         let bushy = mjoin::optimize_with(
-            &mut oracle,
+            &oracle,
             full,
             SearchSpace::NoCartesian,
             mjoin::DpAlgorithm::DpSize,
         )
         .expect("chain is connected")
         .cost;
-        let linear = optimize(&mut oracle, full, SearchSpace::LinearNoCartesian)
+        let linear = optimize(&oracle, full, SearchSpace::LinearNoCartesian)
             .expect("chain is connected")
             .cost;
-        let gl = greedy_linear(&mut oracle, full).cost;
-        let gb = greedy_bushy(&mut oracle, full).cost;
+        let gl = greedy_linear(&oracle, full).cost;
+        let gb = greedy_bushy(&oracle, full).cost;
         t.row(vec![
             "synthetic/selective-chain".into(),
             n.to_string(),
@@ -137,18 +137,18 @@ pub fn linear_vs_bushy() -> Table {
         }
         let full = scheme.full_set();
         let bushy = mjoin::optimize_with(
-            &mut oracle,
+            &oracle,
             full,
             SearchSpace::NoCartesian,
             mjoin::DpAlgorithm::DpSize,
         )
         .expect("chain is connected")
         .cost;
-        let linear = optimize(&mut oracle, full, SearchSpace::LinearNoCartesian)
+        let linear = optimize(&oracle, full, SearchSpace::LinearNoCartesian)
             .expect("chain is connected")
             .cost;
-        let gl = greedy_linear(&mut oracle, full).cost;
-        let gb = greedy_bushy(&mut oracle, full).cost;
+        let gl = greedy_linear(&oracle, full).cost;
+        let gb = greedy_bushy(&oracle, full).cost;
         t.row(vec![
             "synthetic/zigzag-chain".into(),
             n.to_string(),
@@ -198,21 +198,21 @@ pub fn objective_robustness() -> Table {
                     "uniform" => data::uniform(cat, scheme, &cfg, &mut rng),
                     _ => data::superkey(cat, scheme, &cfg, &mut rng).0,
                 };
-                let mut o = ExactOracle::new(&db);
+                let o = ExactOracle::new(&db);
                 let full = db.scheme().full_set();
-                let tau_opt = optimize(&mut o, full, SearchSpace::All).expect("full space");
-                let beta_opt = best_bottleneck(&mut o, full);
-                if bottleneck_of(&mut o, &tau_opt.strategy) == beta_opt.cost {
+                let tau_opt = optimize(&o, full, SearchSpace::All).expect("full space");
+                let beta_opt = best_bottleneck(&o, full);
+                if bottleneck_of(&o, &tau_opt.strategy) == beta_opt.cost {
                     tau_beta += 1;
                 }
-                if beta_opt.strategy.cost(&mut o) == tau_opt.cost {
+                if beta_opt.strategy.cost(&o) == tau_opt.cost {
                     beta_tau += 1;
                 }
                 if generator == "superkey" {
                     c3_total += 1;
-                    let lin = optimize(&mut o, full, SearchSpace::LinearNoCartesian)
+                    let lin = optimize(&o, full, SearchSpace::LinearNoCartesian)
                         .expect("connected");
-                    if bottleneck_of(&mut o, &lin.strategy) == beta_opt.cost {
+                    if bottleneck_of(&o, &lin.strategy) == beta_opt.cost {
                         c3_lin += 1;
                     }
                 }
@@ -279,8 +279,8 @@ pub fn estimation_quality() -> Table {
                     "uniform" => data::uniform(cat, scheme, &cfg, &mut rng),
                     _ => data::skewed(cat, scheme, &cfg, &mut rng),
                 };
-                let mut exact = ExactOracle::new(&db);
-                let mut est = SyntheticOracle::from_database(&db);
+                let exact = ExactOracle::new(&db);
+                let est = SyntheticOracle::from_database(&db);
                 let full = db.scheme().full_set();
                 for s in db.scheme().connected_subsets(full) {
                     use mjoin::CardinalityOracle;
@@ -289,9 +289,9 @@ pub fn estimation_quality() -> Table {
                     qerrors.push((e / x).max(x / e));
                 }
                 // Plan with estimates, pay with exact costs.
-                let est_plan = optimize(&mut est, full, SearchSpace::All).expect("full");
-                let paid = est_plan.strategy.cost(&mut exact);
-                let optimum = optimize(&mut exact, full, SearchSpace::All)
+                let est_plan = optimize(&est, full, SearchSpace::All).expect("full");
+                let paid = est_plan.strategy.cost(&exact);
+                let optimum = optimize(&exact, full, SearchSpace::All)
                     .expect("full")
                     .cost;
                 if optimum > 0 {
@@ -388,8 +388,8 @@ pub fn condition_frequency() -> Table {
                         "superkey" => data::superkey(cat, scheme, &cfg, &mut rng).0,
                         _ => data::universal(cat, scheme, 8, 4, &mut rng),
                     };
-                    let mut o = ExactOracle::new(&db);
-                    let r = condition_report(&mut o);
+                    let o = ExactOracle::new(&db);
+                    let r = condition_report(&o);
                     c1 += r.c1 as usize;
                     c1s += r.c1_strict as usize;
                     c2 += r.c2 as usize;

@@ -43,8 +43,8 @@ pub fn theorem1_randomized() -> Table {
                     ensure_nonempty: true,
                 };
                 let (db, _) = data::superkey(cat.clone(), scheme.clone(), &cfg, &mut rng);
-                let mut o = ExactOracle::new(&db);
-                let r = mjoin::theorem1(&mut o);
+                let o = ExactOracle::new(&db);
+                let r = mjoin::theorem1(&o);
                 if r.preconditions_hold {
                     held += 1;
                     if !r.conclusion_holds {
@@ -87,8 +87,8 @@ pub fn theorem2_randomized() -> Table {
                 ensure_nonempty: true,
             };
             let (db, _) = data::fk_chain(cat.clone(), scheme.clone(), &cfg, &mut rng);
-            let mut o = ExactOracle::new(&db);
-            let r = mjoin::theorem2(&mut o);
+            let o = ExactOracle::new(&db);
+            let r = mjoin::theorem2(&o);
             if r.preconditions_hold {
                 held += 1;
                 if !r.conclusion_holds {
@@ -114,8 +114,8 @@ pub fn theorem2_randomized() -> Table {
                 ensure_nonempty: true,
             };
             let db = data::uniform(cat.clone(), scheme.clone(), &cfg, &mut rng);
-            let mut o = ExactOracle::new(&db);
-            let r = mjoin::theorem2(&mut o);
+            let o = ExactOracle::new(&db);
+            let r = mjoin::theorem2(&o);
             if r.preconditions_hold {
                 held += 1;
                 if !r.conclusion_holds {
@@ -155,8 +155,8 @@ pub fn theorem3_randomized() -> Table {
                     ensure_nonempty: true,
                 };
                 let (db, _) = data::superkey(cat.clone(), scheme.clone(), &cfg, &mut rng);
-                let mut o = ExactOracle::new(&db);
-                let r = mjoin::theorem3(&mut o);
+                let o = ExactOracle::new(&db);
+                let r = mjoin::theorem3(&o);
                 if r.preconditions_hold {
                     held += 1;
                     if !r.conclusion_holds {
@@ -199,19 +199,19 @@ pub fn small_c1_search() -> Table {
                 ensure_nonempty: true,
             };
             let db = data::uniform(cat, scheme, &cfg, &mut rng);
-            let mut o = ExactOracle::new(&db);
+            let o = ExactOracle::new(&db);
             let full = db.scheme().full_set();
             if !db.scheme().connected(full)
                 || o.result_is_empty()
-                || !satisfies(&mut o, Condition::C1)
+                || !satisfies(&o, Condition::C1)
             {
                 continue;
             }
             held += 1;
-            let best = mjoin::optimize(&mut o, full, mjoin::SearchSpace::All)
+            let best = mjoin::optimize(&o, full, mjoin::SearchSpace::All)
                 .expect("full space")
                 .cost;
-            let nocp = mjoin::optimize(&mut o, full, mjoin::SearchSpace::NoCartesian)
+            let nocp = mjoin::optimize(&o, full, mjoin::SearchSpace::NoCartesian)
                 .map(|p| p.cost);
             if nocp != Some(best) {
                 counterexamples += 1;

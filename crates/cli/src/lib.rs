@@ -40,7 +40,7 @@ use std::time::Duration;
 use mjoin::{
     analyze_guarded, failpoints, optimize_robust, try_best_avoid_cartesian_parallel,
     try_best_no_cartesian_parallel, try_optimize, BrownoutLevel, Budget, CardinalityOracle,
-    Condition, Database, ExactOracle, Guard, MjoinError, SearchSpace, SharedOracle, Strategy,
+    Condition, Database, ExactOracle, Guard, MjoinError, SearchSpace, Strategy,
     Value,
 };
 use mjoin_fd::FdSet;
@@ -396,7 +396,7 @@ fn plan_outcome<O: CardinalityOracle>(
     space: SearchSpace,
     model: &str,
     catalog: &Catalog,
-    oracle: &mut O,
+    oracle: &O,
 ) -> OptimizeOutcome {
     let mut text = String::new();
     match &plan {
@@ -443,27 +443,19 @@ pub fn optimize_outcome(
         return Ok(ladder_outcome(db, space, r, level));
     }
     let guard = Guard::new(gopts.budget());
-    if threads > 1 {
-        // Multi-core search over one shared memo: level-parallel DP
-        // for the product-free spaces, sequential DP over the shared
-        // oracle for the rest.
-        let shared = SharedOracle::with_guard(db, guard.clone()).with_join_threads(threads);
-        let plan = match space {
-            SearchSpace::NoCartesian => {
-                try_best_no_cartesian_parallel(&shared, full, &guard, threads)
-            }
-            SearchSpace::AvoidCartesian => {
-                try_best_avoid_cartesian_parallel(&shared, full, &guard, threads)
-            }
-            _ => try_optimize(&mut shared.handle(), full, space, &guard),
-        }?;
-        let mut handle = shared.handle();
-        Ok(plan_outcome(plan, space, "", db.catalog(), &mut handle))
-    } else {
-        let mut oracle = ExactOracle::with_guard(db, guard.clone());
-        let plan = try_optimize(&mut oracle, full, space, &guard)?;
-        Ok(plan_outcome(plan, space, "", db.catalog(), &mut oracle))
-    }
+    let oracle = ExactOracle::with_guard(db, guard.clone()).with_join_threads(threads);
+    // Above one thread the product-free spaces run the level-parallel DP;
+    // everything else is the sequential DP over the same oracle.
+    let plan = match space {
+        SearchSpace::NoCartesian if threads > 1 => {
+            try_best_no_cartesian_parallel(&oracle, full, &guard, threads)
+        }
+        SearchSpace::AvoidCartesian if threads > 1 => {
+            try_best_avoid_cartesian_parallel(&oracle, full, &guard, threads)
+        }
+        _ => try_optimize(&oracle, full, space, &guard),
+    }?;
+    Ok(plan_outcome(plan, space, "", db.catalog(), &oracle))
 }
 
 /// Builds the synthetic cardinality model for a lowered query over its
@@ -580,13 +572,13 @@ pub fn query_report(
         lowered.fold_into(&mut oracle)?;
         let guard = Guard::new(gopts.budget());
         let full = lowered.database.scheme().full_set();
-        let plan = try_optimize(&mut oracle, full, space, &guard)?;
+        let plan = try_optimize(&oracle, full, space, &guard)?;
         plan_outcome(
             plan,
             space,
             " (synthetic cardinality model, filters folded)",
             lowered.database.catalog(),
-            &mut oracle,
+            &oracle,
         )
     };
     out.push_str(&plan.text);
@@ -663,9 +655,9 @@ fn plan_through_store(
     let o = plan().map_err(fail)?;
     if let (Some((path, fp)), None) = (store, &o.robust) {
         let full = db.scheme().full_set();
-        let mut oracle = ExactOracle::new(db);
+        let oracle = ExactOracle::new(db);
         let harvest = harvest_memo.then(|| {
-            mjoin::try_best_no_cartesian_ccp_with_memo(&mut oracle, full, &Guard::unlimited())
+            mjoin::try_best_no_cartesian_ccp_with_memo(&oracle, full, &Guard::unlimited())
         });
         let (memo, taus) = match harvest {
             Some(Ok(Some((_, memo)))) => (Some(memo), oracle.memo_taus()),
@@ -883,11 +875,11 @@ where
             }
             let safe = a.safe_search_space();
             let _ = writeln!(out, "recommended search space: {safe:?}");
-            let mut oracle = ExactOracle::with_guard(db, guard.clone());
+            let oracle = ExactOracle::with_guard(db, guard.clone());
             if let Some(plan) =
-                try_optimize(&mut oracle, db.scheme().full_set(), safe, &guard).map_err(fail)?
+                try_optimize(&oracle, db.scheme().full_set(), safe, &guard).map_err(fail)?
             {
-                let _ = writeln!(out, "{}", plan.explain(db.catalog(), &mut oracle));
+                let _ = writeln!(out, "{}", plan.explain(db.catalog(), &oracle));
             }
         }
         "optimize" => {
@@ -1024,11 +1016,11 @@ where
             if strategy.set() != db.scheme().full_set() {
                 return err("the strategy must mention every relation exactly once");
             }
-            let mut oracle = ExactOracle::with_guard(db, guard.clone());
-            let cost = strategy.try_cost(&mut oracle).map_err(fail)?;
+            let oracle = ExactOracle::with_guard(db, guard.clone());
+            let cost = strategy.try_cost(&oracle).map_err(fail)?;
             let plan = mjoin::Plan { strategy, cost };
-            let _ = writeln!(out, "{}", plan.explain(db.catalog(), &mut oracle));
-            let Some(best) = try_optimize(&mut oracle, db.scheme().full_set(), SearchSpace::All, &guard)
+            let _ = writeln!(out, "{}", plan.explain(db.catalog(), &oracle));
+            let Some(best) = try_optimize(&oracle, db.scheme().full_set(), SearchSpace::All, &guard)
                 .map_err(fail)?
             else {
                 return err("the full search space cannot be empty");
@@ -1046,27 +1038,27 @@ where
         }
         "estimate" => {
             let space = parse_space(args.get(2).map(String::as_str))?;
-            let mut oracle = synthetic_oracle(&input)?;
+            let oracle = synthetic_oracle(&input)?;
             let plan =
-                try_optimize(&mut oracle, db.scheme().full_set(), space, &guard).map_err(fail)?;
+                try_optimize(&oracle, db.scheme().full_set(), space, &guard).map_err(fail)?;
             let model = " (synthetic cardinality model)";
-            out.push_str(&plan_outcome(plan, space, model, db.catalog(), &mut oracle).text);
+            out.push_str(&plan_outcome(plan, space, model, db.catalog(), &oracle).text);
         }
         "dot" => {
             let space = parse_space(args.get(2).map(String::as_str))?;
-            let mut oracle = ExactOracle::with_guard(db, guard.clone());
+            let oracle = ExactOracle::with_guard(db, guard.clone());
             let Some(plan) =
-                try_optimize(&mut oracle, db.scheme().full_set(), space, &guard).map_err(fail)?
+                try_optimize(&oracle, db.scheme().full_set(), space, &guard).map_err(fail)?
             else {
                 return err(format!("search space {space:?} is empty for this scheme"));
             };
             let _ = write!(out, "{}", plan.strategy.to_dot(db.catalog(), db.scheme()));
         }
         "compare" => {
-            let mut oracle = ExactOracle::with_guard(db, guard.clone());
+            let oracle = ExactOracle::with_guard(db, guard.clone());
             let full = db.scheme().full_set();
             let Some(best) =
-                try_optimize(&mut oracle, full, SearchSpace::All, &guard).map_err(fail)?
+                try_optimize(&oracle, full, SearchSpace::All, &guard).map_err(fail)?
             else {
                 return err("the full search space cannot be empty");
             };
@@ -1091,47 +1083,47 @@ where
             };
             report(
                 "exhaustive (all)",
-                try_optimize(&mut oracle, full, SearchSpace::All, &guard).map_err(fail)?,
+                try_optimize(&oracle, full, SearchSpace::All, &guard).map_err(fail)?,
             );
             report(
                 "linear",
-                try_optimize(&mut oracle, full, SearchSpace::Linear, &guard).map_err(fail)?,
+                try_optimize(&oracle, full, SearchSpace::Linear, &guard).map_err(fail)?,
             );
             report(
                 "no-cartesian",
-                try_optimize(&mut oracle, full, SearchSpace::NoCartesian, &guard).map_err(fail)?,
+                try_optimize(&oracle, full, SearchSpace::NoCartesian, &guard).map_err(fail)?,
             );
             report(
                 "linear no-cartesian",
-                try_optimize(&mut oracle, full, SearchSpace::LinearNoCartesian, &guard)
+                try_optimize(&oracle, full, SearchSpace::LinearNoCartesian, &guard)
                     .map_err(fail)?,
             );
             report(
                 "avoid-cartesian",
-                try_optimize(&mut oracle, full, SearchSpace::AvoidCartesian, &guard)
+                try_optimize(&oracle, full, SearchSpace::AvoidCartesian, &guard)
                     .map_err(fail)?,
             );
             report(
                 "ikkbz (tree queries)",
-                mjoin_optimizer::try_ikkbz(&mut oracle, full, &guard).map_err(fail)?,
+                mjoin_optimizer::try_ikkbz(&oracle, full, &guard).map_err(fail)?,
             );
             report(
                 "linearized dp",
-                mjoin_optimizer::try_lindp(&mut oracle, full, &guard).map_err(fail)?,
+                mjoin_optimizer::try_lindp(&oracle, full, &guard).map_err(fail)?,
             );
             report(
                 "partitioned dpccp",
-                mjoin_optimizer::try_partitioned_dp(&mut oracle, full, &guard).map_err(fail)?,
+                mjoin_optimizer::try_partitioned_dp(&oracle, full, &guard).map_err(fail)?,
             );
             report(
                 "greedy bushy",
-                Some(mjoin_optimizer::try_greedy_bushy(&mut oracle, full, &guard).map_err(fail)?),
+                Some(mjoin_optimizer::try_greedy_bushy(&oracle, full, &guard).map_err(fail)?),
             );
             report(
                 "greedy linear",
-                Some(mjoin_optimizer::try_greedy_linear(&mut oracle, full, &guard).map_err(fail)?),
+                Some(mjoin_optimizer::try_greedy_linear(&oracle, full, &guard).map_err(fail)?),
             );
-            let bp = mjoin::best_bottleneck(&mut oracle, full);
+            let bp = mjoin::best_bottleneck(&oracle, full);
             let _ = writeln!(
                 out,
                 "{:<22} {:>8}  {:>7}  {}   (cost shown = largest intermediate)",
@@ -1181,13 +1173,13 @@ where
                 let _ = writeln!(out, "{}", db.state(i).to_text(db.catalog()));
                 let _ = writeln!(out);
             }
-            let mut oracle = ExactOracle::with_guard(db, guard.clone());
+            let oracle = ExactOracle::with_guard(db, guard.clone());
             let result = oracle.try_relation(db.scheme().full_set()).map_err(fail)?;
             let _ = writeln!(out, "-- R_D = join of all relations ({} tuples)", result.tau());
             let _ = writeln!(out, "{}", result.to_text(db.catalog()));
         }
         "conditions" => {
-            let mut oracle = ExactOracle::with_guard(db, guard.clone());
+            let oracle = ExactOracle::with_guard(db, guard.clone());
             for cond in [
                 Condition::C1,
                 Condition::C1Strict,
@@ -1198,7 +1190,7 @@ where
                 if let Some(e) = oracle.tripped() {
                     return Err(fail(e.clone()));
                 }
-                match mjoin::first_violation(&mut oracle, cond) {
+                match mjoin::first_violation(&oracle, cond) {
                     None => {
                         let _ = writeln!(out, "{cond}: holds");
                     }
@@ -1543,7 +1535,7 @@ domain C 10
         assert_eq!(input.cards, vec![Some(1000), Some(1000), Some(1000)]);
         assert_eq!(input.domains.len(), 2);
         assert!(input.database.state(0).is_empty());
-        let mut oracle = synthetic_oracle(&input).unwrap();
+        let oracle = synthetic_oracle(&input).unwrap();
         use mjoin::{CardinalityOracle, RelSet};
         assert_eq!(oracle.tau(RelSet::singleton(0)), 1000);
         // AB ⋈ BC over B (domain 100000): 1000·1000/100000 = 10.

@@ -142,8 +142,8 @@ fn example_files_match_the_gen_crate_databases() {
                 "{file}: relation {i} size"
             );
         }
-        let mut a = mjoin::ExactOracle::new(&parsed.database);
-        let mut b = mjoin::ExactOracle::new(&db);
+        let a = mjoin::ExactOracle::new(&parsed.database);
+        let b = mjoin::ExactOracle::new(&db);
         use mjoin::CardinalityOracle;
         assert_eq!(
             a.tau(parsed.database.scheme().full_set()),

@@ -63,7 +63,7 @@ pub struct Violation {
 
 /// Finds the first violation of `condition`, or `None` if it holds.
 pub fn first_violation<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     condition: Condition,
 ) -> Option<Violation> {
     let full = oracle.scheme().full_set();
@@ -140,7 +140,7 @@ pub fn first_violation<O: CardinalityOracle>(
 }
 
 /// Does the database (as seen through `oracle`) satisfy `condition`?
-pub fn satisfies<O: CardinalityOracle>(oracle: &mut O, condition: Condition) -> bool {
+pub fn satisfies<O: CardinalityOracle>(oracle: &O, condition: Condition) -> bool {
     first_violation(oracle, condition).is_none()
 }
 
@@ -156,7 +156,7 @@ pub struct ConditionReport {
 }
 
 /// Evaluates every condition.
-pub fn condition_report<O: CardinalityOracle>(oracle: &mut O) -> ConditionReport {
+pub fn condition_report<O: CardinalityOracle>(oracle: &O) -> ConditionReport {
     ConditionReport {
         c1: satisfies(oracle, Condition::C1),
         c1_strict: satisfies(oracle, Condition::C1Strict),
@@ -177,12 +177,12 @@ mod tests {
         // Paper, Examples 1–2: the Example-1 database satisfies C1 but not
         // C2 (τ(R1 ⋈ R2) = 10 exceeds both τ(R1) = τ(R2) = 4).
         let db = data::paper_example1();
-        let mut o = ExactOracle::new(&db);
-        assert!(satisfies(&mut o, Condition::C1));
-        let v = first_violation(&mut o, Condition::C2).expect("C2 fails");
+        let o = ExactOracle::new(&db);
+        assert!(satisfies(&o, Condition::C1));
+        let v = first_violation(&o, Condition::C2).expect("C2 fails");
         assert_eq!(v.condition, Condition::C2);
         assert_eq!(v.witness.len(), 2);
-        assert!(!satisfies(&mut o, Condition::C3));
+        assert!(!satisfies(&o, Condition::C3));
     }
 
     #[test]
@@ -190,10 +190,10 @@ mod tests {
         // Paper, Example 2: C2 holds (τ(R1' ⋈ R2') = 7 < 8 = τ(R1')), C1
         // fails (τ(R2' ⋈ R1') = 7 > 6 = τ(R2' ⋈ R3')).
         let db = data::paper_example2();
-        let mut o = ExactOracle::new(&db);
-        assert!(satisfies(&mut o, Condition::C2));
-        assert!(!satisfies(&mut o, Condition::C1));
-        let v = first_violation(&mut o, Condition::C1).expect("C1 fails");
+        let o = ExactOracle::new(&db);
+        assert!(satisfies(&o, Condition::C2));
+        assert!(!satisfies(&o, Condition::C1));
+        let v = first_violation(&o, Condition::C1).expect("C1 fails");
         assert_eq!(v.witness.len(), 3);
     }
 
@@ -201,17 +201,17 @@ mod tests {
     fn example3_satisfies_c1_not_c1_strict() {
         // Paper, Example 3: C1 holds but C1' does not.
         let db = data::paper_example3();
-        let mut o = ExactOracle::new(&db);
-        assert!(satisfies(&mut o, Condition::C1));
-        assert!(!satisfies(&mut o, Condition::C1Strict));
+        let o = ExactOracle::new(&db);
+        assert!(satisfies(&o, Condition::C1));
+        assert!(!satisfies(&o, Condition::C1Strict));
     }
 
     #[test]
     fn example4_satisfies_c2_not_c1() {
         let db = data::paper_example4();
-        let mut o = ExactOracle::new(&db);
-        assert!(satisfies(&mut o, Condition::C2));
-        assert!(!satisfies(&mut o, Condition::C1));
+        let o = ExactOracle::new(&db);
+        assert!(satisfies(&o, Condition::C2));
+        assert!(!satisfies(&o, Condition::C1));
     }
 
     #[test]
@@ -219,10 +219,10 @@ mod tests {
         // Paper, Example 5: C1 and C2 hold, C3 fails
         // (τ(CI ⋈ ID) > τ(ID)).
         let db = data::paper_example5();
-        let mut o = ExactOracle::new(&db);
-        assert!(satisfies(&mut o, Condition::C1));
-        assert!(satisfies(&mut o, Condition::C2));
-        assert!(!satisfies(&mut o, Condition::C3));
+        let o = ExactOracle::new(&db);
+        assert!(satisfies(&o, Condition::C1));
+        assert!(satisfies(&o, Condition::C2));
+        assert!(!satisfies(&o, Condition::C3));
     }
 
     #[test]
@@ -238,8 +238,8 @@ mod tests {
                 ensure_nonempty: true,
             };
             let (db, _) = data::superkey(cat, d, &cfg, &mut rng);
-            let mut o = ExactOracle::new(&db);
-            let r = condition_report(&mut o);
+            let o = ExactOracle::new(&db);
+            let r = condition_report(&o);
             assert!(r.c3, "superkey joins must give C3 (n={n})");
             assert!(r.c1, "C3 ⇒ C1 (Lemma 5)");
             assert!(r.c2, "C3 ⇒ C2");
@@ -254,8 +254,8 @@ mod tests {
         let (cat, d) = mjoin_gen::schemes::chain(3);
         assert!(d.is_gamma_acyclic());
         let db = data::universal(cat, d, 10, 3, &mut rng);
-        let mut o = ExactOracle::new(&db);
-        assert!(satisfies(&mut o, Condition::C4));
+        let o = ExactOracle::new(&db);
+        assert!(satisfies(&o, Condition::C4));
     }
 
     #[test]
@@ -268,10 +268,10 @@ mod tests {
     #[test]
     fn report_is_consistent_with_individual_checks() {
         let db = data::paper_example1();
-        let mut o = ExactOracle::new(&db);
-        let r = condition_report(&mut o);
-        assert_eq!(r.c1, satisfies(&mut o, Condition::C1));
-        assert_eq!(r.c2, satisfies(&mut o, Condition::C2));
+        let o = ExactOracle::new(&db);
+        let r = condition_report(&o);
+        assert_eq!(r.c1, satisfies(&o, Condition::C1));
+        assert_eq!(r.c2, satisfies(&o, Condition::C2));
         assert!(!r.c3 || (r.c1 && r.c2), "C3 ⇒ C1 ∧ C2");
     }
 }

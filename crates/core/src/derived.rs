@@ -176,7 +176,7 @@ mod tests {
         assert_eq!(derived.original_set(RelSet::from_indices([1, 2])), pair.union(RelSet::singleton(3)));
         // The derived query's full join equals the original's.
         assert_eq!(derived.db.evaluate(), db.evaluate());
-        let mut o = ExactOracle::new(&derived.db);
+        let o = ExactOracle::new(&derived.db);
         assert_eq!(o.tau(derived.db.scheme().full_set()), db.evaluate().tau());
     }
 

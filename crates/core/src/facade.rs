@@ -56,7 +56,7 @@ pub fn analyze(db: &Database) -> Result<Analysis, MjoinError> {
 /// `guard`, and each checker phase is separated by a trip check, so a
 /// deadline interrupts the exponential sweep between (or within) phases.
 pub fn analyze_guarded(db: &Database, guard: &Guard) -> Result<Analysis, MjoinError> {
-    let mut oracle = ExactOracle::with_guard(db, guard.clone());
+    let oracle = ExactOracle::with_guard(db, guard.clone());
     let full = db.scheme().full_set();
     let result_nonempty = oracle.try_tau(full)? > 0;
     // The checkers use the infallible oracle surface (which saturates once
@@ -67,13 +67,13 @@ pub fn analyze_guarded(db: &Database, guard: &Guard) -> Result<Analysis, MjoinEr
             None => Ok(()),
         }
     };
-    let conditions = condition_report(&mut oracle);
+    let conditions = condition_report(&oracle);
     trip_check(&oracle)?;
-    let t1 = theorem1(&mut oracle);
+    let t1 = theorem1(&oracle);
     trip_check(&oracle)?;
-    let t2 = theorem2(&mut oracle);
+    let t2 = theorem2(&oracle);
     trip_check(&oracle)?;
-    let t3 = theorem3(&mut oracle);
+    let t3 = theorem3(&oracle);
     trip_check(&oracle)?;
     Ok(Analysis {
         connected: db.scheme().connected(full),
@@ -100,8 +100,8 @@ pub fn optimize_database_guarded(
     space: SearchSpace,
     guard: &Guard,
 ) -> Result<Plan, MjoinError> {
-    let mut oracle = ExactOracle::with_guard(db, guard.clone());
-    match try_optimize(&mut oracle, db.scheme().full_set(), space, guard)? {
+    let oracle = ExactOracle::with_guard(db, guard.clone());
+    match try_optimize(&oracle, db.scheme().full_set(), space, guard)? {
         Some(plan) => Ok(plan),
         None => Err(MjoinError::InvalidScheme(format!(
             "search space {space:?} is empty for this unconnected scheme"

@@ -68,7 +68,7 @@ pub use robust::{
 pub use theorems::{lemma1_check, lemma4_conclusion, lemma5_check, lemma6_check, theorem1, theorem2, theorem3, TheoremReport};
 
 // One-stop re-exports of the workspace's public surface.
-pub use mjoin_cost::{CardinalityOracle, Database, ExactOracle, NoisyOracle, SharedHandle, SharedOracle, SyncCardinalityOracle, SyntheticOracle};
+pub use mjoin_cost::{CardinalityOracle, Database, ExactOracle, NoisyOracle, SyntheticOracle};
 pub use mjoin_guard::{failpoints, Budget, CancelToken, Guard, MjoinError, Resource};
 pub use mjoin_hypergraph::{Acyclicity, DbScheme, JoinTree, RelSet};
 pub use mjoin_query::{lower, parse_query, JoinEdge, LoweredQuery, Query};

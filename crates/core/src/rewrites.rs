@@ -106,7 +106,7 @@ pub fn lemma2_rewrite(scheme: &DbScheme, s: &Strategy) -> Option<Strategy> {
 /// linked components `E₁ ⊆ D₁`, `E₂ ⊆ D₂` and — oriented by the `C2`
 /// inequality, as in the proof — plucks one and grafts it above the other.
 pub fn lemma3_rewrite<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     s: &Strategy,
 ) -> Option<Strategy> {
     let scheme = oracle.scheme().clone();
@@ -193,7 +193,7 @@ mod tests {
         // Example 3's database satisfies C1 (not C1'): rewrites are
         // τ-nonincreasing.
         let db = data::paper_example3();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         for s in enumerate_linear(db.scheme().full_set()) {
             if !s.uses_cartesian(db.scheme()) {
                 assert!(figure3_rewrite(db.scheme(), &s).is_none());
@@ -202,7 +202,7 @@ mod tests {
             let t = figure3_rewrite(db.scheme(), &s).expect("CP linear strategy rewrites");
             assert!(t.validate(db.scheme()));
             assert_eq!(t.set(), s.set());
-            assert!(t.cost(&mut o) <= s.cost(&mut o), "{}", s.render(db.catalog(), db.scheme()));
+            assert!(t.cost(&o) <= s.cost(&o), "{}", s.render(db.catalog(), db.scheme()));
         }
     }
 
@@ -217,12 +217,12 @@ mod tests {
             ("CD", vec![vec![5, 0], vec![6, 1], vec![7, 2], vec![8, 3]]),
         ])
         .unwrap();
-        let mut o = ExactOracle::new(&db);
-        assert!(crate::satisfies(&mut o, crate::Condition::C1Strict));
+        let o = ExactOracle::new(&db);
+        assert!(crate::satisfies(&o, crate::Condition::C1Strict));
         for s in enumerate_linear(db.scheme().full_set()) {
             if let Some(t) = figure3_rewrite(db.scheme(), &s) {
                 assert!(
-                    t.cost(&mut o) < s.cost(&mut o),
+                    t.cost(&o) < s.cost(&o),
                     "{}",
                     s.render(db.catalog(), db.scheme())
                 );
@@ -252,7 +252,7 @@ mod tests {
         // unconnected with components {BC}, {DE}, {FG}, each a node of any
         // strategy that evaluates them individually.
         let db = data::paper_example1();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let d2_strategy = Strategy::join(
             Strategy::join(Strategy::leaf(1), Strategy::leaf(2)).unwrap(),
             Strategy::leaf(3),
@@ -261,7 +261,7 @@ mod tests {
         let s = Strategy::join(Strategy::leaf(0), d2_strategy).unwrap();
         let t = lemma2_rewrite(db.scheme(), &s).expect("shape matches Lemma 2");
         assert!(t.validate(db.scheme()));
-        assert!(t.cost(&mut o) <= s.cost(&mut o));
+        assert!(t.cost(&o) <= s.cost(&o));
         // Component count at the root decreased.
         let root_comps = |st: &Strategy| {
             let r = st.steps()[0];
@@ -275,11 +275,11 @@ mod tests {
         // Scheme {AB, BC, DE, FG} again; root = [{AB, DE}] ⋈ [{BC, FG}]:
         // both children unconnected, linked through AB–BC.
         let db = data::paper_example1();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let left = Strategy::join(Strategy::leaf(0), Strategy::leaf(2)).unwrap();
         let right = Strategy::join(Strategy::leaf(1), Strategy::leaf(3)).unwrap();
         let s = Strategy::join(left, right).unwrap();
-        let t = lemma3_rewrite(&mut o, &s).expect("shape matches Lemma 3");
+        let t = lemma3_rewrite(&o, &s).expect("shape matches Lemma 3");
         assert!(t.validate(db.scheme()));
         let root_comps = |st: &Strategy| {
             let r = st.steps()[0];
@@ -291,10 +291,10 @@ mod tests {
     #[test]
     fn lemma_rewrites_return_none_on_mismatched_shapes() {
         let db = data::paper_example3(); // connected scheme
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let s = Strategy::left_deep(&[0, 1, 2]);
         assert!(lemma2_rewrite(db.scheme(), &s).is_none());
-        assert!(lemma3_rewrite(&mut o, &s).is_none());
+        assert!(lemma3_rewrite(&o, &s).is_none());
         // Lemma 6 needs both root children non-trivial.
         assert!(lemma6_transfers(db.scheme(), &s).is_none());
     }
@@ -311,8 +311,8 @@ mod tests {
             ("DE", vec![vec![0, 4], vec![1, 5]]),
         ])
         .unwrap();
-        let mut o = ExactOracle::new(&db);
-        assert!(crate::satisfies(&mut o, crate::Condition::C3));
+        let o = ExactOracle::new(&db);
+        assert!(crate::satisfies(&o, crate::Condition::C3));
         // Build the bushy product-free strategy (AB ⋈ BC) ⋈ (CD ⋈ DE) and
         // compare it against DP: under C3 it ties the linear optimum only
         // if it is itself optimal among product-free strategies; either
@@ -331,21 +331,21 @@ mod tests {
         // If bushy is optimal among product-free strategies, the transfers
         // tie it exactly (the Lemma 6 argument).
         let opt = mjoin_optimizer::optimize(
-            &mut o,
+            &o,
             db.scheme().full_set(),
             mjoin_optimizer::SearchSpace::NoCartesian,
         )
         .unwrap()
         .cost;
-        let bc = bushy.cost(&mut o);
+        let bc = bushy.cost(&o);
         if bc == opt {
-            assert_eq!(t1.cost(&mut o), bc);
-            assert_eq!(t2.cost(&mut o), bc);
+            assert_eq!(t1.cost(&o), bc);
+            assert_eq!(t2.cost(&o), bc);
         } else {
             // Not optimal: transfers can only do as well or better or worse,
             // but they never break validity — already asserted above.
-            assert!(t1.cost(&mut o) >= opt);
-            assert!(t2.cost(&mut o) >= opt);
+            assert!(t1.cost(&o) >= opt);
+            assert!(t2.cost(&o) >= opt);
         }
     }
 }

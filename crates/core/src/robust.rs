@@ -28,18 +28,16 @@
 //! serve-mode brownout ([`BrownoutLevel`]) pins the *entry rung*: a start
 //! index into the table.
 //!
-//! The loop is generic over a private oracle seam with two
-//! implementations, and all rungs of one descent share its one memo,
+//! All rungs of one descent share one [`ExactOracle`] — one memo,
 //! re-armed with each rung's slice, so intermediates survive degradation.
-//! At `threads ≤ 1` it is an [`ExactOracle`] and every rung is its
-//! sequential algorithm. Above that it is a [`SharedOracle`]: exhaustive
-//! enumeration chunks the top-level splits across scoped workers, the
-//! product-free DP runs each subset-size level in parallel, and the other
-//! rungs are the same sequential algorithms over a handle to the shared
-//! memo — which keeps their answers bit-identical at every thread count.
-//! (The sequential Dp rung enumerates with DPsub, the parallel one with
-//! DPccp; they agree on cost and may tie-break equal-cost plans
-//! differently.)
+//! At `threads ≤ 1` every rung is its sequential algorithm. Above that the
+//! oracle materializes with the partitioned parallel hash join, exhaustive
+//! enumeration chunks the top-level splits across scoped workers and the
+//! product-free DP runs each subset-size level in parallel; the other
+//! rungs are the same sequential algorithms over the same oracle — which
+//! keeps their answers bit-identical at every thread count. (The
+//! sequential Dp rung enumerates with DPsub, the parallel one with DPccp;
+//! they agree on cost and may tie-break equal-cost plans differently.)
 //!
 //! Only **budget** trips degrade. Cancellation ([`MjoinError::Cancelled`])
 //! and internal faults ([`MjoinError::Internal`], which includes injected
@@ -49,7 +47,7 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use mjoin_cost::{CardinalityOracle, Database, ExactOracle, SharedOracle};
+use mjoin_cost::{Database, ExactOracle};
 use mjoin_guard::{failpoints, Budget, CancelToken, Guard, MjoinError};
 use mjoin_hypergraph::{DbScheme, RelSet};
 use mjoin_obs::{incr, span, Counter, Span};
@@ -57,7 +55,7 @@ use mjoin_optimizer::{
     try_best_avoid_cartesian_parallel, try_best_no_cartesian_parallel, try_optimize, Plan,
     SearchSpace,
 };
-use mjoin_strategy::{try_best_strategy_parallel, try_for_each_strategy, Strategy};
+use mjoin_strategy::{try_best_strategy_parallel, Strategy};
 
 /// Largest subset the exhaustive rung will attempt: `(2·7 − 3)!! = 10 395`
 /// strategies is instant, one more relation is 13× that.
@@ -240,8 +238,7 @@ impl fmt::Display for BrownoutLevel {
 }
 
 /// One row of the rung table: *when* a rung may run and what its answer
-/// is worth. *How* it runs is the oracle seam's business
-/// ([`LadderOracle::run`]).
+/// is worth. *How* it runs is [`run`]'s business.
 struct RungSpec {
     rung: Rung,
     /// `(numer, denom)`: the share of the deadline still remaining when
@@ -318,40 +315,50 @@ fn index_order(subset: RelSet) -> Strategy {
 /// What running a rung yields; `Ok(None)` when it has no plan to offer.
 type RungResult = Result<Option<Plan>, MjoinError>;
 
-/// The oracle seam of the ladder: the memo every rung of one descent
-/// shares, and how each rung runs against it.
-trait LadderOracle {
-    /// Swaps in the next rung's guard, keeping the memo.
-    fn rearm(&mut self, guard: Guard);
-
-    fn run(&mut self, rung: Rung, req: &Request<'_>, guard: &Guard) -> RungResult;
-}
-
-/// Every rung as a sequential algorithm over one [`CardinalityOracle`]
-/// view of the memo.
-fn run_sequential<O: CardinalityOracle>(
+/// Runs one rung over the descent's oracle. Exhaustive enumeration fans
+/// out over `threads` workers (one worker is the plain sequential scan),
+/// and above one thread the product-free DPs run level-parallel DPccp;
+/// every other rung is the same sequential algorithm at any thread count.
+fn run(
     rung: Rung,
-    oracle: &mut O,
+    oracle: &ExactOracle<'_>,
     req: &Request<'_>,
     guard: &Guard,
+    threads: usize,
 ) -> RungResult {
     let linear_space = matches!(
         req.space,
         SearchSpace::Linear | SearchSpace::LinearNoCartesian
     );
-    match rung {
-        Rung::Exhaustive => exhaustive_rung(oracle, req, guard),
-        Rung::Dp => try_optimize(oracle, req.subset, req.space, guard),
-        Rung::LinDp => mjoin_optimizer::try_lindp(oracle, req.subset, guard),
-        Rung::PartitionedDp => mjoin_optimizer::try_partitioned_dp(oracle, req.subset, guard),
+    match (rung, req.space) {
+        (Rung::Exhaustive, _) => {
+            failpoints::hit("optimizer::exhaustive")?;
+            let best = try_best_strategy_parallel(oracle, req.subset, guard, threads, &|s| {
+                in_space(s, req.space, req.scheme)
+            })?;
+            Ok(best.map(|(strategy, cost)| Plan { strategy, cost }))
+        }
+        (Rung::Dp, SearchSpace::NoCartesian) if threads > 1 => {
+            try_best_no_cartesian_parallel(oracle, req.subset, guard, threads)
+        }
+        (Rung::Dp, SearchSpace::AvoidCartesian) if threads > 1 => {
+            try_best_avoid_cartesian_parallel(oracle, req.subset, guard, threads)
+        }
+        (Rung::Dp, _) => try_optimize(oracle, req.subset, req.space, guard),
+        (Rung::LinDp, _) => mjoin_optimizer::try_lindp(oracle, req.subset, guard),
+        (Rung::PartitionedDp, _) => {
+            mjoin_optimizer::try_partitioned_dp(oracle, req.subset, guard)
+        }
         // Shaped to the space: linear spaces get the linear heuristic.
-        Rung::Greedy if linear_space => {
+        (Rung::Greedy, _) if linear_space => {
             mjoin_optimizer::try_greedy_linear(oracle, req.subset, guard).map(Some)
         }
-        Rung::Greedy => mjoin_optimizer::try_greedy_bushy(oracle, req.subset, guard).map(Some),
+        (Rung::Greedy, _) => {
+            mjoin_optimizer::try_greedy_bushy(oracle, req.subset, guard).map(Some)
+        }
         // Costing is best-effort under whatever budget remains; the
         // strategy stands either way.
-        Rung::Fallback => {
+        (Rung::Fallback, _) => {
             let strategy = index_order(req.subset);
             let cost = strategy.try_cost(oracle).unwrap_or(u64::MAX);
             Ok(Some(Plan { strategy, cost }))
@@ -359,88 +366,14 @@ fn run_sequential<O: CardinalityOracle>(
     }
 }
 
-/// Enumerates every strategy in the space, keeping the cheapest.
-fn exhaustive_rung<O: CardinalityOracle>(
-    oracle: &mut O,
-    req: &Request<'_>,
-    guard: &Guard,
-) -> RungResult {
-    failpoints::hit("optimizer::exhaustive")?;
-    let mut best: Option<Plan> = None;
-    try_for_each_strategy(req.subset, guard, &mut |s: &Strategy| {
-        incr(Counter::ExhaustiveStrategies, 1);
-        if !in_space(s, req.space, req.scheme) {
-            return Ok(());
-        }
-        let cost = s.try_cost(&mut *oracle)?;
-        if best.as_ref().is_none_or(|b| cost < b.cost) {
-            best = Some(Plan {
-                strategy: s.clone(),
-                cost,
-            });
-        }
-        Ok(())
-    })?;
-    Ok(best)
-}
-
-/// `threads ≤ 1`: every rung is its sequential algorithm, on the oracle
-/// itself.
-impl LadderOracle for ExactOracle<'_> {
-    fn rearm(&mut self, guard: Guard) {
-        ExactOracle::rearm(self, guard);
-    }
-
-    fn run(&mut self, rung: Rung, req: &Request<'_>, guard: &Guard) -> RungResult {
-        run_sequential(rung, self, req, guard)
-    }
-}
-
-/// `threads > 1`: one shared memo (materializing with the partitioned
-/// parallel hash join) and the worker count.
-struct Pooled<'db> {
-    oracle: SharedOracle<'db>,
-    threads: usize,
-}
-
-/// The rungs that can fan out do; the rest are the sequential algorithms
-/// over a handle to the shared memo.
-impl LadderOracle for Pooled<'_> {
-    fn rearm(&mut self, guard: Guard) {
-        self.oracle.rearm(guard);
-    }
-
-    fn run(&mut self, rung: Rung, req: &Request<'_>, guard: &Guard) -> RungResult {
-        match (rung, req.space) {
-            (Rung::Exhaustive, _) => {
-                failpoints::hit("optimizer::exhaustive")?;
-                let best = try_best_strategy_parallel(
-                    &self.oracle,
-                    req.subset,
-                    guard,
-                    self.threads,
-                    &|s| in_space(s, req.space, req.scheme),
-                )?;
-                Ok(best.map(|(strategy, cost)| Plan { strategy, cost }))
-            }
-            (Rung::Dp, SearchSpace::NoCartesian) => {
-                try_best_no_cartesian_parallel(&self.oracle, req.subset, guard, self.threads)
-            }
-            (Rung::Dp, SearchSpace::AvoidCartesian) => {
-                try_best_avoid_cartesian_parallel(&self.oracle, req.subset, guard, self.threads)
-            }
-            _ => run_sequential(rung, &mut self.oracle.handle(), req, guard),
-        }
-    }
-}
-
 /// The ladder: one pass down [`LADDER`] from `entry`, every rung under its
 /// own guard over the one memo in `oracle`.
-fn descend<O: LadderOracle>(
-    oracle: &mut O,
+fn descend(
+    oracle: &mut ExactOracle<'_>,
     req: &Request<'_>,
     budget: Budget,
     cancel: Option<&CancelToken>,
+    threads: usize,
     entry: Rung,
 ) -> Result<RobustPlan, MjoinError> {
     let started = Instant::now();
@@ -487,7 +420,7 @@ fn descend<O: LadderOracle>(
             Some(b) => {
                 let guard = rung_guard(b, cancel);
                 oracle.rearm(guard.clone());
-                let result = oracle.run(rung, req, &guard);
+                let result = run(rung, oracle, req, &guard, threads);
                 let stats = RungStats {
                     elapsed: rung_started.elapsed(),
                     memo_used: guard.memo_used(),
@@ -537,9 +470,9 @@ fn descend<O: LadderOracle>(
 /// [`RobustPlan`] naming the rung that produced it) unless the input
 /// itself is invalid, the caller cancelled, or a fault was injected.
 ///
-/// `threads ≤ 1` runs every rung sequentially on one [`ExactOracle`];
-/// more fan the exhaustive and product-free DP rungs out over a
-/// [`SharedOracle`] (see the module docs). Each rung is deterministic in
+/// `threads ≤ 1` runs every rung sequentially; more fan the exhaustive and
+/// product-free DP rungs out over the same [`ExactOracle`] (see the module
+/// docs). Each rung is deterministic in
 /// itself: the same rung at the same thread count always returns
 /// bit-identical plans and costs.
 ///
@@ -568,15 +501,8 @@ pub fn optimize_robust(
         subset,
         space,
     };
-    if threads <= 1 {
-        descend(&mut ExactOracle::new(db), &req, budget, cancel, entry)
-    } else {
-        let mut pooled = Pooled {
-            oracle: SharedOracle::new(db).with_join_threads(threads),
-            threads,
-        };
-        descend(&mut pooled, &req, budget, cancel, entry)
-    }
+    let mut oracle = ExactOracle::new(db).with_join_threads(threads);
+    descend(&mut oracle, &req, budget, cancel, threads, entry)
 }
 
 /// The full ladder ([`optimize_robust`] entered at the top) over a whole
@@ -660,9 +586,15 @@ mod tests {
                 .map(|s| s.rung)
                 .take_while(move |r| *r < answered)
         };
-        for threads in [1, 2, 4] {
-            for entry in LADDER.iter().map(|s| s.rung) {
+        for entry in LADDER.iter().map(|s| s.rung) {
+            // What the descents from this entry reported at one thread.
+            let mut sequential: Vec<String> = Vec::new();
+            for threads in [1, 2, 4] {
                 let case = format!("{threads} threads, entry {entry}");
+                let mut reported: Vec<String> = Vec::new();
+                let mut record = |r: &RobustPlan| {
+                    reported.push(format!("{} / {:?} / {}", r.report, r.plan.strategy, r.plan.cost))
+                };
 
                 // Unlimited: the entry rung answers; everything above it is
                 // a brownout skip, never attempted.
@@ -675,6 +607,7 @@ mod tests {
                     entry,
                 )
                 .unwrap();
+                record(&r);
                 assert_eq!(r.report.answered_by, entry, "{case}: {}", r.report);
                 assert_eq!(r.plan.strategy.set(), full, "{case}");
                 assert!(r.plan.strategy.validate(db.scheme()), "{case}");
@@ -692,6 +625,7 @@ mod tests {
                 // rung still answers with a valid covering strategy.
                 let one = Budget::unlimited().with_max_memo_entries(1);
                 let r = ladder(&db, SearchSpace::All, one, None, threads, entry).unwrap();
+                record(&r);
                 assert!(r.report.answered_by > Rung::Dp, "{case}: {}", r.report);
                 assert!(r.report.answered_by >= entry, "{case}: {}", r.report);
                 assert_eq!(r.plan.strategy.set(), full, "{case}");
@@ -718,6 +652,7 @@ mod tests {
                 // skipped unattempted and the fallback answers uncosted.
                 let none = Budget::unlimited().with_deadline(Duration::ZERO);
                 let r = ladder(&db, SearchSpace::All, none, None, threads, entry).unwrap();
+                record(&r);
                 assert_eq!(r.report.answered_by, Rung::Fallback, "{case}");
                 assert_eq!(r.plan.cost, u64::MAX, "{case}");
                 assert!(r.report.space_relaxed && !r.report.optimal, "{case}");
@@ -755,6 +690,16 @@ mod tests {
                     assert_eq!(r.unwrap().plan.cost, u64::MAX, "{case}");
                 } else {
                     assert_eq!(r.unwrap_err(), MjoinError::Cancelled, "{case}");
+                }
+
+                // Over `SearchSpace::All` only the exhaustive rung fans
+                // out; every other rung is the same sequential algorithm
+                // over the same oracle, so its whole report — text, plan,
+                // cost — is the one-thread report.
+                if threads == 1 {
+                    sequential = reported;
+                } else if entry != Rung::Exhaustive {
+                    assert_eq!(reported, sequential, "{case}");
                 }
             }
         }

@@ -202,10 +202,10 @@ mod tests {
     #[test]
     fn steps_round_trip_preserving_child_order() {
         let db = chain_db();
-        let mut oracle = ExactOracle::new(&db);
+        let oracle = ExactOracle::new(&db);
         let full = db.scheme().full_set();
         let (plan, _) =
-            try_best_no_cartesian_ccp_with_memo(&mut oracle, full, &Guard::unlimited())
+            try_best_no_cartesian_ccp_with_memo(&oracle, full, &Guard::unlimited())
                 .unwrap()
                 .unwrap();
         let steps = plan_steps(&plan.strategy).unwrap();
@@ -220,10 +220,10 @@ mod tests {
     #[test]
     fn memo_and_cards_survive_an_entry_round_trip() {
         let db = chain_db();
-        let mut oracle = ExactOracle::new(&db);
+        let oracle = ExactOracle::new(&db);
         let full = db.scheme().full_set();
         let (plan, memo) =
-            try_best_no_cartesian_ccp_with_memo(&mut oracle, full, &Guard::unlimited())
+            try_best_no_cartesian_ccp_with_memo(&oracle, full, &Guard::unlimited())
                 .unwrap()
                 .unwrap();
         let taus = oracle.memo_taus();

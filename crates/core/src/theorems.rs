@@ -33,7 +33,7 @@ impl TheoremReport {
     }
 }
 
-fn common_preconditions<O: CardinalityOracle>(oracle: &mut O) -> bool {
+fn common_preconditions<O: CardinalityOracle>(oracle: &O) -> bool {
     let full = oracle.scheme().full_set();
     oracle.scheme().connected(full) && !oracle.result_is_empty()
 }
@@ -45,7 +45,7 @@ fn common_preconditions<O: CardinalityOracle>(oracle: &mut O) -> bool {
 /// The conclusion is checked by enumerating every linear strategy whose
 /// cost equals the global optimum (found by DP) and testing each for
 /// product use; `n!` enumeration limits this to small schemes (`n ≤ 8`).
-pub fn theorem1<O: CardinalityOracle>(oracle: &mut O) -> TheoremReport {
+pub fn theorem1<O: CardinalityOracle>(oracle: &O) -> TheoremReport {
     let preconditions_hold =
         common_preconditions(oracle) && satisfies(oracle, Condition::C1Strict);
     let full = oracle.scheme().full_set();
@@ -76,7 +76,7 @@ pub fn theorem1<O: CardinalityOracle>(oracle: &mut O) -> TheoremReport {
 ///
 /// Checked by comparing the DP optimum over the full space with the DP
 /// optimum over the product-free space.
-pub fn theorem2<O: CardinalityOracle>(oracle: &mut O) -> TheoremReport {
+pub fn theorem2<O: CardinalityOracle>(oracle: &O) -> TheoremReport {
     let preconditions_hold = common_preconditions(oracle)
         && satisfies(oracle, Condition::C1)
         && satisfies(oracle, Condition::C2);
@@ -97,7 +97,7 @@ pub fn theorem2<O: CardinalityOracle>(oracle: &mut O) -> TheoremReport {
 
 /// **Theorem 3.** If `𝐃` is connected, `R_D ≠ φ` and `C3` holds, then some
 /// τ-optimum strategy is linear *and* uses no Cartesian products.
-pub fn theorem3<O: CardinalityOracle>(oracle: &mut O) -> TheoremReport {
+pub fn theorem3<O: CardinalityOracle>(oracle: &O) -> TheoremReport {
     let preconditions_hold =
         common_preconditions(oracle) && satisfies(oracle, Condition::C3);
     let full = oracle.scheme().full_set();
@@ -120,7 +120,7 @@ pub fn theorem3<O: CardinalityOracle>(oracle: &mut O) -> TheoremReport {
 /// optimum with the best strategy constrained to evaluate components
 /// individually (per-component optima plus the cheapest product
 /// combination).
-pub fn lemma4_conclusion<O: CardinalityOracle>(oracle: &mut O) -> bool {
+pub fn lemma4_conclusion<O: CardinalityOracle>(oracle: &O) -> bool {
     let full = oracle.scheme().full_set();
     let optimum = optimize(oracle, full, SearchSpace::All)
         .expect("the full space is never empty")
@@ -179,7 +179,7 @@ pub fn lemma4_conclusion<O: CardinalityOracle>(oracle: &mut O) -> bool {
 
 /// **Lemma 5**: `C3 ⇒ C1` whenever `R_D ≠ φ`. Returns `true` when the
 /// implication is confirmed on this database (vacuously if `C3` fails).
-pub fn lemma5_check<O: CardinalityOracle>(oracle: &mut O) -> bool {
+pub fn lemma5_check<O: CardinalityOracle>(oracle: &O) -> bool {
     if oracle.result_is_empty() || !satisfies(oracle, Condition::C3) {
         return true;
     }
@@ -194,7 +194,7 @@ pub fn lemma5_check<O: CardinalityOracle>(oracle: &mut O) -> bool {
 ///
 /// Exponential in `|D|` (it quantifies over arbitrary subset triples);
 /// intended for `n ≲ 6`.
-pub fn lemma1_check<O: CardinalityOracle>(oracle: &mut O) -> bool {
+pub fn lemma1_check<O: CardinalityOracle>(oracle: &O) -> bool {
     if oracle.result_is_empty() {
         return true;
     }
@@ -237,7 +237,7 @@ pub fn lemma1_check<O: CardinalityOracle>(oracle: &mut O) -> bool {
 /// some *linear* product-free strategy is τ-optimum **among product-free
 /// strategies**. Checked by comparing the two DP optima. Returns `true`
 /// vacuously when the hypotheses fail.
-pub fn lemma6_check<O: CardinalityOracle>(oracle: &mut O) -> bool {
+pub fn lemma6_check<O: CardinalityOracle>(oracle: &O) -> bool {
     let full = oracle.scheme().full_set();
     if !oracle.scheme().connected(full) || !satisfies(oracle, Condition::C3) {
         return true;
@@ -270,8 +270,8 @@ mod tests {
         // use a Cartesian product — so Theorem 1's conclusion fails but the
         // implication is intact (preconditions are false).
         let db = data::paper_example3();
-        let mut o = ExactOracle::new(&db);
-        let r = theorem1(&mut o);
+        let o = ExactOracle::new(&db);
+        let r = theorem1(&o);
         assert!(!r.preconditions_hold, "C1' fails on Example 3");
         assert!(!r.conclusion_holds, "a CP-using linear optimum exists");
         assert!(r.implication_holds());
@@ -285,8 +285,8 @@ mod tests {
             ("CD", vec![vec![5, 0], vec![6, 1], vec![7, 2], vec![8, 3]]),
         ])
         .unwrap();
-        let mut o = ExactOracle::new(&db);
-        let r = theorem1(&mut o);
+        let o = ExactOracle::new(&db);
+        let r = theorem1(&o);
         assert!(r.preconditions_hold);
         assert!(r.conclusion_holds);
     }
@@ -296,8 +296,8 @@ mod tests {
         // Example 4: C2 holds, C1 fails; the unique τ-optimum uses a
         // Cartesian product, so the conclusion fails.
         let db = data::paper_example4();
-        let mut o = ExactOracle::new(&db);
-        let r = theorem2(&mut o);
+        let o = ExactOracle::new(&db);
+        let r = theorem2(&o);
         assert!(!r.preconditions_hold);
         assert!(!r.conclusion_holds);
         assert!(r.implication_holds());
@@ -310,9 +310,9 @@ mod tests {
         )
         .unwrap();
         let s3 = Strategy::left_deep(&[0, 2, 1]);
-        assert_eq!(s1.cost(&mut o), 14);
-        assert_eq!(s2.cost(&mut o), 12);
-        assert_eq!(s3.cost(&mut o), 11);
+        assert_eq!(s1.cost(&o), 14);
+        assert_eq!(s2.cost(&o), 12);
+        assert_eq!(s3.cost(&o), 11);
         assert!(s3.uses_cartesian(db.scheme()));
     }
 
@@ -321,12 +321,12 @@ mod tests {
         // Example 5: C1 ∧ C2 hold, C3 fails; the unique τ-optimum
         // (MS ⋈ SC) ⋈ (CI ⋈ ID) is bushy.
         let db = data::paper_example5();
-        let mut o = ExactOracle::new(&db);
-        let r = theorem3(&mut o);
+        let o = ExactOracle::new(&db);
+        let r = theorem3(&o);
         assert!(!r.preconditions_hold, "C3 fails on Example 5");
         assert!(!r.conclusion_holds, "only a bushy strategy is optimal");
         // But Theorem 2's preconditions DO hold, and its conclusion too:
-        let r2 = theorem2(&mut o);
+        let r2 = theorem2(&o);
         assert!(r2.preconditions_hold);
         assert!(r2.conclusion_holds);
         // The optimum is the paper's bushy strategy.
@@ -336,8 +336,8 @@ mod tests {
             Strategy::left_deep(&[2, 3]),
         )
         .unwrap();
-        let opt = optimize(&mut o, db.scheme().full_set(), SearchSpace::All).unwrap();
-        assert_eq!(opt.cost, bushy.cost(&mut o));
+        let opt = optimize(&o, db.scheme().full_set(), SearchSpace::All).unwrap();
+        assert_eq!(opt.cost, bushy.cost(&o));
         assert!(!bushy.uses_cartesian(db.scheme()));
     }
 
@@ -354,8 +354,8 @@ mod tests {
                 ensure_nonempty: true,
             };
             let (db, _) = data::superkey(cat, d, &cfg, &mut rng);
-            let mut o = ExactOracle::new(&db);
-            let r = theorem3(&mut o);
+            let o = ExactOracle::new(&db);
+            let r = theorem3(&o);
             assert!(r.preconditions_hold, "superkey joins give C3 (n={n})");
             assert!(r.conclusion_holds, "n={n}");
         }
@@ -367,8 +367,8 @@ mod tests {
         // still be checked: here the τ-optimum S4 joins across components,
         // and indeed NO optimum evaluates components individually.
         let db = data::paper_example1();
-        let mut o = ExactOracle::new(&db);
-        assert!(!lemma4_conclusion(&mut o));
+        let o = ExactOracle::new(&db);
+        assert!(!lemma4_conclusion(&o));
     }
 
     #[test]
@@ -380,10 +380,10 @@ mod tests {
             ("XY", vec![vec![0, 0], vec![1, 1]]),
         ])
         .unwrap();
-        let mut o = ExactOracle::new(&db);
-        assert!(satisfies(&mut o, Condition::C1));
-        assert!(satisfies(&mut o, Condition::C2));
-        assert!(lemma4_conclusion(&mut o));
+        let o = ExactOracle::new(&db);
+        assert!(satisfies(&o, Condition::C1));
+        assert!(satisfies(&o, Condition::C2));
+        assert!(lemma4_conclusion(&o));
     }
 
     #[test]
@@ -393,8 +393,8 @@ mod tests {
             data::paper_example3(),
             data::paper_example5(),
         ] {
-            let mut o = ExactOracle::new(&db);
-            assert!(lemma5_check(&mut o));
+            let o = ExactOracle::new(&db);
+            assert!(lemma5_check(&o));
         }
     }
 
@@ -409,17 +409,17 @@ mod tests {
         // Example 1 satisfies C1; Lemma 1 extends the inequality to
         // unconnected E/E2 — confirmed by exhaustive check.
         let db = data::paper_example1();
-        let mut o = ExactOracle::new(&db);
-        assert!(satisfies(&mut o, Condition::C1));
-        assert!(lemma1_check(&mut o));
+        let o = ExactOracle::new(&db);
+        assert!(satisfies(&o, Condition::C1));
+        assert!(lemma1_check(&o));
         // Example 3 satisfies C1 (not C1'): still confirmed.
         let db3 = data::paper_example3();
-        let mut o3 = ExactOracle::new(&db3);
-        assert!(lemma1_check(&mut o3));
+        let o3 = ExactOracle::new(&db3);
+        assert!(lemma1_check(&o3));
         // Example 4 violates C1: vacuous.
         let db4 = data::paper_example4();
-        let mut o4 = ExactOracle::new(&db4);
-        assert!(lemma1_check(&mut o4));
+        let o4 = ExactOracle::new(&db4);
+        assert!(lemma1_check(&o4));
     }
 
     #[test]
@@ -436,9 +436,9 @@ mod tests {
                 ensure_nonempty: true,
             };
             let db = mjoin_gen::data::uniform(cat, scheme, &cfg, &mut rng);
-            let mut o = ExactOracle::new(&db);
-            assert!(lemma1_check(&mut o));
-            if !o.result_is_empty() && satisfies(&mut o, Condition::C1) {
+            let o = ExactOracle::new(&db);
+            assert!(lemma1_check(&o));
+            if !o.result_is_empty() && satisfies(&o, Condition::C1) {
                 confirmed += 1;
             }
         }
@@ -458,13 +458,13 @@ mod tests {
                 ensure_nonempty: true,
             };
             let (db, _) = data::superkey(cat, scheme, &cfg, &mut rng);
-            let mut o = ExactOracle::new(&db);
-            assert!(satisfies(&mut o, Condition::C3));
-            assert!(lemma6_check(&mut o), "n={n}");
+            let o = ExactOracle::new(&db);
+            assert!(satisfies(&o, Condition::C3));
+            assert!(lemma6_check(&o), "n={n}");
         }
         // Example 5 violates C3: vacuous.
         let db5 = data::paper_example5();
-        let mut o5 = ExactOracle::new(&db5);
-        assert!(lemma6_check(&mut o5));
+        let o5 = ExactOracle::new(&db5);
+        assert!(lemma6_check(&o5));
     }
 }

@@ -7,8 +7,8 @@
 //! workers were running when it tripped.
 
 use mjoin::{
-    try_best_no_cartesian_parallel, try_best_strategy_parallel, Budget, Database, Guard,
-    NoisyOracle, SharedOracle, Strategy, SyntheticOracle,
+    try_best_no_cartesian_parallel, try_best_strategy_parallel, try_optimize, Budget, Database,
+    ExactOracle, Guard, NoisyOracle, SearchSpace, Strategy, SyntheticOracle,
 };
 use mjoin_gen::{data, schemes};
 use rand::rngs::StdRng;
@@ -30,7 +30,7 @@ fn parallel_dps_are_thread_count_invariant() {
         let db = random_db(n, seed);
         let subset = db.scheme().full_set();
         let run = |threads: usize| {
-            let oracle = SharedOracle::new(&db);
+            let oracle = ExactOracle::new(&db);
             try_best_no_cartesian_parallel(&oracle, subset, &Guard::unlimited(), threads).unwrap()
         };
         let base = run(1);
@@ -67,7 +67,7 @@ fn parallel_exhaustive_is_thread_count_invariant() {
         ];
         for (name, accept) in &filters {
             let run = |threads: usize| {
-                let oracle = SharedOracle::new(&db);
+                let oracle = ExactOracle::new(&db);
                 try_best_strategy_parallel(
                     &oracle,
                     subset,
@@ -95,7 +95,7 @@ fn exhaustive_and_dp_agree_on_the_product_free_optimum() {
         let db = random_db(5, seed.wrapping_add(40));
         let subset = db.scheme().full_set();
         let scheme = db.scheme().clone();
-        let oracle = SharedOracle::new(&db);
+        let oracle = ExactOracle::new(&db);
         let dp = try_best_no_cartesian_parallel(&oracle, subset, &Guard::unlimited(), 4).unwrap();
         let exhaustive = try_best_strategy_parallel(
             &oracle,
@@ -154,7 +154,7 @@ fn tripping_budgets_error_identically_at_every_thread_count() {
 
     let dp_err = |threads: usize| {
         let guard = Guard::new(budget);
-        let oracle = SharedOracle::with_guard(&db, guard.clone());
+        let oracle = ExactOracle::with_guard(&db, guard.clone());
         try_best_no_cartesian_parallel(&oracle, subset, &guard, threads).unwrap_err()
     };
     let base = dp_err(1);
@@ -164,7 +164,7 @@ fn tripping_budgets_error_identically_at_every_thread_count() {
 
     let enum_err = |threads: usize| {
         let guard = Guard::new(budget);
-        let oracle = SharedOracle::with_guard(&db, guard.clone());
+        let oracle = ExactOracle::with_guard(&db, guard.clone());
         try_best_strategy_parallel(&oracle, subset, &guard, threads, &|_: &Strategy| true)
             .unwrap_err()
     };
@@ -175,20 +175,21 @@ fn tripping_budgets_error_identically_at_every_thread_count() {
 }
 
 #[test]
-fn shared_oracle_distinct_subset_count_is_thread_invariant() {
-    // The shared oracle charges each distinct subset exactly once, under
+fn oracle_distinct_subset_count_is_thread_invariant() {
+    // The exact oracle charges each distinct subset exactly once, under
     // its shard's write lock — so while racing workers may *compute* a
-    // subset twice (`oracle.shared_duplicate_materializations`), the
+    // subset twice (`oracle.duplicate_materializations`), the
     // distinct-subset counter must not move with the thread count.
+    // (`oracle.memo_hits` does move: never assert on it at `threads > 1`.)
     use mjoin_obs::{Counter, Recorder};
     for seed in 0..4u64 {
         let db = random_db(6, seed.wrapping_add(300));
         let subset = db.scheme().full_set();
         let count = |threads: usize| {
             let rec = Recorder::arm();
-            let oracle = SharedOracle::new(&db);
+            let oracle = ExactOracle::new(&db);
             try_best_no_cartesian_parallel(&oracle, subset, &Guard::unlimited(), threads).unwrap();
-            rec.snapshot().counter(Counter::OracleSharedDistinctSubsets)
+            rec.snapshot().counter(Counter::OracleSubsetsMaterialized)
         };
         let base = count(1);
         assert!(base > 0, "seed {seed}: the DP must materialize subsets");
@@ -199,6 +200,37 @@ fn shared_oracle_distinct_subset_count_is_thread_invariant() {
                 "seed {seed}: distinct-subset count moved at {threads} threads"
             );
         }
+    }
+}
+
+#[test]
+fn sequential_and_parallel_searches_share_one_memo() {
+    // One trait, one oracle: the sequential DP and the level-parallel DP
+    // take the same `&ExactOracle`, so whichever runs second finds every
+    // connected subset already materialized.
+    use mjoin_obs::{Counter, Recorder};
+    let db = random_db(6, 500);
+    let subset = db.scheme().full_set();
+    let guard = Guard::unlimited();
+    for threads in [1, 2, 4] {
+        let rec = Recorder::arm();
+        let oracle = ExactOracle::new(&db).with_join_threads(threads);
+        let seq = try_optimize(&oracle, subset, SearchSpace::NoCartesian, &guard)
+            .unwrap()
+            .unwrap();
+        let memo = oracle.memo_len();
+        let materialized = rec.snapshot().counter(Counter::OracleSubsetsMaterialized);
+        assert_eq!(materialized, memo as u64, "{threads} threads");
+        let par = try_best_no_cartesian_parallel(&oracle, subset, &guard, threads)
+            .unwrap()
+            .unwrap();
+        assert_eq!(par.cost, seq.cost, "{threads} threads");
+        assert_eq!(oracle.memo_len(), memo, "{threads} threads: memo grew");
+        assert_eq!(
+            rec.snapshot().counter(Counter::OracleSubsetsMaterialized),
+            materialized,
+            "{threads} threads: the second search re-materialized a subset"
+        );
     }
 }
 

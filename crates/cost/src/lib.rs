@@ -3,18 +3,19 @@
 //! The paper's cost measure is `τ` — *the number of tuples generated* by the
 //! intermediate and final joins of a strategy. Everything in the theory
 //! depends on the relations only through the map `D′ ↦ τ(R_{D′})`, so this
-//! crate abstracts that map behind the [`CardinalityOracle`] trait and
+//! crate abstracts that map behind the one [`CardinalityOracle`] trait —
+//! every method through `&self`, so the same oracle serves a sequential
+//! caller and (when it is also `Sync`) a pool of plan-search workers — and
 //! provides:
 //!
 //! * [`Database`] — a database scheme paired with relation states, the
 //!   paper's pair `(𝐃, D)`;
 //! * [`ExactOracle`] — materializes every requested intermediate join once
 //!   (memoized by scheme subset) and reports exact tuple counts. This is
-//!   the ground truth the theorems are stated over;
-//! * [`SharedOracle`] — the exact oracle behind a sharded `RwLock` memo of
-//!   `Arc<Relation>` intermediates; `Sync`, so a worker pool can drive one
-//!   memo (and charge one guard) from many threads. [`SharedHandle`] adapts
-//!   it back to the sequential [`CardinalityOracle`] surface;
+//!   the ground truth the theorems are stated over. Its memo is a sharded
+//!   `RwLock` map of `Arc<Relation>` intermediates, so it is `Sync`: a
+//!   worker pool can drive one memo (and charge one guard) from many
+//!   threads;
 //! * [`SyntheticOracle`] — a closed-form cardinality model (uniformity +
 //!   independence + per-attribute domains) for experiments on queries far
 //!   too large to materialize. The paper explicitly distrusts these
@@ -31,9 +32,7 @@
 mod database;
 mod noisy;
 mod oracle;
-mod shared;
 
 pub use database::Database;
 pub use noisy::NoisyOracle;
 pub use oracle::{CardinalityOracle, ExactOracle, SyntheticOracle};
-pub use shared::{SharedHandle, SharedOracle, SyncCardinalityOracle};

@@ -27,7 +27,6 @@ use mjoin_guard::MjoinError;
 use mjoin_hypergraph::{DbScheme, RelSet};
 
 use crate::oracle::CardinalityOracle;
-use crate::shared::SyncCardinalityOracle;
 
 /// Multiplies an inner oracle's answers by seeded per-subset noise within
 /// a q-error envelope. See the module docs for the guarantees.
@@ -123,15 +122,6 @@ impl<O> NoisyOracle<O> {
             (v.round() as u64).max(1)
         }
     }
-
-    /// The perturbed estimate through a shared reference, for pure inner
-    /// models (the executor's drift detector consults this concurrently).
-    pub fn try_estimate(&self, subset: RelSet) -> Result<u64, MjoinError>
-    where
-        O: SyncCardinalityOracle,
-    {
-        Ok(self.perturb(subset, self.inner.try_tau(subset)?))
-    }
 }
 
 impl<O: CardinalityOracle> CardinalityOracle for NoisyOracle<O> {
@@ -139,24 +129,14 @@ impl<O: CardinalityOracle> CardinalityOracle for NoisyOracle<O> {
         self.inner.scheme()
     }
 
-    fn tau(&mut self, subset: RelSet) -> u64 {
+    fn tau(&self, subset: RelSet) -> u64 {
         let t = self.inner.tau(subset);
         self.perturb(subset, t)
     }
 
-    fn try_tau(&mut self, subset: RelSet) -> Result<u64, MjoinError> {
+    fn try_tau(&self, subset: RelSet) -> Result<u64, MjoinError> {
         let t = self.inner.try_tau(subset)?;
         Ok(self.perturb(subset, t))
-    }
-}
-
-impl<O: SyncCardinalityOracle> SyncCardinalityOracle for NoisyOracle<O> {
-    fn scheme(&self) -> &DbScheme {
-        self.inner.scheme()
-    }
-
-    fn try_tau(&self, subset: RelSet) -> Result<u64, MjoinError> {
-        self.try_estimate(subset)
     }
 }
 
@@ -174,8 +154,8 @@ mod tests {
 
     #[test]
     fn envelope_one_is_the_identity() {
-        let mut clean = model();
-        let mut noisy = NoisyOracle::new(model(), 1.0, 42);
+        let clean = model();
+        let noisy = NoisyOracle::new(model(), 1.0, 42);
         for subset in RelSet::full(3).subsets().filter(|s| !s.is_empty()) {
             assert_eq!(noisy.tau(subset), clean.tau(subset), "{subset:?}");
         }
@@ -184,8 +164,8 @@ mod tests {
     #[test]
     fn noise_stays_within_the_envelope() {
         let q = 4.0;
-        let mut clean = model();
-        let mut noisy = NoisyOracle::new(model(), q, 7);
+        let clean = model();
+        let noisy = NoisyOracle::new(model(), q, 7);
         for subset in RelSet::full(3).subsets().filter(|s| !s.is_empty()) {
             let t = clean.tau(subset) as f64;
             let n = noisy.tau(subset) as f64;
@@ -196,9 +176,9 @@ mod tests {
 
     #[test]
     fn same_seed_is_bit_identical_and_seeds_differ() {
-        let mut a = NoisyOracle::new(model(), 16.0, 9);
-        let mut b = NoisyOracle::new(model(), 16.0, 9);
-        let mut c = NoisyOracle::new(model(), 16.0, 10);
+        let a = NoisyOracle::new(model(), 16.0, 9);
+        let b = NoisyOracle::new(model(), 16.0, 9);
+        let c = NoisyOracle::new(model(), 16.0, 10);
         let mut diverged = false;
         for subset in RelSet::full(3).subsets().filter(|s| !s.is_empty()) {
             assert_eq!(a.tau(subset), b.tau(subset), "{subset:?}");
@@ -216,19 +196,9 @@ mod tests {
             mjoin_relation::Relation::from_int_rows(scheme.scheme(1), vec![vec![1, 2]]).unwrap(),
         ];
         let db = crate::Database::new(cat, scheme, states);
-        let mut noisy = NoisyOracle::new(SyntheticOracle::from_database(&db), 16.0, 3);
+        let noisy = NoisyOracle::new(SyntheticOracle::from_database(&db), 16.0, 3);
         assert_eq!(noisy.tau(RelSet::singleton(1)), 1, "singletons are catalog-exact");
         assert_eq!(noisy.tau(RelSet::full(2)), 0, "known-empty passes through");
-    }
-
-    #[test]
-    fn sync_and_sequential_surfaces_agree() {
-        let noisy = NoisyOracle::new(model(), 4.0, 11);
-        let mut seq = noisy.clone();
-        for subset in RelSet::full(3).subsets().filter(|s| !s.is_empty()) {
-            let shared = SyncCardinalityOracle::try_tau(&noisy, subset).unwrap();
-            assert_eq!(shared, seq.tau(subset), "{subset:?}");
-        }
     }
 
     #[test]

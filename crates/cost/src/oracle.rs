@@ -1,6 +1,6 @@
 //! Cardinality oracles: the map `D′ ↦ τ(R_{D′})`.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
 
 use mjoin_guard::{failpoints, Guard, MjoinError};
 use mjoin_hypergraph::{DbScheme, FastMap, RelSet};
@@ -14,37 +14,43 @@ use crate::database::Database;
 /// Every result in the paper is a statement about this map; strategies,
 /// condition checkers and optimizers all consume it rather than raw
 /// relations, so exact evaluation and synthetic models are interchangeable.
+///
+/// Every method takes `&self`: sequential callers hold a `&O`, parallel
+/// plan-search workers bound `O: CardinalityOracle + Sync` and share one.
+/// Implementations must be deterministic — the same subset must always
+/// report the same count, or parallel and sequential searches could pick
+/// different plans.
 pub trait CardinalityOracle {
     /// The database scheme the oracle speaks about.
     fn scheme(&self) -> &DbScheme;
 
     /// `τ(R_{D′})` for a nonempty subset `D′`.
-    fn tau(&mut self, subset: RelSet) -> u64;
+    fn tau(&self, subset: RelSet) -> u64;
 
     /// `τ` of the join of two disjoint subsets, `τ(R_{D₁} ⋈ R_{D₂})`.
     ///
     /// Default: delegates to `tau(D₁ ∪ D₂)` (the join of the joins is the
     /// join of the union — associativity/commutativity of ⋈).
-    fn tau_join(&mut self, d1: RelSet, d2: RelSet) -> u64 {
+    fn tau_join(&self, d1: RelSet, d2: RelSet) -> u64 {
         debug_assert!(d1.is_disjoint(d2));
         self.tau(d1.union(d2))
     }
 
     /// Is the full join empty (`R_D = φ`)? The theorems all assume it is
     /// not (an empty intermediate lets evaluation abort early).
-    fn result_is_empty(&mut self) -> bool {
+    fn result_is_empty(&self) -> bool {
         self.tau(self.scheme().full_set()) == 0
     }
 
     /// Budget-aware [`tau`](Self::tau): oracles backed by real work (the
     /// exact oracle's materialization) report budget exhaustion here
     /// instead of panicking. Closed-form oracles use the default.
-    fn try_tau(&mut self, subset: RelSet) -> Result<u64, MjoinError> {
+    fn try_tau(&self, subset: RelSet) -> Result<u64, MjoinError> {
         Ok(self.tau(subset))
     }
 
     /// Budget-aware [`tau_join`](Self::tau_join).
-    fn try_tau_join(&mut self, d1: RelSet, d2: RelSet) -> Result<u64, MjoinError> {
+    fn try_tau_join(&self, d1: RelSet, d2: RelSet) -> Result<u64, MjoinError> {
         debug_assert!(d1.is_disjoint(d2));
         self.try_tau(d1.union(d2))
     }
@@ -58,9 +64,8 @@ pub trait CardinalityOracle {
 /// materialized as a Cartesian product — on a star subset `{hub} ∪ spokes`
 /// that is `Π|spokeᵢ|` tuples built only to be thrown away — so the peel
 /// choice is the difference between polynomial and exponential
-/// materialization on hub-shaped schemes. Both exact oracles use this one
-/// function, keeping sequential and threaded materialization identical.
-pub(crate) fn peel_member(scheme: &DbScheme, subset: RelSet) -> Option<usize> {
+/// materialization on hub-shaped schemes.
+fn peel_member(scheme: &DbScheme, subset: RelSet) -> Option<usize> {
     let mut lowest = None;
     for x in subset.iter() {
         if lowest.is_none() {
@@ -73,19 +78,51 @@ pub(crate) fn peel_member(scheme: &DbScheme, subset: RelSet) -> Option<usize> {
     lowest
 }
 
+/// Number of independent memo shards. Spreading subsets over shards keeps
+/// write-lock contention off the hot read path; 16 is plenty for the small
+/// worker pools `std::thread::scope` runs here.
+const SHARD_COUNT: usize = 16;
+
+type Shard = RwLock<FastMap<RelSet, Arc<Relation>>>;
+
+/// Fibonacci spread of the subset bits over the shards — adjacent subsets
+/// (which DP levels touch together) land on different shards.
+fn shard_of(subset: RelSet) -> usize {
+    (subset.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize % SHARD_COUNT
+}
+
+/// A poisoned shard only means another worker panicked *between* map
+/// operations; entries are only ever inserted whole, so the map is intact.
+fn read_shard(shard: &Shard) -> RwLockReadGuard<'_, FastMap<RelSet, Arc<Relation>>> {
+    shard.read().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Exact oracle: materializes intermediate joins, memoized per subset.
 ///
 /// The memo means a dynamic program touching all `2ⁿ` subsets evaluates
-/// each intermediate once; the bench `memo_ablation` quantifies the saving.
+/// each intermediate once. It is sharded behind `RwLock`s and holds
+/// `Arc<Relation>`s, so every method takes `&self` and the oracle is
+/// `Sync`: one thread or a worker pool drive the same memo and charge the
+/// same [`Guard`] (whose counters are atomic).
+///
+/// Concurrency model: a memo miss may be computed by more than one worker
+/// at the same time; whoever wins the shard's write lock inserts, the
+/// loser's identical result is dropped and the winner's `Arc` handed back.
+/// Joins are deterministic and canonical (tuples sorted + deduped), so the
+/// duplicate compute wastes a little work but can never produce divergent
+/// values — `τ(D′)` is a pure function of the database. Memo growth is
+/// charged exactly once per distinct subset (under the write lock), so
+/// memo-entry budgets trip identically at any thread count.
 pub struct ExactOracle<'a> {
     db: &'a Database,
-    memo_enabled: bool,
-    memo: FastMap<RelSet, Arc<Relation>>,
+    shards: [Shard; SHARD_COUNT],
     guard: Guard,
+    join_threads: usize,
     /// First budget/cancel/fault error observed; once set, fallible paths
     /// keep returning it and infallible paths saturate (`τ = u64::MAX`)
-    /// instead of panicking.
-    tripped: Option<MjoinError>,
+    /// instead of panicking. The guard's own sticky flag covers budget
+    /// trips only — an injected fault never reaches it.
+    tripped: OnceLock<MjoinError>,
 }
 
 impl<'a> ExactOracle<'a> {
@@ -99,23 +136,18 @@ impl<'a> ExactOracle<'a> {
     pub fn with_guard(db: &'a Database, guard: Guard) -> Self {
         ExactOracle {
             db,
-            memo_enabled: true,
-            memo: FastMap::default(),
+            shards: std::array::from_fn(|_| Shard::default()),
             guard,
-            tripped: None,
+            join_threads: 1,
+            tripped: OnceLock::new(),
         }
     }
 
-    /// An exact oracle that recomputes every join from scratch — only
-    /// useful as the baseline of the memoization ablation.
-    pub fn without_memo(db: &'a Database) -> Self {
-        ExactOracle {
-            db,
-            memo_enabled: false,
-            memo: FastMap::default(),
-            guard: Guard::unlimited(),
-            tripped: None,
-        }
+    /// Use a partitioned parallel hash join with `n` threads inside
+    /// materialization (default 1 — the sequential kernel).
+    pub fn with_join_threads(mut self, n: usize) -> Self {
+        self.join_threads = n.max(1);
+        self
     }
 
     /// The underlying database.
@@ -131,7 +163,7 @@ impl<'a> ExactOracle<'a> {
     /// The first budget/cancel/fault error the oracle hit, if any. While
     /// set, [`tau`](CardinalityOracle::tau) saturates to `u64::MAX`.
     pub fn tripped(&self) -> Option<&MjoinError> {
-        self.tripped.as_ref()
+        self.tripped.get()
     }
 
     /// Swaps in a fresh guard and clears the trip state, keeping the memo.
@@ -140,17 +172,7 @@ impl<'a> ExactOracle<'a> {
     /// already paid for.
     pub fn rearm(&mut self, guard: Guard) {
         self.guard = guard;
-        self.tripped = None;
-    }
-
-    /// The materialized relation `R_{D′}` (memoized).
-    ///
-    /// Legacy infallible surface: panics if the guard trips mid-call, so
-    /// only use it with an unlimited guard — budget-aware callers use
-    /// [`try_relation`](Self::try_relation).
-    pub fn relation(&mut self, subset: RelSet) -> Arc<Relation> {
-        self.try_relation(subset)
-            .expect("materialization failed under an unlimited guard")
+        self.tripped = OnceLock::new();
     }
 
     /// The materialized relation `R_{D′}` (memoized), with all join output
@@ -158,30 +180,28 @@ impl<'a> ExactOracle<'a> {
     ///
     /// Returns a shared handle to the memo entry — a memo hit clones the
     /// `Arc`, never the tuples.
-    pub fn try_relation(&mut self, subset: RelSet) -> Result<Arc<Relation>, MjoinError> {
-        if let Some(e) = &self.tripped {
+    pub fn try_relation(&self, subset: RelSet) -> Result<Arc<Relation>, MjoinError> {
+        if let Some(e) = self.tripped.get() {
             return Err(e.clone());
         }
-        match self.try_relation_inner(subset) {
-            Ok(r) => Ok(r),
+        self.materialize(subset).map_err(|e| {
             // Caller errors don't poison the oracle; resource/fault errors
             // do (the same limit would trip again on the next call).
-            Err(e @ MjoinError::InvalidScheme(_)) => Err(e),
-            Err(e) => {
-                self.tripped = Some(e.clone());
-                Err(e)
+            if !matches!(e, MjoinError::InvalidScheme(_)) {
+                let _ = self.tripped.set(e.clone());
             }
-        }
+            e
+        })
     }
 
-    fn try_relation_inner(&mut self, subset: RelSet) -> Result<Arc<Relation>, MjoinError> {
+    fn materialize(&self, subset: RelSet) -> Result<Arc<Relation>, MjoinError> {
         if subset.is_empty() {
             return Err(MjoinError::InvalidScheme(
                 "τ is defined for nonempty subsets".into(),
             ));
         }
         failpoints::hit("cost::materialize")?;
-        if let Some(r) = self.memo.get(&subset) {
+        if let Some(r) = read_shard(&self.shards[shard_of(subset)]).get(&subset) {
             obs::incr(obs::Counter::OracleMemoHits, 1);
             return Ok(Arc::clone(r));
         }
@@ -192,44 +212,68 @@ impl<'a> ExactOracle<'a> {
             Arc::new(self.db.state(lowest).clone())
         } else {
             // Peel one member (keeping the rest connected when possible —
-            // see `peel_member`); reuse the memoized rest.
+            // see `peel_member`); reuse the memoized rest. No lock is held
+            // across the recursion or the join.
             let Some(peel) = peel_member(self.db.scheme(), subset) else {
                 return Err(MjoinError::Internal("nonempty subset with no member".into()));
             };
             let rest = subset.difference(RelSet::singleton(peel));
-            let rest_rel = self.try_relation_inner(rest)?;
-            Arc::new(rest_rel.natural_join_guarded(
-                self.db.state(peel),
-                JoinAlgorithm::Hash,
-                &self.guard,
-            )?)
+            let rest_rel = self.materialize(rest)?;
+            let joined = if self.join_threads > 1 {
+                rest_rel.natural_join_partitioned(
+                    self.db.state(peel),
+                    self.join_threads,
+                    &self.guard,
+                )?
+            } else {
+                rest_rel.natural_join_guarded(
+                    self.db.state(peel),
+                    JoinAlgorithm::Hash,
+                    &self.guard,
+                )?
+            };
+            Arc::new(joined)
         };
-        obs::incr(obs::Counter::OracleSubsetsMaterialized, 1);
-        if self.memo_enabled {
-            self.guard.charge_memo(1)?;
-            self.memo.insert(subset, Arc::clone(&result));
-        }
-        Ok(result)
+        self.memoize(subset, result)
     }
 
-    /// Number of memoized intermediates (for tests/benches).
+    /// First writer wins: if another worker memoized `subset` while we were
+    /// computing it, our copy is dropped and the winner's `Arc` returned.
+    /// The count and the memo charge land exactly once per distinct subset.
+    fn memoize(&self, subset: RelSet, rel: Arc<Relation>) -> Result<Arc<Relation>, MjoinError> {
+        let shard = &self.shards[shard_of(subset)];
+        let mut map = shard.write().unwrap_or_else(|e| e.into_inner());
+        if let Some(existing) = map.get(&subset) {
+            obs::incr(obs::Counter::OracleDuplicateMaterializations, 1);
+            return Ok(Arc::clone(existing));
+        }
+        obs::incr(obs::Counter::OracleSubsetsMaterialized, 1);
+        self.guard.charge_memo(1)?;
+        map.insert(subset, Arc::clone(&rel));
+        Ok(rel)
+    }
+
+    /// Number of memoized intermediates across all shards.
     pub fn memo_len(&self) -> usize {
-        self.memo.len()
+        self.shards.iter().map(|s| read_shard(s).len()).sum()
     }
 
     /// Harvests the cached cardinalities: `(subset bits, τ)` for every
-    /// materialized intermediate, in ascending subset order (the memo map
-    /// iterates in hash order, so the harvest sorts for determinism). The
+    /// materialized intermediate, in ascending subset order (the memo maps
+    /// iterate in hash order, so the harvest sorts for determinism). The
     /// persistent store saves these so a warm process prices the same
     /// subsets without rematerializing a single join. The store's flat
     /// format is 64-bit, so subsets with members ≥ 64 (only possible on
     /// schemes too large to persist at all) are skipped.
     pub fn memo_taus(&self) -> Vec<(u64, u64)> {
-        let mut out: Vec<(u64, u64)> = self
-            .memo
-            .iter()
-            .filter_map(|(s, r)| s.to_u64().map(|bits| (bits, r.tau())))
-            .collect();
+        let mut out: Vec<(u64, u64)> = Vec::new();
+        for shard in &self.shards {
+            let map = read_shard(shard);
+            out.extend(
+                map.iter()
+                    .filter_map(|(s, r)| s.to_u64().map(|bits| (bits, r.tau()))),
+            );
+        }
         out.sort_unstable();
         out
     }
@@ -244,7 +288,7 @@ impl CardinalityOracle for ExactOracle<'_> {
     /// `u64::MAX` — "unaffordably large" — so legacy callers degrade
     /// instead of panicking; check [`tripped`](ExactOracle::tripped) or use
     /// [`try_tau`](CardinalityOracle::try_tau) to observe the error.
-    fn tau(&mut self, subset: RelSet) -> u64 {
+    fn tau(&self, subset: RelSet) -> u64 {
         match self.try_relation(subset) {
             Ok(r) => r.tau(),
             Err(MjoinError::InvalidScheme(msg)) => panic!("{msg}"),
@@ -252,7 +296,7 @@ impl CardinalityOracle for ExactOracle<'_> {
         }
     }
 
-    fn try_tau(&mut self, subset: RelSet) -> Result<u64, MjoinError> {
+    fn try_tau(&self, subset: RelSet) -> Result<u64, MjoinError> {
         self.try_relation(subset).map(|r| r.tau())
     }
 }
@@ -457,11 +501,8 @@ impl SyntheticOracle {
             .unwrap_or(&self.ln_default_domain)
     }
 
-    /// The closed-form estimate, computable through a shared reference —
-    /// the model is pure, so parallel plan-search workers can consult one
-    /// instance concurrently (see [`SyncCardinalityOracle`]).
-    ///
-    /// [`SyncCardinalityOracle`]: crate::SyncCardinalityOracle
+    /// The closed-form estimate. The model is pure, so parallel
+    /// plan-search workers can consult one instance concurrently.
     pub fn estimate(&self, subset: RelSet) -> u64 {
         assert!(!subset.is_empty(), "τ is defined for nonempty subsets");
         // An empty member empties every join it takes part in; the true τ
@@ -508,7 +549,7 @@ impl CardinalityOracle for SyntheticOracle {
         &self.scheme
     }
 
-    fn tau(&mut self, subset: RelSet) -> u64 {
+    fn tau(&self, subset: RelSet) -> u64 {
         self.estimate(subset)
     }
 }
@@ -558,7 +599,7 @@ mod tests {
         let db = star_db(n);
         let full = db.scheme().full_set();
         let guard = Guard::new(Budget::unlimited().with_max_tuples(1000));
-        let mut o = ExactOracle::with_guard(&db, guard);
+        let o = ExactOracle::with_guard(&db, guard);
         assert_eq!(o.try_tau(full).unwrap(), n as u64);
     }
 
@@ -574,7 +615,7 @@ mod tests {
     #[test]
     fn exact_oracle_matches_direct_evaluation() {
         let db = chain_db();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         for subset in db.scheme().full_set().subsets() {
             if subset.is_empty() {
                 continue;
@@ -586,7 +627,7 @@ mod tests {
     #[test]
     fn exact_oracle_memoizes() {
         let db = chain_db();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
         let t1 = o.tau(full);
         let before = o.memo_len();
@@ -594,10 +635,62 @@ mod tests {
         assert_eq!(t1, t2);
         assert_eq!(o.memo_len(), before);
         assert!(before >= 3);
+        assert_eq!(t1, db.evaluate_subset(full).tau());
+    }
 
-        let mut o2 = ExactOracle::without_memo(&db);
-        assert_eq!(o2.tau(full), t1);
-        assert_eq!(o2.memo_len(), 0);
+    #[test]
+    fn exact_and_noisy_oracles_are_sync() {
+        fn assert_sync<T: Sync>() {}
+        assert_sync::<ExactOracle<'static>>();
+        assert_sync::<crate::NoisyOracle<ExactOracle<'static>>>();
+    }
+
+    #[test]
+    fn concurrent_taus_agree_and_charge_each_subset_once() {
+        let db = chain_db();
+        let full = db.scheme().full_set();
+        let subsets: Vec<RelSet> = full.subsets().filter(|s| !s.is_empty()).collect();
+        let expected: Vec<u64> = subsets
+            .iter()
+            .map(|&s| db.evaluate_subset(s).tau())
+            .collect();
+        // A memo cap of exactly one entry per subset: racing workers may
+        // compute a subset twice, but a second charge would trip it.
+        let guard = Guard::new(Budget::unlimited().with_max_memo_entries(subsets.len() as u64));
+        let o = ExactOracle::with_guard(&db, guard.clone());
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        subsets
+                            .iter()
+                            .map(|&s| o.try_tau(s).unwrap())
+                            .collect::<Vec<u64>>()
+                    })
+                })
+                .collect();
+            for h in handles {
+                assert_eq!(h.join().unwrap(), expected);
+            }
+        });
+        assert_eq!(o.memo_len(), subsets.len());
+        assert_eq!(guard.memo_used(), subsets.len() as u64);
+    }
+
+    #[test]
+    fn memo_budget_trips_and_the_oracle_stays_tripped() {
+        let db = chain_db();
+        let guard = Guard::new(Budget::unlimited().with_max_memo_entries(2));
+        let o = ExactOracle::with_guard(&db, guard);
+        let full = db.scheme().full_set();
+        let err = o.try_tau(full).unwrap_err();
+        assert!(matches!(err, MjoinError::BudgetExceeded { .. }), "{err}");
+        // Sticky: memo hits fail too, and the infallible surface saturates.
+        assert_eq!(o.try_tau(RelSet::singleton(0)).unwrap_err(), err);
+        assert_eq!(o.tau(full), u64::MAX);
+        assert_eq!(o.tripped(), Some(&err));
     }
 
     #[test]
@@ -605,7 +698,7 @@ mod tests {
         // Regression: memo hits used to clone the full `Relation` (O(|R|)
         // per τ lookup). They must now hand back the same `Arc` allocation.
         let db = chain_db();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
         let r1 = o.try_relation(full).unwrap();
         let len = o.memo_len();
@@ -627,7 +720,7 @@ mod tests {
     #[test]
     fn tau_join_equals_tau_of_union() {
         let db = chain_db();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let d1 = RelSet::singleton(0);
         let d2 = RelSet::from_indices([1, 2]);
         assert_eq!(o.tau_join(d1, d2), o.tau(RelSet::full(3)));
@@ -640,11 +733,11 @@ mod tests {
             ("BC", vec![vec![99, 5]]), // B values don't match
         ])
         .unwrap();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         assert!(o.result_is_empty());
 
         let db2 = chain_db();
-        let mut o2 = ExactOracle::new(&db2);
+        let o2 = ExactOracle::new(&db2);
         assert!(!o2.result_is_empty());
     }
 
@@ -652,7 +745,7 @@ mod tests {
     fn synthetic_oracle_base_cases() {
         let mut cat = Catalog::new();
         let scheme = DbScheme::parse(&mut cat, &["AB", "BC", "DE"]).unwrap();
-        let mut o = SyntheticOracle::new(scheme, vec![100, 50, 10], 20);
+        let o = SyntheticOracle::new(scheme, vec![100, 50, 10], 20);
         assert_eq!(o.tau(RelSet::singleton(0)), 100);
         // AB ⋈ BC share B (domain 20): 100·50/20 = 250.
         assert_eq!(o.tau(RelSet::from_indices([0, 1])), 250);
@@ -701,21 +794,21 @@ mod tests {
         let mut cat = Catalog::new();
         let scheme = DbScheme::parse(&mut cat, &["AB", "AB", "AB"]).unwrap();
         // Tiny relations over huge shared domains: estimate collapses to 1.
-        let mut o = SyntheticOracle::new(scheme, vec![2, 2, 2], 1_000_000);
+        let o = SyntheticOracle::new(scheme, vec![2, 2, 2], 1_000_000);
         assert_eq!(o.tau(RelSet::full(3)), 1);
     }
 
     #[test]
     fn from_database_reads_catalog_statistics() {
         let db = chain_db();
-        let mut est = SyntheticOracle::from_database(&db);
+        let est = SyntheticOracle::from_database(&db);
         // Base cardinalities are exact.
         for i in 0..db.len() {
             assert_eq!(est.tau(RelSet::singleton(i)), db.state(i).tau());
         }
         // AB ⋈ BC: A has 3 distinct, B has 2 (10, 20), C has 1 (5):
         // estimate = 3·2/2 = 3; exact = 3 (each A row matches via B).
-        let mut exact = ExactOracle::new(&db);
+        let exact = ExactOracle::new(&db);
         let pair = RelSet::from_indices([0, 1]);
         assert_eq!(est.tau(pair), exact.tau(pair));
     }
@@ -733,7 +826,7 @@ mod tests {
             mjoin_relation::Relation::from_int_rows(scheme.scheme(1), vec![vec![1, 2]]).unwrap(),
         ];
         let db = Database::new(cat, scheme, states);
-        let mut est = SyntheticOracle::from_database(&db);
+        let est = SyntheticOracle::from_database(&db);
         assert_eq!(est.empty_relations(), RelSet::singleton(0));
         assert_eq!(est.tau(RelSet::singleton(0)), 0, "empty state estimates 0");
         assert_eq!(est.tau(RelSet::full(2)), 0, "φ ⋈ R = φ");
@@ -751,8 +844,8 @@ mod tests {
             mjoin_relation::Relation::from_int_rows(scheme.scheme(2), vec![vec![3, 4]]).unwrap(),
         ];
         let db = Database::new(cat, scheme, states);
-        let mut est = SyntheticOracle::from_database(&db);
-        let mut exact = ExactOracle::new(&db);
+        let est = SyntheticOracle::from_database(&db);
+        let exact = ExactOracle::new(&db);
         for subset in db.scheme().full_set().subsets() {
             if subset.is_empty() {
                 continue;
@@ -778,7 +871,7 @@ mod tests {
     fn synthetic_oracle_saturates() {
         let mut cat = Catalog::new();
         let scheme = DbScheme::parse(&mut cat, &["AB", "CD", "EF", "GH"]).unwrap();
-        let mut o = SyntheticOracle::new(scheme, vec![u64::MAX / 2; 4], 2);
+        let o = SyntheticOracle::new(scheme, vec![u64::MAX / 2; 4], 2);
         assert_eq!(o.tau(RelSet::full(4)), u64::MAX);
     }
 }

@@ -62,18 +62,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The exact oracle reports exactly the materialized sizes, for every
-    /// subset, with and without the memo.
+    /// subset, on a memo miss and on the memo hit that follows it.
     #[test]
     fn exact_oracle_is_exact(db in arb_database()) {
-        let mut with = ExactOracle::new(&db);
-        let mut without = ExactOracle::without_memo(&db);
+        let o = ExactOracle::new(&db);
         for subset in db.scheme().full_set().subsets() {
             if subset.is_empty() {
                 continue;
             }
             let truth = db.evaluate_subset(subset).tau();
-            prop_assert_eq!(with.tau(subset), truth);
-            prop_assert_eq!(without.tau(subset), truth);
+            prop_assert_eq!(o.tau(subset), truth);
+            prop_assert_eq!(o.tau(subset), truth);
         }
     }
 
@@ -88,7 +87,7 @@ proptest! {
             RelSet(u128::from(b)).intersect(full),
         );
         prop_assume!(!a.is_empty() && !b.is_empty() && a.is_disjoint(b));
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let joined = o.tau_join(a, b);
         prop_assert!(joined <= o.tau(a).saturating_mul(o.tau(b)));
         if !db.scheme().linked(a, b) {
@@ -99,7 +98,7 @@ proptest! {
     /// `result_is_empty` agrees with direct evaluation.
     #[test]
     fn emptiness_detection(db in arb_database()) {
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         prop_assert_eq!(o.result_is_empty(), db.evaluate().is_empty());
     }
 
@@ -109,9 +108,9 @@ proptest! {
     fn synthetic_monotone(bases in proptest::collection::vec(1u64..1000, 3), domain in 1u64..50) {
         let mut cat = Catalog::new();
         let scheme = DbScheme::parse(&mut cat, &["AB", "BC", "CD"]).unwrap();
-        let mut small = SyntheticOracle::new(scheme.clone(), bases.clone(), domain);
+        let small = SyntheticOracle::new(scheme.clone(), bases.clone(), domain);
         let bigger: Vec<u64> = bases.iter().map(|b| b * 2).collect();
-        let mut large = SyntheticOracle::new(scheme, bigger, domain);
+        let large = SyntheticOracle::new(scheme, bigger, domain);
         for subset in RelSet::full(3).subsets() {
             if subset.is_empty() {
                 continue;
@@ -128,7 +127,7 @@ proptest! {
     fn synthetic_singletons(bases in proptest::collection::vec(1u64..10_000, 3), domain in 1u64..100) {
         let mut cat = Catalog::new();
         let scheme = DbScheme::parse(&mut cat, &["AB", "BC", "CD"]).unwrap();
-        let mut o = SyntheticOracle::new(scheme, bases.clone(), domain);
+        let o = SyntheticOracle::new(scheme, bases.clone(), domain);
         for (i, &b) in bases.iter().enumerate() {
             prop_assert_eq!(o.tau(RelSet::singleton(i)), b);
         }
@@ -139,8 +138,8 @@ proptest! {
     /// subset: both sides are ≥ 1, so neither ratio divides by zero.
     #[test]
     fn noiseless_model_q_error_is_finite_on_witnessed_databases(db in arb_witnessed_database()) {
-        let mut exact = ExactOracle::new(&db);
-        let mut model = SyntheticOracle::from_database(&db);
+        let exact = ExactOracle::new(&db);
+        let model = SyntheticOracle::from_database(&db);
         for subset in db.scheme().full_set().subsets() {
             if subset.is_empty() {
                 continue;
@@ -163,8 +162,8 @@ proptest! {
         seed: u64,
     ) {
         let q = q10 as f64 / 10.0;
-        let mut model = SyntheticOracle::from_database(&db);
-        let mut noisy = NoisyOracle::try_new(SyntheticOracle::from_database(&db), q, seed).unwrap();
+        let model = SyntheticOracle::from_database(&db);
+        let noisy = NoisyOracle::try_new(SyntheticOracle::from_database(&db), q, seed).unwrap();
         for subset in db.scheme().full_set().subsets() {
             if subset.is_empty() {
                 continue;
@@ -186,8 +185,8 @@ proptest! {
         seed: u64,
     ) {
         let q = q10 as f64 / 10.0;
-        let mut a = NoisyOracle::try_new(SyntheticOracle::from_database(&db), q, seed).unwrap();
-        let mut b = NoisyOracle::try_new(SyntheticOracle::from_database(&db), q, seed).unwrap();
+        let a = NoisyOracle::try_new(SyntheticOracle::from_database(&db), q, seed).unwrap();
+        let b = NoisyOracle::try_new(SyntheticOracle::from_database(&db), q, seed).unwrap();
         for subset in db.scheme().full_set().subsets() {
             if subset.is_empty() {
                 continue;

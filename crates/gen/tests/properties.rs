@@ -68,7 +68,7 @@ proptest! {
         use mjoin_hypergraph::RelSet;
         let (cat, scheme) = schemes::chain(2 * k);
         let db = data::zigzag(cat, scheme, m);
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         for i in 0..k {
             let pair = RelSet::from_indices([2 * i, 2 * i + 1]);
             prop_assert_eq!(o.tau(pair), 1, "pair {}", i);

@@ -12,7 +12,7 @@
 //!   of one run and hands back an immutable [`Snapshot`] of everything
 //!   counted. Arming takes a process-wide lock, so concurrent tests
 //!   serialize instead of bleeding counts into each other;
-//! * a [`RunReport`](report::RunReport) that serializes a snapshot (plus
+//! * a [`RunReport`] that serializes a snapshot (plus
 //!   caller-provided sections such as the degradation ladder's report or
 //!   an adaptive execution trace) to a stable JSON schema, with a
 //!   hand-rolled writer and a matching minimal parser in [`json`] so CI
@@ -21,10 +21,10 @@
 //! ## Determinism contract
 //!
 //! Every **count** metric is deterministic: bit-identical across repeated
-//! single-threaded runs, and the subset-materialization counters
-//! ([`Counter::OracleSharedDistinctSubsets`] in particular) are invariant
-//! under the worker-thread count because the shared oracle charges each
-//! distinct subset exactly once under its shard's write lock. **Timings**
+//! single-threaded runs, and the subset-materialization counter
+//! ([`Counter::OracleSubsetsMaterialized`]) is invariant under the
+//! worker-thread count because the exact oracle charges each distinct
+//! subset exactly once under its shard's write lock. **Timings**
 //! (spans, and span-derived fields in reports) are explicitly excluded
 //! from the contract — tests must never assert on them.
 
@@ -42,25 +42,21 @@ use std::time::Instant;
 /// the registry array; the dotted name (see [`Counter::name`]) is the key
 /// in reports. Counters are *counts of work*, never timings, so each is
 /// deterministic for a fixed input at a fixed thread count — and the ones
-/// charged exactly once per distinct unit of work (`OracleSharedDistinctSubsets`,
+/// charged exactly once per distinct unit of work (`OracleSubsetsMaterialized`,
 /// `AdaptiveReplans`) are invariant under the thread count too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Counter {
-    /// `ExactOracle` memo lookups that found a materialized subset.
+    /// `ExactOracle` memo lookups that found a materialized subset
+    /// (duplicate compute by racing workers makes this
+    /// thread-count-*dependent*; never assert on it at `threads > 1`).
     OracleMemoHits,
-    /// Distinct subsets the sequential `ExactOracle` materialized.
-    OracleSubsetsMaterialized,
-    /// `SharedOracle` read-path memo hits (duplicate compute by racing
-    /// workers makes this thread-count-*dependent*; never assert on it
-    /// at `threads > 1`).
-    OracleSharedHits,
-    /// Distinct subsets the `SharedOracle` memoized — charged exactly once
+    /// Distinct subsets the `ExactOracle` memoized — charged exactly once
     /// per subset under the shard write lock, hence thread-invariant.
-    OracleSharedDistinctSubsets,
-    /// Materializations a `SharedOracle` worker completed only to find the
+    OracleSubsetsMaterialized,
+    /// Materializations an `ExactOracle` worker completed only to find the
     /// shard already held the subset (first-writer-wins contention).
-    OracleSharedDuplicateMaterializations,
+    OracleDuplicateMaterializations,
     /// Subset estimates served by a `NoisyOracle`.
     OracleNoisyEstimates,
     /// Join-kernel invocations (hash, sort-merge, nested-loop, partitioned).
@@ -141,12 +137,10 @@ pub enum Counter {
 
 /// All counters, in registry order. `Counter::ALL.len()` sizes the array.
 impl Counter {
-    pub const ALL: [Counter; 38] = [
+    pub const ALL: [Counter; 36] = [
         Counter::OracleMemoHits,
         Counter::OracleSubsetsMaterialized,
-        Counter::OracleSharedHits,
-        Counter::OracleSharedDistinctSubsets,
-        Counter::OracleSharedDuplicateMaterializations,
+        Counter::OracleDuplicateMaterializations,
         Counter::OracleNoisyEstimates,
         Counter::KernelJoins,
         Counter::KernelTuplesProbed,
@@ -187,11 +181,7 @@ impl Counter {
         match self {
             Counter::OracleMemoHits => "oracle.memo_hits",
             Counter::OracleSubsetsMaterialized => "oracle.subsets_materialized",
-            Counter::OracleSharedHits => "oracle.shared_hits",
-            Counter::OracleSharedDistinctSubsets => "oracle.shared_distinct_subsets",
-            Counter::OracleSharedDuplicateMaterializations => {
-                "oracle.shared_duplicate_materializations"
-            }
+            Counter::OracleDuplicateMaterializations => "oracle.duplicate_materializations",
             Counter::OracleNoisyEstimates => "oracle.noisy_estimates",
             Counter::KernelJoins => "kernel.joins",
             Counter::KernelTuplesProbed => "kernel.tuples_probed",

@@ -24,7 +24,7 @@ type BottleneckMemo = HashMap<RelSet, (u64, u64, Option<(RelSet, RelSet)>)>;
 /// smaller τ, so the result is also reasonable under the paper's
 /// measure). The returned [`Plan::cost`] is the **bottleneck** value
 /// `β(S)`, not τ.
-pub fn best_bottleneck<O: CardinalityOracle>(oracle: &mut O, subset: RelSet) -> Plan {
+pub fn best_bottleneck<O: CardinalityOracle>(oracle: &O, subset: RelSet) -> Plan {
     assert!(!subset.is_empty(), "cannot optimize the empty database");
     // memo: subset → (bottleneck, tau_tiebreak, split)
     let mut memo: BottleneckMemo = HashMap::new();
@@ -36,7 +36,7 @@ pub fn best_bottleneck<O: CardinalityOracle>(oracle: &mut O, subset: RelSet) -> 
 }
 
 /// `β(S)` of a given strategy: the largest step output.
-pub fn bottleneck_of<O: CardinalityOracle>(oracle: &mut O, strategy: &Strategy) -> u64 {
+pub fn bottleneck_of<O: CardinalityOracle>(oracle: &O, strategy: &Strategy) -> u64 {
     strategy
         .steps()
         .iter()
@@ -46,7 +46,7 @@ pub fn bottleneck_of<O: CardinalityOracle>(oracle: &mut O, strategy: &Strategy) 
 }
 
 fn rec<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     s: RelSet,
     memo: &mut BottleneckMemo,
 ) -> (u64, u64) {
@@ -104,16 +104,16 @@ mod tests {
     #[test]
     fn bottleneck_matches_enumeration() {
         let db = example1();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let plan = best_bottleneck(&mut o, full);
+        let plan = best_bottleneck(&o, full);
         let brute = mjoin_strategy::enumerate_all(full)
             .into_iter()
-            .map(|s| bottleneck_of(&mut o, &s))
+            .map(|s| bottleneck_of(&o, &s))
             .min()
             .unwrap();
         assert_eq!(plan.cost, brute);
-        assert_eq!(bottleneck_of(&mut o, &plan.strategy), plan.cost);
+        assert_eq!(bottleneck_of(&o, &plan.strategy), plan.cost);
     }
 
     #[test]
@@ -123,12 +123,12 @@ mod tests {
         // optimum, and the τ optimum's bottleneck at least the bottleneck
         // optimum.
         let db = example1();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let tau_opt = dp::best_bushy(&mut o, full);
-        let b_opt = best_bottleneck(&mut o, full);
-        assert!(bottleneck_of(&mut o, &tau_opt.strategy) >= b_opt.cost);
-        assert!(b_opt.strategy.cost(&mut o) >= tau_opt.cost);
+        let tau_opt = dp::best_bushy(&o, full);
+        let b_opt = best_bottleneck(&o, full);
+        assert!(bottleneck_of(&o, &tau_opt.strategy) >= b_opt.cost);
+        assert!(b_opt.strategy.cost(&o) >= tau_opt.cost);
         // Here the final result is the unavoidable bottleneck.
         assert_eq!(b_opt.cost, 490);
     }
@@ -147,12 +147,12 @@ mod tests {
                 ensure_nonempty: true,
             };
             let db = data::uniform(cat, scheme, &cfg, &mut rng);
-            let mut o = ExactOracle::new(&db);
+            let o = ExactOracle::new(&db);
             let full = db.scheme().full_set();
-            let plan = best_bottleneck(&mut o, full);
+            let plan = best_bottleneck(&o, full);
             let brute = mjoin_strategy::enumerate_all(full)
                 .into_iter()
-                .map(|s| bottleneck_of(&mut o, &s))
+                .map(|s| bottleneck_of(&o, &s))
                 .min()
                 .unwrap();
             assert_eq!(plan.cost, brute, "n={n}");
@@ -162,7 +162,7 @@ mod tests {
     #[test]
     fn singleton_bottleneck_is_zero() {
         let db = example1();
-        let mut o = ExactOracle::new(&db);
-        assert_eq!(best_bottleneck(&mut o, RelSet::singleton(0)).cost, 0);
+        let o = ExactOracle::new(&db);
+        assert_eq!(best_bottleneck(&o, RelSet::singleton(0)).cost, 0);
     }
 }

@@ -11,7 +11,7 @@
 //! charging every memo insert, and propagating oracle budget errors), and
 //! the legacy infallible wrapper running under [`Guard::unlimited`].
 
-use mjoin_cost::{CardinalityOracle, SyncCardinalityOracle};
+use mjoin_cost::CardinalityOracle;
 use mjoin_guard::{failpoints, Guard, MjoinError};
 use mjoin_hypergraph::{DbScheme, FastMap, RelSet, SchemeIndex};
 use mjoin_obs::{incr, Counter};
@@ -137,7 +137,7 @@ pub enum DpAlgorithm {
 }
 
 /// Cheapest strategy over the full space (bushy, products allowed).
-pub fn best_bushy<O: CardinalityOracle>(oracle: &mut O, subset: RelSet) -> Plan {
+pub fn best_bushy<O: CardinalityOracle>(oracle: &O, subset: RelSet) -> Plan {
     try_best_bushy(oracle, subset, &Guard::unlimited())
         .expect("unlimited-guard DP cannot fail")
 }
@@ -145,7 +145,7 @@ pub fn best_bushy<O: CardinalityOracle>(oracle: &mut O, subset: RelSet) -> Plan 
 /// [`best_bushy`] under a budget: `O(3ⁿ)` recursion with a checkpoint per
 /// subproblem and every memo entry charged to `guard`.
 pub fn try_best_bushy<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     guard: &Guard,
 ) -> Result<Plan, MjoinError> {
@@ -165,7 +165,7 @@ pub fn try_best_bushy<O: CardinalityOracle>(
 }
 
 fn bushy_rec<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     s: RelSet,
     memo: &mut SplitMemo,
     guard: &Guard,
@@ -211,7 +211,7 @@ fn bushy_rec<O: CardinalityOracle>(
 /// Cheapest *linear* strategy; with `no_cartesian`, every step must join
 /// linked subsets (callers guarantee `subset` is connected in that case).
 pub fn best_linear<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     no_cartesian: bool,
 ) -> Plan {
@@ -221,7 +221,7 @@ pub fn best_linear<O: CardinalityOracle>(
 
 /// [`best_linear`] under a budget (prefix-set DP, `O(2ⁿ·n)`).
 pub fn try_best_linear<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     no_cartesian: bool,
     guard: &Guard,
@@ -265,7 +265,7 @@ pub fn try_best_linear<O: CardinalityOracle>(
 }
 
 fn linear_rec<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     s: RelSet,
     no_cartesian: bool,
     memo: &mut FastMap<RelSet, (u64, Option<usize>)>,
@@ -323,7 +323,7 @@ fn linear_rec<O: CardinalityOracle>(
 
 /// Cheapest product-free strategy; `None` iff `subset` is unconnected.
 pub fn best_no_cartesian<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     algorithm: DpAlgorithm,
 ) -> Option<Plan> {
@@ -333,7 +333,7 @@ pub fn best_no_cartesian<O: CardinalityOracle>(
 
 /// [`best_no_cartesian`] under a budget.
 pub fn try_best_no_cartesian<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     algorithm: DpAlgorithm,
     guard: &Guard,
@@ -516,7 +516,7 @@ fn try_rebuild_flat(
 }
 
 fn nocp_dpccp<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     guard: &Guard,
 ) -> Result<Option<Plan>, MjoinError> {
@@ -539,7 +539,7 @@ fn nocp_dpccp<O: CardinalityOracle>(
 /// lists and accumulators live. The partitioned planner threads one pool
 /// through every block.
 pub(crate) fn nocp_dpccp_with_scratch<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     guard: &Guard,
     scratch: &mut DpScratch,
@@ -564,7 +564,7 @@ pub(crate) fn nocp_dpccp_with_scratch<O: CardinalityOracle>(
 /// The DPccp body: builds the rank index and solves the flat table.
 /// Shared by the plain entry point and the memo-exporting one.
 fn nocp_dpccp_core<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     guard: &Guard,
 ) -> Result<(SchemeIndex, FlatTable), MjoinError> {
@@ -576,7 +576,7 @@ fn nocp_dpccp_core<O: CardinalityOracle>(
 /// runs (the partitioned planner's blocks) shares one set of enumeration
 /// buffers.
 fn nocp_dpccp_core_with<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     guard: &Guard,
     scratch: &mut DpScratch,
@@ -652,7 +652,7 @@ pub struct DpMemoExport {
 /// returning the solved memo for persistence. Plans are identical to the
 /// plain entry point's; only the save path pays for the export.
 pub fn try_best_no_cartesian_ccp_with_memo<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     guard: &Guard,
 ) -> Result<Option<(Plan, DpMemoExport)>, MjoinError> {
@@ -803,7 +803,7 @@ fn ccp_best_split_rescan(
 /// streaming enumerator's speedup stays measurable; returns plans and
 /// costs bit-identical to [`DpAlgorithm::DpCcp`].
 pub fn try_best_no_cartesian_ccp_rescan<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     guard: &Guard,
 ) -> Result<Option<Plan>, MjoinError> {
@@ -842,7 +842,7 @@ pub fn try_best_no_cartesian_ccp_rescan<O: CardinalityOracle>(
 }
 
 fn nocp_rec<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     s: RelSet,
     memo: &mut SplitMemo,
     guard: &Guard,
@@ -957,7 +957,7 @@ fn dpsize_best_split(
 }
 
 fn nocp_dpsize<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     guard: &Guard,
 ) -> Result<Option<Plan>, MjoinError> {
@@ -1000,7 +1000,7 @@ fn nocp_dpsize<O: CardinalityOracle>(
 /// `None` iff some component admits no product-free strategy (cannot
 /// happen — components are connected — but kept as a safe signature).
 pub fn best_avoid_cartesian<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     algorithm: DpAlgorithm,
 ) -> Option<Plan> {
@@ -1010,7 +1010,7 @@ pub fn best_avoid_cartesian<O: CardinalityOracle>(
 
 /// [`best_avoid_cartesian`] under a budget.
 pub fn try_best_avoid_cartesian<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     algorithm: DpAlgorithm,
     guard: &Guard,
@@ -1187,7 +1187,7 @@ where
 /// same candidate enumeration, same tie-break; only the unit of scheduling
 /// differs (one target subset, so the level pair lists are scattered into
 /// a per-target CSR view).
-pub fn try_best_no_cartesian_parallel<O: SyncCardinalityOracle>(
+pub fn try_best_no_cartesian_parallel<O: CardinalityOracle + Sync>(
     oracle: &O,
     subset: RelSet,
     guard: &Guard,
@@ -1245,7 +1245,7 @@ pub fn try_best_no_cartesian_parallel<O: SyncCardinalityOracle>(
 /// Multi-core [`try_best_avoid_cartesian`]: each connected component is
 /// solved with [`try_best_no_cartesian_parallel`], then the components are
 /// combined by the same (cheap, sequential) component-ordering DP.
-pub fn try_best_avoid_cartesian_parallel<O: SyncCardinalityOracle>(
+pub fn try_best_avoid_cartesian_parallel<O: CardinalityOracle + Sync>(
     oracle: &O,
     subset: RelSet,
     guard: &Guard,
@@ -1288,16 +1288,16 @@ mod tests {
     #[test]
     fn dp_variants_agree() {
         let db = chain4();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let a = best_no_cartesian(&mut o, full, DpAlgorithm::DpSub).unwrap();
-        let b = best_no_cartesian(&mut o, full, DpAlgorithm::DpSize).unwrap();
-        let c = best_no_cartesian(&mut o, full, DpAlgorithm::DpCcp).unwrap();
+        let a = best_no_cartesian(&o, full, DpAlgorithm::DpSub).unwrap();
+        let b = best_no_cartesian(&o, full, DpAlgorithm::DpSize).unwrap();
+        let c = best_no_cartesian(&o, full, DpAlgorithm::DpCcp).unwrap();
         assert_eq!(a.cost, b.cost);
         assert_eq!(a.cost, c.cost);
-        assert_eq!(a.cost, a.strategy.cost(&mut o));
-        assert_eq!(b.cost, b.strategy.cost(&mut o));
-        assert_eq!(c.cost, c.strategy.cost(&mut o));
+        assert_eq!(a.cost, a.strategy.cost(&o));
+        assert_eq!(b.cost, b.strategy.cost(&o));
+        assert_eq!(c.cost, c.strategy.cost(&o));
         assert!(!c.strategy.uses_cartesian(db.scheme()));
     }
 
@@ -1311,11 +1311,11 @@ mod tests {
             let (cat, scheme) = schemes::random_connected(n, 1, &mut rng);
             let cfg = DataConfig { tuples_per_relation: 3, domain: 4, ensure_nonempty: true };
             let db = data::uniform(cat, scheme, &cfg, &mut rng);
-            let mut o = ExactOracle::new(&db);
+            let o = ExactOracle::new(&db);
             let full = db.scheme().full_set();
             let costs: Vec<Option<u64>> = [DpAlgorithm::DpSub, DpAlgorithm::DpSize, DpAlgorithm::DpCcp]
                 .into_iter()
-                .map(|alg| best_no_cartesian(&mut o, full, alg).map(|p| p.cost))
+                .map(|alg| best_no_cartesian(&o, full, alg).map(|p| p.cost))
                 .collect();
             assert_eq!(costs[0], costs[1], "n={n}");
             assert_eq!(costs[0], costs[2], "n={n}");
@@ -1325,14 +1325,14 @@ mod tests {
     #[test]
     fn no_cartesian_matches_filtered_enumeration() {
         let db = chain4();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let dp = best_no_cartesian(&mut o, full, DpAlgorithm::DpSub)
+        let dp = best_no_cartesian(&o, full, DpAlgorithm::DpSub)
             .unwrap()
             .cost;
         let brute = mjoin_strategy::enumerate_no_cartesian(db.scheme(), full)
             .into_iter()
-            .map(|s| s.cost(&mut o))
+            .map(|s| s.cost(&o))
             .min()
             .unwrap();
         assert_eq!(dp, brute);
@@ -1341,17 +1341,17 @@ mod tests {
     #[test]
     fn linear_no_cartesian_matches_filtered_enumeration() {
         let db = chain4();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let dp = best_linear(&mut o, full, true).cost;
+        let dp = best_linear(&o, full, true).cost;
         let brute = mjoin_strategy::enumerate_linear(full)
             .into_iter()
             .filter(|s| !s.uses_cartesian(db.scheme()))
-            .map(|s| s.cost(&mut o))
+            .map(|s| s.cost(&o))
             .min()
             .unwrap();
         assert_eq!(dp, brute);
-        let free = best_linear(&mut o, full, false).cost;
+        let free = best_linear(&o, full, false).cost;
         assert!(free <= dp);
     }
 
@@ -1364,13 +1364,13 @@ mod tests {
             ("XY", vec![vec![0, 0], vec![1, 1]]),
         ])
         .unwrap();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let plan = best_avoid_cartesian(&mut o, full, DpAlgorithm::DpSub).unwrap();
+        let plan = best_avoid_cartesian(&o, full, DpAlgorithm::DpSub).unwrap();
         assert!(plan.strategy.avoids_cartesian(db.scheme()));
         let brute = mjoin_strategy::enumerate_avoiding_cartesian(db.scheme(), full)
             .into_iter()
-            .map(|s| s.cost(&mut o))
+            .map(|s| s.cost(&o))
             .min()
             .unwrap();
         assert_eq!(plan.cost, brute);
@@ -1389,8 +1389,8 @@ mod tests {
             ("EF", rows(50, 200)),
         ])
         .unwrap();
-        let mut o = ExactOracle::new(&db);
-        let plan = best_avoid_cartesian(&mut o, db.scheme().full_set(), DpAlgorithm::DpSub)
+        let o = ExactOracle::new(&db);
+        let plan = best_avoid_cartesian(&o, db.scheme().full_set(), DpAlgorithm::DpSub)
             .unwrap();
         // (AB × CD) first: 6, then × EF: 300 ⇒ 306. Any order touching EF
         // early costs ≥ 100 + 300.
@@ -1400,32 +1400,32 @@ mod tests {
     #[test]
     fn bushy_beats_or_ties_linear_always() {
         let db = chain4();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        assert!(best_bushy(&mut o, full).cost <= best_linear(&mut o, full, false).cost);
+        assert!(best_bushy(&o, full).cost <= best_linear(&o, full, false).cost);
     }
 
     #[test]
     fn memo_cap_trips_the_bushy_dp() {
         let db = chain4();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
         let guard = Guard::new(Budget::unlimited().with_max_memo_entries(2));
-        let err = try_best_bushy(&mut o, full, &guard).unwrap_err();
+        let err = try_best_bushy(&o, full, &guard).unwrap_err();
         assert!(matches!(err, MjoinError::BudgetExceeded { .. }), "{err}");
         // The same DP under no budget still succeeds.
-        let mut o2 = ExactOracle::new(&db);
-        assert!(try_best_bushy(&mut o2, full, &Guard::unlimited()).is_ok());
+        let o2 = ExactOracle::new(&db);
+        assert!(try_best_bushy(&o2, full, &Guard::unlimited()).is_ok());
     }
 
     #[test]
     fn guarded_and_unguarded_dps_agree() {
         let db = chain4();
         let full = db.scheme().full_set();
-        let mut o1 = ExactOracle::new(&db);
-        let mut o2 = ExactOracle::new(&db);
-        let legacy = best_bushy(&mut o1, full);
-        let guarded = try_best_bushy(&mut o2, full, &Guard::new(Budget::unlimited())).unwrap();
+        let o1 = ExactOracle::new(&db);
+        let o2 = ExactOracle::new(&db);
+        let legacy = best_bushy(&o1, full);
+        let guarded = try_best_bushy(&o2, full, &Guard::new(Budget::unlimited())).unwrap();
         assert_eq!(legacy.cost, guarded.cost);
         assert_eq!(legacy.strategy, guarded.strategy);
     }
@@ -1433,20 +1433,20 @@ mod tests {
     /// Wraps an oracle and counts `tau`/`try_tau` calls, for asserting on
     /// *when* the DP pays for materialization.
     struct CountingOracle<'a, O> {
-        inner: &'a mut O,
-        tau_calls: u64,
+        inner: &'a O,
+        tau_calls: std::cell::Cell<u64>,
     }
 
     impl<O: CardinalityOracle> CardinalityOracle for CountingOracle<'_, O> {
         fn scheme(&self) -> &DbScheme {
             self.inner.scheme()
         }
-        fn tau(&mut self, subset: RelSet) -> u64 {
-            self.tau_calls += 1;
+        fn tau(&self, subset: RelSet) -> u64 {
+            self.tau_calls.set(self.tau_calls.get() + 1);
             self.inner.tau(subset)
         }
-        fn try_tau(&mut self, subset: RelSet) -> Result<u64, MjoinError> {
-            self.tau_calls += 1;
+        fn try_tau(&self, subset: RelSet) -> Result<u64, MjoinError> {
+            self.tau_calls.set(self.tau_calls.get() + 1);
             self.inner.try_tau(subset)
         }
     }
@@ -1463,25 +1463,25 @@ mod tests {
             ("XY", vec![vec![0, 0], vec![1, 1]]),
         ])
         .unwrap();
-        let mut inner = ExactOracle::new(&db);
-        let mut o = CountingOracle { inner: &mut inner, tau_calls: 0 };
+        let inner = ExactOracle::new(&db);
+        let o = CountingOracle { inner: &inner, tau_calls: Default::default() };
         let full = db.scheme().full_set();
-        let err = try_best_linear(&mut o, full, true, &Guard::unlimited()).unwrap_err();
+        let err = try_best_linear(&o, full, true, &Guard::unlimited()).unwrap_err();
         assert!(matches!(err, MjoinError::Internal(_)), "{err}");
-        assert_eq!(o.tau_calls, 0, "unreachable prefixes must not touch the oracle");
+        assert_eq!(o.tau_calls.get(), 0, "unreachable prefixes must not touch the oracle");
 
         // On a connected input the lazy form still materializes exactly
         // one τ per expanded prefix, and the plan is unchanged.
         let db = chain4();
-        let mut inner = ExactOracle::new(&db);
-        let mut o = CountingOracle { inner: &mut inner, tau_calls: 0 };
+        let inner = ExactOracle::new(&db);
+        let o = CountingOracle { inner: &inner, tau_calls: Default::default() };
         let full = db.scheme().full_set();
-        let plan = try_best_linear(&mut o, full, true, &Guard::unlimited()).unwrap();
+        let plan = try_best_linear(&o, full, true, &Guard::unlimited()).unwrap();
         // 4-chain: connected prefixes of size ≥ 2 are the 3 + 2 + 1
         // contiguous runs = 6 expanded non-singleton prefixes.
-        assert_eq!(o.tau_calls, 6);
-        let mut o2 = ExactOracle::new(&db);
-        assert_eq!(plan.cost, best_linear(&mut o2, full, true).cost);
+        assert_eq!(o.tau_calls.get(), 6);
+        let o2 = ExactOracle::new(&db);
+        assert_eq!(plan.cost, best_linear(&o2, full, true).cost);
     }
 
     #[test]
@@ -1495,10 +1495,10 @@ mod tests {
             let cfg = DataConfig { tuples_per_relation: 3, domain: 4, ensure_nonempty: true };
             let db = data::uniform(cat, scheme, &cfg, &mut rng);
             let full = db.scheme().full_set();
-            let mut o1 = ExactOracle::new(&db);
-            let new = best_no_cartesian(&mut o1, full, DpAlgorithm::DpCcp).unwrap();
-            let mut o2 = ExactOracle::new(&db);
-            let old = try_best_no_cartesian_ccp_rescan(&mut o2, full, &Guard::unlimited())
+            let o1 = ExactOracle::new(&db);
+            let new = best_no_cartesian(&o1, full, DpAlgorithm::DpCcp).unwrap();
+            let o2 = ExactOracle::new(&db);
+            let old = try_best_no_cartesian_ccp_rescan(&o2, full, &Guard::unlimited())
                 .unwrap()
                 .unwrap();
             assert_eq!(new.cost, old.cost, "n={n}");
@@ -1509,10 +1509,10 @@ mod tests {
     #[test]
     fn dp_failpoint_propagates_typed_error() {
         let db = chain4();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
         let _fp = mjoin_guard::failpoints::ScopedFailpoint::arm("optimizer::dp");
-        let err = try_best_bushy(&mut o, full, &Guard::unlimited()).unwrap_err();
+        let err = try_best_bushy(&o, full, &Guard::unlimited()).unwrap_err();
         assert!(err.to_string().contains("injected fault"), "{err}");
     }
 }

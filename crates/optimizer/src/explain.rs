@@ -70,7 +70,7 @@ impl Plan {
     pub fn explain<O: CardinalityOracle>(
         &self,
         catalog: &Catalog,
-        oracle: &mut O,
+        oracle: &O,
     ) -> Explanation {
         let scheme = oracle.scheme().clone();
         let render = |set: mjoin_hypergraph::RelSet| -> String {
@@ -125,12 +125,12 @@ mod tests {
             ("FG", r3),
         ])
         .unwrap();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let plan = crate::plan::Plan {
             strategy: mjoin_strategy::Strategy::left_deep(&[0, 1, 2, 3]),
             cost: 570,
         };
-        let ex = plan.explain(db.catalog(), &mut o);
+        let ex = plan.explain(db.catalog(), &o);
         assert_eq!(ex.total, 570);
         assert_eq!(
             ex.steps.iter().map(|s| s.output_tau).collect::<Vec<_>>(),
@@ -152,9 +152,9 @@ mod tests {
             ("CD", vec![vec![5, 0], vec![6, 1]]),
         ])
         .unwrap();
-        let mut o = ExactOracle::new(&db);
-        let plan = optimize(&mut o, db.scheme().full_set(), SearchSpace::All).unwrap();
-        let ex = plan.explain(db.catalog(), &mut o);
+        let o = ExactOracle::new(&db);
+        let plan = optimize(&o, db.scheme().full_set(), SearchSpace::All).unwrap();
+        let ex = plan.explain(db.catalog(), &o);
         assert_eq!(ex.steps.len(), 2);
         assert_eq!(
             ex.steps.iter().map(|s| s.output_tau).sum::<u64>(),

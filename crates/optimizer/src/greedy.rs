@@ -23,7 +23,7 @@ use crate::plan::Plan;
 /// Greedy bushy planner: maintain a forest of sub-strategies, repeatedly
 /// merge the pair whose join output is smallest (ties: prefer linked pairs,
 /// then lower indices).
-pub fn greedy_bushy<O: CardinalityOracle>(oracle: &mut O, subset: RelSet) -> Plan {
+pub fn greedy_bushy<O: CardinalityOracle>(oracle: &O, subset: RelSet) -> Plan {
     try_greedy_bushy(oracle, subset, &Guard::unlimited())
         .unwrap_or_else(|e| panic!("{e}"))
 }
@@ -31,7 +31,7 @@ pub fn greedy_bushy<O: CardinalityOracle>(oracle: &mut O, subset: RelSet) -> Pla
 /// [`greedy_bushy`] under a budget: each merge round is checkpointed and
 /// every pair cardinality goes through the fallible oracle surface.
 pub fn try_greedy_bushy<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     guard: &Guard,
 ) -> Result<Plan, MjoinError> {
@@ -103,14 +103,14 @@ pub fn try_greedy_bushy<O: CardinalityOracle>(
 /// append the relation minimizing the next intermediate (ties: prefer
 /// linked extensions, then lower indices — the same cost-first order as
 /// [`greedy_bushy`]).
-pub fn greedy_linear<O: CardinalityOracle>(oracle: &mut O, subset: RelSet) -> Plan {
+pub fn greedy_linear<O: CardinalityOracle>(oracle: &O, subset: RelSet) -> Plan {
     try_greedy_linear(oracle, subset, &Guard::unlimited())
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`greedy_linear`] under a budget.
 pub fn try_greedy_linear<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     guard: &Guard,
 ) -> Result<Plan, MjoinError> {
@@ -182,52 +182,52 @@ mod tests {
     #[test]
     fn greedy_plans_are_valid_and_costed_correctly() {
         let db = chain4();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
 
-        let gb = greedy_bushy(&mut o, full);
+        let gb = greedy_bushy(&o, full);
         assert_eq!(gb.strategy.set(), full);
         assert!(gb.strategy.validate(db.scheme()));
-        assert_eq!(gb.cost, gb.strategy.cost(&mut o));
+        assert_eq!(gb.cost, gb.strategy.cost(&o));
 
-        let gl = greedy_linear(&mut o, full);
+        let gl = greedy_linear(&o, full);
         assert!(gl.strategy.is_linear());
-        assert_eq!(gl.cost, gl.strategy.cost(&mut o));
+        assert_eq!(gl.cost, gl.strategy.cost(&o));
     }
 
     #[test]
     fn greedy_is_bounded_below_by_optimum() {
         let db = chain4();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let opt = dp::best_bushy(&mut o, full).cost;
-        assert!(greedy_bushy(&mut o, full).cost >= opt);
-        assert!(greedy_linear(&mut o, full).cost >= opt);
+        let opt = dp::best_bushy(&o, full).cost;
+        assert!(greedy_bushy(&o, full).cost >= opt);
+        assert!(greedy_linear(&o, full).cost >= opt);
     }
 
     #[test]
     fn greedy_linear_bounded_by_linear_optimum() {
         let db = chain4();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let opt_lin = dp::best_linear(&mut o, full, false).cost;
-        assert!(greedy_linear(&mut o, full).cost >= opt_lin);
+        let opt_lin = dp::best_linear(&o, full, false).cost;
+        assert!(greedy_linear(&o, full).cost >= opt_lin);
     }
 
     #[test]
     fn greedy_on_singleton() {
         let db = Database::from_specs(&[("AB", vec![vec![1, 2]])]).unwrap();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let s = RelSet::singleton(0);
-        assert_eq!(greedy_bushy(&mut o, s).cost, 0);
-        assert_eq!(greedy_linear(&mut o, s).cost, 0);
+        assert_eq!(greedy_bushy(&o, s).cost, 0);
+        assert_eq!(greedy_linear(&o, s).cost, 0);
     }
 
     /// Forwards to an inner oracle, counting every τ consultation — the
     /// instrument for the pair-cache regression test.
     struct CountingOracle<'a, O: CardinalityOracle> {
-        inner: &'a mut O,
-        calls: usize,
+        inner: &'a O,
+        calls: std::cell::Cell<usize>,
     }
 
     impl<O: CardinalityOracle> CardinalityOracle for CountingOracle<'_, O> {
@@ -235,18 +235,18 @@ mod tests {
             self.inner.scheme()
         }
 
-        fn tau(&mut self, subset: RelSet) -> u64 {
-            self.calls += 1;
+        fn tau(&self, subset: RelSet) -> u64 {
+            self.calls.set(self.calls.get() + 1);
             self.inner.tau(subset)
         }
 
-        fn try_tau(&mut self, subset: RelSet) -> Result<u64, MjoinError> {
-            self.calls += 1;
+        fn try_tau(&self, subset: RelSet) -> Result<u64, MjoinError> {
+            self.calls.set(self.calls.get() + 1);
             self.inner.try_tau(subset)
         }
 
-        fn try_tau_join(&mut self, d1: RelSet, d2: RelSet) -> Result<u64, MjoinError> {
-            self.calls += 1;
+        fn try_tau_join(&self, d1: RelSet, d2: RelSet) -> Result<u64, MjoinError> {
+            self.calls.set(self.calls.get() + 1);
             self.inner.try_tau_join(d1, d2)
         }
     }
@@ -265,8 +265,8 @@ mod tests {
             ("DE", vec![vec![7, 7], vec![8, 8]]),
         ])
         .unwrap();
-        let mut o = ExactOracle::new(&db);
-        let plan = greedy_linear(&mut o, db.scheme().full_set());
+        let o = ExactOracle::new(&db);
+        let plan = greedy_linear(&o, db.scheme().full_set());
         assert_eq!(plan.strategy, Strategy::left_deep(&[0, 2, 1]));
         assert_eq!(plan.cost, 2 + 6);
     }
@@ -286,12 +286,12 @@ mod tests {
             ("FG", vec![vec![4, 1], vec![4, 2]]),
         ])
         .unwrap();
-        let mut inner = ExactOracle::new(&db);
-        let mut o = CountingOracle { inner: &mut inner, calls: 0 };
+        let inner = ExactOracle::new(&db);
+        let o = CountingOracle { inner: &inner, calls: Default::default() };
         let full = db.scheme().full_set();
-        let plan = greedy_bushy(&mut o, full);
-        let planning_calls = o.calls;
-        assert_eq!(plan.cost, plan.strategy.cost(&mut o));
+        let plan = greedy_bushy(&o, full);
+        let planning_calls = o.calls.get();
+        assert_eq!(plan.cost, plan.strategy.cost(&o));
         let n = 6;
         let uncached: usize = (2..=n).map(|k| k * (k - 1) / 2).sum();
         let cached = n * (n - 1) / 2 + (n - 1) * (n - 2) / 2;
@@ -307,11 +307,11 @@ mod tests {
             ("CD", vec![vec![5, 6]]),
         ])
         .unwrap();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let plan = greedy_bushy(&mut o, full);
+        let plan = greedy_bushy(&o, full);
         assert_eq!(plan.cost, 2); // the unavoidable product
-        let lin = greedy_linear(&mut o, full);
+        let lin = greedy_linear(&o, full);
         assert_eq!(lin.cost, 2);
     }
 }

@@ -137,7 +137,7 @@ pub(crate) fn linearize(
 /// IKKBZ over a tree join graph. Returns `None` when the join graph of
 /// `subset` is not a tree (cyclic or unconnected) — callers fall back to
 /// the DP planners.
-pub fn ikkbz<O: CardinalityOracle>(oracle: &mut O, subset: RelSet) -> Option<Plan> {
+pub fn ikkbz<O: CardinalityOracle>(oracle: &O, subset: RelSet) -> Option<Plan> {
     assert!(!subset.is_empty(), "cannot plan the empty database");
     try_ikkbz(oracle, subset, &Guard::unlimited()).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -145,7 +145,7 @@ pub fn ikkbz<O: CardinalityOracle>(oracle: &mut O, subset: RelSet) -> Option<Pla
 /// [`ikkbz`] under a budget: the per-root precedence-tree solves are
 /// checkpointed and model parameters come from the fallible oracle surface.
 pub fn try_ikkbz<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     guard: &Guard,
 ) -> Result<Option<Plan>, MjoinError> {
@@ -251,8 +251,8 @@ mod tests {
                     }
                 }
                 let full = scheme.full_set();
-                let fast = ikkbz(&mut oracle, full).expect("tree join graph");
-                let exact = dp::best_linear(&mut oracle, full, true);
+                let fast = ikkbz(&oracle, full).expect("tree join graph");
+                let exact = dp::best_linear(&oracle, full, true);
                 // The synthetic oracle rounds each subset's estimate to an
                 // integer, so τ is multiplicative only up to rounding; two
                 // model-equivalent orders can differ by a few units after
@@ -271,16 +271,16 @@ mod tests {
     #[test]
     fn ikkbz_rejects_cyclic_join_graphs() {
         let (_, scheme) = schemes::cycle(4);
-        let mut oracle = SyntheticOracle::new(scheme.clone(), vec![100; 4], 10);
-        assert!(ikkbz(&mut oracle, scheme.full_set()).is_none());
+        let oracle = SyntheticOracle::new(scheme.clone(), vec![100; 4], 10);
+        assert!(ikkbz(&oracle, scheme.full_set()).is_none());
     }
 
     #[test]
     fn ikkbz_rejects_unconnected_subsets() {
         let mut cat = mjoin_relation::Catalog::new();
         let scheme = mjoin_hypergraph::DbScheme::parse(&mut cat, &["AB", "CD"]).unwrap();
-        let mut oracle = SyntheticOracle::new(scheme.clone(), vec![10, 10], 5);
-        assert!(ikkbz(&mut oracle, scheme.full_set()).is_none());
+        let oracle = SyntheticOracle::new(scheme.clone(), vec![10, 10], 5);
+        assert!(ikkbz(&oracle, scheme.full_set()).is_none());
     }
 
     #[test]
@@ -293,21 +293,21 @@ mod tests {
             ("CD", vec![vec![5, 0], vec![5, 1], vec![5, 2]]),
         ])
         .unwrap();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let plan = ikkbz(&mut o, full).expect("chain join graph");
+        let plan = ikkbz(&o, full).expect("chain join graph");
         assert!(plan.strategy.is_linear());
         assert!(!plan.strategy.uses_cartesian(db.scheme()));
-        let opt = dp::best_linear(&mut o, full, true).cost;
+        let opt = dp::best_linear(&o, full, true).cost;
         assert!(plan.cost >= opt);
-        assert_eq!(plan.cost, plan.strategy.cost(&mut o));
+        assert_eq!(plan.cost, plan.strategy.cost(&o));
     }
 
     #[test]
     fn ikkbz_singleton() {
         let (_, scheme) = schemes::chain(1);
-        let mut oracle = SyntheticOracle::new(scheme.clone(), vec![7], 3);
-        let plan = ikkbz(&mut oracle, scheme.full_set()).unwrap();
+        let oracle = SyntheticOracle::new(scheme.clone(), vec![7], 3);
+        let plan = ikkbz(&oracle, scheme.full_set()).unwrap();
         assert_eq!(plan.cost, 0);
     }
 }

@@ -53,7 +53,7 @@ const ROOT_SHORTLIST: usize = 3;
 
 /// [`try_lindp`] with an unlimited budget, panicking on internal errors —
 /// the ergonomic surface for tests and examples.
-pub fn lindp<O: CardinalityOracle>(oracle: &mut O, subset: RelSet) -> Option<Plan> {
+pub fn lindp<O: CardinalityOracle>(oracle: &O, subset: RelSet) -> Option<Plan> {
     try_lindp(oracle, subset, &Guard::unlimited()).unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -65,7 +65,7 @@ pub fn lindp<O: CardinalityOracle>(oracle: &mut O, subset: RelSet) -> Option<Pla
 /// unlimited guard), the returned plan's cost is never above
 /// `try_greedy_linear`'s on the same oracle.
 pub fn try_lindp<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     guard: &Guard,
 ) -> Result<Option<Plan>, MjoinError> {
@@ -224,7 +224,7 @@ fn model_cost(order: &[usize], card: &[f64], sel: &[Vec<f64>]) -> f64 {
 /// plan, or `None` if the whole order is not solvable (cannot happen when
 /// the order spans one connected component, kept defensive).
 fn interval_dp<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     order: &[usize],
     guard: &Guard,
 ) -> Result<Option<Plan>, MjoinError> {
@@ -314,11 +314,11 @@ mod tests {
         for n in 2..=10usize {
             let (_, scheme) = schemes::chain(n);
             let bases: Vec<u64> = (0..n).map(|i| 100 + 37 * i as u64).collect();
-            let mut oracle = SyntheticOracle::new(scheme.clone(), bases, 50);
+            let oracle = SyntheticOracle::new(scheme.clone(), bases, 50);
             let full = scheme.full_set();
-            let fast = lindp(&mut oracle, full).expect("connected");
+            let fast = lindp(&oracle, full).expect("connected");
             let exact =
-                dp::best_no_cartesian(&mut oracle, full, DpAlgorithm::DpCcp).expect("connected");
+                dp::best_no_cartesian(&oracle, full, DpAlgorithm::DpCcp).expect("connected");
             assert_eq!(fast.cost, exact.cost, "n={n}");
             assert!(!fast.strategy.uses_cartesian(&scheme));
         }
@@ -335,10 +335,10 @@ mod tests {
                 let bases: Vec<u64> = (0..scheme.len())
                     .map(|i| 10 + (i as u64 * 97) % 4000)
                     .collect();
-                let mut oracle = SyntheticOracle::new(scheme.clone(), bases, 25);
+                let oracle = SyntheticOracle::new(scheme.clone(), bases, 25);
                 let full = scheme.full_set();
-                let plan = lindp(&mut oracle, full).expect("connected");
-                let baseline = greedy::greedy_linear(&mut oracle, full);
+                let plan = lindp(&oracle, full).expect("connected");
+                let baseline = greedy::greedy_linear(&oracle, full);
                 assert!(
                     plan.cost <= baseline.cost,
                     "{name} n={n}: lindp {} vs greedy {}",
@@ -354,25 +354,25 @@ mod tests {
     fn lindp_rejects_unconnected_subsets() {
         let mut cat = mjoin_relation::Catalog::new();
         let scheme = mjoin_hypergraph::DbScheme::parse(&mut cat, &["AB", "CD"]).unwrap();
-        let mut oracle = SyntheticOracle::new(scheme.clone(), vec![10, 10], 5);
-        assert!(lindp(&mut oracle, scheme.full_set()).is_none());
+        let oracle = SyntheticOracle::new(scheme.clone(), vec![10, 10], 5);
+        assert!(lindp(&oracle, scheme.full_set()).is_none());
     }
 
     #[test]
     fn lindp_singleton_and_large_shortlist_path() {
         let (_, scheme) = schemes::chain(1);
-        let mut oracle = SyntheticOracle::new(scheme.clone(), vec![7], 3);
-        assert_eq!(lindp(&mut oracle, scheme.full_set()).unwrap().cost, 0);
+        let oracle = SyntheticOracle::new(scheme.clone(), vec![7], 3);
+        assert_eq!(lindp(&oracle, scheme.full_set()).unwrap().cost, 0);
 
         // Past ALL_ROOTS_MAX the shortlist path runs; it must still beat
         // greedy-linear on a 30-chain.
         let n = 30;
         let (_, scheme) = schemes::chain(n);
         let bases: Vec<u64> = (0..n).map(|i| 50 + (i as u64 * 131) % 900).collect();
-        let mut oracle = SyntheticOracle::new(scheme.clone(), bases, 40);
+        let oracle = SyntheticOracle::new(scheme.clone(), bases, 40);
         let full = scheme.full_set();
-        let plan = lindp(&mut oracle, full).expect("connected");
-        let baseline = greedy::greedy_linear(&mut oracle, full);
+        let plan = lindp(&oracle, full).expect("connected");
+        let baseline = greedy::greedy_linear(&oracle, full);
         assert!(plan.cost <= baseline.cost);
     }
 }

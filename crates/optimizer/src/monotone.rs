@@ -33,7 +33,7 @@ pub enum Monotonicity {
 /// The τ-cheapest strategy all of whose steps are monotone in the given
 /// direction, or `None` if no such strategy exists for `subset`.
 pub fn best_monotone<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     direction: Monotonicity,
 ) -> Option<Plan> {
@@ -49,7 +49,7 @@ pub fn best_monotone<O: CardinalityOracle>(
 /// Does any strategy for `subset` have every step monotone in the given
 /// direction?
 pub fn exists_monotone<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     direction: Monotonicity,
 ) -> bool {
@@ -57,7 +57,7 @@ pub fn exists_monotone<O: CardinalityOracle>(
 }
 
 fn mono_rec<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     s: RelSet,
     direction: Monotonicity,
     memo: &mut SplitMemo,
@@ -124,15 +124,15 @@ mod tests {
             ("CD", vec![vec![5, 0], vec![6, 1], vec![7, 2]]),
         ])
         .unwrap();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let plan = best_monotone(&mut o, full, Monotonicity::Decreasing).unwrap();
-        assert!(plan.strategy.is_monotone_decreasing(&mut o));
+        let plan = best_monotone(&o, full, Monotonicity::Decreasing).unwrap();
+        assert!(plan.strategy.is_monotone_decreasing(&o));
         // The monotone optimum matches the global optimum here (C3 world).
-        let best = crate::dp::best_bushy(&mut o, full).cost;
+        let best = crate::dp::best_bushy(&o, full).cost;
         assert_eq!(plan.cost, best);
         // No monotone increasing strategy exists (sizes strictly shrink).
-        assert!(!exists_monotone(&mut o, full, Monotonicity::Increasing));
+        assert!(!exists_monotone(&o, full, Monotonicity::Increasing));
     }
 
     #[test]
@@ -143,11 +143,11 @@ mod tests {
             ("BC", vec![vec![0, 5], vec![0, 6], vec![0, 7]]),
         ])
         .unwrap();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let plan = best_monotone(&mut o, full, Monotonicity::Increasing).unwrap();
-        assert!(plan.strategy.is_monotone_increasing(&mut o));
-        assert!(!exists_monotone(&mut o, full, Monotonicity::Decreasing));
+        let plan = best_monotone(&o, full, Monotonicity::Increasing).unwrap();
+        assert!(plan.strategy.is_monotone_increasing(&o));
+        assert!(!exists_monotone(&o, full, Monotonicity::Decreasing));
     }
 
     #[test]
@@ -159,7 +159,7 @@ mod tests {
             ("CD", vec![vec![0, 9]]),                          // shrinks to ⅓
         ])
         .unwrap();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
         // AB⋈BC = 9 (up), then ⋈CD = 3 (down): not decreasing from the
         // start, and the final result 3 is bigger than CD (1) but smaller
@@ -167,16 +167,16 @@ mod tests {
         // brute force.
         let brute_dec = mjoin_strategy::enumerate_all(full)
             .into_iter()
-            .any(|s| s.is_monotone_decreasing(&mut o));
+            .any(|s| s.is_monotone_decreasing(&o));
         let brute_inc = mjoin_strategy::enumerate_all(full)
             .into_iter()
-            .any(|s| s.is_monotone_increasing(&mut o));
+            .any(|s| s.is_monotone_increasing(&o));
         assert_eq!(
-            exists_monotone(&mut o, full, Monotonicity::Decreasing),
+            exists_monotone(&o, full, Monotonicity::Decreasing),
             brute_dec
         );
         assert_eq!(
-            exists_monotone(&mut o, full, Monotonicity::Increasing),
+            exists_monotone(&o, full, Monotonicity::Increasing),
             brute_inc
         );
     }
@@ -195,21 +195,21 @@ mod tests {
                 ensure_nonempty: true,
             };
             let db = data::uniform(cat, scheme, &cfg, &mut rng);
-            let mut o = ExactOracle::new(&db);
+            let o = ExactOracle::new(&db);
             let full = db.scheme().full_set();
             for dir in [Monotonicity::Decreasing, Monotonicity::Increasing] {
                 let mut brute: Option<u64> = None;
                 for s in mjoin_strategy::enumerate_all(full) {
                     let monotone = match dir {
-                        Monotonicity::Decreasing => s.is_monotone_decreasing(&mut o),
-                        Monotonicity::Increasing => s.is_monotone_increasing(&mut o),
+                        Monotonicity::Decreasing => s.is_monotone_decreasing(&o),
+                        Monotonicity::Increasing => s.is_monotone_increasing(&o),
                     };
                     if monotone {
-                        let c = s.cost(&mut o);
+                        let c = s.cost(&o);
                         brute = Some(brute.map_or(c, |b: u64| b.min(c)));
                     }
                 }
-                let dp = best_monotone(&mut o, full, dir).map(|p| p.cost);
+                let dp = best_monotone(&o, full, dir).map(|p| p.cost);
                 assert_eq!(dp, brute, "n={n} {dir:?}");
             }
         }
@@ -218,9 +218,9 @@ mod tests {
     #[test]
     fn singleton_is_vacuously_monotone() {
         let db = Database::from_specs(&[("AB", vec![vec![1, 2]])]).unwrap();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         for dir in [Monotonicity::Decreasing, Monotonicity::Increasing] {
-            let plan = best_monotone(&mut o, RelSet::singleton(0), dir).unwrap();
+            let plan = best_monotone(&o, RelSet::singleton(0), dir).unwrap();
             assert_eq!(plan.cost, 0);
         }
     }

@@ -43,13 +43,13 @@ pub const DEFAULT_BLOCK_MAX: usize = 14;
 
 /// [`try_partitioned_dp`] with an unlimited budget, panicking on internal
 /// errors — the ergonomic surface for tests and examples.
-pub fn partitioned_dp<O: CardinalityOracle>(oracle: &mut O, subset: RelSet) -> Option<Plan> {
+pub fn partitioned_dp<O: CardinalityOracle>(oracle: &O, subset: RelSet) -> Option<Plan> {
     try_partitioned_dp(oracle, subset, &Guard::unlimited()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Partitioned DPccp over `subset` with the default block cap.
 pub fn try_partitioned_dp<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     guard: &Guard,
 ) -> Result<Option<Plan>, MjoinError> {
@@ -62,7 +62,7 @@ pub fn try_partitioned_dp<O: CardinalityOracle>(
 /// like the exact DPs this rung stands in for. With `block_max ≥ |subset|`
 /// this is exactly one DPccp call on the whole subset.
 pub fn try_partitioned_dp_with<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     block_max: usize,
     guard: &Guard,
@@ -162,7 +162,7 @@ pub fn try_partitioned_dp_with<O: CardinalityOracle>(
     // in hand — under an unlimited guard (the differential suite's
     // setting) the floors always run, which is the dominance that suite
     // pins.
-    type FloorFn<O> = fn(&mut O, RelSet, &Guard) -> Result<Plan, MjoinError>;
+    type FloorFn<O> = fn(&O, RelSet, &Guard) -> Result<Plan, MjoinError>;
     let floors: [FloorFn<O>; 2] = [try_greedy_linear, try_greedy_bushy];
     for floor in floors {
         match floor(oracle, subset, guard) {
@@ -248,14 +248,14 @@ mod tests {
         for n in 2..=10usize {
             let (_, scheme) = schemes::chain(n);
             let bases: Vec<u64> = (0..n).map(|i| 10 + 31 * i as u64).collect();
-            let mut oracle = SyntheticOracle::new(scheme.clone(), bases.clone(), 20);
+            let oracle = SyntheticOracle::new(scheme.clone(), bases.clone(), 20);
             let full = scheme.full_set();
-            let part = try_partitioned_dp_with(&mut oracle, full, n, &Guard::unlimited())
+            let part = try_partitioned_dp_with(&oracle, full, n, &Guard::unlimited())
                 .unwrap()
                 .expect("connected");
-            let mut oracle2 = SyntheticOracle::new(scheme.clone(), bases, 20);
+            let oracle2 = SyntheticOracle::new(scheme.clone(), bases, 20);
             let exact =
-                dp::try_best_no_cartesian(&mut oracle2, full, DpAlgorithm::DpCcp, &Guard::unlimited())
+                dp::try_best_no_cartesian(&oracle2, full, DpAlgorithm::DpCcp, &Guard::unlimited())
                     .unwrap()
                     .expect("connected");
             assert_eq!(part.cost, exact.cost, "n={n}");
@@ -268,12 +268,12 @@ mod tests {
         let n = 40;
         let (_, scheme) = schemes::chain(n);
         let bases: Vec<u64> = (0..n).map(|i| 100 + (i as u64 * 57) % 1500).collect();
-        let mut oracle = SyntheticOracle::new(scheme.clone(), bases, 30);
+        let oracle = SyntheticOracle::new(scheme.clone(), bases, 30);
         let full = scheme.full_set();
-        let plan = partitioned_dp(&mut oracle, full).expect("connected");
+        let plan = partitioned_dp(&oracle, full).expect("connected");
         assert_eq!(plan.strategy.set(), full);
         assert!(!plan.strategy.uses_cartesian(&scheme));
-        assert_eq!(plan.cost, plan.strategy.cost(&mut oracle));
+        assert_eq!(plan.cost, plan.strategy.cost(&oracle));
     }
 
     #[test]
@@ -295,7 +295,7 @@ mod tests {
     fn partdp_rejects_unconnected_subsets() {
         let mut cat = mjoin_relation::Catalog::new();
         let scheme = mjoin_hypergraph::DbScheme::parse(&mut cat, &["AB", "CD"]).unwrap();
-        let mut oracle = SyntheticOracle::new(scheme.clone(), vec![10, 10], 5);
-        assert!(partitioned_dp(&mut oracle, scheme.full_set()).is_none());
+        let oracle = SyntheticOracle::new(scheme.clone(), vec![10, 10], 5);
+        assert!(partitioned_dp(&oracle, scheme.full_set()).is_none());
     }
 }

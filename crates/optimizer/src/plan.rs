@@ -43,7 +43,7 @@ pub struct Plan {
 /// Returns `None` iff the space is empty — product-free spaces over
 /// unconnected subsets.
 pub fn optimize<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     space: SearchSpace,
 ) -> Option<Plan> {
@@ -53,7 +53,7 @@ pub fn optimize<O: CardinalityOracle>(
 /// [`optimize`] with an explicit DP enumeration style (the styles differ
 /// only in work performed, never in the plan's cost).
 pub fn optimize_with<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     space: SearchSpace,
     algorithm: DpAlgorithm,
@@ -66,7 +66,7 @@ pub fn optimize_with<O: CardinalityOracle>(
 /// [`optimize`] under a budget: propagates deadline/cap trips and injected
 /// faults as typed errors instead of hanging or panicking.
 pub fn try_optimize<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     space: SearchSpace,
     guard: &Guard,
@@ -76,7 +76,7 @@ pub fn try_optimize<O: CardinalityOracle>(
 
 /// [`optimize_with`] under a budget.
 pub fn try_optimize_with<O: CardinalityOracle>(
-    oracle: &mut O,
+    oracle: &O,
     subset: RelSet,
     space: SearchSpace,
     algorithm: DpAlgorithm,
@@ -136,27 +136,27 @@ mod tests {
     #[test]
     fn example1_subspace_optima() {
         let db = example1();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
 
         // Best overall: 546 ((R1 ⋈ R3) ⋈ (R2 ⋈ R4)) — uses products.
-        let best = optimize(&mut o, full, SearchSpace::All).unwrap();
+        let best = optimize(&o, full, SearchSpace::All).unwrap();
         assert_eq!(best.cost, 546);
         assert!(best.strategy.uses_cartesian(db.scheme()));
 
         // Best avoiding products: 549 ((R1 ⋈ R2) ⋈ (R3 ⋈ R4)).
-        let avoid = optimize(&mut o, full, SearchSpace::AvoidCartesian).unwrap();
+        let avoid = optimize(&o, full, SearchSpace::AvoidCartesian).unwrap();
         assert_eq!(avoid.cost, 549);
         assert!(avoid.strategy.avoids_cartesian(db.scheme()));
 
         // Scheme is unconnected: strictly product-free spaces are empty.
-        assert!(optimize(&mut o, full, SearchSpace::NoCartesian).is_none());
-        assert!(optimize(&mut o, full, SearchSpace::LinearNoCartesian).is_none());
+        assert!(optimize(&o, full, SearchSpace::NoCartesian).is_none());
+        assert!(optimize(&o, full, SearchSpace::LinearNoCartesian).is_none());
 
         // Best linear: 570 (the two linear CP-avoiding orders tie; linear
         // strategies with products do no better here... in fact S4's shape
         // is bushy, and the cheapest linear costs 564).
-        let lin = optimize(&mut o, full, SearchSpace::Linear).unwrap();
+        let lin = optimize(&o, full, SearchSpace::Linear).unwrap();
         assert!(lin.strategy.is_linear());
         assert!(lin.cost <= 570);
         // Exhaustive check below pins the exact value.
@@ -165,24 +165,24 @@ mod tests {
     #[test]
     fn dp_matches_exhaustive_enumeration() {
         let db = example1();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
 
         let mut best_all = u64::MAX;
         let mut best_linear = u64::MAX;
         for s in mjoin_strategy::enumerate_all(full) {
-            let c = s.cost(&mut o);
+            let c = s.cost(&o);
             best_all = best_all.min(c);
             if s.is_linear() {
                 best_linear = best_linear.min(c);
             }
         }
         assert_eq!(
-            optimize(&mut o, full, SearchSpace::All).unwrap().cost,
+            optimize(&o, full, SearchSpace::All).unwrap().cost,
             best_all
         );
         assert_eq!(
-            optimize(&mut o, full, SearchSpace::Linear).unwrap().cost,
+            optimize(&o, full, SearchSpace::Linear).unwrap().cost,
             best_linear
         );
     }
@@ -195,7 +195,7 @@ mod tests {
             ("CD", vec![vec![5, 0], vec![6, 1], vec![7, 2]]),
         ])
         .unwrap();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
         for space in [
             SearchSpace::All,
@@ -204,10 +204,10 @@ mod tests {
             SearchSpace::LinearNoCartesian,
             SearchSpace::AvoidCartesian,
         ] {
-            let plan = optimize(&mut o, full, space).unwrap();
+            let plan = optimize(&o, full, space).unwrap();
             assert!(plan.strategy.validate(db.scheme()), "{space:?}");
             assert_eq!(plan.strategy.set(), full, "{space:?}");
-            assert_eq!(plan.cost, plan.strategy.cost(&mut o), "{space:?}");
+            assert_eq!(plan.cost, plan.strategy.cost(&o), "{space:?}");
             match space {
                 SearchSpace::Linear | SearchSpace::LinearNoCartesian => {
                     assert!(plan.strategy.is_linear())
@@ -223,7 +223,7 @@ mod tests {
     #[test]
     fn singleton_is_free_everywhere() {
         let db = Database::from_specs(&[("AB", vec![vec![1, 2]])]).unwrap();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         for space in [
             SearchSpace::All,
             SearchSpace::Linear,
@@ -231,7 +231,7 @@ mod tests {
             SearchSpace::LinearNoCartesian,
             SearchSpace::AvoidCartesian,
         ] {
-            let plan = optimize(&mut o, RelSet::singleton(0), space).unwrap();
+            let plan = optimize(&o, RelSet::singleton(0), space).unwrap();
             assert_eq!(plan.cost, 0);
             assert!(plan.strategy.is_trivial());
         }
@@ -248,14 +248,14 @@ mod tests {
             ("DA", vec![vec![0, 1], vec![1, 2], vec![2, 3]]),
         ])
         .unwrap();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let all = optimize(&mut o, full, SearchSpace::All).unwrap().cost;
-        let nc = optimize(&mut o, full, SearchSpace::NoCartesian)
+        let all = optimize(&o, full, SearchSpace::All).unwrap().cost;
+        let nc = optimize(&o, full, SearchSpace::NoCartesian)
             .unwrap()
             .cost;
-        let lin = optimize(&mut o, full, SearchSpace::Linear).unwrap().cost;
-        let lnc = optimize(&mut o, full, SearchSpace::LinearNoCartesian)
+        let lin = optimize(&o, full, SearchSpace::Linear).unwrap().cost;
+        let lnc = optimize(&o, full, SearchSpace::LinearNoCartesian)
             .unwrap()
             .cost;
         assert!(all <= nc);

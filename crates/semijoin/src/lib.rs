@@ -189,8 +189,8 @@ pub fn try_yannakakis(db: &Database, guard: &Guard) -> Result<Option<YannakakisO
         order.push(child);
     }
     let strategy = Strategy::left_deep(&order);
-    let mut oracle = ExactOracle::with_guard(&reduced, guard.clone());
-    let cost = strategy.try_cost(&mut oracle)?;
+    let oracle = ExactOracle::with_guard(&reduced, guard.clone());
+    let cost = strategy.try_cost(&oracle)?;
     let mut result = reduced.state(order[0]).clone();
     for &i in &order[1..] {
         result = result.natural_join_guarded(reduced.state(i), JoinAlgorithm::Hash, guard)?;
@@ -351,8 +351,8 @@ mod tests {
         // over a consistent acyclic database only grows (each tuple extends).
         let db = chain_db();
         let out = yannakakis(&db).unwrap();
-        let mut oracle = ExactOracle::new(&out.reduced);
-        assert!(out.strategy.is_monotone_increasing(&mut oracle));
+        let oracle = ExactOracle::new(&out.reduced);
+        assert!(out.strategy.is_monotone_increasing(&oracle));
     }
 
     #[test]

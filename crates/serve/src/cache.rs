@@ -1,7 +1,7 @@
 //! Capped, sharded cross-request plan cache.
 //!
-//! The concurrency shape mirrors `SharedOracle`'s sharded memo
-//! (crates/cost/src/shared.rs): keys hash to one of up to 16 independent
+//! The concurrency shape mirrors `ExactOracle`'s sharded memo
+//! (crates/cost/src/oracle.rs): keys hash to one of up to 16 independent
 //! shards so concurrent workers rarely contend on the same lock, and
 //! insertion is first-writer-wins. Unlike the oracle memo, every shard
 //! carries a hard entry cap with LRU-style eviction (a global logical
@@ -58,7 +58,7 @@ impl PlanCache {
     }
 
     fn shard_of(&self, key: &str) -> usize {
-        // FNV-1a, then the same Fibonacci spread SharedOracle uses.
+        // FNV-1a, then the same Fibonacci spread ExactOracle uses.
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for b in key.bytes() {
             h ^= u64::from(b);

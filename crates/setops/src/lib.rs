@@ -21,6 +21,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 
 use mjoin_cost::CardinalityOracle;
@@ -46,7 +47,7 @@ pub struct SetOracle {
     scheme: DbScheme,
     sets: Vec<BTreeSet<i64>>,
     op: SetOp,
-    memo: HashMap<RelSet, u64>,
+    memo: RefCell<HashMap<RelSet, u64>>,
 }
 
 impl SetOracle {
@@ -66,7 +67,7 @@ impl SetOracle {
                 .map(|s| s.iter().copied().collect())
                 .collect(),
             op,
-            memo: HashMap::new(),
+            memo: RefCell::default(),
         }
     }
 
@@ -100,13 +101,13 @@ impl CardinalityOracle for SetOracle {
         &self.scheme
     }
 
-    fn tau(&mut self, subset: RelSet) -> u64 {
+    fn tau(&self, subset: RelSet) -> u64 {
         assert!(!subset.is_empty(), "τ is defined for nonempty subsets");
-        if let Some(&t) = self.memo.get(&subset) {
+        if let Some(&t) = self.memo.borrow().get(&subset) {
             return t;
         }
         let t = self.combine(subset).len() as u64;
-        self.memo.insert(subset, t);
+        self.memo.borrow_mut().insert(subset, t);
         t
     }
 }
@@ -116,9 +117,9 @@ impl CardinalityOracle for SetOracle {
 /// τ-optimal among **all** strategies, bushy included (asserted by the
 /// `linear_intersection_is_globally_optimal` tests and property tests).
 pub fn best_linear_intersection(sets: &[Vec<i64>]) -> (Vec<usize>, u64) {
-    let mut oracle = SetOracle::new(sets, SetOp::Intersection);
+    let oracle = SetOracle::new(sets, SetOp::Intersection);
     let full = RelSet::full(sets.len());
-    let plan = optimize(&mut oracle, full, SearchSpace::Linear)
+    let plan = optimize(&oracle, full, SearchSpace::Linear)
         .expect("linear space is never empty");
     let order = left_deep_order(&plan.strategy);
     (order, plan.cost)
@@ -128,9 +129,9 @@ pub fn best_linear_intersection(sets: &[Vec<i64>]) -> (Vec<usize>, u64) {
 /// `op` — the comparison baseline for the intersection theorem and the
 /// union open problem.
 pub fn best_any(sets: &[Vec<i64>], op: SetOp) -> u64 {
-    let mut oracle = SetOracle::new(sets, op);
+    let oracle = SetOracle::new(sets, op);
     let full = RelSet::full(sets.len());
-    optimize(&mut oracle, full, SearchSpace::All)
+    optimize(&oracle, full, SearchSpace::All)
         .expect("full space is never empty")
         .cost
 }
@@ -143,9 +144,9 @@ pub fn best_any(sets: &[Vec<i64>], op: SetOp) -> u64 {
 /// families, merging overlapping sets first keeps intermediates small, a
 /// structure linear orders cannot always express.)
 pub fn best_linear_union(sets: &[Vec<i64>]) -> (Vec<usize>, u64) {
-    let mut oracle = SetOracle::new(sets, SetOp::Union);
+    let oracle = SetOracle::new(sets, SetOp::Union);
     let full = RelSet::full(sets.len());
-    let plan = optimize(&mut oracle, full, SearchSpace::Linear)
+    let plan = optimize(&oracle, full, SearchSpace::Linear)
         .expect("linear space is never empty");
     let order = left_deep_order(&plan.strategy);
     (order, plan.cost)
@@ -196,7 +197,7 @@ mod tests {
 
     #[test]
     fn oracle_counts_intersections() {
-        let mut o = SetOracle::new(&[vec![1, 2, 3], vec![2, 3, 4]], SetOp::Intersection);
+        let o = SetOracle::new(&[vec![1, 2, 3], vec![2, 3, 4]], SetOp::Intersection);
         assert_eq!(o.tau(RelSet::singleton(0)), 3);
         assert_eq!(o.tau(RelSet::full(2)), 2);
         assert_eq!(o.len(), 2);
@@ -204,7 +205,7 @@ mod tests {
 
     #[test]
     fn oracle_counts_unions() {
-        let mut o = SetOracle::new(&[vec![1, 2, 3], vec![2, 3, 4]], SetOp::Union);
+        let o = SetOracle::new(&[vec![1, 2, 3], vec![2, 3, 4]], SetOp::Union);
         assert_eq!(o.tau(RelSet::full(2)), 4);
     }
 
@@ -238,9 +239,9 @@ mod tests {
     fn reported_order_reproduces_reported_cost() {
         for sets in families() {
             let (order, cost) = best_linear_intersection(&sets);
-            let mut o = SetOracle::new(&sets, SetOp::Intersection);
+            let o = SetOracle::new(&sets, SetOp::Intersection);
             let s = Strategy::left_deep(&order);
-            assert_eq!(s.cost(&mut o), cost, "{sets:?}");
+            assert_eq!(s.cost(&o), cost, "{sets:?}");
         }
     }
 
@@ -249,7 +250,7 @@ mod tests {
         // Directly check the C3 inequalities: |X ∩ Y| ≤ min(|X|, |Y|) for
         // the combined sets of any two disjoint subsets.
         let sets = families().remove(1);
-        let mut o = SetOracle::new(&sets, SetOp::Intersection);
+        let o = SetOracle::new(&sets, SetOp::Intersection);
         let full = RelSet::full(sets.len());
         for e1 in full.subsets() {
             for e2 in full.subsets() {
@@ -266,7 +267,7 @@ mod tests {
     #[test]
     fn union_satisfies_c4_shape() {
         let sets = families().remove(0);
-        let mut o = SetOracle::new(&sets, SetOp::Union);
+        let o = SetOracle::new(&sets, SetOp::Union);
         let full = RelSet::full(sets.len());
         for e1 in full.subsets() {
             for e2 in full.subsets() {
@@ -283,11 +284,11 @@ mod tests {
     #[test]
     fn union_strategies_all_cost_at_least_final_size() {
         let sets = families().remove(2);
-        let mut o = SetOracle::new(&sets, SetOp::Union);
+        let o = SetOracle::new(&sets, SetOp::Union);
         let full = RelSet::full(sets.len());
         let final_size = o.tau(full);
         for s in enumerate_all(full) {
-            assert!(s.cost(&mut o) >= final_size);
+            assert!(s.cost(&o) >= final_size);
         }
     }
 
@@ -320,7 +321,7 @@ mod tests {
     fn linear_union_cost_is_reproducible() {
         let sets = vec![vec![1, 2], vec![2, 3], vec![3, 4]];
         let (order, cost) = best_linear_union(&sets);
-        let mut o = SetOracle::new(&sets, SetOp::Union);
-        assert_eq!(Strategy::left_deep(&order).cost(&mut o), cost);
+        let o = SetOracle::new(&sets, SetOp::Union);
+        assert_eq!(Strategy::left_deep(&order).cost(&o), cost);
     }
 }

@@ -55,7 +55,7 @@
 //! truncated, bit-flipped, or oversized file yields a typed
 //! [`MjoinError::CorruptStore`] — never UB, never a panic. All reads go
 //! through bounds-checked safe slices; the only `unsafe` in the crate is
-//! the `mmap` wrapper in [`mod@mmap`], and a buffered read path exists for
+//! the `mmap` wrapper in `mmap.rs`, and a buffered read path exists for
 //! platforms (or files) it cannot map.
 
 #![deny(unsafe_code)]

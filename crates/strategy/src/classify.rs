@@ -78,7 +78,7 @@ impl Strategy {
 
     /// Is the strategy *monotone decreasing* (Section 5): does every step
     /// produce no more tuples than either child?
-    pub fn is_monotone_decreasing<O: CardinalityOracle>(&self, oracle: &mut O) -> bool {
+    pub fn is_monotone_decreasing<O: CardinalityOracle>(&self, oracle: &O) -> bool {
         self.steps().iter().all(|s| {
             let out = oracle.tau(s.set);
             out <= oracle.tau(s.left) && out <= oracle.tau(s.right)
@@ -87,7 +87,7 @@ impl Strategy {
 
     /// Is the strategy *monotone increasing* (Section 5): does every step
     /// produce at least as many tuples as either child?
-    pub fn is_monotone_increasing<O: CardinalityOracle>(&self, oracle: &mut O) -> bool {
+    pub fn is_monotone_increasing<O: CardinalityOracle>(&self, oracle: &O) -> bool {
         self.steps().iter().all(|s| {
             let out = oracle.tau(s.set);
             out >= oracle.tau(s.left) && out >= oracle.tau(s.right)
@@ -213,9 +213,9 @@ mod tests {
         ])
         .unwrap();
         let s = Strategy::left_deep(&[0, 1]);
-        let mut o = ExactOracle::new(&db);
-        assert!(s.is_monotone_decreasing(&mut o));
-        assert!(!s.is_monotone_increasing(&mut o));
+        let o = ExactOracle::new(&db);
+        assert!(s.is_monotone_decreasing(&o));
+        assert!(!s.is_monotone_increasing(&o));
 
         // A fan-out join is monotone increasing.
         let db2 = Database::from_specs(&[
@@ -223,9 +223,9 @@ mod tests {
             ("BC", vec![vec![0, 5], vec![0, 6], vec![0, 7]]),
         ])
         .unwrap();
-        let mut o2 = ExactOracle::new(&db2);
-        assert!(s.is_monotone_increasing(&mut o2));
-        assert!(!s.is_monotone_decreasing(&mut o2));
+        let o2 = ExactOracle::new(&db2);
+        assert!(s.is_monotone_increasing(&o2));
+        assert!(!s.is_monotone_decreasing(&o2));
     }
 
     #[test]

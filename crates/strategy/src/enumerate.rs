@@ -8,7 +8,7 @@
 //! in total, of which `n!/2` are linear. These functions regenerate both
 //! the spaces and the counts (experiment `E0-counting`).
 
-use mjoin_cost::{SharedHandle, SyncCardinalityOracle};
+use mjoin_cost::CardinalityOracle;
 use mjoin_obs::{incr, Counter};
 use mjoin_guard::{Guard, MjoinError};
 use mjoin_hypergraph::{DbScheme, RelSet};
@@ -83,7 +83,7 @@ fn each_rec(
 ///
 /// Returns `Ok(None)` when `accept` rejects every strategy (an empty
 /// subspace, e.g. product-free over an unconnected subset).
-pub fn try_best_strategy_parallel<O: SyncCardinalityOracle>(
+pub fn try_best_strategy_parallel<O: CardinalityOracle + Sync>(
     oracle: &O,
     subset: RelSet,
     guard: &Guard,
@@ -96,14 +96,13 @@ pub fn try_best_strategy_parallel<O: SyncCardinalityOracle>(
         ));
     }
     if threads <= 1 || subset.is_singleton() {
-        let mut handle = SharedHandle::new(oracle);
         let mut best: Option<(Strategy, u64)> = None;
         try_for_each_strategy(subset, guard, &mut |s| {
             incr(Counter::ExhaustiveStrategies, 1);
             if !accept(s) {
                 return Ok(());
             }
-            let cost = s.try_cost(&mut handle)?;
+            let cost = s.try_cost(oracle)?;
             if best.as_ref().is_none_or(|(_, b)| cost < *b) {
                 best = Some((s.clone(), cost));
             }
@@ -120,7 +119,6 @@ pub fn try_best_strategy_parallel<O: SyncCardinalityOracle>(
                 .chunks(chunk)
                 .map(|ch| {
                     scope.spawn(move || {
-                        let mut handle = SharedHandle::new(oracle);
                         let mut best: Option<(Strategy, u64)> = None;
                         for &(s1, s2) in ch {
                             each_rec(s1, guard, &mut |left: &Strategy| {
@@ -136,7 +134,7 @@ pub fn try_best_strategy_parallel<O: SyncCardinalityOracle>(
                                     if !accept(&joined) {
                                         return Ok(());
                                     }
-                                    let cost = joined.try_cost(&mut handle)?;
+                                    let cost = joined.try_cost(oracle)?;
                                     if best.as_ref().is_none_or(|(_, b)| cost < *b) {
                                         best = Some((joined, cost));
                                     }
@@ -477,10 +475,10 @@ mod tests {
                 .unwrap()
                 .expect("linear space is never empty");
         assert!(s.is_linear());
-        let mut seq = o.clone();
+        let seq = o.clone();
         let expected = enumerate_linear(d.full_set())
             .iter()
-            .map(|s| s.cost(&mut seq))
+            .map(|s| s.cost(&seq))
             .min()
             .unwrap();
         assert_eq!(c, expected);

@@ -39,8 +39,8 @@
 //! assert!(s.is_linear());
 //! assert!(!s.uses_cartesian(db.scheme()));
 //!
-//! let mut oracle = ExactOracle::new(&db);
-//! assert_eq!(s.cost(&mut oracle), 1 + 1); // two steps, one tuple each
+//! let oracle = ExactOracle::new(&db);
+//! assert_eq!(s.cost(&oracle), 1 + 1); // two steps, one tuple each
 //! ```
 
 #![forbid(unsafe_code)]

@@ -127,11 +127,11 @@ mod tests {
             ("CD", vec![vec![5, 0], vec![6, 0]]),
         ])
         .unwrap();
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let order = [0usize, 1, 2];
         assert_eq!(
-            Strategy::left_deep(&order).cost(&mut o),
-            Strategy::right_deep(&order).cost(&mut o)
+            Strategy::left_deep(&order).cost(&o),
+            Strategy::right_deep(&order).cost(&o)
         );
     }
 }

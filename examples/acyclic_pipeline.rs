@@ -56,9 +56,9 @@ fn main() {
     println!("result size: {}", out.result.tau());
     assert_eq!(out.result, db.evaluate(), "reduction loses nothing");
 
-    let mut oracle = ExactOracle::new(&out.reduced);
+    let oracle = ExactOracle::new(&out.reduced);
     assert!(
-        out.strategy.is_monotone_increasing(&mut oracle),
+        out.strategy.is_monotone_increasing(&oracle),
         "every step of Yannakakis' strategy grows — the C4 regime"
     );
     println!("every join step is monotone increasing (C4), as Section 5 predicts.");

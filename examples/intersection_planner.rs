@@ -42,10 +42,10 @@ fn main() {
     assert_eq!(cost, bushy, "Theorem 3: linear matches the global optimum");
 
     // Contrast with a *bad* linear order (largest first).
-    let mut oracle = SetOracle::new(&sets, SetOp::Intersection);
+    let oracle = SetOracle::new(&sets, SetOp::Intersection);
     let mut worst_order: Vec<usize> = (0..sets.len()).collect();
     worst_order.sort_by_key(|&i| std::cmp::Reverse(sets[i].len()));
-    let worst = Strategy::left_deep(&worst_order).cost(&mut oracle);
+    let worst = Strategy::left_deep(&worst_order).cost(&oracle);
     println!("  naive largest-first order: {worst}");
     println!();
 

@@ -36,7 +36,7 @@ fn main() {
 
     let t0 = Instant::now();
     let bushy = optimize_with(
-        &mut oracle,
+        &oracle,
         full,
         SearchSpace::NoCartesian,
         DpAlgorithm::DpSize,
@@ -50,7 +50,7 @@ fn main() {
     );
 
     let t1 = Instant::now();
-    let linear = optimize(&mut oracle, full, SearchSpace::LinearNoCartesian)
+    let linear = optimize(&oracle, full, SearchSpace::LinearNoCartesian)
         .expect("chain is connected");
     println!(
         "linear DP (connected prefixes):               τ = {:>6}   [{:?}]",
@@ -59,8 +59,8 @@ fn main() {
     );
 
     let t2 = Instant::now();
-    let gb = greedy_bushy(&mut oracle, full);
-    let gl = greedy_linear(&mut oracle, full);
+    let gb = greedy_bushy(&oracle, full);
+    let gl = greedy_linear(&oracle, full);
     println!(
         "greedy bushy / greedy linear:                 τ = {:>6} / {:>6}   [{:?}]",
         gb.cost,

@@ -63,12 +63,12 @@ fn main() {
     assert!(a.conditions.c2, "dimension keys give C2");
     assert!(!a.conditions.c3, "fact-side FKs repeat: C3 fails");
 
-    let mut exact = ExactOracle::new(&db);
+    let exact = ExactOracle::new(&db);
     let full = db.scheme().full_set();
-    let best = optimize(&mut exact, full, SearchSpace::All).expect("full space");
-    let linear = optimize(&mut exact, full, SearchSpace::Linear).expect("linear space");
-    println!("\noptimum (bushy):\n{}", best.explain(db.catalog(), &mut exact));
-    println!("\nbest linear:\n{}", linear.explain(db.catalog(), &mut exact));
+    let best = optimize(&exact, full, SearchSpace::All).expect("full space");
+    let linear = optimize(&exact, full, SearchSpace::Linear).expect("linear space");
+    println!("\noptimum (bushy):\n{}", best.explain(db.catalog(), &exact));
+    println!("\nbest linear:\n{}", linear.explain(db.catalog(), &exact));
     assert!(best.strategy.is_bushy(), "the snowflake optimum is bushy");
     assert!(
         linear.cost > best.cost,
@@ -84,7 +84,7 @@ fn main() {
     // Even though Theorem 2's C1 precondition fails (tiny dimensions make
     // some products cheap), its conclusion happens to hold here: the
     // product-free optimum ties the global one. Sufficient ≠ necessary.
-    let nocp = optimize(&mut exact, full, SearchSpace::NoCartesian).expect("connected");
+    let nocp = optimize(&exact, full, SearchSpace::NoCartesian).expect("connected");
     println!(
         "product-free optimum: {} ({} global optimum)",
         nocp.cost,
@@ -93,9 +93,9 @@ fn main() {
 
     // Planning from catalog statistics only: does the estimator find the
     // bushy shape too?
-    let mut est = SyntheticOracle::from_database(&db);
-    let est_plan = optimize(&mut est, full, SearchSpace::All).expect("full space");
-    let paid = est_plan.strategy.cost(&mut exact);
+    let est = SyntheticOracle::from_database(&db);
+    let est_plan = optimize(&est, full, SearchSpace::All).expect("full space");
+    let paid = est_plan.strategy.cost(&exact);
     println!(
         "\nstatistics-only plan: {}  (actual τ = {}, regret {:.3})",
         est_plan.strategy.render(db.catalog(), db.scheme()),

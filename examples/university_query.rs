@@ -12,12 +12,12 @@ use mjoin_gen::data;
 
 fn show(db: &mjoin::Database, title: &str, strategies: &[(&str, Strategy)]) {
     println!("=== {title} ===");
-    let mut oracle = ExactOracle::new(db);
+    let oracle = ExactOracle::new(db);
     for (label, s) in strategies {
         println!(
             "  {label}: {}  τ = {}  (linear: {}, uses ×: {})",
             s.render(db.catalog(), db.scheme()),
-            s.cost(&mut oracle),
+            s.cost(&oracle),
             s.is_linear(),
             s.uses_cartesian(db.scheme()),
         );

@@ -136,8 +136,8 @@ fn paper_examples_matrix() {
 #[test]
 fn example1_theorem1_is_vacuous() {
     let db = data::paper_example1();
-    let mut o = mjoin::ExactOracle::new(&db);
-    let r = mjoin::theorem1(&mut o);
+    let o = mjoin::ExactOracle::new(&db);
+    let r = mjoin::theorem1(&o);
     assert!(r.vacuous);
     assert!(r.conclusion_holds);
 }

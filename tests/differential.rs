@@ -10,7 +10,7 @@
 //! `exhaustive.strategies_enumerated` must be (2k−3)!!, at any thread
 //! count.
 
-use mjoin::{Guard, SharedOracle};
+use mjoin::{ExactOracle, Guard};
 use mjoin_gen::data::{self, DataConfig};
 use mjoin_gen::schemes;
 use mjoin_obs::{Counter, Recorder};
@@ -60,7 +60,7 @@ fn all_product_free_optimizers_agree_on_tau() {
         let guard = Guard::unlimited();
         let scheme = db.scheme();
 
-        let shared = SharedOracle::new(&db);
+        let shared = ExactOracle::new(&db);
         let accept = |s: &mjoin::Strategy| !s.uses_cartesian(scheme);
         let ex_seq = try_best_strategy_parallel(&shared, full, &guard, 1, &accept)
             .unwrap()
@@ -71,8 +71,8 @@ fn all_product_free_optimizers_agree_on_tau() {
 
         let mut taus = vec![("exhaustive-seq", ex_seq.1), ("exhaustive-par", ex_par.1)];
         for algo in [DpAlgorithm::DpSize, DpAlgorithm::DpCcp, DpAlgorithm::DpSub] {
-            let mut oracle = mjoin::ExactOracle::new(&db);
-            let plan = try_best_no_cartesian(&mut oracle, full, algo, &guard)
+            let oracle = ExactOracle::new(&db);
+            let plan = try_best_no_cartesian(&oracle, full, algo, &guard)
                 .unwrap()
                 .expect("connected scheme has a product-free DP plan");
             taus.push(("dp", plan.cost));
@@ -98,10 +98,10 @@ fn greedy_never_beats_the_optimum() {
     for (name, db) in corpus() {
         let full = db.scheme().full_set();
         let guard = Guard::unlimited();
-        let mut oracle = mjoin::ExactOracle::new(&db);
-        let best = try_best_bushy(&mut oracle, full, &guard).unwrap();
-        let bushy = try_greedy_bushy(&mut oracle, full, &guard).unwrap();
-        let linear = try_greedy_linear(&mut oracle, full, &guard).unwrap();
+        let oracle = ExactOracle::new(&db);
+        let best = try_best_bushy(&oracle, full, &guard).unwrap();
+        let bushy = try_greedy_bushy(&oracle, full, &guard).unwrap();
+        let linear = try_greedy_linear(&oracle, full, &guard).unwrap();
         assert!(
             bushy.cost >= best.cost,
             "{name}: greedy bushy {} beats the optimum {}",
@@ -134,8 +134,8 @@ fn chain_dp_expands_the_closed_form_subset_count() {
 
         for algo in [DpAlgorithm::DpSize, DpAlgorithm::DpCcp] {
             let rec = Recorder::arm();
-            let mut oracle = mjoin::ExactOracle::new(&db);
-            try_best_no_cartesian(&mut oracle, full, algo, &guard)
+            let oracle = ExactOracle::new(&db);
+            try_best_no_cartesian(&oracle, full, algo, &guard)
                 .unwrap()
                 .expect("chains are connected");
             let snap = rec.snapshot();
@@ -147,7 +147,7 @@ fn chain_dp_expands_the_closed_form_subset_count() {
         }
         for threads in [2usize, 4] {
             let rec = Recorder::arm();
-            let shared = SharedOracle::new(&db);
+            let shared = ExactOracle::new(&db);
             try_best_no_cartesian_parallel(&shared, full, &guard, threads)
                 .unwrap()
                 .expect("chains are connected");
@@ -183,8 +183,8 @@ fn chain_dpccp_scans_only_the_emitted_ccp_pairs() {
     {
         // Scoped: the recorder must drop before the parallel runs re-arm.
         let rec = Recorder::arm();
-        let mut oracle = mjoin::SyntheticOracle::new(s.clone(), vec![1000; n], 500);
-        try_best_no_cartesian(&mut oracle, full, DpAlgorithm::DpCcp, &guard)
+        let oracle = mjoin::SyntheticOracle::new(s.clone(), vec![1000; n], 500);
+        try_best_no_cartesian(&oracle, full, DpAlgorithm::DpCcp, &guard)
             .unwrap()
             .expect("chains are connected");
         let snap = rec.snapshot();
@@ -233,7 +233,7 @@ fn exhaustive_enumeration_count_is_the_double_factorial() {
         let guard = Guard::unlimited();
         for threads in [1usize, 4] {
             let rec = Recorder::arm();
-            let shared = SharedOracle::new(&db);
+            let shared = ExactOracle::new(&db);
             try_best_strategy_parallel(&shared, full, &guard, threads, &|_| true)
                 .unwrap()
                 .expect("the unrestricted space is never empty");
@@ -256,11 +256,11 @@ fn single_threaded_counter_snapshots_are_reproducible() {
         let rec = Recorder::arm();
         let full = db.scheme().full_set();
         let guard = Guard::unlimited();
-        let mut oracle = mjoin::ExactOracle::new(db);
-        try_best_no_cartesian(&mut oracle, full, DpAlgorithm::DpCcp, &guard)
+        let oracle = ExactOracle::new(db);
+        try_best_no_cartesian(&oracle, full, DpAlgorithm::DpCcp, &guard)
             .unwrap()
             .expect("corpus schemes are connected");
-        try_greedy_bushy(&mut oracle, full, &guard).unwrap();
+        try_greedy_bushy(&oracle, full, &guard).unwrap();
         let snap = rec.snapshot();
         snap.counters_by_name()
             .into_iter()

@@ -87,7 +87,7 @@ fn provoke(site: &str) -> MjoinError {
     let guard = Guard::unlimited();
     match site {
         "cost::materialize" => {
-            let mut oracle = ExactOracle::new(&db);
+            let oracle = ExactOracle::new(&db);
             oracle.try_tau(full).unwrap_err()
         }
         "relation::join" => db
@@ -95,24 +95,24 @@ fn provoke(site: &str) -> MjoinError {
             .natural_join_guarded(db.state(1), JoinAlgorithm::Hash, &guard)
             .unwrap_err(),
         "optimizer::dp" => {
-            let mut oracle = ExactOracle::new(&db);
-            mjoin_optimizer::try_best_bushy(&mut oracle, full, &guard).unwrap_err()
+            let oracle = ExactOracle::new(&db);
+            mjoin_optimizer::try_best_bushy(&oracle, full, &guard).unwrap_err()
         }
         "optimizer::greedy" => {
-            let mut oracle = ExactOracle::new(&db);
-            try_greedy_bushy(&mut oracle, full, &guard).unwrap_err()
+            let oracle = ExactOracle::new(&db);
+            try_greedy_bushy(&oracle, full, &guard).unwrap_err()
         }
         "optimizer::ikkbz" => {
-            let mut oracle = ExactOracle::new(&db);
-            try_ikkbz(&mut oracle, full, &guard).unwrap_err()
+            let oracle = ExactOracle::new(&db);
+            try_ikkbz(&oracle, full, &guard).unwrap_err()
         }
         "optimizer::lindp" => {
-            let mut oracle = ExactOracle::new(&db);
-            try_lindp(&mut oracle, full, &guard).unwrap_err()
+            let oracle = ExactOracle::new(&db);
+            try_lindp(&oracle, full, &guard).unwrap_err()
         }
         "optimizer::partdp" => {
-            let mut oracle = ExactOracle::new(&db);
-            try_partitioned_dp(&mut oracle, full, &guard).unwrap_err()
+            let oracle = ExactOracle::new(&db);
+            try_partitioned_dp(&oracle, full, &guard).unwrap_err()
         }
         "optimizer::exhaustive" | "core::ladder" => {
             optimize_database_robust_threaded(&db, SearchSpace::All, Budget::unlimited(), None, 1)
@@ -246,10 +246,10 @@ fn sites_are_independent() {
     let _serial = serialize();
     let db = db();
     let _fp = ScopedFailpoint::arm("semijoin::reduce");
-    let mut oracle = ExactOracle::new(&db);
+    let oracle = ExactOracle::new(&db);
     let full = db.scheme().full_set();
     assert!(oracle.try_tau(full).is_ok());
-    assert!(mjoin_optimizer::try_best_bushy(&mut oracle, full, &Guard::unlimited()).is_ok());
+    assert!(mjoin_optimizer::try_best_bushy(&oracle, full, &Guard::unlimited()).is_ok());
 }
 
 /// With no site armed, the whole guarded pipeline runs clean — the

@@ -48,11 +48,11 @@ fn lindp_matches_full_dp_on_seeded_chains() {
             let bases = seeded_bases(seed * 31 + n as u64, n);
             let full = scheme.full_set();
             let guard = Guard::unlimited();
-            let lin = try_lindp(&mut oracle_for(&scheme, &bases), full, &guard)
+            let lin = try_lindp(&oracle_for(&scheme, &bases), full, &guard)
                 .unwrap()
                 .expect("chains are connected");
             let opt = try_best_no_cartesian(
-                &mut oracle_for(&scheme, &bases),
+                &oracle_for(&scheme, &bases),
                 full,
                 DpAlgorithm::DpCcp,
                 &guard,
@@ -79,10 +79,10 @@ fn lindp_never_loses_to_greedy_linear_on_seeded_corpora() {
                 let bases = seeded_bases(seed * 131 + n as u64, scheme.len());
                 let full = scheme.full_set();
                 let guard = Guard::unlimited();
-                let lin = try_lindp(&mut oracle_for(&scheme, &bases), full, &guard)
+                let lin = try_lindp(&oracle_for(&scheme, &bases), full, &guard)
                     .unwrap()
                     .expect("connected");
-                let greedy = try_greedy_linear(&mut oracle_for(&scheme, &bases), full, &guard)
+                let greedy = try_greedy_linear(&oracle_for(&scheme, &bases), full, &guard)
                     .unwrap();
                 assert!(
                     lin.cost <= greedy.cost,
@@ -109,7 +109,7 @@ fn partdp_with_large_blocks_is_dpccp_bit_for_bit() {
                 let guard = Guard::unlimited();
                 for k in [n, n + 1, 128] {
                     let part = try_partitioned_dp_with(
-                        &mut oracle_for(&scheme, &bases),
+                        &oracle_for(&scheme, &bases),
                         full,
                         k,
                         &guard,
@@ -117,7 +117,7 @@ fn partdp_with_large_blocks_is_dpccp_bit_for_bit() {
                     .unwrap()
                     .expect("connected");
                     let exact = try_best_no_cartesian(
-                        &mut oracle_for(&scheme, &bases),
+                        &oracle_for(&scheme, &bases),
                         full,
                         DpAlgorithm::DpCcp,
                         &guard,
@@ -205,8 +205,8 @@ fn pinned_entry_matches_direct_rung_call() {
         Rung::LinDp,
     )
     .unwrap();
-    let mut oracle = ExactOracle::new(&db);
-    let direct = try_lindp(&mut oracle, full, &Guard::unlimited())
+    let oracle = ExactOracle::new(&db);
+    let direct = try_lindp(&oracle, full, &Guard::unlimited())
         .unwrap()
         .expect("connected");
     assert_eq!(r.plan.cost, direct.cost);

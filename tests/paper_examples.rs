@@ -30,8 +30,8 @@ fn example1_c1_is_not_enough_when_unconnected() {
         Strategy::join(Strategy::leaf(1), Strategy::leaf(3)).unwrap(),
     )
     .unwrap();
-    let mut o = ExactOracle::new(&db);
-    assert_eq!(s4.cost(&mut o), best.cost);
+    let o = ExactOracle::new(&db);
+    assert_eq!(s4.cost(&o), best.cost);
 }
 
 /// Example 2: the conditions `C1` and `C2` are logically independent.
@@ -55,9 +55,9 @@ fn example3_theorem1_needs_strictness() {
     assert!(a.theorem1.implication_holds());
 
     // All three strategies tie at τ = 7 (intermediate 4 + final 3).
-    let mut o = ExactOracle::new(&db);
+    let o = ExactOracle::new(&db);
     for s in mjoin_strategy::enumerate_all(db.scheme().full_set()) {
-        assert_eq!(s.cost(&mut o), 7, "{}", s.render(db.catalog(), db.scheme()));
+        assert_eq!(s.cost(&o), 7, "{}", s.render(db.catalog(), db.scheme()));
     }
 }
 
@@ -85,11 +85,11 @@ fn example5_theorem3_needs_c3() {
     assert!(!a.theorem3.preconditions_hold && !a.theorem3.conclusion_holds);
 
     // The optimum is unique and bushy: every linear strategy is worse.
-    let mut o = ExactOracle::new(&db);
+    let o = ExactOracle::new(&db);
     let best = optimize_database(&db, SearchSpace::All).unwrap();
     let mut optima = 0;
     for s in mjoin_strategy::enumerate_all(db.scheme().full_set()) {
-        let c = s.cost(&mut o);
+        let c = s.cost(&o);
         assert!(c >= best.cost);
         if c == best.cost {
             optima += 1;

@@ -100,8 +100,8 @@ fn acyclic_pipeline_end_to_end() {
         }
         let out = yannakakis(&db).expect("α-acyclic connected");
         assert_eq!(out.result, db.evaluate());
-        let mut o = ExactOracle::new(&out.reduced);
-        assert!(out.strategy.is_monotone_increasing(&mut o));
+        let o = ExactOracle::new(&out.reduced);
+        assert!(out.strategy.is_monotone_increasing(&o));
     }
 }
 
@@ -112,11 +112,11 @@ fn zigzag_gap_and_c3_collapse() {
     for k in [2usize, 3, 4] {
         let (cat, scheme) = schemes::chain(2 * k);
         let db = data::zigzag(cat, scheme, 10);
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         assert!(!o.result_is_empty());
         let full = db.scheme().full_set();
-        let bushy = mjoin::optimize(&mut o, full, SearchSpace::All).unwrap().cost;
-        let linear = mjoin::optimize(&mut o, full, SearchSpace::Linear)
+        let bushy = mjoin::optimize(&o, full, SearchSpace::All).unwrap().cost;
+        let linear = mjoin::optimize(&o, full, SearchSpace::Linear)
             .unwrap()
             .cost;
         assert!(
@@ -124,7 +124,7 @@ fn zigzag_gap_and_c3_collapse() {
             "k={k}: linear {linear} vs bushy {bushy}"
         );
         // And C3 must fail — otherwise Theorem 3 would forbid the gap.
-        assert!(!mjoin::satisfies(&mut o, mjoin::Condition::C3));
+        assert!(!mjoin::satisfies(&o, mjoin::Condition::C3));
     }
 }
 
@@ -140,7 +140,7 @@ proptest! {
         let (cat, scheme) = schemes::random_tree(n, &mut rng);
         let cfg = DataConfig { tuples_per_relation: 4, domain: 4, ensure_nonempty: true };
         let db = data::uniform(cat, scheme, &cfg, &mut rng);
-        let mut oracle = ExactOracle::new(&db);
+        let oracle = ExactOracle::new(&db);
         for s in mjoin_strategy::enumerate_all(db.scheme().full_set()) {
             let (result, trace) = s.execute_traced(&db);
             let mut total = 0u64;
@@ -148,7 +148,7 @@ proptest! {
                 prop_assert_eq!(entry.relation.tau(), oracle.tau(entry.set));
                 total += entry.relation.tau();
             }
-            prop_assert_eq!(total, s.cost(&mut oracle));
+            prop_assert_eq!(total, s.cost(&oracle));
             prop_assert_eq!(&result, &db.evaluate());
         }
     }

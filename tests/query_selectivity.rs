@@ -79,7 +79,7 @@ fn folded_estimates_track_the_filtered_exact_oracle() {
         // Statistics from the unfiltered states, selectivities folded in.
         let mut model = SyntheticOracle::from_database(&unfiltered.database);
         filtered.fold_into(&mut model).unwrap();
-        let mut exact = ExactOracle::new(&filtered.database);
+        let exact = ExactOracle::new(&filtered.database);
         for subset in filtered.database.scheme().full_set().subsets() {
             if subset.is_empty() {
                 continue;
@@ -113,7 +113,7 @@ fn folding_improves_the_filtered_relation_estimate() {
         if filtered.filtered_taus[3] == 0 {
             continue;
         }
-        let mut blind = SyntheticOracle::from_database(&unfiltered.database);
+        let blind = SyntheticOracle::from_database(&unfiltered.database);
         let mut folded = SyntheticOracle::from_database(&unfiltered.database);
         filtered.fold_into(&mut folded).unwrap();
         let cw = RelSet::singleton(3);

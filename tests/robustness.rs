@@ -236,9 +236,9 @@ fn product_free_dp_honours_its_deadline_on_stars_and_trees() {
         let mut last = String::new();
         let ok = (0..3).any(|_| {
             let guard = Guard::new(Budget::unlimited().with_deadline(deadline));
-            let mut oracle = ExactOracle::with_guard(db, guard.clone());
+            let oracle = ExactOracle::with_guard(db, guard.clone());
             let started = Instant::now();
-            let dp = try_optimize(&mut oracle, full, SearchSpace::NoCartesian, &guard);
+            let dp = try_optimize(&oracle, full, SearchSpace::NoCartesian, &guard);
             let dp_elapsed = started.elapsed();
 
             let budget = Budget::unlimited().with_deadline(deadline);
@@ -353,9 +353,9 @@ proptest! {
         let r = optimize_database_robust_threaded(&db, SearchSpace::All, Budget::unlimited(), None, 1)
             .unwrap();
         prop_assert!(r.report.optimal, "{}", r.report);
-        let mut oracle = ExactOracle::new(&db);
+        let oracle = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let greedy = try_greedy_bushy(&mut oracle, full, &Guard::unlimited()).unwrap();
+        let greedy = try_greedy_bushy(&oracle, full, &Guard::unlimited()).unwrap();
         prop_assert!(
             r.plan.cost <= greedy.cost,
             "ladder {} vs greedy {}",
@@ -378,11 +378,11 @@ proptest! {
             SearchSpace::LinearNoCartesian,
             SearchSpace::AvoidCartesian,
         ] {
-            let mut legacy_oracle = ExactOracle::new(&db);
-            let legacy = mjoin::optimize(&mut legacy_oracle, full, space);
-            let mut guarded_oracle = ExactOracle::new(&db);
+            let legacy_oracle = ExactOracle::new(&db);
+            let legacy = mjoin::optimize(&legacy_oracle, full, space);
+            let guarded_oracle = ExactOracle::new(&db);
             let guarded =
-                try_optimize(&mut guarded_oracle, full, space, &Guard::unlimited()).unwrap();
+                try_optimize(&guarded_oracle, full, space, &Guard::unlimited()).unwrap();
             match (legacy, guarded) {
                 (None, None) => {}
                 (Some(a), Some(b)) => {
@@ -407,13 +407,13 @@ proptest! {
 
 /// Every subset's τ via the legacy infallible surface.
 fn legacy_tau_profile(db: &Database) -> Vec<u64> {
-    let mut oracle = ExactOracle::new(db);
+    let oracle = ExactOracle::new(db);
     subsets(db).into_iter().map(|s| oracle.tau(s)).collect()
 }
 
 /// Every subset's τ via the guarded surface under an unlimited guard.
 fn guarded_tau_profile(db: &Database) -> Vec<u64> {
-    let mut oracle = ExactOracle::with_guard(db, Guard::unlimited());
+    let oracle = ExactOracle::with_guard(db, Guard::unlimited());
     subsets(db)
         .into_iter()
         .map(|s| oracle.try_tau(s).unwrap())

@@ -34,8 +34,8 @@ proptest! {
         let (cat, scheme) = topology(topo, n, &mut rng);
         let cfg = DataConfig { tuples_per_relation: 4, domain: 8, ensure_nonempty: true };
         let (db, _) = data::superkey(cat, scheme, &cfg, &mut rng);
-        let mut o = ExactOracle::new(&db);
-        let r = theorems::theorem1(&mut o);
+        let o = ExactOracle::new(&db);
+        let r = theorems::theorem1(&o);
         prop_assert!(r.implication_holds());
     }
 
@@ -46,8 +46,8 @@ proptest! {
         let (cat, scheme) = schemes::chain(n);
         let cfg = DataConfig { tuples_per_relation: 5, domain: 7, ensure_nonempty: true };
         let (db, _) = data::fk_chain(cat, scheme, &cfg, &mut rng);
-        let mut o = ExactOracle::new(&db);
-        let r = theorems::theorem2(&mut o);
+        let o = ExactOracle::new(&db);
+        let r = theorems::theorem2(&o);
         prop_assert!(r.implication_holds());
     }
 
@@ -58,8 +58,8 @@ proptest! {
         let (cat, scheme) = topology(topo, n, &mut rng);
         let cfg = DataConfig { tuples_per_relation: 4, domain: 9, ensure_nonempty: true };
         let (db, _) = data::superkey(cat, scheme, &cfg, &mut rng);
-        let mut o = ExactOracle::new(&db);
-        let r = theorems::theorem3(&mut o);
+        let o = ExactOracle::new(&db);
+        let r = theorems::theorem3(&o);
         prop_assert!(r.preconditions_hold, "superkey joins must give C3");
         prop_assert!(r.conclusion_holds);
     }
@@ -71,8 +71,8 @@ proptest! {
         let (cat, scheme) = topology(topo, n, &mut rng);
         let cfg = DataConfig { tuples_per_relation: 4, domain: 4, ensure_nonempty: true };
         let db = data::uniform(cat, scheme, &cfg, &mut rng);
-        let mut o = ExactOracle::new(&db);
-        prop_assert!(theorems::lemma5_check(&mut o));
+        let o = ExactOracle::new(&db);
+        prop_assert!(theorems::lemma5_check(&o));
     }
 
     /// C3 ⇒ C2 as well (both inequalities imply the disjunction).
@@ -82,9 +82,9 @@ proptest! {
         let (cat, scheme) = schemes::chain(n);
         let cfg = DataConfig { tuples_per_relation: 4, domain: 8, ensure_nonempty: true };
         let (db, _) = data::superkey(cat, scheme, &cfg, &mut rng);
-        let mut o = ExactOracle::new(&db);
-        if satisfies(&mut o, Condition::C3) {
-            prop_assert!(satisfies(&mut o, Condition::C2));
+        let o = ExactOracle::new(&db);
+        if satisfies(&o, Condition::C3) {
+            prop_assert!(satisfies(&o, Condition::C2));
         }
     }
 
@@ -97,20 +97,20 @@ proptest! {
         let (cat, scheme) = schemes::random_tree(n, &mut rng);
         let cfg = DataConfig { tuples_per_relation: 3, domain: 4, ensure_nonempty: true };
         let db = data::uniform(cat, scheme, &cfg, &mut rng);
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         if o.result_is_empty() {
             return Ok(());
         }
-        let c1 = satisfies(&mut o, Condition::C1);
-        let c1s = satisfies(&mut o, Condition::C1Strict);
+        let c1 = satisfies(&o, Condition::C1);
+        let c1s = satisfies(&o, Condition::C1Strict);
         for s in mjoin_strategy::enumerate_linear(db.scheme().full_set()) {
             if let Some(t) = rewrites::figure3_rewrite(db.scheme(), &s) {
                 prop_assert!(t.validate(db.scheme()));
                 prop_assert_eq!(t.set(), s.set());
                 if c1s {
-                    prop_assert!(t.cost(&mut o) < s.cost(&mut o));
+                    prop_assert!(t.cost(&o) < s.cost(&o));
                 } else if c1 {
-                    prop_assert!(t.cost(&mut o) <= s.cost(&mut o));
+                    prop_assert!(t.cost(&o) <= s.cost(&o));
                 }
             }
         }
@@ -124,14 +124,14 @@ proptest! {
         let (cat, scheme) = topology(topo, n, &mut rng);
         let cfg = DataConfig { tuples_per_relation: 3, domain: 4, ensure_nonempty: true };
         let db = data::uniform(cat, scheme, &cfg, &mut rng);
-        let mut o = ExactOracle::new(&db);
+        let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
 
         let mut best_all = u64::MAX;
         let mut best_linear = u64::MAX;
         let mut best_nocp = u64::MAX;
         for s in mjoin_strategy::enumerate_all(full) {
-            let c = s.cost(&mut o);
+            let c = s.cost(&o);
             best_all = best_all.min(c);
             if s.is_linear() {
                 best_linear = best_linear.min(c);
@@ -141,14 +141,14 @@ proptest! {
             }
         }
         prop_assert_eq!(
-            mjoin::optimize(&mut o, full, SearchSpace::All).unwrap().cost,
+            mjoin::optimize(&o, full, SearchSpace::All).unwrap().cost,
             best_all
         );
         prop_assert_eq!(
-            mjoin::optimize(&mut o, full, SearchSpace::Linear).unwrap().cost,
+            mjoin::optimize(&o, full, SearchSpace::Linear).unwrap().cost,
             best_linear
         );
-        match mjoin::optimize(&mut o, full, SearchSpace::NoCartesian) {
+        match mjoin::optimize(&o, full, SearchSpace::NoCartesian) {
             Some(p) => prop_assert_eq!(p.cost, best_nocp),
             None => prop_assert_eq!(best_nocp, u64::MAX),
         }
@@ -162,9 +162,9 @@ proptest! {
         let (cat, scheme) = schemes::chain(n);
         let cfg = DataConfig { tuples_per_relation: 4, domain: 8, ensure_nonempty: true };
         let (db, _) = data::superkey(cat, scheme, &cfg, &mut rng);
-        let mut o = ExactOracle::new(&db);
-        if satisfies(&mut o, Condition::C1) && satisfies(&mut o, Condition::C2) {
-            prop_assert!(theorems::lemma4_conclusion(&mut o));
+        let o = ExactOracle::new(&db);
+        if satisfies(&o, Condition::C1) && satisfies(&o, Condition::C2) {
+            prop_assert!(theorems::lemma4_conclusion(&o));
         }
     }
 }

@@ -110,18 +110,18 @@ fn aware_model_strictly_beats_blind_on_the_stats_star() {
         let lowered = mjoin::lower(&query, &input.database).expect("workload sql lowers");
         assert!(!lowered.has_rows(), "{name}: statistics-only by design");
 
-        let mut blind = query_synthetic_oracle(&input, &lowered).expect("blind model");
+        let blind = query_synthetic_oracle(&input, &lowered).expect("blind model");
         let mut aware = query_synthetic_oracle(&input, &lowered).expect("aware model");
         lowered.fold_into(&mut aware).expect("selectivity folding");
 
         let guard = mjoin::Guard::unlimited();
         let full = lowered.database.scheme().full_set();
         let plan_blind =
-            mjoin::try_optimize(&mut blind, full, mjoin::SearchSpace::All, &guard)
+            mjoin::try_optimize(&blind, full, mjoin::SearchSpace::All, &guard)
                 .expect("blind optimize")
                 .expect("nonempty space");
         let plan_aware =
-            mjoin::try_optimize(&mut aware, full, mjoin::SearchSpace::All, &guard)
+            mjoin::try_optimize(&aware, full, mjoin::SearchSpace::All, &guard)
                 .expect("aware optimize")
                 .expect("nonempty space");
 
@@ -129,7 +129,7 @@ fn aware_model_strictly_beats_blind_on_the_stats_star() {
         let aware_of_aware = plan_aware.cost;
         let aware_of_blind = plan_blind
             .strategy
-            .try_cost(&mut aware)
+            .try_cost(&aware)
             .expect("costing the blind plan under the aware model");
         assert!(
             aware_of_aware < aware_of_blind,
