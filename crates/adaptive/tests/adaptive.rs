@@ -2,7 +2,6 @@
 //! recovery, determinism across threads and seeds, budgets, cancellation,
 //! and fault injection through the three `adaptive::*` sites.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use mjoin::{failpoints, Budget, CancelToken, Database, MjoinError, SearchSpace};
@@ -20,13 +19,6 @@ fn random_db(n: usize, seed: u64) -> Database {
     let extra = rng.gen_range(0..=2);
     let (cat, scheme) = schemes::random_connected(n, extra, &mut rng);
     data::uniform(cat, scheme, &data::DataConfig::default(), &mut rng)
-}
-
-fn serialize() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
 }
 
 /// Any left-deep strategy over the full set, as a drift-prone initial plan.
@@ -327,7 +319,6 @@ fn invalid_inputs_are_typed_errors() {
 
 #[test]
 fn every_adaptive_failpoint_yields_a_typed_error() {
-    let _serial = serialize();
     let db = random_db(5, 1000);
     let strategy = left_deep_full(&db);
     // `adaptive::materialize` and `adaptive::stage` fire on every run;

@@ -38,10 +38,9 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use mjoin::{
-    analyze_guarded, failpoints, optimize_robust, try_best_avoid_cartesian_parallel,
-    try_best_no_cartesian_parallel, try_optimize, BrownoutLevel, Budget, CardinalityOracle,
-    Condition, Database, ExactOracle, Guard, MjoinError, SearchSpace, Strategy,
-    Value,
+    analyze_guarded, failpoints, optimize_robust, try_optimize, try_optimize_threaded,
+    BrownoutLevel, Budget, CardinalityOracle, Condition, Database, ExactOracle, Guard,
+    MjoinError, SearchSpace, Strategy, Value,
 };
 use mjoin_fd::FdSet;
 use mjoin_hypergraph::{DbScheme, JoinTree};
@@ -306,18 +305,6 @@ pub fn parse_guard_flags(args: &[String]) -> Result<(Vec<String>, GuardOptions),
     Ok((rest, opts))
 }
 
-/// Disarms the listed failpoints when dropped, so in-process callers
-/// (tests) don't leak armed sites across invocations.
-struct ArmedSites(Vec<String>);
-
-impl Drop for ArmedSites {
-    fn drop(&mut self) {
-        for site in &self.0 {
-            failpoints::disarm(site);
-        }
-    }
-}
-
 /// The SPACE argument of a command or request; absent means the full space.
 fn parse_space(s: Option<&str>) -> Result<SearchSpace, CliError> {
     let Some(s) = s else {
@@ -444,17 +431,7 @@ pub fn optimize_outcome(
     }
     let guard = Guard::new(gopts.budget());
     let oracle = ExactOracle::with_guard(db, guard.clone()).with_join_threads(threads);
-    // Above one thread the product-free spaces run the level-parallel DP;
-    // everything else is the sequential DP over the same oracle.
-    let plan = match space {
-        SearchSpace::NoCartesian if threads > 1 => {
-            try_best_no_cartesian_parallel(&oracle, full, &guard, threads)
-        }
-        SearchSpace::AvoidCartesian if threads > 1 => {
-            try_best_avoid_cartesian_parallel(&oracle, full, &guard, threads)
-        }
-        _ => try_optimize(&oracle, full, space, &guard),
-    }?;
+    let plan = try_optimize_threaded(&oracle, full, space, &guard, threads)?;
     Ok(plan_outcome(plan, space, "", db.catalog(), &oracle))
 }
 
@@ -789,10 +766,13 @@ where
         );
         return Ok(out);
     }
-    let _armed = ArmedSites(gopts.fail_inject.clone());
-    for site in &gopts.fail_inject {
-        failpoints::arm(site);
-    }
+    // Disarmed on drop, so in-process callers (tests) don't leak armed
+    // sites across invocations.
+    let _armed: Vec<_> = gopts
+        .fail_inject
+        .iter()
+        .map(|site| failpoints::ScopedFailpoint::arm_process(site))
+        .collect();
     if command == "serve" {
         return serve::serve_command(&args[1..], &gopts);
     }

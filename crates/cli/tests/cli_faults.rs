@@ -3,8 +3,7 @@
 //! `Err` (exit 1 in the binary) carrying the typed message — never a
 //! panic. Also covers the budget flags end to end.
 //!
-//! Failpoints and `--fail-inject` arming are process-global, so tests
-//! serialize on one mutex.
+//! `--fail-inject` arms process-wide, so tests serialize on one mutex.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 

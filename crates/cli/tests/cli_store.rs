@@ -6,7 +6,7 @@
 //! warms the daemon's plan cache at boot, and a drained daemon's snapshot
 //! warms the CLI.
 //!
-//! Failpoints are process-global, so tests serialize on one mutex.
+//! `--fail-inject` arms process-wide, so tests serialize on one mutex.
 
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::TcpStream;

@@ -4,7 +4,8 @@
 //! mixing valid, malformed, oversized, slow-loris, and deadline-doomed
 //! requests while every `serve::*` failpoint is armed round-robin.
 //!
-//! Failpoints are process-global, so tests serialize on one mutex. Set
+//! The storm arms failpoints process-wide (the daemon's threads are not
+//! the test's), so tests serialize on one mutex. Set
 //! `MJOIN_CHAOS_SMOKE=1` (the CI serve-chaos job does) to shrink the soak.
 
 use std::io::{BufRead as _, BufReader, Write as _};
@@ -186,7 +187,7 @@ fn chaos_soak_with_the_real_engine() {
                     "serve::brownout",
                     "serve::respond",
                 ] {
-                    let _fp = ScopedFailpoint::arm(site);
+                    let _fp = ScopedFailpoint::arm_process(site);
                     std::thread::sleep(Duration::from_millis(8));
                 }
                 std::thread::sleep(Duration::from_millis(4));

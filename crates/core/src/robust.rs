@@ -51,10 +51,7 @@ use mjoin_cost::{Database, ExactOracle};
 use mjoin_guard::{failpoints, Budget, CancelToken, Guard, MjoinError};
 use mjoin_hypergraph::{DbScheme, RelSet};
 use mjoin_obs::{incr, span, Counter, Span};
-use mjoin_optimizer::{
-    try_best_avoid_cartesian_parallel, try_best_no_cartesian_parallel, try_optimize, Plan,
-    SearchSpace,
-};
+use mjoin_optimizer::{try_optimize_threaded, Plan, SearchSpace};
 use mjoin_strategy::{try_best_strategy_parallel, Strategy};
 
 /// Largest subset the exhaustive rung will attempt: `(2·7 − 3)!! = 10 395`
@@ -338,13 +335,7 @@ fn run(
             })?;
             Ok(best.map(|(strategy, cost)| Plan { strategy, cost }))
         }
-        (Rung::Dp, SearchSpace::NoCartesian) if threads > 1 => {
-            try_best_no_cartesian_parallel(oracle, req.subset, guard, threads)
-        }
-        (Rung::Dp, SearchSpace::AvoidCartesian) if threads > 1 => {
-            try_best_avoid_cartesian_parallel(oracle, req.subset, guard, threads)
-        }
-        (Rung::Dp, _) => try_optimize(oracle, req.subset, req.space, guard),
+        (Rung::Dp, _) => try_optimize_threaded(oracle, req.subset, req.space, guard, threads),
         (Rung::LinDp, _) => mjoin_optimizer::try_lindp(oracle, req.subset, guard),
         (Rung::PartitionedDp, _) => {
             mjoin_optimizer::try_partitioned_dp(oracle, req.subset, guard)

@@ -1,19 +1,29 @@
 //! Deterministic fault injection, failpoint style.
 //!
 //! Every registered site calls [`hit`] on its hot path. While no site is
-//! armed the cost is a single relaxed atomic load; arming a site (via
-//! [`arm`], or the `MJOIN_FAIL_INJECT` environment variable at process
-//! start) makes that site return [`MjoinError::Internal`] with the site
-//! name, letting tests and the CLI prove that every layer propagates
-//! typed failures instead of aborting.
+//! armed the cost is a single atomic load; arming a site makes it return
+//! [`MjoinError::Internal`] with the site name, letting tests and the CLI
+//! prove that every layer propagates typed failures instead of aborting.
 //!
-//! Sites are process-global: tests that arm them must run serially or use
-//! distinct sites (the workspace's fault-injection tests use
-//! [`ScopedFailpoint`] which disarms on drop).
+//! A site is armed at one of two widths:
+//!
+//! * **for one thread's run** — [`ScopedFailpoint::arm`]: only the arming
+//!   thread, and the workers it hands its [`Scope`] to, see the fault.
+//!   Tests running side by side in one binary cannot trip each other;
+//! * **process-wide** — [`arm`] / [`disarm`], or the `MJOIN_FAIL_INJECT`
+//!   environment variable at process start ([`init_from_env`]): every
+//!   thread sees the fault. This is what `--fail-inject` uses, and what a
+//!   test needs to reach threads it did not spawn (the serve daemon's);
+//!   such tests must run serially ([`ScopedFailpoint::arm_process`]
+//!   disarms on drop).
 
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::RefCell;
+use std::collections::BTreeSet;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+use mjoin_obs::Sink;
 
 use crate::MjoinError;
 
@@ -76,52 +86,54 @@ pub const SITE_DOCS: &[(&str, &str)] = &[
     ("query::lower", "query front end: lowering onto the database"),
 ];
 
-static ANY_ARMED: AtomicBool = AtomicBool::new(false);
+/// Process-wide armed sites plus live thread-scoped arms. Zero — the
+/// default — keeps [`hit`] to this one load.
+static ARMED: AtomicUsize = AtomicUsize::new(0);
 
-fn registry() -> &'static Mutex<HashSet<String>> {
-    static REGISTRY: std::sync::OnceLock<Mutex<HashSet<String>>> = std::sync::OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashSet::new()))
+thread_local! {
+    /// Sites armed for the calling thread's run only.
+    static THREAD_SITES: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
 }
+
+/// Sites armed process-wide.
+static REGISTRY: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
 
 /// Is `site` one of the registered [`SITES`]?
 pub fn is_known(site: &str) -> bool {
     SITES.contains(&site)
 }
 
-/// Arms `site`: its next [`hit`] returns an injected fault. Unknown sites
-/// are accepted (they simply never fire) so arming can precede loading.
+/// Arms `site` process-wide: its next [`hit`] on any thread returns an
+/// injected fault. Unknown sites are accepted (they simply never fire) so
+/// arming can precede loading.
 pub fn arm(site: &str) {
-    let mut reg = registry().lock().expect("failpoint registry poisoned");
-    reg.insert(site.to_string());
-    ANY_ARMED.store(true, Ordering::Release);
-}
-
-/// Disarms `site`.
-pub fn disarm(site: &str) {
-    let mut reg = registry().lock().expect("failpoint registry poisoned");
-    reg.remove(site);
-    if reg.is_empty() {
-        ANY_ARMED.store(false, Ordering::Release);
+    let mut reg = REGISTRY.lock().expect("failpoint registry poisoned");
+    if reg.insert(site.to_string()) {
+        ARMED.fetch_add(1, Ordering::Release);
     }
 }
 
-/// Disarms every site.
-pub fn disarm_all() {
-    let mut reg = registry().lock().expect("failpoint registry poisoned");
-    reg.clear();
-    ANY_ARMED.store(false, Ordering::Release);
+/// Disarms a process-wide `site`.
+pub fn disarm(site: &str) {
+    let mut reg = REGISTRY.lock().expect("failpoint registry poisoned");
+    if reg.remove(site) {
+        ARMED.fetch_sub(1, Ordering::Release);
+    }
 }
 
-/// The currently armed sites, sorted.
+/// The sites armed for the calling thread — process-wide ones and its
+/// own thread-scoped ones — sorted.
 pub fn armed() -> Vec<String> {
-    let reg = registry().lock().expect("failpoint registry poisoned");
-    let mut v: Vec<String> = reg.iter().cloned().collect();
+    let mut v = THREAD_SITES.with(|sites| sites.borrow().clone());
+    v.extend(REGISTRY.lock().expect("failpoint registry poisoned").iter().cloned());
     v.sort();
+    v.dedup();
     v
 }
 
-/// Arms every site named in the `MJOIN_FAIL_INJECT` environment variable
-/// (comma-separated). Returns the sites armed. Call once at process start.
+/// Arms process-wide every site named in the `MJOIN_FAIL_INJECT`
+/// environment variable (comma-separated). Returns the sites armed. Call
+/// once at process start.
 pub fn init_from_env() -> Vec<String> {
     let Ok(spec) = std::env::var("MJOIN_FAIL_INJECT") else {
         return Vec::new();
@@ -134,11 +146,11 @@ pub fn init_from_env() -> Vec<String> {
     out
 }
 
-/// The check every registered site runs. Free (one relaxed load) until
+/// The check every registered site runs. Free (one atomic load) until
 /// some site is armed.
 #[inline]
 pub fn hit(site: &str) -> Result<(), MjoinError> {
-    if !ANY_ARMED.load(Ordering::Acquire) {
+    if ARMED.load(Ordering::Acquire) == 0 {
         return Ok(());
     }
     hit_slow(site)
@@ -146,8 +158,9 @@ pub fn hit(site: &str) -> Result<(), MjoinError> {
 
 #[cold]
 fn hit_slow(site: &str) -> Result<(), MjoinError> {
-    let reg = registry().lock().expect("failpoint registry poisoned");
-    if reg.contains(site) {
+    let armed = THREAD_SITES.with(|sites| sites.borrow().iter().any(|s| s == site))
+        || REGISTRY.lock().expect("failpoint registry poisoned").contains(site);
+    if armed {
         Err(MjoinError::Internal(format!("injected fault at {site}")))
     } else {
         Ok(())
@@ -159,19 +172,72 @@ fn hit_slow(site: &str) -> Result<(), MjoinError> {
 #[derive(Debug)]
 pub struct ScopedFailpoint {
     site: String,
+    process_wide: bool,
+    /// Not `Send`: a thread-scoped arm must drop on the thread it armed.
+    _this_thread: PhantomData<*const ()>,
 }
 
 impl ScopedFailpoint {
-    /// Arms `site` until the returned value is dropped.
+    /// Arms `site` for the calling thread's run — this thread and the
+    /// workers that enter its [`Scope`] — until the value is dropped.
     pub fn arm(site: &str) -> Self {
+        THREAD_SITES.with(|sites| sites.borrow_mut().push(site.to_string()));
+        ARMED.fetch_add(1, Ordering::Release);
+        ScopedFailpoint { site: site.to_string(), process_wide: false, _this_thread: PhantomData }
+    }
+
+    /// Arms `site` for every thread in the process ([`arm`]) until the
+    /// value is dropped — for faults in threads the caller did not spawn.
+    pub fn arm_process(site: &str) -> Self {
         arm(site);
-        ScopedFailpoint { site: site.to_string() }
+        ScopedFailpoint { site: site.to_string(), process_wide: true, _this_thread: PhantomData }
     }
 }
 
 impl Drop for ScopedFailpoint {
     fn drop(&mut self) {
-        disarm(&self.site);
+        if self.process_wide {
+            return disarm(&self.site);
+        }
+        // `try_with`: a drop during thread teardown must not panic.
+        let _ = THREAD_SITES.try_with(|sites| {
+            let mut sites = sites.borrow_mut();
+            if let Some(i) = sites.iter().position(|s| *s == self.site) {
+                sites.swap_remove(i);
+            }
+        });
+        ARMED.fetch_sub(1, Ordering::Release);
+    }
+}
+
+/// The calling thread's run-scoped state — its telemetry [`Sink`] and its
+/// thread-scoped failpoints — captured so the workers it spawns count and
+/// fail as part of the same run: `capture()` before spawning, `enter` as
+/// the first thing each worker does. Neither allocates nor locks when
+/// nothing is armed.
+pub struct Scope {
+    sink: Option<Sink>,
+    sites: Vec<String>,
+}
+
+impl Scope {
+    /// What the calling thread has armed right now.
+    pub fn capture() -> Scope {
+        Scope {
+            sink: Sink::current(),
+            sites: THREAD_SITES.with(|sites| sites.borrow().clone()),
+        }
+    }
+
+    /// Runs `f` on the calling thread with the captured state in force,
+    /// and takes it away again afterwards (also when `f` unwinds).
+    pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        let _armed: Vec<ScopedFailpoint> =
+            self.sites.iter().map(|site| ScopedFailpoint::arm(site)).collect();
+        match &self.sink {
+            Some(sink) => sink.enter(f),
+            None => f(),
+        }
     }
 }
 
@@ -196,6 +262,37 @@ mod tests {
             assert!(hit("tests::other-site").is_ok());
         }
         assert!(hit("tests::scoped-site").is_ok());
+    }
+
+    #[test]
+    fn scoped_site_reaches_workers_in_the_scope_and_no_other_thread() {
+        let fp = ScopedFailpoint::arm("tests::thread-site");
+        let scope = Scope::capture();
+        std::thread::scope(|s| {
+            // A sibling thread (another test, a daemon worker) sees nothing.
+            s.spawn(|| assert!(hit("tests::thread-site").is_ok()));
+            s.spawn(|| {
+                scope.enter(|| assert!(hit("tests::thread-site").is_err()));
+                assert!(hit("tests::thread-site").is_ok());
+            });
+        });
+        // `armed()` may also list what a concurrent test armed process-wide.
+        let listed = || armed().iter().any(|s| s == "tests::thread-site");
+        assert!(listed());
+        drop(fp);
+        assert!(!listed());
+        assert!(hit("tests::thread-site").is_ok());
+    }
+
+    #[test]
+    fn process_wide_arm_reaches_every_thread_until_dropped() {
+        {
+            let _fp = ScopedFailpoint::arm_process("tests::process-site");
+            std::thread::scope(|s| {
+                s.spawn(|| assert!(hit("tests::process-site").is_err()));
+            });
+        }
+        assert!(hit("tests::process-site").is_ok());
     }
 
     #[test]

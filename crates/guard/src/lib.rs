@@ -14,8 +14,10 @@
 //!
 //! The [`failpoints`] module provides a failpoint-style registry for
 //! deterministic fault injection: sites are compiled in everywhere but cost
-//! a single relaxed atomic load until armed via the API or the
-//! `MJOIN_FAIL_INJECT` environment variable.
+//! a single atomic load until armed via the API or the
+//! `MJOIN_FAIL_INJECT` environment variable. [`Scope`] is what a thread
+//! hands the workers it spawns, so that they count into its telemetry sink
+//! and see the failpoints it armed.
 //!
 //! Design constraints:
 //!
@@ -35,6 +37,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub mod failpoints;
+
+pub use failpoints::Scope;
 
 /// Which budgeted resource ran out.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -2,16 +2,21 @@
 //!
 //! Three pieces, all dependency-free:
 //!
-//! * a process-global **metrics registry** — a fixed array of relaxed
-//!   [`AtomicU64`] counters indexed by [`Counter`], plus monotonic span
-//!   accumulators indexed by [`Span`]. Disarmed (the default), every
-//!   instrumentation site is a single relaxed load of one `AtomicBool`
-//!   and a branch — no clock reads, no contention, no allocation — so
-//!   un-instrumented runs stay byte- and cost-identical;
-//! * a [`Recorder`] RAII handle that arms the registry for the duration
-//!   of one run and hands back an immutable [`Snapshot`] of everything
-//!   counted. Arming takes a process-wide lock, so concurrent tests
-//!   serialize instead of bleeding counts into each other;
+//! * **run-scoped metrics** — a [`Recorder`] owns one fixed array of
+//!   relaxed [`AtomicU64`] counters indexed by [`Counter`], plus monotonic
+//!   span accumulators indexed by [`Span`], and installs it as the calling
+//!   thread's [`Sink`]. [`incr`] and [`span`] write to the calling
+//!   thread's sink and to nothing else, so two recorders armed at once —
+//!   or an armed test beside an unarmed one — never see each other's work.
+//!   While no thread has a sink (the default), every instrumentation site
+//!   is a single relaxed load of one `AtomicUsize` and a branch — no clock
+//!   reads, no contention, no allocation — so un-instrumented runs stay
+//!   byte- and cost-identical;
+//! * a [`Sink`] handle a spawning thread passes to its workers
+//!   ([`Sink::current`] / [`Sink::enter`]; `mjoin_guard::Scope` bundles it
+//!   with the armed failpoints), so parallel searches count into the run
+//!   that started them. [`Recorder::snapshot`] hands back an immutable
+//!   [`Snapshot`] of everything counted into the recorder's sink;
 //! * a [`RunReport`] that serializes a snapshot (plus
 //!   caller-provided sections such as the degradation ladder's report or
 //!   an adaptive execution trace) to a stable JSON schema, with a
@@ -34,342 +39,273 @@ pub mod report;
 pub use json::Json;
 pub use report::{validate_schema, RunReport, SCHEMA_VERSION};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Every counter the stack maintains. The discriminant is the index into
-/// the registry array; the dotted name (see [`Counter::name`]) is the key
-/// in reports. Counters are *counts of work*, never timings, so each is
-/// deterministic for a fixed input at a fixed thread count — and the ones
-/// charged exactly once per distinct unit of work (`OracleSubsetsMaterialized`,
-/// `AdaptiveReplans`) are invariant under the thread count too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum Counter {
-    /// `ExactOracle` memo lookups that found a materialized subset
-    /// (duplicate compute by racing workers makes this
-    /// thread-count-*dependent*; never assert on it at `threads > 1`).
-    OracleMemoHits,
-    /// Distinct subsets the `ExactOracle` memoized — charged exactly once
-    /// per subset under the shard write lock, hence thread-invariant.
-    OracleSubsetsMaterialized,
-    /// Materializations an `ExactOracle` worker completed only to find the
-    /// shard already held the subset (first-writer-wins contention).
-    OracleDuplicateMaterializations,
-    /// Subset estimates served by a `NoisyOracle`.
-    OracleNoisyEstimates,
-    /// Join-kernel invocations (hash, sort-merge, nested-loop, partitioned).
-    KernelJoins,
-    /// Tuples on the probe/right side scanned by join kernels.
-    KernelTuplesProbed,
-    /// Tuples emitted by join kernels (before canonical dedup).
-    KernelTuplesEmitted,
-    /// Memo-table entries the DPs expanded (one per distinct subset
-    /// solved). On an `n`-chain with no Cartesian products this equals the
-    /// connected-subgraph count `n(n+1)/2`.
-    DpSubsetsExpanded,
-    /// Candidate splits the DPs scanned.
-    DpCandidatesScanned,
-    /// csg–cmp pairs the streaming DPccp enumerator emitted — the
-    /// output-sensitive size of the product-free split space. On an
-    /// `n`-chain this is `n(n−1)(n+1)/6` and equals the DPccp
-    /// `dp.candidates_scanned` (each pair is scanned exactly once).
-    DpCcpPairsEmitted,
-    /// Candidate splits discarded (disconnected, overlapping, or costed
-    /// worse than the incumbent).
-    DpCandidatesPruned,
-    /// Complete strategies enumerated by the exhaustive search.
-    ExhaustiveStrategies,
-    /// Cardinality-oracle calls issued by the greedy optimizers.
-    GreedyOracleCalls,
-    /// Merge steps the greedy optimizers committed.
-    GreedyMerges,
-    /// Linear orderings scored by IK/KBZ.
-    IkkbzOrderings,
-    /// Precedence-graph linearizations the linearized DP interval-solved.
-    IkkbzLinearizations,
-    /// Connected order-intervals the linearized DP solved.
-    LindpIntervalsSolved,
-    /// Blocks the partitioned DPccp cut the join graph into (charged only
-    /// when the query actually partitions, i.e. `n > k`).
-    PartdpPartitions,
-    /// Rungs the degradation ladder attempted.
-    LadderRungsAttempted,
-    /// Pipeline stages the adaptive executor ran to completion.
-    AdaptiveStagesExecuted,
-    /// Mid-query re-optimizations the adaptive executor triggered.
-    AdaptiveReplans,
-    /// Requests the serve daemon received (any op, including malformed).
-    ServeRequests,
-    /// Requests the serve daemon shed (admission queue full or draining).
-    ServeShed,
-    /// Serve-daemon plan-cache hits.
-    ServeCacheHits,
-    /// Serve-daemon plan-cache entries evicted to stay under the cap.
-    ServeCacheEvictions,
-    /// Upward brownout transitions (controller entered a degraded level).
-    ServeBrownoutEntered,
-    /// Requests shed against a per-client quota (sub-queue cap or token
-    /// bucket), as opposed to the shared admission queue being full.
-    ServeQuotaShed,
-    /// Complete deficit-round-robin rounds the fair queue drained (one
-    /// increment each time the scan wraps past every active client).
-    ServeDrrRounds,
-    /// Brownout-degraded answers served from the DP rung.
-    ServeBrownoutDpAnswers,
-    /// Brownout-degraded answers served from the greedy/fallback rungs.
-    ServeBrownoutGreedyAnswers,
-    /// Persistent-store fingerprint lookups that found an entry.
-    StoreHits,
-    /// Persistent stores opened and validated successfully.
-    StoreLoads,
-    /// Bytes mapped by successful zero-copy store loads (0 when the
-    /// buffered fallback path served the load).
-    StoreBytesMapped,
-    /// DSL queries parsed successfully by the query front end.
-    QueryParsed,
-    /// Join-edge predicates resolved during query lowering.
-    QueryJoinEdges,
-    /// Filter predicates pushed below the joins during query lowering.
-    QueryFiltersPushed,
+/// Declares a metric enum from one table: the variants (a variant's
+/// discriminant is its index into a sink's array), `ALL` in index order,
+/// and the stable dotted `name` of each.
+macro_rules! metric_enum {
+    ($(#[$meta:meta])* pub enum $Enum:ident {
+        $($(#[$vmeta:meta])* $Variant:ident => $name:literal,)*
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(usize)]
+        pub enum $Enum { $($(#[$vmeta])* $Variant,)* }
+
+        impl $Enum {
+            /// Every variant, in index order.
+            pub const ALL: [$Enum; [$($name),*].len()] = [$($Enum::$Variant),*];
+
+            /// Stable dotted name used as the JSON key and table row label.
+            pub fn name(self) -> &'static str {
+                match self { $($Enum::$Variant => $name,)* }
+            }
+        }
+    };
 }
 
-/// All counters, in registry order. `Counter::ALL.len()` sizes the array.
-impl Counter {
-    pub const ALL: [Counter; 36] = [
-        Counter::OracleMemoHits,
-        Counter::OracleSubsetsMaterialized,
-        Counter::OracleDuplicateMaterializations,
-        Counter::OracleNoisyEstimates,
-        Counter::KernelJoins,
-        Counter::KernelTuplesProbed,
-        Counter::KernelTuplesEmitted,
-        Counter::DpSubsetsExpanded,
-        Counter::DpCandidatesScanned,
-        Counter::DpCcpPairsEmitted,
-        Counter::DpCandidatesPruned,
-        Counter::ExhaustiveStrategies,
-        Counter::GreedyOracleCalls,
-        Counter::GreedyMerges,
-        Counter::IkkbzOrderings,
-        Counter::IkkbzLinearizations,
-        Counter::LindpIntervalsSolved,
-        Counter::PartdpPartitions,
-        Counter::LadderRungsAttempted,
-        Counter::AdaptiveStagesExecuted,
-        Counter::AdaptiveReplans,
-        Counter::ServeRequests,
-        Counter::ServeShed,
-        Counter::ServeCacheHits,
-        Counter::ServeCacheEvictions,
-        Counter::ServeBrownoutEntered,
-        Counter::ServeQuotaShed,
-        Counter::ServeDrrRounds,
-        Counter::ServeBrownoutDpAnswers,
-        Counter::ServeBrownoutGreedyAnswers,
-        Counter::StoreHits,
-        Counter::StoreLoads,
-        Counter::StoreBytesMapped,
-        Counter::QueryParsed,
-        Counter::QueryJoinEdges,
-        Counter::QueryFiltersPushed,
-    ];
-
-    /// Stable dotted name used as the JSON key and table row label.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::OracleMemoHits => "oracle.memo_hits",
-            Counter::OracleSubsetsMaterialized => "oracle.subsets_materialized",
-            Counter::OracleDuplicateMaterializations => "oracle.duplicate_materializations",
-            Counter::OracleNoisyEstimates => "oracle.noisy_estimates",
-            Counter::KernelJoins => "kernel.joins",
-            Counter::KernelTuplesProbed => "kernel.tuples_probed",
-            Counter::KernelTuplesEmitted => "kernel.tuples_emitted",
-            Counter::DpSubsetsExpanded => "dp.subsets_expanded",
-            Counter::DpCandidatesScanned => "dp.candidates_scanned",
-            Counter::DpCcpPairsEmitted => "dp.ccp_pairs_emitted",
-            Counter::DpCandidatesPruned => "dp.candidates_pruned",
-            Counter::ExhaustiveStrategies => "exhaustive.strategies_enumerated",
-            Counter::GreedyOracleCalls => "greedy.oracle_calls",
-            Counter::GreedyMerges => "greedy.merges",
-            Counter::IkkbzOrderings => "ikkbz.orderings_scored",
-            Counter::IkkbzLinearizations => "ikkbz.linearizations",
-            Counter::LindpIntervalsSolved => "lindp.intervals_solved",
-            Counter::PartdpPartitions => "partdp.partitions",
-            Counter::LadderRungsAttempted => "ladder.rungs_attempted",
-            Counter::AdaptiveStagesExecuted => "adaptive.stages_executed",
-            Counter::AdaptiveReplans => "adaptive.replans",
-            Counter::ServeRequests => "serve.requests",
-            Counter::ServeShed => "serve.shed",
-            Counter::ServeCacheHits => "serve.cache_hits",
-            Counter::ServeCacheEvictions => "serve.cache_evictions",
-            Counter::ServeBrownoutEntered => "serve.brownout_entered",
-            Counter::ServeQuotaShed => "serve.quota_shed",
-            Counter::ServeDrrRounds => "serve.drr_rounds",
-            Counter::ServeBrownoutDpAnswers => "serve.brownout_dp_answers",
-            Counter::ServeBrownoutGreedyAnswers => "serve.brownout_greedy_answers",
-            Counter::StoreHits => "store.hits",
-            Counter::StoreLoads => "store.loads",
-            Counter::StoreBytesMapped => "store.bytes_mapped",
-            Counter::QueryParsed => "query.parsed",
-            Counter::QueryJoinEdges => "query.join_edges",
-            Counter::QueryFiltersPushed => "query.filters_pushed",
-        }
+metric_enum! {
+    /// Every counter the stack maintains; the dotted name is the key in
+    /// reports. Counters are *counts of work*, never timings, so each is
+    /// deterministic for a fixed input at a fixed thread count — and the
+    /// ones charged exactly once per distinct unit of work
+    /// (`OracleSubsetsMaterialized`, `AdaptiveReplans`) are invariant
+    /// under the thread count too.
+    pub enum Counter {
+        /// `ExactOracle` memo lookups that found a materialized subset
+        /// (duplicate compute by racing workers makes this
+        /// thread-count-*dependent*; never assert on it at `threads > 1`).
+        OracleMemoHits => "oracle.memo_hits",
+        /// Distinct subsets the `ExactOracle` memoized — charged exactly once
+        /// per subset under the shard write lock, hence thread-invariant.
+        OracleSubsetsMaterialized => "oracle.subsets_materialized",
+        /// Materializations an `ExactOracle` worker completed only to find the
+        /// shard already held the subset (first-writer-wins contention).
+        OracleDuplicateMaterializations => "oracle.duplicate_materializations",
+        /// Subset estimates served by a `NoisyOracle`.
+        OracleNoisyEstimates => "oracle.noisy_estimates",
+        /// Join-kernel invocations (hash, sort-merge, nested-loop, partitioned).
+        KernelJoins => "kernel.joins",
+        /// Tuples on the probe/right side scanned by join kernels.
+        KernelTuplesProbed => "kernel.tuples_probed",
+        /// Tuples emitted by join kernels (before canonical dedup).
+        KernelTuplesEmitted => "kernel.tuples_emitted",
+        /// Memo-table entries the DPs expanded (one per distinct subset
+        /// solved). On an `n`-chain with no Cartesian products this equals the
+        /// connected-subgraph count `n(n+1)/2`.
+        DpSubsetsExpanded => "dp.subsets_expanded",
+        /// Candidate splits the DPs scanned.
+        DpCandidatesScanned => "dp.candidates_scanned",
+        /// csg–cmp pairs the streaming DPccp enumerator emitted — the
+        /// output-sensitive size of the product-free split space. On an
+        /// `n`-chain this is `n(n−1)(n+1)/6` and equals the DPccp
+        /// `dp.candidates_scanned` (each pair is scanned exactly once).
+        DpCcpPairsEmitted => "dp.ccp_pairs_emitted",
+        /// Candidate splits discarded (disconnected, overlapping, or costed
+        /// worse than the incumbent).
+        DpCandidatesPruned => "dp.candidates_pruned",
+        /// Complete strategies enumerated by the exhaustive search.
+        ExhaustiveStrategies => "exhaustive.strategies_enumerated",
+        /// Cardinality-oracle calls issued by the greedy optimizers.
+        GreedyOracleCalls => "greedy.oracle_calls",
+        /// Merge steps the greedy optimizers committed.
+        GreedyMerges => "greedy.merges",
+        /// Linear orderings scored by IK/KBZ.
+        IkkbzOrderings => "ikkbz.orderings_scored",
+        /// Precedence-graph linearizations the linearized DP interval-solved.
+        IkkbzLinearizations => "ikkbz.linearizations",
+        /// Connected order-intervals the linearized DP solved.
+        LindpIntervalsSolved => "lindp.intervals_solved",
+        /// Blocks the partitioned DPccp cut the join graph into (charged only
+        /// when the query actually partitions, i.e. `n > k`).
+        PartdpPartitions => "partdp.partitions",
+        /// Rungs the degradation ladder attempted.
+        LadderRungsAttempted => "ladder.rungs_attempted",
+        /// Pipeline stages the adaptive executor ran to completion.
+        AdaptiveStagesExecuted => "adaptive.stages_executed",
+        /// Mid-query re-optimizations the adaptive executor triggered.
+        AdaptiveReplans => "adaptive.replans",
+        /// Persistent-store fingerprint lookups that found an entry.
+        StoreHits => "store.hits",
+        /// Persistent stores opened and validated successfully.
+        StoreLoads => "store.loads",
+        /// Bytes mapped by successful zero-copy store loads (0 when the
+        /// buffered fallback path served the load).
+        StoreBytesMapped => "store.bytes_mapped",
+        /// DSL queries parsed successfully by the query front end.
+        QueryParsed => "query.parsed",
+        /// Join-edge predicates resolved during query lowering.
+        QueryJoinEdges => "query.join_edges",
+        /// Filter predicates pushed below the joins during query lowering.
+        QueryFiltersPushed => "query.filters_pushed",
     }
 }
 
-/// Monotonic span accumulators: wall-clock total + entry count per site.
-/// Span *totals* are timings and carry no determinism guarantee; span
-/// *counts* mirror an existing counter and are deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum Span {
-    /// One full optimization call (any entry point).
-    Optimize,
-    /// One full plan execution (static or adaptive).
-    Execute,
-    /// One rung attempt inside the degradation ladder.
-    LadderRung,
-    /// One adaptive pipeline stage.
-    AdaptiveStage,
-    /// One mid-query re-optimization.
-    AdaptiveReplan,
-    /// One serve-daemon request, decode through response write.
-    ServeRequest,
-}
-
-impl Span {
-    pub const ALL: [Span; 6] = [
-        Span::Optimize,
-        Span::Execute,
-        Span::LadderRung,
-        Span::AdaptiveStage,
-        Span::AdaptiveReplan,
-        Span::ServeRequest,
-    ];
-
-    /// Stable dotted name used as the JSON key and table row label.
-    pub fn name(self) -> &'static str {
-        match self {
-            Span::Optimize => "optimize",
-            Span::Execute => "execute",
-            Span::LadderRung => "ladder.rung",
-            Span::AdaptiveStage => "adaptive.stage",
-            Span::AdaptiveReplan => "adaptive.replan",
-            Span::ServeRequest => "serve.request",
-        }
+metric_enum! {
+    /// Monotonic span accumulators: wall-clock total + entry count per site.
+    /// Span *totals* are timings and carry no determinism guarantee; span
+    /// *counts* mirror an existing counter and are deterministic.
+    pub enum Span {
+        /// One full optimization call (any entry point).
+        Optimize => "optimize",
+        /// One full plan execution (static or adaptive).
+        Execute => "execute",
+        /// One rung attempt inside the degradation ladder.
+        LadderRung => "ladder.rung",
+        /// One adaptive pipeline stage.
+        AdaptiveStage => "adaptive.stage",
+        /// One mid-query re-optimization.
+        AdaptiveReplan => "adaptive.replan",
     }
 }
 
 const COUNTER_COUNT: usize = Counter::ALL.len();
 const SPAN_COUNT: usize = Span::ALL.len();
 
-// `AtomicU64::new` is not const-callable through array repeat of a non-Copy
-// type, but a `const` item is re-evaluated per element.
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO: AtomicU64 = AtomicU64::new(0);
-
-/// One relaxed load when disarmed — the whole cost of an un-recorded run.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static COUNTERS: [AtomicU64; COUNTER_COUNT] = [ZERO; COUNTER_COUNT];
-static SPAN_NANOS: [AtomicU64; SPAN_COUNT] = [ZERO; SPAN_COUNT];
-static SPAN_ENTRIES: [AtomicU64; SPAN_COUNT] = [ZERO; SPAN_COUNT];
-
-/// Serializes recorders: two concurrently-armed recorders would read each
-/// other's counts, so arming blocks until the previous recorder drops.
-static RECORDER_LOCK: Mutex<()> = Mutex::new(());
-
-/// Whether a [`Recorder`] is currently armed.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+/// What one run counts into: the arrays a [`Recorder`] snapshots.
+struct Metrics {
+    counters: [AtomicU64; COUNTER_COUNT],
+    span_nanos: [AtomicU64; SPAN_COUNT],
+    span_entries: [AtomicU64; SPAN_COUNT],
 }
 
-/// Adds `n` to `counter`. Disarmed: one relaxed load and a taken branch.
+/// Sinks installed on some thread right now. Zero — the default — is the
+/// whole cost of an un-recorded run: one relaxed load and a branch per
+/// site. Relaxed is enough because the count publishes nothing: a thread
+/// reads only its own slot, which it filled after its own increment.
+static INSTALLED: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// The sink the calling thread's [`incr`] and [`span`] write to.
+    static CURRENT: RefCell<Option<Sink>> = const { RefCell::new(None) };
+}
+
+/// A shared handle on one run's metrics: what a thread hands the workers
+/// it spawns so that their work counts into its own [`Recorder`].
+#[derive(Clone)]
+pub struct Sink(Arc<Metrics>);
+
+impl Sink {
+    /// The calling thread's sink — `None` unless it armed a [`Recorder`]
+    /// or is inside [`Sink::enter`]. One relaxed load when nothing is armed.
+    #[inline]
+    pub fn current() -> Option<Sink> {
+        if INSTALLED.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
+        CURRENT.with(|slot| slot.borrow().clone())
+    }
+
+    /// Runs `f` with this sink as the calling thread's, then puts back
+    /// whatever the thread had before (also when `f` unwinds).
+    pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        let _installed = Recorder::install(self.clone());
+        f()
+    }
+}
+
+/// Adds `n` to `counter` in the calling thread's sink. With no sink
+/// anywhere: one relaxed load and a taken branch.
 /// Hot loops should accumulate locally and call this once per batch.
 #[inline]
 pub fn incr(counter: Counter, n: u64) {
-    if ENABLED.load(Ordering::Relaxed) {
-        COUNTERS[counter as usize].fetch_add(n, Ordering::Relaxed);
+    if INSTALLED.load(Ordering::Relaxed) != 0 {
+        CURRENT.with(|slot| {
+            if let Some(sink) = slot.borrow().as_ref() {
+                sink.0.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+            }
+        });
     }
 }
 
 /// Starts timing `span`; the returned guard records the elapsed wall time
-/// on drop. Disarmed, no clock is read at either end.
+/// on drop, into the sink the calling thread has now. With no sink, no
+/// clock is read at either end.
 #[inline]
 #[must_use = "the span is recorded when the guard drops"]
 pub fn span(span: Span) -> SpanGuard {
-    let start = if ENABLED.load(Ordering::Relaxed) {
-        Some(Instant::now())
-    } else {
-        None
-    };
+    let start = Sink::current().map(|sink| (sink, Instant::now()));
     SpanGuard { span, start }
 }
 
 /// RAII span timer from [`span`]. Records on drop; never panics.
 pub struct SpanGuard {
     span: Span,
-    start: Option<Instant>,
+    start: Option<(Sink, Instant)>,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(start) = self.start {
+        if let Some((sink, start)) = &self.start {
             let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            SPAN_NANOS[self.span as usize].fetch_add(ns, Ordering::Relaxed);
-            SPAN_ENTRIES[self.span as usize].fetch_add(1, Ordering::Relaxed);
+            sink.0.span_nanos[self.span as usize].fetch_add(ns, Ordering::Relaxed);
+            sink.0.span_entries[self.span as usize].fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
-/// Arms the global registry for the lifetime of the handle.
+/// Counts the calling thread's work for the lifetime of the handle.
 ///
-/// `arm()` zeroes every counter and span, so a snapshot reflects exactly
-/// the work done while this recorder was alive. Only one recorder exists
-/// at a time; a second `arm()` blocks until the first drops.
+/// `arm()` installs a fresh, all-zero [`Sink`] on the calling thread, so
+/// a snapshot reflects exactly the work done by this thread — and by the
+/// workers it handed the sink to — while the recorder was alive. It takes
+/// no lock: any number of threads may each hold their own. A recorder
+/// armed while another is alive on the same thread shadows it until
+/// dropped; drop them in reverse order of arming.
 pub struct Recorder {
-    _lock: MutexGuard<'static, ()>,
+    sink: Sink,
+    previous: Option<Sink>,
+    /// Not `Send`: drop must restore the slot of the thread that armed.
+    _this_thread: PhantomData<*const ()>,
 }
 
 impl Recorder {
-    /// Locks the registry, zeroes it, and arms collection.
+    /// Installs a fresh sink on the calling thread.
     pub fn arm() -> Recorder {
-        let lock = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        for c in &COUNTERS {
-            c.store(0, Ordering::Relaxed);
+        fn zeroed<const N: usize>() -> [AtomicU64; N] {
+            std::array::from_fn(|_| AtomicU64::new(0))
         }
-        for s in &SPAN_NANOS {
-            s.store(0, Ordering::Relaxed);
+        Recorder::install(Sink(Arc::new(Metrics {
+            counters: zeroed(),
+            span_nanos: zeroed(),
+            span_entries: zeroed(),
+        })))
+    }
+
+    /// Makes `sink` the calling thread's until the value drops — `arm`
+    /// with a fresh sink, [`Sink::enter`] with a shared one.
+    fn install(sink: Sink) -> Recorder {
+        INSTALLED.fetch_add(1, Ordering::Relaxed);
+        Recorder {
+            previous: CURRENT.with(|slot| slot.replace(Some(sink.clone()))),
+            sink,
+            _this_thread: PhantomData,
         }
-        for s in &SPAN_ENTRIES {
-            s.store(0, Ordering::Relaxed);
-        }
-        ENABLED.store(true, Ordering::Relaxed);
-        Recorder { _lock: lock }
     }
 
     /// An immutable copy of everything counted since `arm()`.
     pub fn snapshot(&self) -> Snapshot {
-        let mut counters = [0u64; COUNTER_COUNT];
-        for (slot, atomic) in counters.iter_mut().zip(&COUNTERS) {
-            *slot = atomic.load(Ordering::Relaxed);
+        let metrics = &self.sink.0;
+        Snapshot {
+            counters: std::array::from_fn(|i| metrics.counters[i].load(Ordering::Relaxed)),
+            spans: std::array::from_fn(|i| SpanStat {
+                entries: metrics.span_entries[i].load(Ordering::Relaxed),
+                total_ns: metrics.span_nanos[i].load(Ordering::Relaxed),
+            }),
         }
-        let mut spans = [SpanStat::default(); SPAN_COUNT];
-        for (i, slot) in spans.iter_mut().enumerate() {
-            *slot = SpanStat {
-                entries: SPAN_ENTRIES[i].load(Ordering::Relaxed),
-                total_ns: SPAN_NANOS[i].load(Ordering::Relaxed),
-            };
-        }
-        Snapshot { counters, spans }
     }
 }
 
 impl Drop for Recorder {
     fn drop(&mut self) {
-        ENABLED.store(false, Ordering::Relaxed);
+        // `try_with`: a drop during thread teardown must not panic.
+        let _ = CURRENT.try_with(|slot| slot.replace(self.previous.take()));
+        INSTALLED.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -382,7 +318,7 @@ pub struct SpanStat {
     pub total_ns: u64,
 }
 
-/// A point-in-time copy of the registry, detached from the atomics.
+/// A point-in-time copy of one run's metrics, detached from the atomics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     counters: [u64; COUNTER_COUNT],
@@ -390,14 +326,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// An all-zero snapshot, for reports built without a recorder.
-    pub fn empty() -> Snapshot {
-        Snapshot {
-            counters: [0; COUNTER_COUNT],
-            spans: [SpanStat::default(); SPAN_COUNT],
-        }
-    }
-
     /// The recorded value of one counter.
     pub fn counter(&self, c: Counter) -> u64 {
         self.counters[c as usize]

@@ -9,7 +9,7 @@
 //!   "schema_version": 1,
 //!   "command": "optimize",
 //!   "threads": 1,
-//!   "counters": { "adaptive.replans": 0, ... },   // all 24, sorted by key
+//!   "counters": { "adaptive.replans": 0, ... },   // all of them, sorted by key
 //!   "spans": { "execute": {"entries": 1, "total_ns": 1234}, ... },
 //!   "<section>": { ... }                          // in insertion order
 //! }

@@ -12,7 +12,7 @@
 //! the legacy infallible wrapper running under [`Guard::unlimited`].
 
 use mjoin_cost::CardinalityOracle;
-use mjoin_guard::{failpoints, Guard, MjoinError};
+use mjoin_guard::{failpoints, Guard, MjoinError, Scope};
 use mjoin_hypergraph::{DbScheme, FastMap, RelSet, SchemeIndex};
 use mjoin_obs::{incr, Counter};
 use mjoin_strategy::Strategy;
@@ -1156,15 +1156,18 @@ where
     }
     let workers = threads.min(items.len());
     let chunk = items.len().div_ceil(workers);
+    let run = Scope::capture();
     let results: Vec<Result<Vec<T>, MjoinError>> = std::thread::scope(|scope| {
-        let work = &work;
+        let (work, run) = (&work, &run);
         let handles: Vec<_> = items
             .chunks(chunk)
             .map(|c| {
                 scope.spawn(move || {
-                    c.iter()
-                        .map(|&s| work(s))
-                        .collect::<Result<Vec<T>, MjoinError>>()
+                    run.enter(|| {
+                        c.iter()
+                            .map(|&s| work(s))
+                            .collect::<Result<Vec<T>, MjoinError>>()
+                    })
                 })
             })
             .collect();

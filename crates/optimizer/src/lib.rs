@@ -64,4 +64,7 @@ pub use lindp::{lindp, try_lindp};
 pub use partdp::{
     partitioned_dp, try_partitioned_dp, try_partitioned_dp_with, DEFAULT_BLOCK_MAX,
 };
-pub use plan::{optimize, optimize_with, try_optimize, try_optimize_with, Plan, SearchSpace};
+pub use plan::{
+    optimize, optimize_with, try_optimize, try_optimize_threaded, try_optimize_with, Plan,
+    SearchSpace,
+};

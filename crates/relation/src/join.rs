@@ -11,7 +11,7 @@
 use crate::attr::{AttrSet, Attribute};
 use crate::relation::{Relation, Tuple};
 use crate::value::Value;
-use mjoin_guard::{failpoints, Guard, MjoinError};
+use mjoin_guard::{failpoints, Guard, MjoinError, Scope};
 use mjoin_obs::{incr, Counter};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -228,13 +228,13 @@ pub(crate) fn join_partitioned(
     for t in right.tuples() {
         rparts[part_of(t, false)].push(t);
     }
-    let plan_ref = &plan;
+    let (plan_ref, run) = (&plan, &Scope::capture());
     let results: Vec<Result<Vec<Tuple>, MjoinError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = lparts
             .iter()
             .zip(&rparts)
             .map(|(lp, rp)| {
-                scope.spawn(move || hash_join_parts(lp, rp, plan_ref, guard))
+                scope.spawn(move || run.enter(|| hash_join_parts(lp, rp, plan_ref, guard)))
             })
             .collect();
         handles

@@ -25,8 +25,6 @@
 
 use std::sync::Mutex;
 
-use mjoin_obs::{incr, Counter};
-
 /// How far the server has browned out. Ordered: higher = more degraded.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum BrownoutLevel {
@@ -139,7 +137,6 @@ impl BrownoutController {
             inner.level = target;
             inner.below_streak = 0;
             inner.entered += 1;
-            incr(Counter::ServeBrownoutEntered, 1);
         } else if inner.level > BrownoutLevel::Normal && pct <= self.config.exit_pct && !fresh_shed
         {
             inner.below_streak += 1;

@@ -39,11 +39,11 @@
 //! Failure injection: the `serve::accept`, `serve::decode`,
 //! `serve::enqueue`, `serve::respond`, `serve::admit_client` and
 //! `serve::brownout` failpoints cover the daemon's I/O and admission
-//! choke points. Observability: `serve.requests`, `serve.shed`,
-//! `serve.quota_shed`, `serve.drr_rounds`, `serve.brownout_entered`,
-//! `serve.brownout_{dp,greedy}_answers`, `serve.cache_hits` and
-//! `serve.cache_evictions` counters plus the `serve.request` latency
-//! span, all disarmed-free as usual.
+//! choke points. Observability: the daemon's own counters — requests,
+//! sheds, quota sheds, DRR rounds, brownout escalations and answers per
+//! degraded rung class, cache hits and evictions — are what
+//! `{"op":"stats"}` and [`StatsSnapshot`] report; nothing is mirrored
+//! into `mjoin-obs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,7 +62,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mjoin_guard::{failpoints, MjoinError};
-use mjoin_obs::{Counter, Json, Span};
+use mjoin_obs::Json;
 
 use brownout::{BrownoutConfig, BrownoutController};
 use cache::PlanCache;
@@ -209,6 +209,8 @@ struct Stats {
     decode_errors: AtomicU64,
     cache_hits: AtomicU64,
     cache_evictions: AtomicU64,
+    brownout_dp_answers: AtomicU64,
+    brownout_greedy_answers: AtomicU64,
     /// Monotone nonce feeding the shed-retry jitter hash.
     shed_nonce: AtomicU64,
 }
@@ -224,6 +226,10 @@ pub struct StatsSnapshot {
     pub quota_shed: u64,
     /// Brownout escalations (upward level transitions) so far.
     pub brownout_entered: u64,
+    /// Brownout-degraded answers served from a DP-class rung.
+    pub brownout_dp_answers: u64,
+    /// Brownout-degraded answers served from the greedy/fallback rungs.
+    pub brownout_greedy_answers: u64,
     /// Jobs a worker ran to completion (ok or typed error).
     pub handled: u64,
     /// Request lines that failed to decode.
@@ -254,6 +260,8 @@ impl Shared {
             shed: self.stats.shed.load(Ordering::Relaxed),
             quota_shed: self.stats.quota_shed.load(Ordering::Relaxed),
             brownout_entered: self.brownout.entered(),
+            brownout_dp_answers: self.stats.brownout_dp_answers.load(Ordering::Relaxed),
+            brownout_greedy_answers: self.stats.brownout_greedy_answers.load(Ordering::Relaxed),
             handled: self.stats.handled.load(Ordering::Relaxed),
             decode_errors: self.stats.decode_errors.load(Ordering::Relaxed),
             cache_hits: self.stats.cache_hits.load(Ordering::Relaxed),
@@ -415,7 +423,6 @@ fn initiate_shutdown(shared: &Arc<Shared>) {
     // (under its remaining budget) and then exit on the drained queue.
     for job in shared.queue.begin_shutdown() {
         shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-        mjoin_obs::incr(Counter::ServeShed, 1);
         let _ = job.respond.send(error_line(
             job.id.as_ref(),
             "shutting_down",
@@ -531,8 +538,6 @@ fn write_response(stream: &mut TcpStream, line: String) {
 
 fn handle_line(shared: &Arc<Shared>, line: &str, stream: &mut TcpStream) -> Flow {
     shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-    mjoin_obs::incr(Counter::ServeRequests, 1);
-    let _span = mjoin_obs::span(Span::ServeRequest);
     if line.len() > shared.config.max_request_bytes {
         write_response(
             stream,
@@ -626,7 +631,6 @@ fn retry_hint(shared: &Shared) -> u64 {
 
 fn shed(shared: &Arc<Shared>, stream: &mut TcpStream, id: Option<&Json>, kind: &str, msg: &str) {
     shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-    mjoin_obs::incr(Counter::ServeShed, 1);
     write_response(stream, error_line(id, kind, msg, Some(retry_hint(shared))));
 }
 
@@ -637,7 +641,6 @@ fn shed(shared: &Arc<Shared>, stream: &mut TcpStream, id: Option<&Json>, kind: &
 /// controller's shed signal.
 fn quota_shed(shared: &Arc<Shared>, stream: &mut TcpStream, id: Option<&Json>, msg: &str) {
     shared.stats.quota_shed.fetch_add(1, Ordering::Relaxed);
-    mjoin_obs::incr(Counter::ServeQuotaShed, 1);
     write_response(
         stream,
         error_line(id, "overloaded", msg, Some(retry_hint(shared))),
@@ -678,7 +681,6 @@ fn submit_and_wait(shared: &Arc<Shared>, req: Request, stream: &mut TcpStream) {
     if let Some(k) = &key {
         if let Some(resp) = shared.cache.get(k) {
             shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            mjoin_obs::incr(Counter::ServeCacheHits, 1);
             write_response(stream, ok_line(req.id.as_ref(), &engine_req.op, &resp, true));
             return;
         }
@@ -821,14 +823,12 @@ fn run_job(shared: &Arc<Shared>, job: &mut Job) -> String {
                     Some(r) => matches!(r, "exhaustive" | "dp" | "lindp" | "partdp"),
                     None => level == "reduced-dp",
                 };
-                mjoin_obs::incr(
-                    if dp_class {
-                        Counter::ServeBrownoutDpAnswers
-                    } else {
-                        Counter::ServeBrownoutGreedyAnswers
-                    },
-                    1,
-                );
+                let answers = if dp_class {
+                    &shared.stats.brownout_dp_answers
+                } else {
+                    &shared.stats.brownout_greedy_answers
+                };
+                answers.fetch_add(1, Ordering::Relaxed);
             }
             // Cache only answers produced under the full requested budget
             // and the full ladder: a queue-delayed or browned-out run may
@@ -839,7 +839,6 @@ fn run_job(shared: &Arc<Shared>, job: &mut Job) -> String {
                     let evicted = shared.cache.insert(key, resp.clone());
                     if evicted > 0 {
                         shared.stats.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
-                        mjoin_obs::incr(Counter::ServeCacheEvictions, evicted);
                     }
                 }
             }
@@ -900,6 +899,8 @@ fn stats_json(shared: &Arc<Shared>) -> Json {
             Json::Str(shared.brownout.level().stats_name().to_string()),
         ),
         ("brownout_entered", Json::U64(s.brownout_entered)),
+        ("brownout_dp_answers", Json::U64(s.brownout_dp_answers)),
+        ("brownout_greedy_answers", Json::U64(s.brownout_greedy_answers)),
         ("clients", clients),
         ("workers", Json::U64(shared.config.workers.max(1) as u64)),
         (

@@ -30,7 +30,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-use mjoin_obs::{incr, Counter, Json};
+use mjoin_obs::Json;
 
 use crate::EngineRequest;
 
@@ -140,7 +140,7 @@ struct State {
     ring: VecDeque<Arc<str>>,
     total: usize,
     /// Pops remaining before the scan has visited every active client
-    /// once (a "round"). Purely for the `serve.drr_rounds` counter.
+    /// once (a "round"). Purely for the `drr_rounds` stat.
     round_left: usize,
     rounds: u64,
     shutting_down: bool,
@@ -315,7 +315,6 @@ impl Admission {
                 // The scan is about to wrap past every active client.
                 st.round_left = st.ring.len();
                 st.rounds += 1;
-                incr(Counter::ServeDrrRounds, 1);
             }
             st.ring.pop_front()
         } {

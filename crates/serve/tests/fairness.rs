@@ -517,6 +517,11 @@ fn brownout_degrades_instead_of_shedding_and_never_caches() {
     let stats = request(addr, r#"{"op": "stats"}"#);
     let s = stats.get("stats").expect("stats body");
     assert!(s.get("brownout_entered").and_then(Json::as_u64).unwrap() >= 1);
+    // Only a browned-out request is answered at the greedy rung; the rest
+    // of the degraded answers came from the reduced DP.
+    let greedy = on.rungs.iter().filter(|(_, r)| r == "greedy").count() as u64;
+    assert_eq!(s.get("brownout_greedy_answers").and_then(Json::as_u64), Some(greedy));
+    assert!(s.get("brownout_dp_answers").and_then(Json::as_u64).unwrap() <= on.ok as u64 - greedy);
     assert!(matches!(
         s.get("brownout").and_then(Json::as_str),
         Some("normal" | "reduced-dp" | "greedy-only")

@@ -10,7 +10,7 @@
 
 use mjoin_cost::CardinalityOracle;
 use mjoin_obs::{incr, Counter};
-use mjoin_guard::{Guard, MjoinError};
+use mjoin_guard::{Guard, MjoinError, Scope};
 use mjoin_hypergraph::{DbScheme, RelSet};
 
 use crate::node::Strategy;
@@ -113,36 +113,39 @@ pub fn try_best_strategy_parallel<O: CardinalityOracle + Sync>(
     let splits: Vec<(RelSet, RelSet)> = subset.proper_splits().collect();
     let workers = threads.min(splits.len().max(1));
     let chunk = splits.len().div_ceil(workers);
+    let run = &Scope::capture();
     let results: Vec<Result<Option<(Strategy, u64)>, MjoinError>> =
         std::thread::scope(|scope| {
             let handles: Vec<_> = splits
                 .chunks(chunk)
                 .map(|ch| {
                     scope.spawn(move || {
-                        let mut best: Option<(Strategy, u64)> = None;
-                        for &(s1, s2) in ch {
-                            each_rec(s1, guard, &mut |left: &Strategy| {
-                                let left = left.clone();
-                                each_rec(s2, guard, &mut |right: &Strategy| {
-                                    let joined = Strategy::join(left.clone(), right.clone())
-                                        .map_err(|e| {
-                                            MjoinError::Internal(format!(
-                                                "proper splits must be disjoint: {e}"
-                                            ))
-                                        })?;
-                                    incr(Counter::ExhaustiveStrategies, 1);
-                                    if !accept(&joined) {
-                                        return Ok(());
-                                    }
-                                    let cost = joined.try_cost(oracle)?;
-                                    if best.as_ref().is_none_or(|(_, b)| cost < *b) {
-                                        best = Some((joined, cost));
-                                    }
-                                    Ok(())
-                                })
-                            })?;
-                        }
-                        Ok(best)
+                        run.enter(|| {
+                            let mut best: Option<(Strategy, u64)> = None;
+                            for &(s1, s2) in ch {
+                                each_rec(s1, guard, &mut |left: &Strategy| {
+                                    let left = left.clone();
+                                    each_rec(s2, guard, &mut |right: &Strategy| {
+                                        let joined = Strategy::join(left.clone(), right.clone())
+                                            .map_err(|e| {
+                                                MjoinError::Internal(format!(
+                                                    "proper splits must be disjoint: {e}"
+                                                ))
+                                            })?;
+                                        incr(Counter::ExhaustiveStrategies, 1);
+                                        if !accept(&joined) {
+                                            return Ok(());
+                                        }
+                                        let cost = joined.try_cost(oracle)?;
+                                        if best.as_ref().is_none_or(|(_, b)| cost < *b) {
+                                            best = Some((joined, cost));
+                                        }
+                                        Ok(())
+                                    })
+                                })?;
+                            }
+                            Ok(best)
+                        })
                     })
                 })
                 .collect();

@@ -3,9 +3,11 @@
 //! owns it — never as a panic, and never swallowed by the degradation
 //! ladder (injected faults are bugs-by-construction, not budget trips).
 //!
-//! Failpoints are process-global, so every test here serializes on one
-//! mutex; this file is its own integration-test binary, so it cannot
-//! interfere with the rest of the suite.
+//! The `serve::*` sites fire on the daemon's own threads and
+//! `MJOIN_FAIL_INJECT` is process state, so those are armed process-wide
+//! and every test here serializes on one mutex; this file is its own
+//! integration-test binary, so it cannot interfere with the rest of the
+//! suite.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -204,7 +206,12 @@ fn provoke(site: &str) -> MjoinError {
 fn every_registered_site_propagates_a_typed_error() {
     let _serial = serialize();
     for site in SITES {
-        let fp = ScopedFailpoint::arm(site);
+        // The daemon's threads are not this test's: reach them process-wide.
+        let fp = if site.starts_with("serve::") {
+            ScopedFailpoint::arm_process(site)
+        } else {
+            ScopedFailpoint::arm(site)
+        };
         let err = provoke(site);
         assert!(
             matches!(err, MjoinError::Internal(_)),

@@ -155,10 +155,9 @@ fn rung_budget_consumption_is_deterministic() {
 
 /// A 60-relation query — hostile to every exact rung: the exhaustive
 /// enumeration is skipped outright (n > 7) and the full DP's `2⁶⁰` subset
-/// space devours its budget slice without finishing. The polynomial rungs
-/// must pick it up: under a 100 ms deadline the ladder answers from
-/// `LinDp` or `PartitionedDp` with a valid covering plan, never falling
-/// all the way to greedy.
+/// space devours its budget without finishing. The polynomial rungs must
+/// pick it up: the ladder answers from `LinDp` or `PartitionedDp` with a
+/// valid covering plan, never falling all the way to greedy.
 #[test]
 fn sixty_relation_chain_is_answered_by_a_polynomial_rung() {
     let mut rng = StdRng::seed_from_u64(60);
@@ -172,24 +171,13 @@ fn sixty_relation_chain_is_answered_by_a_polynomial_rung() {
         ensure_nonempty: true,
     };
     let db = data::uniform(cat, scheme, &cfg, &mut rng);
-    // Real wall-clock deadline ⇒ sensitive to scheduler noise when the
-    // whole workspace's test binaries compete for cores: allow a couple
-    // of retries before declaring the rungs too slow for their slices.
-    let mut r = None;
-    for _ in 0..3 {
-        let budget = Budget::unlimited().with_deadline(Duration::from_millis(100));
-        let started = Instant::now();
-        let attempt =
-            optimize_database_robust_threaded(&db, SearchSpace::All, budget, None, 1).unwrap();
-        let elapsed = started.elapsed();
-        assert!(elapsed < Duration::from_secs(10), "took {elapsed:?}");
-        let answered_by = attempt.report.answered_by;
-        r = Some(attempt);
-        if matches!(answered_by, Rung::LinDp | Rung::PartitionedDp) {
-            break;
-        }
-    }
-    let r = r.expect("at least one attempt ran");
+    // A work cap, not a wall-clock deadline, so the outcome does not
+    // depend on how fast or how loaded the host is: the cap is charged to
+    // each rung whole, the full DP's 2⁶⁰ subsets run through it at once,
+    // and the 60·61/2 = 1830 intervals of the linearized DP fit several
+    // times over.
+    let budget = Budget::unlimited().with_max_memo_entries(16_384);
+    let r = optimize_database_robust_threaded(&db, SearchSpace::All, budget, None, 1).unwrap();
 
     assert!(
         matches!(r.report.answered_by, Rung::LinDp | Rung::PartitionedDp),
