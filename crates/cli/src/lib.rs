@@ -160,34 +160,50 @@ pub fn parse_input(text: &str) -> Result<Input, CliError> {
     })
 }
 
-/// Builds a synthetic oracle from the declared statistics: cardinalities
-/// default to the actual state size (or 1000 when no rows were given),
-/// domains default to 100.
-pub fn synthetic_oracle(input: &Input) -> Result<mjoin::SyntheticOracle, CliError> {
+/// The synthetic cardinality model over `scheme`, whose relation `i` is
+/// the input's relation `tables[i]`: base cardinalities come from the
+/// declared statistics (else the actual state size, else 1000), domains
+/// from declared `domain` lines (default 100).
+fn synthetic_model(
+    input: &Input,
+    scheme: &DbScheme,
+    tables: &[usize],
+) -> Result<mjoin::SyntheticOracle, MjoinError> {
     let db = &input.database;
-    let bases: Vec<u64> = (0..db.len())
-        .map(|i| {
-            input.cards[i].unwrap_or_else(|| {
-                let t = db.state(i).tau();
-                if t > 0 {
-                    t
-                } else {
-                    1000
-                }
+    let bases: Vec<u64> = tables
+        .iter()
+        .map(|&i| {
+            input.cards[i].unwrap_or(match db.state(i).tau() {
+                0 => 1000,
+                t => t,
             })
         })
         .collect();
-    let mut oracle = mjoin::SyntheticOracle::new(db.scheme().clone(), bases, 100);
+    let mut oracle = mjoin::SyntheticOracle::try_new(scheme.clone(), bases, 100)?;
     for (name, size) in &input.domains {
         let Some(attr) = db.catalog().lookup(name) else {
-            return err(format!("domain declared for unknown attribute {name:?}"));
+            return Err(MjoinError::InvalidScheme(format!(
+                "domain declared for unknown attribute {name:?}"
+            )));
         };
         if *size == 0 {
-            return err(format!("domain size for {name:?} must be ≥ 1"));
+            return Err(MjoinError::InvalidScheme(format!(
+                "domain size for {name:?} must be ≥ 1"
+            )));
         }
-        oracle.set_domain(attr.index(), *size);
+        oracle.try_set_domain(attr.index(), *size)?;
     }
     Ok(oracle)
+}
+
+/// The `estimate` command's model: [`synthetic_model`] over the whole
+/// input.
+pub fn synthetic_oracle(input: &Input) -> Result<mjoin::SyntheticOracle, CliError> {
+    let tables: Vec<usize> = (0..input.database.len()).collect();
+    synthetic_model(input, input.database.scheme(), &tables).map_err(|e| match e {
+        MjoinError::InvalidScheme(msg) => CliError(msg),
+        e => CliError(e.to_string()),
+    })
 }
 
 /// Resource-governance options stripped from the command line before
@@ -252,6 +268,48 @@ impl GuardOptions {
     }
 }
 
+/// A scan over `--flag value` / `--flag=value` arguments: each argument
+/// splits at its first `=`, and a flag that takes a value reads it from
+/// the inline part, else from the next argument.
+struct Flags<'a> {
+    args: std::slice::Iter<'a, String>,
+}
+
+/// One scanned argument: the whole text, and its parts around the `=`.
+struct Flag<'a> {
+    arg: &'a String,
+    name: &'a str,
+    inline: Option<&'a str>,
+}
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Flags { args: args.iter() }
+    }
+
+    fn next_flag(&mut self) -> Option<Flag<'a>> {
+        let arg = self.args.next()?;
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, value)) => (name, Some(value)),
+            None => (arg.as_str(), None),
+        };
+        Some(Flag { arg, name, inline })
+    }
+
+    fn value(&mut self, flag: &Flag<'a>) -> Result<String, CliError> {
+        flag.inline
+            .or_else(|| self.args.next().map(String::as_str))
+            .map(str::to_string)
+            .ok_or_else(|| CliError(format!("flag {} requires a value", flag.name)))
+    }
+
+    fn number<T: std::str::FromStr>(&mut self, flag: &Flag<'a>) -> Result<T, CliError> {
+        let v = self.value(flag)?;
+        v.parse()
+            .map_err(|_| CliError(format!("flag {}: bad number {v:?}", flag.name)))
+    }
+}
+
 /// Splits `--timeout-ms`, `--max-memo-entries`, `--max-tuples`,
 /// `--fail-inject`, `--threads`, `--metrics` and `--metrics-json` (both
 /// `--flag value` and `--flag=value` forms) out of `args`, returning the
@@ -259,37 +317,24 @@ impl GuardOptions {
 pub fn parse_guard_flags(args: &[String]) -> Result<(Vec<String>, GuardOptions), CliError> {
     let mut rest = Vec::with_capacity(args.len());
     let mut opts = GuardOptions::default();
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        let (flag, inline) = match arg.split_once('=') {
-            Some((f, v)) => (f, Some(v.to_string())),
-            None => (arg.as_str(), None),
-        };
-        let value = |it: &mut std::iter::Peekable<std::slice::Iter<'_, String>>| {
-            inline.clone().or_else(|| it.next().cloned()).ok_or_else(|| {
-                CliError(format!("flag {flag} requires a value"))
-            })
-        };
-        let parse_u64 = |v: String| {
-            v.parse::<u64>()
-                .map_err(|_| CliError(format!("flag {flag}: bad number {v:?}")))
-        };
-        match flag {
-            "--timeout-ms" => opts.timeout_ms = Some(parse_u64(value(&mut it)?)?),
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag.name {
+            "--timeout-ms" => opts.timeout_ms = Some(flags.number(&flag)?),
             "--threads" => {
-                let n = parse_u64(value(&mut it)?)?;
+                let n: u64 = flags.number(&flag)?;
                 if n == 0 {
                     return err("flag --threads: thread count must be ≥ 1");
                 }
                 opts.threads = Some(n as usize);
             }
-            "--max-memo-entries" => opts.max_memo_entries = Some(parse_u64(value(&mut it)?)?),
-            "--max-tuples" => opts.max_tuples = Some(parse_u64(value(&mut it)?)?),
+            "--max-memo-entries" => opts.max_memo_entries = Some(flags.number(&flag)?),
+            "--max-tuples" => opts.max_tuples = Some(flags.number(&flag)?),
             "--metrics" => opts.metrics = true,
-            "--metrics-json" => opts.metrics_json = Some(value(&mut it)?),
-            "--store" => opts.store = Some(value(&mut it)?),
+            "--metrics-json" => opts.metrics_json = Some(flags.value(&flag)?),
+            "--store" => opts.store = Some(flags.value(&flag)?),
             "--fail-inject" => {
-                for site in value(&mut it)?.split(',').filter(|s| !s.is_empty()) {
+                for site in flags.value(&flag)?.split(',').filter(|s| !s.is_empty()) {
                     if !failpoints::is_known(site) {
                         return err(format!(
                             "unknown fault-injection site {site:?} (known: {})",
@@ -299,7 +344,7 @@ pub fn parse_guard_flags(args: &[String]) -> Result<(Vec<String>, GuardOptions),
                     opts.fail_inject.push(site.to_string());
                 }
             }
-            _ => rest.push(arg.clone()),
+            _ => rest.push(flag.arg.clone()),
         }
     }
     Ok((rest, opts))
@@ -322,21 +367,25 @@ fn parse_space(s: Option<&str>) -> Result<SearchSpace, CliError> {
     }
 }
 
-/// The rendered result of one `optimize` or `query` invocation: exactly the
-/// text the command prints (for `query`, the lowering header plus the plan
-/// report over the filtered sub-database), plus the structured pieces the
-/// serve daemon and the metrics sections reuse.
-#[derive(Clone, Debug)]
-pub struct OptimizeOutcome {
+/// The answer to a [`Request`]: exactly the text the command prints, plus
+/// the structured pieces the serve daemon, the store and the metrics
+/// sections reuse.
+#[derive(Clone, Debug, Default)]
+pub struct Response {
     /// The report text, byte-identical to the command's output.
     pub text: String,
     /// The plan's τ, when one was costed within budget.
     pub cost: Option<u64>,
-    /// The winning plan itself (absent when the space was empty), so the
-    /// persistent-store save path can serialize it without re-optimizing.
+    /// The daemon's structured fields: `cost`, a query's `join_edges` and
+    /// `filters`, a ladder run's `rung` and `optimal`, a pinned
+    /// `brownout`, an execution's `result_tuples`.
+    pub extra: Vec<(&'static str, Json)>,
+    /// `optimize`/`query`: the winning plan, which the store saves.
     pub plan: Option<mjoin::Plan>,
     /// Ladder runs only: the degradation ladder's full result.
     pub robust: Option<mjoin::RobustPlan>,
+    /// `execute` only: the stage-by-stage trace.
+    pub trace: Option<mjoin_adaptive::ExecutionTrace>,
 }
 
 /// Renders a degradation-ladder result — the one rendering of a budgeted or
@@ -348,7 +397,7 @@ fn ladder_outcome(
     space: SearchSpace,
     r: mjoin::RobustPlan,
     level: BrownoutLevel,
-) -> OptimizeOutcome {
+) -> Response {
     let costed = r.plan.cost != u64::MAX;
     let mut text = String::new();
     let _ = writeln!(text, "search space: {space:?}");
@@ -366,11 +415,12 @@ fn ladder_outcome(
     if level != BrownoutLevel::Normal {
         let _ = writeln!(text, "brownout: {level}");
     }
-    OptimizeOutcome {
+    Response {
         text,
         cost: costed.then_some(r.plan.cost),
         plan: Some(r.plan.clone()),
         robust: Some(r),
+        ..Response::default()
     }
 }
 
@@ -384,7 +434,7 @@ fn plan_outcome<O: CardinalityOracle>(
     model: &str,
     catalog: &Catalog,
     oracle: &O,
-) -> OptimizeOutcome {
+) -> Response {
     let mut text = String::new();
     match &plan {
         Some(plan) => {
@@ -398,11 +448,11 @@ fn plan_outcome<O: CardinalityOracle>(
             );
         }
     }
-    OptimizeOutcome {
+    Response {
         text,
         cost: plan.as_ref().map(|p| p.cost),
         plan,
-        robust: None,
+        ..Response::default()
     }
 }
 
@@ -421,7 +471,7 @@ pub fn optimize_outcome(
     space: SearchSpace,
     gopts: &GuardOptions,
     level: BrownoutLevel,
-) -> Result<OptimizeOutcome, MjoinError> {
+) -> Result<Response, MjoinError> {
     let threads = gopts.threads();
     let full = db.scheme().full_set();
     if gopts.is_limited() || level != BrownoutLevel::Normal {
@@ -435,202 +485,318 @@ pub fn optimize_outcome(
     Ok(plan_outcome(plan, space, "", db.catalog(), &oracle))
 }
 
-/// Builds the synthetic cardinality model for a lowered query over its
-/// sub-scheme: base cardinalities come from the declared statistics (or
-/// actual state sizes, or the 1000-tuple default), domains from declared
-/// `domain` lines (default 100) — exactly the `estimate` command's model,
-/// restricted to the selected tables. Filter selectivities are *not*
-/// folded here; call [`LoweredQuery::fold_into`](mjoin::LoweredQuery::fold_into)
-/// for the selectivity-aware model (tests compare both).
+/// The `estimate` command's model restricted to a lowered query's tables
+/// ([`synthetic_model`] over its sub-scheme). Filter selectivities are
+/// *not* folded here; call
+/// [`LoweredQuery::fold_into`](mjoin::LoweredQuery::fold_into) for the
+/// selectivity-aware model (tests compare both).
 pub fn query_synthetic_oracle(
     input: &Input,
     lowered: &mjoin::LoweredQuery,
 ) -> Result<mjoin::SyntheticOracle, MjoinError> {
-    let src = &input.database;
-    let bases: Vec<u64> = lowered
-        .table_map
-        .iter()
-        .map(|&i| {
-            input.cards[i].unwrap_or_else(|| {
-                let t = src.state(i).tau();
-                if t > 0 {
-                    t
-                } else {
-                    1000
-                }
-            })
-        })
-        .collect();
-    let mut oracle =
-        mjoin::SyntheticOracle::try_new(lowered.database.scheme().clone(), bases, 100)?;
-    for (name, size) in &input.domains {
-        let Some(attr) = src.catalog().lookup(name) else {
-            return Err(MjoinError::InvalidScheme(format!(
-                "domain declared for unknown attribute {name:?}"
-            )));
-        };
-        oracle.try_set_domain(attr.index(), *size)?;
-    }
-    Ok(oracle)
+    synthetic_model(input, lowered.database.scheme(), &lowered.table_map)
 }
 
-/// Renders the `query` command's report: a lowering header (per-table
-/// rows before→after the pushed-down filters, the join edges), then the
-/// plan over the filtered sub-database — via the `optimize` paths when
-/// the database has rows, via the selectivity-folded synthetic model when
-/// it is statistics-only. Shared by the CLI and the serve daemon so a
-/// served query answer is byte-identical to the CLI's.
-///
-/// A pinned brownout `level` applies to the materialized path exactly as
-/// it does for `optimize`; statistics-only planning is cheap by
-/// construction and ignores it.
-pub fn query_report(
-    input: &Input,
-    lowered: &mjoin::LoweredQuery,
-    rendered: &str,
+/// One `optimize`, `query` or `execute` request, parsed once: the input,
+/// the search space, and for `query` the lowered query. [`Request::key`]
+/// is its store and plan-cache key, [`Request::respond`] its answer. The
+/// CLI and the serve daemon both build one with [`Request::new`], so a
+/// served answer is the CLI's by construction.
+pub struct Request {
+    input: Input,
+    /// The SPACE argument as given, which the key hashes.
+    space_name: Option<String>,
     space: SearchSpace,
-    gopts: &GuardOptions,
-    level: BrownoutLevel,
-) -> Result<OptimizeOutcome, MjoinError> {
-    let has_rows = lowered.has_rows();
-    let mut out = String::new();
-    let _ = writeln!(out, "query: {rendered}");
-    let _ = writeln!(out, "tables:");
-    for (pos, name) in lowered.table_names.iter().enumerate() {
-        let filters = lowered.filter_counts[pos];
-        if !has_rows {
-            // Statistics-only input: the states are empty, so report the
-            // declared (or defaulted) cardinality the model will use.
-            let card = input.cards[lowered.table_map[pos]].unwrap_or(1000);
-            if filters == 0 {
-                let _ = writeln!(out, "  {name}: {card} tuples (declared)");
+    op: Op,
+}
+
+/// What a [`Request`] plans beyond its input and space.
+enum Op {
+    Optimize,
+    Query {
+        lowered: Box<mjoin::LoweredQuery>,
+        /// The canonical query text, which the key hashes.
+        rendered: String,
+    },
+    Execute {
+        estimation: mjoin_adaptive::Estimation,
+        replan_threshold: f64,
+    },
+}
+
+impl Request {
+    /// Builds the `op` request over an already-parsed `input`: `query` is
+    /// a `query` op's DSL text and `space` the SPACE argument. `execute`
+    /// plans under the synthetic model and never re-plans. A bad space or
+    /// op is `InvalidScheme`, a bad query `InvalidQuery`.
+    pub fn new(
+        op: &str,
+        input: Input,
+        query: Option<&str>,
+        space: Option<&str>,
+    ) -> Result<Request, MjoinError> {
+        let parsed = parse_space(space).map_err(|e| MjoinError::InvalidScheme(e.0))?;
+        let op = match op {
+            "optimize" => Op::Optimize,
+            "query" => {
+                let sql = query.ok_or_else(|| {
+                    MjoinError::InvalidQuery("op \"query\" needs a \"query\" field".into())
+                })?;
+                let query = mjoin::parse_query(sql)?;
+                let lowered = Box::new(mjoin::lower(&query, &input.database)?);
+                Op::Query {
+                    rendered: query.render(),
+                    lowered,
+                }
+            }
+            "execute" => Op::Execute {
+                estimation: mjoin_adaptive::Estimation::Synthetic,
+                replan_threshold: f64::INFINITY,
+            },
+            other => {
+                return Err(MjoinError::InvalidScheme(format!(
+                    "unsupported engine op {other:?}"
+                )))
+            }
+        };
+        Ok(Request {
+            input,
+            space_name: space.map(str::to_string),
+            space: parsed,
+            op,
+        })
+    }
+
+    /// The `--store` and plan-cache key: the planned database, the SPACE
+    /// argument as given, and every option that can change the answer. A
+    /// `query` hashes its lowered database and namespaces the space slot
+    /// with its canonical text, so it never collides with an `optimize`.
+    /// `None` for `execute` (it returns data) and for statistics-only
+    /// queries (declared statistics live outside the hashed states).
+    pub fn key(&self, gopts: &GuardOptions) -> Option<String> {
+        let fingerprint = |db, space: Option<&str>| {
+            mjoin::optimize_fingerprint(
+                db,
+                space,
+                gopts.timeout_ms,
+                gopts.max_memo_entries,
+                gopts.max_tuples,
+                gopts.threads(),
+            )
+        };
+        let space = self.space_name.as_deref();
+        match &self.op {
+            Op::Optimize => Some(fingerprint(&self.input.database, space)),
+            Op::Query { lowered, rendered } => lowered.has_rows().then(|| {
+                let ns = format!("query|{}|{rendered}", space.unwrap_or(""));
+                fingerprint(&lowered.database, Some(&ns))
+            }),
+            Op::Execute { .. } => None,
+        }
+    }
+
+    /// Plans (and for `execute`, runs) the request under `gopts`. A
+    /// server-pinned brownout `level` other than `Normal` runs the ladder
+    /// from the level's entry rung (see [`optimize_outcome`]) and adds a
+    /// `brownout` field; statistics-only queries and `execute` ignore it.
+    pub fn respond(
+        &self,
+        gopts: &GuardOptions,
+        level: BrownoutLevel,
+    ) -> Result<Response, MjoinError> {
+        let mut resp = match &self.op {
+            Op::Optimize => optimize_outcome(&self.input.database, self.space, gopts, level)?,
+            Op::Query { lowered, rendered } => {
+                self.query_outcome(lowered, rendered, gopts, level)?
+            }
+            Op::Execute {
+                estimation,
+                replan_threshold,
+            } => return self.execute(estimation, *replan_threshold, gopts),
+        };
+        let mut extra = vec![("cost", resp.cost.map(Json::U64).unwrap_or(Json::Null))];
+        extra.append(&mut resp.extra);
+        if let Some(r) = &resp.robust {
+            extra.push(("rung", Json::Str(r.report.answered_by.to_string())));
+            extra.push(("optimal", Json::Bool(r.report.optimal)));
+        }
+        if level != BrownoutLevel::Normal {
+            extra.push(("brownout", Json::Str(level.name().to_string())));
+        }
+        resp.extra = extra;
+        Ok(resp)
+    }
+
+    /// The `execute` report: plan under `estimation`, run stage by stage,
+    /// and trace estimated against actual cardinalities.
+    fn execute(
+        &self,
+        estimation: &mjoin_adaptive::Estimation,
+        replan_threshold: f64,
+        gopts: &GuardOptions,
+    ) -> Result<Response, MjoinError> {
+        let db = &self.input.database;
+        let config = mjoin_adaptive::AdaptiveConfig {
+            space: self.space,
+            budget: gopts.budget(),
+            threads: gopts.threads(),
+            replan_threshold,
+            ..mjoin_adaptive::AdaptiveConfig::default()
+        };
+        let (plan, outcome) = mjoin_adaptive::plan_and_execute(db, estimation, &config)?;
+        let mut text = String::new();
+        let _ = writeln!(text, "search space: {:?}", self.space);
+        let _ = writeln!(
+            text,
+            "plan: {}",
+            plan.strategy.render(db.catalog(), db.scheme())
+        );
+        if plan.cost == u64::MAX {
+            let _ = writeln!(text, "believed τ = (not costed)");
+        } else {
+            let _ = writeln!(text, "believed τ = {}", plan.cost);
+        }
+        text.push_str(&outcome.trace.render(db.catalog(), db.scheme()));
+        let _ = writeln!(text, "result: {} tuples", outcome.result.tau());
+        Ok(Response {
+            text,
+            extra: vec![("result_tuples", Json::U64(outcome.result.tau()))],
+            trace: Some(outcome.trace),
+            ..Response::default()
+        })
+    }
+
+    /// The `query` report: a lowering header (per-table rows before→after
+    /// the pushed-down filters, the join edges), then the plan over the
+    /// filtered sub-database — via the `optimize` paths when the database
+    /// has rows, via the selectivity-folded synthetic model when it is
+    /// statistics-only.
+    fn query_outcome(
+        &self,
+        lowered: &mjoin::LoweredQuery,
+        rendered: &str,
+        gopts: &GuardOptions,
+        level: BrownoutLevel,
+    ) -> Result<Response, MjoinError> {
+        let (input, space) = (&self.input, self.space);
+        let has_rows = lowered.has_rows();
+        let mut out = String::new();
+        let _ = writeln!(out, "query: {rendered}");
+        let _ = writeln!(out, "tables:");
+        for (pos, name) in lowered.table_names.iter().enumerate() {
+            let filters = lowered.filter_counts[pos];
+            if !has_rows {
+                // Statistics-only input: the states are empty, so report the
+                // declared (or defaulted) cardinality the model will use.
+                let card = input.cards[lowered.table_map[pos]].unwrap_or(1000);
+                if filters == 0 {
+                    let _ = writeln!(out, "  {name}: {card} tuples (declared)");
+                } else {
+                    let _ = writeln!(
+                        out,
+                        "  {name}: {card} tuples (declared; {} filter{}, selectivity {:.4})",
+                        filters,
+                        if filters == 1 { "" } else { "s" },
+                        lowered.selectivities[pos]
+                    );
+                }
+            } else if filters == 0 {
+                let _ = writeln!(out, "  {name}: {} tuples", lowered.base_taus[pos]);
             } else {
                 let _ = writeln!(
                     out,
-                    "  {name}: {card} tuples (declared; {} filter{}, selectivity {:.4})",
+                    "  {name}: {} -> {} tuples ({} filter{}, selectivity {:.4})",
+                    lowered.base_taus[pos],
+                    lowered.filtered_taus[pos],
                     filters,
                     if filters == 1 { "" } else { "s" },
                     lowered.selectivities[pos]
                 );
             }
-        } else if filters == 0 {
-            let _ = writeln!(out, "  {name}: {} tuples", lowered.base_taus[pos]);
-        } else {
+        }
+        if lowered.join_edges.is_empty() {
             let _ = writeln!(
                 out,
-                "  {name}: {} -> {} tuples ({} filter{}, selectivity {:.4})",
-                lowered.base_taus[pos],
-                lowered.filtered_taus[pos],
-                filters,
-                if filters == 1 { "" } else { "s" },
-                lowered.selectivities[pos]
+                "join edges: (none — every pair joins as a Cartesian product)"
             );
+        } else {
+            let edges: Vec<String> = lowered
+                .join_edges
+                .iter()
+                .map(|e| {
+                    format!(
+                        "{}~{} on {}",
+                        lowered.table_names[e.left], lowered.table_names[e.right], e.attr
+                    )
+                })
+                .collect();
+            let _ = writeln!(out, "join edges: {}", edges.join(", "));
         }
+        let plan = if has_rows {
+            optimize_outcome(&lowered.database, space, gopts, level)?
+        } else {
+            let mut oracle = query_synthetic_oracle(input, lowered)?;
+            lowered.fold_into(&mut oracle)?;
+            let guard = Guard::new(gopts.budget());
+            let full = lowered.database.scheme().full_set();
+            let plan = try_optimize(&oracle, full, space, &guard)?;
+            plan_outcome(
+                plan,
+                space,
+                " (synthetic cardinality model, filters folded)",
+                lowered.database.catalog(),
+                &oracle,
+            )
+        };
+        out.push_str(&plan.text);
+        let extra = vec![
+            ("join_edges", Json::U64(lowered.join_edges.len() as u64)),
+            ("filters", Json::U64(lowered.total_filters() as u64)),
+        ];
+        Ok(Response {
+            text: out,
+            extra,
+            ..plan
+        })
     }
-    if lowered.join_edges.is_empty() {
-        let _ = writeln!(out, "join edges: (none — every pair joins as a Cartesian product)");
-    } else {
-        let edges: Vec<String> = lowered
-            .join_edges
-            .iter()
-            .map(|e| {
-                format!(
-                    "{}~{} on {}",
-                    lowered.table_names[e.left], lowered.table_names[e.right], e.attr
-                )
-            })
-            .collect();
-        let _ = writeln!(out, "join edges: {}", edges.join(", "));
-    }
-    let plan = if has_rows {
-        optimize_outcome(&lowered.database, space, gopts, level)?
-    } else {
-        let mut oracle = query_synthetic_oracle(input, lowered)?;
-        lowered.fold_into(&mut oracle)?;
-        let guard = Guard::new(gopts.budget());
-        let full = lowered.database.scheme().full_set();
-        let plan = try_optimize(&oracle, full, space, &guard)?;
-        plan_outcome(
-            plan,
-            space,
-            " (synthetic cardinality model, filters folded)",
-            lowered.database.catalog(),
-            &oracle,
-        )
-    };
-    out.push_str(&plan.text);
-    Ok(OptimizeOutcome { text: out, ..plan })
 }
 
-/// Cache/store key for an `optimize` invocation — the key both the CLI
-/// `--store` path and the serve plan cache use: the database, the
-/// search-space argument as given, and every option that can change the
-/// answer.
-pub(crate) fn optimize_fingerprint(
-    db: &Database,
-    space_raw: Option<&str>,
-    gopts: &GuardOptions,
-) -> String {
-    mjoin::optimize_fingerprint(
-        db,
-        space_raw,
-        gopts.timeout_ms,
-        gopts.max_memo_entries,
-        gopts.max_tuples,
-        gopts.threads(),
-    )
-}
-
-/// Cache/store key for a `query` invocation: the optimize fingerprint of
-/// the **lowered** (filtered) database, with the search-space slot
-/// carrying both the space and the canonical rendered query. The
-/// namespace prefix guarantees a `query` entry can never collide with a
-/// plain `optimize` entry over the same filtered states — and two
-/// different queries lowering to identical states still key apart.
-pub fn query_fingerprint(
-    lowered_db: &Database,
-    rendered: &str,
-    space_raw: Option<&str>,
-    gopts: &GuardOptions,
-) -> String {
-    let ns = format!("query|{}|{rendered}", space_raw.unwrap_or(""));
-    optimize_fingerprint(lowered_db, Some(&ns), gopts)
-}
-
-/// The shared tail of the `optimize` and `query` commands around
-/// `--store`. A store entry whose fingerprint `fp` matches this exact
-/// request replays the cold run's response byte for byte, skipping `plan`
-/// entirely; otherwise `plan` runs and its cold result is saved back.
-/// Budgeted (ladder) runs are not persisted: their responses carry rung
-/// context that a replay could not reproduce faithfully under a changed
-/// budget clock. `fp` is `None` when `--store` is absent or the request is
-/// not storable. Returns the response text and, for a ladder run, its
-/// result.
+/// Answers `req` through `--store`. A store entry under the request's
+/// key replays the cold run's response byte for byte, skipping planning
+/// entirely; otherwise the request is answered and its cold result saved
+/// back. Budgeted (ladder) runs are not persisted: their responses carry
+/// rung context that a replay could not reproduce faithfully under a
+/// changed budget clock. Without `--store`, or for an unkeyed request, it
+/// is just [`Request::respond`].
 ///
-/// With `harvest_memo`, the saved entry also carries the DP memo and
-/// cached cardinalities of `db` — worth persisting only for the
-/// product-free space, where the flat DPccp table is the native form; a
-/// separate save-path pass harvests them so the user-visible planning
-/// paths stay untouched.
-fn plan_through_store(
-    gopts: &GuardOptions,
-    fp: Option<String>,
-    db: &Database,
-    harvest_memo: bool,
-    plan: impl FnOnce() -> Result<OptimizeOutcome, MjoinError>,
-) -> Result<(String, Option<mjoin::RobustPlan>), CliError> {
+/// The saved entry of a product-free `optimize` also carries the DP memo
+/// and cached cardinalities — the flat DPccp table is that space's native
+/// form — harvested by a separate save-path pass so the user-visible
+/// planning paths stay untouched.
+fn plan_through_store(gopts: &GuardOptions, req: &Request) -> Result<Response, CliError> {
     let fail = |e: MjoinError| CliError(e.to_string());
-    let store = gopts.store.as_deref().map(std::path::Path::new).zip(fp);
+    let store = gopts
+        .store
+        .as_deref()
+        .and_then(|path| Some((std::path::Path::new(path), req.key(gopts)?)));
     if let Some((path, fp)) = &store {
         if path.exists() {
             let loaded = mjoin::LoadedStore::open(path).map_err(fail)?;
             if let Some(entry) = loaded.entry(fp) {
-                return Ok((entry.response().to_string(), None));
+                return Ok(Response {
+                    text: entry.response().to_string(),
+                    ..Response::default()
+                });
             }
         }
     }
-    let o = plan().map_err(fail)?;
-    if let (Some((path, fp)), None) = (store, &o.robust) {
+    let resp = req.respond(gopts, BrownoutLevel::Normal).map_err(fail)?;
+    if let (Some((path, fp)), None) = (store, &resp.robust) {
+        let db = match &req.op {
+            Op::Query { lowered, .. } => &lowered.database,
+            _ => &req.input.database,
+        };
+        let harvest_memo = matches!(req.op, Op::Optimize) && req.space == SearchSpace::NoCartesian;
         let full = db.scheme().full_set();
         let oracle = ExactOracle::new(db);
         let harvest = harvest_memo.then(|| {
@@ -643,42 +809,15 @@ fn plan_through_store(
         let entry = mjoin::entry_from_optimize(
             fp,
             full,
-            o.plan.as_ref().map(|p| (&p.strategy, p.cost)),
+            resp.plan.as_ref().map(|p| (&p.strategy, p.cost)),
             memo.as_ref(),
             &taus,
-            &o.text,
+            &resp.text,
         )
         .map_err(fail)?;
         mjoin::save_optimize_entry(path, entry).map_err(fail)?;
     }
-    Ok((o.text, o.robust))
-}
-
-/// Plans and executes under `estimation`/`config`, rendering exactly the
-/// text the `execute` command prints. Shared by the CLI and the serve
-/// daemon.
-pub fn execute_report(
-    db: &Database,
-    estimation: &mjoin_adaptive::Estimation,
-    config: &mjoin_adaptive::AdaptiveConfig,
-) -> Result<(String, mjoin_adaptive::ExecutionOutcome), MjoinError> {
-    let space = config.space;
-    let (plan, outcome) = mjoin_adaptive::plan_and_execute(db, estimation, config)?;
-    let mut out = String::new();
-    let _ = writeln!(out, "search space: {space:?}");
-    let _ = writeln!(
-        out,
-        "plan: {}",
-        plan.strategy.render(db.catalog(), db.scheme())
-    );
-    if plan.cost == u64::MAX {
-        let _ = writeln!(out, "believed τ = (not costed)");
-    } else {
-        let _ = writeln!(out, "believed τ = {}", plan.cost);
-    }
-    out.push_str(&outcome.trace.render(db.catalog(), db.scheme()));
-    let _ = writeln!(out, "result: {} tuples", outcome.result.tau());
-    Ok((out, outcome))
+    Ok(resp)
 }
 
 /// Runs a CLI invocation (`args` excludes the program name) against `read`,
@@ -791,8 +930,7 @@ where
             _ => err("store: expected 'store inspect PATH'"),
         };
     }
-    let budget = gopts.budget();
-    let guard = Guard::new(budget);
+    let guard = Guard::new(gopts.budget());
     let fail = |e: mjoin::MjoinError| CliError(e.to_string());
     let Some(path) = args.get(1) else {
         return err(format!("missing database file\n{usage}"));
@@ -807,8 +945,9 @@ where
     // without the observability layer.
     let recorder = gopts.wants_metrics().then(Recorder::arm);
     let mut sections: Vec<(&'static str, Json)> = Vec::new();
-    // Set by a ladder run (`optimize`/`query` under a budget).
-    let mut ladder: Option<mjoin::RobustPlan> = None;
+    // Set by the `optimize`, `query` and `execute` arms, which only parse
+    // their arguments; the request is answered after the match.
+    let mut planned: Option<Request> = None;
 
     match command.as_str() {
         "analyze" => {
@@ -863,96 +1002,48 @@ where
             }
         }
         "optimize" => {
-            let space_raw = args.get(2).cloned();
-            let space = parse_space(space_raw.as_deref())?;
-            let fp = gopts
-                .store
-                .as_ref()
-                .map(|_| optimize_fingerprint(db, space_raw.as_deref(), &gopts));
-            let harvest_memo = space == SearchSpace::NoCartesian;
-            let (text, robust) = plan_through_store(&gopts, fp, db, harvest_memo, || {
-                optimize_outcome(db, space, &gopts, BrownoutLevel::Normal)
-            })?;
-            out.push_str(&text);
-            ladder = robust;
+            let space = args.get(2).map(String::as_str);
+            // Validated here for the CLI's own wording of a bad SPACE.
+            parse_space(space)?;
+            planned = Some(Request::new(command, input, None, space).map_err(fail)?);
         }
         "query" => {
             let Some(raw) = args.get(2) else {
                 return err("query requires the DSL text (or @FILE) as its argument");
             };
-            let sql_owned;
             let sql = match raw.strip_prefix('@') {
-                Some(p) => {
-                    sql_owned = read(p).map_err(CliError)?;
-                    sql_owned.as_str()
-                }
-                None => raw.as_str(),
+                Some(p) => read(p).map_err(CliError)?,
+                None => raw.clone(),
             };
-            let space_raw = args.get(3).cloned();
-            let space = parse_space(space_raw.as_deref())?;
-            let query = mjoin::parse_query(sql).map_err(fail)?;
-            let lowered = mjoin::lower(&query, db).map_err(fail)?;
-            let rendered = query.render();
-            // The store key is the lowered (filtered) database plus the
-            // canonical query text. Statistics-only inputs are never
-            // stored: declared cards and domains live outside the hashed
-            // states, so entries for them could collide across different
-            // statistics.
-            let fp = (gopts.store.is_some() && lowered.has_rows()).then(|| {
-                query_fingerprint(&lowered.database, &rendered, space_raw.as_deref(), &gopts)
-            });
-            let level = BrownoutLevel::Normal;
-            let (text, robust) = plan_through_store(&gopts, fp, &lowered.database, false, || {
-                query_report(&input, &lowered, &rendered, space, &gopts, level)
-            })?;
-            out.push_str(&text);
-            ladder = robust;
+            let space = args.get(3).map(String::as_str);
+            parse_space(space)?;
+            planned = Some(Request::new(command, input, Some(&sql), space).map_err(fail)?);
         }
         "execute" => {
-            let mut space = SearchSpace::All;
-            let mut space_set = false;
+            let mut space = None;
             let mut adaptive = false;
             let mut noise_q = 1.0f64;
             let mut noise_seed = 0u64;
             let mut threshold: Option<f64> = None;
-            let mut it = args[2..].iter().peekable();
-            while let Some(arg) = it.next() {
-                let (flag, inline) = match arg.split_once('=') {
-                    Some((f, v)) => (f, Some(v.to_string())),
-                    None => (arg.as_str(), None),
-                };
-                let value = |it: &mut std::iter::Peekable<std::slice::Iter<'_, String>>| {
-                    inline
-                        .clone()
-                        .or_else(|| it.next().cloned())
-                        .ok_or_else(|| CliError(format!("flag {flag} requires a value")))
-                };
-                let parse_f64 = |v: String| {
-                    v.parse::<f64>()
-                        .map_err(|_| CliError(format!("flag {flag}: bad number {v:?}")))
-                };
-                match flag {
+            let mut flags = Flags::new(&args[2..]);
+            while let Some(flag) = flags.next_flag() {
+                match flag.name {
                     "--adaptive" => adaptive = true,
-                    "--noise-q" => noise_q = parse_f64(value(&mut it)?)?,
-                    "--noise-seed" => {
-                        let v = value(&mut it)?;
-                        noise_seed = v
-                            .parse::<u64>()
-                            .map_err(|_| CliError(format!("flag {flag}: bad number {v:?}")))?;
-                    }
+                    "--noise-q" => noise_q = flags.number(&flag)?,
+                    "--noise-seed" => noise_seed = flags.number(&flag)?,
                     "--replan-threshold" => {
                         adaptive = true;
-                        threshold = Some(parse_f64(value(&mut it)?)?);
+                        threshold = Some(flags.number(&flag)?);
                     }
                     s if s.starts_with("--") => {
                         return err(format!("execute: unknown flag {s:?}"));
                     }
                     s => {
-                        if space_set {
+                        if space.is_some() {
                             return err(format!("execute: unexpected argument {s:?}"));
                         }
-                        space = parse_space(Some(s))?;
-                        space_set = true;
+                        parse_space(Some(s))?;
+                        space = Some(s);
                     }
                 }
             }
@@ -967,25 +1058,17 @@ where
             } else {
                 mjoin_adaptive::Estimation::Synthetic
             };
-            let config = mjoin_adaptive::AdaptiveConfig {
-                space,
-                budget,
-                threads: gopts.threads(),
-                replan_threshold: if adaptive {
-                    threshold.unwrap_or(mjoin_adaptive::DEFAULT_REPLAN_THRESHOLD)
-                } else {
-                    f64::INFINITY
-                },
-                ..mjoin_adaptive::AdaptiveConfig::default()
+            let replan_threshold = if adaptive {
+                threshold.unwrap_or(mjoin_adaptive::DEFAULT_REPLAN_THRESHOLD)
+            } else {
+                f64::INFINITY
             };
-            let (text, outcome) = execute_report(db, &estimation, &config).map_err(fail)?;
-            out.push_str(&text);
-            if recorder.is_some() {
-                sections.push((
-                    "adaptive",
-                    outcome.trace.to_section(db.catalog(), db.scheme()),
-                ));
-            }
+            let mut req = Request::new(command, input, None, space).map_err(fail)?;
+            req.op = Op::Execute {
+                estimation,
+                replan_threshold,
+            };
+            planned = Some(req);
         }
         "cost" => {
             let Some(expr) = args.get(2) else {
@@ -1194,6 +1277,17 @@ where
             }
         }
         other => return err(format!("unknown command {other:?}\n{usage}")),
+    }
+    // Set by a ladder run (`optimize`/`query` under a budget).
+    let mut ladder = None;
+    if let Some(req) = planned {
+        let resp = plan_through_store(&gopts, &req)?;
+        out.push_str(&resp.text);
+        if let (Some(trace), Some(_)) = (&resp.trace, &recorder) {
+            let db = &req.input.database;
+            sections.push(("adaptive", trace.to_section(db.catalog(), db.scheme())));
+        }
+        ladder = resp.robust;
     }
     if let Some(rec) = recorder {
         let snapshot = rec.snapshot();

@@ -10,13 +10,14 @@
 
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::{SocketAddr, TcpStream};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use mjoin::failpoints::ScopedFailpoint;
-use mjoin_cli::{run, MjoinEngine};
-use mjoin_obs::{json, Json};
+use mjoin_cli::{parse_input, run, GuardOptions, MjoinEngine, Request};
+use mjoin_obs::{json, Counter, Json, Recorder};
 use mjoin_serve::{Engine as _, EngineRequest, ServeConfig, Server};
 
 fn serialize() -> MutexGuard<'static, ()> {
@@ -130,6 +131,143 @@ fn served_execute_matches_the_cli() {
     );
     server.shutdown();
     server.join();
+}
+
+fn repo_path(rel: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(rel)
+}
+
+fn repo_file(rel: &str) -> Result<String, String> {
+    std::fs::read_to_string(repo_path(rel)).map_err(|e| format!("{rel}: {e}"))
+}
+
+/// Every committed query workload: `(name, sql path, db path)`, where the
+/// database is the one the workload's `-- db: PATH` directive names.
+fn workloads() -> Vec<(String, String, String)> {
+    let mut names: Vec<String> = std::fs::read_dir(repo_path("tests/workloads"))
+        .expect("workload directory")
+        .filter_map(|e| {
+            let name = e.ok()?.file_name().into_string().ok()?;
+            Some(name.strip_suffix(".sql")?.to_string())
+        })
+        .collect();
+    names.sort();
+    assert!(names.len() >= 7, "workload corpus went missing: {names:?}");
+    names
+        .into_iter()
+        .map(|name| {
+            let sql = format!("tests/workloads/{name}.sql");
+            let text = repo_file(&sql).unwrap();
+            let db = text
+                .lines()
+                .find_map(|l| l.trim().strip_prefix("-- db:"))
+                .unwrap_or_else(|| panic!("{name}: no '-- db: PATH' directive"))
+                .trim()
+                .to_string();
+            (name, sql, db)
+        })
+        .collect()
+}
+
+/// The op `star_exact`, `wide_stats` and `hot_repeat` drive: every
+/// workload query, rows and statistics-only, in `all` and `nocp`, served
+/// cold and then again is byte-identical to `mjoin query … --threads 1`.
+/// Only queries over rows are keyed, so only they come back cached.
+#[test]
+fn served_query_is_byte_identical_to_the_cli_for_every_workload() {
+    let _serial = serialize();
+    let server = spawn_real_server(config());
+    let addr = server.addr();
+    for (name, sql_path, db_path) in workloads() {
+        for space in ["all", "nocp"] {
+            let sql_arg = format!("@{sql_path}");
+            let args: Vec<String> = ["query", &db_path, &sql_arg, space, "--threads", "1"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            let expected = run(&args, repo_file).expect("CLI query succeeds");
+            let line = req_line(vec![
+                ("op", Json::Str("query".to_string())),
+                ("db", Json::Str(repo_file(&db_path).unwrap())),
+                ("query", Json::Str(repo_file(&sql_path).unwrap())),
+                ("space", Json::Str(space.to_string())),
+            ]);
+            let keyed = !name.starts_with("stats");
+            for (pass, cached) in [("cold", false), ("again", keyed)] {
+                let served = request(addr, &line);
+                let what = format!("{name} {space} {pass}");
+                assert_eq!(
+                    served.get("ok"),
+                    Some(&Json::Bool(true)),
+                    "{what}: {served:?}"
+                );
+                assert_eq!(
+                    served.get("output").and_then(Json::as_str),
+                    Some(expected.as_str()),
+                    "{what}: served query must match the CLI byte for byte"
+                );
+                assert_eq!(served.get("cached"), Some(&Json::Bool(cached)), "{what}");
+            }
+        }
+    }
+    server.shutdown();
+    server.join();
+}
+
+/// The store and plan-cache keys, pinned: a change to what a key hashes
+/// orphans every store written before it, so it must be a reviewed diff.
+#[test]
+fn store_keys_are_pinned() {
+    let gopts = GuardOptions {
+        threads: Some(1),
+        ..GuardOptions::default()
+    };
+    let key = |op: &str, db: &str, query: Option<&str>, space: Option<&str>| {
+        let input = parse_input(&repo_file(db).unwrap()).unwrap();
+        Request::new(op, input, query, space).unwrap().key(&gopts)
+    };
+    assert_eq!(
+        key("optimize", "examples/example4.mj", None, None).as_deref(),
+        Some("d1095532d3260491a9d8b3e8749d7da1"),
+    );
+    let sql = repo_file("tests/workloads/star_q1.sql").unwrap();
+    assert_eq!(
+        key("query", "tests/workloads/star.mj", Some(&sql), Some("nocp")).as_deref(),
+        Some("c69023c93978fe3653bf596ed3ddf226"),
+    );
+    let stats_sql = repo_file("tests/workloads/stats_q1.sql").unwrap();
+    let stats_db = "tests/workloads/star_stats.mj";
+    assert_eq!(key("query", stats_db, Some(&stats_sql), None), None);
+    assert_eq!(key("execute", "examples/example4.mj", None, None), None);
+}
+
+/// Parsed once: a served `query` miss — the engine's prepare, then its
+/// run, as the daemon drives them — parses the query exactly once.
+#[test]
+fn served_query_miss_parses_the_query_once() {
+    let sql = repo_file("tests/workloads/star_q1.sql").unwrap();
+    let req = EngineRequest {
+        op: "query".to_string(),
+        db: repo_file("tests/workloads/star.mj").unwrap(),
+        query: Some(sql),
+        space: None,
+        timeout_ms: None,
+        max_memo_entries: None,
+        max_tuples: None,
+        brownout: None,
+    };
+    let recorder = Recorder::arm();
+    let prepared = MjoinEngine { threads: 1 }.prepare(&req).expect("prepare");
+    assert!(prepared.key.is_some(), "a query over rows is keyed");
+    let worker_req = EngineRequest {
+        db: String::new(),
+        ..req
+    };
+    let resp = (prepared.run)(&worker_req).expect("run");
+    assert!(resp.output.starts_with("query: SELECT"), "{}", resp.output);
+    assert_eq!(recorder.snapshot().counter(Counter::QueryParsed), 1);
 }
 
 /// Repeated identical optimize requests are answered from the plan cache

@@ -34,7 +34,9 @@
 //! The optimizer itself is injected via the [`Engine`] trait (the CLI
 //! crate provides the real one, reusing its exact rendering so a served
 //! plan is byte-identical to the CLI's); stub engines keep this crate's
-//! tests fast and deterministic.
+//! tests fast and deterministic. A planning request goes decode →
+//! [`Engine::prepare`] (parse once, key) → cache → admission → queue →
+//! the prepared `run` on a worker.
 //!
 //! Failure injection: the `serve::accept`, `serve::decode`,
 //! `serve::enqueue`, `serve::respond`, `serve::admit_client` and
@@ -114,22 +116,51 @@ pub struct EngineResponse {
     pub extra: Vec<(&'static str, Json)>,
 }
 
+/// What [`Engine::prepare`] makes of one request: its plan-cache key and
+/// the work that answers it.
+pub struct Prepared {
+    /// A canonical cache key, or `None` to bypass the plan cache. Keys
+    /// must cover everything that affects the response (scheme, states,
+    /// search space, budget caps), so equal keys really do mean an
+    /// interchangeable answer.
+    pub key: Option<String>,
+    /// Answers the request. A worker calls it with the request as it runs:
+    /// `timeout_ms` is the remaining budget, `brownout` the pinned level,
+    /// and `db` is empty — everything parsed from it lives in the closure.
+    pub run: Run,
+}
+
+/// The type of [`Prepared::run`].
+type Run = Box<dyn FnOnce(&EngineRequest) -> Result<EngineResponse, MjoinError> + Send>;
+
+impl std::fmt::Debug for Prepared {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Prepared")
+            .field("key", &self.key)
+            .finish_non_exhaustive()
+    }
+}
+
 /// The pluggable optimizer behind the daemon.
 ///
 /// Implementations must be panic-free by intent — but the server wraps
-/// every call in `catch_unwind` anyway, converting an escaped panic into
-/// a typed `internal` error, so one poisoned request can never take a
-/// worker down.
+/// every call in `catch_unwind` anyway (`prepare` on the connection
+/// thread, `run` on a worker), converting an escaped panic into a typed
+/// `internal` error, so one poisoned request can never take a thread down.
 pub trait Engine: Send + Sync + 'static {
-    /// Runs one request to completion under its remaining budget.
-    fn handle(&self, req: &EngineRequest) -> Result<EngineResponse, MjoinError>;
+    /// Parses and keys one request. The daemon calls it exactly once per
+    /// planning request, on the connection thread, before the cache
+    /// lookup; an error is answered right there and never queued.
+    fn prepare(&self, req: &EngineRequest) -> Result<Prepared, MjoinError>;
 
-    /// A canonical cache key for this request, or `None` to bypass the
-    /// plan cache. Keys must cover everything that affects the response
-    /// (scheme, states, search space, budget caps), so equal keys really
-    /// do mean an interchangeable answer.
-    fn fingerprint(&self, _req: &EngineRequest) -> Option<String> {
-        None
+    /// Prepares and runs one request in one go.
+    fn handle(&self, req: &EngineRequest) -> Result<EngineResponse, MjoinError> {
+        (self.prepare(req)?.run)(req)
+    }
+
+    /// The key [`Engine::prepare`] computes; `None` when it fails.
+    fn fingerprint(&self, req: &EngineRequest) -> Option<String> {
+        self.prepare(req).ok()?.key
     }
 }
 
@@ -657,7 +688,7 @@ fn submit_and_wait(shared: &Arc<Shared>, req: Request, stream: &mut TcpStream) {
         Some(c) => Arc::from(c),
         None => Arc::from(ANON_CLIENT),
     };
-    let engine_req = EngineRequest {
+    let mut engine_req = EngineRequest {
         op: req.op.clone(),
         db: req.db,
         query: req.query,
@@ -671,14 +702,26 @@ fn submit_and_wait(shared: &Arc<Shared>, req: Request, stream: &mut TcpStream) {
         write_response(stream, error_line(req.id.as_ref(), "internal", &e.to_string(), None));
         return;
     }
-    // Cross-request plan cache: hits answer from the connection thread
-    // and never consume a queue slot or a worker.
-    let key = if cfg.cache_cap > 0 {
-        shared.engine.fingerprint(&engine_req)
-    } else {
-        None
+    // The one parse of the request. Malformed input is answered here,
+    // before it can take a queue slot; the parsed request is all a worker
+    // needs, so the raw text goes now.
+    let work = match catch_unwind(AssertUnwindSafe(|| shared.engine.prepare(&engine_req))) {
+        Ok(Ok(work)) => work,
+        Ok(Err(e)) => {
+            let line = error_line(req.id.as_ref(), kind_of(&e), &e.to_string(), None);
+            write_response(stream, line);
+            return;
+        }
+        Err(panic) => {
+            write_response(stream, panic_line(req.id.as_ref(), panic.as_ref()));
+            return;
+        }
     };
-    if let Some(k) = &key {
+    engine_req.db = String::new();
+    // Cross-request plan cache: hits answer from the connection thread
+    // and never consume a queue slot or a worker. (A disabled cache holds
+    // nothing and drops every insert.)
+    if let Some(k) = &work.key {
         if let Some(resp) = shared.cache.get(k) {
             shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             write_response(stream, ok_line(req.id.as_ref(), &engine_req.op, &resp, true));
@@ -699,59 +742,40 @@ fn submit_and_wait(shared: &Arc<Shared>, req: Request, stream: &mut TcpStream) {
         id: req.id,
         client,
         request: engine_req,
-        key,
+        work,
         enqueued: Instant::now(),
         respond: tx,
     };
-    match shared.queue.try_push(job) {
-        Ok(()) => {}
-        Err((job, SubmitError::Full)) => {
-            shed(
-                shared,
-                stream,
-                job.id.as_ref(),
-                "overloaded",
-                &format!(
-                    "admission queue full ({} pending); retry after {} ms",
-                    shared.config.queue_cap, shared.config.shed_retry_ms
-                ),
-            );
-            return;
+    if let Err((job, refused)) = shared.queue.try_push(job) {
+        let (id, retry) = (job.id.as_ref(), cfg.shed_retry_ms);
+        match refused {
+            SubmitError::Full => {
+                let msg = format!(
+                    "admission queue full ({} pending); retry after {retry} ms",
+                    cfg.queue_cap
+                );
+                shed(shared, stream, id, "overloaded", &msg);
+            }
+            SubmitError::ClientQueueFull => {
+                let msg = format!(
+                    "client {:?} is over its queue quota ({} queued); retry after {retry} ms",
+                    job.client, cfg.client_queue_cap
+                );
+                quota_shed(shared, stream, id, &msg);
+            }
+            SubmitError::RateLimited => {
+                let msg = format!(
+                    "client {:?} is over its admission rate ({} req/s); retry after {retry} ms",
+                    job.client, cfg.client_rps
+                );
+                quota_shed(shared, stream, id, &msg);
+            }
+            SubmitError::ShuttingDown => {
+                let msg = "server is draining; request shed";
+                shed(shared, stream, id, "shutting_down", msg);
+            }
         }
-        Err((job, SubmitError::ClientQueueFull)) => {
-            quota_shed(
-                shared,
-                stream,
-                job.id.as_ref(),
-                &format!(
-                    "client {:?} is over its queue quota ({} queued); retry after {} ms",
-                    job.client, shared.config.client_queue_cap, shared.config.shed_retry_ms
-                ),
-            );
-            return;
-        }
-        Err((job, SubmitError::RateLimited)) => {
-            quota_shed(
-                shared,
-                stream,
-                job.id.as_ref(),
-                &format!(
-                    "client {:?} is over its admission rate ({} req/s); retry after {} ms",
-                    job.client, shared.config.client_rps, shared.config.shed_retry_ms
-                ),
-            );
-            return;
-        }
-        Err((job, SubmitError::ShuttingDown)) => {
-            shed(
-                shared,
-                stream,
-                job.id.as_ref(),
-                "shutting_down",
-                "server is draining; request shed",
-            );
-            return;
-        }
+        return;
     }
     // Bound the wait so a wedged worker can never hang the connection:
     // the engine's guard enforces the deadline, this is the backstop.
@@ -774,14 +798,25 @@ fn submit_and_wait(shared: &Arc<Shared>, req: Request, stream: &mut TcpStream) {
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(mut job) = shared.queue.pop() {
-        let line = run_job(shared, &mut job);
+    while let Some(job) = shared.queue.pop() {
+        let respond = job.respond.clone();
+        let line = run_job(shared, job);
         shared.stats.handled.fetch_add(1, Ordering::Relaxed);
-        let _ = job.respond.send(line);
+        let _ = respond.send(line);
     }
 }
 
-fn run_job(shared: &Arc<Shared>, job: &mut Job) -> String {
+/// The `internal` line for a panic an engine call let escape.
+fn panic_line(id: Option<&Json>, panic: &(dyn std::any::Any + Send)) -> String {
+    let msg = panic
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "opaque panic payload".to_string());
+    error_line(id, "internal", &format!("optimizer panicked: {msg}"), None)
+}
+
+fn run_job(shared: &Arc<Shared>, mut job: Job) -> String {
     if let Err(e) = failpoints::hit("serve::brownout") {
         return error_line(job.id.as_ref(), kind_of(&e), &e.to_string(), None);
     }
@@ -809,8 +844,8 @@ fn run_job(shared: &Arc<Shared>, job: &mut Job) -> String {
         }
         job.request.timeout_ms = Some(remaining);
     }
-    let result = catch_unwind(AssertUnwindSafe(|| shared.engine.handle(&job.request)));
-    match result {
+    let Prepared { key, run } = job.work;
+    match catch_unwind(AssertUnwindSafe(|| run(&job.request))) {
         Ok(Ok(resp)) => {
             if let Some(level) = &job.request.brownout {
                 // A browned-out answer is still a valid covering plan;
@@ -835,7 +870,7 @@ fn run_job(shared: &Arc<Shared>, job: &mut Job) -> String {
             // have degraded further than an unloaded one would, and must
             // not be replayed as canonical.
             if job.request.timeout_ms == requested && job.request.brownout.is_none() {
-                if let Some(key) = job.key.take() {
+                if let Some(key) = key {
                     let evicted = shared.cache.insert(key, resp.clone());
                     if evicted > 0 {
                         shared.stats.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
@@ -845,19 +880,7 @@ fn run_job(shared: &Arc<Shared>, job: &mut Job) -> String {
             ok_line(job.id.as_ref(), &job.request.op, &resp, false)
         }
         Ok(Err(e)) => error_line(job.id.as_ref(), kind_of(&e), &e.to_string(), None),
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".to_string());
-            error_line(
-                job.id.as_ref(),
-                "internal",
-                &format!("optimizer panicked: {msg}"),
-                None,
-            )
-        }
+        Err(panic) => panic_line(job.id.as_ref(), panic.as_ref()),
     }
 }
 

@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use mjoin_obs::Json;
 
-use crate::EngineRequest;
+use crate::{EngineRequest, Prepared};
 
 /// The shared tenant for requests that carry no `client` field.
 pub const ANON_CLIENT: &str = "anon";
@@ -53,10 +53,11 @@ pub struct Job {
     /// The tenant this job is queued and accounted under.
     pub client: Arc<str>,
     /// The request, with `timeout_ms` still holding the *requested*
-    /// deadline; the worker subtracts queue wait before running it.
+    /// deadline (the worker subtracts queue wait before running it) and
+    /// `db` emptied: `work` holds the parsed database.
     pub request: EngineRequest,
-    /// Plan-cache key, when the engine deemed the request cacheable.
-    pub key: Option<String>,
+    /// The engine's prepared work and plan-cache key.
+    pub work: Prepared,
     /// When the job entered the queue — queue wait burns the deadline.
     pub enqueued: Instant,
     /// Channel back to the waiting connection thread (a rendered
@@ -382,7 +383,10 @@ mod tests {
                     max_tuples: None,
                     brownout: None,
                 },
-                key: None,
+                work: Prepared {
+                    key: None,
+                    run: Box::new(|_| unreachable!("queue tests never run a job")),
+                },
                 enqueued: Instant::now(),
                 respond: tx,
             },

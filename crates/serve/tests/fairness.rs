@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use mjoin_guard::MjoinError;
 use mjoin_obs::{json, Json};
 use mjoin_serve::queue::{Admission, FairnessConfig, Job, SubmitError, ANON_CLIENT};
-use mjoin_serve::{Engine, EngineRequest, EngineResponse, ServeConfig, Server};
+use mjoin_serve::{Engine, EngineRequest, EngineResponse, Prepared, ServeConfig, Server};
 
 fn serialize() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -77,16 +77,23 @@ fn release(g: &Arc<(Mutex<u64>, Condvar)>, permits: u64) {
 }
 
 impl Engine for GateEngine {
-    fn handle(&self, req: &EngineRequest) -> Result<EngineResponse, MjoinError> {
-        let (m, cv) = &*self.0;
-        let mut permits = m.lock().unwrap();
-        while *permits == 0 {
-            permits = cv.wait(permits).unwrap();
-        }
-        *permits -= 1;
-        Ok(EngineResponse {
-            output: format!("gated: {}\n", req.db),
-            extra: Vec::new(),
+    fn prepare(&self, req: &EngineRequest) -> Result<Prepared, MjoinError> {
+        let gate = Arc::clone(&self.0);
+        let output = format!("gated: {}\n", req.db);
+        Ok(Prepared {
+            key: None,
+            run: Box::new(move |_| {
+                let (m, cv) = &*gate;
+                let mut permits = m.lock().unwrap();
+                while *permits == 0 {
+                    permits = cv.wait(permits).unwrap();
+                }
+                *permits -= 1;
+                Ok(EngineResponse {
+                    output,
+                    extra: Vec::new(),
+                })
+            }),
         })
     }
 }
@@ -97,24 +104,26 @@ impl Engine for GateEngine {
 struct LadderEngine;
 
 impl Engine for LadderEngine {
-    fn handle(&self, req: &EngineRequest) -> Result<EngineResponse, MjoinError> {
-        let (ms, rung) = match req.brownout.as_deref() {
-            None => (40, "dp"),
-            Some("reduced-dp") => (5, "dp"),
-            Some(_) => (1, "greedy"),
-        };
-        std::thread::sleep(Duration::from_millis(ms));
-        Ok(EngineResponse {
-            output: format!("plan for {}\n", req.db),
-            extra: vec![
-                ("cost", Json::U64(7)),
-                ("rung", Json::Str(rung.to_string())),
-            ],
+    fn prepare(&self, req: &EngineRequest) -> Result<Prepared, MjoinError> {
+        let output = format!("plan for {}\n", req.db);
+        Ok(Prepared {
+            key: Some(format!("ladder|{}", req.db)),
+            run: Box::new(move |req| {
+                let (ms, rung) = match req.brownout.as_deref() {
+                    None => (40, "dp"),
+                    Some("reduced-dp") => (5, "dp"),
+                    Some(_) => (1, "greedy"),
+                };
+                std::thread::sleep(Duration::from_millis(ms));
+                Ok(EngineResponse {
+                    output,
+                    extra: vec![
+                        ("cost", Json::U64(7)),
+                        ("rung", Json::Str(rung.to_string())),
+                    ],
+                })
+            }),
         })
-    }
-
-    fn fingerprint(&self, req: &EngineRequest) -> Option<String> {
-        Some(format!("ladder|{}", req.db))
     }
 }
 
@@ -278,7 +287,10 @@ fn queued_job(client: &str) -> (Job, std::sync::mpsc::Receiver<String>) {
                 max_tuples: None,
                 brownout: None,
             },
-            key: None,
+            work: Prepared {
+                key: None,
+                run: Box::new(|_| unreachable!("drain-order tests never run a job")),
+            },
             enqueued: Instant::now(),
             respond: tx,
         },

@@ -9,13 +9,13 @@
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use mjoin_guard::failpoints::ScopedFailpoint;
 use mjoin_guard::MjoinError;
 use mjoin_obs::{json, Json};
-use mjoin_serve::{Engine, EngineRequest, EngineResponse, ServeConfig, Server};
+use mjoin_serve::{Engine, EngineRequest, EngineResponse, Prepared, ServeConfig, Server};
 
 fn serialize() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -24,20 +24,32 @@ fn serialize() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|e| e.into_inner())
 }
 
-/// Succeeds instantly; fingerprints on the raw db text so cache behavior
-/// is directly steerable from the request.
+/// Work that needs no key and answers with `run`.
+fn unkeyed(
+    run: impl FnOnce(&EngineRequest) -> Result<EngineResponse, MjoinError> + Send + 'static,
+) -> Result<Prepared, MjoinError> {
+    Ok(Prepared {
+        key: None,
+        run: Box::new(run),
+    })
+}
+
+/// Succeeds instantly; keys on the raw db text so cache behavior is
+/// directly steerable from the request.
 struct EchoEngine;
 
 impl Engine for EchoEngine {
-    fn handle(&self, req: &EngineRequest) -> Result<EngineResponse, MjoinError> {
-        Ok(EngineResponse {
-            output: format!("echo: {}\n", req.db),
-            extra: vec![("cost", Json::U64(11))],
+    fn prepare(&self, req: &EngineRequest) -> Result<Prepared, MjoinError> {
+        let output = format!("echo: {}\n", req.db);
+        Ok(Prepared {
+            key: Some(format!("echo|{}|{:?}", req.db, req.timeout_ms)),
+            run: Box::new(move |_| {
+                Ok(EngineResponse {
+                    output,
+                    extra: vec![("cost", Json::U64(11))],
+                })
+            }),
         })
-    }
-
-    fn fingerprint(&self, req: &EngineRequest) -> Option<String> {
-        Some(format!("echo|{}|{:?}", req.db, req.timeout_ms))
     }
 }
 
@@ -45,11 +57,14 @@ impl Engine for EchoEngine {
 struct SlowEngine(Duration);
 
 impl Engine for SlowEngine {
-    fn handle(&self, _req: &EngineRequest) -> Result<EngineResponse, MjoinError> {
-        std::thread::sleep(self.0);
-        Ok(EngineResponse {
-            output: "slow ok\n".to_string(),
-            extra: Vec::new(),
+    fn prepare(&self, _req: &EngineRequest) -> Result<Prepared, MjoinError> {
+        let pause = self.0;
+        unkeyed(move |_| {
+            std::thread::sleep(pause);
+            Ok(EngineResponse {
+                output: "slow ok\n".to_string(),
+                extra: Vec::new(),
+            })
         })
     }
 }
@@ -58,8 +73,8 @@ impl Engine for SlowEngine {
 struct PanicEngine;
 
 impl Engine for PanicEngine {
-    fn handle(&self, _req: &EngineRequest) -> Result<EngineResponse, MjoinError> {
-        panic!("engine exploded on purpose");
+    fn prepare(&self, _req: &EngineRequest) -> Result<Prepared, MjoinError> {
+        unkeyed(|_| panic!("engine exploded on purpose"))
     }
 }
 
@@ -67,8 +82,50 @@ impl Engine for PanicEngine {
 struct ErrEngine(fn() -> MjoinError);
 
 impl Engine for ErrEngine {
-    fn handle(&self, _req: &EngineRequest) -> Result<EngineResponse, MjoinError> {
-        Err((self.0)())
+    fn prepare(&self, _req: &EngineRequest) -> Result<Prepared, MjoinError> {
+        let make = self.0;
+        unkeyed(move |_| Err(make()))
+    }
+}
+
+/// Panics while keying a request whose db is `"boom"`; echoes any other.
+struct PanicKeyEngine;
+
+impl Engine for PanicKeyEngine {
+    fn prepare(&self, req: &EngineRequest) -> Result<Prepared, MjoinError> {
+        assert_ne!(req.db, "boom", "key computation exploded on purpose");
+        EchoEngine.prepare(req)
+    }
+}
+
+/// Refuses every request while preparing it.
+struct RefuseEngine;
+
+impl Engine for RefuseEngine {
+    fn prepare(&self, _req: &EngineRequest) -> Result<Prepared, MjoinError> {
+        Err(MjoinError::InvalidQuery("no such table \"T\"".to_string()))
+    }
+}
+
+/// [`EchoEngine`] that counts its `prepare` and `run` calls.
+#[derive(Default)]
+struct CountingEngine {
+    prepared: Arc<AtomicU64>,
+    ran: Arc<AtomicU64>,
+}
+
+impl Engine for CountingEngine {
+    fn prepare(&self, req: &EngineRequest) -> Result<Prepared, MjoinError> {
+        self.prepared.fetch_add(1, Ordering::Relaxed);
+        let ran = Arc::clone(&self.ran);
+        let echo = EchoEngine.prepare(req)?;
+        Ok(Prepared {
+            key: echo.key,
+            run: Box::new(move |req| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                (echo.run)(req)
+            }),
+        })
     }
 }
 
@@ -413,6 +470,92 @@ fn engine_panic_becomes_a_typed_error_and_the_pool_survives() {
     assert!(is_ok(&request(addr, r#"{"op": "ping"}"#)));
     let stats = shutdown_and_join(server);
     assert_eq!(stats.handled, 3);
+}
+
+/// `prepare` runs on the connection thread, under the same `catch_unwind`
+/// as a worker's run: a panicking key computation is one `internal` line,
+/// not a dead connection thread and an EOF.
+#[test]
+fn panicking_prepare_is_one_internal_line_and_the_server_survives() {
+    let _serial = serialize();
+    let server = Server::spawn(config(), Box::new(PanicKeyEngine)).unwrap();
+    let addr = server.addr();
+    let doc = request(addr, r#"{"id": 5, "op": "optimize", "db": "boom"}"#);
+    assert_eq!(error_kind(&doc), "internal", "{doc:?}");
+    assert_eq!(doc.get("id"), Some(&Json::U64(5)));
+    let msg = doc
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Json::as_str)
+        .unwrap();
+    assert!(msg.contains("panicked"), "{msg}");
+    let next = request(addr, r#"{"op": "optimize", "db": "fine"}"#);
+    assert!(is_ok(&next), "{next:?}");
+    let stats = shutdown_and_join(server);
+    assert_eq!(stats.handled, 1, "only the second request reached a worker");
+}
+
+/// Parsed once: one `prepare` per request, miss or hit, and a hit never
+/// runs the engine.
+#[test]
+fn prepare_runs_once_per_request_and_a_hit_never_runs_the_engine() {
+    let _serial = serialize();
+    let engine = CountingEngine::default();
+    let (prepared, ran) = (Arc::clone(&engine.prepared), Arc::clone(&engine.ran));
+    let calls = || {
+        (
+            prepared.load(Ordering::Relaxed),
+            ran.load(Ordering::Relaxed),
+        )
+    };
+    let server = Server::spawn(config(), Box::new(engine)).unwrap();
+    let addr = server.addr();
+    let miss = request(addr, r#"{"op": "optimize", "db": "once"}"#);
+    assert_eq!(miss.get("cached"), Some(&Json::Bool(false)), "{miss:?}");
+    assert_eq!(calls(), (1, 1));
+    let hit = request(addr, r#"{"op": "optimize", "db": "once"}"#);
+    assert_eq!(hit.get("cached"), Some(&Json::Bool(true)), "{hit:?}");
+    assert_eq!(hit.get("output"), miss.get("output"));
+    assert_eq!(calls(), (2, 1));
+    // Control ops never reach the engine.
+    assert!(is_ok(&request(addr, r#"{"op": "ping"}"#)));
+    assert_eq!(calls(), (2, 1));
+    shutdown_and_join(server);
+}
+
+/// A request the engine cannot prepare is answered with the engine's
+/// typed kind and message before admission: never queued, never handled.
+#[test]
+fn prepare_errors_are_answered_typed_and_never_queued() {
+    let _serial = serialize();
+    let server = Server::spawn(
+        ServeConfig {
+            workers: 1,
+            queue_cap: 1,
+            ..config()
+        },
+        Box::new(RefuseEngine),
+    )
+    .unwrap();
+    let addr = server.addr();
+    for _ in 0..3 {
+        let doc = request(
+            addr,
+            r#"{"op": "query", "db": "x", "query": "SELECT * FROM T", "client": "c"}"#,
+        );
+        assert_eq!(error_kind(&doc), "invalid_request", "{doc:?}");
+        let msg = doc
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Json::as_str);
+        assert_eq!(msg, Some("invalid query: no such table \"T\""), "{doc:?}");
+    }
+    let stats = request(addr, r#"{"op": "stats"}"#);
+    let clients = stats.get("stats").and_then(|s| s.get("clients"));
+    let nobody = Json::Obj(Vec::new());
+    assert_eq!(clients, Some(&nobody), "nothing was admitted: {stats:?}");
+    let stats = shutdown_and_join(server);
+    assert_eq!((stats.handled, stats.shed), (0, 0));
 }
 
 #[test]

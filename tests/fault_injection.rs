@@ -37,13 +37,18 @@ fn db() -> Database {
 struct EchoEngine;
 
 impl mjoin_serve::Engine for EchoEngine {
-    fn handle(
+    fn prepare(
         &self,
         _req: &mjoin_serve::EngineRequest,
-    ) -> Result<mjoin_serve::EngineResponse, MjoinError> {
-        Ok(mjoin_serve::EngineResponse {
-            output: "ok\n".to_string(),
-            extra: Vec::new(),
+    ) -> Result<mjoin_serve::Prepared, MjoinError> {
+        Ok(mjoin_serve::Prepared {
+            key: None,
+            run: Box::new(|_| {
+                Ok(mjoin_serve::EngineResponse {
+                    output: "ok\n".to_string(),
+                    extra: Vec::new(),
+                })
+            }),
         })
     }
 }
