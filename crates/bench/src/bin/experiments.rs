@@ -5,6 +5,10 @@
 //! cargo run --release -p mjoin-bench --bin experiments -- E1 G1  # filter by id prefix
 //! cargo run --release -p mjoin-bench --bin experiments -- --list
 //! ```
+//!
+//! Stdout is exactly the report EXPERIMENTS.md quotes verbatim (the root
+//! test `experiments_golden` pins it); per-experiment timings go to
+//! stderr.
 
 use std::time::Instant;
 
@@ -28,13 +32,12 @@ fn main() {
         std::process::exit(1);
     }
 
-    println!("# mjoin — paper experiments (Tay, PODS 1990 / JACM 1993)");
-    println!();
+    println!("{}", mjoin_bench::REPORT_TITLE);
     for (id, run) in selected {
         let start = Instant::now();
         let table = run();
-        println!("{table}");
-        println!("({id} took {:.2?})", start.elapsed());
         println!();
+        print!("{table}");
+        eprintln!("({id} took {:.2?})", start.elapsed());
     }
 }

@@ -21,6 +21,10 @@ mod table;
 pub use report::{bench_report_path, write_bench_report};
 pub use table::Table;
 
+/// The first line of the experiment report; each table follows after a
+/// blank line.
+pub const REPORT_TITLE: &str = "# mjoin — paper experiments (Tay, PODS 1990 / JACM 1993)";
+
 /// A named experiment: its registry id and runner.
 pub type Experiment = (&'static str, fn() -> Table);
 
