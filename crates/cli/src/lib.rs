@@ -196,7 +196,7 @@ fn synthetic_model(
     Ok(oracle)
 }
 
-/// The `estimate` command's model: [`synthetic_model`] over the whole
+/// The `estimate` command's model: `synthetic_model` over the whole
 /// input.
 pub fn synthetic_oracle(input: &Input) -> Result<mjoin::SyntheticOracle, CliError> {
     let tables: Vec<usize> = (0..input.database.len()).collect();
@@ -486,7 +486,7 @@ pub fn optimize_outcome(
 }
 
 /// The `estimate` command's model restricted to a lowered query's tables
-/// ([`synthetic_model`] over its sub-scheme). Filter selectivities are
+/// (`synthetic_model` over its sub-scheme). Filter selectivities are
 /// *not* folded here; call
 /// [`LoweredQuery::fold_into`](mjoin::LoweredQuery::fold_into) for the
 /// selectivity-aware model (tests compare both).

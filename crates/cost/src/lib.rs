@@ -10,12 +10,13 @@
 //!
 //! * [`Database`] — a database scheme paired with relation states, the
 //!   paper's pair `(𝐃, D)`;
-//! * [`ExactOracle`] — materializes every requested intermediate join once
-//!   (memoized by scheme subset) and reports exact tuple counts. This is
-//!   the ground truth the theorems are stated over. Its memo is a sharded
-//!   `RwLock` map of `Arc<Relation>` intermediates, so it is `Sync`: a
-//!   worker pool can drive one memo (and charge one guard) from many
-//!   threads;
+//! * [`ExactOracle`] — exact tuple counts, memoized by scheme subset: the
+//!   ground truth the theorems are stated over. A subset whose components
+//!   all have join trees is *counted* — a bottom-up weight pass over each
+//!   tree, linear in the input, building no tuple; only the cyclic residue
+//!   is materialized (one member peeled onto the rest's relation). Its
+//!   memos are sharded `RwLock` maps, so it is `Sync`: a worker pool can
+//!   drive one memo (and charge one guard) from many threads;
 //! * [`SyntheticOracle`] — a closed-form cardinality model (uniformity +
 //!   independence + per-attribute domains) for experiments on queries far
 //!   too large to materialize. The paper explicitly distrusts these

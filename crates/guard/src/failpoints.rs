@@ -60,7 +60,7 @@ pub const SITES: &[&str] = &[
 /// order. The `failpoints` CLI command renders this table; a guard test
 /// keeps it in lockstep with [`SITES`].
 pub const SITE_DOCS: &[(&str, &str)] = &[
-    ("cost::materialize", "exact oracle: subset materialization"),
+    ("cost::materialize", "exact oracle: every τ request, counted or built"),
     ("relation::join", "join kernels: guarded natural join"),
     ("optimizer::dp", "bushy / DPccp dynamic programs"),
     ("optimizer::greedy", "greedy bushy optimizer"),

@@ -89,6 +89,26 @@ impl DbScheme {
         RelSet::full(self.len())
     }
 
+    /// The sub-scheme of `subset`'s members, re-indexed by rank: the `k`-th
+    /// lowest member of `subset` is relation `k` of the result. Built from
+    /// the cached adjacency in `O(|subset| + edges inside it)` word
+    /// operations — no pairwise scheme intersections.
+    ///
+    /// # Panics
+    /// Panics if `subset` is empty (a database scheme has ≥ 1 member).
+    pub fn restrict(&self, subset: RelSet) -> DbScheme {
+        assert!(!subset.is_empty(), "a sub-scheme needs at least one member");
+        let rank = |j: usize| (subset.0 & ((1u128 << j) - 1)).count_ones() as usize;
+        let (schemes, adjacency) = subset
+            .iter()
+            .map(|i| {
+                let local = self.adjacency[i].intersect(subset).iter().map(rank);
+                (self.schemes[i], RelSet::from_indices(local))
+            })
+            .unzip();
+        DbScheme { schemes, adjacency }
+    }
+
     /// `⋃D′`: the union of the attribute sets of the members of `subset`.
     pub fn attrs_of(&self, subset: RelSet) -> AttrSet {
         subset
@@ -471,6 +491,19 @@ mod tests {
         let mut cat = Catalog::new();
         let d = DbScheme::parse(&mut cat, specs).unwrap();
         (cat, d)
+    }
+
+    #[test]
+    fn restrict_equals_the_sub_scheme_built_from_scratch() {
+        let (_, d) = parse(&["ABC", "BE", "DF", "CG", "GH", "AB"]);
+        for subset in d.full_set().subsets().filter(|s| !s.is_empty()) {
+            let schemes: Vec<AttrSet> = subset.iter().map(|i| d.scheme(i)).collect();
+            assert_eq!(
+                d.restrict(subset),
+                DbScheme::new(schemes).unwrap(),
+                "{subset:?}"
+            );
+        }
     }
 
     #[test]

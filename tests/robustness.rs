@@ -38,6 +38,22 @@ fn clique_db(n: usize, per_x: i64) -> Database {
     Database::from_specs(&specs).unwrap()
 }
 
+/// A genuinely cyclic clique: `schemes::clique(n)` gives every pair of
+/// relations an attribute of its own, so every sub-scheme of three or more
+/// relations is α-cyclic and the exact oracle must *build* it (the `X`
+/// clique above is α-acyclic — a star through `X` — so it is counted
+/// without a single tuple). Uniform binary values, `rows` tuples per
+/// relation: joining `k` relations keeps about `rows^k / 2^(k(k−1)/2)`.
+fn cyclic_clique_db(n: usize, rows: usize) -> Database {
+    let (cat, scheme) = schemes::clique(n);
+    let config = DataConfig {
+        tuples_per_relation: rows,
+        domain: 2,
+        ensure_nonempty: true,
+    };
+    data::uniform(cat, scheme, &config, &mut StdRng::seed_from_u64(14))
+}
+
 /// The ISSUE's acceptance scenario: a 14-relation clique under a 50 ms
 /// deadline. Exhaustive search is out (n > 7), the DP cannot finish, the
 /// exact oracle cannot even materialize the big intermediates — yet the
@@ -72,12 +88,12 @@ fn hostile_clique_under_tight_deadline_returns_valid_plan() {
     );
 }
 
-/// Same clique, but the binding limit is the intermediate-tuple cap: the
-/// optimizers' own materialization work trips it deterministically, and
-/// the ladder degrades instead of failing.
+/// A clique whose binding limit is the intermediate-tuple cap: the exact
+/// oracle's materialization of the cyclic sub-joins trips it
+/// deterministically, and the ladder degrades instead of failing.
 #[test]
 fn hostile_clique_under_tuple_cap_degrades() {
-    let db = clique_db(14, 4);
+    let db = cyclic_clique_db(14, 12);
     let budget = Budget::unlimited().with_max_tuples(10_000);
     let r = optimize_database_robust_threaded(&db, SearchSpace::All, budget, None, 1).unwrap();
     assert_eq!(r.plan.strategy.set(), db.scheme().full_set());
@@ -98,7 +114,7 @@ fn hostile_clique_under_tuple_cap_degrades() {
 /// prints.
 #[test]
 fn rung_attempts_record_elapsed_and_budget_consumed() {
-    let db = clique_db(14, 4);
+    let db = cyclic_clique_db(14, 12);
     let budget = Budget::unlimited().with_max_tuples(10_000);
     let r = optimize_database_robust_threaded(&db, SearchSpace::All, budget, None, 1).unwrap();
     // At n = 14 the exhaustive rung is skipped (space too large) without
