@@ -31,11 +31,9 @@
 //! Joins are canonical at any thread count, the noise factor is a pure
 //! function of `(seed, subset)`, and the derived-leaf order is canonical,
 //! so the whole pipeline is deterministic in `(strategy, estimation,
-//! budget, thread count)`. Thread count can only matter through the
-//! ladder's DP rung, which enumerates in a different order sequentially
-//! (DPsub) than threaded (DPccp): the two always agree on cost and may
-//! tie-break equal-cost plans differently — re-plans that answer at the
-//! exhaustive rung are bit-identical at every thread count.
+//! budget, thread count)`. Thread count does not change a re-plan either:
+//! the ladder's exact rungs pick the same plan at every thread count (the
+//! DP rung is DPccp with one tie-break, sequential or level-parallel).
 
 use std::collections::HashMap;
 use std::time::Instant;

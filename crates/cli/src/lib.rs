@@ -978,10 +978,14 @@ where
                 ("theorem 2", a.theorem2),
                 ("theorem 3", a.theorem3),
             ] {
+                let conclusion = match r.beyond_reach {
+                    Some(max) => format!("not checked (n = {} > {max})", db.len()),
+                    None => r.conclusion_holds.to_string(),
+                };
                 let _ = writeln!(
                     out,
-                    "{name}: preconditions={} conclusion={}",
-                    r.preconditions_hold, r.conclusion_holds
+                    "{name}: preconditions={} conclusion={conclusion}",
+                    r.preconditions_hold
                 );
             }
             if !input.fds.is_empty() {
@@ -994,11 +998,20 @@ where
             }
             let safe = a.safe_search_space();
             let _ = writeln!(out, "recommended search space: {safe:?}");
-            let oracle = ExactOracle::with_guard(db, guard.clone());
-            if let Some(plan) =
-                try_optimize(&oracle, db.scheme().full_set(), safe, &guard).map_err(fail)?
-            {
-                let _ = writeln!(out, "{}", plan.explain(db.catalog(), &oracle));
+            if safe == SearchSpace::All && db.len() > mjoin::FULL_SPACE_DP_MAX_RELS {
+                let _ = writeln!(
+                    out,
+                    "plan: not computed (n = {} > {})",
+                    db.len(),
+                    mjoin::FULL_SPACE_DP_MAX_RELS
+                );
+            } else {
+                let oracle = ExactOracle::with_guard(db, guard.clone());
+                if let Some(plan) =
+                    try_optimize(&oracle, db.scheme().full_set(), safe, &guard).map_err(fail)?
+                {
+                    let _ = writeln!(out, "{}", plan.explain(db.catalog(), &oracle));
+                }
             }
         }
         "optimize" => {
@@ -1382,6 +1395,17 @@ Lang22 Chomsky
     }
 
     #[test]
+    fn analyze_reports_unchecked_theorems_beyond_their_reach() {
+        let chain40 = include_str!("../../../examples/chain40.mj");
+        let args = ["analyze", "chain40.mj"].map(String::from);
+        let out = run(&args, |_| Ok(chain40.to_string())).expect("analyze answers");
+        assert!(out.contains("theorem 1: preconditions=false conclusion=not checked (n = 40 > 8)"), "{out}");
+        assert!(out.contains("theorem 2: preconditions=false conclusion=not checked (n = 40 > 14)"), "{out}");
+        assert!(out.contains("theorem 3: preconditions=false conclusion=not checked (n = 40 > 14)"), "{out}");
+        assert!(out.ends_with("plan: not computed (n = 40 > 14)\n"), "{out}");
+    }
+
+    #[test]
     fn analyze_command() {
         let out = run_ok(&["analyze", "db.mj"]);
         assert!(out.contains("connected: true"));
@@ -1501,6 +1525,27 @@ Lang22 Chomsky
         assert!(seq.contains("τ = 6 + 5 = 11"), "{seq}");
         let nocp = run_ok(&["optimize", "db.mj", "nocp", "--threads", "4"]);
         assert!(nocp.contains("= 12"), "{nocp}");
+        // The product-free spaces run sequential DPccp at one thread and
+        // level-parallel DPccp above it: one candidate order, one
+        // tie-break, so the same plan bytes. The 40-chain has equal-cost
+        // splits everywhere, so a tie-break difference would show there.
+        let chain40 = include_str!("../../../examples/chain40.mj");
+        for space in ["nocp", "avoid"] {
+            let optimize = |file: &str, threads: &str| {
+                let args = ["optimize", file, space, "--threads", threads];
+                run(&args.map(String::from), |path| match path {
+                    "chain40.mj" => Ok(chain40.to_string()),
+                    _ => fake_fs(path),
+                })
+                .expect("command succeeds")
+            };
+            for file in ["db.mj", "chain40.mj"] {
+                let one = optimize(file, "1");
+                for threads in ["2", "4"] {
+                    assert_eq!(one, optimize(file, threads), "{file} {space} @{threads}");
+                }
+            }
+        }
     }
 
     #[test]

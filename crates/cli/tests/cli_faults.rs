@@ -164,3 +164,41 @@ fn reduce_reports_sizes_and_respects_budget() {
     let err = cli(&["reduce", "db", "--max-tuples", "1"]).unwrap_err();
     assert!(err.contains("budget exceeded"), "{err}");
 }
+
+/// Runs the real binary on `examples/chain40.mj` and returns its exit
+/// code, killing it (and failing) if it outlives `limit`.
+fn binary_on_chain40(args: &[&str], limit: std::time::Duration) -> Option<i32> {
+    let chain40 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/chain40.mj");
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_mjoin-cli"))
+        .arg(args[0])
+        .arg(chain40)
+        .args(&args[1..])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn mjoin-cli");
+    let started = std::time::Instant::now();
+    loop {
+        if let Some(status) = child.try_wait().expect("wait on mjoin-cli") {
+            return status.code();
+        }
+        if started.elapsed() > limit {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("mjoin-cli {args:?} on chain40.mj ran past {limit:?}");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+}
+
+/// A 40-relation scheme is past what the theorem checks can afford:
+/// `analyze` reports them unchecked (exit 0) or a typed error (exit 1),
+/// never a panic (exit 2).
+#[test]
+fn analyze_on_forty_relations_never_panics() {
+    let limit = std::time::Duration::from_secs(60);
+    for args in [&["analyze"][..], &["analyze", "--timeout-ms", "10000"][..]] {
+        let code = binary_on_chain40(args, limit);
+        assert!(matches!(code, Some(0 | 1)), "{args:?}: exit {code:?}");
+    }
+}

@@ -11,6 +11,7 @@
 use std::fmt;
 
 use mjoin_cost::CardinalityOracle;
+use mjoin_guard::{Guard, MjoinError};
 use mjoin_hypergraph::RelSet;
 
 /// One of the paper's conditions on a database.
@@ -66,6 +67,18 @@ pub fn first_violation<O: CardinalityOracle>(
     oracle: &O,
     condition: Condition,
 ) -> Option<Violation> {
+    try_first_violation(oracle, condition, &Guard::unlimited())
+        .expect("an unlimited guard cannot trip")
+}
+
+/// [`first_violation`] under a budget: the subset loops poll `guard`, so a
+/// deadline stops the sweep with its typed error (an oracle that tripped
+/// only saturates, and would let the loops run on).
+pub(crate) fn try_first_violation<O: CardinalityOracle>(
+    oracle: &O,
+    condition: Condition,
+    guard: &Guard,
+) -> Result<Option<Violation>, MjoinError> {
     let full = oracle.scheme().full_set();
     let connected = oracle.scheme().connected_subsets(full);
     match condition {
@@ -78,6 +91,7 @@ pub fn first_violation<O: CardinalityOracle>(
                     }
                     let linked_cost = oracle.tau_join(e, e1);
                     for &e2 in &connected {
+                        guard.checkpoint()?;
                         if !e.is_disjoint(e2)
                             || !e1.is_disjoint(e2)
                             || oracle.scheme().linked(e, e2)
@@ -92,22 +106,23 @@ pub fn first_violation<O: CardinalityOracle>(
                         };
                         if bad {
                             let op = if strict { "≥" } else { ">" };
-                            return Some(Violation {
+                            return Ok(Some(Violation {
                                 condition,
                                 witness: vec![e, e1, e2],
                                 detail: format!(
                                     "τ(E ⋈ E1) = {linked_cost} {op} {product_cost} = τ(E ⋈ E2)"
                                 ),
-                            });
+                            }));
                         }
                     }
                 }
             }
-            None
+            Ok(None)
         }
         Condition::C2 | Condition::C3 | Condition::C4 => {
             for &e1 in &connected {
                 for &e2 in &connected {
+                    guard.checkpoint()?;
                     if e2.0 <= e1.0 && condition != Condition::C2 {
                         // C3/C4 are symmetric; check each unordered pair once.
                         continue;
@@ -124,17 +139,17 @@ pub fn first_violation<O: CardinalityOracle>(
                         _ => unreachable!(),
                     };
                     if bad {
-                        return Some(Violation {
+                        return Ok(Some(Violation {
                             condition,
                             witness: vec![e1, e2],
                             detail: format!(
                                 "τ(E1 ⋈ E2) = {joined}, τ(E1) = {t1}, τ(E2) = {t2}"
                             ),
-                        });
+                        }));
                     }
                 }
             }
-            None
+            Ok(None)
         }
     }
 }
@@ -142,6 +157,15 @@ pub fn first_violation<O: CardinalityOracle>(
 /// Does the database (as seen through `oracle`) satisfy `condition`?
 pub fn satisfies<O: CardinalityOracle>(oracle: &O, condition: Condition) -> bool {
     first_violation(oracle, condition).is_none()
+}
+
+/// [`satisfies`] under a budget.
+pub(crate) fn try_satisfies<O: CardinalityOracle>(
+    oracle: &O,
+    condition: Condition,
+    guard: &Guard,
+) -> Result<bool, MjoinError> {
+    Ok(try_first_violation(oracle, condition, guard)?.is_none())
 }
 
 /// All five conditions at once.
@@ -157,13 +181,21 @@ pub struct ConditionReport {
 
 /// Evaluates every condition.
 pub fn condition_report<O: CardinalityOracle>(oracle: &O) -> ConditionReport {
-    ConditionReport {
-        c1: satisfies(oracle, Condition::C1),
-        c1_strict: satisfies(oracle, Condition::C1Strict),
-        c2: satisfies(oracle, Condition::C2),
-        c3: satisfies(oracle, Condition::C3),
-        c4: satisfies(oracle, Condition::C4),
-    }
+    try_condition_report(oracle, &Guard::unlimited()).expect("an unlimited guard cannot trip")
+}
+
+/// [`condition_report`] under a budget.
+pub(crate) fn try_condition_report<O: CardinalityOracle>(
+    oracle: &O,
+    guard: &Guard,
+) -> Result<ConditionReport, MjoinError> {
+    Ok(ConditionReport {
+        c1: try_satisfies(oracle, Condition::C1, guard)?,
+        c1_strict: try_satisfies(oracle, Condition::C1Strict, guard)?,
+        c2: try_satisfies(oracle, Condition::C2, guard)?,
+        c3: try_satisfies(oracle, Condition::C3, guard)?,
+        c4: try_satisfies(oracle, Condition::C4, guard)?,
+    })
 }
 
 #[cfg(test)]

@@ -5,8 +5,8 @@ use mjoin_guard::{Guard, MjoinError};
 use mjoin_hypergraph::Acyclicity;
 use mjoin_optimizer::{try_optimize, Plan, SearchSpace};
 
-use crate::conditions::{condition_report, ConditionReport};
-use crate::theorems::{theorem1, theorem2, theorem3, TheoremReport};
+use crate::conditions::{try_condition_report, ConditionReport};
+use crate::theorems::{try_theorem1, try_theorem2, try_theorem3, TheoremReport};
 
 /// Everything the paper says about one concrete database.
 #[derive(Clone, Debug)]
@@ -45,35 +45,37 @@ impl Analysis {
 /// Runs every checker in the crate against `db` (exact cardinalities).
 ///
 /// Exponential in `|D|` — intended for the theory-scale databases the
-/// paper's examples and experiments use (`n ≲ 8`). Infallible in practice
-/// (the unlimited guard cannot trip), but shares the
-/// [`analyze_guarded`] signature so callers handle one shape.
+/// paper's examples and experiments use (`n ≲ 8`); a theorem whose check
+/// cannot afford the scheme's size reports its conclusion as unchecked
+/// ([`TheoremReport::beyond_reach`]). Infallible in practice (the
+/// unlimited guard cannot trip), but shares the [`analyze_guarded`]
+/// signature so callers handle one shape.
 pub fn analyze(db: &Database) -> Result<Analysis, MjoinError> {
     analyze_guarded(db, &Guard::unlimited())
 }
 
-/// [`analyze`] under a budget: the oracle's materializations charge
-/// `guard`, and each checker phase is separated by a trip check, so a
-/// deadline interrupts the exponential sweep between (or within) phases.
+/// [`analyze`] under a budget: the oracle's materializations and the
+/// checks' subset loops and DPs charge and poll `guard`, so a deadline
+/// interrupts the exponential sweep with the guard's typed error.
 pub fn analyze_guarded(db: &Database, guard: &Guard) -> Result<Analysis, MjoinError> {
     let oracle = ExactOracle::with_guard(db, guard.clone());
     let full = db.scheme().full_set();
     let result_nonempty = oracle.try_tau(full)? > 0;
     // The checkers use the infallible oracle surface (which saturates once
-    // tripped), so surface the stored trip after each phase.
+    // tripped), so surface the stored trip after each one.
     let trip_check = |o: &ExactOracle<'_>| -> Result<(), MjoinError> {
         match o.tripped() {
             Some(e) => Err(e.clone()),
             None => Ok(()),
         }
     };
-    let conditions = condition_report(&oracle);
+    let conditions = try_condition_report(&oracle, guard)?;
     trip_check(&oracle)?;
-    let t1 = theorem1(&oracle);
+    let t1 = try_theorem1(&oracle, guard)?;
     trip_check(&oracle)?;
-    let t2 = theorem2(&oracle);
+    let t2 = try_theorem2(&oracle, guard)?;
     trip_check(&oracle)?;
-    let t3 = theorem3(&oracle);
+    let t3 = try_theorem3(&oracle, guard)?;
     trip_check(&oracle)?;
     Ok(Analysis {
         connected: db.scheme().connected(full),
@@ -133,6 +135,26 @@ mod tests {
         assert!(!a.connected);
         assert!(a.conditions.c1 && !a.conditions.c2);
         assert_eq!(a.safe_search_space(), SearchSpace::All);
+    }
+
+    #[test]
+    fn a_deadline_stops_analyze_inside_the_condition_checkers() {
+        use mjoin_guard::{Budget, Resource};
+        use rand::SeedableRng;
+        use std::time::{Duration, Instant};
+        // An 18-star has 2¹⁷ + 17 connected subsets: the C1 checker's
+        // triple loop over them runs for hours unless it polls the guard.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+        let (catalog, scheme) = mjoin_gen::schemes::star(18);
+        let db = data::uniform(catalog, scheme, &data::DataConfig::default(), &mut rng);
+        let started = Instant::now();
+        let guard = Guard::new(Budget::unlimited().with_deadline(Duration::from_millis(200)));
+        let err = analyze_guarded(&db, &guard).unwrap_err();
+        assert!(
+            matches!(err, MjoinError::BudgetExceeded { resource: Resource::WallClock, .. }),
+            "{err}"
+        );
+        assert!(started.elapsed() < Duration::from_secs(10), "{:?}", started.elapsed());
     }
 
     #[test]

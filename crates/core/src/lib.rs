@@ -65,7 +65,7 @@ pub use robust::{
     optimize_database_robust_threaded, optimize_robust, BrownoutLevel, DegradationReport,
     RobustPlan, Rung, RungAttempt, RungStats,
 };
-pub use theorems::{lemma1_check, lemma4_conclusion, lemma5_check, lemma6_check, theorem1, theorem2, theorem3, TheoremReport};
+pub use theorems::{lemma1_check, lemma4_conclusion, lemma5_check, lemma6_check, theorem1, theorem2, theorem3, TheoremReport, FULL_SPACE_DP_MAX_RELS, THEOREM1_MAX_RELS};
 
 // One-stop re-exports of the workspace's public surface.
 pub use mjoin_cost::{CardinalityOracle, Database, ExactOracle, NoisyOracle, SyntheticOracle};

@@ -35,9 +35,9 @@
 //! enumeration chunks the top-level splits across scoped workers and the
 //! product-free DP runs each subset-size level in parallel; the other
 //! rungs are the same sequential algorithms over the same oracle — which
-//! keeps their answers bit-identical at every thread count. (The
-//! sequential Dp rung enumerates with DPsub, the parallel one with DPccp;
-//! they agree on cost and may tie-break equal-cost plans differently.)
+//! keeps their answers bit-identical at every thread count. (The Dp rung
+//! is DPccp sequentially and level-parallel, with one tie-break, so its
+//! plans are bit-identical too.)
 //!
 //! Only **budget** trips degrade. Cancellation ([`MjoinError::Cancelled`])
 //! and internal faults ([`MjoinError::Internal`], which includes injected

@@ -8,10 +8,21 @@
 //! conclusion fails without it).
 
 use mjoin_cost::CardinalityOracle;
-use mjoin_optimizer::{optimize, SearchSpace};
+use mjoin_guard::{Guard, MjoinError};
+use mjoin_optimizer::{optimize, try_optimize, SearchSpace};
 use mjoin_strategy::{count_all_strategies, enumerate_linear};
 
-use crate::conditions::{satisfies, Condition};
+use crate::conditions::{satisfies, try_satisfies, Condition};
+
+/// Largest scheme whose Theorem 1 conclusion is checked: the check
+/// enumerates all `n!` linear strategies.
+pub const THEOREM1_MAX_RELS: usize = 8;
+
+/// Largest scheme the analysis runs the `O(3ⁿ)` full-space DP on: the
+/// Theorem 2 and 3 checks compare against its optimum. It takes about
+/// 0.2 s at `n = 14` in a release build (a 14-chain, counted τ) and about
+/// three times as long per further relation.
+pub const FULL_SPACE_DP_MAX_RELS: usize = 14;
 
 /// The outcome of checking one theorem on one database.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,12 +35,27 @@ pub struct TheoremReport {
     /// The conclusion held vacuously (e.g. no linear strategy is globally
     /// τ-optimum, for Theorem 1).
     pub vacuous: bool,
+    /// `Some(max)` when the scheme has more than `max` relations, the most
+    /// this check can afford: the conclusion was then not checked, and
+    /// `conclusion_holds` and `vacuous` are `false`.
+    pub beyond_reach: Option<usize>,
 }
 
 impl TheoremReport {
     /// The implication the theorem asserts: preconditions ⇒ conclusion.
+    /// An unchecked conclusion confirms nothing.
     pub fn implication_holds(&self) -> bool {
         !self.preconditions_hold || self.conclusion_holds
+    }
+
+    /// The report for a scheme of `n > max` relations: preconditions only.
+    fn unchecked(preconditions_hold: bool, max: usize) -> TheoremReport {
+        TheoremReport {
+            preconditions_hold,
+            conclusion_holds: false,
+            vacuous: false,
+            beyond_reach: Some(max),
+        }
     }
 }
 
@@ -44,19 +70,30 @@ fn common_preconditions<O: CardinalityOracle>(oracle: &O) -> bool {
 ///
 /// The conclusion is checked by enumerating every linear strategy whose
 /// cost equals the global optimum (found by DP) and testing each for
-/// product use; `n!` enumeration limits this to small schemes (`n ≤ 8`).
+/// product use; `n!` enumeration limits this to small schemes, and above
+/// [`THEOREM1_MAX_RELS`] the report leaves the conclusion unchecked.
 pub fn theorem1<O: CardinalityOracle>(oracle: &O) -> TheoremReport {
+    try_theorem1(oracle, &Guard::unlimited()).expect("an unlimited guard cannot trip")
+}
+
+/// [`theorem1`] under a budget: the DP and the enumeration stop with the
+/// guard's typed error.
+pub(crate) fn try_theorem1<O: CardinalityOracle>(
+    oracle: &O,
+    guard: &Guard,
+) -> Result<TheoremReport, MjoinError> {
     let preconditions_hold =
-        common_preconditions(oracle) && satisfies(oracle, Condition::C1Strict);
+        common_preconditions(oracle) && try_satisfies(oracle, Condition::C1Strict, guard)?;
     let full = oracle.scheme().full_set();
-    assert!(full.len() <= 8, "theorem1 verification enumerates n! linear strategies");
-    let optimum = optimize(oracle, full, SearchSpace::All)
-        .expect("the full space is never empty")
-        .cost;
+    if full.len() > THEOREM1_MAX_RELS {
+        return Ok(TheoremReport::unchecked(preconditions_hold, THEOREM1_MAX_RELS));
+    }
+    let optimum = full_space_optimum(oracle, guard)?;
     let mut vacuous = true;
     let mut conclusion_holds = true;
     for s in enumerate_linear(full) {
-        if s.cost(oracle) == optimum {
+        guard.checkpoint()?;
+        if s.try_cost(oracle)? == optimum {
             vacuous = false;
             if s.uses_cartesian(oracle.scheme()) {
                 conclusion_holds = false;
@@ -64,55 +101,82 @@ pub fn theorem1<O: CardinalityOracle>(oracle: &O) -> TheoremReport {
             }
         }
     }
-    TheoremReport {
+    Ok(TheoremReport {
         preconditions_hold,
         conclusion_holds,
         vacuous,
+        beyond_reach: None,
+    })
+}
+
+/// The τ-optimum over every strategy, by the `O(3ⁿ)` bushy DP.
+fn full_space_optimum<O: CardinalityOracle>(oracle: &O, guard: &Guard) -> Result<u64, MjoinError> {
+    let full = oracle.scheme().full_set();
+    match try_optimize(oracle, full, SearchSpace::All, guard)? {
+        Some(plan) => Ok(plan.cost),
+        None => Err(MjoinError::Internal("the full space is never empty".into())),
     }
+}
+
+/// Theorems 2 and 3: does the best strategy in `space` reach the
+/// full-space optimum? An empty `space` (an unconnected scheme has no
+/// product-free strategy) does not.
+fn try_space_reaches_optimum<O: CardinalityOracle>(
+    oracle: &O,
+    guard: &Guard,
+    preconditions_hold: bool,
+    space: SearchSpace,
+) -> Result<TheoremReport, MjoinError> {
+    let full = oracle.scheme().full_set();
+    if full.len() > FULL_SPACE_DP_MAX_RELS {
+        return Ok(TheoremReport::unchecked(preconditions_hold, FULL_SPACE_DP_MAX_RELS));
+    }
+    let optimum = full_space_optimum(oracle, guard)?;
+    let best = try_optimize(oracle, full, space, guard)?;
+    Ok(TheoremReport {
+        preconditions_hold,
+        conclusion_holds: best.is_some_and(|plan| plan.cost == optimum),
+        vacuous: false,
+        beyond_reach: None,
+    })
 }
 
 /// **Theorem 2.** If `𝐃` is connected, `R_D ≠ φ` and `C1 ∧ C2` hold, then
 /// some τ-optimum strategy uses no Cartesian products.
 ///
 /// Checked by comparing the DP optimum over the full space with the DP
-/// optimum over the product-free space.
+/// optimum over the product-free space, on up to [`FULL_SPACE_DP_MAX_RELS`]
+/// relations.
 pub fn theorem2<O: CardinalityOracle>(oracle: &O) -> TheoremReport {
+    try_theorem2(oracle, &Guard::unlimited()).expect("an unlimited guard cannot trip")
+}
+
+/// [`theorem2`] under a budget.
+pub(crate) fn try_theorem2<O: CardinalityOracle>(
+    oracle: &O,
+    guard: &Guard,
+) -> Result<TheoremReport, MjoinError> {
     let preconditions_hold = common_preconditions(oracle)
-        && satisfies(oracle, Condition::C1)
-        && satisfies(oracle, Condition::C2);
-    let full = oracle.scheme().full_set();
-    let optimum = optimize(oracle, full, SearchSpace::All)
-        .expect("the full space is never empty")
-        .cost;
-    let conclusion_holds = match optimize(oracle, full, SearchSpace::NoCartesian) {
-        Some(plan) => plan.cost == optimum,
-        None => false, // unconnected scheme: no product-free strategy exists
-    };
-    TheoremReport {
-        preconditions_hold,
-        conclusion_holds,
-        vacuous: false,
-    }
+        && try_satisfies(oracle, Condition::C1, guard)?
+        && try_satisfies(oracle, Condition::C2, guard)?;
+    try_space_reaches_optimum(oracle, guard, preconditions_hold, SearchSpace::NoCartesian)
 }
 
 /// **Theorem 3.** If `𝐃` is connected, `R_D ≠ φ` and `C3` holds, then some
-/// τ-optimum strategy is linear *and* uses no Cartesian products.
+/// τ-optimum strategy is linear *and* uses no Cartesian products. Checked
+/// like [`theorem2`], against the linear product-free space.
 pub fn theorem3<O: CardinalityOracle>(oracle: &O) -> TheoremReport {
+    try_theorem3(oracle, &Guard::unlimited()).expect("an unlimited guard cannot trip")
+}
+
+/// [`theorem3`] under a budget.
+pub(crate) fn try_theorem3<O: CardinalityOracle>(
+    oracle: &O,
+    guard: &Guard,
+) -> Result<TheoremReport, MjoinError> {
     let preconditions_hold =
-        common_preconditions(oracle) && satisfies(oracle, Condition::C3);
-    let full = oracle.scheme().full_set();
-    let optimum = optimize(oracle, full, SearchSpace::All)
-        .expect("the full space is never empty")
-        .cost;
-    let conclusion_holds = match optimize(oracle, full, SearchSpace::LinearNoCartesian) {
-        Some(plan) => plan.cost == optimum,
-        None => false,
-    };
-    TheoremReport {
-        preconditions_hold,
-        conclusion_holds,
-        vacuous: false,
-    }
+        common_preconditions(oracle) && try_satisfies(oracle, Condition::C3, guard)?;
+    try_space_reaches_optimum(oracle, guard, preconditions_hold, SearchSpace::LinearNoCartesian)
 }
 
 /// **Lemma 4** (conclusion): some τ-optimum strategy evaluates the
@@ -396,6 +460,25 @@ mod tests {
             let o = ExactOracle::new(&db);
             assert!(lemma5_check(&o));
         }
+    }
+
+    #[test]
+    fn checks_beyond_their_reach_report_unchecked_and_trip_typed() {
+        use mjoin_guard::Budget;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let (catalog, scheme) = mjoin_gen::schemes::chain(THEOREM1_MAX_RELS + 1);
+        let db = data::uniform(catalog, scheme, &data::DataConfig::default(), &mut rng);
+        let o = ExactOracle::new(&db);
+        let t1 = theorem1(&o);
+        assert_eq!(t1.beyond_reach, Some(THEOREM1_MAX_RELS));
+        assert!(!t1.conclusion_holds && !t1.vacuous);
+        // Theorem 2 still reaches nine relations.
+        assert_eq!(theorem2(&o).beyond_reach, None);
+        // Under a budget, a tripping check is the guard's typed error.
+        let guard = Guard::new(Budget::unlimited().with_max_memo_entries(2));
+        let err = try_theorem2(&ExactOracle::new(&db), &guard).unwrap_err();
+        assert!(matches!(err, MjoinError::BudgetExceeded { .. }), "{err}");
     }
 
     #[test]

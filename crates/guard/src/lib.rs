@@ -344,6 +344,23 @@ impl Guard {
         Ok(())
     }
 
+    /// Time left before the deadline; `None` when there is no deadline.
+    pub fn remaining(&self) -> Option<Duration> {
+        let d = self.inner.deadline?;
+        Some(d.saturating_sub(self.inner.started.elapsed()))
+    }
+
+    /// Trips the deadline now if `more` time would overrun it: for a search
+    /// that can project its own remaining work, so it stops before spending
+    /// the budget (and the memory that work builds) rather than after. A
+    /// no-op without a deadline.
+    pub fn check_deadline_after(&self, more: Duration) -> Result<(), MjoinError> {
+        match self.remaining() {
+            Some(left) if more > left => Err(self.trip(self.deadline_error())),
+            _ => self.check_deadline_now(),
+        }
+    }
+
     /// The error a previously tripped guard keeps reporting: whichever
     /// limit is (still) violated, preferring cancellation, then deadline,
     /// then counters.
@@ -468,6 +485,24 @@ mod tests {
         let g = Guard::new(Budget::unlimited().with_max_tuples(100));
         g.charge_tuples(60).unwrap();
         assert!(g.charge_tuples(60).is_err());
+    }
+
+    #[test]
+    fn a_projected_overrun_trips_before_the_deadline() {
+        let unlimited = Guard::unlimited();
+        assert_eq!(unlimited.remaining(), None);
+        unlimited.check_deadline_after(Duration::MAX).unwrap();
+
+        let g = Guard::new(Budget::unlimited().with_deadline(Duration::from_secs(60)));
+        assert!(g.remaining().is_some_and(|left| left <= Duration::from_secs(60)));
+        g.check_deadline_after(Duration::from_millis(1)).unwrap();
+        let err = g.check_deadline_after(Duration::from_secs(3600)).unwrap_err();
+        assert!(matches!(
+            err,
+            MjoinError::BudgetExceeded { resource: Resource::WallClock, limit: 60_000 }
+        ));
+        assert!(g.is_tripped());
+        assert!(g.checkpoint().is_err(), "a projected trip sticks like any other");
     }
 
     #[test]

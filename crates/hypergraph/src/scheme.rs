@@ -243,18 +243,33 @@ impl DbScheme {
         check: &mut impl FnMut(RelSet) -> Result<(), E>,
     ) -> Result<Vec<RelSet>, E> {
         let mut out = Vec::new();
+        self.try_for_each_connected_subset(within, &mut |s| {
+            check(s)?;
+            out.push(s);
+            Ok(())
+        })?;
+        out.sort_unstable();
+        Ok(out)
+    }
+
+    /// Calls `visit` once per nonempty connected subset of `within`, in
+    /// enumeration order; its first error aborts the walk. Allocates
+    /// nothing per subset, so it also counts them cheaply.
+    pub fn try_for_each_connected_subset<E>(
+        &self,
+        within: RelSet,
+        visit: &mut impl FnMut(RelSet) -> Result<(), E>,
+    ) -> Result<(), E> {
         let members: Vec<usize> = within.iter().collect();
         for &start in members.iter().rev() {
             // Forbid all members lower than `start`: subsets rooted at
             // their own minimum are enumerated exactly once.
             let forbidden = RelSet::from_indices(members.iter().copied().filter(|&j| j < start));
             let seed = RelSet::singleton(start);
-            check(seed)?;
-            out.push(seed);
-            self.enumerate_csg_rec(seed, forbidden.union(seed), within, &mut out, check)?;
+            visit(seed)?;
+            self.enumerate_csg_rec(seed, forbidden.union(seed), within, visit)?;
         }
-        out.sort_unstable();
-        Ok(out)
+        Ok(())
     }
 
     fn enumerate_csg_rec<E>(
@@ -262,8 +277,7 @@ impl DbScheme {
         subset: RelSet,
         excluded: RelSet,
         within: RelSet,
-        out: &mut Vec<RelSet>,
-        check: &mut impl FnMut(RelSet) -> Result<(), E>,
+        visit: &mut impl FnMut(RelSet) -> Result<(), E>,
     ) -> Result<(), E> {
         // Neighborhood of `subset` inside `within`, minus exclusions.
         let neighborhood = self
@@ -277,8 +291,7 @@ impl DbScheme {
             if ext.is_empty() {
                 continue;
             }
-            check(subset.union(ext))?;
-            out.push(subset.union(ext));
+            visit(subset.union(ext))?;
         }
         for ext in neighborhood.subsets() {
             if ext.is_empty() {
@@ -288,8 +301,7 @@ impl DbScheme {
                 subset.union(ext),
                 excluded.union(neighborhood),
                 within,
-                out,
-                check,
+                visit,
             )?;
         }
         Ok(())
@@ -307,6 +319,11 @@ impl DbScheme {
     /// neighborhood seed with lower seeds forbidden. Work is proportional
     /// to the number of *valid joins*, so sparse topologies never touch the
     /// full subset lattice — an n-chain has exactly `n(n−1)(n+1)/6` pairs.
+    ///
+    /// Pairs come in an order valid for dynamic programming: every pair
+    /// whose union is `S` precedes every pair that has `S` as a half. A
+    /// DP can therefore solve each subset at its first use as a half,
+    /// without storing the pairs.
     ///
     /// The callback is fallible so a budget guard can cancel enumeration
     /// mid-stream; errors propagate immediately.
@@ -647,6 +664,32 @@ mod tests {
         let mut cat = Catalog::new();
         let d = DbScheme::parse(&mut cat, &refs).unwrap();
         assert_eq!(d.connected_subsets(d.full_set()).len(), 820);
+    }
+
+    #[test]
+    fn ccp_pairs_come_in_dynamic_programming_order() {
+        for specs in [
+            vec!["AB", "BC", "CD", "DE", "EF"],
+            vec!["AB", "BC", "CD", "DA", "AE"],
+            vec!["XA", "XB", "XC", "XD", "XE"],
+            vec!["ABC", "AX", "BY", "CZ", "XY"],
+            vec!["AB", "AC", "AD", "BC", "BD", "CD"],
+        ] {
+            let (_, d) = parse(&specs);
+            let pairs = d.ccp_pairs(d.full_set());
+            // The position of the last pair forming each subset.
+            let mut formed = std::collections::HashMap::new();
+            for (i, &(a, b)) in pairs.iter().enumerate() {
+                formed.insert(a.union(b), i);
+            }
+            for (i, &(a, b)) in pairs.iter().enumerate() {
+                for half in [a, b] {
+                    if let Some(&last) = formed.get(&half) {
+                        assert!(last < i, "{specs:?}: {half:?} formed after its use");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

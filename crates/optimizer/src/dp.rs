@@ -11,6 +11,9 @@
 //! charging every memo insert, and propagating oracle budget errors), and
 //! the legacy infallible wrapper running under [`Guard::unlimited`].
 
+use std::collections::hash_map::Entry;
+use std::time::{Duration, Instant};
+
 use mjoin_cost::CardinalityOracle;
 use mjoin_guard::{failpoints, Guard, MjoinError, Scope};
 use mjoin_hypergraph::{DbScheme, FastMap, RelSet, SchemeIndex};
@@ -46,11 +49,10 @@ type SplitMap<H> = std::collections::HashMap<RelSet, (u64, Option<(RelSet, RelSe
 /// candidate scan touches only a bare `Vec<u64>` of costs (half the bytes
 /// of an interleaved `(cost, split)` layout — the scan is memory-bound).
 ///
-/// `costs[r] = u64::MAX` marks an unsolved slot; the strict-`<` scan can
-/// never select one, so unsolved subsets are inert without a branch. A
-/// *solved* subset whose cost legitimately saturated to `u64::MAX` is
-/// disambiguated by `splits`: every solved non-singleton records its
-/// winning split there (singletons are solved at cost 0).
+/// `costs[r] = u64::MAX` marks an unsolved slot. A *solved* subset whose
+/// cost legitimately saturated to `u64::MAX` is disambiguated by `splits`:
+/// every solved non-singleton records its winning split there (singletons
+/// are solved at cost 0).
 struct FlatTable {
     costs: Vec<u64>,
     /// Winning `(csg_rank, cmp_rank)` per solved non-singleton.
@@ -73,58 +75,38 @@ impl FlatTable {
     }
 }
 
-/// Reusable enumeration scratch for the streaming DPccp: the per-level
-/// csg–cmp pair lists (the CSR staging area) and the per-rank running-
-/// minimum accumulators. A safe arena — the crate forbids `unsafe`, so
-/// instead of a bump allocator the pool keeps every `Vec`'s capacity alive
-/// across uses: levels within one DP run reset the accumulators in place,
-/// and the partitioned DPccp reuses the whole pool across its blocks, so
-/// block `i + 1` enumerates into block `i`'s allocations instead of the
-/// allocator's.
+/// The sequential DPccp's working memo: the priced subsets, and per
+/// target not yet priced the running `(children cost, split)` minimum over
+/// the csg–cmp pairs seen so far. Both grow with the subsets the DP has
+/// reached, never ahead of them, so a run that a deadline cuts short has
+/// allocated only for the work it did. The partitioned DPccp reuses one
+/// across its blocks: clearing keeps the tables' capacity, so block `i + 1`
+/// fills block `i`'s allocations instead of the allocator's.
 pub(crate) struct DpScratch {
-    /// `by_level[k]` = `(target_rank, csg_rank, cmp_rank)` triples whose
-    /// union has size `k` — cleared per run, capacity retained.
-    by_level: Vec<Vec<(u32, u32, u32)>>,
-    /// Running `(cost, csg_rank)`-minimum per target rank; reset lazily
-    /// per level (only the finalized slots are touched).
-    acc_cost: Vec<u64>,
-    acc_split: Vec<(u32, u32)>,
+    priced: SplitMemo,
+    pending: FastMap<RelSet, (u64, (RelSet, RelSet))>,
 }
 
 impl DpScratch {
     pub(crate) fn new() -> DpScratch {
         DpScratch {
-            by_level: Vec::new(),
-            acc_cost: Vec::new(),
-            acc_split: Vec::new(),
+            priced: SplitMemo::default(),
+            pending: FastMap::default(),
         }
-    }
-
-    /// Readies the pool for a run over `levels + 1` sizes and `ranks`
-    /// subsets: clears contents, keeps capacities, grows only when this
-    /// run is larger than any before it.
-    fn reset(&mut self, levels: usize, ranks: usize) {
-        if self.by_level.len() < levels + 1 {
-            self.by_level.resize_with(levels + 1, Vec::new);
-        }
-        for level in &mut self.by_level {
-            level.clear();
-        }
-        self.acc_cost.clear();
-        self.acc_cost.resize(ranks, u64::MAX);
-        self.acc_split.clear();
-        self.acc_split.resize(ranks, (0u32, 0u32));
     }
 }
 
-/// Enumeration style for the product-free DP — an ablation trio; all
-/// produce plans of identical cost.
+/// The "no split seen yet" sentinel of [`ccp_scan_flat`]. Ranks are dense
+/// and below `u32::MAX`, so any real candidate compares lower in the
+/// `(cost, csg_rank)` order — even one whose cost saturated to `u64::MAX`.
+const NO_SPLIT: (u32, u32) = (u32::MAX, u32::MAX);
+
+/// Enumeration style for the product-free DP. Both produce plans of
+/// identical cost; [`DpCcp`](DpAlgorithm::DpCcp) is the one every
+/// shipped entry point runs, [`DpSize`](DpAlgorithm::DpSize) the
+/// independent reference it is checked against.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum DpAlgorithm {
-    /// Top-down recursion over sub-masks with memoization (`DPsub`).
-    /// Work `O(3ⁿ)` regardless of join-graph sparsity.
-    #[default]
-    DpSub,
     /// Bottom-up by subset size, merging pairs of smaller plans
     /// (`DPsize`). Scans all pairs of connected subsets — quadratic in
     /// their count.
@@ -133,6 +115,7 @@ pub enum DpAlgorithm {
     /// Moerkotte & Neumann's `DPccp`: for each connected subset, only its
     /// linked connected complements are enumerated, so work tracks the
     /// number of *valid* joins rather than all subset pairs.
+    #[default]
     DpCcp,
 }
 
@@ -343,64 +326,29 @@ pub fn try_best_no_cartesian<O: CardinalityOracle>(
         return Ok(None);
     }
     match algorithm {
-        DpAlgorithm::DpSub => {
-            let mut memo = SplitMemo::default();
-            let Some(cost) = nocp_rec(oracle, subset, &mut memo, guard)? else {
-                return Ok(None);
-            };
-            Ok(Some(Plan {
-                strategy: try_rebuild(subset, &memo)?,
-                cost,
-            }))
-        }
         DpAlgorithm::DpSize => nocp_dpsize(oracle, subset, guard),
-        DpAlgorithm::DpCcp => nocp_dpccp(oracle, subset, guard),
+        DpAlgorithm::DpCcp => nocp_dpccp(oracle, subset, guard, &mut DpScratch::new()),
     }
 }
 
-/// The DPccp candidate pairs, one streaming enumeration for the whole DP:
-/// every (connected-subgraph, connected-complement) pair of the query
-/// graph, as dense ranks, grouped by the *size* of the target
-/// (`csg ∪ cmp`). Grouping by size is free — appends to a handful of
-/// per-level vectors, no scatter by rank — and it is exactly the
-/// granularity the bottom-up DP consumes: when level `k` is reached, every
-/// pair in `by_level[k]` has both children solved.
-struct LevelPairs {
-    /// `by_level[k]` = the `(target_rank, csg_rank, cmp_rank)` triples of
-    /// every csg–cmp pair whose union has size `k`, in enumeration order
-    /// (the tie-break in the scans does not depend on it).
-    by_level: Vec<Vec<(u32, u32, u32)>>,
-}
+/// Every csg–cmp pair as dense `(target_rank, csg_rank, cmp_rank)`
+/// triples, grouped by the *size* of the target (`csg ∪ cmp`): when level
+/// `k` is reached, every pair in level `k` has both children solved.
+type LevelPairs = Vec<Vec<(u32, u32, u32)>>;
 
-/// Runs the streaming csg–cmp enumeration once and groups the emitted
-/// pairs by target size. Work and allocation are output-sensitive in the
-/// number of valid joins; the guard is checkpointed per emitted pair so a
-/// deadline can cancel mid-enumeration on hostile (clique-dense) schemes.
-fn build_level_pairs(
+/// Builds what the level-parallel DPccp is solved over: the rank index of
+/// `within`'s connected subsets and its [`LevelPairs`]. The guard is
+/// checkpointed per subset and per pair, so a deadline can cancel on
+/// hostile (clique-dense) schemes.
+fn index_and_level_pairs(
     scheme: &DbScheme,
-    index: &SchemeIndex,
+    within: RelSet,
     guard: &Guard,
-) -> Result<LevelPairs, MjoinError> {
-    let mut scratch = DpScratch::new();
-    build_level_pairs_into(scheme, index, guard, &mut scratch)?;
-    Ok(LevelPairs {
-        by_level: std::mem::take(&mut scratch.by_level),
-    })
-}
-
-/// [`build_level_pairs`], enumerating into a caller-owned [`DpScratch`] so
-/// repeated runs (levels of one query, blocks of a partitioned query)
-/// reuse the pair lists' capacity instead of reallocating them.
-fn build_level_pairs_into(
-    scheme: &DbScheme,
-    index: &SchemeIndex,
-    guard: &Guard,
-    scratch: &mut DpScratch,
-) -> Result<(), MjoinError> {
-    scratch.reset(index.max_size(), index.len());
-    let by_level = &mut scratch.by_level;
+) -> Result<(SchemeIndex, LevelPairs), MjoinError> {
+    let index = SchemeIndex::try_new_checked(scheme, within, &mut |_| guard.checkpoint())?;
+    let mut by_level: LevelPairs = vec![Vec::new(); index.max_size() + 1];
     let mut emitted = 0u64;
-    scheme.try_for_each_ccp(index.within(), &mut |csg, cmp| {
+    scheme.try_for_each_ccp(within, &mut |csg, cmp| {
         guard.checkpoint()?;
         let union = csg.union(cmp);
         let (Some(t), Some(r1), Some(r2)) =
@@ -415,11 +363,11 @@ fn build_level_pairs_into(
         Ok(())
     })?;
     incr(Counter::DpCcpPairsEmitted, emitted);
-    Ok(())
+    Ok((index, by_level))
 }
 
-/// The per-target CSR view of [`LevelPairs`], built only for the parallel
-/// DP, whose unit of scheduling is one target subset. The legacy scan
+/// The per-target CSR view of the [`LevelPairs`], for the parallel DP,
+/// whose unit of scheduling is one target subset. The legacy scan
 /// visited each target's splits in ascending csg bit pattern and kept the
 /// first minimum; the flat scan recovers exactly that winner
 /// order-independently, by minimizing `(cost, csg_rank)` — so the chosen
@@ -434,9 +382,9 @@ struct CcpCandidates {
 
 /// Buckets the emitted pairs by target rank with a counting-sort scatter —
 /// no comparison sort anywhere, no second graph enumeration.
-fn build_ccp_candidates(levels: &LevelPairs, len: usize) -> CcpCandidates {
+fn build_ccp_candidates(by_level: &LevelPairs, len: usize) -> CcpCandidates {
     let mut offsets = vec![0usize; len + 1];
-    for level in &levels.by_level {
+    for level in by_level {
         for &(t, _, _) in level {
             offsets[t as usize + 1] += 1;
         }
@@ -446,7 +394,7 @@ fn build_ccp_candidates(levels: &LevelPairs, len: usize) -> CcpCandidates {
     }
     let mut cursor = offsets.clone();
     let mut pairs = vec![(0u32, 0u32); offsets[len]];
-    for level in &levels.by_level {
+    for level in by_level {
         for &(t, r1, r2) in level {
             let slot = &mut cursor[t as usize];
             pairs[*slot] = (r1, r2);
@@ -460,33 +408,31 @@ fn build_ccp_candidates(levels: &LevelPairs, len: usize) -> CcpCandidates {
 /// precomputed csg–cmp pairs, two `Vec` probes per pair. The winner is the
 /// `(cost, csg_rank)`-lexicographic minimum — the same split the legacy
 /// ascending-csg scan's first-minimum rule chose, but independent of
-/// bucket order. Reads only strictly smaller subsets from `costs`, so a
-/// whole size level can run this concurrently against a frozen table — the
-/// sequential and parallel DPs share this function, which is what makes
-/// them bit-identical at any thread count.
+/// bucket order, and the rule the sequential DP's fold applies (ranks
+/// follow bit order), which is what makes the two bit-identical at any
+/// thread count.
+/// Reads only strictly smaller subsets from `costs`, so a whole size level
+/// can run this concurrently against a frozen table. A candidate whose
+/// cost saturated still wins over none: every connected subset has a
+/// split, and a saturated one must record it like any other.
 fn ccp_scan_flat(
     cands: &CcpCandidates,
     target: u32,
     costs: &[u64],
     guard: &Guard,
 ) -> FlatBestSplit {
-    let mut best = u64::MAX;
-    let mut best_split: Option<(u32, u32)> = None;
+    let (mut best, mut best_split) = (u64::MAX, NO_SPLIT);
     let bucket = &cands.pairs[cands.offsets[target as usize]..cands.offsets[target as usize + 1]];
     for &(r1, r2) in bucket {
         guard.checkpoint()?;
-        // Unsolved children carry the MAX sentinel: the sum saturates and
-        // loses every comparison, so no presence branch is needed. (In
-        // DPccp every child is in fact solved — each connected subset has
-        // at least one valid split.)
         let cost = costs[r1 as usize].saturating_add(costs[r2 as usize]);
-        if cost < best || (cost == best && best_split.is_some_and(|(b1, _)| r1 < b1)) {
+        if (cost, r1) < (best, best_split.0) {
             best = cost;
-            best_split = Some((r1, r2));
+            best_split = (r1, r2);
         }
     }
     incr(Counter::DpCandidatesScanned, bucket.len() as u64);
-    Ok(best_split.map(|split| (split, best)))
+    Ok((best_split != NO_SPLIT).then_some((best_split, best)))
 }
 
 /// Rebuilds a strategy from the flat rank-indexed table (the `Vec` twin of
@@ -515,29 +461,39 @@ fn try_rebuild_flat(
     .map_err(|e| MjoinError::Internal(format!("memoized splits must be disjoint: {e}")))
 }
 
-fn nocp_dpccp<O: CardinalityOracle>(
-    oracle: &O,
+/// The plan a solved flat table records for `subset`; `None` when the DP
+/// left it unsolved.
+fn root_plan(
     subset: RelSet,
-    guard: &Guard,
+    index: &SchemeIndex,
+    table: &FlatTable,
 ) -> Result<Option<Plan>, MjoinError> {
-    let (index, table) = nocp_dpccp_core(oracle, subset, guard)?;
-    let Some(root) = index.rank(subset) else {
+    let Some(root) = index.rank(subset).filter(|&r| table.solved(r)) else {
         return Ok(None);
     };
-    if !table.solved(root) {
-        return Ok(None);
-    }
     Ok(Some(Plan {
-        strategy: try_rebuild_flat(root, &index, &table)?,
+        strategy: try_rebuild_flat(root, index, table)?,
         cost: table.costs[root as usize],
     }))
 }
 
-/// Product-free DPccp over `subset` with caller-owned enumeration scratch.
+fn nocp_dpccp<O: CardinalityOracle>(
+    oracle: &O,
+    subset: RelSet,
+    guard: &Guard,
+    scratch: &mut DpScratch,
+) -> Result<Option<Plan>, MjoinError> {
+    let cost = nocp_dpccp_core(oracle, subset, guard, scratch)?;
+    Ok(Some(Plan {
+        strategy: try_rebuild(subset, &scratch.priced)?,
+        cost,
+    }))
+}
+
+/// Product-free DPccp over `subset` with a caller-owned [`DpScratch`].
 /// Identical plans to [`try_best_no_cartesian`] with [`DpAlgorithm::DpCcp`]
-/// (same table, same tie-breaks); the only difference is where the pair
-/// lists and accumulators live. The partitioned planner threads one pool
-/// through every block.
+/// (same memo, same tie-breaks); the only difference is where the memo
+/// lives. The partitioned planner threads one through every block.
 pub(crate) fn nocp_dpccp_with_scratch<O: CardinalityOracle>(
     oracle: &O,
     subset: RelSet,
@@ -548,90 +504,137 @@ pub(crate) fn nocp_dpccp_with_scratch<O: CardinalityOracle>(
     if !oracle.scheme().connected(subset) {
         return Ok(None);
     }
-    let (index, table) = nocp_dpccp_core_with(oracle, subset, guard, scratch)?;
-    let Some(root) = index.rank(subset) else {
-        return Ok(None);
-    };
-    if !table.solved(root) {
-        return Ok(None);
-    }
-    Ok(Some(Plan {
-        strategy: try_rebuild_flat(root, &index, &table)?,
-        cost: table.costs[root as usize],
-    }))
+    nocp_dpccp(oracle, subset, guard, scratch)
 }
 
-/// The DPccp body: builds the rank index and solves the flat table.
-/// Shared by the plain entry point and the memo-exporting one.
+/// The DPccp body over a connected `subset`: one pass over the csg–cmp
+/// pairs, folding each into its target's running `(cost, csg)` minimum —
+/// the rule [`ccp_scan_flat`] applies (ranks follow bit order), so the
+/// plans equal the level-parallel DP's. Returns the root's cost and leaves
+/// every priced subset with its winning split in `scratch.priced`.
+///
+/// The pairs arrive in an order valid for dynamic programming (Moerkotte &
+/// Neumann's enumeration): every pair forming a subset precedes the first
+/// pair that uses it as a half. So a subset is priced — `τ` plus its best
+/// pair's children — at its first use, and no pair is stored. A pair that
+/// arrived for an already priced subset would break that order; it would
+/// be left pending and is reported as an internal error rather than
+/// silently dropped.
+///
+/// Under a deadline the run also projects its finish: it counts the
+/// connected subsets it must price (a walk that allocates nothing), and
+/// every [`PROJECT_STRIDE`] priced subsets it extrapolates the pricing rate
+/// measured so far over the rest. As soon as that overruns the deadline it
+/// trips, so a search that cannot finish stops having built little, not
+/// after filling memory until the deadline.
 fn nocp_dpccp_core<O: CardinalityOracle>(
     oracle: &O,
     subset: RelSet,
     guard: &Guard,
-) -> Result<(SchemeIndex, FlatTable), MjoinError> {
-    let mut scratch = DpScratch::new();
-    nocp_dpccp_core_with(oracle, subset, guard, &mut scratch)
+    scratch: &mut DpScratch,
+) -> Result<u64, MjoinError> {
+    scratch.priced.clear();
+    scratch.pending.clear();
+    let scheme = oracle.scheme();
+    let mut total = None;
+    if guard.remaining().is_some() {
+        let mut n = 0usize;
+        scheme.try_for_each_connected_subset(subset, &mut |_| {
+            n += 1;
+            guard.checkpoint()
+        })?;
+        total = Some(n);
+    }
+    let mut run = CcpRun {
+        oracle,
+        guard,
+        scratch,
+        total,
+        started: Instant::now(),
+    };
+    let mut emitted = 0u64;
+    scheme.try_for_each_ccp(subset, &mut |csg, cmp| {
+        guard.checkpoint()?;
+        emitted += 1;
+        run.fold(csg, cmp)
+    })?;
+    incr(Counter::DpCcpPairsEmitted, emitted);
+    incr(Counter::DpCandidatesScanned, emitted);
+    let cost = run.price(subset)?;
+    if let Some(late) = run.scratch.pending.keys().next() {
+        return Err(MjoinError::Internal(format!(
+            "csg–cmp pair for {late:?} arrived after the subset was priced"
+        )));
+    }
+    Ok(cost)
 }
 
-/// [`nocp_dpccp_core`] over a caller-owned [`DpScratch`], so a sequence of
-/// runs (the partitioned planner's blocks) shares one set of enumeration
-/// buffers.
-fn nocp_dpccp_core_with<O: CardinalityOracle>(
-    oracle: &O,
-    subset: RelSet,
-    guard: &Guard,
-    scratch: &mut DpScratch,
-) -> Result<(SchemeIndex, FlatTable), MjoinError> {
-    // One connected-subset enumeration builds the rank index, one csg–cmp
-    // enumeration builds every candidate list; the DP itself then touches
-    // no hash table and no graph predicate — just flat `Vec` slots.
-    let index =
-        SchemeIndex::try_new_checked(oracle.scheme(), subset, &mut |_| guard.checkpoint())?;
-    build_level_pairs_into(oracle.scheme(), &index, guard, scratch)?;
-    let mut table = FlatTable::unsolved(index.len());
-    for &r in index.level(1) {
-        guard.charge_memo(1)?;
+/// How many subsets the sequential DPccp prices between projections of
+/// its finish: enough for a stable rate, few enough that a hopeless run
+/// stops early.
+const PROJECT_STRIDE: usize = 256;
+
+/// One sequential DPccp run: the oracle and guard it prices under, its
+/// memo, and — under a deadline — what it needs to project its finish.
+struct CcpRun<'a, O> {
+    oracle: &'a O,
+    guard: &'a Guard,
+    scratch: &'a mut DpScratch,
+    /// The connected subsets to price in all; `None` without a deadline.
+    total: Option<usize>,
+    started: Instant,
+}
+
+impl<O: CardinalityOracle> CcpRun<'_, O> {
+    /// Folds one csg–cmp pair into its target's running minimum. The first
+    /// candidate wins even at a saturated cost: every connected subset has
+    /// a split, and must record it.
+    fn fold(&mut self, csg: RelSet, cmp: RelSet) -> Result<(), MjoinError> {
+        let cost = self.price(csg)?.saturating_add(self.price(cmp)?);
+        match self.scratch.pending.entry(csg.union(cmp)) {
+            Entry::Vacant(slot) => {
+                slot.insert((cost, (csg, cmp)));
+            }
+            Entry::Occupied(mut slot) => {
+                let (best, (best_csg, _)) = *slot.get();
+                if (cost, csg) < (best, best_csg) {
+                    slot.insert((cost, (csg, cmp)));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The solved cost of `s`, pricing it first if this is its first use.
+    /// Every pair with target `s` has been folded by then (see
+    /// [`nocp_dpccp_core`]); a non-singleton with none is a broken
+    /// enumeration order.
+    fn price(&mut self, s: RelSet) -> Result<u64, MjoinError> {
+        if let Some(&(cost, _)) = self.scratch.priced.get(&s) {
+            return Ok(cost);
+        }
+        let (cost, split) = if s.is_singleton() {
+            (0, None)
+        } else {
+            let Some((children, split)) = self.scratch.pending.remove(&s) else {
+                return Err(MjoinError::Internal(format!(
+                    "connected subset {s:?} used before any of its csg–cmp pairs"
+                )));
+            };
+            (self.oracle.try_tau(s)?.saturating_add(children), Some(split))
+        };
+        self.guard.charge_memo(1)?;
         incr(Counter::DpSubsetsExpanded, 1);
-        table.costs[r as usize] = 0;
-    }
-    // Per-rank accumulator of the running `(cost, csg_rank)`-lexicographic
-    // minimum, reused across levels: each level sweeps its pair list once,
-    // folding every pair into its target's slot, then finalizes (and
-    // resets) exactly the slots of that level's targets. This visits the
-    // same pairs the per-target scan would, but in one sequential pass per
-    // level whose random writes stay inside one level-sized window.
-    let acc_cost = &mut scratch.acc_cost;
-    let acc_split = &mut scratch.acc_split;
-    for size in 2..=index.max_size() {
-        let level_pairs = &scratch.by_level[size];
-        for &(t, r1, r2) in level_pairs {
-            guard.checkpoint()?;
-            // Unsolved children carry the MAX sentinel: the sum saturates
-            // and loses every comparison (the `cost != MAX` arm keeps a
-            // saturated sum from tying an empty slot). In DPccp every
-            // child is in fact solved — each connected subset has at
-            // least one valid split.
-            let cost = table.costs[r1 as usize].saturating_add(table.costs[r2 as usize]);
-            let cur = acc_cost[t as usize];
-            if cost < cur || (cost == cur && cost != u64::MAX && r1 < acc_split[t as usize].0) {
-                acc_cost[t as usize] = cost;
-                acc_split[t as usize] = (r1, r2);
-            }
+        self.scratch.priced.insert(s, (cost, split));
+        let priced = self.scratch.priced.len();
+        if let Some(total) = self.total.filter(|_| priced.is_multiple_of(PROJECT_STRIDE)) {
+            let per_subset = self.started.elapsed().as_secs_f64() / priced as f64;
+            let rest = Duration::try_from_secs_f64(per_subset * (total - priced) as f64)
+                .unwrap_or(Duration::MAX);
+            self.guard.check_deadline_after(rest)?;
         }
-        incr(Counter::DpCandidatesScanned, level_pairs.len() as u64);
-        for &r in index.level(size) {
-            guard.checkpoint()?;
-            let children = acc_cost[r as usize];
-            if children != u64::MAX {
-                acc_cost[r as usize] = u64::MAX;
-                let total = oracle.try_tau(index.subset(r))?.saturating_add(children);
-                guard.charge_memo(1)?;
-                incr(Counter::DpSubsetsExpanded, 1);
-                table.costs[r as usize] = total;
-                table.splits[r as usize] = Some(acc_split[r as usize]);
-            }
-        }
+        Ok(cost)
     }
-    Ok((index, table))
 }
 
 /// A DPccp memo exported for persistence: the connected subsets in rank
@@ -660,16 +663,11 @@ pub fn try_best_no_cartesian_ccp_with_memo<O: CardinalityOracle>(
     if !oracle.scheme().connected(subset) {
         return Ok(None);
     }
-    let (index, table) = nocp_dpccp_core(oracle, subset, guard)?;
-    let Some(root) = index.rank(subset) else {
-        return Ok(None);
-    };
-    if !table.solved(root) {
-        return Ok(None);
-    }
+    let mut scratch = DpScratch::new();
+    let cost = nocp_dpccp_core(oracle, subset, guard, &mut scratch)?;
     let plan = Plan {
-        strategy: try_rebuild_flat(root, &index, &table)?,
-        cost: table.costs[root as usize],
+        strategy: try_rebuild(subset, &scratch.priced)?,
+        cost,
     };
     // The export's flat subset representation is 64-bit (the persistent
     // store's format); a subset over relations ≥ 64 cannot be persisted.
@@ -680,12 +678,23 @@ pub fn try_best_no_cartesian_ccp_with_memo<O: CardinalityOracle>(
             "memo export requires all relations below index 64".into(),
         ));
     }
+    // Ranks are positions in bit order, as in [`SchemeIndex`]; every
+    // connected subset was priced, so the export covers them all.
+    let mut subsets: Vec<RelSet> = scratch.priced.keys().copied().collect();
+    subsets.sort_unstable();
+    let rank: FastMap<RelSet, u32> =
+        subsets.iter().enumerate().map(|(r, &s)| (s, r as u32)).collect();
+    let entry = |s: &RelSet| scratch.priced[s];
     let export = DpMemoExport {
-        subsets: (0..index.len() as u32)
-            .map(|r| index.subset(r).to_u64().expect("subset of a u64-fitting set fits"))
+        subsets: subsets
+            .iter()
+            .map(|s| s.to_u64().expect("subset of a u64-fitting set fits"))
             .collect(),
-        costs: table.costs,
-        splits: table.splits,
+        costs: subsets.iter().map(|s| entry(s).0).collect(),
+        splits: subsets
+            .iter()
+            .map(|s| entry(s).1.map(|(a, b)| (rank[&a], rank[&b])))
+            .collect(),
     };
     Ok(Some((plan, export)))
 }
@@ -785,8 +794,10 @@ fn ccp_best_split_rescan(
             pruned += 1;
             continue;
         };
+        // The first candidate wins even at a saturated cost, as in the
+        // flat scans.
         let cost = c1.saturating_add(c2);
-        if cost < best {
+        if best_split.is_none() || cost < best {
             best = cost;
             best_split = Some((s1, s2));
         }
@@ -841,75 +852,14 @@ pub fn try_best_no_cartesian_ccp_rescan<O: CardinalityOracle>(
     }))
 }
 
-fn nocp_rec<O: CardinalityOracle>(
-    oracle: &O,
-    s: RelSet,
-    memo: &mut SplitMemo,
-    guard: &Guard,
-) -> Result<Option<u64>, MjoinError> {
-    if s.is_singleton() {
-        return Ok(Some(0));
-    }
-    if let Some(&(c, _)) = memo.get(&s) {
-        return Ok(if c == u64::MAX { None } else { Some(c) });
-    }
-    guard.checkpoint()?;
-    let mut best = u64::MAX;
-    let mut best_split = None;
-    let mut scanned = 0u64;
-    let mut pruned = 0u64;
-    // Product-free strategies only ever produce connected node sets, so
-    // both halves must be connected and linked to each other.
-    for (s1, s2) in s.proper_splits() {
-        scanned += 1;
-        // Same stride poll as `bushy_rec`: on a star or a tree nearly all
-        // of the `2^{n−1}` splits are pruned without touching the oracle,
-        // so nothing else in this scan would notice the deadline.
-        if scanned & 0xFF == 0 {
-            guard.checkpoint()?;
-        }
-        if !oracle.scheme().linked_disjoint(s1, s2)
-            || !oracle.scheme().connected(s1)
-            || !oracle.scheme().connected(s2)
-        {
-            pruned += 1;
-            continue;
-        }
-        let (Some(c1), Some(c2)) = (
-            nocp_rec(oracle, s1, memo, guard)?,
-            nocp_rec(oracle, s2, memo, guard)?,
-        ) else {
-            pruned += 1;
-            continue;
-        };
-        let c = c1.saturating_add(c2);
-        if c < best {
-            best = c;
-            best_split = Some((s1, s2));
-        }
-    }
-    incr(Counter::DpCandidatesScanned, scanned);
-    incr(Counter::DpCandidatesPruned, pruned);
-    guard.charge_memo(1)?;
-    incr(Counter::DpSubsetsExpanded, 1);
-    if best == u64::MAX {
-        memo.insert(s, (u64::MAX, None));
-        Ok(None)
-    } else {
-        let total = oracle.try_tau(s)?.saturating_add(best);
-        memo.insert(s, (total, best_split));
-        Ok(Some(total))
-    }
-}
-
 /// The `DPsize` candidate scan for one target subset `u`: every split of
 /// `u` into connected halves `(s1, s2)` with `|s1| ≤ |s2|`, ordered by
 /// `|s1|` then by `s1`'s position in its size bucket. Reads only strictly
 /// smaller subsets of `table`.
 ///
-/// Unlike DPccp, the first candidate wins even at a saturated `u64::MAX`
-/// cost — every reachable subset must record some split or plan
-/// reconstruction has nothing to follow.
+/// The first candidate wins even at a saturated `u64::MAX` cost — every
+/// reachable subset must record some split or plan reconstruction has
+/// nothing to follow.
 fn dpsize_best_split(
     scheme: &DbScheme,
     u: RelSet,
@@ -1186,10 +1136,10 @@ where
 /// Multi-core [`try_best_no_cartesian`]: DPccp with each subset-size level
 /// run across `threads` scoped workers against a frozen table of the
 /// smaller levels, then merged in rank order. Plans and costs are
-/// bit-identical to the sequential DPccp at any thread count — same index,
-/// same candidate enumeration, same tie-break; only the unit of scheduling
-/// differs (one target subset, so the level pair lists are scattered into
-/// a per-target CSR view).
+/// bit-identical to the sequential DPccp at any thread count — same
+/// candidates, same tie-break; only the unit of scheduling differs (one
+/// target subset, so the pairs are stored, by level, and scattered into a
+/// per-target CSR view).
 pub fn try_best_no_cartesian_parallel<O: CardinalityOracle + Sync>(
     oracle: &O,
     subset: RelSet,
@@ -1201,8 +1151,9 @@ pub fn try_best_no_cartesian_parallel<O: CardinalityOracle + Sync>(
     if !scheme.connected(subset) {
         return Ok(None);
     }
-    let index = SchemeIndex::try_new_checked(scheme, subset, &mut |_| guard.checkpoint())?;
-    let cands = build_ccp_candidates(&build_level_pairs(scheme, &index, guard)?, index.len());
+    let (index, by_level) = index_and_level_pairs(scheme, subset, guard)?;
+    let cands = build_ccp_candidates(&by_level, index.len());
+    drop(by_level);
     let mut table = FlatTable::unsolved(index.len());
     for &r in index.level(1) {
         guard.charge_memo(1)?;
@@ -1233,16 +1184,7 @@ pub fn try_best_no_cartesian_parallel<O: CardinalityOracle + Sync>(
             }
         }
     }
-    let Some(root) = index.rank(subset) else {
-        return Ok(None);
-    };
-    if !table.solved(root) {
-        return Ok(None);
-    }
-    Ok(Some(Plan {
-        strategy: try_rebuild_flat(root, &index, &table)?,
-        cost: table.costs[root as usize],
-    }))
+    root_plan(subset, &index, &table)
 }
 
 /// Multi-core [`try_best_avoid_cartesian`]: each connected component is
@@ -1293,12 +1235,9 @@ mod tests {
         let db = chain4();
         let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let a = best_no_cartesian(&o, full, DpAlgorithm::DpSub).unwrap();
         let b = best_no_cartesian(&o, full, DpAlgorithm::DpSize).unwrap();
         let c = best_no_cartesian(&o, full, DpAlgorithm::DpCcp).unwrap();
-        assert_eq!(a.cost, b.cost);
-        assert_eq!(a.cost, c.cost);
-        assert_eq!(a.cost, a.strategy.cost(&o));
+        assert_eq!(b.cost, c.cost);
         assert_eq!(b.cost, b.strategy.cost(&o));
         assert_eq!(c.cost, c.strategy.cost(&o));
         assert!(!c.strategy.uses_cartesian(db.scheme()));
@@ -1316,12 +1255,11 @@ mod tests {
             let db = data::uniform(cat, scheme, &cfg, &mut rng);
             let o = ExactOracle::new(&db);
             let full = db.scheme().full_set();
-            let costs: Vec<Option<u64>> = [DpAlgorithm::DpSub, DpAlgorithm::DpSize, DpAlgorithm::DpCcp]
+            let costs: Vec<Option<u64>> = [DpAlgorithm::DpSize, DpAlgorithm::DpCcp]
                 .into_iter()
                 .map(|alg| best_no_cartesian(&o, full, alg).map(|p| p.cost))
                 .collect();
             assert_eq!(costs[0], costs[1], "n={n}");
-            assert_eq!(costs[0], costs[2], "n={n}");
         }
     }
 
@@ -1330,7 +1268,7 @@ mod tests {
         let db = chain4();
         let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let dp = best_no_cartesian(&o, full, DpAlgorithm::DpSub)
+        let dp = best_no_cartesian(&o, full, DpAlgorithm::DpCcp)
             .unwrap()
             .cost;
         let brute = mjoin_strategy::enumerate_no_cartesian(db.scheme(), full)
@@ -1369,7 +1307,7 @@ mod tests {
         .unwrap();
         let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let plan = best_avoid_cartesian(&o, full, DpAlgorithm::DpSub).unwrap();
+        let plan = best_avoid_cartesian(&o, full, DpAlgorithm::DpCcp).unwrap();
         assert!(plan.strategy.avoids_cartesian(db.scheme()));
         let brute = mjoin_strategy::enumerate_avoiding_cartesian(db.scheme(), full)
             .into_iter()
@@ -1393,7 +1331,7 @@ mod tests {
         ])
         .unwrap();
         let o = ExactOracle::new(&db);
-        let plan = best_avoid_cartesian(&o, db.scheme().full_set(), DpAlgorithm::DpSub)
+        let plan = best_avoid_cartesian(&o, db.scheme().full_set(), DpAlgorithm::DpCcp)
             .unwrap();
         // (AB × CD) first: 6, then × EF: 300 ⇒ 306. Any order touching EF
         // early costs ≥ 100 + 300.
@@ -1507,6 +1445,26 @@ mod tests {
             assert_eq!(new.cost, old.cost, "n={n}");
             assert_eq!(new.strategy, old.strategy, "n={n}");
         }
+    }
+
+    #[test]
+    fn a_search_that_cannot_finish_by_its_deadline_stops_early() {
+        use mjoin_gen::{data, data::DataConfig, schemes};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use std::time::Duration;
+        // A 20-star has 2¹⁹ + 19 connected subsets, far more than 200 ms
+        // can price. The run projects its finish from the first subsets it
+        // prices and trips having priced a few hundred, not the thousands
+        // the deadline alone would let it build up.
+        let (cat, scheme) = schemes::star(20);
+        let db = data::uniform(cat, scheme, &DataConfig::default(), &mut StdRng::seed_from_u64(3));
+        let o = ExactOracle::new(&db);
+        let guard = Guard::new(Budget::unlimited().with_deadline(Duration::from_millis(200)));
+        let err = try_best_no_cartesian(&o, db.scheme().full_set(), DpAlgorithm::DpCcp, &guard)
+            .unwrap_err();
+        assert!(matches!(err, MjoinError::BudgetExceeded { .. }), "{err}");
+        assert!(guard.memo_used() < 2_000, "priced {} subsets", guard.memo_used());
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //! * [`SearchSpace::Linear`] — linear strategies (GAMMA), by prefix-set DP
 //!   (`O(2ⁿ·n)`);
 //! * [`SearchSpace::NoCartesian`] — product-free strategies (INGRES,
-//!   Starburst), by DP over connected subsets with linked splits
-//!   ([`DpAlgorithm::DpSub`]) or by size-stratified pair merging
-//!   ([`DpAlgorithm::DpSize`]) — the two enumeration styles are an ablation
-//!   pair;
+//!   Starburst), by the streaming csg–cmp DP ([`DpAlgorithm::DpCcp`]),
+//!   sequential or level-parallel with the same plan at every thread
+//!   count; size-stratified pair merging ([`DpAlgorithm::DpSize`]) is kept
+//!   as the independent reference it is checked against;
 //! * [`SearchSpace::LinearNoCartesian`] — both restrictions (System R,
 //!   Office-by-Example);
 //! * [`SearchSpace::AvoidCartesian`] — the paper's extension of

@@ -95,9 +95,8 @@ pub fn try_partitioned_dp_with<O: CardinalityOracle>(
     let blocks = partition(oracle.scheme(), subset, block_max, guard)?;
     incr(Counter::PartdpPartitions, blocks.len() as u64);
 
-    // Exact DPccp inside every block, every block sharing one enumeration
-    // scratch pool: block `i + 1` stages its csg–cmp pairs in block `i`'s
-    // buffers instead of fresh allocations.
+    // Exact DPccp inside every block, every block sharing one memo pool:
+    // block `i + 1` fills block `i`'s tables instead of fresh allocations.
     let mut scratch = dp::DpScratch::new();
     let mut units: Vec<Plan> = Vec::with_capacity(blocks.len());
     for &block in &blocks {

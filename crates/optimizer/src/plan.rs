@@ -37,8 +37,8 @@ pub struct Plan {
     pub cost: u64,
 }
 
-/// Finds the τ-cheapest strategy for `subset` within `space`, using the
-/// default DP enumeration ([`DpAlgorithm::DpSub`]).
+/// Finds the τ-cheapest strategy for `subset` within `space`; the
+/// product-free spaces run the streaming [`DpAlgorithm::DpCcp`].
 ///
 /// Returns `None` iff the space is empty — product-free spaces over
 /// unconnected subsets.
@@ -47,7 +47,7 @@ pub fn optimize<O: CardinalityOracle>(
     subset: RelSet,
     space: SearchSpace,
 ) -> Option<Plan> {
-    optimize_with(oracle, subset, space, DpAlgorithm::DpSub)
+    optimize_with(oracle, subset, space, DpAlgorithm::DpCcp)
 }
 
 /// [`optimize`] with an explicit DP enumeration style (the styles differ
@@ -71,7 +71,7 @@ pub fn try_optimize<O: CardinalityOracle>(
     space: SearchSpace,
     guard: &Guard,
 ) -> Result<Option<Plan>, MjoinError> {
-    try_optimize_with(oracle, subset, space, DpAlgorithm::DpSub, guard)
+    try_optimize_with(oracle, subset, space, DpAlgorithm::DpCcp, guard)
 }
 
 /// [`optimize_with`] under a budget.

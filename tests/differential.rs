@@ -10,13 +10,16 @@
 //! `exhaustive.strategies_enumerated` must be (2k−3)!!, at any thread
 //! count.
 
-use mjoin::{ExactOracle, Guard};
+use mjoin::{
+    optimize_robust, try_optimize_threaded, try_optimize_with, Budget, ExactOracle, Guard, Plan,
+    Rung, SearchSpace,
+};
 use mjoin_gen::data::{self, DataConfig};
 use mjoin_gen::schemes;
 use mjoin_obs::{Counter, Recorder};
 use mjoin_optimizer::{
-    try_best_bushy, try_best_no_cartesian, try_best_no_cartesian_parallel, try_greedy_bushy,
-    try_greedy_linear, DpAlgorithm,
+    try_best_bushy, try_best_no_cartesian, try_best_no_cartesian_ccp_rescan,
+    try_best_no_cartesian_parallel, try_greedy_bushy, try_greedy_linear, DpAlgorithm,
 };
 use mjoin_strategy::try_best_strategy_parallel;
 use rand::rngs::StdRng;
@@ -51,8 +54,8 @@ fn corpus() -> Vec<(String, Database)> {
 }
 
 /// Every engine that claims the product-free optimum agrees on τ:
-/// exhaustive enumeration (sequential and parallel), DPsize, DPccp,
-/// DPsub, and both parallel DP drivers.
+/// exhaustive enumeration (sequential and parallel), DPsize, DPccp and the
+/// level-parallel DPccp.
 #[test]
 fn all_product_free_optimizers_agree_on_tau() {
     for (name, db) in corpus() {
@@ -70,7 +73,7 @@ fn all_product_free_optimizers_agree_on_tau() {
             .expect("parallel enumeration agrees the space is nonempty");
 
         let mut taus = vec![("exhaustive-seq", ex_seq.1), ("exhaustive-par", ex_par.1)];
-        for algo in [DpAlgorithm::DpSize, DpAlgorithm::DpCcp, DpAlgorithm::DpSub] {
+        for algo in [DpAlgorithm::DpSize, DpAlgorithm::DpCcp] {
             let oracle = ExactOracle::new(&db);
             let plan = try_best_no_cartesian(&oracle, full, algo, &guard)
                 .unwrap()
@@ -87,6 +90,66 @@ fn all_product_free_optimizers_agree_on_tau() {
                 *tau, reference,
                 "{name}: {engine} disagrees with exhaustive (τ {tau} vs {reference})"
             );
+        }
+    }
+}
+
+/// Chains long enough that τ saturates to `u64::MAX`: every split of every
+/// large connected subset ties at the saturated cost, so an enumerator
+/// that accepts only a strictly cheaper candidate leaves those subsets
+/// unsolved and calls the space empty. DPsize (the independent reference),
+/// DPccp sequential and level-parallel, and the retained rescan DPccp must
+/// all answer with the same cost, and the ladder's exact `Dp` rung must be
+/// the one that answers, at one thread and at two.
+#[test]
+fn saturating_chains_are_solved_by_every_product_free_dp() {
+    let cfg = DataConfig {
+        tuples_per_relation: 3000,
+        domain: 10,
+        ensure_nonempty: true,
+    };
+    for n in [36, 40, 44] {
+        let (c, s) = schemes::chain(n);
+        let db = data::uniform(c, s, &cfg, &mut StdRng::seed_from_u64(1));
+        let full = db.scheme().full_set();
+        let guard = Guard::unlimited();
+        let oracle = ExactOracle::new(&db);
+        let solve = |engine: &str, plan: Option<Plan>| -> (String, u64) {
+            let plan = plan.unwrap_or_else(|| panic!("chain{n}: {engine} calls the space empty"));
+            (engine.to_string(), plan.cost)
+        };
+        let nocp = SearchSpace::NoCartesian;
+        let costs = [
+            solve(
+                "dpsize",
+                try_optimize_with(&oracle, full, nocp, DpAlgorithm::DpSize, &guard).unwrap(),
+            ),
+            solve(
+                "dpccp",
+                try_optimize_with(&oracle, full, nocp, DpAlgorithm::DpCcp, &guard).unwrap(),
+            ),
+            solve("dpccp-par", try_optimize_threaded(&oracle, full, nocp, &guard, 2).unwrap()),
+            solve(
+                "dpccp-rescan",
+                try_best_no_cartesian_ccp_rescan(&oracle, full, &guard).unwrap(),
+            ),
+        ];
+        for (engine, cost) in &costs {
+            assert_eq!(*cost, u64::MAX, "chain{n}: {engine} must see the saturation");
+        }
+        for threads in [1, 2] {
+            let r = optimize_robust(
+                &db,
+                full,
+                nocp,
+                Budget::unlimited(),
+                None,
+                threads,
+                Rung::Exhaustive,
+            )
+            .unwrap();
+            assert_eq!(r.report.answered_by, Rung::Dp, "chain{n} @{threads}: {}", r.report);
+            assert_eq!(r.plan.cost, u64::MAX, "chain{n} @{threads}");
         }
     }
 }
