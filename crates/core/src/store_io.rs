@@ -14,7 +14,7 @@ use mjoin_cost::Database;
 use mjoin_guard::MjoinError;
 use mjoin_hypergraph::{RelSet, MAX_RELATIONS};
 use mjoin_optimizer::DpMemoExport;
-use mjoin_store::{fingerprint128, EntryView, LoadedStore, StoreEntry};
+use mjoin_store::{EntryView, Fingerprint128, LoadedStore, StoreEntry};
 use mjoin_strategy::Strategy;
 
 /// The canonical fingerprint of one `optimize` request: the parsed schemes
@@ -23,6 +23,11 @@ use mjoin_strategy::Strategy;
 /// that can change an `optimize` answer. This is the store key and the
 /// serve plan-cache key; the two agreeing is what makes a store written by
 /// a CLI cold run warm the daemon and vice versa.
+///
+/// The key is the [`fingerprint128`](mjoin_store::fingerprint128) of the
+/// canonical text: `v1|optimize|space=…|threads=N`, then `|rel {scheme};`
+/// and [`Relation::to_text`](mjoin_relation::Relation::to_text) for each
+/// relation. That text is streamed into the hasher and never built.
 pub fn optimize_fingerprint(
     db: &Database,
     space: Option<&str>,
@@ -31,16 +36,17 @@ pub fn optimize_fingerprint(
     max_tuples: Option<u64>,
     threads: usize,
 ) -> String {
-    let mut canon = String::new();
+    // Hashing never fails, so neither do these writes.
+    let mut key = Fingerprint128::new();
     let _ = write!(
-        canon,
+        key,
         "v1|optimize|space={space:?}|t={timeout_ms:?}|m={max_memo_entries:?}|tu={max_tuples:?}|threads={threads}",
     );
     for i in 0..db.len() {
-        let _ = write!(canon, "|rel {};", db.catalog().render(db.scheme().scheme(i)));
-        canon.push_str(&db.state(i).to_text(db.catalog()));
+        let _ = write!(key, "|rel {};", db.catalog().render(db.scheme().scheme(i)));
+        let _ = db.state(i).write_text(db.catalog(), &mut key);
     }
-    fingerprint128(&canon)
+    key.finish()
 }
 
 /// A strategy as the store's flat `(set, left, right)` triples, pre-order.
@@ -187,6 +193,7 @@ pub fn save_optimize_entry(path: &Path, entry: StoreEntry) -> Result<u64, MjoinE
 mod tests {
     use super::*;
     use mjoin_cost::{CardinalityOracle, ExactOracle};
+    use mjoin_store::fingerprint128;
     use mjoin_guard::Guard;
     use mjoin_optimizer::{plan_from_memo, try_best_no_cartesian_ccp_with_memo};
 

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::attr::{AttrSet, Attribute};
+use crate::attr::{AttrSet, Attribute, Catalog};
 use crate::error::RelationError;
 use crate::value::Value;
 
@@ -218,40 +218,257 @@ impl Relation {
     /// let text = r.to_text(&cat);
     /// assert!(text.starts_with("A B"));
     /// ```
-    pub fn to_text(&self, catalog: &crate::attr::Catalog) -> String {
-        let headers: Vec<String> = self
-            .attrs
-            .iter()
-            .map(|&a| catalog.name(a).unwrap_or("?").to_string())
-            .collect();
-        let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
-        let rendered: Vec<Vec<String>> = self
-            .tuples
-            .iter()
-            .map(|t| t.values().iter().map(|v| v.to_string()).collect())
-            .collect();
-        for row in &rendered {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.chars().count());
+    pub fn to_text(&self, catalog: &Catalog) -> String {
+        let mut out = String::new();
+        self.write_text(catalog, &mut out)
+            .expect("writing to a String never fails");
+        out
+    }
+
+    /// Writes [`Relation::to_text`]'s table to `out` without building it.
+    ///
+    /// The first pass takes each column's width from the values: a char
+    /// count for strings, and for integers the wider of the column's
+    /// smallest and largest. The second writes cells and padding through a
+    /// stack buffer to `out`, with no `String` per cell, row or relation.
+    /// Every row ends at its last non-whitespace character: trailing
+    /// padding, empty last cells and whitespace a string value ends in are
+    /// dropped. The plan-cache key hashes this text, so its bytes are a
+    /// contract.
+    pub fn write_text(&self, catalog: &Catalog, out: &mut impl fmt::Write) -> fmt::Result {
+        let header = |k: usize| Cell::Str(catalog.name(self.attrs[k]).unwrap_or("?"));
+        let mut widths: Vec<usize> = (0..self.attrs.len()).map(|k| header(k).width()).collect();
+        let mut ints = vec![(i64::MAX, i64::MIN); widths.len()];
+        for t in &self.tuples {
+            for ((w, (lo, hi)), v) in widths.iter_mut().zip(&mut ints).zip(t.values()) {
+                match v {
+                    Value::Int(i) => (*lo, *hi) = ((*lo).min(*i), (*hi).max(*i)),
+                    Value::Str(s) => *w = (*w).max(s.chars().count()),
+                }
             }
         }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String]| -> String {
-            cells
-                .iter()
-                .zip(&widths)
-                .map(|(c, w)| format!("{c:<w$}", w = w))
-                .collect::<Vec<_>>()
-                .join(" ")
-                .trim_end()
-                .to_string()
-        };
-        out.push_str(&fmt_row(&headers));
-        for row in &rendered {
-            out.push('\n');
-            out.push_str(&fmt_row(row));
+        for (w, &(lo, hi)) in widths.iter_mut().zip(&ints) {
+            if lo <= hi {
+                *w = (*w).max(int_width(lo)).max(int_width(hi));
+            }
         }
-        out
+        let mut out = Chunked::new(out);
+        write_row(&mut out, &widths, header)?;
+        for t in &self.tuples {
+            out.byte(b'\n')?;
+            write_row(&mut out, &widths, |k| Cell::of(&t.values()[k]))?;
+        }
+        out.flush()
+    }
+}
+
+/// Chars in `i`'s decimal text, sign included.
+#[inline]
+fn int_width(i: i64) -> usize {
+    let digits = i
+        .unsigned_abs()
+        .checked_ilog10()
+        .map_or(1, |d| d as usize + 1);
+    digits + usize::from(i < 0)
+}
+
+/// One cell of the text table: the text [`Value`]'s `Display` prints.
+#[derive(Clone, Copy)]
+enum Cell<'a> {
+    Int(i64),
+    Str(&'a str),
+}
+
+impl<'a> Cell<'a> {
+    #[inline]
+    fn of(v: &'a Value) -> Self {
+        match v {
+            Value::Int(i) => Cell::Int(*i),
+            Value::Str(s) => Cell::Str(s),
+        }
+    }
+
+    /// Width in chars, as `{:<w$}` counts it.
+    #[inline]
+    fn width(self) -> usize {
+        match self {
+            Cell::Int(i) => int_width(i),
+            Cell::Str(s) => s.chars().count(),
+        }
+    }
+}
+
+/// Writes one row: cells padded to `widths` and joined by single spaces,
+/// ending at the row's last non-whitespace character. A run of whitespace
+/// is held back as where it starts — cell `from`, the whitespace `tail`
+/// its text ends in and the `pad` spaces after it — and written only once
+/// non-whitespace text follows.
+fn write_row<'a, W: fmt::Write>(
+    out: &mut Chunked<'_, W>,
+    widths: &[usize],
+    cell: impl Fn(usize) -> Cell<'a>,
+) -> fmt::Result {
+    let mut held: Option<(usize, &'a str, usize)> = None;
+    for (k, &width) in widths.iter().enumerate() {
+        let c = cell(k);
+        let (kept, tail) = match c {
+            Cell::Int(_) => (c, ""),
+            Cell::Str(s) => {
+                let kept = s.trim_end();
+                if kept.is_empty() {
+                    held.get_or_insert((k, s, width - c.width() + 1));
+                    continue;
+                }
+                (Cell::Str(kept), &s[kept.len()..])
+            }
+        };
+        if let Some((from, from_tail, pad)) = held {
+            if !from_tail.is_empty() {
+                out.str(from_tail)?;
+            }
+            out.spaces(pad)?;
+            for (m, &blank_width) in widths.iter().enumerate().take(k).skip(from + 1) {
+                let blank = cell(m);
+                out.cell(blank)?;
+                out.spaces(blank_width - blank.width() + 1)?;
+            }
+        }
+        let kept_width = out.cell(kept)?;
+        let tail_width = tail.chars().count();
+        held = Some((k, tail, width - kept_width - tail_width + 1));
+    }
+    Ok(())
+}
+
+/// `00`, `01`, …, `99`: integers are written two digits per division.
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819202122232425262728293031323334353637383940414243444546474849\
+5051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899";
+
+/// Bytes the renderer collects before handing them to its writer.
+const CHUNK: usize = 512;
+
+/// A stack buffer between the renderer and its writer. Cells, padding and
+/// digits are copied in and handed on a chunk at a time, so the writer
+/// sees one call, and the UTF-8 check runs once, per [`CHUNK`] bytes
+/// rather than per cell. Only whole strings and ASCII go in, so every
+/// chunk is valid UTF-8.
+struct Chunked<'w, W: fmt::Write> {
+    out: &'w mut W,
+    buf: [u8; CHUNK],
+    len: usize,
+}
+
+impl<'w, W: fmt::Write> Chunked<'w, W> {
+    fn new(out: &'w mut W) -> Self {
+        Chunked {
+            out,
+            buf: [0; CHUNK],
+            len: 0,
+        }
+    }
+
+    fn flush(&mut self) -> fmt::Result {
+        let text = std::str::from_utf8(&self.buf[..self.len])
+            .expect("the buffer holds only whole strings and ASCII");
+        self.len = 0;
+        self.out.write_str(text)
+    }
+
+    /// Makes room for `n` more bytes, `n <= CHUNK`.
+    #[inline]
+    fn reserve(&mut self, n: usize) -> fmt::Result {
+        if CHUNK - self.len < n {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn byte(&mut self, b: u8) -> fmt::Result {
+        self.reserve(1)?;
+        self.buf[self.len] = b;
+        self.len += 1;
+        Ok(())
+    }
+
+    #[inline]
+    fn str(&mut self, s: &str) -> fmt::Result {
+        if s.len() > CHUNK {
+            self.flush()?;
+            return self.out.write_str(s);
+        }
+        self.reserve(s.len())?;
+        self.buf[self.len..self.len + s.len()].copy_from_slice(s.as_bytes());
+        self.len += s.len();
+        Ok(())
+    }
+
+    #[inline]
+    fn spaces(&mut self, mut n: usize) -> fmt::Result {
+        const SPACES: [u8; 32] = [b' '; 32];
+        if n <= SPACES.len() && CHUNK - self.len >= SPACES.len() {
+            // A fixed-size copy; bytes past `len` are overwritten later.
+            self.buf[self.len..self.len + SPACES.len()].copy_from_slice(&SPACES);
+            self.len += n;
+            return Ok(());
+        }
+        while n > 0 {
+            if self.len == CHUNK {
+                self.flush()?;
+            }
+            let k = n.min(CHUNK - self.len);
+            self.buf[self.len..self.len + k].fill(b' ');
+            self.len += k;
+            n -= k;
+        }
+        Ok(())
+    }
+
+    /// Writes `c`'s text and returns its width in chars.
+    #[inline]
+    fn cell(&mut self, c: Cell<'_>) -> Result<usize, fmt::Error> {
+        match c {
+            Cell::Int(i) => self.int(i),
+            Cell::Str(s) => {
+                self.str(s)?;
+                Ok(s.chars().count())
+            }
+        }
+    }
+
+    /// Writes `i` in decimal and returns its width in chars.
+    #[inline]
+    fn int(&mut self, i: i64) -> Result<usize, fmt::Error> {
+        let width = int_width(i);
+        self.reserve(width)?;
+        let text = &mut self.buf[self.len..self.len + width];
+        let mut end = width;
+        // Divide in 64 bits only while the value needs them, then two
+        // digits at a time in 32.
+        let mut n = i.unsigned_abs();
+        while n > u64::from(u32::MAX) {
+            end -= 1;
+            text[end] = b'0' + (n % 10) as u8;
+            n /= 10;
+        }
+        let mut n = n as u32;
+        while n >= 100 {
+            let pair = 2 * (n % 100) as usize;
+            n /= 100;
+            end -= 2;
+            text[end..end + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        }
+        if n >= 10 {
+            let pair = 2 * n as usize;
+            text[end - 2..end].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        } else {
+            text[end - 1] = b'0' + n as u8;
+        }
+        if i < 0 {
+            text[0] = b'-';
+        }
+        self.len += width;
+        Ok(width)
     }
 }
 
@@ -316,6 +533,41 @@ mod tests {
         assert_eq!(r.column_of(c), Some(1));
         assert_eq!(r.column_of(e), Some(2));
         assert_eq!(r.column_of(b), None);
+    }
+
+    #[test]
+    fn text_pads_columns_and_trims_every_row() {
+        let mut cat = Catalog::new();
+        let s = cat.scheme("id,name,note").unwrap();
+        let row = |id: i64, name: &str, note: &str| vec![id.into(), name.into(), note.into()];
+        let r = Relation::from_rows(
+            s,
+            vec![
+                row(i64::MIN, "é", ""),
+                row(0, "", "a\u{a0}"),
+                row(7, "日本 ", " \t"),
+                row(-12, "x", "b c"),
+            ],
+        )
+        .unwrap();
+        let expected = [
+            "id                   name note",
+            "-9223372036854775808 é",
+            "-12                  x    b c",
+            "0                         a",
+            "7                    日本",
+        ];
+        assert_eq!(r.to_text(&cat), expected.join("\n"));
+        let empty = Relation::empty(cat.scheme("id,name").unwrap());
+        assert_eq!(empty.to_text(&cat), "id name");
+    }
+
+    #[test]
+    fn text_names_unknown_attributes_with_a_question_mark() {
+        let cat = Catalog::new();
+        let s = AttrSet::from_iter([Attribute::from_index(3)]);
+        let r = Relation::from_int_rows(s, vec![vec![123]]).unwrap();
+        assert_eq!(r.to_text(&cat), "?\n123");
     }
 
     #[test]

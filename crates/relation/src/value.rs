@@ -85,11 +85,13 @@ impl fmt::Debug for Value {
     }
 }
 
+/// Honours the formatter's width, fill and alignment like `i64` and `str`
+/// do: `format!("{:<5}", Value::Int(1))` is `"1    "`.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Str(s) => write!(f, "{s}"),
+            Value::Int(i) => fmt::Display::fmt(i, f),
+            Value::Str(s) => f.pad(s),
         }
     }
 }
@@ -132,5 +134,18 @@ mod tests {
         assert_eq!(Value::str("q").to_string(), "q");
         assert_eq!(format!("{:?}", Value::str("q")), "\"q\"");
         assert_eq!(format!("{:?}", Value::Int(5)), "5");
+    }
+
+    #[test]
+    fn display_honours_width_and_alignment() {
+        assert_eq!(format!("{:<5}|", Value::Int(1)), "1    |");
+        assert_eq!(format!("{:>5}|", Value::Int(-1)), "   -1|");
+        assert_eq!(format!("{:05}", Value::Int(-1)), "-0001");
+        assert_eq!(format!("{:<4}|", Value::str("é")), "é   |");
+        assert_eq!(format!("{:^5}|", Value::str("ab")), " ab  |");
+        assert_eq!(format!("{:.2}", Value::str("abc")), "ab");
+        for v in [Value::Int(i64::MIN), Value::str("日本"), Value::str("")] {
+            assert_eq!(format!("{v:<9}"), format!("{:<9}", v.to_string()));
+        }
     }
 }

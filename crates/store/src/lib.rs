@@ -90,34 +90,82 @@ fn corrupt(msg: impl Into<String>) -> MjoinError {
     MjoinError::CorruptStore(msg.into())
 }
 
+/// FNV-1a 64's offset basis: where the checksum and the first fingerprint
+/// lane start.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The second fingerprint lane's offset basis.
+const FNV_OFFSET_B: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One FNV-1a step: the update every FNV hash in this crate is made of.
+#[inline(always)]
+fn fnv1a_step(h: u64, b: u8) -> u64 {
+    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
 /// 128 bits of FNV-1a (two independent offset bases) rendered as 32 hex
 /// chars — the canonical fingerprint format every store key uses.
 /// Collisions are vanishingly unlikely and cost only a wrong warm-start
 /// on adversarial input; keys never leave the deployment.
 pub fn fingerprint128(s: &str) -> String {
-    fn fnv64(s: &str, mut h: u64) -> u64 {
-        for b in s.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fingerprint128::new();
+    h.write_bytes(s.as_bytes());
+    h.finish()
+}
+
+/// [`fingerprint128`] as a streaming hasher: text written to it in any
+/// number of pieces digests exactly as the concatenated string would, so a
+/// key can be computed from text that is never built.
+#[derive(Clone, Debug)]
+pub struct Fingerprint128 {
+    a: u64,
+    b: u64,
+}
+
+impl Fingerprint128 {
+    /// A hasher that has seen no bytes.
+    pub fn new() -> Self {
+        Fingerprint128 {
+            a: FNV_OFFSET,
+            b: FNV_OFFSET_B,
         }
-        h
     }
-    format!(
-        "{:016x}{:016x}",
-        fnv64(s, 0xcbf2_9ce4_8422_2325),
-        fnv64(s, 0x9e37_79b9_7f4a_7c15)
-    )
+
+    /// Feeds `bytes` to both lanes in one loop.
+    #[inline]
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        let (mut a, mut b) = (self.a, self.b);
+        for &byte in bytes {
+            a = fnv1a_step(a, byte);
+            b = fnv1a_step(b, byte);
+        }
+        (self.a, self.b) = (a, b);
+    }
+
+    /// The 32-hex-char key of everything written so far.
+    pub fn finish(&self) -> String {
+        format!("{:016x}{:016x}", self.a, self.b)
+    }
+}
+
+impl Default for Fingerprint128 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl std::fmt::Write for Fingerprint128 {
+    #[inline]
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write_bytes(s.as_bytes());
+        Ok(())
+    }
 }
 
 fn fnv1a64(chunks: &[&[u8]]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for chunk in chunks {
-        for &b in *chunk {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    chunks
+        .iter()
+        .flat_map(|chunk| chunk.iter())
+        .fold(FNV_OFFSET, |h, &b| fnv1a_step(h, b))
 }
 
 /// One fingerprint-keyed optimization artifact, owned form. The loaded
@@ -704,6 +752,40 @@ impl<'a> EntryView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fingerprint_lanes_are_fnv1a_64() {
+        // The published FNV-1a 64 digests of "" and "a" in the first lane.
+        assert!(fingerprint128("").starts_with("cbf29ce484222325"));
+        assert!(fingerprint128("a").starts_with("af63dc4c8601ec8c"));
+        assert_eq!(&fingerprint128("")[16..], "9e3779b97f4a7c15");
+        assert_eq!(fnv1a64(&[b"a"]), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(&[b"ab", b"", b"c"]), fnv1a64(&[b"abc"]));
+    }
+
+    #[test]
+    fn streamed_fingerprint_ignores_how_the_text_is_split() {
+        let text = "v1|optimize|rel AB;A B\n1 10\n-2 é 日本 🦀\t";
+        let whole = fingerprint128(text);
+        let bounds: Vec<usize> = (0..=text.len())
+            .filter(|&i| text.is_char_boundary(i))
+            .collect();
+        for &i in &bounds {
+            for &j in bounds.iter().filter(|&&j| j >= i) {
+                let mut h = Fingerprint128::new();
+                for piece in [&text[..i], &text[i..j], &text[j..]] {
+                    h.write_str(piece).unwrap();
+                }
+                assert_eq!(h.finish(), whole, "split at {i} and {j}");
+            }
+        }
+        let mut h = Fingerprint128::default();
+        write!(h, "{}|{:?}", &text[..5], Some(&text[5..])).unwrap();
+        assert_eq!(
+            h.finish(),
+            fingerprint128(&format!("{}|{:?}", &text[..5], Some(&text[5..])))
+        );
+    }
 
     fn sample_entry(tag: u8) -> StoreEntry {
         StoreEntry {
