@@ -255,7 +255,7 @@ impl Relation {
         let mut out = Chunked::new(out);
         write_row(&mut out, &widths, header)?;
         for t in &self.tuples {
-            out.byte(b'\n')?;
+            out.str("\n")?;
             write_row(&mut out, &widths, |k| Cell::of(&t.values()[k]))?;
         }
         out.flush()
@@ -380,14 +380,6 @@ impl<'w, W: fmt::Write> Chunked<'w, W> {
         if CHUNK - self.len < n {
             self.flush()?;
         }
-        Ok(())
-    }
-
-    #[inline]
-    fn byte(&mut self, b: u8) -> fmt::Result {
-        self.reserve(1)?;
-        self.buf[self.len] = b;
-        self.len += 1;
         Ok(())
     }
 
