@@ -191,7 +191,11 @@ impl std::error::Error for ParseError {}
 
 /// Parses a complete JSON document (trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser {
+        text: input,
+        bytes: input.as_bytes(),
+        pos: 0,
+    };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -202,6 +206,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -306,49 +311,47 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            // Surrogate pairs never appear in our output;
-                            // map unpaired surrogates to U+FFFD.
-                            out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy everything up to the next quote or backslash in one go.
+            // Both are ASCII, so the run ends on a char boundary.
+            let Some(run) = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                // Long strings (a request's `db` text) outlive the parse;
+                // they keep none of the slack they grew with.
+                out.shrink_to_fit();
+                return Ok(out);
             }
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .ok_or_else(|| self.err("bad \\u escape"))?;
+                    // Surrogate pairs never appear in our output; map
+                    // unpaired surrogates to U+FFFD.
+                    out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
+                    self.pos += 4;
+                }
+                _ => return Err(self.err("bad escape")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -448,6 +451,180 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    /// Deterministic splitmix64 stream for the seeded properties below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            items[(self.next() % items.len() as u64) as usize]
+        }
+    }
+
+    /// The string decoder as it was before runs were copied in bulk: one
+    /// `char` at a time. Returns the decoded text or the error, and where
+    /// the parser stopped.
+    fn reference_string(text: &str) -> (Result<String, ParseError>, usize) {
+        let mut p = Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        let result = (|| {
+            p.expect(b'"')?;
+            let mut out = String::new();
+            loop {
+                match p.peek() {
+                    None => return Err(p.err("unterminated string")),
+                    Some(b'"') => {
+                        p.pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        p.pos += 1;
+                        match p.peek() {
+                            Some(b'"') => out.push('"'),
+                            Some(b'\\') => out.push('\\'),
+                            Some(b'/') => out.push('/'),
+                            Some(b'n') => out.push('\n'),
+                            Some(b'r') => out.push('\r'),
+                            Some(b't') => out.push('\t'),
+                            Some(b'b') => out.push('\u{8}'),
+                            Some(b'f') => out.push('\u{c}'),
+                            Some(b'u') => {
+                                let hex = p
+                                    .bytes
+                                    .get(p.pos + 1..p.pos + 5)
+                                    .and_then(|h| std::str::from_utf8(h).ok())
+                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                    .ok_or_else(|| p.err("bad \\u escape"))?;
+                                out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
+                                p.pos += 4;
+                            }
+                            _ => return Err(p.err("bad escape")),
+                        }
+                        p.pos += 1;
+                    }
+                    Some(_) => {
+                        let c = p.text[p.pos..].chars().next().unwrap();
+                        out.push(c);
+                        p.pos += c.len_utf8();
+                    }
+                }
+            }
+        })();
+        (result, p.pos)
+    }
+
+    fn decode_string(text: &str) -> (Result<String, ParseError>, usize) {
+        let mut p = Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        let result = p.string();
+        (result, p.pos)
+    }
+
+    #[test]
+    fn escapes_around_long_plain_runs() {
+        let long = "a".repeat(5000);
+        let cases = [
+            format!(r#""\n{long}""#),
+            format!(r#""{long}\t""#),
+            format!(r#""\"\\\/\b\f\n\r\t{long}\n\n{long}\\\"""#),
+            format!(r#""{long}Aé{long}""#),
+        ];
+        for case in &cases {
+            let (got, end) = decode_string(case);
+            assert_eq!((got.clone(), end), reference_string(case));
+            assert_eq!(end, case.len());
+            assert!(got.unwrap().contains(&long));
+        }
+        let (got, _) = decode_string(&cases[2]);
+        assert!(got.unwrap().starts_with("\"\\/\u{8}\u{c}\n\r\taaa"));
+    }
+
+    #[test]
+    fn multibyte_text_next_to_escapes_decodes_exactly() {
+        let text = r#""é\nж\"🎉\\中é😀\t""#;
+        assert_eq!(decode_string(text).0.unwrap(), "é\nж\"🎉\\中é😀\t");
+    }
+
+    #[test]
+    fn unicode_escapes_decode_and_reject_like_before() {
+        assert_eq!(parse(r#""Aé€""#).unwrap(), Json::Str("Aé€".into()));
+        // Unpaired surrogates become U+FFFD.
+        assert_eq!(
+            parse(r#""\ud83d!""#).unwrap(),
+            Json::Str("\u{FFFD}!".into())
+        );
+        for bad in [r#""\u12g4""#, r#""\u12""#, r#""\x""#, r#""abc\"#] {
+            let (got, end) = decode_string(bad);
+            assert!(got.is_err(), "{bad}");
+            assert_eq!((got, end), reference_string(bad), "{bad}");
+        }
+    }
+
+    #[test]
+    fn an_unterminated_string_after_a_long_run_reports_the_end() {
+        let text = format!("\"{}", "x".repeat(100_000));
+        let err = parse(&text).unwrap_err();
+        assert_eq!(
+            err,
+            ParseError {
+                offset: 100_001,
+                message: "unterminated string".into()
+            }
+        );
+        assert_eq!(decode_string(&text), reference_string(&text));
+    }
+
+    #[test]
+    fn bulk_decoding_matches_the_char_at_a_time_reference() {
+        // Valid and invalid literals alike: same text or same error, and
+        // the parser stops at the same byte.
+        let pieces = [
+            "a", "bc", " ", "é", "中", "🎉", "\"", "\\", "\\n", "\\u", "00", "e9", "d8", "3d", "g",
+            "\\\"", "\\\\", "\u{7f}", "\t",
+        ];
+        let mut rng = Rng(1990);
+        for _ in 0..4000 {
+            let mut text = String::from("\"");
+            for _ in 0..rng.next() % 24 {
+                text.push_str(rng.pick(&pieces));
+            }
+            assert_eq!(decode_string(&text), reference_string(&text), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn random_strings_round_trip_through_the_writer() {
+        let mut rng = Rng(7);
+        for _ in 0..500 {
+            let len = rng.next() % 64;
+            let s: String = (0..len)
+                .map(|_| match rng.next() % 4 {
+                    0 => char::from(b' ' + (rng.next() % 95) as u8),
+                    1 => char::from((rng.next() % 0x20) as u8),
+                    2 => rng.pick(&['"', '\\', '/', '\u{7f}', 'é', '中']),
+                    _ => char::from_u32(0x1_0000 + (rng.next() % 0xF_0000) as u32).unwrap(),
+                })
+                .collect();
+            let value = Json::Str(s.clone());
+            assert_eq!(parse(&value.to_compact_string()).unwrap(), value, "{s:?}");
+            let keyed = Json::Obj(vec![(s.clone(), Json::Null)]);
+            assert_eq!(parse(&keyed.to_compact_string()).unwrap(), keyed, "{s:?}");
+        }
     }
 
     #[test]

@@ -81,17 +81,26 @@ impl Relation {
         scheme: AttrSet,
         rows: Vec<Vec<Value>>,
     ) -> Result<Self, RelationError> {
+        Self::from_tuples(scheme, rows.into_iter().map(Tuple::new).collect())
+    }
+
+    /// Builds a relation from tuples whose values are in canonical order,
+    /// as [`Relation::from_rows`] does from rows.
+    ///
+    /// # Errors
+    /// [`RelationError::ArityMismatch`] for the first tuple whose arity
+    /// differs from the scheme's.
+    pub fn from_tuples(scheme: AttrSet, mut tuples: Vec<Tuple>) -> Result<Self, RelationError> {
         let arity = scheme.len();
-        let mut tuples = Vec::with_capacity(rows.len());
-        for row in rows {
-            if row.len() != arity {
-                return Err(RelationError::ArityMismatch {
-                    expected: arity,
-                    got: row.len(),
-                });
-            }
-            tuples.push(Tuple::new(row));
+        if let Some(t) = tuples.iter().find(|t| t.arity() != arity) {
+            return Err(RelationError::ArityMismatch {
+                expected: arity,
+                got: t.arity(),
+            });
         }
+        // Relations outlive their parse (a queued request holds them), so
+        // they keep none of the slack the tuple list grew with.
+        tuples.shrink_to_fit();
         Ok(Self::from_tuples_unchecked(scheme, tuples))
     }
 

@@ -62,6 +62,19 @@ fn invalid(msg: impl Into<String>) -> MjoinError {
     MjoinError::InvalidScheme(msg.into())
 }
 
+/// Moves member `field` out of the decoded object, leaving `null`: the
+/// strings a request carries (the `db` text above all) are copied once,
+/// by the JSON parser, and never again.
+fn take(doc: &mut Json, field: &str) -> Option<Json> {
+    match doc {
+        Json::Obj(members) => members
+            .iter_mut()
+            .find(|(k, _)| k == field)
+            .map(|(_, v)| std::mem::replace(v, Json::Null)),
+        _ => None,
+    }
+}
+
 fn opt_u64(doc: &Json, field: &str) -> Result<Option<u64>, MjoinError> {
     match doc.get(field) {
         None | Some(Json::Null) => Ok(None),
@@ -72,13 +85,11 @@ fn opt_u64(doc: &Json, field: &str) -> Result<Option<u64>, MjoinError> {
     }
 }
 
-fn opt_str(doc: &Json, field: &str) -> Result<Option<String>, MjoinError> {
-    match doc.get(field) {
+fn opt_str(doc: &mut Json, field: &str) -> Result<Option<String>, MjoinError> {
+    match take(doc, field) {
         None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(|s| Some(s.to_string()))
-            .ok_or_else(|| invalid(format!("field {field:?} must be a string"))),
+        Some(Json::Str(s)) => Ok(Some(s)),
+        Some(_) => Err(invalid(format!("field {field:?} must be a string"))),
     }
 }
 
@@ -87,29 +98,27 @@ fn opt_str(doc: &Json, field: &str) -> Result<Option<String>, MjoinError> {
 /// panic.
 pub fn decode_line(line: &str) -> Result<Request, MjoinError> {
     failpoints::hit("serve::decode")?;
-    let doc = json::parse(line).map_err(|e| invalid(format!("malformed request JSON: {e}")))?;
+    let mut doc = json::parse(line).map_err(|e| invalid(format!("malformed request JSON: {e}")))?;
     if !matches!(doc, Json::Obj(_)) {
         return Err(invalid("request must be a JSON object"));
     }
-    let op = doc
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or_else(|| invalid("request needs a string \"op\" field"))?
-        .to_string();
-    let db = match opt_str(&doc, "db")? {
+    let Some(Json::Str(op)) = take(&mut doc, "op") else {
+        return Err(invalid("request needs a string \"op\" field"));
+    };
+    let db = match opt_str(&mut doc, "db")? {
         Some(s) => s,
         None if matches!(op.as_str(), "optimize" | "execute" | "query") => {
             return Err(invalid(format!("op {op:?} needs a string \"db\" field")));
         }
         None => String::new(),
     };
-    let query = match opt_str(&doc, "query")? {
+    let query = match opt_str(&mut doc, "query")? {
         None if op == "query" => {
             return Err(invalid("op \"query\" needs a string \"query\" field"));
         }
         q => q,
     };
-    let client = match opt_str(&doc, "client")? {
+    let client = match opt_str(&mut doc, "client")? {
         Some(c) if c.is_empty() => {
             return Err(invalid("field \"client\" must be a non-empty string"));
         }
@@ -121,11 +130,11 @@ pub fn decode_line(line: &str) -> Result<Request, MjoinError> {
         c => c,
     };
     Ok(Request {
-        id: doc.get("id").cloned(),
+        id: take(&mut doc, "id"),
         op,
         db,
         query,
-        space: opt_str(&doc, "space")?,
+        space: opt_str(&mut doc, "space")?,
         timeout_ms: opt_u64(&doc, "timeout_ms")?,
         max_memo_entries: opt_u64(&doc, "max_memo_entries")?,
         max_tuples: opt_u64(&doc, "max_tuples")?,
