@@ -44,7 +44,7 @@ use mjoin_guard::{failpoints, Budget, CancelToken, Guard, MjoinError};
 use mjoin_hypergraph::RelSet;
 use mjoin_obs::{incr, span, Counter, Span};
 use mjoin_optimizer::{Plan, SearchSpace};
-use mjoin_relation::{JoinAlgorithm, Relation};
+use mjoin_relation::Relation;
 use mjoin_strategy::Strategy;
 
 use crate::trace::{q_error, ExecutionTrace, ReplanEvent, StageRecord};
@@ -311,7 +311,7 @@ pub fn execute_adaptive(
                 if threads > 1 {
                     left.natural_join_partitioned(right, threads, &guard)?
                 } else {
-                    left.natural_join_guarded(right, JoinAlgorithm::Hash, &guard)?
+                    left.natural_join_guarded(right, &guard)?
                 }
             };
             for op in [stages[si].left, stages[si].right] {

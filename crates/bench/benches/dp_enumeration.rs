@@ -21,9 +21,8 @@ use mjoin_gen::schemes;
 use mjoin_guard::Guard;
 use mjoin_hypergraph::DbScheme;
 use mjoin_obs::{Counter, Json, Recorder, Snapshot};
-use mjoin_optimizer::{
-    try_best_no_cartesian, try_best_no_cartesian_ccp_rescan, DpAlgorithm, Plan,
-};
+use mjoin_optimizer::{try_best_no_cartesian, Plan};
+use mjoin_reference::try_best_no_cartesian_ccp_rescan;
 use mjoin_relation::Catalog;
 
 fn smoke() -> bool {
@@ -63,14 +62,9 @@ fn run_rescan(scheme: &DbScheme, n: usize) -> Plan {
 
 fn run_streaming(scheme: &DbScheme, n: usize) -> Plan {
     let oracle = oracle_for(scheme, n);
-    try_best_no_cartesian(
-        &oracle,
-        scheme.full_set(),
-        DpAlgorithm::DpCcp,
-        &Guard::unlimited(),
-    )
-    .expect("unlimited guard cannot trip")
-    .expect("bench topologies are connected")
+    try_best_no_cartesian(&oracle, scheme.full_set(), &Guard::unlimited())
+        .expect("unlimited guard cannot trip")
+        .expect("bench topologies are connected")
 }
 
 /// Min-of-3 timing of one arm (the minimum is the scheduler-noise-robust

@@ -17,7 +17,7 @@ use mjoin_gen::schemes;
 use mjoin_guard::{Budget, Guard};
 use mjoin_obs::{Json, Recorder};
 use mjoin_optimizer::try_best_bushy;
-use mjoin_relation::{Catalog, JoinAlgorithm, Relation};
+use mjoin_relation::{Catalog, Relation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -65,14 +65,14 @@ fn bench_join_kernel(c: &mut Criterion) {
     let armed = armed_guard();
     group.bench_function("unlimited_guard", |b| {
         b.iter(|| {
-            r.natural_join_guarded(&s, JoinAlgorithm::Hash, &unlimited)
+            r.natural_join_guarded(&s, &unlimited)
                 .unwrap()
                 .tau()
         })
     });
     group.bench_function("armed_guard", |b| {
         b.iter(|| {
-            r.natural_join_guarded(&s, JoinAlgorithm::Hash, &armed)
+            r.natural_join_guarded(&s, &armed)
                 .unwrap()
                 .tau()
         })
@@ -140,7 +140,7 @@ fn verify() -> (Vec<Json>, mjoin_obs::Snapshot) {
             let raw = min_time(
                 || {
                     criterion::black_box(
-                        r.natural_join_guarded(&s, JoinAlgorithm::Hash, &unlimited)
+                        r.natural_join_guarded(&s, &unlimited)
                             .unwrap()
                             .tau(),
                     );
@@ -152,7 +152,7 @@ fn verify() -> (Vec<Json>, mjoin_obs::Snapshot) {
                 let guarded = min_time(
                     || {
                         criterion::black_box(
-                            r.natural_join_guarded(&s, JoinAlgorithm::Hash, &armed)
+                            r.natural_join_guarded(&s, &armed)
                                 .unwrap()
                                 .tau(),
                         );
@@ -171,7 +171,7 @@ fn verify() -> (Vec<Json>, mjoin_obs::Snapshot) {
                 let recorded = min_time(
                     || {
                         criterion::black_box(
-                            r.natural_join_guarded(&s, JoinAlgorithm::Hash, &armed)
+                            r.natural_join_guarded(&s, &armed)
                                 .unwrap()
                                 .tau(),
                         );

@@ -35,7 +35,7 @@ use mjoin_hypergraph::DbScheme;
 use mjoin_obs::{Json, Recorder};
 use mjoin_optimizer::{
     try_best_no_cartesian, try_greedy_bushy, try_greedy_linear, try_lindp, try_partitioned_dp,
-    DpAlgorithm, Plan,
+    Plan,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -127,7 +127,7 @@ fn run_arm(arm: &str, topo: &str, n: usize, scheme: &DbScheme, guard: &Guard) ->
                 return None;
             }
             Some(
-                try_best_no_cartesian(&oracle, full, DpAlgorithm::DpCcp, guard)
+                try_best_no_cartesian(&oracle, full, guard)
                     .expect("within budget")
                     .expect("grid topologies are connected"),
             )

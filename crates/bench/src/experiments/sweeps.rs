@@ -85,9 +85,9 @@ pub fn linear_vs_bushy() -> Table {
     }
 
     // Synthetic model at scale, chains: the connected subsets of a chain
-    // are intervals, so the product-free DPs stay polynomial (DpSize
-    // iterates pairs of the 820 intervals at n = 40 instead of 2ⁿ⁻¹
-    // splits). Under the multiplicative independence model, chains give
+    // are intervals, so the product-free DPs stay polynomial (DPccp
+    // prices the 820 intervals at n = 40 from their 10 660 interval
+    // splits, not from 2ⁿ⁻¹ subsets). Under the multiplicative independence model, chains give
     // linear plans no handicap — an honest negative result the table
     // shows as ratio ≈ 1.
     for n in [10usize, 16, 24, 32, 40] {
@@ -95,14 +95,9 @@ pub fn linear_vs_bushy() -> Table {
         // Mildly selective joins: every join shrinks ×(1000/1200).
         let oracle = SyntheticOracle::new(scheme.clone(), vec![1000; n], 1200);
         let full = scheme.full_set();
-        let bushy = mjoin::optimize_with(
-            &oracle,
-            full,
-            SearchSpace::NoCartesian,
-            mjoin::DpAlgorithm::DpSize,
-        )
-        .expect("chain is connected")
-        .cost;
+        let bushy = optimize(&oracle, full, SearchSpace::NoCartesian)
+            .expect("chain is connected")
+            .cost;
         let linear = optimize(&oracle, full, SearchSpace::LinearNoCartesian)
             .expect("chain is connected")
             .cost;
@@ -136,14 +131,9 @@ pub fn linear_vs_bushy() -> Table {
             oracle.set_domain(a.index(), 100_000);
         }
         let full = scheme.full_set();
-        let bushy = mjoin::optimize_with(
-            &oracle,
-            full,
-            SearchSpace::NoCartesian,
-            mjoin::DpAlgorithm::DpSize,
-        )
-        .expect("chain is connected")
-        .cost;
+        let bushy = optimize(&oracle, full, SearchSpace::NoCartesian)
+            .expect("chain is connected")
+            .cost;
         let linear = optimize(&oracle, full, SearchSpace::LinearNoCartesian)
             .expect("chain is connected")
             .cost;

@@ -145,3 +145,93 @@ fn fault_injection_smoke_step_passes_against_the_built_binary() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Whether a Cargo manifest links `mjoin-reference`: names it in a
+/// `[dependencies]` table (or a target-specific one), or has a
+/// `[dependencies.mjoin-reference]` table. `[dev-dependencies]`,
+/// `[build-dependencies]` and `[workspace.dependencies]` link nothing.
+fn links_the_reference_crate(manifest: &str) -> bool {
+    let mut linked_table = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('#') {
+            continue;
+        }
+        if let Some(header) = line.strip_prefix('[') {
+            let header = header.trim_end_matches(']').trim();
+            let (table, entry) = match header.rsplit_once(".dependencies.") {
+                Some((table, entry)) => (format!("{table}.dependencies"), Some(entry)),
+                None => match header.strip_prefix("dependencies.") {
+                    Some(entry) => ("dependencies".to_string(), Some(entry)),
+                    None => (header.to_string(), None),
+                },
+            };
+            let linking = table == "dependencies"
+                || (table.starts_with("target.") && table.ends_with(".dependencies"));
+            if linking && entry.is_some_and(|e| e.trim_matches(['"', '\'']) == "mjoin-reference") {
+                return true;
+            }
+            linked_table = linking && entry.is_none();
+        } else if linked_table && line.contains("mjoin-reference") {
+            return true;
+        }
+    }
+    false
+}
+
+/// Reference implementations are test and bench code: outside
+/// `[dev-dependencies]` only `mjoin-bench` may depend on `mjoin-reference`,
+/// so none of it links into the `mjoin-cli` binary, the daemon or
+/// `benchmark/`.
+#[test]
+fn only_the_bench_crate_links_the_reference_crate() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut manifests = vec![root.join("Cargo.toml")];
+    let crates = std::fs::read_dir(root.join("crates")).expect("read crates/");
+    manifests.extend(
+        crates
+            .map(|entry| entry.expect("crates/ entry").path().join("Cargo.toml"))
+            .filter(|manifest| manifest.is_file()),
+    );
+    assert!(manifests.len() > 10, "found only {manifests:?}");
+    let bench = root.join("crates/bench/Cargo.toml");
+    let linking: Vec<String> = manifests
+        .iter()
+        .filter(|&manifest| *manifest != bench)
+        .filter(|manifest| {
+            let text = std::fs::read_to_string(manifest)
+                .unwrap_or_else(|e| panic!("{}: {e}", manifest.display()));
+            links_the_reference_crate(&text)
+        })
+        .map(|manifest| manifest.display().to_string())
+        .collect();
+    assert!(
+        linking.is_empty(),
+        "mjoin-reference belongs under [dev-dependencies] in:\n{}",
+        linking.join("\n")
+    );
+}
+
+#[test]
+fn the_reference_guard_tells_linked_tables_from_the_others() {
+    for linked in [
+        "[dependencies]\nmjoin-reference.workspace = true\n",
+        "[dependencies]\nmjoin-reference = { path = \"../reference\" }\n",
+        "[dependencies]\nref = { package = \"mjoin-reference\", path = \"x\" }\n",
+        "[target.'cfg(unix)'.dependencies]\nmjoin-reference.workspace = true\n",
+        "[dependencies.mjoin-reference]\nworkspace = true\n",
+        "[dev-dependencies]\n[dependencies]\nmjoin-reference.workspace = true\n",
+    ] {
+        assert!(links_the_reference_crate(linked), "{linked}");
+    }
+    for unlinked in [
+        "[dev-dependencies]\nmjoin-reference.workspace = true\n",
+        "[build-dependencies]\nmjoin-reference.workspace = true\n",
+        "[workspace.dependencies]\nmjoin-reference = { path = \"crates/reference\" }\n",
+        "[dependencies]\n# mjoin-reference.workspace = true\nmjoin-obs.workspace = true\n",
+        "[dependencies]\nmjoin-obs.workspace = true\n[dev-dependencies]\nmjoin-reference.workspace = true\n",
+        "[dev-dependencies.mjoin-reference]\nworkspace = true\n",
+        "[package]\ndescription = \"mjoin-reference\"\n",
+    ] {
+        assert!(!links_the_reference_crate(unlinked), "{unlinked}");
+    }
+}

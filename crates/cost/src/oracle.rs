@@ -6,7 +6,7 @@ use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use mjoin_guard::{failpoints, Guard, MjoinError};
 use mjoin_hypergraph::{DbScheme, FastMap, JoinTree, RelSet, SplitMix64Hasher};
 use mjoin_obs as obs;
-use mjoin_relation::{JoinAlgorithm, Relation, Tuple, Value, MAX_ATTRS};
+use mjoin_relation::{Relation, Tuple, Value, MAX_ATTRS};
 
 use crate::database::Database;
 
@@ -394,7 +394,7 @@ impl<'a> ExactOracle<'a> {
         if self.join_threads > 1 {
             rest.natural_join_partitioned(other, self.join_threads, &self.guard)
         } else {
-            rest.natural_join_guarded(other, JoinAlgorithm::Hash, &self.guard)
+            rest.natural_join_guarded(other, &self.guard)
         }
     }
 

@@ -311,22 +311,28 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            // Copy everything up to the next quote or backslash in one go.
-            // Both are ASCII, so the run ends on a char boundary.
+            // Copy everything up to the next quote, backslash or control
+            // byte in one go. All are ASCII, so the run ends on a char
+            // boundary. JSON allows no raw control character in a string.
             let Some(run) = self.bytes[self.pos..]
                 .iter()
-                .position(|&b| b == b'"' || b == b'\\')
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
             else {
                 self.pos = self.bytes.len();
                 return Err(self.err("unterminated string"));
             };
             out.push_str(&self.text[self.pos..self.pos + run]);
-            self.pos += run + 1;
-            if self.bytes[self.pos - 1] == b'"' {
-                // Long strings (a request's `db` text) outlive the parse;
-                // they keep none of the slack they grew with.
-                out.shrink_to_fit();
-                return Ok(out);
+            self.pos += run;
+            match self.bytes[self.pos] {
+                b'"' => {
+                    self.pos += 1;
+                    // Long strings (a request's `db` text) outlive the
+                    // parse; they keep none of the slack they grew with.
+                    out.shrink_to_fit();
+                    return Ok(out);
+                }
+                b'\\' => self.pos += 1,
+                _ => return Err(self.err("control character in string")),
             }
             match self.peek() {
                 Some(b'"') => out.push('"'),
@@ -338,9 +344,12 @@ impl<'a> Parser<'a> {
                 Some(b'b') => out.push('\u{8}'),
                 Some(b'f') => out.push('\u{c}'),
                 Some(b'u') => {
+                    // Exactly four hex digits: `from_str_radix` alone would
+                    // also take a sign.
                     let hex = self
                         .bytes
                         .get(self.pos + 1..self.pos + 5)
+                        .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                         .and_then(|h| std::str::from_utf8(h).ok())
                         .and_then(|h| u32::from_str_radix(h, 16).ok())
                         .ok_or_else(|| self.err("bad \\u escape"))?;
@@ -576,6 +585,32 @@ mod tests {
     }
 
     #[test]
+    fn rejects_raw_control_characters_and_signed_escapes() {
+        let long = "a".repeat(5000);
+        for (text, offset, message) in [
+            ("\"\\u+041\"".to_string(), 2, "bad \\u escape"),
+            ("\"\\u+7FF\"".to_string(), 2, "bad \\u escape"),
+            ("\"\\u 041\"".to_string(), 2, "bad \\u escape"),
+            ("\"a\u{1}b\"".to_string(), 2, "control character in string"),
+            ("\"\t\"".to_string(), 1, "control character in string"),
+            ("\"é\n\"".to_string(), 3, "control character in string"),
+            (format!("\"{long}\u{1f}\""), 5001, "control character in string"),
+            ("\"\\n\u{0}\"".to_string(), 3, "control character in string"),
+        ] {
+            let err = parse(&text).unwrap_err();
+            assert_eq!(
+                err,
+                ParseError { offset, message: message.into() },
+                "{text:?}"
+            );
+        }
+        // The same text properly escaped, and DEL (not a control character
+        // to JSON), still parse.
+        assert_eq!(parse(r#""\u0041\u001f""#).unwrap(), Json::Str("A\u{1f}".into()));
+        assert_eq!(parse("\"a\u{7f}b\"").unwrap(), Json::Str("a\u{7f}b".into()));
+    }
+
+    #[test]
     fn an_unterminated_string_after_a_long_run_reports_the_end() {
         let text = format!("\"{}", "x".repeat(100_000));
         let err = parse(&text).unwrap_err();
@@ -592,10 +627,12 @@ mod tests {
     #[test]
     fn bulk_decoding_matches_the_char_at_a_time_reference() {
         // Valid and invalid literals alike: same text or same error, and
-        // the parser stops at the same byte.
+        // the parser stops at the same byte. No raw control characters and
+        // no signed `\u` digits: the reference still accepts both, which
+        // JSON does not (see `rejects_raw_control_characters_and_signed_escapes`).
         let pieces = [
             "a", "bc", " ", "é", "中", "🎉", "\"", "\\", "\\n", "\\u", "00", "e9", "d8", "3d", "g",
-            "\\\"", "\\\\", "\u{7f}", "\t",
+            "\\\"", "\\\\", "\u{7f}",
         ];
         let mut rng = Rng(1990);
         for _ in 0..4000 {

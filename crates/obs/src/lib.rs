@@ -98,7 +98,7 @@ metric_enum! {
         OracleDuplicateMaterializations => "oracle.duplicate_materializations",
         /// Subset estimates served by a `NoisyOracle`.
         OracleNoisyEstimates => "oracle.noisy_estimates",
-        /// Join-kernel invocations (hash, sort-merge, nested-loop, partitioned).
+        /// Join-kernel invocations: hash joins, sequential or partitioned.
         KernelJoins => "kernel.joins",
         /// Tuples on the probe/right side scanned by join kernels.
         KernelTuplesProbed => "kernel.tuples_probed",

@@ -27,23 +27,10 @@ use crate::plan::Plan;
 /// fast path rather than SipHash.
 pub(crate) type SplitMemo = FastMap<RelSet, (u64, Option<(RelSet, RelSet)>)>;
 
-/// The split memo exactly as the pre-streaming DPccp shipped it: a std
-/// `HashMap` under the default SipHash hasher. Only the rescan ablation
-/// arm uses it, so the `dp_enumeration` bench measures the full old-vs-new
-/// gap — scan strategy *and* memo representation — not just the scan.
-type LegacySplitMemo = std::collections::HashMap<RelSet, (u64, Option<(RelSet, RelSet)>)>;
-
-/// A candidate-scan result: the winning split with its children's summed
-/// cost, `None` when the target subset has no valid split.
-type BestSplit = Result<Option<((RelSet, RelSet), u64)>, MjoinError>;
-
-/// [`BestSplit`], but over dense ranks (the flat-table DP's currency).
+/// A flat candidate-scan result: the winning `(csg_rank, cmp_rank)` split
+/// with its children's summed cost, `None` when the target subset has no
+/// valid split.
 type FlatBestSplit = Result<Option<((u32, u32), u64)>, MjoinError>;
-
-/// A split memo over any hasher — [`try_rebuild`] is generic so the
-/// splitmix64 ([`SplitMemo`]) and SipHash ([`LegacySplitMemo`]) tables
-/// share it.
-type SplitMap<H> = std::collections::HashMap<RelSet, (u64, Option<(RelSet, RelSet)>), H>;
 
 /// The flat rank-indexed DPccp table, split into parallel arrays so the
 /// candidate scan touches only a bare `Vec<u64>` of costs (half the bytes
@@ -100,24 +87,6 @@ impl DpScratch {
 /// and below `u32::MAX`, so any real candidate compares lower in the
 /// `(cost, csg_rank)` order — even one whose cost saturated to `u64::MAX`.
 const NO_SPLIT: (u32, u32) = (u32::MAX, u32::MAX);
-
-/// Enumeration style for the product-free DP. Both produce plans of
-/// identical cost; [`DpCcp`](DpAlgorithm::DpCcp) is the one every
-/// shipped entry point runs, [`DpSize`](DpAlgorithm::DpSize) the
-/// independent reference it is checked against.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum DpAlgorithm {
-    /// Bottom-up by subset size, merging pairs of smaller plans
-    /// (`DPsize`). Scans all pairs of connected subsets — quadratic in
-    /// their count.
-    DpSize,
-    /// Connected-subgraph / connected-complement pairs in the style of
-    /// Moerkotte & Neumann's `DPccp`: for each connected subset, only its
-    /// linked connected complements are enumerated, so work tracks the
-    /// number of *valid* joins rather than all subset pairs.
-    #[default]
-    DpCcp,
-}
 
 /// Cheapest strategy over the full space (bushy, products allowed).
 pub fn best_bushy<O: CardinalityOracle>(oracle: &O, subset: RelSet) -> Plan {
@@ -304,13 +273,12 @@ fn linear_rec<O: CardinalityOracle>(
     Ok(total)
 }
 
-/// Cheapest product-free strategy; `None` iff `subset` is unconnected.
-pub fn best_no_cartesian<O: CardinalityOracle>(
-    oracle: &O,
-    subset: RelSet,
-    algorithm: DpAlgorithm,
-) -> Option<Plan> {
-    try_best_no_cartesian(oracle, subset, algorithm, &Guard::unlimited())
+/// Cheapest product-free strategy by the streaming csg–cmp DP (`DPccp`,
+/// after Moerkotte & Neumann: for each connected subset only its linked
+/// connected complements are enumerated, so work tracks the number of
+/// valid joins); `None` iff `subset` is unconnected.
+pub fn best_no_cartesian<O: CardinalityOracle>(oracle: &O, subset: RelSet) -> Option<Plan> {
+    try_best_no_cartesian(oracle, subset, &Guard::unlimited())
         .expect("unlimited-guard DP cannot fail")
 }
 
@@ -318,17 +286,9 @@ pub fn best_no_cartesian<O: CardinalityOracle>(
 pub fn try_best_no_cartesian<O: CardinalityOracle>(
     oracle: &O,
     subset: RelSet,
-    algorithm: DpAlgorithm,
     guard: &Guard,
 ) -> Result<Option<Plan>, MjoinError> {
-    failpoints::hit("optimizer::dp")?;
-    if !oracle.scheme().connected(subset) {
-        return Ok(None);
-    }
-    match algorithm {
-        DpAlgorithm::DpSize => nocp_dpsize(oracle, subset, guard),
-        DpAlgorithm::DpCcp => nocp_dpccp(oracle, subset, guard, &mut DpScratch::new()),
-    }
+    nocp_dpccp_with_scratch(oracle, subset, guard, &mut DpScratch::new())
 }
 
 /// Every csg–cmp pair as dense `(target_rank, csg_rank, cmp_rank)`
@@ -367,9 +327,10 @@ fn index_and_level_pairs(
 }
 
 /// The per-target CSR view of the [`LevelPairs`], for the parallel DP,
-/// whose unit of scheduling is one target subset. The legacy scan
-/// visited each target's splits in ascending csg bit pattern and kept the
-/// first minimum; the flat scan recovers exactly that winner
+/// whose unit of scheduling is one target subset. The rescan DPccp
+/// (`mjoin-reference`) visits each target's splits in ascending csg bit
+/// pattern and keeps the first minimum; the flat scan recovers exactly
+/// that winner
 /// order-independently, by minimizing `(cost, csg_rank)` — so the chosen
 /// plans stay bit-identical without sorting any bucket.
 struct CcpCandidates {
@@ -406,8 +367,8 @@ fn build_ccp_candidates(by_level: &LevelPairs, len: usize) -> CcpCandidates {
 
 /// The flat-table DPccp candidate scan for one target rank: walk the
 /// precomputed csg–cmp pairs, two `Vec` probes per pair. The winner is the
-/// `(cost, csg_rank)`-lexicographic minimum — the same split the legacy
-/// ascending-csg scan's first-minimum rule chose, but independent of
+/// `(cost, csg_rank)`-lexicographic minimum — the same split the rescan
+/// DPccp's ascending-csg first-minimum rule chooses, but independent of
 /// bucket order, and the rule the sequential DP's fold applies (ranks
 /// follow bit order), which is what makes the two bit-identical at any
 /// thread count.
@@ -477,23 +438,9 @@ fn root_plan(
     }))
 }
 
-fn nocp_dpccp<O: CardinalityOracle>(
-    oracle: &O,
-    subset: RelSet,
-    guard: &Guard,
-    scratch: &mut DpScratch,
-) -> Result<Option<Plan>, MjoinError> {
-    let cost = nocp_dpccp_core(oracle, subset, guard, scratch)?;
-    Ok(Some(Plan {
-        strategy: try_rebuild(subset, &scratch.priced)?,
-        cost,
-    }))
-}
-
-/// Product-free DPccp over `subset` with a caller-owned [`DpScratch`].
-/// Identical plans to [`try_best_no_cartesian`] with [`DpAlgorithm::DpCcp`]
-/// (same memo, same tie-breaks); the only difference is where the memo
-/// lives. The partitioned planner threads one through every block.
+/// [`try_best_no_cartesian`] with a caller-owned [`DpScratch`]: the same
+/// plans (same memo, same tie-breaks); the only difference is where the
+/// memo lives. The partitioned planner threads one through every block.
 pub(crate) fn nocp_dpccp_with_scratch<O: CardinalityOracle>(
     oracle: &O,
     subset: RelSet,
@@ -504,7 +451,11 @@ pub(crate) fn nocp_dpccp_with_scratch<O: CardinalityOracle>(
     if !oracle.scheme().connected(subset) {
         return Ok(None);
     }
-    nocp_dpccp(oracle, subset, guard, scratch)
+    let cost = nocp_dpccp_core(oracle, subset, guard, scratch)?;
+    Ok(Some(Plan {
+        strategy: try_rebuild(subset, &scratch.priced)?,
+        cost,
+    }))
 }
 
 /// The DPccp body over a connected `subset`: one pass over the csg–cmp
@@ -651,9 +602,9 @@ pub struct DpMemoExport {
     pub splits: Vec<Option<(u32, u32)>>,
 }
 
-/// [`try_best_no_cartesian`] with [`DpAlgorithm::DpCcp`], additionally
-/// returning the solved memo for persistence. Plans are identical to the
-/// plain entry point's; only the save path pays for the export.
+/// [`try_best_no_cartesian`], additionally returning the solved memo for
+/// persistence. Plans are identical to the plain entry point's; only the
+/// save path pays for the export.
 pub fn try_best_no_cartesian_ccp_with_memo<O: CardinalityOracle>(
     oracle: &O,
     subset: RelSet,
@@ -760,201 +711,12 @@ fn rebuild_from_export(r: usize, memo: &DpMemoExport, depth: usize) -> Result<St
     }
 }
 
-/// The pre-index DPccp candidate scan, kept verbatim as an ablation
-/// baseline: re-enumerates `connected_subsets(s)` for *every* target and
-/// re-derives connectivity/linkage per candidate. See
-/// [`try_best_no_cartesian_ccp_rescan`].
-fn ccp_best_split_rescan(
-    scheme: &DbScheme,
-    s: RelSet,
-    table: &LegacySplitMemo,
-    guard: &Guard,
-) -> BestSplit {
-    let Some(first) = s.first() else {
-        return Err(MjoinError::Internal("connected subset is empty".into()));
-    };
-    let lowest = RelSet::singleton(first);
-    let mut best = u64::MAX;
-    let mut best_split = None;
-    let mut scanned = 0u64;
-    let mut pruned = 0u64;
-    for s1 in scheme.connected_subsets(s) {
-        guard.checkpoint()?;
-        scanned += 1;
-        if s1 == s || !lowest.is_subset_of(s1) {
-            pruned += 1;
-            continue;
-        }
-        let s2 = s.difference(s1);
-        if !scheme.connected(s2) || !scheme.linked(s1, s2) {
-            pruned += 1;
-            continue;
-        }
-        let (Some(&(c1, _)), Some(&(c2, _))) = (table.get(&s1), table.get(&s2)) else {
-            pruned += 1;
-            continue;
-        };
-        // The first candidate wins even at a saturated cost, as in the
-        // flat scans.
-        let cost = c1.saturating_add(c2);
-        if best_split.is_none() || cost < best {
-            best = cost;
-            best_split = Some((s1, s2));
-        }
-    }
-    incr(Counter::DpCandidatesScanned, scanned);
-    incr(Counter::DpCandidatesPruned, pruned);
-    Ok(best_split.map(|split| (split, best)))
-}
-
-/// The DPccp implementation this PR replaced: per-target re-enumeration of
-/// `connected_subsets`, std hash-map (SipHash) memo, attribute-fold
-/// predicates. Retained
-/// (not CLI-reachable) as the old arm of the `dp_enumeration` bench so the
-/// streaming enumerator's speedup stays measurable; returns plans and
-/// costs bit-identical to [`DpAlgorithm::DpCcp`].
-pub fn try_best_no_cartesian_ccp_rescan<O: CardinalityOracle>(
-    oracle: &O,
-    subset: RelSet,
-    guard: &Guard,
-) -> Result<Option<Plan>, MjoinError> {
-    failpoints::hit("optimizer::dp")?;
-    if !oracle.scheme().connected(subset) {
-        return Ok(None);
-    }
-    // Connected subsets in ascending bit-pattern order; processing by
-    // increasing size guarantees sub-plans exist before they're combined.
-    let mut connected = oracle.scheme().connected_subsets(subset);
-    connected.sort_by_key(|s| s.len());
-    let mut table = LegacySplitMemo::default();
-    for &s in &connected {
-        guard.checkpoint()?;
-        if s.is_singleton() {
-            guard.charge_memo(1)?;
-            incr(Counter::DpSubsetsExpanded, 1);
-            table.insert(s, (0, None));
-            continue;
-        }
-        let found = ccp_best_split_rescan(oracle.scheme(), s, &table, guard)?;
-        if let Some((split, children)) = found {
-            let total = oracle.try_tau(s)?.saturating_add(children);
-            guard.charge_memo(1)?;
-            incr(Counter::DpSubsetsExpanded, 1);
-            table.insert(s, (total, Some(split)));
-        }
-    }
-    let Some(&(cost, _)) = table.get(&subset) else {
-        return Ok(None);
-    };
-    Ok(Some(Plan {
-        strategy: try_rebuild(subset, &table)?,
-        cost,
-    }))
-}
-
-/// The `DPsize` candidate scan for one target subset `u`: every split of
-/// `u` into connected halves `(s1, s2)` with `|s1| ≤ |s2|`, ordered by
-/// `|s1|` then by `s1`'s position in its size bucket. Reads only strictly
-/// smaller subsets of `table`.
-///
-/// The first candidate wins even at a saturated `u64::MAX` cost — every
-/// reachable subset must record some split or plan reconstruction has
-/// nothing to follow.
-fn dpsize_best_split(
-    scheme: &DbScheme,
-    u: RelSet,
-    by_size: &[Vec<RelSet>],
-    table: &SplitMemo,
-    guard: &Guard,
-) -> BestSplit {
-    let size = u.len();
-    let mut best: Option<(u64, (RelSet, RelSet))> = None;
-    let mut scanned = 0u64;
-    let mut pruned = 0u64;
-    for (a, bucket) in by_size.iter().enumerate().take(size / 2 + 1).skip(1) {
-        let b = size - a;
-        for &s1 in bucket {
-            guard.checkpoint()?;
-            scanned += 1;
-            if !s1.is_subset_of(u) {
-                pruned += 1;
-                continue;
-            }
-            let s2 = u.difference(s1);
-            if a == b && s2.0 <= s1.0 {
-                pruned += 1;
-                continue; // each unordered pair once
-            }
-            if !scheme.linked_disjoint(s1, s2) {
-                pruned += 1;
-                continue;
-            }
-            // `s2` may fail to be connected or reachable; either way it has
-            // no table entry and the pair is skipped.
-            let (Some(&(c1, _)), Some(&(c2, _))) = (table.get(&s1), table.get(&s2)) else {
-                pruned += 1;
-                continue;
-            };
-            let cost = c1.saturating_add(c2);
-            if best.is_none_or(|(bc, _)| cost < bc) {
-                best = Some((cost, (s1, s2)));
-            }
-        }
-    }
-    incr(Counter::DpCandidatesScanned, scanned);
-    incr(Counter::DpCandidatesPruned, pruned);
-    Ok(best.map(|(cost, split)| (split, cost)))
-}
-
-fn nocp_dpsize<O: CardinalityOracle>(
-    oracle: &O,
-    subset: RelSet,
-    guard: &Guard,
-) -> Result<Option<Plan>, MjoinError> {
-    // Group the connected subsets of `subset` by size.
-    let connected = oracle.scheme().connected_subsets(subset);
-    let n = subset.len();
-    let mut by_size: Vec<Vec<RelSet>> = vec![Vec::new(); n + 1];
-    for s in connected {
-        by_size[s.len()].push(s);
-    }
-    let mut table = SplitMemo::default();
-    for &s in &by_size[1] {
-        guard.charge_memo(1)?;
-        incr(Counter::DpSubsetsExpanded, 1);
-        table.insert(s, (0, None));
-    }
-    for size in 2..=n {
-        for i in 0..by_size[size].len() {
-            let u = by_size[size][i];
-            let found = dpsize_best_split(oracle.scheme(), u, &by_size, &table, guard)?;
-            if let Some((split, children)) = found {
-                let total = oracle.try_tau(u)?.saturating_add(children);
-                guard.charge_memo(1)?;
-                incr(Counter::DpSubsetsExpanded, 1);
-                table.insert(u, (total, Some(split)));
-            }
-        }
-    }
-    let Some(&(cost, _)) = table.get(&subset) else {
-        return Ok(None);
-    };
-    Ok(Some(Plan {
-        strategy: try_rebuild(subset, &table)?,
-        cost,
-    }))
-}
-
 /// Cheapest strategy *avoiding* Cartesian products: each component solved
 /// product-free, then the components multiplied in the cheapest order.
 /// `None` iff some component admits no product-free strategy (cannot
 /// happen — components are connected — but kept as a safe signature).
-pub fn best_avoid_cartesian<O: CardinalityOracle>(
-    oracle: &O,
-    subset: RelSet,
-    algorithm: DpAlgorithm,
-) -> Option<Plan> {
-    try_best_avoid_cartesian(oracle, subset, algorithm, &Guard::unlimited())
+pub fn best_avoid_cartesian<O: CardinalityOracle>(oracle: &O, subset: RelSet) -> Option<Plan> {
+    try_best_avoid_cartesian(oracle, subset, &Guard::unlimited())
         .expect("unlimited-guard DP cannot fail")
 }
 
@@ -962,16 +724,15 @@ pub fn best_avoid_cartesian<O: CardinalityOracle>(
 pub fn try_best_avoid_cartesian<O: CardinalityOracle>(
     oracle: &O,
     subset: RelSet,
-    algorithm: DpAlgorithm,
     guard: &Guard,
 ) -> Result<Option<Plan>, MjoinError> {
     let comps = oracle.scheme().components(subset);
     if comps.len() == 1 {
-        return try_best_no_cartesian(oracle, subset, algorithm, guard);
+        return try_best_no_cartesian(oracle, subset, guard);
     }
     let mut plans: Vec<Plan> = Vec::with_capacity(comps.len());
     for &c in &comps {
-        match try_best_no_cartesian(oracle, c, algorithm, guard)? {
+        match try_best_no_cartesian(oracle, c, guard)? {
             Some(p) => plans.push(p),
             None => return Ok(None),
         }
@@ -1063,12 +824,8 @@ fn combine_component_plans(
 
 /// Rebuilds a strategy from a split table. Memo corruption (a solved
 /// subset with no recorded split, or overlapping splits) surfaces as
-/// [`MjoinError::Internal`] rather than a panic. Generic over the hasher
-/// so the legacy (SipHash) rescan arm can share it.
-pub(crate) fn try_rebuild<H: std::hash::BuildHasher>(
-    s: RelSet,
-    memo: &SplitMap<H>,
-) -> Result<Strategy, MjoinError> {
+/// [`MjoinError::Internal`] rather than a panic.
+pub(crate) fn try_rebuild(s: RelSet, memo: &SplitMemo) -> Result<Strategy, MjoinError> {
     if s.is_singleton() {
         let Some(i) = s.first() else {
             return Err(MjoinError::Internal("singleton with no member".into()));
@@ -1231,46 +988,11 @@ mod tests {
     }
 
     #[test]
-    fn dp_variants_agree() {
-        let db = chain4();
-        let o = ExactOracle::new(&db);
-        let full = db.scheme().full_set();
-        let b = best_no_cartesian(&o, full, DpAlgorithm::DpSize).unwrap();
-        let c = best_no_cartesian(&o, full, DpAlgorithm::DpCcp).unwrap();
-        assert_eq!(b.cost, c.cost);
-        assert_eq!(b.cost, b.strategy.cost(&o));
-        assert_eq!(c.cost, c.strategy.cost(&o));
-        assert!(!c.strategy.uses_cartesian(db.scheme()));
-    }
-
-    #[test]
-    fn dp_variants_agree_on_random_schemes() {
-        use mjoin_gen::{data, data::DataConfig, schemes};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(5);
-        for n in 2..=6 {
-            let (cat, scheme) = schemes::random_connected(n, 1, &mut rng);
-            let cfg = DataConfig { tuples_per_relation: 3, domain: 4, ensure_nonempty: true };
-            let db = data::uniform(cat, scheme, &cfg, &mut rng);
-            let o = ExactOracle::new(&db);
-            let full = db.scheme().full_set();
-            let costs: Vec<Option<u64>> = [DpAlgorithm::DpSize, DpAlgorithm::DpCcp]
-                .into_iter()
-                .map(|alg| best_no_cartesian(&o, full, alg).map(|p| p.cost))
-                .collect();
-            assert_eq!(costs[0], costs[1], "n={n}");
-        }
-    }
-
-    #[test]
     fn no_cartesian_matches_filtered_enumeration() {
         let db = chain4();
         let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let dp = best_no_cartesian(&o, full, DpAlgorithm::DpCcp)
-            .unwrap()
-            .cost;
+        let dp = best_no_cartesian(&o, full).unwrap().cost;
         let brute = mjoin_strategy::enumerate_no_cartesian(db.scheme(), full)
             .into_iter()
             .map(|s| s.cost(&o))
@@ -1307,7 +1029,7 @@ mod tests {
         .unwrap();
         let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let plan = best_avoid_cartesian(&o, full, DpAlgorithm::DpCcp).unwrap();
+        let plan = best_avoid_cartesian(&o, full).unwrap();
         assert!(plan.strategy.avoids_cartesian(db.scheme()));
         let brute = mjoin_strategy::enumerate_avoiding_cartesian(db.scheme(), full)
             .into_iter()
@@ -1331,8 +1053,7 @@ mod tests {
         ])
         .unwrap();
         let o = ExactOracle::new(&db);
-        let plan = best_avoid_cartesian(&o, db.scheme().full_set(), DpAlgorithm::DpCcp)
-            .unwrap();
+        let plan = best_avoid_cartesian(&o, db.scheme().full_set()).unwrap();
         // (AB × CD) first: 6, then × EF: 300 ⇒ 306. Any order touching EF
         // early costs ≥ 100 + 300.
         assert_eq!(plan.cost, 306);
@@ -1426,28 +1147,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_dpccp_matches_the_rescan_baseline() {
-        use mjoin_gen::{data, data::DataConfig, schemes};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(17);
-        for n in 2..=7 {
-            let (cat, scheme) = schemes::random_connected(n, 2, &mut rng);
-            let cfg = DataConfig { tuples_per_relation: 3, domain: 4, ensure_nonempty: true };
-            let db = data::uniform(cat, scheme, &cfg, &mut rng);
-            let full = db.scheme().full_set();
-            let o1 = ExactOracle::new(&db);
-            let new = best_no_cartesian(&o1, full, DpAlgorithm::DpCcp).unwrap();
-            let o2 = ExactOracle::new(&db);
-            let old = try_best_no_cartesian_ccp_rescan(&o2, full, &Guard::unlimited())
-                .unwrap()
-                .unwrap();
-            assert_eq!(new.cost, old.cost, "n={n}");
-            assert_eq!(new.strategy, old.strategy, "n={n}");
-        }
-    }
-
-    #[test]
     fn a_search_that_cannot_finish_by_its_deadline_stops_early() {
         use mjoin_gen::{data, data::DataConfig, schemes};
         use rand::rngs::StdRng;
@@ -1461,8 +1160,7 @@ mod tests {
         let db = data::uniform(cat, scheme, &DataConfig::default(), &mut StdRng::seed_from_u64(3));
         let o = ExactOracle::new(&db);
         let guard = Guard::new(Budget::unlimited().with_deadline(Duration::from_millis(200)));
-        let err = try_best_no_cartesian(&o, db.scheme().full_set(), DpAlgorithm::DpCcp, &guard)
-            .unwrap_err();
+        let err = try_best_no_cartesian(&o, db.scheme().full_set(), &guard).unwrap_err();
         assert!(matches!(err, MjoinError::BudgetExceeded { .. }), "{err}");
         assert!(guard.memo_used() < 2_000, "priced {} subsets", guard.memo_used());
     }

@@ -12,10 +12,10 @@
 //! * [`SearchSpace::Linear`] — linear strategies (GAMMA), by prefix-set DP
 //!   (`O(2ⁿ·n)`);
 //! * [`SearchSpace::NoCartesian`] — product-free strategies (INGRES,
-//!   Starburst), by the streaming csg–cmp DP ([`DpAlgorithm::DpCcp`]),
+//!   Starburst), by the streaming csg–cmp DP ([`best_no_cartesian`]),
 //!   sequential or level-parallel with the same plan at every thread
-//!   count; size-stratified pair merging ([`DpAlgorithm::DpSize`]) is kept
-//!   as the independent reference it is checked against;
+//!   count; size-stratified pair merging (`DPsize`), the independent
+//!   reference it is checked against, lives in `mjoin-reference`;
 //! * [`SearchSpace::LinearNoCartesian`] — both restrictions (System R,
 //!   Office-by-Example);
 //! * [`SearchSpace::AvoidCartesian`] — the paper's extension of
@@ -49,14 +49,14 @@ mod plan;
 
 pub use bottleneck::{best_bottleneck, bottleneck_of};
 pub use complexity::{enumeration_stats, EnumerationStats};
-pub use dp::{plan_from_memo, DpAlgorithm, DpMemoExport};
+pub use dp::{plan_from_memo, DpMemoExport};
 pub use explain::{Explanation, ExplainStep};
 pub use monotone::{best_monotone, exists_monotone, Monotonicity};
 pub use dp::{
     best_avoid_cartesian, best_bushy, best_linear, best_no_cartesian,
     try_best_avoid_cartesian, try_best_avoid_cartesian_parallel, try_best_bushy,
-    try_best_linear, try_best_no_cartesian, try_best_no_cartesian_ccp_rescan,
-    try_best_no_cartesian_ccp_with_memo, try_best_no_cartesian_parallel,
+    try_best_linear, try_best_no_cartesian, try_best_no_cartesian_ccp_with_memo,
+    try_best_no_cartesian_parallel,
 };
 pub use greedy::{greedy_bushy, greedy_linear, try_greedy_bushy, try_greedy_linear};
 pub use ikkbz::{ikkbz, try_ikkbz};
@@ -64,7 +64,4 @@ pub use lindp::{lindp, try_lindp};
 pub use partdp::{
     partitioned_dp, try_partitioned_dp, try_partitioned_dp_with, DEFAULT_BLOCK_MAX,
 };
-pub use plan::{
-    optimize, optimize_with, try_optimize, try_optimize_threaded, try_optimize_with, Plan,
-    SearchSpace,
-};
+pub use plan::{optimize, try_optimize, try_optimize_threaded, Plan, SearchSpace};

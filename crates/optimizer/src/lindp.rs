@@ -304,7 +304,7 @@ fn rebuild(order: &[usize], split: &[usize], i: usize, j: usize, n: usize) -> St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp::{self, DpAlgorithm};
+    use crate::dp;
     use crate::greedy;
     use mjoin_cost::SyntheticOracle;
     use mjoin_gen::schemes;
@@ -318,7 +318,7 @@ mod tests {
             let full = scheme.full_set();
             let fast = lindp(&oracle, full).expect("connected");
             let exact =
-                dp::best_no_cartesian(&oracle, full, DpAlgorithm::DpCcp).expect("connected");
+                dp::best_no_cartesian(&oracle, full).expect("connected");
             assert_eq!(fast.cost, exact.cost, "n={n}");
             assert!(!fast.strategy.uses_cartesian(&scheme));
         }

@@ -32,7 +32,7 @@ use mjoin_hypergraph::{DbScheme, RelSet};
 use mjoin_obs::{incr, Counter};
 use mjoin_strategy::Strategy;
 
-use crate::dp::{self, DpAlgorithm};
+use crate::dp;
 use crate::greedy::{try_greedy_bushy, try_greedy_linear};
 use crate::plan::Plan;
 
@@ -89,7 +89,7 @@ pub fn try_partitioned_dp_with<O: CardinalityOracle>(
     if subset.len() <= block_max {
         // Degenerate case: the whole query is one block, and the answer is
         // DPccp's, bit for bit.
-        return dp::try_best_no_cartesian(oracle, subset, DpAlgorithm::DpCcp, guard);
+        return dp::try_best_no_cartesian(oracle, subset, guard);
     }
 
     let blocks = partition(oracle.scheme(), subset, block_max, guard)?;
@@ -254,7 +254,7 @@ mod tests {
                 .expect("connected");
             let oracle2 = SyntheticOracle::new(scheme.clone(), bases, 20);
             let exact =
-                dp::try_best_no_cartesian(&oracle2, full, DpAlgorithm::DpCcp, &Guard::unlimited())
+                dp::try_best_no_cartesian(&oracle2, full, &Guard::unlimited())
                     .unwrap()
                     .expect("connected");
             assert_eq!(part.cost, exact.cost, "n={n}");

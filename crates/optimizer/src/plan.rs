@@ -5,7 +5,7 @@ use mjoin_guard::{Guard, MjoinError};
 use mjoin_hypergraph::RelSet;
 use mjoin_strategy::Strategy;
 
-use crate::dp::{self, DpAlgorithm};
+use crate::dp;
 
 /// A strategy subspace an optimizer may restrict itself to — the policies
 /// the paper attributes to real systems.
@@ -38,7 +38,8 @@ pub struct Plan {
 }
 
 /// Finds the τ-cheapest strategy for `subset` within `space`; the
-/// product-free spaces run the streaming [`DpAlgorithm::DpCcp`].
+/// product-free spaces run the streaming csg–cmp DP
+/// ([`best_no_cartesian`](crate::best_no_cartesian)).
 ///
 /// Returns `None` iff the space is empty — product-free spaces over
 /// unconnected subsets.
@@ -47,20 +48,8 @@ pub fn optimize<O: CardinalityOracle>(
     subset: RelSet,
     space: SearchSpace,
 ) -> Option<Plan> {
-    optimize_with(oracle, subset, space, DpAlgorithm::DpCcp)
-}
-
-/// [`optimize`] with an explicit DP enumeration style (the styles differ
-/// only in work performed, never in the plan's cost).
-pub fn optimize_with<O: CardinalityOracle>(
-    oracle: &O,
-    subset: RelSet,
-    space: SearchSpace,
-    algorithm: DpAlgorithm,
-) -> Option<Plan> {
     assert!(!subset.is_empty(), "cannot optimize the empty database");
-    try_optimize_with(oracle, subset, space, algorithm, &Guard::unlimited())
-        .unwrap_or_else(|e| panic!("{e}"))
+    try_optimize(oracle, subset, space, &Guard::unlimited()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`optimize`] under a budget: propagates deadline/cap trips and injected
@@ -69,17 +58,6 @@ pub fn try_optimize<O: CardinalityOracle>(
     oracle: &O,
     subset: RelSet,
     space: SearchSpace,
-    guard: &Guard,
-) -> Result<Option<Plan>, MjoinError> {
-    try_optimize_with(oracle, subset, space, DpAlgorithm::DpCcp, guard)
-}
-
-/// [`optimize_with`] under a budget.
-pub fn try_optimize_with<O: CardinalityOracle>(
-    oracle: &O,
-    subset: RelSet,
-    space: SearchSpace,
-    algorithm: DpAlgorithm,
     guard: &Guard,
 ) -> Result<Option<Plan>, MjoinError> {
     if subset.is_empty() {
@@ -99,7 +77,7 @@ pub fn try_optimize_with<O: CardinalityOracle>(
     match space {
         SearchSpace::All => dp::try_best_bushy(oracle, subset, guard).map(Some),
         SearchSpace::Linear => dp::try_best_linear(oracle, subset, false, guard).map(Some),
-        SearchSpace::NoCartesian => dp::try_best_no_cartesian(oracle, subset, algorithm, guard),
+        SearchSpace::NoCartesian => dp::try_best_no_cartesian(oracle, subset, guard),
         SearchSpace::LinearNoCartesian => {
             if oracle.scheme().connected(subset) {
                 dp::try_best_linear(oracle, subset, true, guard).map(Some)
@@ -107,9 +85,7 @@ pub fn try_optimize_with<O: CardinalityOracle>(
                 Ok(None)
             }
         }
-        SearchSpace::AvoidCartesian => {
-            dp::try_best_avoid_cartesian(oracle, subset, algorithm, guard)
-        }
+        SearchSpace::AvoidCartesian => dp::try_best_avoid_cartesian(oracle, subset, guard),
     }
 }
 

@@ -1,18 +1,19 @@
-//! Natural-join implementations.
+//! The natural join.
 //!
 //! The paper defines the natural join
 //! `R ⋈ R' = { t over R ∪ R' : t[R] ∈ R and t[R'] ∈ R' }` and measures a
 //! strategy by how many tuples its joins emit — never by *how* each join is
-//! executed. Three classic algorithms are provided so the benches can show
-//! that τ is indeed execution-independent while wall-clock cost is not:
-//! hash join (default), sort-merge join, and nested-loop join. All three
-//! return the same canonical [`Relation`].
+//! executed. Every join here is a hash join, sequential or partitioned
+//! across workers; both return the same canonical [`Relation`]. The
+//! sort-merge and nested-loop joins it is checked against live in
+//! `mjoin-reference`.
 
 use crate::attr::{AttrSet, Attribute};
 use crate::relation::{Relation, Tuple};
 use crate::value::Value;
 use mjoin_guard::{failpoints, Guard, MjoinError, Scope};
 use mjoin_obs::{incr, Counter};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
@@ -50,20 +51,6 @@ impl<'g> Charger<'g> {
         }
         Ok(())
     }
-}
-
-/// Physical join algorithm selector.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum JoinAlgorithm {
-    /// Build a hash table on the smaller input keyed by the shared
-    /// attributes, probe with the larger. O(|R| + |S| + |out|) expected.
-    #[default]
-    Hash,
-    /// Sort both inputs by the shared attributes and merge.
-    SortMerge,
-    /// Compare every pair of tuples. O(|R|·|S|); kept as the correctness
-    /// oracle for the other two.
-    NestedLoop,
 }
 
 /// Column plan for assembling an output tuple from a pair of matching
@@ -129,10 +116,9 @@ impl JoinPlan {
     }
 }
 
-/// Joins two relations with the requested algorithm.
-pub(crate) fn join(left: &Relation, right: &Relation, algorithm: JoinAlgorithm) -> Relation {
-    join_guarded(left, right, algorithm, &Guard::unlimited())
-        .expect("unlimited guard cannot trip")
+/// Joins two relations.
+pub(crate) fn join(left: &Relation, right: &Relation) -> Relation {
+    join_guarded(left, right, &Guard::unlimited()).expect("unlimited guard cannot trip")
 }
 
 /// Joins two relations, charging every emitted tuple to `guard` so runaway
@@ -140,41 +126,40 @@ pub(crate) fn join(left: &Relation, right: &Relation, algorithm: JoinAlgorithm) 
 pub(crate) fn join_guarded(
     left: &Relation,
     right: &Relation,
-    algorithm: JoinAlgorithm,
     guard: &Guard,
 ) -> Result<Relation, MjoinError> {
     failpoints::hit("relation::join")?;
     incr(Counter::KernelJoins, 1);
     let plan = JoinPlan::new(left, right);
-    let tuples = match algorithm {
-        JoinAlgorithm::Hash => hash_join(left, right, &plan, guard)?,
-        JoinAlgorithm::SortMerge => sort_merge_join(left, right, &plan, guard)?,
-        JoinAlgorithm::NestedLoop => nested_loop_join(left, right, &plan, guard)?,
-    };
+    let tuples = hash_join(left.tuples(), right.tuples(), &plan, guard)?;
     incr(Counter::KernelTuplesEmitted, tuples.len() as u64);
     Ok(Relation::from_tuples_unchecked(plan.out_scheme, tuples))
 }
 
-fn hash_join(
-    left: &Relation,
-    right: &Relation,
+/// The hash join over two tuple slices — a whole relation's, or one
+/// partition's: a table on the smaller side keyed by the shared
+/// attributes, probed with the larger. O(|R| + |S| + |out|) expected.
+fn hash_join<T: Borrow<Tuple>>(
+    left: &[T],
+    right: &[T],
     plan: &JoinPlan,
     guard: &Guard,
 ) -> Result<Vec<Tuple>, MjoinError> {
-    // Build on the smaller side.
-    let (build, probe, build_is_left) = if left.tau() <= right.tau() {
+    let (build, probe, build_is_left) = if left.len() <= right.len() {
         (left, right, true)
     } else {
         (right, left, false)
     };
-    let mut table: HashMap<Vec<&Value>, Vec<&Tuple>> = HashMap::with_capacity(build.tuples().len());
-    for t in build.tuples() {
+    let mut table: HashMap<Vec<&Value>, Vec<&Tuple>> = HashMap::with_capacity(build.len());
+    for t in build {
+        let t = t.borrow();
         table.entry(plan.key(t, build_is_left)).or_default().push(t);
     }
-    incr(Counter::KernelTuplesProbed, probe.tuples().len() as u64);
+    incr(Counter::KernelTuplesProbed, probe.len() as u64);
     let mut charger = Charger::new(guard);
     let mut out = Vec::new();
-    for t in probe.tuples() {
+    for t in probe {
+        let t = t.borrow();
         if let Some(matches) = table.get(&plan.key(t, !build_is_left)) {
             for m in matches {
                 charger.emit()?;
@@ -204,14 +189,12 @@ pub(crate) fn join_partitioned(
     threads: usize,
     guard: &Guard,
 ) -> Result<Relation, MjoinError> {
+    if threads <= 1 {
+        return join_guarded(left, right, guard);
+    }
     failpoints::hit("relation::join")?;
     incr(Counter::KernelJoins, 1);
     let plan = JoinPlan::new(left, right);
-    if threads <= 1 {
-        let tuples = hash_join(left, right, &plan, guard)?;
-        incr(Counter::KernelTuplesEmitted, tuples.len() as u64);
-        return Ok(Relation::from_tuples_unchecked(plan.out_scheme, tuples));
-    }
     let part_of = |t: &Tuple, is_left: bool| -> usize {
         // DefaultHasher::new() is keyed with constants, so partitioning is
         // deterministic — not that correctness needs it (any partitioning
@@ -234,7 +217,7 @@ pub(crate) fn join_partitioned(
             .iter()
             .zip(&rparts)
             .map(|(lp, rp)| {
-                scope.spawn(move || run.enter(|| hash_join_parts(lp, rp, plan_ref, guard)))
+                scope.spawn(move || run.enter(|| hash_join(lp, rp, plan_ref, guard)))
             })
             .collect();
         handles
@@ -250,117 +233,6 @@ pub(crate) fn join_partitioned(
     Ok(Relation::from_tuples_unchecked(plan.out_scheme, out))
 }
 
-/// One partition's hash join — `hash_join` over tuple slices instead of
-/// whole relations.
-fn hash_join_parts(
-    lp: &[&Tuple],
-    rp: &[&Tuple],
-    plan: &JoinPlan,
-    guard: &Guard,
-) -> Result<Vec<Tuple>, MjoinError> {
-    let (build, probe, build_is_left) = if lp.len() <= rp.len() {
-        (lp, rp, true)
-    } else {
-        (rp, lp, false)
-    };
-    let mut table: HashMap<Vec<&Value>, Vec<&Tuple>> = HashMap::with_capacity(build.len());
-    for &t in build {
-        table.entry(plan.key(t, build_is_left)).or_default().push(t);
-    }
-    incr(Counter::KernelTuplesProbed, probe.len() as u64);
-    let mut charger = Charger::new(guard);
-    let mut out = Vec::new();
-    for &t in probe {
-        if let Some(matches) = table.get(&plan.key(t, !build_is_left)) {
-            for m in matches {
-                charger.emit()?;
-                if build_is_left {
-                    out.push(plan.emit(m, t));
-                } else {
-                    out.push(plan.emit(t, m));
-                }
-            }
-        }
-    }
-    charger.finish()?;
-    Ok(out)
-}
-
-fn sort_merge_join(
-    left: &Relation,
-    right: &Relation,
-    plan: &JoinPlan,
-    guard: &Guard,
-) -> Result<Vec<Tuple>, MjoinError> {
-    // Extract each side's shared-attribute key exactly once, then sort the
-    // (key, tuple) pairs. The merge below compares the precomputed keys, so
-    // neither sorting nor group-boundary probing allocates.
-    let mut ls: Vec<(Vec<&Value>, &Tuple)> = left
-        .tuples()
-        .iter()
-        .map(|t| (plan.key(t, true), t))
-        .collect();
-    let mut rs: Vec<(Vec<&Value>, &Tuple)> = right
-        .tuples()
-        .iter()
-        .map(|t| (plan.key(t, false), t))
-        .collect();
-    ls.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    rs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    incr(Counter::KernelTuplesProbed, rs.len() as u64);
-
-    let mut charger = Charger::new(guard);
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < ls.len() && j < rs.len() {
-        match ls[i].0.cmp(&rs[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                // Find the group boundaries on both sides, emit the product.
-                let i_end = (i..ls.len())
-                    .find(|&k| ls[k].0 != ls[i].0)
-                    .unwrap_or(ls.len());
-                let j_end = (j..rs.len())
-                    .find(|&k| rs[k].0 != rs[j].0)
-                    .unwrap_or(rs.len());
-                for (_, l) in &ls[i..i_end] {
-                    for (_, r) in &rs[j..j_end] {
-                        charger.emit()?;
-                        out.push(plan.emit(l, r));
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    charger.finish()?;
-    Ok(out)
-}
-
-fn nested_loop_join(
-    left: &Relation,
-    right: &Relation,
-    plan: &JoinPlan,
-    guard: &Guard,
-) -> Result<Vec<Tuple>, MjoinError> {
-    incr(Counter::KernelTuplesProbed, right.tuples().len() as u64);
-    let mut charger = Charger::new(guard);
-    let mut out = Vec::new();
-    for l in left.tuples() {
-        let lk = plan.key(l, true);
-        for r in right.tuples() {
-            if lk == plan.key(r, false) {
-                charger.emit()?;
-                out.push(plan.emit(l, r));
-            }
-        }
-    }
-    charger.finish()?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,66 +243,46 @@ mod tests {
         Relation::from_int_rows(s, rows).unwrap()
     }
 
-    const ALGOS: [JoinAlgorithm; 3] = [
-        JoinAlgorithm::Hash,
-        JoinAlgorithm::SortMerge,
-        JoinAlgorithm::NestedLoop,
-    ];
-
     #[test]
     fn join_on_shared_attribute() {
         let r = rel("AB", vec![vec![1, 10], vec![2, 20], vec![3, 20]]);
         let s = rel("BC", vec![vec![10, 100], vec![20, 200], vec![20, 201]]);
-        for alg in ALGOS {
-            let j = r.natural_join_with(&s, alg);
-            // B=10: 1 pair. B=20: 2 left × 2 right = 4 pairs.
-            assert_eq!(j.tau(), 5, "{alg:?}");
-            assert_eq!(j.scheme().len(), 3);
-        }
+        let j = r.natural_join(&s);
+        // B=10: 1 pair. B=20: 2 left × 2 right = 4 pairs.
+        assert_eq!(j.tau(), 5);
+        assert_eq!(j.scheme().len(), 3);
     }
 
     #[test]
     fn disjoint_schemes_give_cartesian_product() {
         let r = rel("AB", vec![vec![1, 2], vec![3, 4]]);
         let s = rel("CD", vec![vec![5, 6], vec![7, 8], vec![9, 10]]);
-        for alg in ALGOS {
-            let j = r.natural_join_with(&s, alg);
-            assert_eq!(j.tau(), r.tau() * s.tau(), "{alg:?}");
-        }
+        let j = r.natural_join(&s);
+        assert_eq!(j.tau(), r.tau() * s.tau());
     }
 
     #[test]
     fn join_with_empty_relation_is_empty() {
         let r = rel("AB", vec![vec![1, 2]]);
         let s = Relation::empty(Catalog::with_letters().scheme("BC").unwrap());
-        for alg in ALGOS {
-            assert!(r.natural_join_with(&s, alg).is_empty(), "{alg:?}");
-            assert!(s.natural_join_with(&r, alg).is_empty(), "{alg:?}");
-        }
+        assert!(r.natural_join(&s).is_empty());
+        assert!(s.natural_join(&r).is_empty());
     }
 
     #[test]
     fn join_over_full_overlap_is_intersection() {
         let r = rel("AB", vec![vec![1, 2], vec![3, 4]]);
         let s = rel("AB", vec![vec![3, 4], vec![5, 6]]);
-        for alg in ALGOS {
-            let j = r.natural_join_with(&s, alg);
-            assert_eq!(j.tau(), 1, "{alg:?}");
-            assert_eq!(j.tuples()[0].values()[0], Value::Int(3));
-        }
+        let j = r.natural_join(&s);
+        assert_eq!(j.tau(), 1);
+        assert_eq!(j.tuples()[0].values()[0], Value::Int(3));
     }
 
     #[test]
     fn join_is_commutative() {
         let r = rel("AB", vec![vec![1, 10], vec![2, 20]]);
         let s = rel("BC", vec![vec![10, 5], vec![10, 6]]);
-        for alg in ALGOS {
-            assert_eq!(
-                r.natural_join_with(&s, alg),
-                s.natural_join_with(&r, alg),
-                "{alg:?}"
-            );
-        }
+        assert_eq!(r.natural_join(&s), s.natural_join(&r));
     }
 
     #[test]
@@ -448,22 +300,7 @@ mod tests {
         // Example 1 of the paper: τ(R1 ⋈ R2) = 10.
         let r1 = rel("AB", vec![vec![100, 0], vec![101, 0], vec![102, 0], vec![103, 1]]);
         let r2 = rel("BC", vec![vec![0, 200], vec![0, 201], vec![0, 202], vec![1, 203]]);
-        for alg in ALGOS {
-            assert_eq!(r1.natural_join_with(&r2, alg).tau(), 10, "{alg:?}");
-        }
-    }
-
-    #[test]
-    fn sort_merge_handles_duplicate_key_runs() {
-        // Regression for the precomputed-key rewrite: heavy duplicate keys
-        // exercise the group-boundary scan, including groups that run to
-        // the end of both sides.
-        let r = rel("AB", (0..20).map(|i| vec![i, 0]).collect());
-        let s = rel("BC", (0..15).map(|i| vec![0, i]).collect());
-        let hash = r.natural_join_with(&s, JoinAlgorithm::Hash);
-        let sm = r.natural_join_with(&s, JoinAlgorithm::SortMerge);
-        assert_eq!(hash, sm);
-        assert_eq!(sm.tau(), 300);
+        assert_eq!(r1.natural_join(&r2).tau(), 10);
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //!   and deduplicated, so equality, hashing and iteration order are
 //!   deterministic — important both for reproducible experiments and for the
 //!   paper's cost measure τ (the *number of tuples*, [`Relation::tau`]).
-//! * **Joins** come in three interchangeable implementations
-//!   ([`JoinAlgorithm`]): hash join (default), sort-merge join and
-//!   nested-loop join. All three produce identical canonical relations; the
-//!   benches in `mjoin-bench` ablate them against each other.
+//! * **Joins** are hash joins ([`Relation::natural_join`], guarded and
+//!   partitioned variants alongside). The sort-merge and nested-loop joins
+//!   that check them, and that the benches in `mjoin-bench` time against
+//!   them, live in `mjoin-reference`.
 //!
 //! # Quickstart
 //!
@@ -56,6 +56,5 @@ mod value;
 
 pub use attr::{AttrSet, AttrSetIter, Attribute, Catalog, MAX_ATTRS};
 pub use error::RelationError;
-pub use join::JoinAlgorithm;
 pub use relation::{Relation, Tuple};
 pub use value::Value;

@@ -171,21 +171,12 @@ impl Relation {
         self.tuples.binary_search(tuple).is_ok()
     }
 
-    /// Natural join with the default algorithm (hash join).
+    /// Natural join (a hash join).
     ///
     /// When the schemes are disjoint this degenerates to the Cartesian
     /// product, exactly as in the paper's definition.
     pub fn natural_join(&self, other: &Relation) -> Relation {
-        crate::join::join(self, other, crate::join::JoinAlgorithm::Hash)
-    }
-
-    /// Natural join with an explicit algorithm.
-    pub fn natural_join_with(
-        &self,
-        other: &Relation,
-        algorithm: crate::join::JoinAlgorithm,
-    ) -> Relation {
-        crate::join::join(self, other, algorithm)
+        crate::join::join(self, other)
     }
 
     /// Natural join charging every emitted tuple to `guard`: the join
@@ -195,10 +186,9 @@ impl Relation {
     pub fn natural_join_guarded(
         &self,
         other: &Relation,
-        algorithm: crate::join::JoinAlgorithm,
         guard: &mjoin_guard::Guard,
     ) -> Result<Relation, mjoin_guard::MjoinError> {
-        crate::join::join_guarded(self, other, algorithm, guard)
+        crate::join::join_guarded(self, other, guard)
     }
 
     /// Partitioned parallel hash join across `threads` scoped workers, all

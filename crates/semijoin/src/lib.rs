@@ -24,7 +24,7 @@
 use mjoin_cost::{Database, ExactOracle};
 use mjoin_guard::{failpoints, Guard, MjoinError};
 use mjoin_hypergraph::JoinTree;
-use mjoin_relation::{JoinAlgorithm, Relation};
+use mjoin_relation::Relation;
 use mjoin_strategy::Strategy;
 
 /// Is every linked pair of relation states consistent
@@ -193,7 +193,7 @@ pub fn try_yannakakis(db: &Database, guard: &Guard) -> Result<Option<YannakakisO
     let cost = strategy.try_cost(&oracle)?;
     let mut result = reduced.state(order[0]).clone();
     for &i in &order[1..] {
-        result = result.natural_join_guarded(reduced.state(i), JoinAlgorithm::Hash, guard)?;
+        result = result.natural_join_guarded(reduced.state(i), guard)?;
     }
     Ok(Some(YannakakisOutput {
         reduced,

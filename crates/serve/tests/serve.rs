@@ -232,6 +232,27 @@ fn malformed_input_gets_typed_errors_and_the_connection_survives() {
 }
 
 #[test]
+fn strings_json_forbids_are_invalid_requests_and_the_connection_survives() {
+    let _serial = serialize();
+    let server = Server::spawn(config(), Box::new(EchoEngine)).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    for line in [
+        &b"{\"op\": \"optimize\", \"db\": \"\\u+041\"}\n"[..],
+        b"{\"op\": \"optimize\", \"db\": \"a\x01b\"}\n",
+        b"{\"op\": \"optimize\", \"db\": \"a\tb\"}\n",
+    ] {
+        stream.write_all(line).unwrap();
+        let doc = read_response(&mut stream);
+        assert_eq!(error_kind(&doc), "invalid_request", "{doc:?}");
+        stream.write_all(b"{\"id\": 7, \"op\": \"optimize\", \"db\": \"\\u0041\"}\n").unwrap();
+        let doc = read_response(&mut stream);
+        assert_eq!(echoed(&doc), "echo: A\n", "{doc:?}");
+    }
+    let stats = shutdown_and_join(server);
+    assert_eq!(stats.requests, 6);
+}
+
+#[test]
 fn oversized_requests_are_refused_and_the_connection_closed() {
     let _serial = serialize();
     let server = Server::spawn(

@@ -11,10 +11,7 @@
 //! cargo run --release --example large_query
 //! ```
 
-use mjoin::{
-    optimize, optimize_with, CardinalityOracle, DpAlgorithm, SearchSpace,
-    SyntheticOracle,
-};
+use mjoin::{optimize, CardinalityOracle, SearchSpace, SyntheticOracle};
 use mjoin_gen::schemes;
 use mjoin_optimizer::{greedy_bushy, greedy_linear};
 use std::time::Instant;
@@ -35,15 +32,9 @@ fn main() {
     println!();
 
     let t0 = Instant::now();
-    let bushy = optimize_with(
-        &oracle,
-        full,
-        SearchSpace::NoCartesian,
-        DpAlgorithm::DpSize,
-    )
-    .expect("chain is connected");
+    let bushy = optimize(&oracle, full, SearchSpace::NoCartesian).expect("chain is connected");
     println!(
-        "bushy DP (DPsize over {} connected subsets): τ = {:>6}   [{:?}]",
+        "bushy DP (DPccp over {} connected subsets):  τ = {:>6}   [{:?}]",
         scheme.connected_subsets(full).len(),
         bushy.cost,
         t0.elapsed()

@@ -11,16 +11,17 @@
 //! count.
 
 use mjoin::{
-    optimize_robust, try_optimize_threaded, try_optimize_with, Budget, ExactOracle, Guard, Plan,
-    Rung, SearchSpace,
+    optimize_robust, try_optimize, try_optimize_threaded, Budget, ExactOracle, Guard, Plan, Rung,
+    SearchSpace,
 };
 use mjoin_gen::data::{self, DataConfig};
 use mjoin_gen::schemes;
 use mjoin_obs::{Counter, Recorder};
 use mjoin_optimizer::{
-    try_best_bushy, try_best_no_cartesian, try_best_no_cartesian_ccp_rescan,
-    try_best_no_cartesian_parallel, try_greedy_bushy, try_greedy_linear, DpAlgorithm,
+    try_best_bushy, try_best_no_cartesian, try_best_no_cartesian_parallel, try_greedy_bushy,
+    try_greedy_linear,
 };
+use mjoin_reference::{try_best_no_cartesian_ccp_rescan, try_best_no_cartesian_dpsize};
 use mjoin_strategy::try_best_strategy_parallel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,9 +74,13 @@ fn all_product_free_optimizers_agree_on_tau() {
             .expect("parallel enumeration agrees the space is nonempty");
 
         let mut taus = vec![("exhaustive-seq", ex_seq.1), ("exhaustive-par", ex_par.1)];
-        for algo in [DpAlgorithm::DpSize, DpAlgorithm::DpCcp] {
+        for algo in ["DpSize", "DpCcp"] {
             let oracle = ExactOracle::new(&db);
-            let plan = try_best_no_cartesian(&oracle, full, algo, &guard)
+            let plan = match algo {
+                "DpSize" => try_best_no_cartesian_dpsize(&oracle, full, &guard),
+                _ => try_best_no_cartesian(&oracle, full, &guard),
+            };
+            let plan = plan
                 .unwrap()
                 .expect("connected scheme has a product-free DP plan");
             taus.push(("dp", plan.cost));
@@ -120,14 +125,8 @@ fn saturating_chains_are_solved_by_every_product_free_dp() {
         };
         let nocp = SearchSpace::NoCartesian;
         let costs = [
-            solve(
-                "dpsize",
-                try_optimize_with(&oracle, full, nocp, DpAlgorithm::DpSize, &guard).unwrap(),
-            ),
-            solve(
-                "dpccp",
-                try_optimize_with(&oracle, full, nocp, DpAlgorithm::DpCcp, &guard).unwrap(),
-            ),
+            solve("dpsize", try_best_no_cartesian_dpsize(&oracle, full, &guard).unwrap()),
+            solve("dpccp", try_optimize(&oracle, full, nocp, &guard).unwrap()),
             solve("dpccp-par", try_optimize_threaded(&oracle, full, nocp, &guard, 2).unwrap()),
             solve(
                 "dpccp-rescan",
@@ -195,17 +194,19 @@ fn chain_dp_expands_the_closed_form_subset_count() {
         let guard = Guard::unlimited();
         let expected = (n * (n + 1) / 2) as u64;
 
-        for algo in [DpAlgorithm::DpSize, DpAlgorithm::DpCcp] {
+        for algo in ["DpSize", "DpCcp"] {
             let rec = Recorder::arm();
             let oracle = ExactOracle::new(&db);
-            try_best_no_cartesian(&oracle, full, algo, &guard)
-                .unwrap()
-                .expect("chains are connected");
+            let plan = match algo {
+                "DpSize" => try_best_no_cartesian_dpsize(&oracle, full, &guard),
+                _ => try_best_no_cartesian(&oracle, full, &guard),
+            };
+            plan.unwrap().expect("chains are connected");
             let snap = rec.snapshot();
             assert_eq!(
                 snap.counter(Counter::DpSubsetsExpanded),
                 expected,
-                "chain{n} {algo:?}: expanded subsets must be n(n+1)/2"
+                "chain{n} {algo}: expanded subsets must be n(n+1)/2"
             );
         }
         for threads in [2usize, 4] {
@@ -247,7 +248,7 @@ fn chain_dpccp_scans_only_the_emitted_ccp_pairs() {
         // Scoped: the recorder must drop before the parallel runs re-arm.
         let rec = Recorder::arm();
         let oracle = mjoin::SyntheticOracle::new(s.clone(), vec![1000; n], 500);
-        try_best_no_cartesian(&oracle, full, DpAlgorithm::DpCcp, &guard)
+        try_best_no_cartesian(&oracle, full, &guard)
             .unwrap()
             .expect("chains are connected");
         let snap = rec.snapshot();
@@ -320,7 +321,7 @@ fn single_threaded_counter_snapshots_are_reproducible() {
         let full = db.scheme().full_set();
         let guard = Guard::unlimited();
         let oracle = ExactOracle::new(db);
-        try_best_no_cartesian(&oracle, full, DpAlgorithm::DpCcp, &guard)
+        try_best_no_cartesian(&oracle, full, &guard)
             .unwrap()
             .expect("corpus schemes are connected");
         try_greedy_bushy(&oracle, full, &guard).unwrap();

@@ -1,7 +1,8 @@
 //! Property-based tests of the relational substrate: the algebraic laws
 //! every higher layer relies on.
 
-use mjoin_relation::{AttrSet, Catalog, JoinAlgorithm, Relation, Value};
+use mjoin_reference::{nested_loop_join, sort_merge_join};
+use mjoin_relation::{AttrSet, Catalog, Relation, Value};
 use proptest::prelude::*;
 
 /// Strategy: a relation over a random 2-attribute scheme drawn from a
@@ -33,9 +34,9 @@ proptest! {
     /// All three join algorithms produce identical canonical relations.
     #[test]
     fn join_algorithms_agree(r in arb_relation("ABCD"), s in arb_relation("ABCD")) {
-        let hash = r.natural_join_with(&s, JoinAlgorithm::Hash);
-        let merge = r.natural_join_with(&s, JoinAlgorithm::SortMerge);
-        let nested = r.natural_join_with(&s, JoinAlgorithm::NestedLoop);
+        let hash = r.natural_join(&s);
+        let merge = sort_merge_join(&r, &s);
+        let nested = nested_loop_join(&r, &s);
         prop_assert_eq!(&hash, &merge);
         prop_assert_eq!(&hash, &nested);
     }

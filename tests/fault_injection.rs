@@ -18,7 +18,6 @@ use mjoin::{
 };
 use mjoin_gen::data;
 use mjoin_hypergraph::JoinTree;
-use mjoin_relation::JoinAlgorithm;
 
 fn serialize() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -99,7 +98,7 @@ fn provoke(site: &str) -> MjoinError {
         }
         "relation::join" => db
             .state(0)
-            .natural_join_guarded(db.state(1), JoinAlgorithm::Hash, &guard)
+            .natural_join_guarded(db.state(1), &guard)
             .unwrap_err(),
         "optimizer::dp" => {
             let oracle = ExactOracle::new(&db);

@@ -19,9 +19,7 @@ use mjoin::{
 use mjoin_cost::SyntheticOracle;
 use mjoin_gen::{data, data::DataConfig, schemes};
 use mjoin_hypergraph::DbScheme;
-use mjoin_optimizer::{
-    try_best_no_cartesian, try_greedy_linear, try_lindp, try_partitioned_dp_with, DpAlgorithm,
-};
+use mjoin_optimizer::{try_best_no_cartesian, try_greedy_linear, try_lindp, try_partitioned_dp_with};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -51,14 +49,9 @@ fn lindp_matches_full_dp_on_seeded_chains() {
             let lin = try_lindp(&oracle_for(&scheme, &bases), full, &guard)
                 .unwrap()
                 .expect("chains are connected");
-            let opt = try_best_no_cartesian(
-                &oracle_for(&scheme, &bases),
-                full,
-                DpAlgorithm::DpCcp,
-                &guard,
-            )
-            .unwrap()
-            .expect("chains are connected");
+            let opt = try_best_no_cartesian(&oracle_for(&scheme, &bases), full, &guard)
+                .unwrap()
+                .expect("chains are connected");
             assert_eq!(
                 lin.cost, opt.cost,
                 "n={n} seed={seed}: LinDp must be optimal on chains"
@@ -116,14 +109,9 @@ fn partdp_with_large_blocks_is_dpccp_bit_for_bit() {
                     )
                     .unwrap()
                     .expect("connected");
-                    let exact = try_best_no_cartesian(
-                        &oracle_for(&scheme, &bases),
-                        full,
-                        DpAlgorithm::DpCcp,
-                        &guard,
-                    )
-                    .unwrap()
-                    .expect("connected");
+                    let exact = try_best_no_cartesian(&oracle_for(&scheme, &bases), full, &guard)
+                        .unwrap()
+                        .expect("connected");
                     assert_eq!(part.cost, exact.cost, "{which} n={n} seed={seed} k={k}");
                     assert_eq!(
                         part.strategy, exact.strategy,
