@@ -28,8 +28,10 @@
 //!
 //! # Determinism
 //!
-//! Joins are canonical at any thread count, the noise factor is a pure
-//! function of `(seed, subset)`, and the derived-leaf order is canonical,
+//! A join's output is the same set at any thread count, and its tuple
+//! order is a pure function of its inputs and the thread count; the noise
+//! factor is a pure function of `(seed, subset)`, and the derived-leaf
+//! order is canonical,
 //! so the whole pipeline is deterministic in `(strategy, estimation,
 //! budget, thread count)`. Thread count does not change a re-plan either:
 //! the ladder's exact rungs pick the same plan at every thread count (the

@@ -4,12 +4,13 @@
 //! `R ⋈ R' = { t over R ∪ R' : t[R] ∈ R and t[R'] ∈ R' }` and measures a
 //! strategy by how many tuples its joins emit — never by *how* each join is
 //! executed. Every join here is a hash join, sequential or partitioned
-//! across workers; both return the same canonical [`Relation`]. The
-//! sort-merge and nested-loop joins it is checked against live in
-//! `mjoin-reference`.
+//! across workers; both return the same set, kept in the order emitted,
+//! neither sorted nor deduplicated (a join of duplicate-free relations has
+//! no duplicates). The sort-merge and nested-loop joins it is checked
+//! against live in `mjoin-reference`.
 
 use crate::attr::{AttrSet, Attribute};
-use crate::relation::{Relation, Tuple};
+use crate::relation::{Key, Relation, Tuple};
 use crate::value::Value;
 use mjoin_guard::{failpoints, Guard, MjoinError, Scope};
 use mjoin_obs::{incr, Counter};
@@ -70,14 +71,6 @@ impl JoinPlan {
     fn new(left: &Relation, right: &Relation) -> Self {
         let shared = left.scheme().intersect(right.scheme());
         let out_scheme = left.scheme().union(right.scheme());
-        let left_key: Vec<usize> = shared
-            .iter()
-            .map(|a| left.column_of(a).expect("shared attr in left"))
-            .collect();
-        let right_key: Vec<usize> = shared
-            .iter()
-            .map(|a| right.column_of(a).expect("shared attr in right"))
-            .collect();
         let sources = out_scheme
             .iter()
             .map(|a: Attribute| match left.column_of(a) {
@@ -87,8 +80,8 @@ impl JoinPlan {
             .collect();
         JoinPlan {
             out_scheme,
-            left_key,
-            right_key,
+            left_key: left.columns(shared),
+            right_key: right.columns(shared),
             sources,
         }
     }
@@ -107,12 +100,6 @@ impl JoinPlan {
             })
             .collect();
         Tuple::new(values)
-    }
-
-    #[inline]
-    fn key<'a>(&self, t: &'a Tuple, left: bool) -> Vec<&'a Value> {
-        let cols = if left { &self.left_key } else { &self.right_key };
-        cols.iter().map(|&c| &t.values()[c]).collect()
     }
 }
 
@@ -133,42 +120,55 @@ pub(crate) fn join_guarded(
     let plan = JoinPlan::new(left, right);
     let tuples = hash_join(left.tuples(), right.tuples(), &plan, guard)?;
     incr(Counter::KernelTuplesEmitted, tuples.len() as u64);
-    Ok(Relation::from_tuples_unchecked(plan.out_scheme, tuples))
+    Ok(Relation::from_join(plan.out_scheme, tuples))
 }
+
+/// The end of a build-table chain.
+const END: u32 = u32::MAX;
 
 /// The hash join over two tuple slices — a whole relation's, or one
 /// partition's: a table on the smaller side keyed by the shared
 /// attributes, probed with the larger. O(|R| + |S| + |out|) expected.
+///
+/// The table maps each distinct key to the first build row holding it, and
+/// `next[i]` is the build row after row `i` with the same key, so building
+/// and probing allocate nothing per row. Output follows the probe side, and
+/// each probe row's matches follow the build side.
 fn hash_join<T: Borrow<Tuple>>(
     left: &[T],
     right: &[T],
     plan: &JoinPlan,
     guard: &Guard,
 ) -> Result<Vec<Tuple>, MjoinError> {
-    let (build, probe, build_is_left) = if left.len() <= right.len() {
-        (left, right, true)
+    let build_is_left = left.len() <= right.len();
+    let (build, build_key, probe, probe_key) = if build_is_left {
+        (left, &plan.left_key, right, &plan.right_key)
     } else {
-        (right, left, false)
+        (right, &plan.right_key, left, &plan.left_key)
     };
-    let mut table: HashMap<Vec<&Value>, Vec<&Tuple>> = HashMap::with_capacity(build.len());
-    for t in build {
-        let t = t.borrow();
-        table.entry(plan.key(t, build_is_left)).or_default().push(t);
+    assert!(build.len() < END as usize, "build side exceeds u32 row ids");
+    let mut heads: HashMap<Key, u32> = HashMap::with_capacity(build.len());
+    let mut next = vec![END; build.len()];
+    // Built back to front, so every chain runs in build order.
+    for (i, t) in build.iter().enumerate().rev() {
+        let head = heads.entry(Key::of(t.borrow(), build_key)).or_insert(END);
+        next[i] = std::mem::replace(head, i as u32);
     }
     incr(Counter::KernelTuplesProbed, probe.len() as u64);
     let mut charger = Charger::new(guard);
     let mut out = Vec::new();
     for t in probe {
         let t = t.borrow();
-        if let Some(matches) = table.get(&plan.key(t, !build_is_left)) {
-            for m in matches {
-                charger.emit()?;
-                if build_is_left {
-                    out.push(plan.emit(m, t));
-                } else {
-                    out.push(plan.emit(t, m));
-                }
-            }
+        let mut m = heads.get(&Key::of(t, probe_key)).copied().unwrap_or(END);
+        while m != END {
+            let b = build[m as usize].borrow();
+            charger.emit()?;
+            out.push(if build_is_left {
+                plan.emit(b, t)
+            } else {
+                plan.emit(t, b)
+            });
+            m = next[m as usize];
         }
     }
     charger.finish()?;
@@ -176,13 +176,13 @@ fn hash_join<T: Borrow<Tuple>>(
 }
 
 /// Partitioned parallel hash join: both sides are split into `threads`
-/// partitions by a deterministic hash of the shared-attribute key, one
+/// partitions by a deterministic hash of the shared-attribute [`Key`], one
 /// scoped worker joins each partition pair, and the outputs are
-/// concatenated. Matching tuples always hash to the same partition, so the
-/// union of the partition joins is exactly the sequential join; the
-/// canonical sort+dedup in [`Relation::from_tuples_unchecked`] then makes
-/// the result bit-identical at any thread count. Every worker charges the
-/// same shared `guard` (its counters are atomic).
+/// concatenated in partition order. Matching tuples always hash to the same
+/// partition, so the union of the partition joins is exactly the sequential
+/// join: the result is equal to it as a set at any thread count, and its
+/// emission order is fixed by the inputs and `threads`. Every worker
+/// charges the same shared `guard` (its counters are atomic).
 pub(crate) fn join_partitioned(
     left: &Relation,
     right: &Relation,
@@ -195,21 +195,21 @@ pub(crate) fn join_partitioned(
     failpoints::hit("relation::join")?;
     incr(Counter::KernelJoins, 1);
     let plan = JoinPlan::new(left, right);
-    let part_of = |t: &Tuple, is_left: bool| -> usize {
-        // DefaultHasher::new() is keyed with constants, so partitioning is
-        // deterministic — not that correctness needs it (any partitioning
-        // by key yields the same set of matches).
+    let part_of = |t: &Tuple, key: &[usize]| -> usize {
+        // DefaultHasher::new() is keyed with constants, so partitioning and
+        // emission order are deterministic — not that correctness needs it
+        // (any partitioning by key yields the same set of matches).
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        plan.key(t, is_left).hash(&mut h);
+        Key::of(t, key).hash(&mut h);
         (h.finish() % threads as u64) as usize
     };
     let mut lparts: Vec<Vec<&Tuple>> = vec![Vec::new(); threads];
     for t in left.tuples() {
-        lparts[part_of(t, true)].push(t);
+        lparts[part_of(t, &plan.left_key)].push(t);
     }
     let mut rparts: Vec<Vec<&Tuple>> = vec![Vec::new(); threads];
     for t in right.tuples() {
-        rparts[part_of(t, false)].push(t);
+        rparts[part_of(t, &plan.right_key)].push(t);
     }
     let (plan_ref, run) = (&plan, &Scope::capture());
     let results: Vec<Result<Vec<Tuple>, MjoinError>> = std::thread::scope(|scope| {
@@ -230,7 +230,7 @@ pub(crate) fn join_partitioned(
         out.extend(r?);
     }
     incr(Counter::KernelTuplesEmitted, out.len() as u64);
-    Ok(Relation::from_tuples_unchecked(plan.out_scheme, out))
+    Ok(Relation::from_join(plan.out_scheme, out))
 }
 
 #[cfg(test)]
@@ -301,6 +301,24 @@ mod tests {
         let r1 = rel("AB", vec![vec![100, 0], vec![101, 0], vec![102, 0], vec![103, 1]]);
         let r2 = rel("BC", vec![vec![0, 200], vec![0, 201], vec![0, 202], vec![1, 203]]);
         assert_eq!(r1.natural_join(&r2).tau(), 10);
+    }
+
+    #[test]
+    fn output_follows_the_probe_side_then_the_build_side() {
+        // R is the build side (smaller), S the probe side.
+        let r = rel("AB", vec![vec![1, 10], vec![2, 10], vec![3, 20]]);
+        let s = rel(
+            "BC",
+            vec![vec![10, 100], vec![10, 101], vec![20, 102], vec![30, 103]],
+        );
+        let rows: Vec<Vec<i64>> = r
+            .natural_join(&s)
+            .tuples()
+            .iter()
+            .map(|t| t.values().iter().map(|v| v.as_int().unwrap()).collect())
+            .collect();
+        let expected = [[1, 10, 100], [2, 10, 100], [1, 10, 101], [2, 10, 101], [3, 20, 102]];
+        assert_eq!(rows, expected);
     }
 
     #[test]

@@ -13,14 +13,18 @@
 //!   fixed-width bitset supporting up to [`MAX_ATTRS`] attributes. All
 //!   scheme-level reasoning (linked / disjoint / connected, Section 2 of the
 //!   paper) reduces to word-parallel bit operations.
-//! * **Relation states are sets.** A [`Relation`] stores its tuples sorted
-//!   and deduplicated, so equality, hashing and iteration order are
-//!   deterministic — important both for reproducible experiments and for the
-//!   paper's cost measure τ (the *number of tuples*, [`Relation::tau`]).
+//! * **Relation states are sets.** A [`Relation`] holds no tuple twice —
+//!   what the paper's cost measure τ counts (the *number of tuples*,
+//!   [`Relation::tau`]). One built from rows keeps its tuples sorted; a
+//!   join's output keeps the order the join emitted it in. Equality is set
+//!   equality, hashing agrees with it, the rendered text is sorted, and
+//!   every order is deterministic — important for reproducible
+//!   experiments.
 //! * **Joins** are hash joins ([`Relation::natural_join`], guarded and
-//!   partitioned variants alongside). The sort-merge and nested-loop joins
-//!   that check them, and that the benches in `mjoin-bench` time against
-//!   them, live in `mjoin-reference`.
+//!   partitioned variants alongside); their output is neither sorted nor
+//!   deduplicated, since the join of two sets is a set. The sort-merge and
+//!   nested-loop joins that check them, and that the benches in
+//!   `mjoin-bench` time against them, live in `mjoin-reference`.
 //!
 //! # Quickstart
 //!

@@ -4,9 +4,11 @@
 //! (Bernstein–Chiu reduction, Section 5), consistency, and the set
 //! operations that Section 5 re-interprets ⋈ over.
 
+use std::collections::HashSet;
+
 use crate::attr::AttrSet;
 use crate::error::RelationError;
-use crate::relation::{Relation, Tuple};
+use crate::relation::{Key, Relation, Tuple};
 use crate::value::Value;
 
 impl Relation {
@@ -18,10 +20,7 @@ impl Relation {
         if !target.is_subset_of(self.scheme()) {
             return Err(RelationError::NotASubscheme);
         }
-        let cols: Vec<usize> = target
-            .iter()
-            .map(|a| self.column_of(a).expect("subset attr present"))
-            .collect();
+        let cols = self.columns(target);
         let tuples: Vec<Tuple> = self
             .tuples()
             .iter()
@@ -32,7 +31,8 @@ impl Relation {
         Ok(Relation::from_tuples_unchecked(target, tuples))
     }
 
-    /// Selection: keeps the tuples satisfying `predicate`.
+    /// Selection: keeps the tuples satisfying `predicate`, in this
+    /// relation's order.
     ///
     /// The predicate sees values in canonical (ascending-attribute) order.
     pub fn select<F: FnMut(&Tuple) -> bool>(&self, mut predicate: F) -> Relation {
@@ -42,36 +42,32 @@ impl Relation {
             .filter(|t| predicate(t))
             .cloned()
             .collect();
-        Relation::from_tuples_unchecked(self.scheme(), tuples)
+        self.subset(tuples)
     }
 
     /// Semijoin `R ⋉ S`: the tuples of `R` that join with at least one tuple
     /// of `S`. When the schemes are disjoint this keeps all of `R` iff `S`
     /// is nonempty.
     pub fn semijoin(&self, other: &Relation) -> Relation {
-        let shared = self.scheme().intersect(other.scheme());
-        if shared.is_empty() {
-            return if other.is_empty() {
-                Relation::empty(self.scheme())
-            } else {
-                self.clone()
-            };
-        }
-        let other_proj = other.project(shared).expect("shared ⊆ other");
-        let cols: Vec<usize> = shared
-            .iter()
-            .map(|a| self.column_of(a).expect("shared ⊆ self"))
-            .collect();
-        self.select(|t| {
-            let key = Tuple::new(cols.iter().map(|&c| t.values()[c].clone()).collect());
-            other_proj.contains(&key)
-        })
+        self.semi(other, true)
     }
 
     /// Antijoin `R ▷ S`: the tuples of `R` that join with *no* tuple of `S`.
     pub fn antijoin(&self, other: &Relation) -> Relation {
-        let keep = self.semijoin(other);
-        self.select(|t| !keep.contains(t))
+        self.semi(other, false)
+    }
+
+    /// The tuples of `self` whose shared-attribute [`Key`] some tuple of
+    /// `other` has (`matching`) or none has (`!matching`).
+    fn semi(&self, other: &Relation, matching: bool) -> Relation {
+        let shared = self.scheme().intersect(other.scheme());
+        let (cols, other_cols) = (self.columns(shared), other.columns(shared));
+        let keys: HashSet<Key> = other
+            .tuples()
+            .iter()
+            .map(|t| Key::of(t, &other_cols))
+            .collect();
+        self.select(|t| keys.contains(&Key::of(t, &cols)) == matching)
     }
 
     /// Set union (schemes must match).
@@ -93,7 +89,8 @@ impl Relation {
             other.scheme(),
             "intersection requires equal schemes"
         );
-        self.select(|t| other.contains(t))
+        let other = other.sorted_refs();
+        self.select(|t| other.binary_search(&t).is_ok())
     }
 
     /// Set difference `R − S` (schemes must match; see [`Relation::union`]).
@@ -103,7 +100,8 @@ impl Relation {
             other.scheme(),
             "difference requires equal schemes"
         );
-        self.select(|t| !other.contains(t))
+        let other = other.sorted_refs();
+        self.select(|t| other.binary_search(&t).is_err())
     }
 
     /// Are `self` and `other` *consistent* in the sense of Beeri et al.:

@@ -1,6 +1,7 @@
-//! Relation states: canonical sets of tuples over a scheme.
+//! Relation states: sets of tuples over a scheme.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::attr::{AttrSet, Attribute, Catalog};
 use crate::error::RelationError;
@@ -44,21 +45,66 @@ impl From<Vec<Value>> for Tuple {
     }
 }
 
+/// A row's join key — its values in the columns `cols` — borrowed from the
+/// row, never copied out. Two keys are equal when their values are,
+/// column by column, whichever relations the rows come from.
+#[derive(Clone, Copy)]
+pub(crate) struct Key<'a> {
+    row: &'a [Value],
+    cols: &'a [usize],
+}
+
+impl<'a> Key<'a> {
+    pub(crate) fn of(t: &'a Tuple, cols: &'a [usize]) -> Self {
+        Key {
+            row: t.values(),
+            cols,
+        }
+    }
+
+    fn values(self) -> impl Iterator<Item = &'a Value> {
+        self.cols.iter().map(move |&c| &self.row[c])
+    }
+}
+
+impl PartialEq for Key<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.values().eq(other.values())
+    }
+}
+
+impl Eq for Key<'_> {}
+
+impl Hash for Key<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.values().for_each(|v| v.hash(state));
+    }
+}
+
 /// A relation state: a finite set of tuples over a scheme.
 ///
 /// Invariants (enforced by every constructor):
 /// * every tuple has arity `scheme.len()`, values in canonical order;
-/// * tuples are sorted and deduplicated, so `==`, hashing and iteration are
-///   deterministic.
+/// * no tuple appears twice.
+///
+/// A relation built from rows ([`Relation::from_rows`] and the other
+/// constructors, [`Relation::project`], [`Relation::union`]) keeps its
+/// tuples sorted: it is *canonical*. A join's output keeps the order the
+/// join emitted it in, which is deterministic for given inputs and thread
+/// count; [`Relation::select`] and the set operations built on it keep
+/// their input's order. `==` is set equality, the hash agrees with it, and
+/// [`Relation::to_text`] writes rows sorted, whatever the order held.
 ///
 /// The paper's cost measure is `τ(R)` — the number of tuples — exposed as
 /// [`Relation::tau`].
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone)]
 pub struct Relation {
     scheme: AttrSet,
     /// Ascending attribute list; `attrs[k]` is the attribute of column `k`.
     attrs: Box<[Attribute]>,
     tuples: Vec<Tuple>,
+    /// Are `tuples` sorted?
+    canonical: bool,
 }
 
 impl Relation {
@@ -68,6 +114,7 @@ impl Relation {
             scheme,
             attrs: scheme.iter().collect(),
             tuples: Vec::new(),
+            canonical: true,
         }
     }
 
@@ -119,6 +166,7 @@ impl Relation {
     }
 
     /// Internal constructor: tuples must already have the right arity.
+    /// They are sorted and deduplicated.
     pub(crate) fn from_tuples_unchecked(scheme: AttrSet, mut tuples: Vec<Tuple>) -> Self {
         tuples.sort_unstable();
         tuples.dedup();
@@ -126,7 +174,40 @@ impl Relation {
             scheme,
             attrs: scheme.iter().collect(),
             tuples,
+            canonical: true,
         }
+    }
+
+    /// A join's output: duplicate-free tuples of the right arity, kept in
+    /// the order the join emitted them.
+    pub(crate) fn from_join(scheme: AttrSet, tuples: Vec<Tuple>) -> Self {
+        Relation {
+            scheme,
+            attrs: scheme.iter().collect(),
+            tuples,
+            canonical: false,
+        }
+    }
+
+    /// A relation over this one's scheme holding `tuples`, which are some of
+    /// this relation's in its order — so canonical if this one is.
+    pub(crate) fn subset(&self, tuples: Vec<Tuple>) -> Self {
+        Relation {
+            scheme: self.scheme,
+            attrs: self.attrs.clone(),
+            tuples,
+            canonical: self.canonical,
+        }
+    }
+
+    /// References to the tuples in canonical order, sorted here unless the
+    /// relation is canonical.
+    pub(crate) fn sorted_refs(&self) -> Vec<&Tuple> {
+        let mut refs: Vec<&Tuple> = self.tuples.iter().collect();
+        if !self.canonical {
+            refs.sort_unstable();
+        }
+        refs
     }
 
     /// The relation's scheme.
@@ -153,7 +234,9 @@ impl Relation {
         self.tuples.is_empty()
     }
 
-    /// The tuples, sorted canonically.
+    /// The tuples: sorted for a relation built from rows, in emission order
+    /// for a join's output (see [`Relation`]). Either order is
+    /// deterministic for given inputs and thread count.
     #[inline]
     pub fn tuples(&self) -> &[Tuple] {
         &self.tuples
@@ -166,9 +249,25 @@ impl Relation {
         self.attrs.binary_search(&attr).ok()
     }
 
-    /// Does the relation contain `tuple`?
+    /// Column indices of `attrs`, ascending by attribute.
+    ///
+    /// # Panics
+    /// If an attribute of `attrs` is not in the scheme.
+    pub(crate) fn columns(&self, attrs: AttrSet) -> Vec<usize> {
+        attrs
+            .iter()
+            .map(|a| self.column_of(a).expect("attribute in the scheme"))
+            .collect()
+    }
+
+    /// Does the relation contain `tuple`? A binary search when the relation
+    /// is canonical, a scan otherwise.
     pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.tuples.binary_search(tuple).is_ok()
+        if self.canonical {
+            self.tuples.binary_search(tuple).is_ok()
+        } else {
+            self.tuples.contains(tuple)
+        }
     }
 
     /// Natural join (a hash join).
@@ -192,9 +291,10 @@ impl Relation {
     }
 
     /// Partitioned parallel hash join across `threads` scoped workers, all
-    /// charging `guard`. Bit-identical to the sequential hash join at any
-    /// thread count (the output relation is canonical); `threads <= 1`
-    /// runs the sequential kernel directly.
+    /// charging `guard`. Equal as a set to the sequential hash join at any
+    /// thread count, with the same text; only the emission order of
+    /// [`Relation::tuples`] depends on `threads`. `threads <= 1` runs the
+    /// sequential kernel directly.
     pub fn natural_join_partitioned(
         &self,
         other: &Relation,
@@ -202,6 +302,36 @@ impl Relation {
         guard: &mjoin_guard::Guard,
     ) -> Result<Relation, mjoin_guard::MjoinError> {
         crate::join::join_partitioned(self, other, threads, guard)
+    }
+}
+
+/// Set equality: both sides are read in canonical order.
+impl PartialEq for Relation {
+    fn eq(&self, other: &Self) -> bool {
+        if self.scheme != other.scheme || self.tuples.len() != other.tuples.len() {
+            return false;
+        }
+        if self.canonical && other.canonical {
+            self.tuples == other.tuples
+        } else {
+            self.sorted_refs() == other.sorted_refs()
+        }
+    }
+}
+
+impl Eq for Relation {}
+
+/// Hashes the scheme and the tuples in canonical order, so equal relations
+/// hash equal whatever order they hold.
+impl Hash for Relation {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.scheme.hash(state);
+        self.attrs.hash(state);
+        if self.canonical {
+            self.tuples.hash(state);
+        } else {
+            self.sorted_refs().hash(state);
+        }
     }
 }
 
@@ -232,14 +362,30 @@ impl Relation {
     /// stack buffer to `out`, with no `String` per cell, row or relation.
     /// Every row ends at its last non-whitespace character: trailing
     /// padding, empty last cells and whitespace a string value ends in are
-    /// dropped. The plan-cache key hashes this text, so its bytes are a
-    /// contract.
+    /// dropped. Rows are written in canonical order, whatever order the
+    /// relation holds. The plan-cache key hashes this text, so its bytes are
+    /// a contract.
     pub fn write_text(&self, catalog: &Catalog, out: &mut impl fmt::Write) -> fmt::Result {
+        if self.canonical {
+            self.write_rows(catalog, &self.tuples, out)
+        } else {
+            self.write_rows(catalog, &self.sorted_refs(), out)
+        }
+    }
+
+    /// [`Relation::write_text`] over `rows`, this relation's tuples in
+    /// canonical order.
+    fn write_rows<T: std::borrow::Borrow<Tuple>>(
+        &self,
+        catalog: &Catalog,
+        rows: &[T],
+        out: &mut impl fmt::Write,
+    ) -> fmt::Result {
         let header = |k: usize| Cell::Str(catalog.name(self.attrs[k]).unwrap_or("?"));
         let mut widths: Vec<usize> = (0..self.attrs.len()).map(|k| header(k).width()).collect();
         let mut ints = vec![(i64::MAX, i64::MIN); widths.len()];
-        for t in &self.tuples {
-            for ((w, (lo, hi)), v) in widths.iter_mut().zip(&mut ints).zip(t.values()) {
+        for t in rows {
+            for ((w, (lo, hi)), v) in widths.iter_mut().zip(&mut ints).zip(t.borrow().values()) {
                 match v {
                     Value::Int(i) => (*lo, *hi) = ((*lo).min(*i), (*hi).max(*i)),
                     Value::Str(s) => *w = (*w).max(s.chars().count()),
@@ -253,7 +399,8 @@ impl Relation {
         }
         let mut out = Chunked::new(out);
         write_row(&mut out, &widths, header)?;
-        for t in &self.tuples {
+        for t in rows {
+            let t = t.borrow();
             out.str("\n")?;
             write_row(&mut out, &widths, |k| Cell::of(&t.values()[k]))?;
         }
