@@ -765,16 +765,12 @@ impl Request {
 
 /// Answers `req` through `--store`. A store entry under the request's
 /// key replays the cold run's response byte for byte, skipping planning
-/// entirely; otherwise the request is answered and its cold result saved
-/// back. Budgeted (ladder) runs are not persisted: their responses carry
-/// rung context that a replay could not reproduce faithfully under a
-/// changed budget clock. Without `--store`, or for an unkeyed request, it
-/// is just [`Request::respond`].
-///
-/// The saved entry of a product-free `optimize` also carries the DP memo
-/// and cached cardinalities — the flat DPccp table is that space's native
-/// form — harvested by a separate save-path pass so the user-visible
-/// planning paths stay untouched.
+/// entirely; otherwise the request is answered and saved back as a
+/// response-only entry (key, plan cost, response text), the shape the
+/// serve drain snapshot writes too. Budgeted (ladder) runs are not
+/// persisted: their responses carry rung context that a replay could not
+/// reproduce faithfully under a changed budget clock. Without `--store`,
+/// or for an unkeyed request, it is just [`Request::respond`].
 fn plan_through_store(gopts: &GuardOptions, req: &Request) -> Result<Response, CliError> {
     let fail = |e: MjoinError| CliError(e.to_string());
     let store = gopts
@@ -794,29 +790,8 @@ fn plan_through_store(gopts: &GuardOptions, req: &Request) -> Result<Response, C
     }
     let resp = req.respond(gopts, BrownoutLevel::Normal).map_err(fail)?;
     if let (Some((path, fp)), None) = (store, &resp.robust) {
-        let db = match &req.op {
-            Op::Query { lowered, .. } => &lowered.database,
-            _ => &req.input.database,
-        };
-        let harvest_memo = matches!(req.op, Op::Optimize) && req.space == SearchSpace::NoCartesian;
-        let full = db.scheme().full_set();
-        let oracle = ExactOracle::new(db);
-        let harvest = harvest_memo.then(|| {
-            mjoin::try_best_no_cartesian_ccp_with_memo(&oracle, full, &Guard::unlimited())
-        });
-        let (memo, taus) = match harvest {
-            Some(Ok(Some((_, memo)))) => (Some(memo), oracle.memo_taus()),
-            _ => (None, Vec::new()),
-        };
-        let entry = mjoin::entry_from_optimize(
-            fp,
-            full,
-            resp.plan.as_ref().map(|p| (&p.strategy, p.cost)),
-            memo.as_ref(),
-            &taus,
-            &resp.text,
-        )
-        .map_err(fail)?;
+        let cost = resp.plan.as_ref().map_or(u64::MAX, |p| p.cost);
+        let entry = mjoin::StoreEntry::response_only(fp, cost, resp.text.clone());
         mjoin::save_optimize_entry(path, entry).map_err(fail)?;
     }
     Ok(resp)
@@ -844,7 +819,7 @@ where
                  reduce     DB             semijoin-reduce the database (full reducer / fixpoint)\n\
                  show       DB             print every relation state and the join result\n\
                  serve      [FLAGS]        TCP daemon: newline-delimited JSON optimize/execute requests\n\
-                 store inspect PATH        dump a persistent store's header and per-entry sections\n\
+                 store inspect PATH        dump a persistent store's header and entries\n\
                  failpoints                list every registered fault-injection site\n\
                  \n\
                  serve mode (serve):\n\

@@ -74,30 +74,35 @@ fn step_script(ci: &str, step: &str) -> String {
         .join("\n")
 }
 
-/// CI's `fault-injection-smoke` step, run as CI runs it (`bash -eo
-/// pipefail`) against the binary this test suite built: every failpoint
-/// the CLI can reach exits 1 naming its site, the budgeted run names its
-/// rung, and the chain-40 probes exit 0. The step runs in a scratch
-/// directory that links the repository's `examples/` and `tests/`, so its
-/// `err.txt` lands there.
+/// Runs the ci.yml step named `step` as CI runs it (`bash -eo pipefail`)
+/// against the `mjoin-cli` this test suite built, and returns the script
+/// as run and its stdout. The step's `BIN=target/release/mjoin-cli` line
+/// is pointed at that binary and its `cargo build` lines are dropped. It
+/// runs in the scratch directory `scratch` under `CARGO_TARGET_TMPDIR`,
+/// which links the repository's `examples/` and `tests/`, so the files it
+/// writes land there. The step must exit 0 and print no `FAIL` line.
 #[cfg(unix)]
-#[test]
-fn fault_injection_smoke_step_passes_against_the_built_binary() {
+fn run_step_against_the_built_binary(step: &str, scratch: &str) -> (String, String) {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let ci = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("read ci.yml");
-    let script = step_script(&ci, "Fault-injection smoke test");
+    let script = step_script(&ci, step);
     let bin_line = "BIN=target/release/mjoin-cli";
     assert_eq!(
         script.matches(bin_line).count(),
         1,
-        "the step no longer sets {bin_line}"
+        "step {step:?} no longer sets {bin_line}"
     );
-    let script = script.replace(
-        bin_line,
-        &format!("BIN='{}'", env!("CARGO_BIN_EXE_mjoin-cli")),
-    );
+    let script = script
+        .lines()
+        .filter(|line| !line.trim_start().starts_with("cargo build"))
+        .collect::<Vec<_>>()
+        .join("\n")
+        .replace(
+            bin_line,
+            &format!("BIN='{}'", env!("CARGO_BIN_EXE_mjoin-cli")),
+        );
 
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("fault-injection-smoke");
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(scratch);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     for linked in ["examples", "tests"] {
@@ -111,21 +116,32 @@ fn fault_injection_smoke_step_passes_against_the_built_binary() {
         .env_remove("MJOIN_FAIL_INJECT")
         .output()
         .expect("run bash");
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     let report = format!("{stdout}\n{}", String::from_utf8_lossy(&out.stderr));
     assert!(
         out.status.success(),
-        "the step failed ({}):\n{report}",
+        "step {step:?} failed ({}):\n{report}",
         out.status
     );
     assert!(!stdout.lines().any(|l| l.starts_with("FAIL")), "{report}");
+    let _ = std::fs::remove_dir_all(&dir);
+    (script, stdout)
+}
 
+/// CI's `fault-injection-smoke` step against the built binary: every
+/// failpoint the CLI can reach exits 1 naming its site, the budgeted run
+/// names its rung, and the chain-40 probes exit 0.
+#[cfg(unix)]
+#[test]
+fn fault_injection_smoke_step_passes_against_the_built_binary() {
+    let (script, stdout) =
+        run_step_against_the_built_binary("Fault-injection smoke test", "fault-injection-smoke");
     let checks = script
         .lines()
         .filter(|l| l.trim_start().starts_with("check "))
         .count();
     let oks: Vec<&str> = stdout.lines().filter(|l| l.starts_with("ok ")).collect();
-    assert_eq!(oks.len(), checks + 3, "one `ok` line per probe:\n{report}");
+    assert_eq!(oks.len(), checks + 3, "one `ok` line per probe:\n{stdout}");
     for site in mjoin::failpoints::SITES
         .iter()
         .filter(|s| !s.starts_with("serve::"))
@@ -133,7 +149,7 @@ fn fault_injection_smoke_step_passes_against_the_built_binary() {
         let ok = format!("ok   {site} (");
         assert!(
             oks.iter().any(|l| l.starts_with(&ok)),
-            "no probe of {site}:\n{report}"
+            "no probe of {site}:\n{stdout}"
         );
     }
     for probe in [
@@ -141,9 +157,34 @@ fn fault_injection_smoke_step_passes_against_the_built_binary() {
         "ok   optimize chain40 nocp at one thread",
         "ok   analyze chain40 exits 0",
     ] {
-        assert!(oks.contains(&probe), "missing {probe:?}:\n{report}");
+        assert!(oks.contains(&probe), "missing {probe:?}:\n{stdout}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `store` job's warm-start step against the built binary: the warm
+/// replay is byte-identical with the DP failpoint armed, a corrupt store
+/// is a typed error, both store failpoints exit 1, and a 70-relation
+/// chain saves and replays. Besides `bash`, `timeout` and `grep`, the
+/// step needs `cmp` and `python3` on `PATH`.
+#[cfg(unix)]
+#[test]
+fn store_smoke_step_passes_against_the_built_binary() {
+    let (_, stdout) = run_step_against_the_built_binary(
+        "Warm-start bit-identity + store failpoint smoke",
+        "store-smoke",
+    );
+    let oks: Vec<&str> = stdout.lines().filter(|l| l.starts_with("ok ")).collect();
+    for probe in [
+        "ok   warm replay is byte-identical and skips the DP",
+        "ok   store inspect",
+        "ok   70-relation chain saves and replays",
+        "ok   corrupt store is a typed error",
+        "ok   store::load",
+        "ok   store::save",
+    ] {
+        assert!(oks.contains(&probe), "missing {probe:?}:\n{stdout}");
+    }
+    assert_eq!(oks.len(), 6, "one `ok` line per probe:\n{stdout}");
 }
 
 /// Whether a Cargo manifest links `mjoin-reference`: names it in a

@@ -1,6 +1,7 @@
 //! End-to-end coverage for `--store`: a cold `optimize` run persists its
-//! result, a warm run replays it byte for byte *without optimizing* (proved
-//! by arming the DP failpoint, which a warm run must never reach), `store
+//! response (at any scheme width) and reports only the work that answered
+//! it, a warm run replays it byte for byte *without optimizing* (proved by
+//! arming the DP failpoint, which a warm run must never reach), `store
 //! inspect` dumps the file, corruption surfaces as a typed error, and the
 //! store is shared with `serve` in both directions — a CLI-written store
 //! warms the daemon's plan cache at boot, and a drained daemon's snapshot
@@ -27,8 +28,20 @@ fn serialize() -> MutexGuard<'static, ()> {
 const DB: &str = "relation AB\n1 10\n2 20\n3 30\n\nrelation BC\n10 5\n20 6\n10 7\n";
 
 fn cli(args: &[&str]) -> Result<String, String> {
+    cli_on(DB, args)
+}
+
+/// Runs the CLI with every database path reading `db`.
+fn cli_on(db: &str, args: &[&str]) -> Result<String, String> {
     let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-    run(&args, |_| Ok(DB.to_string())).map_err(|e| e.to_string())
+    run(&args, |_| Ok(db.to_string())).map_err(|e| e.to_string())
+}
+
+/// A chain of `n` relations `x_i,x_{i+1}` with two tuples each.
+fn chain_db(n: usize) -> String {
+    (0..n)
+        .map(|i| format!("relation x{i},x{}\n1 1\n{} 2\n", i + 1, i % 3))
+        .collect()
 }
 
 /// A per-test store path under the system temp dir, removed on drop.
@@ -103,8 +116,70 @@ fn store_inspect_dumps_the_saved_entry() {
     .expect("inspect succeeds");
     assert!(out.contains("version 1"), "{out}");
     assert!(out.contains("1 entry"), "{out}");
-    assert!(out.contains("memo:"), "nocp cold runs persist the DP memo: {out}");
+    assert!(out.contains("plan cost"), "{out}");
+    assert!(
+        out.contains("response only"),
+        "a cold run saves the response alone: {out}"
+    );
+    assert!(!out.contains("memo:"), "a cold run saves no DP memo: {out}");
     assert!(out.contains("response:"), "{out}");
+}
+
+/// Entries are response-only, so a chain wider than the 64 bits of an
+/// entry's `within` field saves and replays like any other request.
+#[test]
+fn schemes_wider_than_64_relations_save_and_replay() {
+    let _serial = serialize();
+    let db = chain_db(70);
+    for space in ["nocp", "linear-nocp"] {
+        let store = TempStore::new(&format!("wide-{space}"));
+        let base = ["optimize", "db", space, "--threads", "1"];
+        let plain = cli_on(&db, &base).expect("plain run succeeds");
+        let with_store = [&base[..], &["--store", store.as_str()]].concat();
+        let cold = cli_on(&db, &with_store).expect("cold --store run succeeds");
+        assert_eq!(cold, plain, "{space}: saving must not change the output");
+        let warm_args = [&with_store[..], &["--fail-inject", "optimizer::dp"]].concat();
+        let warm = cli_on(&db, &warm_args).expect("warm run replays without optimizing");
+        assert_eq!(warm, cold, "{space}: warm replay must be byte-identical");
+    }
+}
+
+/// The `dp.*` and oracle counters of `--metrics-json` describe the work
+/// that answered the request: saving it to the store plans nothing more.
+#[test]
+fn a_cold_store_run_reports_only_the_work_that_answered() {
+    let _serial = serialize();
+    let db = chain_db(8);
+    let store = TempStore::new("metrics");
+    let report = TempStore::new("metrics-json");
+    let counters = |extra: &[&str]| {
+        let base = ["optimize", "db", "nocp", "--threads", "1"];
+        let json_out = ["--metrics-json", report.as_str()];
+        cli_on(&db, &[&base[..], &json_out, extra].concat()).expect("run succeeds");
+        let text = std::fs::read_to_string(&report.0).expect("read the run report");
+        let doc = json::parse(&text).expect("the run report is JSON");
+        let Some(Json::Obj(counters)) = doc.get("counters") else {
+            panic!("no counters in {text}");
+        };
+        counters
+            .iter()
+            .filter(|(name, _)| {
+                name.starts_with("dp.")
+                    || name == "oracle.subsets_counted"
+                    || name == "oracle.memo_hits"
+            })
+            .map(|(name, value)| (name.clone(), value.as_u64().expect("a counter is a u64")))
+            .collect::<Vec<_>>()
+    };
+    let plain = counters(&[]);
+    let cold = counters(&["--store", store.as_str()]);
+    assert!(store.0.exists(), "the cold run saved its answer");
+    assert!(plain.len() > 2, "{plain:?}");
+    let pairs = plain
+        .iter()
+        .find(|(name, _)| name == "dp.ccp_pairs_emitted");
+    assert!(pairs.is_some_and(|(_, n)| *n > 0), "{plain:?}");
+    assert_eq!(cold, plain);
 }
 
 /// Flipping any byte of a saved store makes both the warm path and

@@ -542,13 +542,11 @@ impl<'a> ExactOracle<'a> {
         len
     }
 
-    /// Harvests the cached cardinalities: `(subset bits, τ)` for every
-    /// memoized subset, counted or built, in ascending subset order (the
-    /// memo iterates in hash order, so the harvest sorts for determinism).
-    /// The persistent store saves these so a warm process prices the same
-    /// subsets without recomputing one. The store's flat format is 64-bit,
-    /// so subsets with members ≥ 64 (only possible on schemes too large to
-    /// persist at all) are skipped.
+    /// The cached cardinalities: `(subset bits, τ)` for every memoized
+    /// subset, counted or built, in ascending subset order (the memo
+    /// iterates in hash order, so this sorts for determinism). The cost
+    /// property tests compare two oracles' memos through it. Subsets with
+    /// members ≥ 64 do not fit the `u64` bits and are skipped.
     pub fn memo_taus(&self) -> Vec<(u64, u64)> {
         let mut out: Vec<(u64, u64)> = Vec::new();
         self.memo.for_each(|subset, entry| {
@@ -960,7 +958,7 @@ mod tests {
         assert_eq!(
             o.memo_taus().len(),
             o.memo_len(),
-            "the harvest sees every entry"
+            "memo_taus sees every entry"
         );
     }
 

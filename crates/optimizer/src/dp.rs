@@ -588,129 +588,6 @@ impl<O: CardinalityOracle> CcpRun<'_, O> {
     }
 }
 
-/// A DPccp memo exported for persistence: the connected subsets in rank
-/// order with their solved costs and winning `(csg_rank, cmp_rank)`
-/// splits. Everything else the DP knows (levels, adjacency) is derivable
-/// from the subsets, so this is the minimal durable form.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DpMemoExport {
-    /// Connected-subset bits in rank order.
-    pub subsets: Vec<u64>,
-    /// `costs[r]` = solved cost of rank `r`, `u64::MAX` unsolved.
-    pub costs: Vec<u64>,
-    /// `splits[r]` = winning split of rank `r`, `None` for leaves.
-    pub splits: Vec<Option<(u32, u32)>>,
-}
-
-/// [`try_best_no_cartesian`], additionally returning the solved memo for
-/// persistence. Plans are identical to the plain entry point's; only the
-/// save path pays for the export.
-pub fn try_best_no_cartesian_ccp_with_memo<O: CardinalityOracle>(
-    oracle: &O,
-    subset: RelSet,
-    guard: &Guard,
-) -> Result<Option<(Plan, DpMemoExport)>, MjoinError> {
-    failpoints::hit("optimizer::dp")?;
-    if !oracle.scheme().connected(subset) {
-        return Ok(None);
-    }
-    let mut scratch = DpScratch::new();
-    let cost = nocp_dpccp_core(oracle, subset, guard, &mut scratch)?;
-    let plan = Plan {
-        strategy: try_rebuild(subset, &scratch.priced)?,
-        cost,
-    };
-    // The export's flat subset representation is 64-bit (the persistent
-    // store's format); a subset over relations ≥ 64 cannot be persisted.
-    // Such schemes are far beyond full-DP reach anyway, so this is a typed
-    // error rather than a silent truncation.
-    if subset.to_u64().is_none() {
-        return Err(MjoinError::Internal(
-            "memo export requires all relations below index 64".into(),
-        ));
-    }
-    // Ranks are positions in bit order, as in [`SchemeIndex`]; every
-    // connected subset was priced, so the export covers them all.
-    let mut subsets: Vec<RelSet> = scratch.priced.keys().copied().collect();
-    subsets.sort_unstable();
-    let rank: FastMap<RelSet, u32> =
-        subsets.iter().enumerate().map(|(r, &s)| (s, r as u32)).collect();
-    let entry = |s: &RelSet| scratch.priced[s];
-    let export = DpMemoExport {
-        subsets: subsets
-            .iter()
-            .map(|s| s.to_u64().expect("subset of a u64-fitting set fits"))
-            .collect(),
-        costs: subsets.iter().map(|s| entry(s).0).collect(),
-        splits: subsets
-            .iter()
-            .map(|s| entry(s).1.map(|(a, b)| (rank[&a], rank[&b])))
-            .collect(),
-    };
-    Ok(Some((plan, export)))
-}
-
-/// Rebuilds the winning plan for `within` from an exported memo, without
-/// an oracle — the warm-start path. Returns `Ok(None)` when the memo does
-/// not cover (or did not solve) `within`; a structurally inconsistent memo
-/// (out-of-range or cyclic splits, non-singleton leaf) is a typed error.
-pub fn plan_from_memo(memo: &DpMemoExport, within: RelSet) -> Result<Option<Plan>, MjoinError> {
-    let n = memo.subsets.len();
-    if memo.costs.len() != n || memo.splits.len() != n {
-        return Err(MjoinError::Internal(
-            "memo export tables are not parallel".into(),
-        ));
-    }
-    // Exported subsets are 64-bit; a target with members ≥ 64 can never be
-    // covered by a memo, so it simply misses.
-    let Some(within64) = within.to_u64() else {
-        return Ok(None);
-    };
-    let Some(root) = memo.subsets.iter().position(|&s| s == within64) else {
-        return Ok(None);
-    };
-    if memo.costs[root] == u64::MAX && memo.splits[root].is_none() {
-        return Ok(None);
-    }
-    Ok(Some(Plan {
-        strategy: rebuild_from_export(root, memo, 0)?,
-        cost: memo.costs[root],
-    }))
-}
-
-fn rebuild_from_export(r: usize, memo: &DpMemoExport, depth: usize) -> Result<Strategy, MjoinError> {
-    // A well-formed memo's splits point strictly downward in subset size,
-    // bounding the tree depth by MAX_RELATIONS; the cap turns a cyclic
-    // (corrupt) memo into a typed error instead of a stack overflow.
-    if depth > mjoin_hypergraph::MAX_RELATIONS {
-        return Err(MjoinError::Internal("memo export splits are cyclic".into()));
-    }
-    let set = RelSet(u128::from(memo.subsets[r]));
-    match memo.splits[r] {
-        None => {
-            if !set.is_singleton() {
-                return Err(MjoinError::Internal(format!(
-                    "memo export leaf {set:?} is not a singleton"
-                )));
-            }
-            Ok(Strategy::leaf(set.first().expect("singleton is nonempty")))
-        }
-        Some((a, b)) => {
-            let (a, b) = (a as usize, b as usize);
-            if a >= memo.subsets.len() || b >= memo.subsets.len() {
-                return Err(MjoinError::Internal(
-                    "memo export split rank out of range".into(),
-                ));
-            }
-            Strategy::join(
-                rebuild_from_export(a, memo, depth + 1)?,
-                rebuild_from_export(b, memo, depth + 1)?,
-            )
-            .map_err(|e| MjoinError::Internal(format!("memo export splits overlap: {e}")))
-        }
-    }
-}
-
 /// Cheapest strategy *avoiding* Cartesian products: each component solved
 /// product-free, then the components multiplied in the cheapest order.
 /// `None` iff some component admits no product-free strategy (cannot

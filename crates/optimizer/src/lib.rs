@@ -49,14 +49,12 @@ mod plan;
 
 pub use bottleneck::{best_bottleneck, bottleneck_of};
 pub use complexity::{enumeration_stats, EnumerationStats};
-pub use dp::{plan_from_memo, DpMemoExport};
 pub use explain::{Explanation, ExplainStep};
 pub use monotone::{best_monotone, exists_monotone, Monotonicity};
 pub use dp::{
     best_avoid_cartesian, best_bushy, best_linear, best_no_cartesian,
     try_best_avoid_cartesian, try_best_avoid_cartesian_parallel, try_best_bushy,
-    try_best_linear, try_best_no_cartesian, try_best_no_cartesian_ccp_with_memo,
-    try_best_no_cartesian_parallel,
+    try_best_linear, try_best_no_cartesian, try_best_no_cartesian_parallel,
 };
 pub use greedy::{greedy_bushy, greedy_linear, try_greedy_bushy, try_greedy_linear};
 pub use ikkbz::{ikkbz, try_ikkbz};

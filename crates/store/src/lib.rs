@@ -1,13 +1,18 @@
-//! Durable zero-copy optimizer state.
+//! Durable zero-copy optimizer answers.
 //!
-//! Tay's analysis assumes the optimizer *knows* the cardinality function
-//! τ; in this system that knowledge — `SchemeIndex` subsets, flat DP memo
-//! tables, cached cardinalities, winning `Strategy` plans — is the most
-//! expensive artifact any process computes, and before this crate it died
-//! with the process. A store file makes it durable: a versioned,
-//! endianness-tagged, checksummed flat binary written in a single pass and
-//! loaded read-only by `mmap` (buffered read fallback), so a warm process
-//! starts from the cold process's answers.
+//! A store file keeps the answers of cold `optimize` runs past the end of
+//! their process: a versioned, endianness-tagged, checksummed flat binary
+//! written in a single pass and loaded read-only by `mmap` (buffered read
+//! fallback), so a warm process starts from the cold process's answers.
+//! Both writers, the CLI's `--store` and the serve drain snapshot, save
+//! [`StoreEntry::response_only`] entries: the fingerprint, the plan cost
+//! and the response text that a warm run replays byte for byte.
+//!
+//! The entry format also has memo sections (`subsets`, `costs`, `splits`,
+//! `cards`, `steps`). They are still read and validated, since older
+//! stores carry them, but nothing writes them any more: with τ counted
+//! per connected subset, re-planning is cheaper than keeping a DP memo
+//! across processes, and no served path ever read one.
 //!
 //! ## Format (version 1, all integers little-endian)
 //!
@@ -29,7 +34,7 @@
 //! ```text
 //! offset  size  field
 //!      0    32  fingerprint (ASCII hex, the canonical 128-bit key)
-//!     32     8  `within` RelSet bits
+//!     32     8  `within` RelSet bits (0 in response-only entries)
 //!     40     8  plan cost (u64::MAX = not costed)
 //!     48     4  n_subsets   — SchemeIndex + memo-table length
 //!     52     4  n_cards     — 0, or n_subsets
@@ -175,7 +180,9 @@ fn fnv1a64(chunks: &[&[u8]]) -> u64 {
 pub struct StoreEntry {
     /// Canonical 128-bit fingerprint, 32 ASCII hex chars.
     pub fingerprint: String,
-    /// The optimized subset's `RelSet` bits.
+    /// The optimized subset's `RelSet` bits in entries with memo
+    /// sections; 0 in response-only entries, which is what every writer
+    /// saves, so a scheme of any width can be stored.
     pub within: u64,
     /// The winning plan's τ; `u64::MAX` when not costed within budget.
     pub plan_cost: u64,
@@ -195,8 +202,10 @@ pub struct StoreEntry {
 }
 
 impl StoreEntry {
-    /// An entry with empty sections — serve plan-cache snapshots use this
-    /// shape (fingerprint, cost and response only).
+    /// An entry with `within` 0 and empty sections: fingerprint, plan
+    /// cost and response only. The CLI's `--store` and the serve drain
+    /// snapshot both save this shape, and `store inspect` prints it as
+    /// `response only`.
     pub fn response_only(fingerprint: String, plan_cost: u64, response: String) -> StoreEntry {
         StoreEntry {
             fingerprint,
@@ -557,8 +566,10 @@ impl LoadedStore {
         found
     }
 
-    /// A human-readable dump of the header and per-entry sections — the
-    /// `store inspect` CLI output.
+    /// A human-readable dump of the header and each entry — the `store
+    /// inspect` CLI output. A response-only entry shows its fingerprint,
+    /// plan cost and response size; an entry with memo sections also
+    /// shows `within`, its plan steps and its memo.
     pub fn inspect(&self, path_label: &str) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "store: {path_label}");
@@ -574,26 +585,32 @@ impl LoadedStore {
             if self.via_mmap() { "mmap" } else { "buffered" },
         );
         for (i, e) in self.entries().enumerate() {
-            let solved = (0..e.n_subsets()).filter(|&r| e.cost(r) != u64::MAX).count();
             let _ = writeln!(out, "entry {i}: fingerprint {}", e.fingerprint());
-            let _ = writeln!(
-                out,
-                "  within {:#x} ({} relations), plan cost {}, {} plan steps",
-                e.within(),
-                e.within().count_ones(),
-                if e.plan_cost() == u64::MAX {
-                    "(not costed)".to_string()
-                } else {
-                    e.plan_cost().to_string()
-                },
-                e.n_steps(),
-            );
-            let _ = writeln!(
-                out,
-                "  memo: {} connected subsets ({solved} solved), {} cached cardinalities",
-                e.n_subsets(),
-                e.n_cards(),
-            );
+            let cost = if e.plan_cost() == u64::MAX {
+                "(not costed)".to_string()
+            } else {
+                e.plan_cost().to_string()
+            };
+            if e.within() == 0 && e.n_subsets() == 0 && e.n_steps() == 0 {
+                let _ = writeln!(out, "  plan cost {cost}, response only");
+            } else {
+                let solved = (0..e.n_subsets())
+                    .filter(|&r| e.cost(r) != u64::MAX)
+                    .count();
+                let _ = writeln!(
+                    out,
+                    "  within {:#x} ({} relations), plan cost {cost}, {} plan steps",
+                    e.within(),
+                    e.within().count_ones(),
+                    e.n_steps(),
+                );
+                let _ = writeln!(
+                    out,
+                    "  memo: {} connected subsets ({solved} solved), {} cached cardinalities",
+                    e.n_subsets(),
+                    e.n_cards(),
+                );
+            }
             let _ = writeln!(out, "  response: {} bytes", e.response().len());
         }
         out
@@ -933,11 +950,22 @@ mod tests {
 
     #[test]
     fn inspect_is_informative() {
-        let bytes = serialize(&[sample_entry(5)]).unwrap();
+        let response_only = StoreEntry::response_only(fingerprint128("r"), 11, "τ = 11\n".into());
+        let bytes = serialize(&[sample_entry(5), response_only.clone()]).unwrap();
         let store = LoadedStore::from_bytes(bytes).unwrap();
         let text = store.inspect("test.store");
         assert!(text.contains("version 1"), "{text}");
-        assert!(text.contains("6 connected subsets (6 solved)"), "{text}");
-        assert!(text.contains("2 plan steps"), "{text}");
+        let (full, bare) = text.split_once("entry 1:").expect("two entries");
+        assert!(full.contains("6 connected subsets (6 solved)"), "{text}");
+        assert!(full.contains("2 plan steps"), "{text}");
+        assert_eq!(
+            bare,
+            format!(
+                " fingerprint {}\n  plan cost 11, response only\n  response: {} bytes\n",
+                response_only.fingerprint,
+                response_only.response.len()
+            ),
+            "{text}"
+        );
     }
 }
