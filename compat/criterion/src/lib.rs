@@ -32,18 +32,24 @@ pub struct BenchmarkId {
 impl BenchmarkId {
     /// Builds `name/parameter`.
     pub fn new(name: impl Into<String>, parameter: impl Display) -> Self {
-        BenchmarkId { name: format!("{}/{}", name.into(), parameter) }
+        BenchmarkId {
+            name: format!("{}/{}", name.into(), parameter),
+        }
     }
 
     /// Builds an id from the parameter alone.
     pub fn from_parameter(parameter: impl Display) -> Self {
-        BenchmarkId { name: parameter.to_string() }
+        BenchmarkId {
+            name: parameter.to_string(),
+        }
     }
 }
 
 impl From<&str> for BenchmarkId {
     fn from(s: &str) -> Self {
-        BenchmarkId { name: s.to_string() }
+        BenchmarkId {
+            name: s.to_string(),
+        }
     }
 }
 
@@ -124,7 +130,13 @@ impl BenchmarkGroup<'_> {
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: impl Into<BenchmarkId>, mut f: F) {
         let id = id.into();
         let full = format!("{}/{}", self.name, id.name);
-        run_one(&full, self.sample_size, self.warm_up_time, self.measurement_time, &mut f);
+        run_one(
+            &full,
+            self.sample_size,
+            self.warm_up_time,
+            self.measurement_time,
+            &mut f,
+        );
     }
 
     /// Benchmarks a closure that receives `input` by reference.
@@ -135,9 +147,13 @@ impl BenchmarkGroup<'_> {
         mut f: F,
     ) {
         let full = format!("{}/{}", self.name, id.name);
-        run_one(&full, self.sample_size, self.warm_up_time, self.measurement_time, &mut |b| {
-            f(b, input)
-        });
+        run_one(
+            &full,
+            self.sample_size,
+            self.warm_up_time,
+            self.measurement_time,
+            &mut |b| f(b, input),
+        );
     }
 
     /// Ends the group (upstream flushes reports here; we print as we go).
@@ -172,7 +188,10 @@ fn run_one<F: FnMut(&mut Bencher)>(
     f: &mut F,
 ) {
     // Calibrate: how long does one iteration take?
-    let mut b = Bencher { iters: 1, elapsed: Duration::ZERO };
+    let mut b = Bencher {
+        iters: 1,
+        elapsed: Duration::ZERO,
+    };
     f(&mut b);
     let mut per_iter = b.elapsed.max(Duration::from_nanos(1));
 
@@ -180,7 +199,10 @@ fn run_one<F: FnMut(&mut Bencher)>(
     let warm_start = Instant::now();
     while warm_start.elapsed() < warm_up {
         let iters = iters_for(per_iter, warm_up / 10);
-        let mut wb = Bencher { iters, elapsed: Duration::ZERO };
+        let mut wb = Bencher {
+            iters,
+            elapsed: Duration::ZERO,
+        };
         f(&mut wb);
         per_iter = wb.elapsed / iters.max(1) as u32;
         per_iter = per_iter.max(Duration::from_nanos(1));
@@ -191,7 +213,10 @@ fn run_one<F: FnMut(&mut Bencher)>(
     let mut samples: Vec<f64> = Vec::with_capacity(sample_size);
     for _ in 0..sample_size {
         let iters = iters_for(per_iter, per_sample);
-        let mut sb = Bencher { iters, elapsed: Duration::ZERO };
+        let mut sb = Bencher {
+            iters,
+            elapsed: Duration::ZERO,
+        };
         f(&mut sb);
         samples.push(sb.elapsed.as_secs_f64() / iters.max(1) as f64);
     }

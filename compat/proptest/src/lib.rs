@@ -40,10 +40,7 @@ pub mod strategy {
         }
 
         /// Generates with `self`, then runs a value-dependent strategy.
-        fn prop_flat_map<S: Strategy, F: Fn(Self::Value) -> S>(
-            self,
-            f: F,
-        ) -> FlatMap<Self, F>
+        fn prop_flat_map<S: Strategy, F: Fn(Self::Value) -> S>(self, f: F) -> FlatMap<Self, F>
         where
             Self: Sized,
         {
@@ -60,7 +57,11 @@ pub mod strategy {
         where
             Self: Sized,
         {
-            Filter { inner: self, reason, f }
+            Filter {
+                inner: self,
+                reason,
+                f,
+            }
         }
     }
 
@@ -109,7 +110,10 @@ pub mod strategy {
                     return v;
                 }
             }
-            panic!("prop_filter rejected 1000 consecutive draws: {}", self.reason)
+            panic!(
+                "prop_filter rejected 1000 consecutive draws: {}",
+                self.reason
+            )
         }
     }
 
@@ -190,13 +194,19 @@ pub mod collection {
     impl From<core::ops::Range<usize>> for SizeRange {
         fn from(r: core::ops::Range<usize>) -> Self {
             assert!(r.start < r.end, "empty size range");
-            SizeRange { lo: r.start, hi: r.end }
+            SizeRange {
+                lo: r.start,
+                hi: r.end,
+            }
         }
     }
 
     impl From<core::ops::RangeInclusive<usize>> for SizeRange {
         fn from(r: core::ops::RangeInclusive<usize>) -> Self {
-            SizeRange { lo: *r.start(), hi: *r.end() + 1 }
+            SizeRange {
+                lo: *r.start(),
+                hi: *r.end() + 1,
+            }
         }
     }
 
@@ -209,7 +219,10 @@ pub mod collection {
 
     /// `Vec` strategy with a size given as a count or range.
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { element, size: size.into() }
+        VecStrategy {
+            element,
+            size: size.into(),
+        }
     }
 
     impl<S: Strategy> Strategy for VecStrategy<S> {
@@ -434,7 +447,9 @@ macro_rules! prop_assert_ne {
         $crate::prop_assert!(
             a != b,
             "assertion failed: {} != {}\n  both: {:?}",
-            stringify!($a), stringify!($b), a
+            stringify!($a),
+            stringify!($b),
+            a
         );
     }};
 }

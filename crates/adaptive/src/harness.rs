@@ -54,8 +54,8 @@ pub fn regret_sweep(
         let estimation = Estimation::Noisy { q, seed };
         let planner = NoisyOracle::try_new(SyntheticOracle::from_database(db), q, seed)?;
         let guard = Guard::unlimited();
-        let plan = try_optimize(&planner, db.scheme().full_set(), space, &guard)?
-            .ok_or_else(|| {
+        let plan =
+            try_optimize(&planner, db.scheme().full_set(), space, &guard)?.ok_or_else(|| {
                 MjoinError::InvalidScheme(format!("search space {space:?} is empty for {label}"))
             })?;
         let static_config = AdaptiveConfig {

@@ -41,7 +41,11 @@ fn static_execution_matches_the_strategy_executor() {
         .unwrap();
         assert_eq!(outcome.result, strategy.execute(&db), "seed {seed}");
         assert!(outcome.trace.replans.is_empty(), "seed {seed}");
-        assert_eq!(outcome.trace.stages.len(), strategy.num_steps(), "seed {seed}");
+        assert_eq!(
+            outcome.trace.stages.len(),
+            strategy.num_steps(),
+            "seed {seed}"
+        );
         let sum: u64 = outcome.trace.stages.iter().map(|s| s.actual).sum();
         assert_eq!(outcome.trace.executed_tau, sum, "seed {seed}");
         for s in &outcome.trace.stages {
@@ -77,13 +81,8 @@ fn adaptive_and_static_agree_when_the_threshold_is_unreachable() {
         let db = random_db(6, seed.wrapping_add(60));
         let strategy = left_deep_full(&db);
         let estimation = Estimation::Noisy { q: 16.0, seed };
-        let static_out = execute_adaptive(
-            &db,
-            &strategy,
-            &estimation,
-            &AdaptiveConfig::default(),
-        )
-        .unwrap();
+        let static_out =
+            execute_adaptive(&db, &strategy, &estimation, &AdaptiveConfig::default()).unwrap();
         let unreachable = AdaptiveConfig {
             replan_threshold: f64::INFINITY,
             ..AdaptiveConfig::default()
@@ -109,13 +108,20 @@ fn drifting_estimates_trigger_replans_that_name_their_rung() {
             ..AdaptiveConfig::default()
         };
         let outcome = execute_adaptive(&db, &strategy, &estimation, &config).unwrap();
-        assert_eq!(outcome.result, db.evaluate(), "seed {seed}: result must be the true join");
+        assert_eq!(
+            outcome.result,
+            db.evaluate(),
+            "seed {seed}: result must be the true join"
+        );
         for r in &outcome.trace.replans {
             assert!(r.q_error > r.threshold, "seed {seed}");
             assert!(r.after_stage >= 1 && r.after_stage <= outcome.trace.stages.len());
             let stage = &outcome.trace.stages[r.after_stage - 1];
             assert_eq!(stage.set, r.trigger, "seed {seed}");
-            assert!(r.live.len() >= 2, "seed {seed}: re-plan needs ≥ 2 live nodes");
+            assert!(
+                r.live.len() >= 2,
+                "seed {seed}: re-plan needs ≥ 2 live nodes"
+            );
             assert!(
                 r.report.contains(&format!("answered by {}", r.rung)),
                 "seed {seed}: report must name the rung: {}",
@@ -125,7 +131,10 @@ fn drifting_estimates_trigger_replans_that_name_their_rung() {
         }
         total_replans += outcome.trace.replans.len();
     }
-    assert!(total_replans >= 1, "the corpus must exercise at least one re-plan");
+    assert!(
+        total_replans >= 1,
+        "the corpus must exercise at least one re-plan"
+    );
 }
 
 #[test]
@@ -162,7 +171,10 @@ fn adaptive_never_does_worse_than_static_under_injected_error() {
             }
         }
     }
-    assert!(improved >= 1, "re-planning should win somewhere on the corpus");
+    assert!(
+        improved >= 1,
+        "re-planning should win somewhere on the corpus"
+    );
 }
 
 #[test]
@@ -311,9 +323,11 @@ fn invalid_inputs_are_typed_errors() {
             ..AdaptiveConfig::default()
         };
         let strategy = left_deep_full(&db);
-        let err =
-            execute_adaptive(&db, &strategy, &Estimation::Synthetic, &config).unwrap_err();
-        assert!(matches!(err, MjoinError::InvalidScheme(_)), "{bad}: {err:?}");
+        let err = execute_adaptive(&db, &strategy, &Estimation::Synthetic, &config).unwrap_err();
+        assert!(
+            matches!(err, MjoinError::InvalidScheme(_)),
+            "{bad}: {err:?}"
+        );
     }
 }
 
@@ -332,8 +346,15 @@ fn every_adaptive_failpoint_yields_a_typed_error() {
     // Sanity: with no site armed this run re-plans (so the replan site is
     // actually on the executed path).
     let clean = execute_adaptive(&db, &strategy, &estimation, &config).unwrap();
-    assert!(!clean.trace.replans.is_empty(), "pick a drifting seed for this test");
-    for site in ["adaptive::materialize", "adaptive::stage", "adaptive::replan"] {
+    assert!(
+        !clean.trace.replans.is_empty(),
+        "pick a drifting seed for this test"
+    );
+    for site in [
+        "adaptive::materialize",
+        "adaptive::stage",
+        "adaptive::replan",
+    ] {
         let fp = failpoints::ScopedFailpoint::arm(site);
         let err = execute_adaptive(&db, &strategy, &estimation, &config).unwrap_err();
         assert!(matches!(err, MjoinError::Internal(_)), "{site}: {err:?}");

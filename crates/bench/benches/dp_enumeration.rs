@@ -79,8 +79,8 @@ fn timed<F: Fn() -> Plan>(rec: &Recorder, run: F) -> (Plan, f64, u64, u64) {
     let mut plan = run();
     let mut seconds = started.elapsed().as_secs_f64();
     let after = rec.snapshot();
-    let scanned = after.counter(Counter::DpCandidatesScanned)
-        - before.counter(Counter::DpCandidatesScanned);
+    let scanned =
+        after.counter(Counter::DpCandidatesScanned) - before.counter(Counter::DpCandidatesScanned);
     let emitted =
         after.counter(Counter::DpCcpPairsEmitted) - before.counter(Counter::DpCcpPairsEmitted);
     for _ in 1..reps {
@@ -94,10 +94,8 @@ fn timed<F: Fn() -> Plan>(rec: &Recorder, run: F) -> (Plan, f64, u64, u64) {
 /// Runs both arms on one topology, asserts they agree, enforces the
 /// 14-clique speedup floor, and returns the two report rows.
 fn compare(rec: &Recorder, topo: &str, n: usize, scheme: &DbScheme) -> Vec<Json> {
-    let (old_plan, old_secs, old_scanned, old_emitted) =
-        timed(rec, || run_rescan(scheme, n));
-    let (new_plan, new_secs, new_scanned, new_emitted) =
-        timed(rec, || run_streaming(scheme, n));
+    let (old_plan, old_secs, old_scanned, old_emitted) = timed(rec, || run_rescan(scheme, n));
+    let (new_plan, new_secs, new_scanned, new_emitted) = timed(rec, || run_streaming(scheme, n));
     assert_eq!(old_plan.cost, new_plan.cost, "{topo} n={n}");
     assert_eq!(old_plan.strategy, new_plan.strategy, "{topo} n={n}");
     assert_eq!(
@@ -128,7 +126,13 @@ fn compare(rec: &Recorder, topo: &str, n: usize, scheme: &DbScheme) -> Vec<Json>
     };
     vec![
         row("rescan", old_secs, old_scanned, old_emitted, old_plan.cost),
-        row("streaming", new_secs, new_scanned, new_emitted, new_plan.cost),
+        row(
+            "streaming",
+            new_secs,
+            new_scanned,
+            new_emitted,
+            new_plan.cost,
+        ),
     ]
 }
 

@@ -64,18 +64,10 @@ fn bench_join_kernel(c: &mut Criterion) {
     let unlimited = Guard::unlimited();
     let armed = armed_guard();
     group.bench_function("unlimited_guard", |b| {
-        b.iter(|| {
-            r.natural_join_guarded(&s, &unlimited)
-                .unwrap()
-                .tau()
-        })
+        b.iter(|| r.natural_join_guarded(&s, &unlimited).unwrap().tau())
     });
     group.bench_function("armed_guard", |b| {
-        b.iter(|| {
-            r.natural_join_guarded(&s, &armed)
-                .unwrap()
-                .tau()
-        })
+        b.iter(|| r.natural_join_guarded(&s, &armed).unwrap().tau())
     });
     group.finish();
 }
@@ -139,11 +131,7 @@ fn verify() -> (Vec<Json>, mjoin_obs::Snapshot) {
         if !(pcts[0] < 2.0 && pcts[1] < 2.0) {
             let raw = min_time(
                 || {
-                    criterion::black_box(
-                        r.natural_join_guarded(&s, &unlimited)
-                            .unwrap()
-                            .tau(),
-                    );
+                    criterion::black_box(r.natural_join_guarded(&s, &unlimited).unwrap().tau());
                 },
                 40,
                 8,
@@ -151,11 +139,7 @@ fn verify() -> (Vec<Json>, mjoin_obs::Snapshot) {
             if pcts[0] >= 2.0 {
                 let guarded = min_time(
                     || {
-                        criterion::black_box(
-                            r.natural_join_guarded(&s, &armed)
-                                .unwrap()
-                                .tau(),
-                        );
+                        criterion::black_box(r.natural_join_guarded(&s, &armed).unwrap().tau());
                     },
                     40,
                     8,
@@ -170,11 +154,7 @@ fn verify() -> (Vec<Json>, mjoin_obs::Snapshot) {
                 let rec = Recorder::arm();
                 let recorded = min_time(
                     || {
-                        criterion::black_box(
-                            r.natural_join_guarded(&s, &armed)
-                                .unwrap()
-                                .tau(),
-                        );
+                        criterion::black_box(r.natural_join_guarded(&s, &armed).unwrap().tau());
                     },
                     40,
                     8,
@@ -245,7 +225,9 @@ fn verify() -> (Vec<Json>, mjoin_obs::Snapshot) {
         pcts[3] < 2.0,
         "bushy-DP guard + recorder overhead exceeded 2%"
     );
-    println!("verify: guard overhead within the 2% budget on both hot paths, recorder armed or not");
+    println!(
+        "verify: guard overhead within the 2% budget on both hot paths, recorder armed or not"
+    );
     let scenarios = [
         "join_kernel/armed_guard",
         "join_kernel/armed_guard_with_recorder",

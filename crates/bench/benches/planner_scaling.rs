@@ -34,8 +34,7 @@ use mjoin_guard::Guard;
 use mjoin_hypergraph::DbScheme;
 use mjoin_obs::{Json, Recorder};
 use mjoin_optimizer::{
-    try_best_no_cartesian, try_greedy_bushy, try_greedy_linear, try_lindp, try_partitioned_dp,
-    Plan,
+    try_best_no_cartesian, try_greedy_bushy, try_greedy_linear, try_lindp, try_partitioned_dp, Plan,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -109,9 +108,7 @@ fn run_arm(arm: &str, topo: &str, n: usize, scheme: &DbScheme, guard: &Guard) ->
     let full = scheme.full_set();
     match arm {
         "greedy" => Some(try_greedy_bushy(&oracle, full, guard).expect("within budget")),
-        "greedy_linear" => {
-            Some(try_greedy_linear(&oracle, full, guard).expect("within budget"))
-        }
+        "greedy_linear" => Some(try_greedy_linear(&oracle, full, guard).expect("within budget")),
         "lindp" => Some(
             try_lindp(&oracle, full, guard)
                 .expect("within budget")
@@ -147,7 +144,10 @@ fn timed(arm: &str, topo: &str, n: usize, scheme: &DbScheme, guard: &Guard) -> O
         let started = Instant::now();
         let again = run_arm(arm, topo, n, scheme, guard)?;
         seconds = seconds.min(started.elapsed().as_secs_f64());
-        assert_eq!(again.cost, plan.cost, "{topo} n={n} {arm}: nondeterministic cost");
+        assert_eq!(
+            again.cost, plan.cost,
+            "{topo} n={n} {arm}: nondeterministic cost"
+        );
         assert_eq!(
             again.strategy, plan.strategy,
             "{topo} n={n} {arm}: nondeterministic plan"
@@ -184,7 +184,12 @@ fn run_cell(topo: &str, n: usize) -> (Vec<Json>, bool) {
             results.push((arm, plan, seconds));
         }
     }
-    let cost_of = |arm: &str| results.iter().find(|(a, _, _)| *a == arm).map(|(_, p, _)| p.cost);
+    let cost_of = |arm: &str| {
+        results
+            .iter()
+            .find(|(a, _, _)| *a == arm)
+            .map(|(_, p, _)| p.cost)
+    };
     let greedy = cost_of("greedy").expect("greedy always runs");
     let greedy_linear = cost_of("greedy_linear").expect("greedy_linear always runs");
     let lindp = cost_of("lindp").expect("lindp always runs");
@@ -206,8 +211,13 @@ fn run_cell(topo: &str, n: usize) -> (Vec<Json>, bool) {
     }
     // τ-ratio baseline: the exact optimum where the DP ran, the best
     // measured arm elsewhere ("best known").
-    let baseline = cost_of("dp")
-        .unwrap_or_else(|| results.iter().map(|(_, p, _)| p.cost).min().expect("nonempty"));
+    let baseline = cost_of("dp").unwrap_or_else(|| {
+        results
+            .iter()
+            .map(|(_, p, _)| p.cost)
+            .min()
+            .expect("nonempty")
+    });
     let strictly_better = lindp < greedy_best || partdp < greedy_best;
     let rows = results
         .iter()
@@ -270,7 +280,10 @@ fn assert_thread_invariant() {
             assert_eq!(p.report.answered_by, entry, "{}", p.report);
         }
         for pair in plans.windows(2) {
-            assert_eq!(pair[0].plan.cost, pair[1].plan.cost, "{entry}: thread-variant cost");
+            assert_eq!(
+                pair[0].plan.cost, pair[1].plan.cost,
+                "{entry}: thread-variant cost"
+            );
             assert_eq!(
                 pair[0].plan.strategy, pair[1].plan.strategy,
                 "{entry}: thread-variant plan"
@@ -310,7 +323,8 @@ criterion_group!(benches, bench_planner_scaling);
 fn main() {
     let rec = Recorder::arm();
     let mut rows = Vec::new();
-    let mut strict_by_n: std::collections::BTreeMap<usize, bool> = std::collections::BTreeMap::new();
+    let mut strict_by_n: std::collections::BTreeMap<usize, bool> =
+        std::collections::BTreeMap::new();
     for (topo, n) in grid() {
         let (cell_rows, strictly_better) = run_cell(topo, n);
         rows.extend(cell_rows);

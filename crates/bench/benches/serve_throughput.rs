@@ -118,7 +118,10 @@ fn measure(clients: usize, iters_per_client: usize) -> Json {
                 s.spawn(move || client_loop(addr, dbs, iters_per_client, c))
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client"))
+            .collect()
     });
     let elapsed = started.elapsed();
     server.shutdown();
@@ -138,7 +141,11 @@ fn measure(clients: usize, iters_per_client: usize) -> Json {
         hits as f64 / total as f64,
         sheds as f64 / total as f64,
     );
-    assert!(stats.cache_len as usize <= 64, "cache over cap: {}", stats.cache_len);
+    assert!(
+        stats.cache_len as usize <= 64,
+        "cache over cap: {}",
+        stats.cache_len
+    );
     Json::obj(vec![
         ("clients", Json::U64(clients as u64)),
         ("requests", Json::U64(total)),
@@ -224,7 +231,10 @@ fn measure_tenants(fair: bool, iters: usize) -> Json {
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("tenant")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("tenant"))
+            .collect()
     });
     server.shutdown();
     server.join();

@@ -18,17 +18,22 @@ const TRIALS: usize = 50;
 pub fn superkeys_imply_c3() -> Table {
     let mut t = Table::new(
         "A1-superkeys",
-        &["topology", "n", "generated", "hypothesis held", "C3 failures", "C1 failures", "C2 failures"],
+        &[
+            "topology",
+            "n",
+            "generated",
+            "hypothesis held",
+            "C3 failures",
+            "C1 failures",
+            "C2 failures",
+        ],
     );
     t.note("Paper §4: joins on superkeys ⇒ C3 (and C1, C2 by Lemma 5).");
     t.note("Expected failures: 0.");
     let mut rng = StdRng::seed_from_u64(0xA1);
     for n in 2..=5usize {
-        for (name, cat, scheme) in [
-            ("chain", schemes::chain(n)),
-            ("star", schemes::star(n)),
-        ]
-        .map(|(name, (c, d))| (name, c, d))
+        for (name, cat, scheme) in [("chain", schemes::chain(n)), ("star", schemes::star(n))]
+            .map(|(name, (c, d))| (name, c, d))
         {
             let (mut held, mut c3f, mut c1f, mut c2f) = (0usize, 0usize, 0usize, 0usize);
             for _ in 0..TRIALS {
@@ -73,7 +78,13 @@ pub fn superkeys_imply_c3() -> Table {
 pub fn lossless_implies_c2() -> Table {
     let mut t = Table::new(
         "A2-lossless",
-        &["n", "generated", "lossless held", "C2 failures", "osborn sequence found"],
+        &[
+            "n",
+            "generated",
+            "lossless held",
+            "C2 failures",
+            "osborn sequence found",
+        ],
     );
     t.note("Paper §4: no nontrivial lossy joins ⇒ C2 (via Rissanen).");
     t.note("fk-chain data embeds the FDs a_i → a_{i+1}. Expected failures: 0.");
@@ -116,17 +127,21 @@ pub fn lossless_implies_c2() -> Table {
 pub fn acyclic_consistent_c4() -> Table {
     let mut t = Table::new(
         "A3-acyclic-c4",
-        &["topology", "n", "γ-acyclic", "generated", "consistent", "C4 failures"],
+        &[
+            "topology",
+            "n",
+            "γ-acyclic",
+            "generated",
+            "consistent",
+            "C4 failures",
+        ],
     );
     t.note("Paper §5: γ-acyclic + pairwise consistent ⇒ C4 (joins never shrink).");
     t.note("Universal-projection data is consistent by construction. Expected failures: 0.");
     let mut rng = StdRng::seed_from_u64(0xA3);
     for n in 2..=5usize {
-        for (name, cat, scheme) in [
-            ("chain", schemes::chain(n)),
-            ("star", schemes::star(n)),
-        ]
-        .map(|(name, (c, d))| (name, c, d))
+        for (name, cat, scheme) in [("chain", schemes::chain(n)), ("star", schemes::star(n))]
+            .map(|(name, (c, d))| (name, c, d))
         {
             let gamma = scheme.is_gamma_acyclic();
             let (mut consistent, mut c4f) = (0usize, 0usize);
@@ -325,17 +340,21 @@ pub fn monotone_strategies() -> Table {
 pub fn yannakakis_vs_optimum() -> Table {
     let mut t = Table::new(
         "A5-yannakakis",
-        &["topology", "n", "trials", "monotone increasing", "τ-optimal (on reduced db)", "mean τ ratio"],
+        &[
+            "topology",
+            "n",
+            "trials",
+            "monotone increasing",
+            "τ-optimal (on reduced db)",
+            "mean τ ratio",
+        ],
     );
     t.note("Paper §5 open question: Yannakakis' lossless strategy — τ-optimal?");
     t.note("Measured on reduced databases; ratio = yannakakis τ / DP optimum τ.");
     let mut rng = StdRng::seed_from_u64(0xA5);
     for n in 2..=5usize {
-        for (name, cat, scheme) in [
-            ("chain", schemes::chain(n)),
-            ("star", schemes::star(n)),
-        ]
-        .map(|(name, (c, d))| (name, c, d))
+        for (name, cat, scheme) in [("chain", schemes::chain(n)), ("star", schemes::star(n))]
+            .map(|(name, (c, d))| (name, c, d))
         {
             let trials = 30usize;
             let (mut monotone, mut optimal) = (0usize, 0usize);

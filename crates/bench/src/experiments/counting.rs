@@ -16,14 +16,7 @@ use crate::Table;
 pub fn run() -> Table {
     let mut t = Table::new(
         "E0-counting",
-        &[
-            "n",
-            "enumerated",
-            "(2n-3)!!",
-            "linear",
-            "n!/2",
-            "bushy",
-        ],
+        &["n", "enumerated", "(2n-3)!!", "linear", "n!/2", "bushy"],
     );
     t.note("Paper §1: for n = 4 there are 15 orderings — 12 linear + 3 balanced.");
     for n in 2..=8usize {

@@ -1,9 +1,7 @@
 //! `E1`–`E5`: the paper's worked examples, regenerated from their literal
 //! data tables.
 
-use mjoin::{
-    condition_report, optimize, Condition, ExactOracle, SearchSpace, Strategy,
-};
+use mjoin::{condition_report, optimize, Condition, ExactOracle, SearchSpace, Strategy};
 use mjoin_cost::{CardinalityOracle, Database};
 use mjoin_gen::data;
 
@@ -13,12 +11,7 @@ fn fmt_bool(b: bool) -> String {
     if b { "yes" } else { "no" }.to_string()
 }
 
-fn strategy_row(
-    label: &str,
-    s: &Strategy,
-    db: &Database,
-    oracle: &ExactOracle<'_>,
-) -> Vec<String> {
+fn strategy_row(label: &str, s: &Strategy, db: &Database, oracle: &ExactOracle<'_>) -> Vec<String> {
     let mut costs = s.step_costs(oracle);
     costs.reverse(); // innermost-first reads like the paper's sums
     vec![
@@ -76,10 +69,7 @@ pub fn example1() -> Table {
 pub fn example2() -> Table {
     let db1 = data::paper_example1();
     let db2 = data::paper_example2();
-    let mut t = Table::new(
-        "E2-example2",
-        &["database", "C1", "C2", "paper says"],
-    );
+    let mut t = Table::new("E2-example2", &["database", "C1", "C2", "paper says"]);
     t.note("Paper Example 2: C1 ⇏ C2 (Example 1's database) and C2 ⇏ C1 (Example 2's).");
     let o1 = ExactOracle::new(&db1);
     let r1 = condition_report(&o1);
@@ -143,8 +133,10 @@ pub fn example3() -> Table {
     let mut t = three_relation_example(
         "E3-example3",
         &db,
-        &["Paper Example 3: every strategy's first step yields 4 tuples; all τ-optimum,",
-          "including the product-using linear S3 — so C1' is necessary in Theorem 1."],
+        &[
+            "Paper Example 3: every strategy's first step yields 4 tuples; all τ-optimum,",
+            "including the product-using linear S3 — so C1' is necessary in Theorem 1.",
+        ],
     );
     let o = ExactOracle::new(&db);
     let costs: Vec<u64> = [
@@ -159,10 +151,7 @@ pub fn example3() -> Table {
     .iter()
     .map(|s| s.cost(&o))
     .collect();
-    t.note(format!(
-        "all three strategies tie: τ = {:?}",
-        costs
-    ));
+    t.note(format!("all three strategies tie: τ = {:?}", costs));
     t
 }
 
@@ -174,8 +163,10 @@ pub fn example4() -> Table {
     three_relation_example(
         "E4-example4",
         &db,
-        &["Paper Example 4: τ(S1)=14, τ(S2)=12, τ(S3)=11; the optimum S3 uses a product,",
-          "and C1 fails — product-avoiding optimizers miss the optimum without C1."],
+        &[
+            "Paper Example 4: τ(S1)=14, τ(S2)=12, τ(S3)=11; the optimum S3 uses a product,",
+            "and C1 fails — product-avoiding optimizers miss the optimum without C1.",
+        ],
     )
 }
 
@@ -194,11 +185,7 @@ pub fn example5() -> Table {
         fmt_bool(r.c2),
         fmt_bool(r.c3),
     ));
-    let bushy = Strategy::join(
-        Strategy::left_deep(&[0, 1]),
-        Strategy::left_deep(&[2, 3]),
-    )
-    .unwrap();
+    let bushy = Strategy::join(Strategy::left_deep(&[0, 1]), Strategy::left_deep(&[2, 3])).unwrap();
     t.row(strategy_row("S*", &bushy, &db, &o));
     let best_linear = optimize(&o, db.scheme().full_set(), SearchSpace::Linear).unwrap();
     t.row(strategy_row("best-linear", &best_linear.strategy, &db, &o));

@@ -29,7 +29,14 @@ use crate::Table;
 pub fn linear_vs_bushy() -> Table {
     let mut t = Table::new(
         "G1-linear-vs-bushy",
-        &["workload", "n", "best bushy τ", "best linear τ", "ratio", "greedy linear/bushy"],
+        &[
+            "workload",
+            "n",
+            "best bushy τ",
+            "best linear τ",
+            "ratio",
+            "greedy linear/bushy",
+        ],
     );
     t.note("GAMMA motivation (§1): cheapest linear vs cheapest strategy overall.");
     t.note("Under C3 (superkey rows) the ratio is exactly 1 — Theorem 3 in action.");
@@ -43,7 +50,9 @@ pub fn linear_vs_bushy() -> Table {
         let db = data::zigzag(cat, scheme, 10);
         let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let bushy = optimize(&o, full, SearchSpace::All).expect("full space").cost;
+        let bushy = optimize(&o, full, SearchSpace::All)
+            .expect("full space")
+            .cost;
         let linear = optimize(&o, full, SearchSpace::Linear)
             .expect("linear space")
             .cost;
@@ -70,7 +79,9 @@ pub fn linear_vs_bushy() -> Table {
         let (db, _) = data::superkey(cat, scheme, &cfg, &mut rng);
         let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
-        let bushy = optimize(&o, full, SearchSpace::All).expect("full space").cost;
+        let bushy = optimize(&o, full, SearchSpace::All)
+            .expect("full space")
+            .cost;
         let linear = optimize(&o, full, SearchSpace::Linear)
             .expect("linear space")
             .cost;
@@ -200,8 +211,8 @@ pub fn objective_robustness() -> Table {
                 }
                 if generator == "superkey" {
                     c3_total += 1;
-                    let lin = optimize(&o, full, SearchSpace::LinearNoCartesian)
-                        .expect("connected");
+                    let lin =
+                        optimize(&o, full, SearchSpace::LinearNoCartesian).expect("connected");
                     if bottleneck_of(&o, &lin.strategy) == beta_opt.cost {
                         c3_lin += 1;
                     }
@@ -281,9 +292,7 @@ pub fn estimation_quality() -> Table {
                 // Plan with estimates, pay with exact costs.
                 let est_plan = optimize(&est, full, SearchSpace::All).expect("full");
                 let paid = est_plan.strategy.cost(&exact);
-                let optimum = optimize(&exact, full, SearchSpace::All)
-                    .expect("full")
-                    .cost;
+                let optimum = optimize(&exact, full, SearchSpace::All).expect("full").cost;
                 if optimum > 0 {
                     let regret = paid as f64 / optimum as f64;
                     regret_sum += regret;
@@ -319,7 +328,14 @@ pub fn enumeration_complexity() -> Table {
     use mjoin_optimizer::enumeration_stats;
     let mut t = Table::new(
         "G6-enumeration-complexity",
-        &["topology", "n", "#csg", "#ccp", "DPsub probes", "DPsize probes"],
+        &[
+            "topology",
+            "n",
+            "#csg",
+            "#ccp",
+            "DPsub probes",
+            "DPsize probes",
+        ],
     );
     t.note("Ono–Lohman-style counts: connected subgraphs, csg–cmp pairs, and");
     t.note("the probe counts of the DPsub/DPsize enumerators per topology.");
@@ -351,7 +367,17 @@ pub fn enumeration_complexity() -> Table {
 pub fn condition_frequency() -> Table {
     let mut t = Table::new(
         "G2-condition-frequency",
-        &["generator", "topology", "n", "trials", "C1", "C1'", "C2", "C3", "C4"],
+        &[
+            "generator",
+            "topology",
+            "n",
+            "trials",
+            "C1",
+            "C1'",
+            "C2",
+            "C3",
+            "C4",
+        ],
     );
     t.note("Fraction of random databases satisfying each condition.");
     t.note("Constraint-aware generators (superkey, universal) hit their target");
@@ -479,10 +505,7 @@ mod tests {
         // For each n: chain ≤ cycle ≤ star ≤ clique in #csg.
         for &n in &["4", "8"] {
             let csg = |topo: &str| -> u64 {
-                t.rows
-                    .iter()
-                    .find(|r| r[0] == topo && r[1] == n)
-                    .unwrap()[2]
+                t.rows.iter().find(|r| r[0] == topo && r[1] == n).unwrap()[2]
                     .parse()
                     .unwrap()
             };

@@ -27,7 +27,13 @@ fn topologies(n: usize, rng: &mut StdRng) -> Vec<(&'static str, mjoin::Catalog, 
 pub fn theorem1_randomized() -> Table {
     let mut t = Table::new(
         "F3-theorem1",
-        &["topology", "n", "generated", "C1' held", "conclusion violations"],
+        &[
+            "topology",
+            "n",
+            "generated",
+            "C1' held",
+            "conclusion violations",
+        ],
     );
     t.note("Theorem 1: under C1', a τ-optimum linear strategy uses no Cartesian");
     t.note("products. Randomized check; expected violations: 0.");
@@ -70,7 +76,13 @@ pub fn theorem1_randomized() -> Table {
 pub fn theorem2_randomized() -> Table {
     let mut t = Table::new(
         "F4F5-theorem2",
-        &["source", "n", "generated", "C1∧C2 held", "conclusion violations"],
+        &[
+            "source",
+            "n",
+            "generated",
+            "C1∧C2 held",
+            "conclusion violations",
+        ],
     );
     t.note("Theorem 2: under C1 ∧ C2 (connected scheme, R_D ≠ φ) some τ-optimum");
     t.note("strategy uses no Cartesian products. Expected violations: 0.");
@@ -139,7 +151,13 @@ pub fn theorem2_randomized() -> Table {
 pub fn theorem3_randomized() -> Table {
     let mut t = Table::new(
         "F6-theorem3",
-        &["topology", "n", "generated", "C3 held", "conclusion violations"],
+        &[
+            "topology",
+            "n",
+            "generated",
+            "C3 held",
+            "conclusion violations",
+        ],
     );
     t.note("Theorem 3: under C3 some τ-optimum strategy is linear and product-free.");
     t.note("Superkey-join data satisfies C3 by construction. Expected violations: 0.");
@@ -182,7 +200,12 @@ pub fn theorem3_randomized() -> Table {
 pub fn small_c1_search() -> Table {
     let mut t = Table::new(
         "G3-small-c1",
-        &["n", "generated", "C1 held (connected, R_D≠φ)", "counterexamples"],
+        &[
+            "n",
+            "generated",
+            "C1 held (connected, R_D≠φ)",
+            "counterexamples",
+        ],
     );
     t.note("Paper §4 remark: with 3–4 relations, C1 alone ensures a τ-optimum");
     t.note("without Cartesian products. Randomized search; expected: 0.");
@@ -201,9 +224,7 @@ pub fn small_c1_search() -> Table {
             let db = data::uniform(cat, scheme, &cfg, &mut rng);
             let o = ExactOracle::new(&db);
             let full = db.scheme().full_set();
-            if !db.scheme().connected(full)
-                || o.result_is_empty()
-                || !satisfies(&o, Condition::C1)
+            if !db.scheme().connected(full) || o.result_is_empty() || !satisfies(&o, Condition::C1)
             {
                 continue;
             }
@@ -211,8 +232,7 @@ pub fn small_c1_search() -> Table {
             let best = mjoin::optimize(&o, full, mjoin::SearchSpace::All)
                 .expect("full space")
                 .cost;
-            let nocp = mjoin::optimize(&o, full, mjoin::SearchSpace::NoCartesian)
-                .map(|p| p.cost);
+            let nocp = mjoin::optimize(&o, full, mjoin::SearchSpace::NoCartesian).map(|p| p.cost);
             if nocp != Some(best) {
                 counterexamples += 1;
             }
@@ -239,7 +259,10 @@ mod tests {
             total_held += held;
             assert_eq!(viol, 0, "violation in row {row:?}");
         }
-        assert!(total_held > 0, "the filter never fired — experiment is vacuous");
+        assert!(
+            total_held > 0,
+            "the filter never fired — experiment is vacuous"
+        );
     }
 
     #[test]

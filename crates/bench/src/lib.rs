@@ -41,16 +41,46 @@ pub fn all_experiments() -> Vec<Experiment> {
         ("F4F5-theorem2", experiments::theorems::theorem2_randomized),
         ("F6-theorem3", experiments::theorems::theorem3_randomized),
         ("G3-small-c1", experiments::theorems::small_c1_search),
-        ("A1-superkeys", experiments::applications::superkeys_imply_c3),
-        ("A2-lossless", experiments::applications::lossless_implies_c2),
-        ("A3-acyclic-c4", experiments::applications::acyclic_consistent_c4),
-        ("A4-intersection", experiments::applications::intersection_linear_optimal),
-        ("A5-yannakakis", experiments::applications::yannakakis_vs_optimum),
-        ("A6-monotone", experiments::applications::monotone_strategies),
+        (
+            "A1-superkeys",
+            experiments::applications::superkeys_imply_c3,
+        ),
+        (
+            "A2-lossless",
+            experiments::applications::lossless_implies_c2,
+        ),
+        (
+            "A3-acyclic-c4",
+            experiments::applications::acyclic_consistent_c4,
+        ),
+        (
+            "A4-intersection",
+            experiments::applications::intersection_linear_optimal,
+        ),
+        (
+            "A5-yannakakis",
+            experiments::applications::yannakakis_vs_optimum,
+        ),
+        (
+            "A6-monotone",
+            experiments::applications::monotone_strategies,
+        ),
         ("G1-linear-vs-bushy", experiments::sweeps::linear_vs_bushy),
-        ("G2-condition-frequency", experiments::sweeps::condition_frequency),
-        ("G4-objective-robustness", experiments::sweeps::objective_robustness),
-        ("G5-estimation-quality", experiments::sweeps::estimation_quality),
-        ("G6-enumeration-complexity", experiments::sweeps::enumeration_complexity),
+        (
+            "G2-condition-frequency",
+            experiments::sweeps::condition_frequency,
+        ),
+        (
+            "G4-objective-robustness",
+            experiments::sweeps::objective_robustness,
+        ),
+        (
+            "G5-estimation-quality",
+            experiments::sweeps::estimation_quality,
+        ),
+        (
+            "G6-enumeration-complexity",
+            experiments::sweeps::enumeration_complexity,
+        ),
     ]
 }

@@ -34,8 +34,7 @@ pub fn write_bench_report(
     let doc = json::parse(&text).expect("emitted bench report parses");
     validate_schema(&doc).expect("emitted bench report matches the schema");
     let path = bench_report_path(name);
-    std::fs::write(&path, &text)
-        .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    std::fs::write(&path, &text).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     println!("wrote {}", path.display());
     path
 }

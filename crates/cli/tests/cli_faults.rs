@@ -47,20 +47,43 @@ fn every_site_is_reachable_from_the_cli() {
         ("optimizer::ikkbz", &["compare", "db"]),
         ("optimizer::lindp", &["compare", "db"]),
         ("optimizer::partdp", &["compare", "db"]),
-        ("optimizer::exhaustive", &["optimize", "db", "--timeout-ms", "10000"]),
+        (
+            "optimizer::exhaustive",
+            &["optimize", "db", "--timeout-ms", "10000"],
+        ),
         ("core::ladder", &["optimize", "db", "--timeout-ms", "10000"]),
         ("semijoin::reduce", &["reduce", "db"]),
         ("adaptive::materialize", &["execute", "db"]),
         ("adaptive::stage", &["execute", "db"]),
-        ("adaptive::replan", &["execute", "drift", "--adaptive", "--replan-threshold", "4"]),
-        ("obs::report", &["optimize", "db", "--metrics-json", "/dev/null"]),
+        (
+            "adaptive::replan",
+            &["execute", "drift", "--adaptive", "--replan-threshold", "4"],
+        ),
+        (
+            "obs::report",
+            &["optimize", "db", "--metrics-json", "/dev/null"],
+        ),
         // `store::load` fires before the file is even opened, so the path
         // need not exist; `store::save` fires before the write, so the
         // injected run leaves nothing on disk.
         ("store::load", &["store", "inspect", "no-such.store"]),
-        ("store::save", &["optimize", "db", "--store", "/tmp/mjoin-cli-faults-never-written.store"]),
-        ("query::parse", &["query", "db", "SELECT * FROM AB, BC WHERE AB.B = BC.B"]),
-        ("query::lower", &["query", "db", "SELECT * FROM AB, BC WHERE AB.B = BC.B"]),
+        (
+            "store::save",
+            &[
+                "optimize",
+                "db",
+                "--store",
+                "/tmp/mjoin-cli-faults-never-written.store",
+            ],
+        ),
+        (
+            "query::parse",
+            &["query", "db", "SELECT * FROM AB, BC WHERE AB.B = BC.B"],
+        ),
+        (
+            "query::lower",
+            &["query", "db", "SELECT * FROM AB, BC WHERE AB.B = BC.B"],
+        ),
     ];
     let routed: Vec<&str> = routes.iter().map(|(s, _)| *s).collect();
     for site in mjoin::failpoints::SITES {
@@ -111,7 +134,10 @@ fn failpoints_command_lists_every_site_without_a_db() {
         assert!(out.contains(site), "missing site {site}:\n{out}");
         assert!(out.contains(doc), "missing description for {site}:\n{out}");
     }
-    assert!(out.contains("--fail-inject"), "must show the arming hint: {out}");
+    assert!(
+        out.contains("--fail-inject"),
+        "must show the arming hint: {out}"
+    );
 }
 
 /// Unknown sites are rejected up front, with the valid ones listed.
@@ -120,7 +146,10 @@ fn unknown_fail_inject_site_is_rejected() {
     let _serial = serialize();
     let err = cli(&["optimize", "db", "--fail-inject", "bogus::site"]).unwrap_err();
     assert!(err.contains("bogus::site"), "{err}");
-    assert!(err.contains("optimizer::dp"), "must list valid sites: {err}");
+    assert!(
+        err.contains("optimizer::dp"),
+        "must list valid sites: {err}"
+    );
     assert!(mjoin::failpoints::armed().is_empty());
 }
 
@@ -149,7 +178,15 @@ fn unbudgeted_output_is_the_legacy_format() {
 #[test]
 fn tight_budget_still_answers() {
     let _serial = serialize();
-    let out = cli(&["optimize", "db", "--max-memo-entries", "1", "--max-tuples", "1"]).unwrap();
+    let out = cli(&[
+        "optimize",
+        "db",
+        "--max-memo-entries",
+        "1",
+        "--max-tuples",
+        "1",
+    ])
+    .unwrap();
     assert!(out.contains("plan: "), "{out}");
     assert!(out.contains("degradation: answered by"), "{out}");
 }

@@ -108,11 +108,24 @@ fn warm_run_replays_the_cold_run_byte_for_byte() {
 fn store_inspect_dumps_the_saved_entry() {
     let _serial = serialize();
     let store = TempStore::new("inspect");
-    cli(&["optimize", "db", "nocp", "--threads", "1", "--store", store.as_str()])
-        .expect("cold run succeeds");
-    let out = run(&["store".to_string(), "inspect".to_string(), store.as_str().to_string()], |p| {
-        panic!("store inspect must not read a database, asked for {p:?}")
-    })
+    cli(&[
+        "optimize",
+        "db",
+        "nocp",
+        "--threads",
+        "1",
+        "--store",
+        store.as_str(),
+    ])
+    .expect("cold run succeeds");
+    let out = run(
+        &[
+            "store".to_string(),
+            "inspect".to_string(),
+            store.as_str().to_string(),
+        ],
+        |p| panic!("store inspect must not read a database, asked for {p:?}"),
+    )
     .expect("inspect succeeds");
     assert!(out.contains("version 1"), "{out}");
     assert!(out.contains("1 entry"), "{out}");
@@ -189,15 +202,29 @@ fn a_cold_store_run_reports_only_the_work_that_answered() {
 fn corrupt_store_is_a_typed_error() {
     let _serial = serialize();
     let store = TempStore::new("corrupt");
-    cli(&["optimize", "db", "--threads", "1", "--store", store.as_str()])
-        .expect("cold run succeeds");
+    cli(&[
+        "optimize",
+        "db",
+        "--threads",
+        "1",
+        "--store",
+        store.as_str(),
+    ])
+    .expect("cold run succeeds");
     let mut bytes = std::fs::read(&store.0).expect("read store");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     std::fs::write(&store.0, &bytes).expect("rewrite store");
 
-    let err = cli(&["optimize", "db", "--threads", "1", "--store", store.as_str()])
-        .expect_err("warm over a corrupt store must fail");
+    let err = cli(&[
+        "optimize",
+        "db",
+        "--threads",
+        "1",
+        "--store",
+        store.as_str(),
+    ])
+    .expect_err("warm over a corrupt store must fail");
     assert!(err.contains("corrupt store"), "{err}");
     let err = cli(&["store", "inspect", store.as_str()]).expect_err("inspect must fail");
     assert!(err.contains("corrupt store"), "{err}");
@@ -208,7 +235,9 @@ fn request(addr: std::net::SocketAddr, line: &str) -> Json {
     stream.write_all(line.as_bytes()).expect("send");
     stream.write_all(b"\n").expect("send newline");
     let mut resp = String::new();
-    BufReader::new(stream).read_line(&mut resp).expect("read response");
+    BufReader::new(stream)
+        .read_line(&mut resp)
+        .expect("read response");
     json::parse(resp.trim()).unwrap_or_else(|e| panic!("unparseable response {resp:?}: {e}"))
 }
 
@@ -226,8 +255,15 @@ fn optimize_line() -> String {
 fn serve_warm_starts_from_a_cli_store() {
     let _serial = serialize();
     let store = TempStore::new("serve-boot");
-    let cold = cli(&["optimize", "db", "--threads", "1", "--store", store.as_str()])
-        .expect("cold run succeeds");
+    let cold = cli(&[
+        "optimize",
+        "db",
+        "--threads",
+        "1",
+        "--store",
+        store.as_str(),
+    ])
+    .expect("cold run succeeds");
 
     let server = Server::spawn(
         ServeConfig {
@@ -282,9 +318,14 @@ fn serve_snapshot_on_drain_warms_the_cli() {
     assert!(store.0.exists(), "drain must snapshot the cache");
 
     let warm = cli(&[
-        "optimize", "db", "--threads", "1",
-        "--store", store.as_str(),
-        "--fail-inject", "optimizer::dp",
+        "optimize",
+        "db",
+        "--threads",
+        "1",
+        "--store",
+        store.as_str(),
+        "--fail-inject",
+        "optimizer::dp",
     ])
     .expect("warm run must replay the snapshot without optimizing");
     assert_eq!(warm, served_out, "CLI warm replay must be the served bytes");
@@ -301,8 +342,15 @@ fn serve_snapshot_on_drain_warms_the_cli() {
 fn sigkilled_daemon_never_tears_the_store() {
     let _serial = serialize();
     let store = TempStore::new("sigkill");
-    let cold = cli(&["optimize", "db", "--threads", "1", "--store", store.as_str()])
-        .expect("cold run succeeds");
+    let cold = cli(&[
+        "optimize",
+        "db",
+        "--threads",
+        "1",
+        "--store",
+        store.as_str(),
+    ])
+    .expect("cold run succeeds");
     let original = std::fs::read(&store.0).expect("read cold store");
     // A leftover temp file from some earlier crashed save must be ignored
     // and eventually overwritten, never merged or trusted.
@@ -385,8 +433,15 @@ fn sigkilled_daemon_never_tears_the_store() {
         .expect("store must stay loadable after a SIGKILL");
     assert!(inspected.contains("version 1"), "{inspected}");
     // And the surviving store still warm-starts a fresh run.
-    let warm = cli(&["optimize", "db", "--threads", "1", "--store", store.as_str()])
-        .expect("warm run over the surviving store succeeds");
+    let warm = cli(&[
+        "optimize",
+        "db",
+        "--threads",
+        "1",
+        "--store",
+        store.as_str(),
+    ])
+    .expect("warm run over the surviving store succeeds");
     assert_eq!(warm, cold, "surviving store must replay the cold bytes");
     let _ = std::fs::remove_file(&tmp);
 }

@@ -66,7 +66,10 @@ fn golden_outputs_are_byte_identical() {
             continue;
         }
         let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!("missing golden file {} ({e}); run with MJOIN_UPDATE_GOLDEN=1", path.display())
+            panic!(
+                "missing golden file {} ({e}); run with MJOIN_UPDATE_GOLDEN=1",
+                path.display()
+            )
         });
         assert_eq!(
             out, expected,

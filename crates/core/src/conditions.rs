@@ -142,9 +142,7 @@ pub(crate) fn try_first_violation<O: CardinalityOracle>(
                         return Ok(Some(Violation {
                             condition,
                             witness: vec![e1, e2],
-                            detail: format!(
-                                "τ(E1 ⋈ E2) = {joined}, τ(E1) = {t1}, τ(E2) = {t2}"
-                            ),
+                            detail: format!("τ(E1 ⋈ E2) = {joined}, τ(E1) = {t1}, τ(E2) = {t2}"),
                         }));
                     }
                 }

@@ -121,8 +121,7 @@ pub fn derive_database(
     let mut leaves = Vec::new();
     let mut schemes = Vec::new();
     let mut states = Vec::new();
-    let mut slots: Vec<Option<(RelSet, Relation)>> =
-        materialized.into_iter().map(Some).collect();
+    let mut slots: Vec<Option<(RelSet, Relation)>> = materialized.into_iter().map(Some).collect();
     for i in full.iter() {
         if let Some(&k) = by_lowest.get(&i) {
             let (set, rel) = slots[k].take().expect("each lowest index is unique");
@@ -173,7 +172,10 @@ mod tests {
                 DerivedLeaf::Base(3)
             ]
         );
-        assert_eq!(derived.original_set(RelSet::from_indices([1, 2])), pair.union(RelSet::singleton(3)));
+        assert_eq!(
+            derived.original_set(RelSet::from_indices([1, 2])),
+            pair.union(RelSet::singleton(3))
+        );
         // The derived query's full join equals the original's.
         assert_eq!(derived.db.evaluate(), db.evaluate());
         let o = ExactOracle::new(&derived.db);
@@ -201,8 +203,7 @@ mod tests {
         // Overlapping sets.
         let overlap = RelSet::from_indices([2, 3]);
         let r2 = db.evaluate_subset(overlap);
-        let err =
-            derive_database(&db, vec![(pair, mid.clone()), (overlap, r2)]).unwrap_err();
+        let err = derive_database(&db, vec![(pair, mid.clone()), (overlap, r2)]).unwrap_err();
         assert!(matches!(err, MjoinError::InvalidScheme(_)), "{err:?}");
         // Wrong state for the claimed set.
         let err = derive_database(&db, vec![(RelSet::from_indices([0, 1]), mid)]).unwrap_err();

@@ -151,10 +151,20 @@ mod tests {
         let guard = Guard::new(Budget::unlimited().with_deadline(Duration::from_millis(200)));
         let err = analyze_guarded(&db, &guard).unwrap_err();
         assert!(
-            matches!(err, MjoinError::BudgetExceeded { resource: Resource::WallClock, .. }),
+            matches!(
+                err,
+                MjoinError::BudgetExceeded {
+                    resource: Resource::WallClock,
+                    ..
+                }
+            ),
             "{err}"
         );
-        assert!(started.elapsed() < Duration::from_secs(10), "{:?}", started.elapsed());
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "{:?}",
+            started.elapsed()
+        );
     }
 
     #[test]

@@ -57,22 +57,35 @@ pub mod theorems;
 
 mod facade;
 
-pub use conditions::{condition_report, first_violation, satisfies, Condition, ConditionReport, Violation};
+pub use conditions::{
+    condition_report, first_violation, satisfies, Condition, ConditionReport, Violation,
+};
 pub use derived::{derive_database, DerivedDatabase, DerivedLeaf};
-pub use facade::{analyze, analyze_guarded, optimize_database, optimize_database_guarded, Analysis};
+pub use facade::{
+    analyze, analyze_guarded, optimize_database, optimize_database_guarded, Analysis,
+};
 pub use report::{degradation_section, render_run_report};
 pub use robust::{
     optimize_database_robust_threaded, optimize_robust, BrownoutLevel, DegradationReport,
     RobustPlan, Rung, RungAttempt, RungStats,
 };
-pub use theorems::{lemma1_check, lemma4_conclusion, lemma5_check, lemma6_check, theorem1, theorem2, theorem3, TheoremReport, FULL_SPACE_DP_MAX_RELS, THEOREM1_MAX_RELS};
+pub use theorems::{
+    lemma1_check, lemma4_conclusion, lemma5_check, lemma6_check, theorem1, theorem2, theorem3,
+    TheoremReport, FULL_SPACE_DP_MAX_RELS, THEOREM1_MAX_RELS,
+};
 
 // One-stop re-exports of the workspace's public surface.
 pub use mjoin_cost::{CardinalityOracle, Database, ExactOracle, NoisyOracle, SyntheticOracle};
 pub use mjoin_guard::{failpoints, Budget, CancelToken, Guard, MjoinError, Resource};
 pub use mjoin_hypergraph::{Acyclicity, DbScheme, JoinTree, RelSet};
+pub use mjoin_optimizer::{
+    best_bottleneck, best_monotone, bottleneck_of, exists_monotone, ikkbz, lindp, optimize,
+    partitioned_dp, try_best_avoid_cartesian_parallel, try_best_no_cartesian_parallel,
+    try_greedy_bushy, try_greedy_linear, try_ikkbz, try_lindp, try_optimize, try_optimize_threaded,
+    try_partitioned_dp, try_partitioned_dp_with, Monotonicity, Plan, SearchSpace,
+    DEFAULT_BLOCK_MAX,
+};
 pub use mjoin_query::{lower, parse_query, JoinEdge, LoweredQuery, Query};
-pub use mjoin_optimizer::{best_bottleneck, best_monotone, bottleneck_of, exists_monotone, ikkbz, lindp, optimize, partitioned_dp, try_best_avoid_cartesian_parallel, try_best_no_cartesian_parallel, try_greedy_bushy, try_greedy_linear, try_ikkbz, try_lindp, try_optimize, try_optimize_threaded, try_partitioned_dp, try_partitioned_dp_with, Monotonicity, Plan, SearchSpace, DEFAULT_BLOCK_MAX};
 pub use mjoin_relation::{AttrSet, Attribute, Catalog, Relation, Value};
 pub use mjoin_store::{fingerprint128, LoadedStore, StoreEntry};
 pub use mjoin_strategy::{try_best_strategy_parallel, Strategy};

@@ -105,10 +105,7 @@ pub fn lemma2_rewrite(scheme: &DbScheme, s: &Strategy) -> Option<Strategy> {
 /// linked, each substrategy evaluating components individually. Finds
 /// linked components `E₁ ⊆ D₁`, `E₂ ⊆ D₂` and — oriented by the `C2`
 /// inequality, as in the proof — plucks one and grafts it above the other.
-pub fn lemma3_rewrite<O: CardinalityOracle>(
-    oracle: &O,
-    s: &Strategy,
-) -> Option<Strategy> {
+pub fn lemma3_rewrite<O: CardinalityOracle>(oracle: &O, s: &Strategy) -> Option<Strategy> {
     let scheme = oracle.scheme().clone();
     let steps = s.steps();
     let root = steps.first()?;
@@ -202,7 +199,11 @@ mod tests {
             let t = figure3_rewrite(db.scheme(), &s).expect("CP linear strategy rewrites");
             assert!(t.validate(db.scheme()));
             assert_eq!(t.set(), s.set());
-            assert!(t.cost(&o) <= s.cost(&o), "{}", s.render(db.catalog(), db.scheme()));
+            assert!(
+                t.cost(&o) <= s.cost(&o),
+                "{}",
+                s.render(db.catalog(), db.scheme())
+            );
         }
     }
 
@@ -237,11 +238,7 @@ mod tests {
         assert!(!clean.uses_cartesian(db.scheme()));
         assert!(figure3_rewrite(db.scheme(), &clean).is_none());
         // Bushy strategies are rejected too.
-        let bushy = Strategy::join(
-            Strategy::left_deep(&[0, 1]),
-            Strategy::leaf(2),
-        )
-        .unwrap();
+        let bushy = Strategy::join(Strategy::left_deep(&[0, 1]), Strategy::leaf(2)).unwrap();
         assert!(bushy.is_linear()); // 3 relations: still linear actually
     }
 
@@ -317,16 +314,16 @@ mod tests {
         // compare it against DP: under C3 it ties the linear optimum only
         // if it is itself optimal among product-free strategies; either
         // way the transfers must not *undercut* a τ-optimum.
-        let bushy = Strategy::join(
-            Strategy::left_deep(&[0, 1]),
-            Strategy::left_deep(&[2, 3]),
-        )
-        .unwrap();
+        let bushy =
+            Strategy::join(Strategy::left_deep(&[0, 1]), Strategy::left_deep(&[2, 3])).unwrap();
         let (t1, t2) = lemma6_transfers(db.scheme(), &bushy).expect("shape matches");
         for t in [&t1, &t2] {
             assert!(t.validate(db.scheme()));
             assert_eq!(t.set(), bushy.set());
-            assert!(!t.uses_cartesian(db.scheme()), "transfers stay product-free");
+            assert!(
+                !t.uses_cartesian(db.scheme()),
+                "transfers stay product-free"
+            );
         }
         // If bushy is optimal among product-free strategies, the transfers
         // tie it exactly (the Lemma 6 argument).

@@ -337,16 +337,12 @@ fn run(
         }
         (Rung::Dp, _) => try_optimize_threaded(oracle, req.subset, req.space, guard, threads),
         (Rung::LinDp, _) => mjoin_optimizer::try_lindp(oracle, req.subset, guard),
-        (Rung::PartitionedDp, _) => {
-            mjoin_optimizer::try_partitioned_dp(oracle, req.subset, guard)
-        }
+        (Rung::PartitionedDp, _) => mjoin_optimizer::try_partitioned_dp(oracle, req.subset, guard),
         // Shaped to the space: linear spaces get the linear heuristic.
         (Rung::Greedy, _) if linear_space => {
             mjoin_optimizer::try_greedy_linear(oracle, req.subset, guard).map(Some)
         }
-        (Rung::Greedy, _) => {
-            mjoin_optimizer::try_greedy_bushy(oracle, req.subset, guard).map(Some)
-        }
+        (Rung::Greedy, _) => mjoin_optimizer::try_greedy_bushy(oracle, req.subset, guard).map(Some),
         // Costing is best-effort under whatever budget remains; the
         // strategy stands either way.
         (Rung::Fallback, _) => {
@@ -584,7 +580,10 @@ mod tests {
                 let case = format!("{threads} threads, entry {entry}");
                 let mut reported: Vec<String> = Vec::new();
                 let mut record = |r: &RobustPlan| {
-                    reported.push(format!("{} / {:?} / {}", r.report, r.plan.strategy, r.plan.cost))
+                    reported.push(format!(
+                        "{} / {:?} / {}",
+                        r.report, r.plan.strategy, r.plan.cost
+                    ))
                 };
 
                 // Unlimited: the entry rung answers; everything above it is

@@ -51,11 +51,17 @@ pub fn optimize_fingerprint(
 /// file that fails validation is a typed error, never silently clobbered.
 pub fn save_optimize_entry(path: &Path, entry: StoreEntry) -> Result<u64, MjoinError> {
     let mut entries: Vec<StoreEntry> = if path.exists() {
-        LoadedStore::open(path)?.entries().map(|e| e.to_entry()).collect()
+        LoadedStore::open(path)?
+            .entries()
+            .map(|e| e.to_entry())
+            .collect()
     } else {
         Vec::new()
     };
-    match entries.iter_mut().find(|e| e.fingerprint == entry.fingerprint) {
+    match entries
+        .iter_mut()
+        .find(|e| e.fingerprint == entry.fingerprint)
+    {
         Some(slot) => *slot = entry,
         None => entries.push(entry),
     }
@@ -80,8 +86,14 @@ mod tests {
     fn fingerprints_separate_every_knob() {
         let db = chain_db();
         let base = optimize_fingerprint(&db, None, None, None, None, 1);
-        assert_ne!(base, optimize_fingerprint(&db, Some("nocp"), None, None, None, 1));
-        assert_ne!(base, optimize_fingerprint(&db, None, Some(5), None, None, 1));
+        assert_ne!(
+            base,
+            optimize_fingerprint(&db, Some("nocp"), None, None, None, 1)
+        );
+        assert_ne!(
+            base,
+            optimize_fingerprint(&db, None, Some(5), None, None, 1)
+        );
         assert_ne!(base, optimize_fingerprint(&db, None, None, None, None, 2));
         assert_eq!(base, optimize_fingerprint(&db, None, None, None, None, 1));
     }

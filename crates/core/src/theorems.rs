@@ -86,7 +86,10 @@ pub(crate) fn try_theorem1<O: CardinalityOracle>(
         common_preconditions(oracle) && try_satisfies(oracle, Condition::C1Strict, guard)?;
     let full = oracle.scheme().full_set();
     if full.len() > THEOREM1_MAX_RELS {
-        return Ok(TheoremReport::unchecked(preconditions_hold, THEOREM1_MAX_RELS));
+        return Ok(TheoremReport::unchecked(
+            preconditions_hold,
+            THEOREM1_MAX_RELS,
+        ));
     }
     let optimum = full_space_optimum(oracle, guard)?;
     let mut vacuous = true;
@@ -129,7 +132,10 @@ fn try_space_reaches_optimum<O: CardinalityOracle>(
 ) -> Result<TheoremReport, MjoinError> {
     let full = oracle.scheme().full_set();
     if full.len() > FULL_SPACE_DP_MAX_RELS {
-        return Ok(TheoremReport::unchecked(preconditions_hold, FULL_SPACE_DP_MAX_RELS));
+        return Ok(TheoremReport::unchecked(
+            preconditions_hold,
+            FULL_SPACE_DP_MAX_RELS,
+        ));
     }
     let optimum = full_space_optimum(oracle, guard)?;
     let best = try_optimize(oracle, full, space, guard)?;
@@ -176,7 +182,12 @@ pub(crate) fn try_theorem3<O: CardinalityOracle>(
 ) -> Result<TheoremReport, MjoinError> {
     let preconditions_hold =
         common_preconditions(oracle) && try_satisfies(oracle, Condition::C3, guard)?;
-    try_space_reaches_optimum(oracle, guard, preconditions_hold, SearchSpace::LinearNoCartesian)
+    try_space_reaches_optimum(
+        oracle,
+        guard,
+        preconditions_hold,
+        SearchSpace::LinearNoCartesian,
+    )
 }
 
 /// **Lemma 4** (conclusion): some τ-optimum strategy evaluates the
@@ -227,8 +238,7 @@ pub fn lemma4_conclusion<O: CardinalityOracle>(oracle: &O) -> bool {
         let mut sub = (mask - 1) & mask;
         while sub != 0 {
             if sub & lowest != 0 && sub != mask {
-                let c = combo(sub, sizes, memo)
-                    .saturating_add(combo(mask & !sub, sizes, memo));
+                let c = combo(sub, sizes, memo).saturating_add(combo(mask & !sub, sizes, memo));
                 best = best.min(c);
             }
             sub = (sub - 1) & mask;
@@ -268,10 +278,7 @@ pub fn lemma1_check<O: CardinalityOracle>(oracle: &O) -> bool {
         return true; // hypothesis fails: vacuous
     }
     let full = oracle.scheme().full_set();
-    let all: Vec<_> = full
-        .subsets()
-        .filter(|s| !s.is_empty())
-        .collect();
+    let all: Vec<_> = full.subsets().filter(|s| !s.is_empty()).collect();
     let connected: Vec<_> = oracle.scheme().connected_subsets(full);
     for &e in &all {
         for &e1 in &connected {
@@ -280,8 +287,7 @@ pub fn lemma1_check<O: CardinalityOracle>(oracle: &O) -> bool {
             }
             let linked_cost = oracle.tau_join(e, e1);
             for &e2 in &all {
-                if !e.is_disjoint(e2) || !e1.is_disjoint(e2) || oracle.scheme().linked(e, e2)
-                {
+                if !e.is_disjoint(e2) || !e1.is_disjoint(e2) || oracle.scheme().linked(e, e2) {
                     continue;
                 }
                 let product_cost = oracle.tau_join(e, e2);
@@ -395,11 +401,8 @@ mod tests {
         assert!(r2.conclusion_holds);
         // The optimum is the paper's bushy strategy.
         use mjoin_strategy::Strategy;
-        let bushy = Strategy::join(
-            Strategy::left_deep(&[0, 1]),
-            Strategy::left_deep(&[2, 3]),
-        )
-        .unwrap();
+        let bushy =
+            Strategy::join(Strategy::left_deep(&[0, 1]), Strategy::left_deep(&[2, 3])).unwrap();
         let opt = optimize(&o, db.scheme().full_set(), SearchSpace::All).unwrap();
         assert_eq!(opt.cost, bushy.cost(&o));
         assert!(!bushy.uses_cartesian(db.scheme()));

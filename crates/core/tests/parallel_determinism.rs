@@ -97,14 +97,11 @@ fn exhaustive_and_dp_agree_on_the_product_free_optimum() {
         let scheme = db.scheme().clone();
         let oracle = ExactOracle::new(&db);
         let dp = try_best_no_cartesian_parallel(&oracle, subset, &Guard::unlimited(), 4).unwrap();
-        let exhaustive = try_best_strategy_parallel(
-            &oracle,
-            subset,
-            &Guard::unlimited(),
-            4,
-            &|s: &Strategy| !s.uses_cartesian(&scheme),
-        )
-        .unwrap();
+        let exhaustive =
+            try_best_strategy_parallel(&oracle, subset, &Guard::unlimited(), 4, &|s: &Strategy| {
+                !s.uses_cartesian(&scheme)
+            })
+            .unwrap();
         match (dp, exhaustive) {
             (Some(p), Some((_, c))) => assert_eq!(p.cost, c, "seed {seed}"),
             (None, None) => {}
@@ -170,7 +167,11 @@ fn tripping_budgets_error_identically_at_every_thread_count() {
     };
     let base = enum_err(1);
     for threads in [2, 4] {
-        assert_eq!(enum_err(threads), base, "enumeration error at {threads} threads");
+        assert_eq!(
+            enum_err(threads),
+            base,
+            "enumeration error at {threads} threads"
+        );
     }
 }
 

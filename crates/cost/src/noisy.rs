@@ -184,7 +184,10 @@ mod tests {
             assert_eq!(a.tau(subset), b.tau(subset), "{subset:?}");
             diverged |= a.tau(subset) != c.tau(subset);
         }
-        assert!(diverged, "a different seed should move at least one estimate");
+        assert!(
+            diverged,
+            "a different seed should move at least one estimate"
+        );
     }
 
     #[test]
@@ -197,7 +200,11 @@ mod tests {
         ];
         let db = crate::Database::new(cat, scheme, states);
         let noisy = NoisyOracle::new(SyntheticOracle::from_database(&db), 16.0, 3);
-        assert_eq!(noisy.tau(RelSet::singleton(1)), 1, "singletons are catalog-exact");
+        assert_eq!(
+            noisy.tau(RelSet::singleton(1)),
+            1,
+            "singletons are catalog-exact"
+        );
         assert_eq!(noisy.tau(RelSet::full(2)), 0, "known-empty passes through");
     }
 
@@ -205,7 +212,10 @@ mod tests {
     fn invalid_envelopes_are_typed_errors() {
         for bad in [0.5, 0.0, -1.0, f64::NAN, f64::INFINITY] {
             let err = NoisyOracle::try_new(model(), bad, 0).unwrap_err();
-            assert!(matches!(err, MjoinError::InvalidScheme(_)), "{bad}: {err:?}");
+            assert!(
+                matches!(err, MjoinError::InvalidScheme(_)),
+                "{bad}: {err:?}"
+            );
         }
     }
 }

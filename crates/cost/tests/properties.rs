@@ -20,10 +20,8 @@ fn arb_database() -> impl Strategy<Value = Database> {
             let scheme = DbScheme::parse(&mut cat, &refs).expect("chain scheme");
             let states: Vec<Relation> = (0..n)
                 .map(|i| {
-                    let rows: Vec<Vec<i64>> = all_rows[i]
-                        .iter()
-                        .map(|&(a, b)| vec![a, b])
-                        .collect();
+                    let rows: Vec<Vec<i64>> =
+                        all_rows[i].iter().map(|&(a, b)| vec![a, b]).collect();
                     Relation::from_int_rows(scheme.scheme(i), rows).expect("arity 2")
                 })
                 .collect();
@@ -46,10 +44,8 @@ fn arb_witnessed_database() -> impl Strategy<Value = Database> {
             let scheme = DbScheme::parse(&mut cat, &refs).expect("chain scheme");
             let states: Vec<Relation> = (0..n)
                 .map(|i| {
-                    let mut rows: Vec<Vec<i64>> = all_rows[i]
-                        .iter()
-                        .map(|&(a, b)| vec![a, b])
-                        .collect();
+                    let mut rows: Vec<Vec<i64>> =
+                        all_rows[i].iter().map(|&(a, b)| vec![a, b]).collect();
                     rows.push(vec![0, 0]); // the witness
                     Relation::from_int_rows(scheme.scheme(i), rows).expect("arity 2")
                 })

@@ -21,9 +21,8 @@ impl FdSet {
             .iter()
             .fold(AttrSet::empty(), |acc, &s| acc.union(s));
         let cols: Vec<_> = universe.iter().collect();
-        let col_of = |a: mjoin_relation::Attribute| {
-            cols.binary_search(&a).expect("attr in universe")
-        };
+        let col_of =
+            |a: mjoin_relation::Attribute| cols.binary_search(&a).expect("attr in universe");
 
         // Symbols: 0 = distinguished; k > 0 = the k-th subscripted variable.
         // (Distinct columns never interact, so one distinguished symbol per
@@ -210,11 +209,7 @@ mod tests {
         // AB, BC, CD with B -> C, C -> D: chase succeeds.
         let mut cat = Catalog::with_letters();
         let fds = FdSet::parse(&mut cat, &["B -> C", "C -> D"]);
-        assert!(fds.is_lossless(&[
-            attrs(&cat, "AB"),
-            attrs(&cat, "BC"),
-            attrs(&cat, "CD")
-        ]));
+        assert!(fds.is_lossless(&[attrs(&cat, "AB"), attrs(&cat, "BC"), attrs(&cat, "CD")]));
     }
 
     #[test]
@@ -234,7 +229,10 @@ mod tests {
         let fds = FdSet::parse(&mut cat, &["A -> W", "W -> B"]);
         let schemes = [attrs(&cat, "AB"), attrs(&cat, "AC")];
         assert!(!fds.is_lossless(&schemes), "embedded chase misses A → B");
-        assert!(fds.is_lossless_projected(&schemes), "projected chase finds it");
+        assert!(
+            fds.is_lossless_projected(&schemes),
+            "projected chase finds it"
+        );
         // Projection contents: A → B over {A, B, C}.
         let projected = fds.project(attrs(&cat, "ABC"));
         assert!(projected.implies(crate::Fd::new(attrs(&cat, "A"), attrs(&cat, "B"))));

@@ -124,8 +124,7 @@ impl FdSet {
         masks.sort_by_key(|m| m.count_ones());
         let mut kept: Vec<(AttrSet, AttrSet)> = Vec::new();
         for m in masks {
-            let lhs =
-                AttrSet::from_iter((0..n).filter(|&i| m & (1 << i) != 0).map(|i| attrs[i]));
+            let lhs = AttrSet::from_iter((0..n).filter(|&i| m & (1 << i) != 0).map(|i| attrs[i]));
             let rhs = self.closure(lhs).intersect(universe).difference(lhs);
             if rhs.is_empty() {
                 continue;
@@ -156,8 +155,7 @@ impl FdSet {
         let mut masks: Vec<u64> = (0..(1u64 << n)).collect();
         masks.sort_by_key(|m| m.count_ones());
         for m in masks {
-            let cand =
-                AttrSet::from_iter((0..n).filter(|&i| m & (1 << i) != 0).map(|i| attrs[i]));
+            let cand = AttrSet::from_iter((0..n).filter(|&i| m & (1 << i) != 0).map(|i| attrs[i]));
             if keys.iter().any(|k| k.is_subset_of(cand)) {
                 continue; // a subset is already a key
             }

@@ -87,13 +87,7 @@ where
     for start in 0..n {
         order.clear();
         order.push(start);
-        if dfs(
-            full,
-            RelSet::singleton(start),
-            &ok,
-            &mut memo,
-            &mut order,
-        ) {
+        if dfs(full, RelSet::singleton(start), &ok, &mut memo, &mut order) {
             return Some(order);
         }
     }

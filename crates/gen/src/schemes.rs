@@ -59,9 +59,7 @@ pub fn cycle(n: usize) -> (Catalog, DbScheme) {
     assert!(n >= 2);
     let mut cat = Catalog::new();
     let attrs = fresh(&mut cat, n);
-    let schemes = (0..n)
-        .map(|i| attrs[i].union(attrs[(i + 1) % n]))
-        .collect();
+    let schemes = (0..n).map(|i| attrs[i].union(attrs[(i + 1) % n])).collect();
     let d = DbScheme::new(schemes).expect("cycle schemes are nonempty");
     (cat, d)
 }
@@ -114,11 +112,7 @@ pub fn random_tree<R: Rng>(n: usize, rng: &mut R) -> (Catalog, DbScheme) {
 
 /// Random connected query: a random tree plus `extra_edges` additional
 /// shared attributes between random relation pairs.
-pub fn random_connected<R: Rng>(
-    n: usize,
-    extra_edges: usize,
-    rng: &mut R,
-) -> (Catalog, DbScheme) {
+pub fn random_connected<R: Rng>(n: usize, extra_edges: usize, rng: &mut R) -> (Catalog, DbScheme) {
     let (mut cat, tree) = random_tree(n, rng);
     let mut schemes: Vec<AttrSet> = tree.schemes().to_vec();
     let mut pairs: Vec<(usize, usize)> = (0..n)

@@ -60,7 +60,10 @@ pub const SITES: &[&str] = &[
 /// order. The `failpoints` CLI command renders this table; a guard test
 /// keeps it in lockstep with [`SITES`].
 pub const SITE_DOCS: &[(&str, &str)] = &[
-    ("cost::materialize", "exact oracle: every τ request, counted or built"),
+    (
+        "cost::materialize",
+        "exact oracle: every τ request, counted or built",
+    ),
     ("relation::join", "join kernels: guarded natural join"),
     ("optimizer::dp", "bushy / DPccp dynamic programs"),
     ("optimizer::greedy", "greedy bushy optimizer"),
@@ -70,20 +73,35 @@ pub const SITE_DOCS: &[(&str, &str)] = &[
     ("optimizer::exhaustive", "exhaustive strategy enumeration"),
     ("semijoin::reduce", "semijoin full-reducer passes"),
     ("core::ladder", "degradation-ladder rung dispatch"),
-    ("adaptive::materialize", "adaptive executor: stage input materialization"),
+    (
+        "adaptive::materialize",
+        "adaptive executor: stage input materialization",
+    ),
     ("adaptive::stage", "adaptive executor: pipeline stage"),
-    ("adaptive::replan", "adaptive executor: mid-query re-optimization"),
+    (
+        "adaptive::replan",
+        "adaptive executor: mid-query re-optimization",
+    ),
     ("obs::report", "observability: JSON report rendering"),
     ("serve::accept", "serve daemon: connection accept path"),
     ("serve::decode", "serve daemon: request line decode"),
     ("serve::enqueue", "serve daemon: admission-queue submit"),
     ("serve::respond", "serve daemon: response write path"),
-    ("serve::admit_client", "serve daemon: per-client admission (quota/rate) check"),
-    ("serve::brownout", "serve daemon: brownout controller consult"),
+    (
+        "serve::admit_client",
+        "serve daemon: per-client admission (quota/rate) check",
+    ),
+    (
+        "serve::brownout",
+        "serve daemon: brownout controller consult",
+    ),
     ("store::load", "persistent store: open/validate path"),
     ("store::save", "persistent store: serialize/write path"),
     ("query::parse", "query front end: DSL text parse"),
-    ("query::lower", "query front end: lowering onto the database"),
+    (
+        "query::lower",
+        "query front end: lowering onto the database",
+    ),
 ];
 
 /// Process-wide armed sites plus live thread-scoped arms. Zero — the
@@ -125,7 +143,13 @@ pub fn disarm(site: &str) {
 /// own thread-scoped ones — sorted.
 pub fn armed() -> Vec<String> {
     let mut v = THREAD_SITES.with(|sites| sites.borrow().clone());
-    v.extend(REGISTRY.lock().expect("failpoint registry poisoned").iter().cloned());
+    v.extend(
+        REGISTRY
+            .lock()
+            .expect("failpoint registry poisoned")
+            .iter()
+            .cloned(),
+    );
     v.sort();
     v.dedup();
     v
@@ -159,7 +183,10 @@ pub fn hit(site: &str) -> Result<(), MjoinError> {
 #[cold]
 fn hit_slow(site: &str) -> Result<(), MjoinError> {
     let armed = THREAD_SITES.with(|sites| sites.borrow().iter().any(|s| s == site))
-        || REGISTRY.lock().expect("failpoint registry poisoned").contains(site);
+        || REGISTRY
+            .lock()
+            .expect("failpoint registry poisoned")
+            .contains(site);
     if armed {
         Err(MjoinError::Internal(format!("injected fault at {site}")))
     } else {
@@ -183,14 +210,22 @@ impl ScopedFailpoint {
     pub fn arm(site: &str) -> Self {
         THREAD_SITES.with(|sites| sites.borrow_mut().push(site.to_string()));
         ARMED.fetch_add(1, Ordering::Release);
-        ScopedFailpoint { site: site.to_string(), process_wide: false, _this_thread: PhantomData }
+        ScopedFailpoint {
+            site: site.to_string(),
+            process_wide: false,
+            _this_thread: PhantomData,
+        }
     }
 
     /// Arms `site` for every thread in the process ([`arm`]) until the
     /// value is dropped — for faults in threads the caller did not spawn.
     pub fn arm_process(site: &str) -> Self {
         arm(site);
-        ScopedFailpoint { site: site.to_string(), process_wide: true, _this_thread: PhantomData }
+        ScopedFailpoint {
+            site: site.to_string(),
+            process_wide: true,
+            _this_thread: PhantomData,
+        }
     }
 }
 
@@ -232,8 +267,11 @@ impl Scope {
     /// Runs `f` on the calling thread with the captured state in force,
     /// and takes it away again afterwards (also when `f` unwinds).
     pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _armed: Vec<ScopedFailpoint> =
-            self.sites.iter().map(|site| ScopedFailpoint::arm(site)).collect();
+        let _armed: Vec<ScopedFailpoint> = self
+            .sites
+            .iter()
+            .map(|site| ScopedFailpoint::arm(site))
+            .collect();
         match &self.sink {
             Some(sink) => sink.enter(f),
             None => f(),

@@ -187,10 +187,7 @@ impl SchemeIndex {
     /// pattern — one DP level.
     #[inline]
     pub fn level(&self, size: usize) -> &[u32] {
-        self.by_size
-            .get(size)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.by_size.get(size).map(Vec::as_slice).unwrap_or(&[])
     }
 }
 

@@ -150,9 +150,8 @@ impl JoinTree {
     fn is_coherent(&self, scheme: &DbScheme) -> bool {
         let all_attrs = scheme.attrs_of(scheme.full_set());
         all_attrs.iter().all(|a| {
-            let holders = RelSet::from_indices(
-                (0..self.n).filter(|&i| scheme.scheme(i).contains(a)),
-            );
+            let holders =
+                RelSet::from_indices((0..self.n).filter(|&i| scheme.scheme(i).contains(a)));
             self.induces_subtree(holders)
         })
     }

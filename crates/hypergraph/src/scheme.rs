@@ -41,8 +41,7 @@ impl DbScheme {
         let adjacency = (0..schemes.len())
             .map(|i| {
                 RelSet::from_indices(
-                    (0..schemes.len())
-                        .filter(|&j| j != i && schemes[i].intersects(schemes[j])),
+                    (0..schemes.len()).filter(|&j| j != i && schemes[i].intersects(schemes[j])),
                 )
             })
             .collect();
@@ -158,7 +157,11 @@ impl DbScheme {
     #[inline]
     pub fn linked_disjoint(&self, d1: RelSet, d2: RelSet) -> bool {
         debug_assert!(d1.is_disjoint(d2));
-        let (walk, probe) = if d1.len() <= d2.len() { (d1, d2) } else { (d2, d1) };
+        let (walk, probe) = if d1.len() <= d2.len() {
+            (d1, d2)
+        } else {
+            (d2, d1)
+        };
         for i in walk.iter() {
             if !self.adjacency[i].intersect(probe).is_empty() {
                 return true;
@@ -383,7 +386,13 @@ impl DbScheme {
             if ext.is_empty() {
                 continue;
             }
-            self.ccp_emit_cmps(subset.union(ext), adj.union(self.adj_union(ext)), below, within, f)?;
+            self.ccp_emit_cmps(
+                subset.union(ext),
+                adj.union(self.adj_union(ext)),
+                below,
+                within,
+                f,
+            )?;
         }
         for ext in neighborhood.subsets() {
             if ext.is_empty() {
@@ -657,9 +666,7 @@ mod tests {
     fn connected_subsets_chain_is_quadratic() {
         // A 40-relation chain has exactly 40·41/2 = 820 connected subsets;
         // the enumeration must produce them without touching 2⁴⁰ masks.
-        let specs: Vec<String> = (0..40)
-            .map(|i| format!("x{i},x{}", i + 1))
-            .collect();
+        let specs: Vec<String> = (0..40).map(|i| format!("x{i},x{}", i + 1)).collect();
         let refs: Vec<&str> = specs.iter().map(String::as_str).collect();
         let mut cat = Catalog::new();
         let d = DbScheme::parse(&mut cat, &refs).unwrap();

@@ -7,8 +7,8 @@
 //! check in every profile; this suite is run under `--release` by the CI
 //! `store` job to prove the rejection does not compile away.
 
-use mjoin_relation::{AttrSet, Catalog, RelationError};
 use mjoin_hypergraph::{DbScheme, RelSet, MAX_RELATIONS};
+use mjoin_relation::{AttrSet, Catalog, RelationError};
 
 fn singleton_schemes(n: usize) -> Vec<AttrSet> {
     let mut cat = Catalog::new();
@@ -16,7 +16,10 @@ fn singleton_schemes(n: usize) -> Vec<AttrSet> {
     // catalog cap while exceeding the relation cap.
     (0..n)
         .map(|i| {
-            AttrSet::singleton(cat.intern(&format!("a{}", i / 2)).expect("catalog has room"))
+            AttrSet::singleton(
+                cat.intern(&format!("a{}", i / 2))
+                    .expect("catalog has room"),
+            )
         })
         .collect()
 }

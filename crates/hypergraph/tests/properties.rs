@@ -266,7 +266,8 @@ mod ccp {
             let scheme = random_connected(&mut rng, n, extra);
             assert_ccp_matches_brute(&scheme, scheme.full_set());
             // Also on a restricted (possibly disconnected) `within`.
-            let within = RelSet(u128::from(rng.gen_range(1..u64::MAX))).intersect(scheme.full_set());
+            let within =
+                RelSet(u128::from(rng.gen_range(1..u64::MAX))).intersect(scheme.full_set());
             assert_ccp_matches_brute(&scheme, within);
         }
     }

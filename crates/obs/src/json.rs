@@ -30,15 +30,18 @@ pub enum Json {
 impl Json {
     /// Builds an object from `(key, value)` pairs, preserving order.
     pub fn obj(members: Vec<(&str, Json)>) -> Json {
-        Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        Json::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
     }
 
     /// Member lookup on an object; `None` for other variants.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Obj(members) => {
-                members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
+            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -96,16 +99,22 @@ fn write_value(out: &mut String, value: &Json, indent: Option<usize>, depth: usi
         Json::Arr(items) => write_seq(out, items.iter(), indent, depth, '[', ']', |o, v, d| {
             write_value(o, v, indent, d)
         }),
-        Json::Obj(members) => {
-            write_seq(out, members.iter(), indent, depth, '{', '}', |o, (k, v), d| {
+        Json::Obj(members) => write_seq(
+            out,
+            members.iter(),
+            indent,
+            depth,
+            '{',
+            '}',
+            |o, (k, v), d| {
                 write_string(o, k);
                 o.push(':');
                 if indent.is_some() {
                     o.push(' ');
                 }
                 write_value(o, v, indent, d);
-            })
-        }
+            },
+        ),
     }
 }
 
@@ -183,7 +192,11 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "JSON parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -213,7 +226,10 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn err(&self, message: &str) -> ParseError {
-        ParseError { offset: self.pos, message: message.to_string() }
+        ParseError {
+            offset: self.pos,
+            message: message.to_string(),
+        }
     }
 
     fn peek(&self) -> Option<u8> {
@@ -594,19 +610,29 @@ mod tests {
             ("\"a\u{1}b\"".to_string(), 2, "control character in string"),
             ("\"\t\"".to_string(), 1, "control character in string"),
             ("\"é\n\"".to_string(), 3, "control character in string"),
-            (format!("\"{long}\u{1f}\""), 5001, "control character in string"),
+            (
+                format!("\"{long}\u{1f}\""),
+                5001,
+                "control character in string",
+            ),
             ("\"\\n\u{0}\"".to_string(), 3, "control character in string"),
         ] {
             let err = parse(&text).unwrap_err();
             assert_eq!(
                 err,
-                ParseError { offset, message: message.into() },
+                ParseError {
+                    offset,
+                    message: message.into()
+                },
                 "{text:?}"
             );
         }
         // The same text properly escaped, and DEL (not a control character
         // to JSON), still parse.
-        assert_eq!(parse(r#""\u0041\u001f""#).unwrap(), Json::Str("A\u{1f}".into()));
+        assert_eq!(
+            parse(r#""\u0041\u001f""#).unwrap(),
+            Json::Str("A\u{1f}".into())
+        );
         assert_eq!(parse("\"a\u{7f}b\"").unwrap(), Json::Str("a\u{7f}b".into()));
     }
 
@@ -669,7 +695,10 @@ mod tests {
         let v = sample();
         assert_eq!(v.get("count").and_then(Json::as_u64), Some(42));
         assert_eq!(v.get("name").and_then(Json::as_str), Some("q\"uo\\te\n"));
-        assert_eq!(v.get("items").and_then(Json::as_arr).map(|a| a.len()), Some(2));
+        assert_eq!(
+            v.get("items").and_then(Json::as_arr).map(|a| a.len()),
+            Some(2)
+        );
         assert!(v.get("missing").is_none());
     }
 }

@@ -357,8 +357,10 @@ impl Snapshot {
 
     /// `(name, stat)` for every span, sorted by name.
     pub fn spans_by_name(&self) -> Vec<(&'static str, SpanStat)> {
-        let mut rows: Vec<_> =
-            Span::ALL.iter().map(|&s| (s.name(), self.span(s))).collect();
+        let mut rows: Vec<_> = Span::ALL
+            .iter()
+            .map(|&s| (s.name(), self.span(s)))
+            .collect();
         rows.sort_by_key(|&(name, _)| name);
         rows
     }

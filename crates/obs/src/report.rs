@@ -139,14 +139,17 @@ pub fn validate_schema(doc: &Json) -> Result<(), String> {
     if version != SCHEMA_VERSION {
         return Err(format!("schema_version {version} != {SCHEMA_VERSION}"));
     }
-    doc.get("command").and_then(Json::as_str).ok_or("missing command")?;
-    doc.get("threads").and_then(Json::as_u64).ok_or("missing threads")?;
+    doc.get("command")
+        .and_then(Json::as_str)
+        .ok_or("missing command")?;
+    doc.get("threads")
+        .and_then(Json::as_u64)
+        .ok_or("missing threads")?;
     let counters = match doc.get("counters") {
         Some(Json::Obj(members)) => members,
         _ => return Err("missing counters object".into()),
     };
-    let known: Vec<&str> =
-        crate::Counter::ALL.iter().map(|c| c.name()).collect();
+    let known: Vec<&str> = crate::Counter::ALL.iter().map(|c| c.name()).collect();
     if counters.len() != known.len() {
         return Err(format!(
             "expected {} counters, found {}",
@@ -198,7 +201,9 @@ mod tests {
             Some(6)
         );
         assert_eq!(
-            doc.get("extra").and_then(|e| e.get("tau")).and_then(Json::as_u64),
+            doc.get("extra")
+                .and_then(|e| e.get("tau"))
+                .and_then(Json::as_u64),
             Some(9)
         );
     }

@@ -45,11 +45,7 @@ pub fn bottleneck_of<O: CardinalityOracle>(oracle: &O, strategy: &Strategy) -> u
         .unwrap_or(0)
 }
 
-fn rec<O: CardinalityOracle>(
-    oracle: &O,
-    s: RelSet,
-    memo: &mut BottleneckMemo,
-) -> (u64, u64) {
+fn rec<O: CardinalityOracle>(oracle: &O, s: RelSet, memo: &mut BottleneckMemo) -> (u64, u64) {
     if s.is_singleton() {
         return (0, 0);
     }
@@ -93,8 +89,14 @@ mod tests {
     fn example1() -> Database {
         let seven: Vec<Vec<i64>> = (0..7).map(|i| vec![i, i]).collect();
         Database::from_specs(&[
-            ("AB", vec![vec![100, 0], vec![101, 0], vec![102, 0], vec![103, 1]]),
-            ("BC", vec![vec![0, 200], vec![0, 201], vec![0, 202], vec![1, 203]]),
+            (
+                "AB",
+                vec![vec![100, 0], vec![101, 0], vec![102, 0], vec![103, 1]],
+            ),
+            (
+                "BC",
+                vec![vec![0, 200], vec![0, 201], vec![0, 202], vec![1, 203]],
+            ),
             ("DE", seven.clone()),
             ("FG", seven),
         ])

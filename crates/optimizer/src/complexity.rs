@@ -121,7 +121,11 @@ mod tests {
             let s = stats_for(&d);
             assert_eq!(s.csg, (1u64 << n) - 1, "csg n={n}");
             let three_n = 3u64.pow(n as u32);
-            assert_eq!(s.ccp, (three_n - (1u64 << (n + 1))).div_ceil(2), "ccp n={n}");
+            assert_eq!(
+                s.ccp,
+                (three_n - (1u64 << (n + 1))).div_ceil(2),
+                "ccp n={n}"
+            );
         }
     }
 

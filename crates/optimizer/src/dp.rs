@@ -90,8 +90,7 @@ const NO_SPLIT: (u32, u32) = (u32::MAX, u32::MAX);
 
 /// Cheapest strategy over the full space (bushy, products allowed).
 pub fn best_bushy<O: CardinalityOracle>(oracle: &O, subset: RelSet) -> Plan {
-    try_best_bushy(oracle, subset, &Guard::unlimited())
-        .expect("unlimited-guard DP cannot fail")
+    try_best_bushy(oracle, subset, &Guard::unlimited()).expect("unlimited-guard DP cannot fail")
 }
 
 /// [`best_bushy`] under a budget: `O(3ⁿ)` recursion with a checkpoint per
@@ -146,8 +145,13 @@ fn bushy_rec<O: CardinalityOracle>(
         if scanned & 0xFF == 0 {
             guard.checkpoint()?;
         }
-        let c = bushy_rec(oracle, s1, memo, guard, total_scanned)?
-            .saturating_add(bushy_rec(oracle, s2, memo, guard, total_scanned)?);
+        let c = bushy_rec(oracle, s1, memo, guard, total_scanned)?.saturating_add(bushy_rec(
+            oracle,
+            s2,
+            memo,
+            guard,
+            total_scanned,
+        )?);
         if c < best {
             best = c;
             best_split = Some((s1, s2));
@@ -162,11 +166,7 @@ fn bushy_rec<O: CardinalityOracle>(
 
 /// Cheapest *linear* strategy; with `no_cartesian`, every step must join
 /// linked subsets (callers guarantee `subset` is connected in that case).
-pub fn best_linear<O: CardinalityOracle>(
-    oracle: &O,
-    subset: RelSet,
-    no_cartesian: bool,
-) -> Plan {
+pub fn best_linear<O: CardinalityOracle>(oracle: &O, subset: RelSet, no_cartesian: bool) -> Plan {
     try_best_linear(oracle, subset, no_cartesian, &Guard::unlimited())
         .expect("unlimited-guard DP cannot fail")
 }
@@ -242,7 +242,9 @@ fn linear_rec<O: CardinalityOracle>(
         // connected), so prune disconnected prefixes — this turns chain
         // queries from exponential into O(n²) subproblems.
         if no_cartesian
-            && (!oracle.scheme().linked_disjoint(rest, RelSet::singleton(last))
+            && (!oracle
+                .scheme()
+                .linked_disjoint(rest, RelSet::singleton(last))
                 || !oracle.scheme().connected(rest))
         {
             pruned += 1;
@@ -311,8 +313,7 @@ fn index_and_level_pairs(
     scheme.try_for_each_ccp(within, &mut |csg, cmp| {
         guard.checkpoint()?;
         let union = csg.union(cmp);
-        let (Some(t), Some(r1), Some(r2)) =
-            (index.rank(union), index.rank(csg), index.rank(cmp))
+        let (Some(t), Some(r1), Some(r2)) = (index.rank(union), index.rank(csg), index.rank(cmp))
         else {
             return Err(MjoinError::Internal(
                 "csg–cmp enumeration emitted a subset missing from the rank index".into(),
@@ -572,7 +573,10 @@ impl<O: CardinalityOracle> CcpRun<'_, O> {
                     "connected subset {s:?} used before any of its csg–cmp pairs"
                 )));
             };
-            (self.oracle.try_tau(s)?.saturating_add(children), Some(split))
+            (
+                self.oracle.try_tau(s)?.saturating_add(children),
+                Some(split),
+            )
         };
         self.guard.charge_memo(1)?;
         incr(Counter::DpSubsetsExpanded, 1);
@@ -646,9 +650,7 @@ fn combine_component_plans(
             return Ok(c);
         }
         guard.checkpoint()?;
-        let own: u64 = cs
-            .iter()
-            .fold(1u64, |acc, i| acc.saturating_mul(sizes[i]));
+        let own: u64 = cs.iter().fold(1u64, |acc, i| acc.saturating_mul(sizes[i]));
         let mut best = u64::MAX;
         let mut best_split = None;
         for (a, b) in cs.proper_splits() {
@@ -1003,17 +1005,27 @@ mod tests {
         ])
         .unwrap();
         let inner = ExactOracle::new(&db);
-        let o = CountingOracle { inner: &inner, tau_calls: Default::default() };
+        let o = CountingOracle {
+            inner: &inner,
+            tau_calls: Default::default(),
+        };
         let full = db.scheme().full_set();
         let err = try_best_linear(&o, full, true, &Guard::unlimited()).unwrap_err();
         assert!(matches!(err, MjoinError::Internal(_)), "{err}");
-        assert_eq!(o.tau_calls.get(), 0, "unreachable prefixes must not touch the oracle");
+        assert_eq!(
+            o.tau_calls.get(),
+            0,
+            "unreachable prefixes must not touch the oracle"
+        );
 
         // On a connected input the lazy form still materializes exactly
         // one τ per expanded prefix, and the plan is unchanged.
         let db = chain4();
         let inner = ExactOracle::new(&db);
-        let o = CountingOracle { inner: &inner, tau_calls: Default::default() };
+        let o = CountingOracle {
+            inner: &inner,
+            tau_calls: Default::default(),
+        };
         let full = db.scheme().full_set();
         let plan = try_best_linear(&o, full, true, &Guard::unlimited()).unwrap();
         // 4-chain: connected prefixes of size ≥ 2 are the 3 + 2 + 1
@@ -1034,12 +1046,21 @@ mod tests {
         // prices and trips having priced a few hundred, not the thousands
         // the deadline alone would let it build up.
         let (cat, scheme) = schemes::star(20);
-        let db = data::uniform(cat, scheme, &DataConfig::default(), &mut StdRng::seed_from_u64(3));
+        let db = data::uniform(
+            cat,
+            scheme,
+            &DataConfig::default(),
+            &mut StdRng::seed_from_u64(3),
+        );
         let o = ExactOracle::new(&db);
         let guard = Guard::new(Budget::unlimited().with_deadline(Duration::from_millis(200)));
         let err = try_best_no_cartesian(&o, db.scheme().full_set(), &guard).unwrap_err();
         assert!(matches!(err, MjoinError::BudgetExceeded { .. }), "{err}");
-        assert!(guard.memo_used() < 2_000, "priced {} subsets", guard.memo_used());
+        assert!(
+            guard.memo_used() < 2_000,
+            "priced {} subsets",
+            guard.memo_used()
+        );
     }
 
     #[test]

@@ -48,7 +48,11 @@ impl std::fmt::Display for Explanation {
                 s.input_taus.0,
                 s.input_taus.1,
                 s.output_tau,
-                if s.cartesian { "  (Cartesian product)" } else { "" },
+                if s.cartesian {
+                    "  (Cartesian product)"
+                } else {
+                    ""
+                },
             )?;
         }
         write!(
@@ -67,11 +71,7 @@ impl std::fmt::Display for Explanation {
 impl Plan {
     /// Explains the plan against an oracle: per-step input/output sizes,
     /// product flags, the paper's cost sum.
-    pub fn explain<O: CardinalityOracle>(
-        &self,
-        catalog: &Catalog,
-        oracle: &O,
-    ) -> Explanation {
+    pub fn explain<O: CardinalityOracle>(&self, catalog: &Catalog, oracle: &O) -> Explanation {
         let scheme = oracle.scheme().clone();
         let render = |set: mjoin_hypergraph::RelSet| -> String {
             if set.is_singleton() {
@@ -119,8 +119,14 @@ mod tests {
         // Example 1's S1: 10 + 70 + 490 = 570.
         let r3: Vec<Vec<i64>> = (0..7).map(|i| vec![i, i]).collect();
         let db = Database::from_specs(&[
-            ("AB", vec![vec![100, 0], vec![101, 0], vec![102, 0], vec![103, 1]]),
-            ("BC", vec![vec![0, 200], vec![0, 201], vec![0, 202], vec![1, 203]]),
+            (
+                "AB",
+                vec![vec![100, 0], vec![101, 0], vec![102, 0], vec![103, 1]],
+            ),
+            (
+                "BC",
+                vec![vec![0, 200], vec![0, 201], vec![0, 202], vec![1, 203]],
+            ),
             ("DE", r3.clone()),
             ("FG", r3),
         ])

@@ -24,8 +24,7 @@ use crate::plan::Plan;
 /// merge the pair whose join output is smallest (ties: prefer linked pairs,
 /// then lower indices).
 pub fn greedy_bushy<O: CardinalityOracle>(oracle: &O, subset: RelSet) -> Plan {
-    try_greedy_bushy(oracle, subset, &Guard::unlimited())
-        .unwrap_or_else(|e| panic!("{e}"))
+    try_greedy_bushy(oracle, subset, &Guard::unlimited()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`greedy_bushy`] under a budget: each merge round is checkpointed and
@@ -86,8 +85,7 @@ pub fn try_greedy_bushy<O: CardinalityOracle>(
         let (sj_set, sj) = forest.swap_remove(j);
         let (si_set, si) = forest.swap_remove(i);
         // Drop the merged trees' rows/columns; every other pair stays valid.
-        pair_cache
-            .retain(|&(a, b), _| a != si_set && a != sj_set && b != si_set && b != sj_set);
+        pair_cache.retain(|&(a, b), _| a != si_set && a != sj_set && b != si_set && b != sj_set);
         incr(Counter::GreedyMerges, 1);
         let merged = Strategy::join(si, sj)
             .map_err(|e| MjoinError::Internal(format!("forest trees must be disjoint: {e}")))?;
@@ -104,8 +102,7 @@ pub fn try_greedy_bushy<O: CardinalityOracle>(
 /// linked extensions, then lower indices — the same cost-first order as
 /// [`greedy_bushy`]).
 pub fn greedy_linear<O: CardinalityOracle>(oracle: &O, subset: RelSet) -> Plan {
-    try_greedy_linear(oracle, subset, &Guard::unlimited())
-        .unwrap_or_else(|e| panic!("{e}"))
+    try_greedy_linear(oracle, subset, &Guard::unlimited()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`greedy_linear`] under a budget.
@@ -287,7 +284,10 @@ mod tests {
         ])
         .unwrap();
         let inner = ExactOracle::new(&db);
-        let o = CountingOracle { inner: &inner, calls: Default::default() };
+        let o = CountingOracle {
+            inner: &inner,
+            calls: Default::default(),
+        };
         let full = db.scheme().full_set();
         let plan = greedy_bushy(&o, full);
         let planning_calls = o.calls.get();

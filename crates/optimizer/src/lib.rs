@@ -49,17 +49,15 @@ mod plan;
 
 pub use bottleneck::{best_bottleneck, bottleneck_of};
 pub use complexity::{enumeration_stats, EnumerationStats};
-pub use explain::{Explanation, ExplainStep};
-pub use monotone::{best_monotone, exists_monotone, Monotonicity};
 pub use dp::{
-    best_avoid_cartesian, best_bushy, best_linear, best_no_cartesian,
-    try_best_avoid_cartesian, try_best_avoid_cartesian_parallel, try_best_bushy,
-    try_best_linear, try_best_no_cartesian, try_best_no_cartesian_parallel,
+    best_avoid_cartesian, best_bushy, best_linear, best_no_cartesian, try_best_avoid_cartesian,
+    try_best_avoid_cartesian_parallel, try_best_bushy, try_best_linear, try_best_no_cartesian,
+    try_best_no_cartesian_parallel,
 };
+pub use explain::{ExplainStep, Explanation};
 pub use greedy::{greedy_bushy, greedy_linear, try_greedy_bushy, try_greedy_linear};
 pub use ikkbz::{ikkbz, try_ikkbz};
 pub use lindp::{lindp, try_lindp};
-pub use partdp::{
-    partitioned_dp, try_partitioned_dp, try_partitioned_dp_with, DEFAULT_BLOCK_MAX,
-};
+pub use monotone::{best_monotone, exists_monotone, Monotonicity};
+pub use partdp::{partitioned_dp, try_partitioned_dp, try_partitioned_dp_with, DEFAULT_BLOCK_MAX};
 pub use plan::{optimize, try_optimize, try_optimize_threaded, Plan, SearchSpace};

@@ -317,8 +317,7 @@ mod tests {
             let oracle = SyntheticOracle::new(scheme.clone(), bases, 50);
             let full = scheme.full_set();
             let fast = lindp(&oracle, full).expect("connected");
-            let exact =
-                dp::best_no_cartesian(&oracle, full).expect("connected");
+            let exact = dp::best_no_cartesian(&oracle, full).expect("connected");
             assert_eq!(fast.cost, exact.cost, "n={n}");
             assert!(!fast.strategy.uses_cartesian(&scheme));
         }

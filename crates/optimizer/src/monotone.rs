@@ -156,7 +156,7 @@ mod tests {
         let db = Database::from_specs(&[
             ("AB", vec![vec![0, 0], vec![1, 0], vec![2, 0]]), // B hot
             ("BC", vec![vec![0, 0], vec![0, 1], vec![0, 2]]), // grows ×3
-            ("CD", vec![vec![0, 9]]),                          // shrinks to ⅓
+            ("CD", vec![vec![0, 9]]),                         // shrinks to ⅓
         ])
         .unwrap();
         let o = ExactOracle::new(&db);

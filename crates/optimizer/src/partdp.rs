@@ -166,8 +166,7 @@ pub fn try_partitioned_dp_with<O: CardinalityOracle>(
     for floor in floors {
         match floor(oracle, subset, guard) {
             Ok(greedy) => {
-                if greedy.cost < best.cost && !greedy.strategy.uses_cartesian(oracle.scheme())
-                {
+                if greedy.cost < best.cost && !greedy.strategy.uses_cartesian(oracle.scheme()) {
                     best = greedy;
                 }
             }
@@ -196,7 +195,7 @@ fn partition(
         unassigned.remove(seed);
         while block.len() < block_max {
             let mut best: Option<(usize, usize)> = None; // (edges, rel)
-            // Ascending scan, strict `>`: ties settle on the lowest index.
+                                                         // Ascending scan, strict `>`: ties settle on the lowest index.
             for r in unassigned.iter() {
                 let e = edges_into(scheme, r, block);
                 if e > 0 && best.is_none_or(|(be, _)| e > be) {
@@ -253,10 +252,9 @@ mod tests {
                 .unwrap()
                 .expect("connected");
             let oracle2 = SyntheticOracle::new(scheme.clone(), bases, 20);
-            let exact =
-                dp::try_best_no_cartesian(&oracle2, full, &Guard::unlimited())
-                    .unwrap()
-                    .expect("connected");
+            let exact = dp::try_best_no_cartesian(&oracle2, full, &Guard::unlimited())
+                .unwrap()
+                .expect("connected");
             assert_eq!(part.cost, exact.cost, "n={n}");
             assert_eq!(part.strategy, exact.strategy, "n={n}");
         }

@@ -122,13 +122,8 @@ mod tests {
         let r1 = vec![vec![100, 0], vec![101, 0], vec![102, 0], vec![103, 1]];
         let r2 = vec![vec![0, 200], vec![0, 201], vec![0, 202], vec![1, 203]];
         let seven: Vec<Vec<i64>> = (0..7).map(|i| vec![i, i]).collect();
-        Database::from_specs(&[
-            ("AB", r1),
-            ("BC", r2),
-            ("DE", seven.clone()),
-            ("FG", seven),
-        ])
-        .unwrap()
+        Database::from_specs(&[("AB", r1), ("BC", r2), ("DE", seven.clone()), ("FG", seven)])
+            .unwrap()
     }
 
     #[test]
@@ -175,10 +170,7 @@ mod tests {
                 best_linear = best_linear.min(c);
             }
         }
-        assert_eq!(
-            optimize(&o, full, SearchSpace::All).unwrap().cost,
-            best_all
-        );
+        assert_eq!(optimize(&o, full, SearchSpace::All).unwrap().cost, best_all);
         assert_eq!(
             optimize(&o, full, SearchSpace::Linear).unwrap().cost,
             best_linear
@@ -249,9 +241,7 @@ mod tests {
         let o = ExactOracle::new(&db);
         let full = db.scheme().full_set();
         let all = optimize(&o, full, SearchSpace::All).unwrap().cost;
-        let nc = optimize(&o, full, SearchSpace::NoCartesian)
-            .unwrap()
-            .cost;
+        let nc = optimize(&o, full, SearchSpace::NoCartesian).unwrap().cost;
         let lin = optimize(&o, full, SearchSpace::Linear).unwrap().cost;
         let lnc = optimize(&o, full, SearchSpace::LinearNoCartesian)
             .unwrap()

@@ -291,7 +291,10 @@ impl Parser {
         let left = self.operand()?;
         let (tok, pos) = self.next();
         let Tok::Op(op) = tok else {
-            return Err(invalid(pos, format!("expected a comparison operator, found {tok}")));
+            return Err(invalid(
+                pos,
+                format!("expected a comparison operator, found {tok}"),
+            ));
         };
         let right = self.operand()?;
         Ok(Predicate { left, op, right })
@@ -358,10 +361,7 @@ mod tests {
         assert_eq!(query.tables, vec!["ABC", "AU"]);
         assert_eq!(query.predicates.len(), 4);
         assert_eq!(query.predicates[1].op, CmpOp::Ne);
-        assert_eq!(
-            query.predicates[2].right,
-            Operand::Lit(Scalar::Int(-3)),
-        );
+        assert_eq!(query.predicates[2].right, Operand::Lit(Scalar::Int(-3)),);
         assert_eq!(query.predicates[3].left, Operand::Lit(Scalar::Int(5)));
     }
 

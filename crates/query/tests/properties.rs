@@ -20,7 +20,10 @@ struct Lcg(u64);
 
 impl Lcg {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         self.0 >> 33
     }
 
@@ -35,7 +38,14 @@ impl Lcg {
 
 const TABLES: &[&str] = &["ABCF", "AU", "BV", "CW", "orders", "t1"];
 const COLUMNS: &[&str] = &["A", "B", "C", "W", "price", "x9"];
-const OPS: &[CmpOp] = &[CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+const OPS: &[CmpOp] = &[
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+];
 
 fn gen_operand(rng: &mut Lcg) -> Operand {
     match rng.below(4) {
@@ -191,7 +201,10 @@ fn mutated_input_never_panics_and_errors_are_typed() {
     }
     // The fuzzer must actually exercise both outcomes to mean anything.
     assert!(accepted > 50, "only {accepted} mutated inputs still parsed");
-    assert!(rejected > 500, "only {rejected} mutated inputs were rejected");
+    assert!(
+        rejected > 500,
+        "only {rejected} mutated inputs were rejected"
+    );
 }
 
 /// Deeply adversarial inputs: long garbage, deep nesting-free repetition,
@@ -211,7 +224,10 @@ fn pathological_inputs_are_rejected_not_panicked() {
     for text in &cases {
         match parse_query(text) {
             Ok(_) | Err(MjoinError::InvalidQuery(_)) => {}
-            Err(other) => panic!("non-InvalidQuery error {other:?} for {:?}…", &text[..text.len().min(40)]),
+            Err(other) => panic!(
+                "non-InvalidQuery error {other:?} for {:?}…",
+                &text[..text.len().min(40)]
+            ),
         }
     }
 }

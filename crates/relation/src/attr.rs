@@ -150,10 +150,7 @@ impl AttrSet {
     /// `R` is linked to `R'` iff `R ∩ R' ≠ ∅`.
     #[inline]
     pub fn intersects(self, other: Self) -> bool {
-        self.words
-            .iter()
-            .zip(other.words)
-            .any(|(&w, o)| w & o != 0)
+        self.words.iter().zip(other.words).any(|(&w, o)| w & o != 0)
     }
 
     /// Is `self` a subset of `other`?
@@ -356,10 +353,7 @@ impl Catalog {
     /// Single-character names are concatenated (`ABC`); longer names are
     /// joined with commas.
     pub fn render(&self, set: AttrSet) -> String {
-        let names: Vec<&str> = set
-            .iter()
-            .map(|a| self.name(a).unwrap_or("?"))
-            .collect();
+        let names: Vec<&str> = set.iter().map(|a| self.name(a).unwrap_or("?")).collect();
         if names.iter().all(|n| n.chars().count() == 1) {
             names.concat()
         } else {

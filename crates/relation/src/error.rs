@@ -39,18 +39,31 @@ impl fmt::Display for RelationError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RelationError::CatalogFull => {
-                write!(f, "attribute catalog is full ({} attributes)", crate::MAX_ATTRS)
+                write!(
+                    f,
+                    "attribute catalog is full ({} attributes)",
+                    crate::MAX_ATTRS
+                )
             }
             RelationError::EmptyScheme => write!(f, "relation schemes must be nonempty"),
             RelationError::EmptyAttributeName => write!(f, "empty attribute name in scheme spec"),
             RelationError::ArityMismatch { expected, got } => {
-                write!(f, "row has {got} values but scheme has {expected} attributes")
+                write!(
+                    f,
+                    "row has {got} values but scheme has {expected} attributes"
+                )
             }
             RelationError::NotASubscheme => {
-                write!(f, "projection target is not a subset of the relation scheme")
+                write!(
+                    f,
+                    "projection target is not a subset of the relation scheme"
+                )
             }
             RelationError::TooManyRelations { max, got } => {
-                write!(f, "database schemes are limited to {max} relations, got {got}")
+                write!(
+                    f,
+                    "database schemes are limited to {max} relations, got {got}"
+                )
             }
         }
     }
@@ -64,7 +77,10 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = RelationError::ArityMismatch { expected: 3, got: 2 };
+        let e = RelationError::ArityMismatch {
+            expected: 3,
+            got: 2,
+        };
         assert!(e.to_string().contains('3'));
         assert!(e.to_string().contains('2'));
         assert!(!RelationError::CatalogFull.to_string().is_empty());

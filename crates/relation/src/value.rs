@@ -120,11 +120,21 @@ mod tests {
 
     #[test]
     fn total_order_across_variants() {
-        let mut vs = vec![Value::str("b"), Value::Int(2), Value::str("a"), Value::Int(1)];
+        let mut vs = vec![
+            Value::str("b"),
+            Value::Int(2),
+            Value::str("a"),
+            Value::Int(1),
+        ];
         vs.sort();
         assert_eq!(
             vs,
-            vec![Value::Int(1), Value::Int(2), Value::str("a"), Value::str("b")]
+            vec![
+                Value::Int(1),
+                Value::Int(2),
+                Value::str("a"),
+                Value::str("b")
+            ]
         );
     }
 

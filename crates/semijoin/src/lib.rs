@@ -88,9 +88,9 @@ pub fn try_full_reduce_with_stats(
     let mut stats = ReductionStats::default();
     let order = tree.reduction_order(root);
     let apply = |out: &mut Database,
-                     target: usize,
-                     with: usize,
-                     stats: &mut ReductionStats|
+                 target: usize,
+                 with: usize,
+                 stats: &mut ReductionStats|
      -> Result<(), MjoinError> {
         guard.checkpoint()?;
         let before = out.state(target).tau();
@@ -176,7 +176,10 @@ pub fn yannakakis(db: &Database) -> Option<YannakakisOutput> {
 /// [`yannakakis`] under a budget: the reduction pass, the cost probe and
 /// the final join pipeline all charge the same guard, so a deadline or
 /// tuple cap interrupts the evaluation at the next kernel batch.
-pub fn try_yannakakis(db: &Database, guard: &Guard) -> Result<Option<YannakakisOutput>, MjoinError> {
+pub fn try_yannakakis(
+    db: &Database,
+    guard: &Guard,
+) -> Result<Option<YannakakisOutput>, MjoinError> {
     let Some(tree) = JoinTree::build(db.scheme()) else {
         return Ok(None);
     };
@@ -267,11 +270,8 @@ mod tests {
     fn consistency_detection() {
         let db = chain_db();
         assert!(!is_pairwise_consistent(&db));
-        let consistent = Database::from_specs(&[
-            ("AB", vec![vec![1, 10]]),
-            ("BC", vec![vec![10, 5]]),
-        ])
-        .unwrap();
+        let consistent =
+            Database::from_specs(&[("AB", vec![vec![1, 10]]), ("BC", vec![vec![10, 5]])]).unwrap();
         assert!(is_pairwise_consistent(&consistent));
     }
 

@@ -46,7 +46,9 @@ impl PlanCache {
             .map(|i| cap / shard_count + usize::from(i < cap % shard_count))
             .collect();
         PlanCache {
-            shards: (0..shard_count).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..shard_count)
+                .map(|_| Mutex::new(Shard::default()))
+                .collect(),
             caps,
             tick: AtomicU64::new(0),
         }

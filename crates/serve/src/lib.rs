@@ -70,8 +70,8 @@ use mjoin_obs::Json;
 
 use brownout::{BrownoutConfig, BrownoutController};
 use cache::PlanCache;
-pub use framing::READ_CHUNK;
 use framing::LineFramer;
+pub use framing::READ_CHUNK;
 use protocol::{decode_line, error_line, kind_of, ok_control_line, ok_line, Request};
 use queue::{Admission, FairnessConfig, Job, SubmitError, ANON_CLIENT};
 
@@ -614,7 +614,10 @@ fn handle_line(shared: &Arc<Shared>, line: &str, stream: &mut TcpStream) -> Flow
             Flow::Continue
         }
         "shutdown" => {
-            write_response(stream, ok_control_line(req.id.as_ref(), "shutdown", Vec::new()));
+            write_response(
+                stream,
+                ok_control_line(req.id.as_ref(), "shutdown", Vec::new()),
+            );
             initiate_shutdown(shared);
             Flow::Close
         }
@@ -702,7 +705,10 @@ fn submit_and_wait(shared: &Arc<Shared>, req: Request, stream: &mut TcpStream) {
         brownout: None,
     };
     if let Err(e) = failpoints::hit("serve::enqueue") {
-        write_response(stream, error_line(req.id.as_ref(), "internal", &e.to_string(), None));
+        write_response(
+            stream,
+            error_line(req.id.as_ref(), "internal", &e.to_string(), None),
+        );
         return;
     }
     // The one parse of the request. Malformed input is answered here,
@@ -727,7 +733,10 @@ fn submit_and_wait(shared: &Arc<Shared>, req: Request, stream: &mut TcpStream) {
     if let Some(k) = &work.key {
         if let Some(resp) = shared.cache.get(k) {
             shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            write_response(stream, ok_line(req.id.as_ref(), &engine_req.op, &resp, true));
+            write_response(
+                stream,
+                ok_line(req.id.as_ref(), &engine_req.op, &resp, true),
+            );
             return;
         }
     }
@@ -793,9 +802,9 @@ fn submit_and_wait(shared: &Arc<Shared>, req: Request, stream: &mut TcpStream) {
                     None,
                 )
             }),
-        None => rx.recv().unwrap_or_else(|_| {
-            error_line(None, "internal", "worker dropped the request", None)
-        }),
+        None => rx
+            .recv()
+            .unwrap_or_else(|_| error_line(None, "internal", "worker dropped the request", None)),
     };
     write_response(stream, line);
 }
@@ -876,7 +885,10 @@ fn run_job(shared: &Arc<Shared>, mut job: Job) -> String {
                 if let Some(key) = key {
                     let evicted = shared.cache.insert(key, resp.clone());
                     if evicted > 0 {
-                        shared.stats.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
+                        shared
+                            .stats
+                            .cache_evictions
+                            .fetch_add(evicted, Ordering::Relaxed);
                     }
                 }
             }
@@ -926,7 +938,10 @@ fn stats_json(shared: &Arc<Shared>) -> Json {
         ),
         ("brownout_entered", Json::U64(s.brownout_entered)),
         ("brownout_dp_answers", Json::U64(s.brownout_dp_answers)),
-        ("brownout_greedy_answers", Json::U64(s.brownout_greedy_answers)),
+        (
+            "brownout_greedy_answers",
+            Json::U64(s.brownout_greedy_answers),
+        ),
         ("clients", clients),
         ("workers", Json::U64(shared.config.workers.max(1) as u64)),
         (

@@ -243,10 +243,9 @@ mod tests {
 
     #[test]
     fn query_op_needs_db_and_query() {
-        let r = decode_line(
-            r#"{"op": "query", "db": "relation AB\n", "query": "SELECT * FROM AB"}"#,
-        )
-        .unwrap();
+        let r =
+            decode_line(r#"{"op": "query", "db": "relation AB\n", "query": "SELECT * FROM AB"}"#)
+                .unwrap();
         assert_eq!(r.op, "query");
         assert_eq!(r.query.as_deref(), Some("SELECT * FROM AB"));
         let e = decode_line(r#"{"op": "query", "db": "relation AB\n"}"#).unwrap_err();

@@ -266,8 +266,7 @@ impl Admission {
                 return Err((job, SubmitError::RateLimited));
             }
         }
-        if self.fairness.client_queue_cap > 0
-            && client.jobs.len() >= self.fairness.client_queue_cap
+        if self.fairness.client_queue_cap > 0 && client.jobs.len() >= self.fairness.client_queue_cap
         {
             client.quota_shed += 1;
             return Err((job, SubmitError::ClientQueueFull));
@@ -302,10 +301,7 @@ impl Admission {
             if st.shutting_down {
                 return None;
             }
-            st = self
-                .ready
-                .wait(st)
-                .unwrap_or_else(|e| e.into_inner());
+            st = self.ready.wait(st).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -477,7 +473,9 @@ mod tests {
                 rs.push(r);
             }
         }
-        let order: Vec<String> = (0..10).map(|_| q.pop().unwrap().client.to_string()).collect();
+        let order: Vec<String> = (0..10)
+            .map(|_| q.pop().unwrap().client.to_string())
+            .collect();
         // Every light job drains within the first two rounds (positions
         // 0..6), not behind the hog's backlog.
         let light_done = order
@@ -493,10 +491,13 @@ mod tests {
 
     #[test]
     fn client_queue_cap_sheds_the_hog_only() {
-        let q = Admission::new(16, FairnessConfig {
-            client_queue_cap: 2,
-            client_rps: 0,
-        });
+        let q = Admission::new(
+            16,
+            FairnessConfig {
+                client_queue_cap: 2,
+                client_rps: 0,
+            },
+        );
         let (j1, _r1) = job_for("hog");
         let (j2, _r2) = job_for("hog");
         let (j3, _r3) = job_for("hog");

@@ -140,10 +140,18 @@ struct TenantOutcome {
 /// floods `hog_n` concurrent requests and `well` submits `well_n`.
 /// Returns (hog outcome, well outcome) once the gate is released and
 /// everything has been answered.
-fn noisy_neighbor(server: &Server, g: &Arc<(Mutex<u64>, Condvar)>, hog_n: usize, well_n: usize) -> (TenantOutcome, TenantOutcome) {
+fn noisy_neighbor(
+    server: &Server,
+    g: &Arc<(Mutex<u64>, Condvar)>,
+    hog_n: usize,
+    well_n: usize,
+) -> (TenantOutcome, TenantOutcome) {
     let addr = server.addr();
     let primer = std::thread::spawn(move || {
-        request(addr, r#"{"op": "optimize", "db": "primer", "client": "primer"}"#)
+        request(
+            addr,
+            r#"{"op": "optimize", "db": "primer", "client": "primer"}"#,
+        )
     });
     // Let the worker pick the primer up and block in the engine.
     std::thread::sleep(Duration::from_millis(100));
@@ -172,7 +180,10 @@ fn noisy_neighbor(server: &Server, g: &Arc<(Mutex<u64>, Condvar)>, hog_n: usize,
     std::thread::sleep(Duration::from_millis(100));
     release(g, 1 + hog_n as u64 + well_n as u64);
     let tally = |threads: Vec<std::thread::JoinHandle<Json>>| {
-        let mut out = TenantOutcome { ok: 0, shed: Vec::new() };
+        let mut out = TenantOutcome {
+            ok: 0,
+            shed: Vec::new(),
+        };
         for t in threads {
             let doc = t.join().unwrap();
             if is_ok(&doc) {
@@ -214,7 +225,11 @@ fn fairness_on_sheds_the_hog_against_its_own_quota() {
         assert!(msg.contains("hog") && msg.contains("queue quota"), "{msg}");
     }
     // The well-behaved tenant sheds nothing: ≤ 1% of its 2 requests is 0.
-    assert_eq!(well.ok, 2, "light tenant must not be starved: {:?}", well.shed);
+    assert_eq!(
+        well.ok, 2,
+        "light tenant must not be starved: {:?}",
+        well.shed
+    );
     assert!(well.shed.is_empty());
     // Per-client accounting surfaces in stats.
     let stats = request(addr, r#"{"op": "stats"}"#);
@@ -337,7 +352,12 @@ fn drr_is_work_conserving_and_starvation_free() {
         // Drain completely; the pop order is the property under test.
         let mut order = Vec::new();
         for _ in 0..total {
-            order.push(q.pop().expect("queue should not be empty").client.to_string());
+            order.push(
+                q.pop()
+                    .expect("queue should not be empty")
+                    .client
+                    .to_string(),
+            );
         }
         assert_eq!(q.depth(), 0, "work conservation: everything drains");
         // Every admitted job came out exactly once.
@@ -443,10 +463,7 @@ fn storm(addr: SocketAddr, n: usize) -> StormOutcome {
     for i in 0..n {
         threads.push(std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(5 * i as u64));
-            let doc = request(
-                addr,
-                &format!(r#"{{"op": "optimize", "db": "storm-{i}"}}"#),
-            );
+            let doc = request(addr, &format!(r#"{{"op": "optimize", "db": "storm-{i}"}}"#));
             (i, doc)
         }));
     }
@@ -532,7 +549,10 @@ fn brownout_degrades_instead_of_shedding_and_never_caches() {
     // Only a browned-out request is answered at the greedy rung; the rest
     // of the degraded answers came from the reduced DP.
     let greedy = on.rungs.iter().filter(|(_, r)| r == "greedy").count() as u64;
-    assert_eq!(s.get("brownout_greedy_answers").and_then(Json::as_u64), Some(greedy));
+    assert_eq!(
+        s.get("brownout_greedy_answers").and_then(Json::as_u64),
+        Some(greedy)
+    );
     assert!(s.get("brownout_dp_answers").and_then(Json::as_u64).unwrap() <= on.ok as u64 - greedy);
     assert!(matches!(
         s.get("brownout").and_then(Json::as_str),

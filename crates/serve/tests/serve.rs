@@ -216,7 +216,10 @@ fn malformed_input_gets_typed_errors_and_the_connection_survives() {
         (r#"[1, 2, 3]"#, "invalid_request"),
         (r#"{"db": "x"}"#, "invalid_request"),
         (r#"{"op": "optimize"}"#, "invalid_request"),
-        (r#"{"op": "optimize", "db": "x", "timeout_ms": "soon"}"#, "invalid_request"),
+        (
+            r#"{"op": "optimize", "db": "x", "timeout_ms": "soon"}"#,
+            "invalid_request",
+        ),
         (r#"{"op": "frobnicate"}"#, "invalid_request"),
     ] {
         stream.write_all(line.as_bytes()).unwrap();
@@ -244,7 +247,9 @@ fn strings_json_forbids_are_invalid_requests_and_the_connection_survives() {
         stream.write_all(line).unwrap();
         let doc = read_response(&mut stream);
         assert_eq!(error_kind(&doc), "invalid_request", "{doc:?}");
-        stream.write_all(b"{\"id\": 7, \"op\": \"optimize\", \"db\": \"\\u0041\"}\n").unwrap();
+        stream
+            .write_all(b"{\"id\": 7, \"op\": \"optimize\", \"db\": \"\\u0041\"}\n")
+            .unwrap();
         let doc = read_response(&mut stream);
         assert_eq!(echoed(&doc), "echo: A\n", "{doc:?}");
     }
@@ -648,7 +653,8 @@ fn graceful_drain_finishes_in_flight_and_sheds_queued() {
     .unwrap();
     let addr = server.addr();
     std::thread::scope(|s| {
-        let in_flight = s.spawn(move || request(addr, r#"{"id": "A", "op": "optimize", "db": "a"}"#));
+        let in_flight =
+            s.spawn(move || request(addr, r#"{"id": "A", "op": "optimize", "db": "a"}"#));
         std::thread::sleep(Duration::from_millis(100));
         let queued = s.spawn(move || request(addr, r#"{"id": "B", "op": "optimize", "db": "b"}"#));
         std::thread::sleep(Duration::from_millis(100));
@@ -791,7 +797,10 @@ fn typed_engine_errors_map_onto_the_wire_vocabulary() {
             }) as fn() -> MjoinError,
             "budget_exceeded",
         ),
-        ((|| MjoinError::Cancelled) as fn() -> MjoinError, "cancelled"),
+        (
+            (|| MjoinError::Cancelled) as fn() -> MjoinError,
+            "cancelled",
+        ),
         (
             (|| MjoinError::InvalidScheme("bad scheme".to_string())) as fn() -> MjoinError,
             "invalid_request",
@@ -877,7 +886,11 @@ fn stats_snapshot_counts_requests_and_cache_hits() {
 #[test]
 fn chaos_mixed_workload_under_round_robin_failpoints() {
     let _serial = serialize();
-    let iters: usize = if std::env::var("MJOIN_CHAOS_SMOKE").is_ok() { 4 } else { 12 };
+    let iters: usize = if std::env::var("MJOIN_CHAOS_SMOKE").is_ok() {
+        4
+    } else {
+        12
+    };
     let server = Server::spawn(
         ServeConfig {
             workers: 2,
@@ -922,7 +935,9 @@ fn chaos_mixed_workload_under_round_robin_failpoints() {
                         1 => "not json at all".to_string(),
                         2 => format!(r#"{{"op": "optimize", "db": "{}"}}"#, "x".repeat(4000)),
                         3 => String::new(), // slow-loris marker
-                        _ => format!(r#"{{"id": {c}, "op": "optimize", "db": "d", "timeout_ms": 1}}"#),
+                        _ => format!(
+                            r#"{{"id": {c}, "op": "optimize", "db": "d", "timeout_ms": 1}}"#
+                        ),
                     };
                     let Ok(mut stream) = TcpStream::connect(addr) else {
                         continue;

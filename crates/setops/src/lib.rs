@@ -58,14 +58,10 @@ impl SetOracle {
     pub fn new(sets: &[Vec<i64>], op: SetOp) -> Self {
         assert!(!sets.is_empty(), "need at least one set");
         let attr = AttrSet::singleton(Attribute::from_index(0));
-        let scheme =
-            DbScheme::new(vec![attr; sets.len()]).expect("singleton schemes are nonempty");
+        let scheme = DbScheme::new(vec![attr; sets.len()]).expect("singleton schemes are nonempty");
         SetOracle {
             scheme,
-            sets: sets
-                .iter()
-                .map(|s| s.iter().copied().collect())
-                .collect(),
+            sets: sets.iter().map(|s| s.iter().copied().collect()).collect(),
             op,
             memo: RefCell::default(),
         }
@@ -119,8 +115,7 @@ impl CardinalityOracle for SetOracle {
 pub fn best_linear_intersection(sets: &[Vec<i64>]) -> (Vec<usize>, u64) {
     let oracle = SetOracle::new(sets, SetOp::Intersection);
     let full = RelSet::full(sets.len());
-    let plan = optimize(&oracle, full, SearchSpace::Linear)
-        .expect("linear space is never empty");
+    let plan = optimize(&oracle, full, SearchSpace::Linear).expect("linear space is never empty");
     let order = left_deep_order(&plan.strategy);
     (order, plan.cost)
 }
@@ -146,8 +141,7 @@ pub fn best_any(sets: &[Vec<i64>], op: SetOp) -> u64 {
 pub fn best_linear_union(sets: &[Vec<i64>]) -> (Vec<usize>, u64) {
     let oracle = SetOracle::new(sets, SetOp::Union);
     let full = RelSet::full(sets.len());
-    let plan = optimize(&oracle, full, SearchSpace::Linear)
-        .expect("linear space is never empty");
+    let plan = optimize(&oracle, full, SearchSpace::Linear).expect("linear space is never empty");
     let order = left_deep_order(&plan.strategy);
     (order, plan.cost)
 }
@@ -189,7 +183,12 @@ mod tests {
     fn families() -> Vec<Vec<Vec<i64>>> {
         vec![
             vec![vec![1, 2, 3, 4], vec![2, 3, 4, 5], vec![3, 4, 5, 6]],
-            vec![vec![1, 2], vec![1, 2, 3, 4, 5, 6], vec![2, 3], vec![1, 2, 9]],
+            vec![
+                vec![1, 2],
+                vec![1, 2, 3, 4, 5, 6],
+                vec![2, 3],
+                vec![1, 2, 9],
+            ],
             vec![vec![7], vec![7, 8], vec![7, 9], vec![7, 10, 11]],
             vec![(0..50).collect(), (25..75).collect(), (40..90).collect()],
         ]

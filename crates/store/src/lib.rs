@@ -243,7 +243,9 @@ impl StoreEntry {
             || u32::try_from(self.subsets.len()).is_err()
             || u32::try_from(self.steps.len()).is_err()
         {
-            return Err(MjoinError::Internal("store entry section exceeds u32".into()));
+            return Err(MjoinError::Internal(
+                "store entry section exceeds u32".into(),
+            ));
         }
         Ok(())
     }
@@ -494,7 +496,11 @@ impl LoadedStore {
             )));
         }
         let table_end = HEADER_LEN
-            .checked_add(entry_count.checked_mul(16).ok_or_else(|| corrupt("entry count overflow"))?)
+            .checked_add(
+                entry_count
+                    .checked_mul(16)
+                    .ok_or_else(|| corrupt("entry count overflow"))?,
+            )
             .ok_or_else(|| corrupt("entry table overflow"))?;
         if table_end > b.len() {
             return Err(corrupt(format!(
@@ -557,9 +563,7 @@ impl LoadedStore {
 
     /// Looks up an entry by fingerprint; counts `store.hits` on a hit.
     pub fn entry(&self, fingerprint: &str) -> Option<EntryView<'_>> {
-        let found = self
-            .entries()
-            .find(|e| e.fingerprint() == fingerprint);
+        let found = self.entries().find(|e| e.fingerprint() == fingerprint);
         if found.is_some() {
             incr(Counter::StoreHits, 1);
         }
@@ -636,7 +640,11 @@ fn validate_entry(b: &[u8], i: usize) -> Result<(), MjoinError> {
         )));
     }
     let need = ENTRY_HEADER_LEN
-        .checked_add(n_subsets.checked_mul(24).ok_or_else(|| corrupt("section overflow"))?)
+        .checked_add(
+            n_subsets
+                .checked_mul(24)
+                .ok_or_else(|| corrupt("section overflow"))?,
+        )
         .and_then(|x| x.checked_add(n_cards * 8))
         .and_then(|x| x.checked_add(n_steps.checked_mul(24)?))
         .and_then(|x| x.checked_add(response_len))
@@ -649,7 +657,10 @@ fn validate_entry(b: &[u8], i: usize) -> Result<(), MjoinError> {
     }
     let splits_at = ENTRY_HEADER_LEN + n_subsets * 16;
     for r in 0..n_subsets {
-        let (a, b2) = (u32_at(b, splits_at + r * 8), u32_at(b, splits_at + r * 8 + 4));
+        let (a, b2) = (
+            u32_at(b, splits_at + r * 8),
+            u32_at(b, splits_at + r * 8 + 4),
+        );
         let ok = ((a == NO_SPLIT.0) == (b2 == NO_SPLIT.1))
             && (a == NO_SPLIT.0 || ((a as usize) < n_subsets && (b2 as usize) < n_subsets));
         if !ok {
@@ -738,10 +749,8 @@ impl<'a> EntryView<'a> {
 
     /// The rendered report text the cold run printed.
     pub fn response(&self) -> &'a str {
-        let at = ENTRY_HEADER_LEN
-            + self.n_subsets() * 24
-            + self.n_cards() * 8
-            + self.n_steps() * 24;
+        let at =
+            ENTRY_HEADER_LEN + self.n_subsets() * 24 + self.n_cards() * 8 + self.n_steps() * 24;
         std::str::from_utf8(&self.bytes[at..]).expect("validated at open")
     }
 
@@ -811,14 +820,7 @@ mod tests {
             plan_cost: 42 + u64::from(tag),
             subsets: vec![0b001, 0b010, 0b011, 0b100, 0b110, 0b111],
             costs: vec![0, 0, 7, 0, 9, 23],
-            splits: vec![
-                NO_SPLIT,
-                NO_SPLIT,
-                (0, 1),
-                NO_SPLIT,
-                (1, 3),
-                (2, 3),
-            ],
+            splits: vec![NO_SPLIT, NO_SPLIT, (0, 1), NO_SPLIT, (1, 3), (2, 3)],
             cards: vec![4, 5, 7, 6, 9, 11],
             steps: vec![(0b111, 0b011, 0b100), (0b011, 0b001, 0b010)],
             response: format!("search space: NoCartesian\nplan {tag}\n"),
@@ -827,11 +829,15 @@ mod tests {
 
     #[test]
     fn round_trips_in_memory() {
-        let entries = vec![sample_entry(1), sample_entry(2), StoreEntry::response_only(
-            fingerprint128("resp-only"),
-            u64::MAX,
-            "τ = (not costed within budget)\n".into(),
-        )];
+        let entries = vec![
+            sample_entry(1),
+            sample_entry(2),
+            StoreEntry::response_only(
+                fingerprint128("resp-only"),
+                u64::MAX,
+                "τ = (not costed within budget)\n".into(),
+            ),
+        ];
         let bytes = serialize(&entries).unwrap();
         let store = LoadedStore::from_bytes(bytes).unwrap();
         assert_eq!(store.len(), 3);
@@ -873,7 +879,10 @@ mod tests {
         let bytes = serialize(&[sample_entry(3)]).unwrap();
         for cut in 0..bytes.len() {
             let err = LoadedStore::from_bytes(bytes[..cut].to_vec()).unwrap_err();
-            assert!(matches!(err, MjoinError::CorruptStore(_)), "cut {cut}: {err}");
+            assert!(
+                matches!(err, MjoinError::CorruptStore(_)),
+                "cut {cut}: {err}"
+            );
         }
         // Oversized: appended garbage breaks the recorded length.
         let mut grown = bytes.clone();
@@ -886,7 +895,10 @@ mod tests {
             let mut flipped = bytes.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
             let err = LoadedStore::from_bytes(flipped).unwrap_err();
-            assert!(matches!(err, MjoinError::CorruptStore(_)), "bit {bit}: {err}");
+            assert!(
+                matches!(err, MjoinError::CorruptStore(_)),
+                "bit {bit}: {err}"
+            );
         }
     }
 

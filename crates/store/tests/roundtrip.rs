@@ -126,7 +126,10 @@ fn corpus(seed: u64) -> Vec<StoreEntry> {
 }
 
 fn temp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("mjoin-store-roundtrip-{}-{tag}.store", std::process::id()))
+    std::env::temp_dir().join(format!(
+        "mjoin-store-roundtrip-{}-{tag}.store",
+        std::process::id()
+    ))
 }
 
 /// Serialize → load returns the identical entries, for every corpus
@@ -145,18 +148,32 @@ fn corpora_round_trip_over_every_load_path() {
 
         let path = temp_path(&format!("prop-{seed}"));
         mjoin_store::save(&path, &entries).expect("save corpus");
-        assert_eq!(std::fs::read(&path).expect("reread"), bytes, "save must write serialize()'s bytes");
+        assert_eq!(
+            std::fs::read(&path).expect("reread"),
+            bytes,
+            "save must write serialize()'s bytes"
+        );
         let mapped = LoadedStore::open(&path).expect("mmap load");
         let buffered = LoadedStore::open_buffered(&path).expect("buffered load");
         assert!(!buffered.via_mmap());
         for (i, e) in entries.iter().enumerate() {
-            assert_eq!(&mapped.entry_at(i).to_entry(), e, "mmap seed {seed} entry {i}");
-            assert_eq!(&buffered.entry_at(i).to_entry(), e, "buffered seed {seed} entry {i}");
+            assert_eq!(
+                &mapped.entry_at(i).to_entry(),
+                e,
+                "mmap seed {seed} entry {i}"
+            );
+            assert_eq!(
+                &buffered.entry_at(i).to_entry(),
+                e,
+                "buffered seed {seed} entry {i}"
+            );
         }
         // Fingerprint lookup agrees across paths.
         for e in &entries {
             assert_eq!(
-                mapped.entry(&e.fingerprint).map(|v| v.response().to_string()),
+                mapped
+                    .entry(&e.fingerprint)
+                    .map(|v| v.response().to_string()),
                 Some(e.response.clone())
             );
         }

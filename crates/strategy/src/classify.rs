@@ -108,11 +108,7 @@ mod tests {
     }
 
     fn balanced4() -> Strategy {
-        Strategy::join(
-            Strategy::left_deep(&[0, 1]),
-            Strategy::left_deep(&[2, 3]),
-        )
-        .unwrap()
+        Strategy::join(Strategy::left_deep(&[0, 1]), Strategy::left_deep(&[2, 3])).unwrap()
     }
 
     #[test]
@@ -168,11 +164,7 @@ mod tests {
         // components individually).
         let d = scheme(&["ABC", "BE", "CG", "GH", "DF"]);
         let good = Strategy::join(
-            Strategy::join(
-                Strategy::left_deep(&[0, 1]),
-                Strategy::left_deep(&[2, 3]),
-            )
-            .unwrap(),
+            Strategy::join(Strategy::left_deep(&[0, 1]), Strategy::left_deep(&[2, 3])).unwrap(),
             Strategy::leaf(4),
         )
         .unwrap();

@@ -9,9 +9,9 @@
 //! the spaces and the counts (experiment `E0-counting`).
 
 use mjoin_cost::CardinalityOracle;
-use mjoin_obs::{incr, Counter};
 use mjoin_guard::{Guard, MjoinError, Scope};
 use mjoin_hypergraph::{DbScheme, RelSet};
+use mjoin_obs::{incr, Counter};
 
 use crate::node::Strategy;
 
@@ -114,46 +114,45 @@ pub fn try_best_strategy_parallel<O: CardinalityOracle + Sync>(
     let workers = threads.min(splits.len().max(1));
     let chunk = splits.len().div_ceil(workers);
     let run = &Scope::capture();
-    let results: Vec<Result<Option<(Strategy, u64)>, MjoinError>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = splits
-                .chunks(chunk)
-                .map(|ch| {
-                    scope.spawn(move || {
-                        run.enter(|| {
-                            let mut best: Option<(Strategy, u64)> = None;
-                            for &(s1, s2) in ch {
-                                each_rec(s1, guard, &mut |left: &Strategy| {
-                                    let left = left.clone();
-                                    each_rec(s2, guard, &mut |right: &Strategy| {
-                                        let joined = Strategy::join(left.clone(), right.clone())
-                                            .map_err(|e| {
-                                                MjoinError::Internal(format!(
-                                                    "proper splits must be disjoint: {e}"
-                                                ))
-                                            })?;
-                                        incr(Counter::ExhaustiveStrategies, 1);
-                                        if !accept(&joined) {
-                                            return Ok(());
-                                        }
-                                        let cost = joined.try_cost(oracle)?;
-                                        if best.as_ref().is_none_or(|(_, b)| cost < *b) {
-                                            best = Some((joined, cost));
-                                        }
-                                        Ok(())
-                                    })
-                                })?;
-                            }
-                            Ok(best)
-                        })
+    let results: Vec<Result<Option<(Strategy, u64)>, MjoinError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = splits
+            .chunks(chunk)
+            .map(|ch| {
+                scope.spawn(move || {
+                    run.enter(|| {
+                        let mut best: Option<(Strategy, u64)> = None;
+                        for &(s1, s2) in ch {
+                            each_rec(s1, guard, &mut |left: &Strategy| {
+                                let left = left.clone();
+                                each_rec(s2, guard, &mut |right: &Strategy| {
+                                    let joined = Strategy::join(left.clone(), right.clone())
+                                        .map_err(|e| {
+                                            MjoinError::Internal(format!(
+                                                "proper splits must be disjoint: {e}"
+                                            ))
+                                        })?;
+                                    incr(Counter::ExhaustiveStrategies, 1);
+                                    if !accept(&joined) {
+                                        return Ok(());
+                                    }
+                                    let cost = joined.try_cost(oracle)?;
+                                    if best.as_ref().is_none_or(|(_, b)| cost < *b) {
+                                        best = Some((joined, cost));
+                                    }
+                                    Ok(())
+                                })
+                            })?;
+                        }
+                        Ok(best)
                     })
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("enumeration worker panicked"))
-                .collect()
-        });
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("enumeration worker panicked"))
+            .collect()
+    });
     let mut best: Option<(Strategy, u64)> = None;
     for r in results {
         if let Some((s, c)) = r? {
@@ -176,10 +175,7 @@ pub fn enumerate_all(subset: RelSet) -> Vec<Strategy> {
     for (s1, s2) in subset.proper_splits() {
         for left in enumerate_all(s1) {
             for right in enumerate_all(s2) {
-                out.push(
-                    Strategy::join(left.clone(), right)
-                        .expect("proper splits are disjoint"),
-                );
+                out.push(Strategy::join(left.clone(), right).expect("proper splits are disjoint"));
             }
         }
     }
@@ -233,10 +229,7 @@ pub fn enumerate_no_cartesian(scheme: &DbScheme, subset: RelSet) -> Vec<Strategy
         }
         for left in enumerate_no_cartesian(scheme, s1) {
             for right in enumerate_no_cartesian(scheme, s2) {
-                out.push(
-                    Strategy::join(left.clone(), right)
-                        .expect("proper splits are disjoint"),
-                );
+                out.push(Strategy::join(left.clone(), right).expect("proper splits are disjoint"));
             }
         }
     }
@@ -473,10 +466,9 @@ mod tests {
         let d = scheme(&["AB", "BC", "CD", "DE", "EA"]);
         let o = SyntheticOracle::new(d.clone(), vec![9, 25, 4, 16, 36], 3);
         let guard = Guard::unlimited();
-        let (s, c) =
-            try_best_strategy_parallel(&o, d.full_set(), &guard, 4, &|s| s.is_linear())
-                .unwrap()
-                .expect("linear space is never empty");
+        let (s, c) = try_best_strategy_parallel(&o, d.full_set(), &guard, 4, &|s| s.is_linear())
+            .unwrap()
+            .expect("linear space is never empty");
         assert!(s.is_linear());
         let seq = o.clone();
         let expected = enumerate_linear(d.full_set())
@@ -493,10 +485,9 @@ mod tests {
         let d = scheme(&["AB", "CD"]);
         let o = SyntheticOracle::new(d.clone(), vec![5, 5], 2);
         let guard = Guard::unlimited();
-        let best = try_best_strategy_parallel(&o, d.full_set(), &guard, 2, &|s| {
-            !s.uses_cartesian(&d)
-        })
-        .unwrap();
+        let best =
+            try_best_strategy_parallel(&o, d.full_set(), &guard, 2, &|s| !s.uses_cartesian(&d))
+                .unwrap();
         assert!(best.is_none());
     }
 

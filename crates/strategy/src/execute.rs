@@ -94,16 +94,17 @@ mod tests {
     fn trace_sizes_match_the_exact_oracle() {
         let db = db();
         let oracle = ExactOracle::new(&db);
-        let s = Strategy::join(
-            Strategy::left_deep(&[0, 1]),
-            Strategy::leaf(2),
-        )
-        .unwrap();
+        let s = Strategy::join(Strategy::left_deep(&[0, 1]), Strategy::leaf(2)).unwrap();
         let (result, trace) = s.execute_traced(&db);
         assert_eq!(trace.len(), s.num_steps());
         let mut total = 0;
         for entry in &trace {
-            assert_eq!(entry.relation.tau(), oracle.tau(entry.set), "{:?}", entry.set);
+            assert_eq!(
+                entry.relation.tau(),
+                oracle.tau(entry.set),
+                "{:?}",
+                entry.set
+            );
             total += entry.relation.tau();
         }
         assert_eq!(total, s.cost(&oracle), "τ is the trace total");

@@ -436,31 +436,20 @@ mod tests {
 
     #[test]
     fn node_addressing() {
-        let s = Strategy::join(
-            Strategy::left_deep(&[0, 1]),
-            Strategy::left_deep(&[2, 3]),
-        )
-        .unwrap();
+        let s = Strategy::join(Strategy::left_deep(&[0, 1]), Strategy::left_deep(&[2, 3])).unwrap();
         assert_eq!(s.set_at(&[]).unwrap(), RelSet::full(4));
         assert_eq!(s.set_at(&[false]).unwrap(), RelSet::from_indices([0, 1]));
         assert_eq!(s.set_at(&[true, true]).unwrap(), RelSet::singleton(3));
         assert!(s.set_at(&[false, false, true]).is_err());
 
-        assert_eq!(
-            s.find_node(RelSet::from_indices([2, 3])),
-            Some(vec![true])
-        );
+        assert_eq!(s.find_node(RelSet::from_indices([2, 3])), Some(vec![true]));
         assert_eq!(s.find_node(RelSet::from_indices([1, 2])), None);
         assert!(s.has_node_with_set(RelSet::singleton(1)));
     }
 
     #[test]
     fn substrategy_extraction() {
-        let s = Strategy::join(
-            Strategy::left_deep(&[0, 1]),
-            Strategy::leaf(2),
-        )
-        .unwrap();
+        let s = Strategy::join(Strategy::left_deep(&[0, 1]), Strategy::leaf(2)).unwrap();
         let sub = s.substrategy(&[false]).unwrap();
         assert_eq!(sub.set(), RelSet::from_indices([0, 1]));
         assert_eq!(sub.num_steps(), 1);

@@ -295,7 +295,9 @@ mod tests {
 
     #[test]
     fn error_display() {
-        assert!(!ParseError::UnknownRelation("x".into()).to_string().is_empty());
+        assert!(!ParseError::UnknownRelation("x".into())
+            .to_string()
+            .is_empty());
         assert!(!ParseError::Malformed("m".into()).to_string().is_empty());
         assert!(!ParseError::Invalid(StrategyError::NoSuchNode)
             .to_string()

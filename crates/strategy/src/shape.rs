@@ -96,11 +96,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(zig.linear_shape(), Some(LinearShape::ZigZag));
-        let bushy = Strategy::join(
-            Strategy::left_deep(&[0, 1]),
-            Strategy::left_deep(&[2, 3]),
-        )
-        .unwrap();
+        let bushy =
+            Strategy::join(Strategy::left_deep(&[0, 1]), Strategy::left_deep(&[2, 3])).unwrap();
         assert_eq!(bushy.linear_shape(), None);
     }
 

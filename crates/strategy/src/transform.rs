@@ -144,11 +144,7 @@ mod tests {
     /// ((0 ⋈ 1) ⋈ (2 ⋈ 3)) ⋈ 4
     fn sample() -> Strategy {
         Strategy::join(
-            Strategy::join(
-                Strategy::left_deep(&[0, 1]),
-                Strategy::left_deep(&[2, 3]),
-            )
-            .unwrap(),
+            Strategy::join(Strategy::left_deep(&[0, 1]), Strategy::left_deep(&[2, 3])).unwrap(),
             Strategy::leaf(4),
         )
         .unwrap()

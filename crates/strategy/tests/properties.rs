@@ -4,8 +4,8 @@
 use mjoin_hypergraph::{DbScheme, RelSet};
 use mjoin_relation::Catalog;
 use mjoin_strategy::{
-    count_all_strategies, count_linear_strategies, enumerate_all, enumerate_linear,
-    LinearShape, Strategy as JoinStrategy,
+    count_all_strategies, count_linear_strategies, enumerate_all, enumerate_linear, LinearShape,
+    Strategy as JoinStrategy,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;

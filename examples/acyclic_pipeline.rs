@@ -17,9 +17,15 @@ fn main() {
     // everywhere (suppliers who ship nothing, parts never shipped, …).
     let db = Database::from_specs(&[
         // supplier(S, city Y)
-        ("SY", vec![vec![1, 10], vec![2, 10], vec![3, 20], vec![9, 30]]),
+        (
+            "SY",
+            vec![vec![1, 10], vec![2, 10], vec![3, 20], vec![9, 30]],
+        ),
         // shipment(S, part P)
-        ("SP", vec![vec![1, 100], vec![2, 100], vec![2, 101], vec![8, 102]]),
+        (
+            "SP",
+            vec![vec![1, 100], vec![2, 100], vec![2, 101], vec![8, 102]],
+        ),
         // part(P, color O)
         ("PO", vec![vec![100, 1], vec![101, 2], vec![77, 3]]),
     ])

@@ -28,7 +28,10 @@ fn main() {
         oracle.set_domain(a.index(), 100_000);
     }
     let full = scheme.full_set();
-    println!("chain query over {n} relations, estimated |R_D| = {}", oracle.tau(full));
+    println!(
+        "chain query over {n} relations, estimated |R_D| = {}",
+        oracle.tau(full)
+    );
     println!();
 
     let t0 = Instant::now();
@@ -41,8 +44,8 @@ fn main() {
     );
 
     let t1 = Instant::now();
-    let linear = optimize(&oracle, full, SearchSpace::LinearNoCartesian)
-        .expect("chain is connected");
+    let linear =
+        optimize(&oracle, full, SearchSpace::LinearNoCartesian).expect("chain is connected");
     println!(
         "linear DP (connected prefixes):               τ = {:>6}   [{:?}]",
         linear.cost,

@@ -26,7 +26,11 @@ fn main() {
 
     println!("database scheme:");
     for (i, s) in db.scheme().schemes().iter().enumerate() {
-        println!("  R{i} = {}  ({} tuples)", db.catalog().render(*s), db.state(i).tau());
+        println!(
+            "  R{i} = {}  ({} tuples)",
+            db.catalog().render(*s),
+            db.state(i).tau()
+        );
     }
     println!();
 

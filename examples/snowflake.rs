@@ -13,9 +13,7 @@
 //! cargo run --release --example snowflake
 //! ```
 
-use mjoin::{
-    analyze, optimize, Database, ExactOracle, SearchSpace, SyntheticOracle,
-};
+use mjoin::{analyze, optimize, Database, ExactOracle, SearchSpace, SyntheticOracle};
 
 fn main() {
     // sales(S: sale id, P: product, U: customer)
@@ -88,7 +86,11 @@ fn main() {
     println!(
         "product-free optimum: {} ({} global optimum)",
         nocp.cost,
-        if nocp.cost == best.cost { "ties the" } else { "misses the" }
+        if nocp.cost == best.cost {
+            "ties the"
+        } else {
+            "misses the"
+        }
     );
 
     // Planning from catalog statistics only: does the estimator find the

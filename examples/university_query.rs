@@ -97,11 +97,7 @@ fn main() {
         "Example 5 — only a bushy strategy is optimal",
         &[(
             "S*",
-            Strategy::join(
-                Strategy::left_deep(&[0, 1]),
-                Strategy::left_deep(&[2, 3]),
-            )
-            .unwrap(),
+            Strategy::join(Strategy::left_deep(&[0, 1]), Strategy::left_deep(&[2, 3])).unwrap(),
         )],
     );
     let linear = optimize_database(&db5, SearchSpace::LinearNoCartesian).expect("connected");

@@ -125,16 +125,26 @@ fn saturating_chains_are_solved_by_every_product_free_dp() {
         };
         let nocp = SearchSpace::NoCartesian;
         let costs = [
-            solve("dpsize", try_best_no_cartesian_dpsize(&oracle, full, &guard).unwrap()),
+            solve(
+                "dpsize",
+                try_best_no_cartesian_dpsize(&oracle, full, &guard).unwrap(),
+            ),
             solve("dpccp", try_optimize(&oracle, full, nocp, &guard).unwrap()),
-            solve("dpccp-par", try_optimize_threaded(&oracle, full, nocp, &guard, 2).unwrap()),
+            solve(
+                "dpccp-par",
+                try_optimize_threaded(&oracle, full, nocp, &guard, 2).unwrap(),
+            ),
             solve(
                 "dpccp-rescan",
                 try_best_no_cartesian_ccp_rescan(&oracle, full, &guard).unwrap(),
             ),
         ];
         for (engine, cost) in &costs {
-            assert_eq!(*cost, u64::MAX, "chain{n}: {engine} must see the saturation");
+            assert_eq!(
+                *cost,
+                u64::MAX,
+                "chain{n}: {engine} must see the saturation"
+            );
         }
         for threads in [1, 2] {
             let r = optimize_robust(
@@ -147,7 +157,12 @@ fn saturating_chains_are_solved_by_every_product_free_dp() {
                 Rung::Exhaustive,
             )
             .unwrap();
-            assert_eq!(r.report.answered_by, Rung::Dp, "chain{n} @{threads}: {}", r.report);
+            assert_eq!(
+                r.report.answered_by,
+                Rung::Dp,
+                "chain{n} @{threads}: {}",
+                r.report
+            );
             assert_eq!(r.plan.cost, u64::MAX, "chain{n} @{threads}");
         }
     }
@@ -268,9 +283,21 @@ fn chain_dpccp_scans_only_the_emitted_ccp_pairs() {
             .unwrap()
             .expect("chains are connected");
         let snap = rec.snapshot();
-        assert_eq!(snap.counter(Counter::DpCcpPairsEmitted), pairs, "@{threads}");
-        assert_eq!(snap.counter(Counter::DpCandidatesScanned), pairs, "@{threads}");
-        assert_eq!(snap.counter(Counter::DpSubsetsExpanded), subsets, "@{threads}");
+        assert_eq!(
+            snap.counter(Counter::DpCcpPairsEmitted),
+            pairs,
+            "@{threads}"
+        );
+        assert_eq!(
+            snap.counter(Counter::DpCandidatesScanned),
+            pairs,
+            "@{threads}"
+        );
+        assert_eq!(
+            snap.counter(Counter::DpSubsetsExpanded),
+            subsets,
+            "@{threads}"
+        );
     }
 }
 
@@ -334,6 +361,9 @@ fn single_threaded_counter_snapshots_are_reproducible() {
     for (name, db) in corpus() {
         let first = take(&db);
         let second = take(&db);
-        assert_eq!(first, second, "{name}: counter snapshot must be reproducible");
+        assert_eq!(
+            first, second,
+            "{name}: counter snapshot must be reproducible"
+        );
     }
 }

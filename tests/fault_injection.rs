@@ -57,11 +57,9 @@ impl mjoin_serve::Engine for EchoEngine {
 /// sites flow through the same exhaustive loop as everything else.
 fn provoke_serve(site: &str) -> MjoinError {
     use std::io::{BufRead as _, BufReader, Write as _};
-    let server = mjoin_serve::Server::spawn(
-        mjoin_serve::ServeConfig::default(),
-        Box::new(EchoEngine),
-    )
-    .expect("spawn in-process serve daemon");
+    let server =
+        mjoin_serve::Server::spawn(mjoin_serve::ServeConfig::default(), Box::new(EchoEngine))
+            .expect("spawn in-process serve daemon");
     let stream = std::net::TcpStream::connect(server.addr()).expect("connect");
     if site != "serve::accept" {
         // With accept armed the server answers and closes before reading,
@@ -171,8 +169,12 @@ fn provoke(site: &str) -> MjoinError {
             drop(rec);
             mjoin::render_run_report(&report).unwrap_err()
         }
-        "serve::accept" | "serve::decode" | "serve::enqueue" | "serve::admit_client"
-        | "serve::brownout" | "serve::respond" => provoke_serve(site),
+        "serve::accept"
+        | "serve::decode"
+        | "serve::enqueue"
+        | "serve::admit_client"
+        | "serve::brownout"
+        | "serve::respond" => provoke_serve(site),
         // Both store failpoints fire before any filesystem access, so the
         // load path need not exist and the save run writes nothing.
         "store::load" => {
@@ -192,8 +194,7 @@ fn provoke(site: &str) -> MjoinError {
         }
         // Both query failpoints fire before any parsing/lowering work, so
         // a perfectly valid query surfaces the injected fault.
-        "query::parse" => mjoin::parse_query("SELECT * FROM GS, SC WHERE GS.S = SC.S")
-            .unwrap_err(),
+        "query::parse" => mjoin::parse_query("SELECT * FROM GS, SC WHERE GS.S = SC.S").unwrap_err(),
         "query::lower" => {
             let q = mjoin::parse_query("SELECT * FROM GS, SC WHERE GS.S = SC.S").unwrap();
             mjoin::lower(&q, &db).unwrap_err()
@@ -282,7 +283,10 @@ fn env_var_arms_sites() {
     std::env::set_var("MJOIN_FAIL_INJECT", "tests::env-a, tests::env-b");
     let armed = failpoints::init_from_env();
     std::env::remove_var("MJOIN_FAIL_INJECT");
-    assert_eq!(armed, vec!["tests::env-a".to_string(), "tests::env-b".to_string()]);
+    assert_eq!(
+        armed,
+        vec!["tests::env-a".to_string(), "tests::env-b".to_string()]
+    );
     assert!(failpoints::hit("tests::env-a").is_err());
     assert!(failpoints::hit("tests::env-b").is_err());
     failpoints::disarm("tests::env-a");

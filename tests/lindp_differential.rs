@@ -12,14 +12,13 @@
 //! * both rungs are thread-invariant: `optimize_robust` pinned at
 //!   either rung returns byte-identical plans at 1, 2, and 4 threads.
 
-use mjoin::{
-    optimize_robust, Budget, Database, ExactOracle, Guard, RelSet, Rung,
-    SearchSpace,
-};
+use mjoin::{optimize_robust, Budget, Database, ExactOracle, Guard, RelSet, Rung, SearchSpace};
 use mjoin_cost::SyntheticOracle;
 use mjoin_gen::{data, data::DataConfig, schemes};
 use mjoin_hypergraph::DbScheme;
-use mjoin_optimizer::{try_best_no_cartesian, try_greedy_linear, try_lindp, try_partitioned_dp_with};
+use mjoin_optimizer::{
+    try_best_no_cartesian, try_greedy_linear, try_lindp, try_partitioned_dp_with,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -66,17 +65,14 @@ fn lindp_matches_full_dp_on_seeded_chains() {
 fn lindp_never_loses_to_greedy_linear_on_seeded_corpora() {
     for n in 2..=12usize {
         for seed in 0..6u64 {
-            for (which, (_, scheme)) in
-                [("chain", schemes::chain(n)), ("star", schemes::star(n))]
-            {
+            for (which, (_, scheme)) in [("chain", schemes::chain(n)), ("star", schemes::star(n))] {
                 let bases = seeded_bases(seed * 131 + n as u64, scheme.len());
                 let full = scheme.full_set();
                 let guard = Guard::unlimited();
                 let lin = try_lindp(&oracle_for(&scheme, &bases), full, &guard)
                     .unwrap()
                     .expect("connected");
-                let greedy = try_greedy_linear(&oracle_for(&scheme, &bases), full, &guard)
-                    .unwrap();
+                let greedy = try_greedy_linear(&oracle_for(&scheme, &bases), full, &guard).unwrap();
                 assert!(
                     lin.cost <= greedy.cost,
                     "{which} n={n} seed={seed}: LinDp {} vs greedy_linear {}",
@@ -94,21 +90,15 @@ fn lindp_never_loses_to_greedy_linear_on_seeded_corpora() {
 fn partdp_with_large_blocks_is_dpccp_bit_for_bit() {
     for n in 2..=12usize {
         for seed in 0..4u64 {
-            for (which, (_, scheme)) in
-                [("chain", schemes::chain(n)), ("star", schemes::star(n))]
-            {
+            for (which, (_, scheme)) in [("chain", schemes::chain(n)), ("star", schemes::star(n))] {
                 let bases = seeded_bases(seed * 977 + n as u64, scheme.len());
                 let full = scheme.full_set();
                 let guard = Guard::unlimited();
                 for k in [n, n + 1, 128] {
-                    let part = try_partitioned_dp_with(
-                        &oracle_for(&scheme, &bases),
-                        full,
-                        k,
-                        &guard,
-                    )
-                    .unwrap()
-                    .expect("connected");
+                    let part =
+                        try_partitioned_dp_with(&oracle_for(&scheme, &bases), full, k, &guard)
+                            .unwrap()
+                            .expect("connected");
                     let exact = try_best_no_cartesian(&oracle_for(&scheme, &bases), full, &guard)
                         .unwrap()
                         .expect("connected");

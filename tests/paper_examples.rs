@@ -51,7 +51,10 @@ fn example3_theorem1_needs_strictness() {
     let a = analyze(&db).unwrap();
     assert!(a.conditions.c1 && !a.conditions.c1_strict);
     assert!(!a.theorem1.preconditions_hold);
-    assert!(!a.theorem1.conclusion_holds, "a CP-using linear optimum exists");
+    assert!(
+        !a.theorem1.conclusion_holds,
+        "a CP-using linear optimum exists"
+    );
     assert!(a.theorem1.implication_holds());
 
     // All three strategies tie at τ = 7 (intermediate 4 + final 3).

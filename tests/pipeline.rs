@@ -116,9 +116,7 @@ fn zigzag_gap_and_c3_collapse() {
         assert!(!o.result_is_empty());
         let full = db.scheme().full_set();
         let bushy = mjoin::optimize(&o, full, SearchSpace::All).unwrap().cost;
-        let linear = mjoin::optimize(&o, full, SearchSpace::Linear)
-            .unwrap()
-            .cost;
+        let linear = mjoin::optimize(&o, full, SearchSpace::Linear).unwrap().cost;
         assert!(
             linear as f64 / bushy as f64 > 1.5,
             "k={k}: linear {linear} vs bushy {bushy}"

@@ -11,8 +11,8 @@
 //! end folds per-table filter selectivities in at plan time.
 
 use mjoin::{
-    lower, parse_query, BrownoutLevel, CardinalityOracle as _, Database, ExactOracle,
-    SearchSpace, SyntheticOracle,
+    lower, parse_query, BrownoutLevel, CardinalityOracle as _, Database, ExactOracle, SearchSpace,
+    SyntheticOracle,
 };
 use mjoin_cli::{optimize_outcome, GuardOptions};
 use mjoin_hypergraph::RelSet;
@@ -22,7 +22,10 @@ struct Lcg(u64);
 
 impl Lcg {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         self.0 >> 33
     }
 

@@ -101,7 +101,10 @@ fn hostile_clique_under_tuple_cap_degrades() {
     assert!(r.report.answered_by > Rung::Dp, "{}", r.report);
     // Some rung above must have reported a budget trip, not a skip.
     assert!(
-        r.report.attempts.iter().any(|a| a.outcome.contains("budget exceeded")),
+        r.report
+            .attempts
+            .iter()
+            .any(|a| a.outcome.contains("budget exceeded")),
         "{}",
         r.report
     );
@@ -147,8 +150,14 @@ fn rung_attempts_record_elapsed_and_budget_consumed() {
     // Display stays the pre-stats format: rungs and outcomes only.
     let line = r.report.to_string();
     assert!(line.starts_with("answered by "), "{line}");
-    assert!(!line.contains("memo"), "stats must not leak into Display: {line}");
-    assert!(!line.contains("elapsed"), "stats must not leak into Display: {line}");
+    assert!(
+        !line.contains("memo"),
+        "stats must not leak into Display: {line}"
+    );
+    assert!(
+        !line.contains("elapsed"),
+        "stats must not leak into Display: {line}"
+    );
 }
 
 /// Stats are budget *consumption*, so the deterministic caps make them
@@ -160,8 +169,14 @@ fn rung_budget_consumption_is_deterministic() {
     let budget = Budget::unlimited().with_max_memo_entries(16);
     let a = optimize_database_robust_threaded(&db, SearchSpace::All, budget, None, 1).unwrap();
     let b = optimize_database_robust_threaded(&db, SearchSpace::All, budget, None, 1).unwrap();
-    assert_eq!(a.report.answered_stats.memo_used, b.report.answered_stats.memo_used);
-    assert_eq!(a.report.answered_stats.tuples_used, b.report.answered_stats.tuples_used);
+    assert_eq!(
+        a.report.answered_stats.memo_used,
+        b.report.answered_stats.memo_used
+    );
+    assert_eq!(
+        a.report.answered_stats.tuples_used,
+        b.report.answered_stats.tuples_used
+    );
     for (x, y) in a.report.attempts.iter().zip(&b.report.attempts) {
         assert_eq!(x.rung, y.rung);
         assert_eq!(x.stats.memo_used, y.stats.memo_used);
@@ -427,9 +442,7 @@ fn guarded_tau_profile(db: &Database) -> Vec<u64> {
 fn subsets(db: &Database) -> Vec<mjoin::RelSet> {
     let n = db.scheme().len();
     (1u32..(1 << n))
-        .map(|bits| {
-            mjoin::RelSet::from_indices((0..n).filter(move |&i| bits & (1u32 << i) != 0))
-        })
+        .map(|bits| mjoin::RelSet::from_indices((0..n).filter(move |&i| bits & (1u32 << i) != 0)))
         .collect()
 }
 
@@ -490,29 +503,28 @@ fn concurrent_searches_all_observe_one_cancellation() {
             token.cancel();
         })
     };
-    let results: Vec<(Duration, Result<mjoin::RobustPlan, MjoinError>)> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let token = token.clone();
-                    s.spawn(move || {
-                        // Long enough (12-relation clique DP) that every
-                        // thread is still searching at cancel time.
-                        let db = clique_db(12, 4);
-                        let started = Instant::now();
-                        let r = mjoin::optimize_database_robust_threaded(
-                            &db,
-                            SearchSpace::All,
-                            Budget::unlimited(),
-                            Some(&token),
-                            2,
-                        );
-                        (started.elapsed(), r)
-                    })
+    let results: Vec<(Duration, Result<mjoin::RobustPlan, MjoinError>)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let token = token.clone();
+                s.spawn(move || {
+                    // Long enough (12-relation clique DP) that every
+                    // thread is still searching at cancel time.
+                    let db = clique_db(12, 4);
+                    let started = Instant::now();
+                    let r = mjoin::optimize_database_robust_threaded(
+                        &db,
+                        SearchSpace::All,
+                        Budget::unlimited(),
+                        Some(&token),
+                        2,
+                    );
+                    (started.elapsed(), r)
                 })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
     canceller.join().unwrap();
     for (elapsed, result) in results {
         assert_eq!(

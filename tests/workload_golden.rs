@@ -116,14 +116,12 @@ fn aware_model_strictly_beats_blind_on_the_stats_star() {
 
         let guard = mjoin::Guard::unlimited();
         let full = lowered.database.scheme().full_set();
-        let plan_blind =
-            mjoin::try_optimize(&blind, full, mjoin::SearchSpace::All, &guard)
-                .expect("blind optimize")
-                .expect("nonempty space");
-        let plan_aware =
-            mjoin::try_optimize(&aware, full, mjoin::SearchSpace::All, &guard)
-                .expect("aware optimize")
-                .expect("nonempty space");
+        let plan_blind = mjoin::try_optimize(&blind, full, mjoin::SearchSpace::All, &guard)
+            .expect("blind optimize")
+            .expect("nonempty space");
+        let plan_aware = mjoin::try_optimize(&aware, full, mjoin::SearchSpace::All, &guard)
+            .expect("aware optimize")
+            .expect("nonempty space");
 
         // Both plans costed under the aware model, apples to apples.
         let aware_of_aware = plan_aware.cost;
@@ -159,8 +157,8 @@ fn workload_corpus_is_self_consistent() {
             .unwrap_or_else(|e| panic!("{name}: db {db_rel}: {e}"));
         let input = parse_input(&db_text).unwrap_or_else(|e| panic!("{name}: {e}"));
         let query = mjoin::parse_query(&sql).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let lowered = mjoin::lower(&query, &input.database)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let lowered =
+            mjoin::lower(&query, &input.database).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(
             !lowered.join_edges.is_empty(),
             "{name}: workload queries are joins by construction"
