@@ -22,9 +22,8 @@ fn reference_to_text(rel: &Relation, catalog: &Catalog) -> String {
         .collect();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
     let rendered: Vec<Vec<String>> = rel
-        .tuples()
-        .iter()
-        .map(|t| t.values().iter().map(|v| v.to_string()).collect())
+        .rows()
+        .map(|t| t.iter().map(|v| v.to_string()).collect())
         .collect();
     for row in &rendered {
         for (w, cell) in widths.iter_mut().zip(row) {

@@ -1,15 +1,15 @@
 //! The natural join by sort-merge and by nested loops.
 //!
 //! Both return the same canonical [`Relation`] as the shipped hash join
-//! (`Relation::natural_join`): the output is built with
-//! [`Relation::from_tuples`], which sorts and deduplicates.
+//! (`Relation::natural_join`): the output rows are laid end to end and
+//! built with [`Relation::from_row_major`], which sorts and deduplicates.
 
 use std::cmp::Ordering;
 
-use mjoin_relation::{AttrSet, Relation, Tuple, Value};
+use mjoin_relation::{AttrSet, Relation, Value};
 
-/// Column plan for assembling an output tuple from a pair of matching
-/// input tuples.
+/// Column plan for assembling an output row from a pair of matching
+/// input rows, and the output rows assembled so far.
 struct Columns {
     scheme: AttrSet,
     /// Shared attribute columns in `left`, ascending by attribute.
@@ -18,6 +18,10 @@ struct Columns {
     right_key: Vec<usize>,
     /// For each output column: (from_left, source column index).
     sources: Vec<(bool, usize)>,
+    /// The output rows' values, row-major.
+    out: Vec<Value>,
+    /// The number of output rows.
+    len: usize,
 }
 
 impl Columns {
@@ -36,47 +40,48 @@ impl Columns {
                     None => (false, column(right, a)),
                 })
                 .collect(),
+            out: Vec::new(),
+            len: 0,
         }
     }
 
-    fn key<'a>(&self, t: &'a Tuple, left: bool) -> Vec<&'a Value> {
+    fn key<'a>(&self, t: &'a [Value], left: bool) -> Vec<&'a Value> {
         let cols = if left {
             &self.left_key
         } else {
             &self.right_key
         };
-        cols.iter().map(|&c| &t.values()[c]).collect()
+        cols.iter().map(|&c| &t[c]).collect()
     }
 
-    /// `r`'s tuples paired with their keys, sorted by key.
-    fn sorted<'a>(&self, r: &'a Relation, left: bool) -> Vec<(Vec<&'a Value>, &'a Tuple)> {
-        let mut v: Vec<_> = r.tuples().iter().map(|t| (self.key(t, left), t)).collect();
+    /// `r`'s rows paired with their keys, sorted by key.
+    fn sorted<'a>(&self, r: &'a Relation, left: bool) -> Vec<(Vec<&'a Value>, &'a [Value])> {
+        let mut v: Vec<_> = r.rows().map(|t| (self.key(t, left), t)).collect();
         v.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         v
     }
 
-    fn emit(&self, l: &Tuple, r: &Tuple) -> Tuple {
-        Tuple::new(
+    fn emit(&mut self, l: &[Value], r: &[Value]) {
+        self.out.extend(
             self.sources
                 .iter()
-                .map(|&(from_left, c)| (if from_left { l } else { r }).values()[c].clone())
-                .collect(),
-        )
+                .map(|&(from_left, c)| (if from_left { l } else { r })[c].clone()),
+        );
+        self.len += 1;
     }
 
-    fn finish(self, tuples: Vec<Tuple>) -> Relation {
-        Relation::from_tuples(self.scheme, tuples).expect("output tuples match the output scheme")
+    fn finish(self) -> Relation {
+        Relation::from_row_major(self.scheme, self.len, self.out)
     }
 }
 
 /// Natural join by sort-merge: both sides sorted by their shared-attribute
 /// key, then merged group by group.
 pub fn sort_merge_join(left: &Relation, right: &Relation) -> Relation {
-    let cols = Columns::new(left, right);
-    // Extract each side's key once, then sort the (key, tuple) pairs; the
+    let mut cols = Columns::new(left, right);
+    // Extract each side's key once, then sort the (key, row) pairs; the
     // merge compares the precomputed keys.
     let (ls, rs) = (cols.sorted(left, true), cols.sorted(right, false));
-    let mut out = Vec::new();
     let (mut i, mut j) = (0, 0);
     while i < ls.len() && j < rs.len() {
         match ls[i].0.cmp(&rs[j].0) {
@@ -92,7 +97,7 @@ pub fn sort_merge_join(left: &Relation, right: &Relation) -> Relation {
                     .unwrap_or(rs.len());
                 for (_, l) in &ls[i..i_end] {
                     for (_, r) in &rs[j..j_end] {
-                        out.push(cols.emit(l, r));
+                        cols.emit(l, r);
                     }
                 }
                 i = i_end;
@@ -100,22 +105,21 @@ pub fn sort_merge_join(left: &Relation, right: &Relation) -> Relation {
             }
         }
     }
-    cols.finish(out)
+    cols.finish()
 }
 
-/// Natural join by nested loops: every pair of tuples compared, `O(|R|·|S|)`.
+/// Natural join by nested loops: every pair of rows compared, `O(|R|·|S|)`.
 pub fn nested_loop_join(left: &Relation, right: &Relation) -> Relation {
-    let cols = Columns::new(left, right);
-    let mut out = Vec::new();
-    for l in left.tuples() {
+    let mut cols = Columns::new(left, right);
+    for l in left.rows() {
         let lk = cols.key(l, true);
-        for r in right.tuples() {
+        for r in right.rows() {
             if lk == cols.key(r, false) {
-                out.push(cols.emit(l, r));
+                cols.emit(l, r);
             }
         }
     }
-    cols.finish(out)
+    cols.finish()
 }
 
 /// The shipped hash join against both joins here on fixed cases: all
@@ -178,7 +182,7 @@ mod tests {
         for (alg, join) in ALGOS {
             let j = join(&r, &s);
             assert_eq!(j.tau(), 1, "{alg}");
-            assert_eq!(j.tuples()[0].values()[0], Value::Int(3));
+            assert_eq!(j.row(0)[0], Value::Int(3));
         }
     }
 

@@ -13,18 +13,29 @@
 //!   fixed-width bitset supporting up to [`MAX_ATTRS`] attributes. All
 //!   scheme-level reasoning (linked / disjoint / connected, Section 2 of the
 //!   paper) reduces to word-parallel bit operations.
+//! * **Relation states are flat.** A [`Relation`] keeps its tuples in one
+//!   row-major buffer of [`Value`]s — row `i` is the `i`-th run of
+//!   `arity` values — with the row count alongside, since a relation over
+//!   the empty scheme (a projection onto no shared attribute) holds its
+//!   one tuple, or none, in no values. There is no heap box per tuple:
+//!   rows are read as `&[Value]` slices ([`Relation::rows`],
+//!   [`Relation::row`]), a join appends each output row's values to one
+//!   buffer, and building a relation sorts a permutation of row indices
+//!   (skipped when the rows are already in order) rather than the rows.
 //! * **Relation states are sets.** A [`Relation`] holds no tuple twice —
 //!   what the paper's cost measure τ counts (the *number of tuples*,
-//!   [`Relation::tau`]). One built from rows keeps its tuples sorted; a
+//!   [`Relation::tau`]). One built from rows keeps its rows sorted; a
 //!   join's output keeps the order the join emitted it in. Equality is set
 //!   equality, hashing agrees with it, the rendered text is sorted, and
 //!   every order is deterministic — important for reproducible
 //!   experiments.
 //! * **Joins** are hash joins ([`Relation::natural_join`], guarded and
 //!   partitioned variants alongside); their output is neither sorted nor
-//!   deduplicated, since the join of two sets is a set. The sort-merge and
-//!   nested-loop joins that check them, and that the benches in
-//!   `mjoin-bench` time against them, live in `mjoin-reference`.
+//!   deduplicated, since the join of two sets is a set. The build table
+//!   keys on borrowed row slices, and the partitioned join's partitions
+//!   are lists of row ids. The sort-merge and nested-loop joins that check
+//!   them, and that the benches in `mjoin-bench` time against them, live
+//!   in `mjoin-reference`.
 //!
 //! # Quickstart
 //!
@@ -60,5 +71,5 @@ mod value;
 
 pub use attr::{AttrSet, AttrSetIter, Attribute, Catalog, MAX_ATTRS};
 pub use error::RelationError;
-pub use relation::{Relation, Tuple};
+pub use relation::Relation;
 pub use value::Value;

@@ -1,10 +1,12 @@
-//! Allocation regression for the hash join and the semijoin: keys are
-//! borrowed views of their rows, so neither building nor probing a table
-//! allocates per row. A join allocates one box per emitted tuple plus a
-//! constant (column plan, table, chain links, the growth of the output
-//! list); a semijoin one box per kept tuple plus a constant. A `Vec` key
-//! per build or probe row, or a projected tuple per row, adds thousands
-//! and blows either bound.
+//! Allocation regression for the hash join, the semijoin and building a
+//! relation: rows live in one row-major buffer per relation and keys are
+//! borrowed views of them, so neither building nor probing a table
+//! allocates per row, and no tuple is boxed. A join allocates a constant
+//! (column plan, table, chain links, the growth of its one output buffer);
+//! so does a semijoin (key set, kept-row buffer) and the sort that builds
+//! a relation (row permutation, gathered buffer). A `Vec` key per build or
+//! probe row, a projected tuple per row or a box per tuple adds thousands
+//! and blows every bound.
 //!
 //! This file is its own integration-test binary so the counting global
 //! allocator cannot interfere with any other test, and it holds one test
@@ -49,16 +51,17 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCS.load(Ordering::Relaxed) - before, out)
 }
 
-/// Allocations a join or semijoin may make beyond one per output tuple:
-/// about a dozen fixed ones and the doubling of the output list (13 steps
-/// to 8 000). A per-row key costs 2 000 at the least.
-const SLACK: u64 = 40;
+/// Allocations a join, semijoin or build may make in all: about a dozen
+/// fixed ones and the doubling of the output buffer (15 steps to the
+/// 24 000 values of 8 000 rows). A per-row key or a per-tuple box costs
+/// 1 000 at the least.
+const BOUND: u64 = 40;
 
 /// `R(A, B) ⋈ S(B, C)` with 2 000 rows a side over 500 `B` values: every
 /// row meets 4 on the other side, so the join emits 500 · 4 · 4 = 8 000
 /// tuples.
 #[test]
-fn join_and_semijoin_allocate_per_output_tuple_only() {
+fn join_semijoin_and_build_allocate_a_constant() {
     let mut cat = Catalog::with_letters();
     let (n, keys) = (2_000i64, 500i64);
     let r = Relation::from_int_rows(
@@ -77,11 +80,11 @@ fn join_and_semijoin_allocate_per_output_tuple_only() {
     let (join_allocs, j) = count_allocs(|| r.natural_join(&s));
     assert_eq!(j.tau(), 8_000);
     assert!(
-        join_allocs <= j.tau() + SLACK,
-        "the join did {join_allocs} allocations for {} tuples; bound {} — \
-         does the build table or the probe allocate a key per row?",
+        join_allocs <= BOUND,
+        "the join did {join_allocs} allocations for {} tuples; bound {BOUND} — \
+         does the build table or the probe allocate a key per row, or the \
+         output a box per tuple?",
         j.tau(),
-        j.tau() + SLACK
     );
 
     // Keeps the 1 000 rows of R whose B value is even.
@@ -93,10 +96,20 @@ fn join_and_semijoin_allocate_per_output_tuple_only() {
     let (semi_allocs, kept) = count_allocs(|| r.semijoin(&even));
     assert_eq!(kept.tau(), 1_000);
     assert!(
-        semi_allocs <= kept.tau() + SLACK,
-        "the semijoin did {semi_allocs} allocations for {} kept tuples; bound {} — \
+        semi_allocs <= BOUND,
+        "the semijoin did {semi_allocs} allocations for {} kept tuples; bound {BOUND} — \
          does it build a key per row?",
         kept.tau(),
-        kept.tau() + SLACK
+    );
+
+    // Rebuilding the join's 8 000 unsorted rows sorts and gathers them.
+    let values: Vec<_> = j.rows().flatten().cloned().collect();
+    let (build_allocs, built) =
+        count_allocs(|| Relation::from_row_major(j.scheme(), 8_000, values));
+    assert_eq!(built, j);
+    assert!(
+        build_allocs <= BOUND,
+        "building 8 000 rows did {build_allocs} allocations; bound {BOUND} — \
+         does the sort box a tuple per row?",
     );
 }

@@ -75,7 +75,7 @@ proptest! {
     fn semijoin_shrinks(r in arb_relation("ABCD"), s in arb_relation("ABCD")) {
         let sj = r.semijoin(&s);
         prop_assert!(sj.tau() <= r.tau());
-        for t in sj.tuples() {
+        for t in sj.rows() {
             prop_assert!(r.contains(t));
         }
         // Semijoin is the projection of the join onto the left scheme.
