@@ -1,5 +1,5 @@
 //! Old-vs-new DPccp enumeration: per-target `connected_subsets` rescans
-//! against the streaming csg–cmp-pair enumerator with flat rank-indexed
+//! against the streaming csg–cmp-pair enumerator with its splitmix64-hashed
 //! memos.
 //!
 //! Both arms return bit-identical plans and costs — this bench asserts

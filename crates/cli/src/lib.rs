@@ -38,9 +38,9 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use mjoin::{
-    analyze_guarded, failpoints, optimize_robust, try_optimize, try_optimize_threaded,
-    BrownoutLevel, Budget, CardinalityOracle, Condition, Database, ExactOracle, Guard, MjoinError,
-    SearchSpace, Strategy, Value,
+    analyze_guarded, failpoints, optimize_robust, try_optimize, BrownoutLevel, Budget,
+    CardinalityOracle, Condition, Database, ExactOracle, Guard, MjoinError, SearchSpace, Strategy,
+    Value,
 };
 use mjoin_fd::FdSet;
 use mjoin_hypergraph::{DbScheme, JoinTree};
@@ -259,7 +259,8 @@ pub struct GuardOptions {
     pub max_tuples: Option<u64>,
     /// Fault-injection sites to arm (`--fail-inject a,b`).
     pub fail_inject: Vec<String>,
-    /// Worker threads for plan search (`--threads N`).
+    /// Worker threads for hash joins (`--threads N`); plan search is
+    /// sequential.
     pub threads: Option<usize>,
     /// Append a human-readable metrics table to the output (`--metrics`).
     pub metrics: bool,
@@ -297,10 +298,9 @@ impl GuardOptions {
         b
     }
 
-    /// The effective worker-thread count: the `--threads` flag, else the
-    /// `MJOIN_THREADS` environment variable, else 1. At 1 every code path
-    /// is the sequential one, so output is byte-identical to builds that
-    /// predate the flag.
+    /// The effective hash-join worker count: the `--threads` flag, else
+    /// the `MJOIN_THREADS` environment variable, else 1. The joins clamp
+    /// it to the host's cores. Output does not depend on it.
     pub fn threads(&self) -> usize {
         self.threads
             .or_else(|| std::env::var("MJOIN_THREADS").ok()?.parse().ok())
@@ -497,8 +497,8 @@ fn plan_outcome<O: CardinalityOracle>(
     }
 }
 
-/// Runs the `optimize` command's planning paths — degradation ladder,
-/// parallel DP, or sequential DP — and renders the report. Shared by the
+/// Runs the `optimize` command's planning paths — degradation ladder or
+/// the space's DP — and renders the report. Shared by the
 /// CLI and the serve daemon so a served plan is byte-identical to the
 /// CLI's.
 ///
@@ -522,7 +522,7 @@ pub fn optimize_outcome(
     }
     let guard = Guard::new(gopts.budget());
     let oracle = ExactOracle::with_guard(db, guard.clone()).with_join_threads(threads);
-    let plan = try_optimize_threaded(&oracle, full, space, &guard, threads)?;
+    let plan = try_optimize(&oracle, full, space, &guard)?;
     Ok(plan_outcome(plan, space, "", db.catalog(), &oracle))
 }
 
@@ -890,7 +890,8 @@ where
                  --timeout-ms N            wall-clock deadline; optimize degrades gracefully\n\
                  --max-memo-entries N      cap on memoized intermediate results\n\
                  --max-tuples N            cap on intermediate tuples generated\n\
-                 --threads N               worker threads for plan search (default: $MJOIN_THREADS or 1)\n\
+                 --threads N               worker threads for hash joins; plan search is sequential\n\
+                 \u{20}                         (default: $MJOIN_THREADS or 1)\n\
                  --fail-inject SITE[,..]   arm deterministic fault injection (testing)\n\
                  \n\
                  observability (any command):\n\
@@ -1606,16 +1607,16 @@ Lang22 Chomsky
 
     #[test]
     fn threads_one_output_is_identical_to_default() {
-        // `--threads 1` pins every code path to the sequential one, so its
-        // output must match the legacy expectations exactly.
+        // `--threads 1` joins on the calling thread; its output must match
+        // the legacy expectations exactly.
         let all = run_ok(&["optimize", "db.mj", "--threads", "1"]);
         assert!(all.contains("τ = 6 + 5 = 11"), "{all}");
         let nocp = run_ok(&["optimize", "db.mj", "nocp", "--threads", "1"]);
         assert!(nocp.contains("= 12"), "{nocp}");
         // And when the environment doesn't override the default, flagless
         // output is byte-identical to `--threads 1`. (Skipped under
-        // MJOIN_THREADS, where the default is intentionally parallel —
-        // CI's 2-thread suite run.)
+        // MJOIN_THREADS, where the default is two join workers — CI's
+        // 2-thread suite run.)
         if std::env::var("MJOIN_THREADS").is_err() {
             for space in [None, Some("nocp"), Some("linear"), Some("avoid")] {
                 let mut base = vec!["optimize", "db.mj"];
@@ -1637,10 +1638,10 @@ Lang22 Chomsky
         assert!(seq.contains("τ = 6 + 5 = 11"), "{seq}");
         let nocp = run_ok(&["optimize", "db.mj", "nocp", "--threads", "4"]);
         assert!(nocp.contains("= 12"), "{nocp}");
-        // The product-free spaces run sequential DPccp at one thread and
-        // level-parallel DPccp above it: one candidate order, one
-        // tie-break, so the same plan bytes. The 40-chain has equal-cost
-        // splits everywhere, so a tie-break difference would show there.
+        // Plan search is sequential at every thread count, and the join
+        // workers build the same τ, so the plan bytes are the same. The
+        // 40-chain has equal-cost splits everywhere, so a tie-break
+        // difference would show there.
         let chain40 = include_str!("../../../examples/chain40.mj");
         for space in ["nocp", "avoid"] {
             let optimize = |file: &str, threads: &str| {
@@ -1657,6 +1658,23 @@ Lang22 Chomsky
                     assert_eq!(one, optimize(file, threads), "{file} {space} @{threads}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn threads_sixty_four_prints_what_one_thread_prints() {
+        // The join workers are clamped to the host's cores, and a join's
+        // result does not depend on how many ran: 64 asks for more than a
+        // test host has, and the output is the one-thread bytes.
+        let commands: [&[&str]; 4] = [
+            &["optimize", "db.mj"],
+            &["optimize", "db.mj", "nocp", "--timeout-ms", "60000"],
+            &["execute", "db.mj"],
+            &["show", "db.mj"],
+        ];
+        for command in commands {
+            let at = |threads| run_ok(&[command, &["--threads", threads]].concat());
+            assert_eq!(at("64"), at("1"), "{command:?}");
         }
     }
 

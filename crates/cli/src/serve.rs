@@ -14,12 +14,12 @@ use crate::{parse_input, CliError, Flags, GuardOptions, Request};
 
 /// The real optimizer engine behind `mjoin serve`.
 pub struct MjoinEngine {
-    /// Worker threads each request's plan search may use.
+    /// Hash-join workers each request may use; plan search is sequential.
     pub threads: usize,
 }
 
-/// The options `req` runs under: its caps and (remaining) deadline, at
-/// `threads` search threads.
+/// The options `req` runs under: its caps and (remaining) deadline, with
+/// `threads` hash-join workers.
 fn guard_options(threads: usize, req: &EngineRequest) -> GuardOptions {
     GuardOptions {
         timeout_ms: req.timeout_ms,

@@ -5,8 +5,8 @@
 //! its "base relations" are the live intermediates plus the original
 //! relations not yet consumed. This module builds that query as a first-
 //! class [`Database`] — same catalog, scheme entries that are unions of the
-//! covered originals — so the full PR-1/PR-2 planning stack (ladder, DP,
-//! parallel search) applies to mid-query re-optimization unchanged.
+//! covered originals — so the full planning stack (ladder, DP, the
+//! partitioned joins) applies to mid-query re-optimization unchanged.
 //!
 //! The mapping back is kept alongside: each derived leaf remembers which
 //! original relations it covers, so plans found over the derived scheme can

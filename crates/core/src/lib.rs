@@ -80,13 +80,12 @@ pub use mjoin_guard::{failpoints, Budget, CancelToken, Guard, MjoinError, Resour
 pub use mjoin_hypergraph::{Acyclicity, DbScheme, JoinTree, RelSet};
 pub use mjoin_optimizer::{
     best_bottleneck, best_monotone, bottleneck_of, exists_monotone, ikkbz, lindp, optimize,
-    partitioned_dp, try_best_avoid_cartesian_parallel, try_best_no_cartesian_parallel,
-    try_greedy_bushy, try_greedy_linear, try_ikkbz, try_lindp, try_optimize, try_optimize_threaded,
+    partitioned_dp, try_greedy_bushy, try_greedy_linear, try_ikkbz, try_lindp, try_optimize,
     try_partitioned_dp, try_partitioned_dp_with, Monotonicity, Plan, SearchSpace,
     DEFAULT_BLOCK_MAX,
 };
 pub use mjoin_query::{lower, parse_query, JoinEdge, LoweredQuery, Query};
 pub use mjoin_relation::{AttrSet, Attribute, Catalog, Relation, Value};
 pub use mjoin_store::{fingerprint128, LoadedStore, StoreEntry};
-pub use mjoin_strategy::{try_best_strategy_parallel, Strategy};
+pub use mjoin_strategy::{try_best_strategy, Strategy};
 pub use store_io::{optimize_fingerprint, save_optimize_entry};

@@ -30,14 +30,10 @@
 //!
 //! All rungs of one descent share one [`ExactOracle`] — one memo,
 //! re-armed with each rung's slice, so intermediates survive degradation.
-//! At `threads ≤ 1` every rung is its sequential algorithm. Above that the
-//! oracle materializes with the partitioned parallel hash join, exhaustive
-//! enumeration chunks the top-level splits across scoped workers and the
-//! product-free DP runs each subset-size level in parallel; the other
-//! rungs are the same sequential algorithms over the same oracle — which
-//! keeps their answers bit-identical at every thread count. (The Dp rung
-//! is DPccp sequentially and level-parallel, with one tie-break, so its
-//! plans are bit-identical too.)
+//! Every rung searches on the calling thread. `threads` is the number of
+//! workers the oracle's partitioned hash join may use to materialize a
+//! subset; the join's result, and so every τ and plan, is the same at
+//! every thread count.
 //!
 //! Only **budget** trips degrade. Cancellation ([`MjoinError::Cancelled`])
 //! and internal faults ([`MjoinError::Internal`], which includes injected
@@ -51,8 +47,8 @@ use mjoin_cost::{Database, ExactOracle};
 use mjoin_guard::{failpoints, Budget, CancelToken, Guard, MjoinError};
 use mjoin_hypergraph::{DbScheme, RelSet};
 use mjoin_obs::{incr, span, Counter, Span};
-use mjoin_optimizer::{try_optimize_threaded, Plan, SearchSpace};
-use mjoin_strategy::{try_best_strategy_parallel, Strategy};
+use mjoin_optimizer::{try_optimize, Plan, SearchSpace};
+use mjoin_strategy::{try_best_strategy, Strategy};
 
 /// Largest subset the exhaustive rung will attempt: `(2·7 − 3)!! = 10 395`
 /// strategies is instant, one more relation is 13× that.
@@ -312,17 +308,8 @@ fn index_order(subset: RelSet) -> Strategy {
 /// What running a rung yields; `Ok(None)` when it has no plan to offer.
 type RungResult = Result<Option<Plan>, MjoinError>;
 
-/// Runs one rung over the descent's oracle. Exhaustive enumeration fans
-/// out over `threads` workers (one worker is the plain sequential scan),
-/// and above one thread the product-free DPs run level-parallel DPccp;
-/// every other rung is the same sequential algorithm at any thread count.
-fn run(
-    rung: Rung,
-    oracle: &ExactOracle<'_>,
-    req: &Request<'_>,
-    guard: &Guard,
-    threads: usize,
-) -> RungResult {
+/// Runs one rung over the descent's oracle.
+fn run(rung: Rung, oracle: &ExactOracle<'_>, req: &Request<'_>, guard: &Guard) -> RungResult {
     let linear_space = matches!(
         req.space,
         SearchSpace::Linear | SearchSpace::LinearNoCartesian
@@ -330,12 +317,12 @@ fn run(
     match (rung, req.space) {
         (Rung::Exhaustive, _) => {
             failpoints::hit("optimizer::exhaustive")?;
-            let best = try_best_strategy_parallel(oracle, req.subset, guard, threads, &|s| {
+            let best = try_best_strategy(oracle, req.subset, guard, &|s| {
                 in_space(s, req.space, req.scheme)
             })?;
             Ok(best.map(|(strategy, cost)| Plan { strategy, cost }))
         }
-        (Rung::Dp, _) => try_optimize_threaded(oracle, req.subset, req.space, guard, threads),
+        (Rung::Dp, _) => try_optimize(oracle, req.subset, req.space, guard),
         (Rung::LinDp, _) => mjoin_optimizer::try_lindp(oracle, req.subset, guard),
         (Rung::PartitionedDp, _) => mjoin_optimizer::try_partitioned_dp(oracle, req.subset, guard),
         // Shaped to the space: linear spaces get the linear heuristic.
@@ -360,7 +347,6 @@ fn descend(
     req: &Request<'_>,
     budget: Budget,
     cancel: Option<&CancelToken>,
-    threads: usize,
     entry: Rung,
 ) -> Result<RobustPlan, MjoinError> {
     let started = Instant::now();
@@ -407,7 +393,7 @@ fn descend(
             Some(b) => {
                 let guard = rung_guard(b, cancel);
                 oracle.rearm(guard.clone());
-                let result = run(rung, oracle, req, &guard, threads);
+                let result = run(rung, oracle, req, &guard);
                 let stats = RungStats {
                     elapsed: rung_started.elapsed(),
                     memo_used: guard.memo_used(),
@@ -457,11 +443,10 @@ fn descend(
 /// [`RobustPlan`] naming the rung that produced it) unless the input
 /// itself is invalid, the caller cancelled, or a fault was injected.
 ///
-/// `threads ≤ 1` runs every rung sequentially; more fan the exhaustive and
-/// product-free DP rungs out over the same [`ExactOracle`] (see the module
-/// docs). Each rung is deterministic in
-/// itself: the same rung at the same thread count always returns
-/// bit-identical plans and costs.
+/// `threads` is the number of hash-join workers the shared
+/// [`ExactOracle`] may use; every rung searches on the calling thread (see
+/// the module docs). Each rung is deterministic: it returns bit-identical
+/// plans and costs at every thread count.
 ///
 /// `entry` pins the entry rung: every rung above it is recorded as skipped
 /// (with a brownout note) and never attempted. [`Rung::Exhaustive`] is the
@@ -489,7 +474,7 @@ pub fn optimize_robust(
         space,
     };
     let mut oracle = ExactOracle::new(db).with_join_threads(threads);
-    descend(&mut oracle, &req, budget, cancel, threads, entry)
+    descend(&mut oracle, &req, budget, cancel, entry)
 }
 
 /// The full ladder ([`optimize_robust`] entered at the top) over a whole
@@ -682,13 +667,12 @@ mod tests {
                     assert_eq!(r.unwrap_err(), MjoinError::Cancelled, "{case}");
                 }
 
-                // Over `SearchSpace::All` only the exhaustive rung fans
-                // out; every other rung is the same sequential algorithm
-                // over the same oracle, so its whole report — text, plan,
-                // cost — is the one-thread report.
+                // Every rung searches on one thread over the same oracle,
+                // so the whole report — text, plan, cost — is the
+                // one-thread report.
                 if threads == 1 {
                     sequential = reported;
-                } else if entry != Rung::Exhaustive {
+                } else {
                     assert_eq!(reported, sequential, "{case}");
                 }
             }
@@ -760,28 +744,26 @@ mod tests {
 
     #[test]
     fn threaded_ladder_is_thread_count_invariant_per_rung() {
-        // Force the exhaustive rung out of the picture so the parallel DP
-        // answers, then check it agrees with itself at every thread count.
+        // The product-free space over example 5, answered by the DP rung,
+        // agrees with itself at every hash-join thread count.
         let db = data::paper_example5();
-        let two = optimize_database_robust_threaded(
-            &db,
-            SearchSpace::NoCartesian,
-            Budget::unlimited(),
-            None,
-            2,
-        )
-        .unwrap();
-        let four = optimize_database_robust_threaded(
-            &db,
-            SearchSpace::NoCartesian,
-            Budget::unlimited(),
-            None,
-            4,
-        )
-        .unwrap();
-        assert_eq!(two.plan.cost, four.plan.cost);
-        assert_eq!(two.plan.strategy, four.plan.strategy);
-        assert_eq!(two.report.answered_by, four.report.answered_by);
+        let run = |threads| {
+            optimize_database_robust_threaded(
+                &db,
+                SearchSpace::NoCartesian,
+                Budget::unlimited(),
+                None,
+                threads,
+            )
+            .unwrap()
+        };
+        let one = run(1);
+        for threads in [2, 4] {
+            let r = run(threads);
+            assert_eq!(r.plan.cost, one.plan.cost, "{threads} threads");
+            assert_eq!(r.plan.strategy, one.plan.strategy, "{threads} threads");
+            assert_eq!(r.report.answered_by, one.report.answered_by);
+        }
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! Thread-count invariance of the parallel plan searches.
+//! Thread-count invariance of the hash-join workers.
 //!
-//! The multi-core DPs and the parallel exhaustive enumeration promise
-//! bit-identical plans and costs at any thread count. These tests hold
-//! them to it over randomized schemes and states — and check that a
-//! tripping budget produces the *same typed error* no matter how many
-//! workers were running when it tripped.
+//! Plan search runs on one thread; `threads` is the number of workers the
+//! exact oracle's partitioned hash join (and adaptive execution's) may
+//! use. A join's result is the same set at any worker count, so plans,
+//! costs and counters must not move with it. These tests hold the
+//! searches over a multi-worker oracle to that over randomized schemes
+//! and states — and check that a tripping budget produces the *same typed
+//! error* no matter how many join workers were running when it tripped.
 
 use mjoin::{
-    try_best_no_cartesian_parallel, try_best_strategy_parallel, try_optimize, Budget, Database,
-    ExactOracle, Guard, NoisyOracle, SearchSpace, Strategy, SyntheticOracle,
+    try_best_strategy, try_optimize, Budget, Database, ExactOracle, Guard, NoisyOracle,
+    SearchSpace, Strategy,
 };
 use mjoin_gen::{data, schemes};
 use rand::rngs::StdRng;
@@ -24,14 +26,22 @@ fn random_db(n: usize, seed: u64) -> Database {
 
 #[test]
 fn parallel_dps_are_thread_count_invariant() {
+    // The product-free DP over an oracle whose joins run on 1, 2 and 4
+    // workers: the same plan, bit for bit.
     for seed in 0..5u64 {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD5);
         let n = rng.gen_range(4..=8);
         let db = random_db(n, seed);
         let subset = db.scheme().full_set();
         let run = |threads: usize| {
-            let oracle = ExactOracle::new(&db);
-            try_best_no_cartesian_parallel(&oracle, subset, &Guard::unlimited(), threads).unwrap()
+            let oracle = ExactOracle::new(&db).with_join_threads(threads);
+            try_optimize(
+                &oracle,
+                subset,
+                SearchSpace::NoCartesian,
+                &Guard::unlimited(),
+            )
+            .unwrap()
         };
         let base = run(1);
         for threads in [2, 4] {
@@ -50,13 +60,15 @@ fn parallel_dps_are_thread_count_invariant() {
 
 #[test]
 fn parallel_exhaustive_is_thread_count_invariant() {
+    // The exhaustive scan over an oracle whose joins run on 1, 2 and 4
+    // workers, in three subspaces: the same first minimum every time.
     for seed in 0..4u64 {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xE7);
         let n = rng.gen_range(4..=6);
         let db = random_db(n, seed.wrapping_add(100));
         let subset = db.scheme().full_set();
         let scheme = db.scheme().clone();
-        type Accept = Box<dyn Fn(&Strategy) -> bool + Sync>;
+        type Accept = Box<dyn Fn(&Strategy) -> bool>;
         let filters: [(&str, Accept); 3] = [
             ("all", Box::new(|_: &Strategy| true)),
             ("linear", Box::new(|s: &Strategy| s.is_linear())),
@@ -67,15 +79,8 @@ fn parallel_exhaustive_is_thread_count_invariant() {
         ];
         for (name, accept) in &filters {
             let run = |threads: usize| {
-                let oracle = ExactOracle::new(&db);
-                try_best_strategy_parallel(
-                    &oracle,
-                    subset,
-                    &Guard::unlimited(),
-                    threads,
-                    accept.as_ref(),
-                )
-                .unwrap()
+                let oracle = ExactOracle::new(&db).with_join_threads(threads);
+                try_best_strategy(&oracle, subset, &Guard::unlimited(), accept.as_ref()).unwrap()
             };
             let base = run(1);
             for threads in [2, 4] {
@@ -88,20 +93,20 @@ fn parallel_exhaustive_is_thread_count_invariant() {
 
 #[test]
 fn exhaustive_and_dp_agree_on_the_product_free_optimum() {
-    // Cross-check the two parallel searches against each other: the
-    // cheapest product-free strategy found by enumeration must cost exactly
-    // what the product-free DP reports.
+    // Cross-check the two searches against each other over a four-worker
+    // oracle: the cheapest product-free strategy found by enumeration must
+    // cost exactly what the product-free DP reports.
     for seed in 0..3u64 {
         let db = random_db(5, seed.wrapping_add(40));
         let subset = db.scheme().full_set();
         let scheme = db.scheme().clone();
-        let oracle = ExactOracle::new(&db);
-        let dp = try_best_no_cartesian_parallel(&oracle, subset, &Guard::unlimited(), 4).unwrap();
-        let exhaustive =
-            try_best_strategy_parallel(&oracle, subset, &Guard::unlimited(), 4, &|s: &Strategy| {
-                !s.uses_cartesian(&scheme)
-            })
-            .unwrap();
+        let oracle = ExactOracle::new(&db).with_join_threads(4);
+        let guard = Guard::unlimited();
+        let dp = try_optimize(&oracle, subset, SearchSpace::NoCartesian, &guard).unwrap();
+        let exhaustive = try_best_strategy(&oracle, subset, &guard, &|s: &Strategy| {
+            !s.uses_cartesian(&scheme)
+        })
+        .unwrap();
         match (dp, exhaustive) {
             (Some(p), Some((_, c))) => assert_eq!(p.cost, c, "seed {seed}"),
             (None, None) => {}
@@ -113,18 +118,23 @@ fn exhaustive_and_dp_agree_on_the_product_free_optimum() {
 #[test]
 fn noisy_estimates_keep_the_parallel_dp_thread_count_invariant() {
     // The seeded noise is a pure function of (seed, subset), so a noisy
-    // oracle is exactly as thread-count invariant as a noiseless one:
-    // plans searched under injected estimation error must still be
-    // bit-identical at 1, 2, and 4 threads.
+    // oracle over exact joins is exactly as thread-count invariant as the
+    // exact one: plans searched under injected estimation error must be
+    // bit-identical at 1, 2, and 4 join workers.
     for seed in 0..4u64 {
         let db = random_db(6, seed.wrapping_add(200));
         let subset = db.scheme().full_set();
         for q in [2.0, 16.0] {
-            let oracle = NoisyOracle::try_new(SyntheticOracle::from_database(&db), q, seed)
-                .expect("valid envelope");
             let run = |threads: usize| {
-                try_best_no_cartesian_parallel(&oracle, subset, &Guard::unlimited(), threads)
-                    .unwrap()
+                let exact = ExactOracle::new(&db).with_join_threads(threads);
+                let oracle = NoisyOracle::try_new(exact, q, seed).expect("valid envelope");
+                try_optimize(
+                    &oracle,
+                    subset,
+                    SearchSpace::NoCartesian,
+                    &Guard::unlimited(),
+                )
+                .unwrap()
             };
             let base = run(1);
             for threads in [2, 4] {
@@ -151,8 +161,8 @@ fn tripping_budgets_error_identically_at_every_thread_count() {
 
     let dp_err = |threads: usize| {
         let guard = Guard::new(budget);
-        let oracle = ExactOracle::with_guard(&db, guard.clone());
-        try_best_no_cartesian_parallel(&oracle, subset, &guard, threads).unwrap_err()
+        let oracle = ExactOracle::with_guard(&db, guard.clone()).with_join_threads(threads);
+        try_optimize(&oracle, subset, SearchSpace::NoCartesian, &guard).unwrap_err()
     };
     let base = dp_err(1);
     for threads in [2, 4] {
@@ -161,9 +171,8 @@ fn tripping_budgets_error_identically_at_every_thread_count() {
 
     let enum_err = |threads: usize| {
         let guard = Guard::new(budget);
-        let oracle = ExactOracle::with_guard(&db, guard.clone());
-        try_best_strategy_parallel(&oracle, subset, &guard, threads, &|_: &Strategy| true)
-            .unwrap_err()
+        let oracle = ExactOracle::with_guard(&db, guard.clone()).with_join_threads(threads);
+        try_best_strategy(&oracle, subset, &guard, &|_: &Strategy| true).unwrap_err()
     };
     let base = enum_err(1);
     for threads in [2, 4] {
@@ -177,20 +186,24 @@ fn tripping_budgets_error_identically_at_every_thread_count() {
 
 #[test]
 fn oracle_distinct_subset_count_is_thread_invariant() {
-    // The exact oracle charges each distinct subset exactly once, under
-    // its shard's write lock — so while racing workers may *compute* a
-    // subset twice (`oracle.duplicate_materializations`), the
+    // The exact oracle charges each distinct subset exactly once, and the
+    // join workers only change how a built subset is joined — so the
     // distinct-subset counters (counted and built) must not move with the
-    // thread count. (`oracle.memo_hits` does move: never assert on it at
-    // `threads > 1`.)
+    // thread count.
     use mjoin_obs::{Counter, Recorder};
     for seed in 0..4u64 {
         let db = random_db(6, seed.wrapping_add(300));
         let subset = db.scheme().full_set();
         let count = |threads: usize| {
             let rec = Recorder::arm();
-            let oracle = ExactOracle::new(&db);
-            try_best_no_cartesian_parallel(&oracle, subset, &Guard::unlimited(), threads).unwrap();
+            let oracle = ExactOracle::new(&db).with_join_threads(threads);
+            try_optimize(
+                &oracle,
+                subset,
+                SearchSpace::NoCartesian,
+                &Guard::unlimited(),
+            )
+            .unwrap();
             let snap = rec.snapshot();
             (
                 snap.counter(Counter::OracleSubsetsCounted),
@@ -213,10 +226,10 @@ fn oracle_distinct_subset_count_is_thread_invariant() {
 }
 
 #[test]
-fn sequential_and_parallel_searches_share_one_memo() {
-    // One trait, one oracle: the sequential DP and the level-parallel DP
-    // take the same `&ExactOracle`, so whichever runs second finds every
-    // connected subset already priced.
+fn dp_and_exhaustive_searches_share_one_memo() {
+    // One trait, one oracle: the product-free DP and the product-free
+    // exhaustive scan take the same `&ExactOracle`, so the scan, run
+    // second, finds every connected subset already priced.
     use mjoin_obs::{Counter, Recorder};
     let db = random_db(6, 500);
     let subset = db.scheme().full_set();
@@ -229,7 +242,7 @@ fn sequential_and_parallel_searches_share_one_memo() {
                 + snap.counter(Counter::OracleSubsetsMaterialized)
         };
         let oracle = ExactOracle::new(&db).with_join_threads(threads);
-        let seq = try_optimize(&oracle, subset, SearchSpace::NoCartesian, &guard)
+        let dp = try_optimize(&oracle, subset, SearchSpace::NoCartesian, &guard)
             .unwrap()
             .unwrap();
         // Each memo entry is charged to exactly one of the two counters,
@@ -237,10 +250,13 @@ fn sequential_and_parallel_searches_share_one_memo() {
         let memo = oracle.memo_len();
         let first = priced();
         assert_eq!(first, memo as u64, "{threads} threads");
-        let par = try_best_no_cartesian_parallel(&oracle, subset, &guard, threads)
-            .unwrap()
-            .unwrap();
-        assert_eq!(par.cost, seq.cost, "{threads} threads");
+        let scheme = db.scheme();
+        let (_, scan) = try_best_strategy(&oracle, subset, &guard, &|s: &Strategy| {
+            !s.uses_cartesian(scheme)
+        })
+        .unwrap()
+        .unwrap();
+        assert_eq!(scan, dp.cost, "{threads} threads");
         assert_eq!(oracle.memo_len(), memo, "{threads} threads: memo grew");
         assert_eq!(
             priced(),

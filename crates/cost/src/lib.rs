@@ -4,8 +4,8 @@
 //! intermediate and final joins of a strategy. Everything in the theory
 //! depends on the relations only through the map `D′ ↦ τ(R_{D′})`, so this
 //! crate abstracts that map behind the one [`CardinalityOracle`] trait —
-//! every method through `&self`, so the same oracle serves a sequential
-//! caller and (when it is also `Sync`) a pool of plan-search workers — and
+//! every method through `&self`, so one oracle serves a search and (when
+//! it is also `Sync`) several threads at once — and
 //! provides:
 //!
 //! * [`Database`] — a database scheme paired with relation states, the

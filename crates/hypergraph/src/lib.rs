@@ -16,8 +16,6 @@
 //!   enumerator behind DPccp ([`DbScheme::ccp_pairs`]), and the
 //!   adjacency fast path for linkage tests
 //!   ([`DbScheme::linked_disjoint`]);
-//! * [`SchemeIndex`] — dense ranks and size levels over the connected
-//!   subsets, backing flat `Vec` memo tables in the optimizer;
 //! * [`FastMap`]/[`FastSet`] — deterministic splitmix64-hashed maps for
 //!   single-word bitset keys;
 //! * acyclicity machinery for Section 5: GYO reduction
@@ -41,14 +39,12 @@
 
 mod acyclic;
 mod hash;
-mod index;
 mod jointree;
 mod relset;
 mod scheme;
 
 pub use acyclic::Acyclicity;
 pub use hash::{splitmix64, FastMap, FastSet, SplitMix64Hasher};
-pub use index::SchemeIndex;
 pub use jointree::JoinTree;
 pub use relset::{RelSet, RelSetIter, SubsetIter, MAX_RELATIONS};
 pub use scheme::DbScheme;

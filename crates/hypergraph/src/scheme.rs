@@ -228,31 +228,17 @@ impl DbScheme {
     /// sparse topologies stay cheap — a 40-relation chain has 820
     /// connected subsets, not 2⁴⁰ candidates.
     pub fn connected_subsets(&self, within: RelSet) -> Vec<RelSet> {
-        match self.try_connected_subsets::<std::convert::Infallible>(within, &mut |_| Ok(())) {
-            Ok(out) => out,
-            Err(e) => match e {},
-        }
-    }
-
-    /// [`connected_subsets`](Self::connected_subsets) with a fallible
-    /// per-emission check. On a dense scheme the connected-subset count is
-    /// exponential, so any deadline-bounded caller (the degradation
-    /// ladder's DP rung in particular) must be able to abandon the
-    /// enumeration mid-flight — `check` is called once per emitted subset
-    /// and its first error aborts the walk.
-    pub fn try_connected_subsets<E>(
-        &self,
-        within: RelSet,
-        check: &mut impl FnMut(RelSet) -> Result<(), E>,
-    ) -> Result<Vec<RelSet>, E> {
         let mut out = Vec::new();
-        self.try_for_each_connected_subset(within, &mut |s| {
-            check(s)?;
-            out.push(s);
-            Ok(())
-        })?;
+        let walk: Result<(), std::convert::Infallible> =
+            self.try_for_each_connected_subset(within, &mut |s| {
+                out.push(s);
+                Ok(())
+            });
+        if let Err(e) = walk {
+            match e {}
+        }
         out.sort_unstable();
-        Ok(out)
+        out
     }
 
     /// Calls `visit` once per nonempty connected subset of `within`, in

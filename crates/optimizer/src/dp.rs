@@ -15,8 +15,8 @@ use std::collections::hash_map::Entry;
 use std::time::{Duration, Instant};
 
 use mjoin_cost::CardinalityOracle;
-use mjoin_guard::{failpoints, Guard, MjoinError, Scope};
-use mjoin_hypergraph::{DbScheme, FastMap, RelSet, SchemeIndex};
+use mjoin_guard::{failpoints, Guard, MjoinError};
+use mjoin_hypergraph::{FastMap, RelSet};
 use mjoin_obs::{incr, Counter};
 use mjoin_strategy::Strategy;
 
@@ -27,42 +27,7 @@ use crate::plan::Plan;
 /// fast path rather than SipHash.
 pub(crate) type SplitMemo = FastMap<RelSet, (u64, Option<(RelSet, RelSet)>)>;
 
-/// A flat candidate-scan result: the winning `(csg_rank, cmp_rank)` split
-/// with its children's summed cost, `None` when the target subset has no
-/// valid split.
-type FlatBestSplit = Result<Option<((u32, u32), u64)>, MjoinError>;
-
-/// The flat rank-indexed DPccp table, split into parallel arrays so the
-/// candidate scan touches only a bare `Vec<u64>` of costs (half the bytes
-/// of an interleaved `(cost, split)` layout — the scan is memory-bound).
-///
-/// `costs[r] = u64::MAX` marks an unsolved slot. A *solved* subset whose
-/// cost legitimately saturated to `u64::MAX` is disambiguated by `splits`:
-/// every solved non-singleton records its winning split there (singletons
-/// are solved at cost 0).
-struct FlatTable {
-    costs: Vec<u64>,
-    /// Winning `(csg_rank, cmp_rank)` per solved non-singleton.
-    splits: Vec<Option<(u32, u32)>>,
-}
-
-impl FlatTable {
-    fn unsolved(len: usize) -> FlatTable {
-        FlatTable {
-            costs: vec![u64::MAX; len],
-            splits: vec![None; len],
-        }
-    }
-
-    /// Whether `rank` was solved: a finite cost, or a recorded split, or a
-    /// singleton's zero — only the saturated-cost corner needs the split
-    /// probe.
-    fn solved(&self, rank: u32) -> bool {
-        self.costs[rank as usize] != u64::MAX || self.splits[rank as usize].is_some()
-    }
-}
-
-/// The sequential DPccp's working memo: the priced subsets, and per
+/// The DPccp's working memo: the priced subsets, and per
 /// target not yet priced the running `(children cost, split)` minimum over
 /// the csg–cmp pairs seen so far. Both grow with the subsets the DP has
 /// reached, never ahead of them, so a run that a deadline cuts short has
@@ -82,11 +47,6 @@ impl DpScratch {
         }
     }
 }
-
-/// The "no split seen yet" sentinel of [`ccp_scan_flat`]. Ranks are dense
-/// and below `u32::MAX`, so any real candidate compares lower in the
-/// `(cost, csg_rank)` order — even one whose cost saturated to `u64::MAX`.
-const NO_SPLIT: (u32, u32) = (u32::MAX, u32::MAX);
 
 /// Cheapest strategy over the full space (bushy, products allowed).
 pub fn best_bushy<O: CardinalityOracle>(oracle: &O, subset: RelSet) -> Plan {
@@ -293,152 +253,6 @@ pub fn try_best_no_cartesian<O: CardinalityOracle>(
     nocp_dpccp_with_scratch(oracle, subset, guard, &mut DpScratch::new())
 }
 
-/// Every csg–cmp pair as dense `(target_rank, csg_rank, cmp_rank)`
-/// triples, grouped by the *size* of the target (`csg ∪ cmp`): when level
-/// `k` is reached, every pair in level `k` has both children solved.
-type LevelPairs = Vec<Vec<(u32, u32, u32)>>;
-
-/// Builds what the level-parallel DPccp is solved over: the rank index of
-/// `within`'s connected subsets and its [`LevelPairs`]. The guard is
-/// checkpointed per subset and per pair, so a deadline can cancel on
-/// hostile (clique-dense) schemes.
-fn index_and_level_pairs(
-    scheme: &DbScheme,
-    within: RelSet,
-    guard: &Guard,
-) -> Result<(SchemeIndex, LevelPairs), MjoinError> {
-    let index = SchemeIndex::try_new_checked(scheme, within, &mut |_| guard.checkpoint())?;
-    let mut by_level: LevelPairs = vec![Vec::new(); index.max_size() + 1];
-    let mut emitted = 0u64;
-    scheme.try_for_each_ccp(within, &mut |csg, cmp| {
-        guard.checkpoint()?;
-        let union = csg.union(cmp);
-        let (Some(t), Some(r1), Some(r2)) = (index.rank(union), index.rank(csg), index.rank(cmp))
-        else {
-            return Err(MjoinError::Internal(
-                "csg–cmp enumeration emitted a subset missing from the rank index".into(),
-            ));
-        };
-        emitted += 1;
-        by_level[union.len()].push((t, r1, r2));
-        Ok(())
-    })?;
-    incr(Counter::DpCcpPairsEmitted, emitted);
-    Ok((index, by_level))
-}
-
-/// The per-target CSR view of the [`LevelPairs`], for the parallel DP,
-/// whose unit of scheduling is one target subset. The rescan DPccp
-/// (`mjoin-reference`) visits each target's splits in ascending csg bit
-/// pattern and keeps the first minimum; the flat scan recovers exactly
-/// that winner
-/// order-independently, by minimizing `(cost, csg_rank)` — so the chosen
-/// plans stay bit-identical without sorting any bucket.
-struct CcpCandidates {
-    /// `offsets[t]..offsets[t + 1]` delimits target rank `t`'s pairs.
-    offsets: Vec<usize>,
-    /// `(csg_rank, cmp_rank)` per pair, in enumeration order within each
-    /// target bucket (the scan's tie-break does not depend on it).
-    pairs: Vec<(u32, u32)>,
-}
-
-/// Buckets the emitted pairs by target rank with a counting-sort scatter —
-/// no comparison sort anywhere, no second graph enumeration.
-fn build_ccp_candidates(by_level: &LevelPairs, len: usize) -> CcpCandidates {
-    let mut offsets = vec![0usize; len + 1];
-    for level in by_level {
-        for &(t, _, _) in level {
-            offsets[t as usize + 1] += 1;
-        }
-    }
-    for i in 1..offsets.len() {
-        offsets[i] += offsets[i - 1];
-    }
-    let mut cursor = offsets.clone();
-    let mut pairs = vec![(0u32, 0u32); offsets[len]];
-    for level in by_level {
-        for &(t, r1, r2) in level {
-            let slot = &mut cursor[t as usize];
-            pairs[*slot] = (r1, r2);
-            *slot += 1;
-        }
-    }
-    CcpCandidates { offsets, pairs }
-}
-
-/// The flat-table DPccp candidate scan for one target rank: walk the
-/// precomputed csg–cmp pairs, two `Vec` probes per pair. The winner is the
-/// `(cost, csg_rank)`-lexicographic minimum — the same split the rescan
-/// DPccp's ascending-csg first-minimum rule chooses, but independent of
-/// bucket order, and the rule the sequential DP's fold applies (ranks
-/// follow bit order), which is what makes the two bit-identical at any
-/// thread count.
-/// Reads only strictly smaller subsets from `costs`, so a whole size level
-/// can run this concurrently against a frozen table. A candidate whose
-/// cost saturated still wins over none: every connected subset has a
-/// split, and a saturated one must record it like any other.
-fn ccp_scan_flat(
-    cands: &CcpCandidates,
-    target: u32,
-    costs: &[u64],
-    guard: &Guard,
-) -> FlatBestSplit {
-    let (mut best, mut best_split) = (u64::MAX, NO_SPLIT);
-    let bucket = &cands.pairs[cands.offsets[target as usize]..cands.offsets[target as usize + 1]];
-    for &(r1, r2) in bucket {
-        guard.checkpoint()?;
-        let cost = costs[r1 as usize].saturating_add(costs[r2 as usize]);
-        if (cost, r1) < (best, best_split.0) {
-            best = cost;
-            best_split = (r1, r2);
-        }
-    }
-    incr(Counter::DpCandidatesScanned, bucket.len() as u64);
-    Ok((best_split != NO_SPLIT).then_some((best_split, best)))
-}
-
-/// Rebuilds a strategy from the flat rank-indexed table (the `Vec` twin of
-/// [`try_rebuild`]).
-fn try_rebuild_flat(
-    rank: u32,
-    index: &SchemeIndex,
-    table: &FlatTable,
-) -> Result<Strategy, MjoinError> {
-    let s = index.subset(rank);
-    if s.is_singleton() {
-        let Some(i) = s.first() else {
-            return Err(MjoinError::Internal("singleton with no member".into()));
-        };
-        return Ok(Strategy::leaf(i));
-    }
-    let Some((r1, r2)) = table.splits[rank as usize] else {
-        return Err(MjoinError::Internal(format!(
-            "DP table records no split for solved subset {s:?}"
-        )));
-    };
-    Strategy::join(
-        try_rebuild_flat(r1, index, table)?,
-        try_rebuild_flat(r2, index, table)?,
-    )
-    .map_err(|e| MjoinError::Internal(format!("memoized splits must be disjoint: {e}")))
-}
-
-/// The plan a solved flat table records for `subset`; `None` when the DP
-/// left it unsolved.
-fn root_plan(
-    subset: RelSet,
-    index: &SchemeIndex,
-    table: &FlatTable,
-) -> Result<Option<Plan>, MjoinError> {
-    let Some(root) = index.rank(subset).filter(|&r| table.solved(r)) else {
-        return Ok(None);
-    };
-    Ok(Some(Plan {
-        strategy: try_rebuild_flat(root, index, table)?,
-        cost: table.costs[root as usize],
-    }))
-}
-
 /// [`try_best_no_cartesian`] with a caller-owned [`DpScratch`]: the same
 /// plans (same memo, same tie-breaks); the only difference is where the
 /// memo lives. The partitioned planner threads one through every block.
@@ -461,8 +275,9 @@ pub(crate) fn nocp_dpccp_with_scratch<O: CardinalityOracle>(
 
 /// The DPccp body over a connected `subset`: one pass over the csg–cmp
 /// pairs, folding each into its target's running `(cost, csg)` minimum —
-/// the rule [`ccp_scan_flat`] applies (ranks follow bit order), so the
-/// plans equal the level-parallel DP's. Returns the root's cost and leaves
+/// the split the rescan DPccp in `mjoin-reference` keeps (the first
+/// minimum in ascending csg order), so the two choose the same plans
+/// whatever order the pairs arrive in. Returns the root's cost and leaves
 /// every priced subset with its winning split in `scratch.priced`.
 ///
 /// The pairs arrive in an order valid for dynamic programming (Moerkotte &
@@ -521,12 +336,12 @@ fn nocp_dpccp_core<O: CardinalityOracle>(
     Ok(cost)
 }
 
-/// How many subsets the sequential DPccp prices between projections of
+/// How many subsets the DPccp prices between projections of
 /// its finish: enough for a stable rate, few enough that a hopeless run
 /// stops early.
 const PROJECT_STRIDE: usize = 256;
 
-/// One sequential DPccp run: the oracle and guard it prices under, its
+/// One DPccp run: the oracle and guard it prices under, its
 /// memo, and — under a deadline — what it needs to project its finish.
 struct CcpRun<'a, O> {
     oracle: &'a O,
@@ -626,8 +441,7 @@ pub fn try_best_avoid_cartesian<O: CardinalityOracle>(
 }
 
 /// DP over subsets of components; a step multiplying component-set C
-/// produces Π sizes (the components share no attributes). Shared by the
-/// sequential and parallel avoid-Cartesian entry points.
+/// produces Π sizes (the components share no attributes).
 fn combine_component_plans(
     plans: Vec<Plan>,
     sizes: Vec<u64>,
@@ -724,137 +538,12 @@ pub(crate) fn try_rebuild(s: RelSet, memo: &SplitMemo) -> Result<Strategy, Mjoin
     Strategy::join(try_rebuild(s1, memo)?, try_rebuild(s2, memo)?)
         .map_err(|e| MjoinError::Internal(format!("memoized splits must be disjoint: {e}")))
 }
-
-/// Runs `work` over every item of one DP level, splitting the level into
-/// contiguous chunks across `threads` scoped workers. Results come back in
-/// item order, errors in chunk order — combined with the fact that `work`
-/// reads only *previous* levels, this makes the parallel DP's merge
-/// deterministic: the table after each level is independent of the thread
-/// count, so plans and costs are bit-identical to the 1-thread run.
-fn run_level<I, T, F>(items: &[I], threads: usize, work: F) -> Result<Vec<T>, MjoinError>
-where
-    I: Copy + Sync,
-    T: Send,
-    F: Fn(I) -> Result<T, MjoinError> + Sync,
-{
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().map(|&s| work(s)).collect();
-    }
-    let workers = threads.min(items.len());
-    let chunk = items.len().div_ceil(workers);
-    let run = Scope::capture();
-    let results: Vec<Result<Vec<T>, MjoinError>> = std::thread::scope(|scope| {
-        let (work, run) = (&work, &run);
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| {
-                scope.spawn(move || {
-                    run.enter(|| {
-                        c.iter()
-                            .map(|&s| work(s))
-                            .collect::<Result<Vec<T>, MjoinError>>()
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("DP worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for r in results {
-        out.extend(r?);
-    }
-    Ok(out)
-}
-
-/// Multi-core [`try_best_no_cartesian`]: DPccp with each subset-size level
-/// run across `threads` scoped workers against a frozen table of the
-/// smaller levels, then merged in rank order. Plans and costs are
-/// bit-identical to the sequential DPccp at any thread count — same
-/// candidates, same tie-break; only the unit of scheduling differs (one
-/// target subset, so the pairs are stored, by level, and scattered into a
-/// per-target CSR view).
-pub fn try_best_no_cartesian_parallel<O: CardinalityOracle + Sync>(
-    oracle: &O,
-    subset: RelSet,
-    guard: &Guard,
-    threads: usize,
-) -> Result<Option<Plan>, MjoinError> {
-    failpoints::hit("optimizer::dp")?;
-    let scheme = oracle.scheme();
-    if !scheme.connected(subset) {
-        return Ok(None);
-    }
-    let (index, by_level) = index_and_level_pairs(scheme, subset, guard)?;
-    let cands = build_ccp_candidates(&by_level, index.len());
-    drop(by_level);
-    let mut table = FlatTable::unsolved(index.len());
-    for &r in index.level(1) {
-        guard.charge_memo(1)?;
-        incr(Counter::DpSubsetsExpanded, 1);
-        table.costs[r as usize] = 0;
-    }
-    for size in 2..=index.max_size() {
-        let level = index.level(size);
-        if level.is_empty() {
-            continue;
-        }
-        let results = run_level(level, threads, |r: u32| {
-            guard.checkpoint()?;
-            match ccp_scan_flat(&cands, r, &table.costs, guard)? {
-                None => Ok(None),
-                Some((split, children)) => {
-                    let total = oracle.try_tau(index.subset(r))?.saturating_add(children);
-                    Ok(Some((total, split)))
-                }
-            }
-        })?;
-        for (i, r) in results.into_iter().enumerate() {
-            if let Some((total, split)) = r {
-                guard.charge_memo(1)?;
-                incr(Counter::DpSubsetsExpanded, 1);
-                table.costs[level[i] as usize] = total;
-                table.splits[level[i] as usize] = Some(split);
-            }
-        }
-    }
-    root_plan(subset, &index, &table)
-}
-
-/// Multi-core [`try_best_avoid_cartesian`]: each connected component is
-/// solved with [`try_best_no_cartesian_parallel`], then the components are
-/// combined by the same (cheap, sequential) component-ordering DP.
-pub fn try_best_avoid_cartesian_parallel<O: CardinalityOracle + Sync>(
-    oracle: &O,
-    subset: RelSet,
-    guard: &Guard,
-    threads: usize,
-) -> Result<Option<Plan>, MjoinError> {
-    let comps = oracle.scheme().components(subset);
-    if comps.len() == 1 {
-        return try_best_no_cartesian_parallel(oracle, subset, guard, threads);
-    }
-    let mut plans: Vec<Plan> = Vec::with_capacity(comps.len());
-    for &c in &comps {
-        match try_best_no_cartesian_parallel(oracle, c, guard, threads)? {
-            Some(p) => plans.push(p),
-            None => return Ok(None),
-        }
-    }
-    let mut sizes: Vec<u64> = Vec::with_capacity(comps.len());
-    for &c in &comps {
-        sizes.push(oracle.try_tau(c)?);
-    }
-    combine_component_plans(plans, sizes, guard).map(Some)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mjoin_cost::{Database, ExactOracle};
     use mjoin_guard::Budget;
+    use mjoin_hypergraph::DbScheme;
 
     fn chain4() -> Database {
         Database::from_specs(&[

@@ -12,10 +12,9 @@
 //! * [`SearchSpace::Linear`] — linear strategies (GAMMA), by prefix-set DP
 //!   (`O(2ⁿ·n)`);
 //! * [`SearchSpace::NoCartesian`] — product-free strategies (INGRES,
-//!   Starburst), by the streaming csg–cmp DP ([`best_no_cartesian`]),
-//!   sequential or level-parallel with the same plan at every thread
-//!   count; size-stratified pair merging (`DPsize`), the independent
-//!   reference it is checked against, lives in `mjoin-reference`;
+//!   Starburst), by the streaming csg–cmp DP ([`best_no_cartesian`]);
+//!   size-stratified pair merging (`DPsize`), the independent reference
+//!   it is checked against, lives in `mjoin-reference`;
 //! * [`SearchSpace::LinearNoCartesian`] — both restrictions (System R,
 //!   Office-by-Example);
 //! * [`SearchSpace::AvoidCartesian`] — the paper's extension of
@@ -31,7 +30,9 @@
 //! recombination across the cuts).
 //!
 //! Costs are always the paper's `τ` (total tuples generated), supplied by a
-//! [`CardinalityOracle`](mjoin_cost::CardinalityOracle).
+//! [`CardinalityOracle`](mjoin_cost::CardinalityOracle). Every search runs
+//! on the calling thread; an oracle may use worker threads to compute a
+//! `τ`, which changes no plan.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,8 +52,7 @@ pub use bottleneck::{best_bottleneck, bottleneck_of};
 pub use complexity::{enumeration_stats, EnumerationStats};
 pub use dp::{
     best_avoid_cartesian, best_bushy, best_linear, best_no_cartesian, try_best_avoid_cartesian,
-    try_best_avoid_cartesian_parallel, try_best_bushy, try_best_linear, try_best_no_cartesian,
-    try_best_no_cartesian_parallel,
+    try_best_bushy, try_best_linear, try_best_no_cartesian,
 };
 pub use explain::{ExplainStep, Explanation};
 pub use greedy::{greedy_bushy, greedy_linear, try_greedy_bushy, try_greedy_linear};
@@ -60,4 +60,4 @@ pub use ikkbz::{ikkbz, try_ikkbz};
 pub use lindp::{lindp, try_lindp};
 pub use monotone::{best_monotone, exists_monotone, Monotonicity};
 pub use partdp::{partitioned_dp, try_partitioned_dp, try_partitioned_dp_with, DEFAULT_BLOCK_MAX};
-pub use plan::{optimize, try_optimize, try_optimize_threaded, Plan, SearchSpace};
+pub use plan::{optimize, try_optimize, Plan, SearchSpace};

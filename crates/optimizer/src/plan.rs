@@ -89,28 +89,6 @@ pub fn try_optimize<O: CardinalityOracle>(
     }
 }
 
-/// [`try_optimize`] on `threads` workers — the one place that picks the
-/// level-parallel DP: above one thread the product-free spaces run it,
-/// everything else is the sequential DP over the same oracle. Plans and
-/// costs do not depend on `threads`.
-pub fn try_optimize_threaded<O: CardinalityOracle + Sync>(
-    oracle: &O,
-    subset: RelSet,
-    space: SearchSpace,
-    guard: &Guard,
-    threads: usize,
-) -> Result<Option<Plan>, MjoinError> {
-    match space {
-        SearchSpace::NoCartesian if threads > 1 => {
-            dp::try_best_no_cartesian_parallel(oracle, subset, guard, threads)
-        }
-        SearchSpace::AvoidCartesian if threads > 1 => {
-            dp::try_best_avoid_cartesian_parallel(oracle, subset, guard, threads)
-        }
-        _ => try_optimize(oracle, subset, space, guard),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,8 +11,8 @@
 //!    natural joins, renaming is out of scope), zero tables → rejected.
 //! 3. **Push selections down**: filters are applied to the base relation
 //!    states, so the lowered database *is* the filtered database and
-//!    every exact-oracle path (DPccp, greedy, the robust ladder, shared
-//!    parallel search, execution) costs filtered cardinalities for free.
+//!    every exact-oracle path (DPccp, greedy, the robust ladder,
+//!    execution) costs filtered cardinalities for free.
 //! 4. **Expose selectivities** for the statistics-only path:
 //!    [`LoweredQuery::fold_into`] multiplies each table's filter
 //!    selectivity into a [`SyntheticOracle`], so estimate-driven planning

@@ -17,6 +17,7 @@ use mjoin_guard::{failpoints, Guard, MjoinError, Resource, Scope};
 use mjoin_obs::{incr, Counter};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 /// Output-tuple charges reach the guard in batches of this size, so a
 /// guarded join costs one atomic per batch of emitted rows.
@@ -200,39 +201,77 @@ fn hash_join<S: Rows>(
     Ok((out, len as usize))
 }
 
-/// Partitioned parallel hash join: both sides are split into `threads`
-/// partitions — lists of row ids — by a deterministic hash of the
-/// shared-attribute [`Key`], one scoped worker joins each partition pair,
-/// and the outputs are concatenated, longest first (ties in partition
-/// order). Matching rows always hash to the same partition, so the union
-/// of the partition joins is exactly the sequential join: the result is
-/// equal to it as a set at any thread count, and its emission order is
-/// fixed by the inputs and `threads`. Every worker charges the same shared
-/// `guard` (its counters are atomic).
+/// The hash-join workers that `threads` asks for on a host with `cores`
+/// cores: no more than the cores, and at least one.
+fn join_workers(threads: usize, cores: usize) -> usize {
+    threads.min(cores).max(1)
+}
+
+/// The host's cores, read once per process (1 when the system does not
+/// say).
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Partitioned parallel hash join on `threads` workers, clamped to the
+/// host's cores: one worker runs the sequential kernel directly, more run
+/// [`join_in_parts`] with one partition per worker.
 pub(crate) fn join_partitioned(
     left: &Relation,
     right: &Relation,
     threads: usize,
     guard: &Guard,
 ) -> Result<Relation, MjoinError> {
-    if threads <= 1 {
-        return join_guarded(left, right, guard);
+    match join_workers(threads, host_cores()) {
+        1 => join_guarded(left, right, guard),
+        workers => join_in_parts(left, right, workers, guard),
     }
+}
+
+/// The join of `left` and `right` in `parts` partitions: both sides are
+/// split into lists of row ids by a deterministic hash of the
+/// shared-attribute [`Key`], one scoped worker joins each partition pair,
+/// and the outputs are concatenated, longest first (ties in partition
+/// order). Matching rows always hash to the same partition, so the union
+/// of the partition joins is exactly the sequential join: the result is
+/// equal to it as a set for any `parts`, and its emission order is fixed
+/// by the inputs and `parts`. Every worker charges the same shared
+/// `guard` (its counters are atomic). A partition whose worker the system
+/// will not start is joined on the calling thread, and a worker that
+/// panics is reported as [`MjoinError::Internal`].
+fn join_in_parts(
+    left: &Relation,
+    right: &Relation,
+    parts: usize,
+    guard: &Guard,
+) -> Result<Relation, MjoinError> {
     failpoints::hit("relation::join")?;
     incr(Counter::KernelJoins, 1);
     let plan = JoinPlan::new(left, right);
-    let lparts = partition(left, &plan.left_key, threads);
-    let rparts = partition(right, &plan.right_key, threads);
+    let lparts = partition(left, &plan.left_key, parts);
+    let rparts = partition(right, &plan.right_key, parts);
     let (plan_ref, run) = (&plan, &Scope::capture());
     let results: Vec<Result<(Vec<Value>, usize), MjoinError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = lparts
+        let workers: Vec<_> = lparts
             .iter()
             .zip(&rparts)
-            .map(|(lp, rp)| scope.spawn(move || run.enter(|| hash_join(lp, rp, plan_ref, guard))))
+            .map(|(lp, rp)| {
+                std::thread::Builder::new()
+                    .spawn_scoped(scope, move || {
+                        run.enter(|| hash_join(lp, rp, plan_ref, guard))
+                    })
+                    .map_err(|_| hash_join(lp, rp, plan_ref, guard))
+            })
             .collect();
-        handles
+        workers
             .into_iter()
-            .map(|h| h.join().expect("join worker panicked"))
+            .map(|worker| match worker {
+                Ok(handle) => handle.join().unwrap_or_else(|_| {
+                    Err(MjoinError::Internal("a hash-join worker panicked".into()))
+                }),
+                Err(joined_here) => joined_here,
+            })
             .collect()
     });
     let mut results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
@@ -241,7 +280,7 @@ pub(crate) fn join_partitioned(
     results.sort_by_key(|(values, _)| std::cmp::Reverse(values.len()));
     let total: usize = results.iter().map(|(values, _)| values.len()).sum();
     let mut results = results.into_iter();
-    let (mut out, mut len) = results.next().expect("threads > 1");
+    let (mut out, mut len) = results.next().expect("parts > 1");
     out.try_reserve_exact(total - out.len())
         .map_err(|_| out_of_memory(out.len()))?;
     for (mut values, n) in results {
@@ -252,18 +291,18 @@ pub(crate) fn join_partitioned(
     Ok(Relation::from_join(plan.out_scheme, out, len))
 }
 
-/// Splits `rel`'s rows into `threads` partitions by the hash of their
+/// Splits `rel`'s rows into `parts` partitions by the hash of their
 /// [`Key`] on the columns `key`. `DefaultHasher::new()` is keyed with
 /// constants, so partitioning and emission order are deterministic — not
 /// that correctness needs it (any partitioning by key yields the same set
 /// of matches).
-fn partition<'a>(rel: &'a Relation, key: &[usize], threads: usize) -> Vec<Part<'a>> {
+fn partition<'a>(rel: &'a Relation, key: &[usize], parts: usize) -> Vec<Part<'a>> {
     assert!(rel.tau() < u64::from(END), "relation exceeds u32 row ids");
-    let mut ids = vec![Vec::new(); threads];
+    let mut ids = vec![Vec::new(); parts];
     for (i, row) in rel.rows().enumerate() {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         Key::of(row, key).hash(&mut h);
-        ids[(h.finish() % threads as u64) as usize].push(i as u32);
+        ids[(h.finish() % parts as u64) as usize].push(i as u32);
     }
     ids.into_iter().map(|ids| Part { rel, ids }).collect()
 }
@@ -377,6 +416,28 @@ mod tests {
             let guard = Guard::unlimited();
             let par = r.natural_join_partitioned(&s, threads, &guard).unwrap();
             assert_eq!(par, sequential, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn join_workers_are_clamped_to_the_cores() {
+        assert_eq!(join_workers(1, 8), 1);
+        assert_eq!(join_workers(4, 8), 4);
+        assert_eq!(join_workers(64, 2), 2);
+        assert_eq!(join_workers(64, 1), 1);
+        assert_eq!(join_workers(0, 4), 1);
+        assert!(join_workers(usize::MAX, host_cores()) <= host_cores());
+    }
+
+    #[test]
+    fn more_parts_than_cores_join_the_same_set() {
+        // The partitioned kernel itself, whatever this host's core count.
+        let r = rel("AB", (0..40).map(|i| vec![i, i % 7]).collect());
+        let s = rel("BC", (0..30).map(|i| vec![i % 7, 100 + i]).collect());
+        let sequential = r.natural_join(&s);
+        for parts in [2, 3, 8] {
+            let par = join_in_parts(&r, &s, parts, &Guard::unlimited()).unwrap();
+            assert_eq!(par, sequential, "parts={parts}");
         }
     }
 

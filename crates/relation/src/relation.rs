@@ -307,11 +307,11 @@ impl Relation {
         crate::join::join_guarded(self, other, guard)
     }
 
-    /// Partitioned parallel hash join across `threads` scoped workers, all
-    /// charging `guard`. Equal as a set to the sequential hash join at any
-    /// thread count, with the same text; only the emission order of
-    /// [`Relation::rows`] depends on `threads`. `threads <= 1` runs the
-    /// sequential kernel directly.
+    /// Partitioned parallel hash join across `threads` scoped workers,
+    /// clamped to the host's cores, all charging `guard`. Equal as a set
+    /// to the sequential hash join at any thread count, with the same
+    /// text; only the emission order of [`Relation::rows`] depends on the
+    /// worker count. One worker runs the sequential kernel directly.
     pub fn natural_join_partitioned(
         &self,
         other: &Relation,

@@ -36,7 +36,7 @@
 //!      0    32  fingerprint (ASCII hex, the canonical 128-bit key)
 //!     32     8  `within` RelSet bits (0 in response-only entries)
 //!     40     8  plan cost (u64::MAX = not costed)
-//!     48     4  n_subsets   — SchemeIndex + memo-table length
+//!     48     4  n_subsets   — connected subsets = memo-table length
 //!     52     4  n_cards     — 0, or n_subsets
 //!     56     4  n_steps     — plan join steps
 //!     60     4  response length in bytes
@@ -186,7 +186,8 @@ pub struct StoreEntry {
     pub within: u64,
     /// The winning plan's τ; `u64::MAX` when not costed within budget.
     pub plan_cost: u64,
-    /// Connected subsets in rank order (the `SchemeIndex` payload).
+    /// Connected subsets of `within` in rank order: ascending by bit
+    /// pattern, so a subset's rank is its position here.
     pub subsets: Vec<u64>,
     /// Flat memo cost table, parallel to `subsets` (`u64::MAX` unsolved).
     pub costs: Vec<u64>,

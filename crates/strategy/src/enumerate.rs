@@ -9,7 +9,7 @@
 //! the spaces and the counts (experiment `E0-counting`).
 
 use mjoin_cost::CardinalityOracle;
-use mjoin_guard::{Guard, MjoinError, Scope};
+use mjoin_guard::{Guard, MjoinError};
 use mjoin_hypergraph::{DbScheme, RelSet};
 use mjoin_obs::{incr, Counter};
 
@@ -71,96 +71,29 @@ fn each_rec(
 }
 
 /// The τ-cheapest strategy for `subset` among those passing `accept`,
-/// found by exhaustive enumeration fanned across `threads` scoped workers.
-///
-/// The top-level [`RelSet::proper_splits`] are chunked over the workers;
-/// within a chunk each split's subtree is walked in exactly the order
-/// [`try_for_each_strategy`] uses, and worker bests are merged in chunk
-/// order under strict `<`. The winner is therefore the *first* strategy of
-/// minimum cost in sequential visitation order — bit-identical to a
-/// single-threaded scan at any thread count. Cardinalities come from the
-/// shared oracle, whose memo all workers populate together.
+/// found by exhaustive enumeration in [`try_for_each_strategy`]'s order.
+/// The winner is the *first* strategy of minimum cost in that order.
 ///
 /// Returns `Ok(None)` when `accept` rejects every strategy (an empty
 /// subspace, e.g. product-free over an unconnected subset).
-pub fn try_best_strategy_parallel<O: CardinalityOracle + Sync>(
+pub fn try_best_strategy<O: CardinalityOracle>(
     oracle: &O,
     subset: RelSet,
     guard: &Guard,
-    threads: usize,
-    accept: &(dyn Fn(&Strategy) -> bool + Sync),
+    accept: &dyn Fn(&Strategy) -> bool,
 ) -> Result<Option<(Strategy, u64)>, MjoinError> {
-    if subset.is_empty() {
-        return Err(MjoinError::InvalidScheme(
-            "strategies need at least one relation".into(),
-        ));
-    }
-    if threads <= 1 || subset.is_singleton() {
-        let mut best: Option<(Strategy, u64)> = None;
-        try_for_each_strategy(subset, guard, &mut |s| {
-            incr(Counter::ExhaustiveStrategies, 1);
-            if !accept(s) {
-                return Ok(());
-            }
-            let cost = s.try_cost(oracle)?;
-            if best.as_ref().is_none_or(|(_, b)| cost < *b) {
-                best = Some((s.clone(), cost));
-            }
-            Ok(())
-        })?;
-        return Ok(best);
-    }
-    let splits: Vec<(RelSet, RelSet)> = subset.proper_splits().collect();
-    let workers = threads.min(splits.len().max(1));
-    let chunk = splits.len().div_ceil(workers);
-    let run = &Scope::capture();
-    let results: Vec<Result<Option<(Strategy, u64)>, MjoinError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = splits
-            .chunks(chunk)
-            .map(|ch| {
-                scope.spawn(move || {
-                    run.enter(|| {
-                        let mut best: Option<(Strategy, u64)> = None;
-                        for &(s1, s2) in ch {
-                            each_rec(s1, guard, &mut |left: &Strategy| {
-                                let left = left.clone();
-                                each_rec(s2, guard, &mut |right: &Strategy| {
-                                    let joined = Strategy::join(left.clone(), right.clone())
-                                        .map_err(|e| {
-                                            MjoinError::Internal(format!(
-                                                "proper splits must be disjoint: {e}"
-                                            ))
-                                        })?;
-                                    incr(Counter::ExhaustiveStrategies, 1);
-                                    if !accept(&joined) {
-                                        return Ok(());
-                                    }
-                                    let cost = joined.try_cost(oracle)?;
-                                    if best.as_ref().is_none_or(|(_, b)| cost < *b) {
-                                        best = Some((joined, cost));
-                                    }
-                                    Ok(())
-                                })
-                            })?;
-                        }
-                        Ok(best)
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("enumeration worker panicked"))
-            .collect()
-    });
     let mut best: Option<(Strategy, u64)> = None;
-    for r in results {
-        if let Some((s, c)) = r? {
-            if best.as_ref().is_none_or(|(_, b)| c < *b) {
-                best = Some((s, c));
-            }
+    try_for_each_strategy(subset, guard, &mut |s| {
+        incr(Counter::ExhaustiveStrategies, 1);
+        if !accept(s) {
+            return Ok(());
         }
-    }
+        let cost = s.try_cost(oracle)?;
+        if best.as_ref().is_none_or(|(_, b)| cost < *b) {
+            best = Some((s.clone(), cost));
+        }
+        Ok(())
+    })?;
     Ok(best)
 }
 
@@ -442,31 +375,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_best_is_thread_count_invariant() {
-        use mjoin_cost::SyntheticOracle;
-        let d = scheme(&["AB", "BC", "CD", "DE"]);
-        let o = SyntheticOracle::new(d.clone(), vec![40, 30, 20, 10], 5);
-        let guard = Guard::unlimited();
-        let accept = |_: &Strategy| true;
-        let base = try_best_strategy_parallel(&o, d.full_set(), &guard, 1, &accept)
-            .unwrap()
-            .expect("full space is never empty");
-        for threads in [2, 3, 4] {
-            let got = try_best_strategy_parallel(&o, d.full_set(), &guard, threads, &accept)
-                .unwrap()
-                .expect("full space is never empty");
-            assert_eq!(got.1, base.1, "{threads} threads");
-            assert_eq!(got.0, base.0, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn parallel_best_respects_the_accept_filter() {
+    fn best_strategy_respects_the_accept_filter() {
         use mjoin_cost::SyntheticOracle;
         let d = scheme(&["AB", "BC", "CD", "DE", "EA"]);
         let o = SyntheticOracle::new(d.clone(), vec![9, 25, 4, 16, 36], 3);
         let guard = Guard::unlimited();
-        let (s, c) = try_best_strategy_parallel(&o, d.full_set(), &guard, 4, &|s| s.is_linear())
+        let (s, c) = try_best_strategy(&o, d.full_set(), &guard, &|s| s.is_linear())
             .unwrap()
             .expect("linear space is never empty");
         assert!(s.is_linear());
@@ -480,14 +394,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_best_reports_an_empty_subspace() {
+    fn best_strategy_reports_an_empty_subspace() {
         use mjoin_cost::SyntheticOracle;
         let d = scheme(&["AB", "CD"]);
         let o = SyntheticOracle::new(d.clone(), vec![5, 5], 2);
         let guard = Guard::unlimited();
-        let best =
-            try_best_strategy_parallel(&o, d.full_set(), &guard, 2, &|s| !s.uses_cartesian(&d))
-                .unwrap();
+        let best = try_best_strategy(&o, d.full_set(), &guard, &|s| !s.uses_cartesian(&d)).unwrap();
         assert!(best.is_none());
     }
 

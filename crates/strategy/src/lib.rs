@@ -57,7 +57,7 @@ mod transform;
 
 pub use enumerate::{
     count_all_strategies, count_linear_strategies, enumerate_all, enumerate_avoiding_cartesian,
-    enumerate_linear, enumerate_no_cartesian, for_each_strategy, try_best_strategy_parallel,
+    enumerate_linear, enumerate_no_cartesian, for_each_strategy, try_best_strategy,
     try_for_each_strategy,
 };
 pub use execute::StepTrace;

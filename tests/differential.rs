@@ -7,22 +7,15 @@
 //! expectations to go stale. The observability layer turns the same suite
 //! into a work-count lockdown: `dp.subsets_expanded` on an n-chain must be
 //! exactly n(n+1)/2 (the number of connected subgraphs of a path), and
-//! `exhaustive.strategies_enumerated` must be (2k−3)!!, at any thread
-//! count.
+//! `exhaustive.strategies_enumerated` must be (2k−3)!!.
 
-use mjoin::{
-    optimize_robust, try_optimize, try_optimize_threaded, Budget, ExactOracle, Guard, Plan, Rung,
-    SearchSpace,
-};
+use mjoin::{optimize_robust, try_optimize, Budget, ExactOracle, Guard, Plan, Rung, SearchSpace};
 use mjoin_gen::data::{self, DataConfig};
 use mjoin_gen::schemes;
 use mjoin_obs::{Counter, Recorder};
-use mjoin_optimizer::{
-    try_best_bushy, try_best_no_cartesian, try_best_no_cartesian_parallel, try_greedy_bushy,
-    try_greedy_linear,
-};
+use mjoin_optimizer::{try_best_bushy, try_best_no_cartesian, try_greedy_bushy, try_greedy_linear};
 use mjoin_reference::{try_best_no_cartesian_ccp_rescan, try_best_no_cartesian_dpsize};
-use mjoin_strategy::try_best_strategy_parallel;
+use mjoin_strategy::try_best_strategy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -55,8 +48,7 @@ fn corpus() -> Vec<(String, Database)> {
 }
 
 /// Every engine that claims the product-free optimum agrees on τ:
-/// exhaustive enumeration (sequential and parallel), DPsize, DPccp and the
-/// level-parallel DPccp.
+/// exhaustive enumeration, DPsize and DPccp.
 #[test]
 fn all_product_free_optimizers_agree_on_tau() {
     for (name, db) in corpus() {
@@ -66,14 +58,11 @@ fn all_product_free_optimizers_agree_on_tau() {
 
         let shared = ExactOracle::new(&db);
         let accept = |s: &mjoin::Strategy| !s.uses_cartesian(scheme);
-        let ex_seq = try_best_strategy_parallel(&shared, full, &guard, 1, &accept)
+        let exhaustive = try_best_strategy(&shared, full, &guard, &accept)
             .unwrap()
             .expect("connected scheme has a product-free strategy");
-        let ex_par = try_best_strategy_parallel(&shared, full, &guard, 4, &accept)
-            .unwrap()
-            .expect("parallel enumeration agrees the space is nonempty");
 
-        let mut taus = vec![("exhaustive-seq", ex_seq.1), ("exhaustive-par", ex_par.1)];
+        let mut taus = vec![("exhaustive", exhaustive.1)];
         for algo in ["DpSize", "DpCcp"] {
             let oracle = ExactOracle::new(&db);
             let plan = match algo {
@@ -85,10 +74,6 @@ fn all_product_free_optimizers_agree_on_tau() {
                 .expect("connected scheme has a product-free DP plan");
             taus.push(("dp", plan.cost));
         }
-        let plan = try_best_no_cartesian_parallel(&shared, full, &guard, 4)
-            .unwrap()
-            .expect("parallel DP agrees the space is nonempty");
-        taus.push(("dp-par", plan.cost));
         let reference = taus[0].1;
         for (engine, tau) in &taus {
             assert_eq!(
@@ -103,9 +88,9 @@ fn all_product_free_optimizers_agree_on_tau() {
 /// large connected subset ties at the saturated cost, so an enumerator
 /// that accepts only a strictly cheaper candidate leaves those subsets
 /// unsolved and calls the space empty. DPsize (the independent reference),
-/// DPccp sequential and level-parallel, and the retained rescan DPccp must
-/// all answer with the same cost, and the ladder's exact `Dp` rung must be
-/// the one that answers, at one thread and at two.
+/// DPccp and the retained rescan DPccp must all answer with the same cost,
+/// and the ladder's exact `Dp` rung must be the one that answers, at one
+/// hash-join thread and at two.
 #[test]
 fn saturating_chains_are_solved_by_every_product_free_dp() {
     let cfg = DataConfig {
@@ -130,10 +115,6 @@ fn saturating_chains_are_solved_by_every_product_free_dp() {
                 try_best_no_cartesian_dpsize(&oracle, full, &guard).unwrap(),
             ),
             solve("dpccp", try_optimize(&oracle, full, nocp, &guard).unwrap()),
-            solve(
-                "dpccp-par",
-                try_optimize_threaded(&oracle, full, nocp, &guard, 2).unwrap(),
-            ),
             solve(
                 "dpccp-rescan",
                 try_best_no_cartesian_ccp_rescan(&oracle, full, &guard).unwrap(),
@@ -197,7 +178,7 @@ fn greedy_never_beats_the_optimum() {
 /// On an n-chain the connected subgraphs are exactly the contiguous runs:
 /// n(n+1)/2 of them. Both bottom-up DPs expand (insert into their table)
 /// each connected subset exactly once, so `dp.subsets_expanded` must hit
-/// that closed form — sequentially and at any worker count.
+/// that closed form.
 #[test]
 fn chain_dp_expands_the_closed_form_subset_count() {
     let mut rng = StdRng::seed_from_u64(7);
@@ -224,20 +205,6 @@ fn chain_dp_expands_the_closed_form_subset_count() {
                 "chain{n} {algo}: expanded subsets must be n(n+1)/2"
             );
         }
-        for threads in [2usize, 4] {
-            let rec = Recorder::arm();
-            let shared = ExactOracle::new(&db);
-            try_best_no_cartesian_parallel(&shared, full, &guard, threads)
-                .unwrap()
-                .expect("chains are connected");
-            let snap = rec.snapshot();
-            assert_eq!(
-                snap.counter(Counter::DpSubsetsExpanded),
-                expected,
-                "chain{n} parallel DPccp @ {threads} threads: subset expansions \
-                 must be thread-invariant"
-            );
-        }
     }
 }
 
@@ -245,8 +212,7 @@ fn chain_dp_expands_the_closed_form_subset_count() {
 /// csg–cmp enumerator emits exactly the n(n−1)(n+1)/6 = 286 valid
 /// (contiguous-run, contiguous-run) splits, the DP scans each pair exactly
 /// once — no per-target `connected_subsets` rescans — and still expands
-/// every one of the n(n+1)/2 = 78 connected subsets. Locked sequentially
-/// and at 2/4 workers (the enumeration runs once, up front, either way).
+/// every one of the n(n+1)/2 = 78 connected subsets.
 #[test]
 fn chain_dpccp_scans_only_the_emitted_ccp_pairs() {
     // Closed-form oracle: 12 relations of exact materialization would
@@ -259,50 +225,23 @@ fn chain_dpccp_scans_only_the_emitted_ccp_pairs() {
     let pairs = (n * (n - 1) * (n + 1) / 6) as u64;
     let subsets = (n * (n + 1) / 2) as u64;
 
-    {
-        // Scoped: the recorder must drop before the parallel runs re-arm.
-        let rec = Recorder::arm();
-        let oracle = mjoin::SyntheticOracle::new(s.clone(), vec![1000; n], 500);
-        try_best_no_cartesian(&oracle, full, &guard)
-            .unwrap()
-            .expect("chains are connected");
-        let snap = rec.snapshot();
-        assert_eq!(snap.counter(Counter::DpCcpPairsEmitted), pairs);
-        assert_eq!(
-            snap.counter(Counter::DpCandidatesScanned),
-            pairs,
-            "every scanned candidate must be an emitted csg–cmp pair"
-        );
-        assert_eq!(snap.counter(Counter::DpSubsetsExpanded), subsets);
-    }
-
-    for threads in [2usize, 4] {
-        let rec = Recorder::arm();
-        let shared = mjoin::SyntheticOracle::new(s.clone(), vec![1000; n], 500);
-        try_best_no_cartesian_parallel(&shared, full, &guard, threads)
-            .unwrap()
-            .expect("chains are connected");
-        let snap = rec.snapshot();
-        assert_eq!(
-            snap.counter(Counter::DpCcpPairsEmitted),
-            pairs,
-            "@{threads}"
-        );
-        assert_eq!(
-            snap.counter(Counter::DpCandidatesScanned),
-            pairs,
-            "@{threads}"
-        );
-        assert_eq!(
-            snap.counter(Counter::DpSubsetsExpanded),
-            subsets,
-            "@{threads}"
-        );
-    }
+    let rec = Recorder::arm();
+    let oracle = mjoin::SyntheticOracle::new(s.clone(), vec![1000; n], 500);
+    try_best_no_cartesian(&oracle, full, &guard)
+        .unwrap()
+        .expect("chains are connected");
+    let snap = rec.snapshot();
+    assert_eq!(snap.counter(Counter::DpCcpPairsEmitted), pairs);
+    assert_eq!(
+        snap.counter(Counter::DpCandidatesScanned),
+        pairs,
+        "every scanned candidate must be an emitted csg–cmp pair"
+    );
+    assert_eq!(snap.counter(Counter::DpSubsetsExpanded), subsets);
 }
 
 /// Exhaustive enumeration visits exactly (2k−3)!! strategies, and the
-/// counter sees each exactly once at any thread count.
+/// counter sees each exactly once.
 #[test]
 fn exhaustive_enumeration_count_is_the_double_factorial() {
     let double_factorial = |k: usize| -> u64 {
@@ -322,19 +261,17 @@ fn exhaustive_enumeration_count_is_the_double_factorial() {
         let db = data::uniform(c, s, &cfg, &mut rng);
         let full = db.scheme().full_set();
         let guard = Guard::unlimited();
-        for threads in [1usize, 4] {
-            let rec = Recorder::arm();
-            let shared = ExactOracle::new(&db);
-            try_best_strategy_parallel(&shared, full, &guard, threads, &|_| true)
-                .unwrap()
-                .expect("the unrestricted space is never empty");
-            let snap = rec.snapshot();
-            assert_eq!(
-                snap.counter(Counter::ExhaustiveStrategies),
-                double_factorial(n),
-                "chain{n} @ {threads} threads: enumeration count"
-            );
-        }
+        let rec = Recorder::arm();
+        let oracle = ExactOracle::new(&db);
+        try_best_strategy(&oracle, full, &guard, &|_| true)
+            .unwrap()
+            .expect("the unrestricted space is never empty");
+        let snap = rec.snapshot();
+        assert_eq!(
+            snap.counter(Counter::ExhaustiveStrategies),
+            double_factorial(n),
+            "chain{n}: enumeration count"
+        );
     }
 }
 

@@ -90,24 +90,45 @@ fn hostile_clique_under_tight_deadline_returns_valid_plan() {
 
 /// A clique whose binding limit is the intermediate-tuple cap: the exact
 /// oracle's materialization of the cyclic sub-joins trips it
-/// deterministically, and the ladder degrades instead of failing.
+/// deterministically, and the ladder degrades instead of failing. Plan
+/// search runs on one thread, so no two workers build the same subset and
+/// the cap trips at the same rung, with the same plan and the same
+/// per-attempt notes, at every hash-join thread count, run after run.
 #[test]
 fn hostile_clique_under_tuple_cap_degrades() {
     let db = cyclic_clique_db(14, 12);
     let budget = Budget::unlimited().with_max_tuples(10_000);
-    let r = optimize_database_robust_threaded(&db, SearchSpace::All, budget, None, 1).unwrap();
-    assert_eq!(r.plan.strategy.set(), db.scheme().full_set());
-    assert!(r.plan.strategy.validate(db.scheme()));
-    assert!(r.report.answered_by > Rung::Dp, "{}", r.report);
-    // Some rung above must have reported a budget trip, not a skip.
-    assert!(
-        r.report
-            .attempts
-            .iter()
-            .any(|a| a.outcome.contains("budget exceeded")),
-        "{}",
-        r.report
-    );
+    for space in [SearchSpace::All, SearchSpace::NoCartesian] {
+        let run = |threads| {
+            let r = optimize_database_robust_threaded(&db, space, budget, None, threads).unwrap();
+            let outcomes: Vec<String> = r
+                .report
+                .attempts
+                .iter()
+                .map(|a| a.outcome.clone())
+                .collect();
+            (r, outcomes)
+        };
+        let (r, outcomes) = run(1);
+        assert_eq!(r.plan.strategy.set(), db.scheme().full_set());
+        assert!(r.plan.strategy.validate(db.scheme()));
+        assert!(r.report.answered_by > Rung::Dp, "{space:?}: {}", r.report);
+        // Some rung above must have reported a budget trip, not a skip.
+        assert!(
+            outcomes.iter().any(|o| o.contains("budget exceeded")),
+            "{space:?}: {}",
+            r.report
+        );
+        for threads in [1, 2, 4] {
+            for round in 0..3 {
+                let (again, again_outcomes) = run(threads);
+                let case = format!("{space:?}, {threads} threads, round {round}");
+                assert_eq!(again.report.answered_by, r.report.answered_by, "{case}");
+                assert_eq!(again.plan.cost, r.plan.cost, "{case}");
+                assert_eq!(again_outcomes, outcomes, "{case}");
+            }
+        }
+    }
 }
 
 /// Every rung the ladder actually ran — failed attempts and the answering
